@@ -16,6 +16,7 @@ from .core import (
     PhaseCounters,
     checksum128,
     derive_seed,
+    element_columns,
     load_config,
     parse_config_text,
     validate_config,
@@ -90,6 +91,7 @@ __all__ = [
     "checksum128",
     "compute_splitters",
     "derive_seed",
+    "element_columns",
     "exchange_pieces",
     "external_all_to_all",
     "form_runs",

@@ -23,7 +23,7 @@ from .harness import (
     run_sort,
     verify_output,
 )
-from .vdisk import Cluster, OutputLayout
+from .vdisk import Cluster, DiskError, OutputLayout
 
 MANIFEST = "manifest.json"
 
@@ -210,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiskError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
+
+import numpy as np
 
 Element = tuple[int, int]
 
@@ -232,27 +235,6 @@ def load_config(path: str, overrides: dict[str, object] | None = None) -> Machin
     return MachineConfig(**values)  # type: ignore[arg-type]
 
 
-def element_to_bytes(elem: Element, elem_size: int) -> bytes:
-    """Little-endian key followed by the payload serial."""
-    key, serial = elem
-    payload_size = elem_size - 8
-    if serial < 0:  # sentinel
-        payload = b"\xff" * payload_size
-    else:
-        payload = (serial % (1 << (8 * payload_size))).to_bytes(payload_size, "little") \
-            if payload_size else b""
-    return key.to_bytes(8, "little") + payload
-
-
-def element_from_bytes(data: bytes, elem_size: int) -> Element:
-    key = int.from_bytes(data[:8], "little")
-    payload = data[8:elem_size]
-    if key == MAX_KEY and payload == b"\xff" * (elem_size - 8):
-        return sentinel()
-    serial = int.from_bytes(payload, "little") if payload else 0
-    return (key, serial)
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = x
@@ -269,21 +251,48 @@ def derive_seed(seed: int, *tags: int) -> int:
     return x
 
 
-def checksum128(elems) -> tuple[int, int]:
-    """Order-independent fingerprint: (count, sum of mixed hashes mod 2**128).
-
-    Equal multisets of elements produce equal fingerprints regardless of
-    arrangement; a single changed key or payload changes the sum.
+def element_columns(elems) -> tuple[np.ndarray, np.ndarray]:
+    """The ``uint64`` key column and ``int64`` serial column of a list of
+    elements.  Raises ``OverflowError`` when a value does not fit its column.
     """
-    total = 0
-    count = 0
-    mask = (1 << 128) - 1
-    for key, serial in elems:
-        h = _splitmix64(key) ^ ((_splitmix64(serial & 0xFFFFFFFFFFFFFFFF) << 64))
-        h ^= _splitmix64(key ^ 0xD6E8FEB86659FD93) << 32
-        total = (total + h) & mask
-        count += 1
-    return count, total
+    n = len(elems)
+    return (np.fromiter(map(itemgetter(0), elems), np.uint64, n),
+            np.fromiter(map(itemgetter(1), elems), np.int64, n))
+
+
+def _splitmix64_columns(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` of every entry, in wrapping ``uint64`` arithmetic."""
+    z = x + 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _sum128(words: np.ndarray) -> int:
+    """Exact sum of ``uint64`` words, from the sums of their 32-bit halves
+    (each fits ``uint64`` for fewer than 2**32 words)."""
+    low = int((words & 0xFFFFFFFF).sum(dtype=np.uint64))
+    high = int((words >> 32).sum(dtype=np.uint64))
+    return low + (high << 32)
+
+
+def checksum128(keys, serials) -> tuple[int, int]:
+    """Order-independent fingerprint of the elements ``zip(keys, serials)``:
+    (count, sum of mixed hashes mod 2**128).
+
+    An element hashes to ``sm(key) ^ (sm(serial mod 2**64) << 64)
+    ^ (sm(key ^ C) << 32)`` with ``sm`` the splitmix64 finalizer, computed
+    here as a low and a high 64-bit word per element.  Equal multisets of
+    elements produce equal fingerprints regardless of arrangement; a single
+    changed key or payload changes the sum.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    serials = np.asarray(serials, dtype=np.int64).view(np.uint64)
+    mix = _splitmix64_columns(keys ^ 0xD6E8FEB86659FD93)
+    low = _splitmix64_columns(keys) ^ (mix << 32)
+    high = _splitmix64_columns(serials) ^ (mix >> 32)
+    total = (_sum128(low) + (_sum128(high) << 64)) & ((1 << 128) - 1)
+    return len(keys), total
 
 
 class PhaseCounters:

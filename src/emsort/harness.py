@@ -24,12 +24,15 @@ import numpy as np
 from .core import (
     ALL_PHASES,
     DATA_PHASES,
+    MAX_KEY,
     MachineConfig,
     PHASE_SELECTION,
     PhaseCounters,
     RNG_NAME,
+    SENTINEL_SERIAL,
     checksum128,
     derive_seed,
+    element_columns,
     is_sentinel,
     validate_config,
 )
@@ -134,8 +137,9 @@ def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
     pe_blocks: list[list[int]] = []
     for pe in range(cfg.P):
         keys = _band_keys(cfg, spec, pe, shift_ranks)
-        elems = [(int(key), pe * local + i) for i, key in enumerate(keys)]
-        c, t = checksum128(elems)
+        first = pe * local
+        c, t = checksum128(keys, np.arange(first, first + local, dtype=np.int64))
+        elems = list(zip(keys.tolist(), range(first, first + local)))
         count += c
         total = (total + t) & ((1 << 128) - 1)
         blocks = []
@@ -194,6 +198,27 @@ def run_sort(cluster: Cluster, pe_blocks: list[list[int]],
     return result
 
 
+#: Elements that :func:`verify_output` converts to columns at a time; whole
+#: output conversion would add tens of MB of peak memory at N = 2**18.
+VERIFY_CHUNK = 1 << 15
+
+
+def _chunk_columns(chunk: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key and serial columns of a chunk of output, and its sentinel mask.
+
+    A serial that does not fit ``int64`` (read from a long payload of a
+    damaged image) enters the fingerprint modulo 2**64, as the fingerprint
+    defines it.
+    """
+    try:
+        keys, serials = element_columns(chunk)
+    except OverflowError:
+        keys, serials = element_columns(
+            [(k, (s + 2**63) % 2**64 - 2**63) for k, s in chunk])
+        return keys, serials, np.fromiter(map(is_sentinel, chunk), bool, len(chunk))
+    return keys, serials, (keys == MAX_KEY) & (serials == SENTINEL_SERIAL)
+
+
 @dataclass
 class VerifyResult:
     ok: bool
@@ -218,18 +243,26 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     last_key = None
     ordered = True
     blocks = list(layout.iter_blocks())
-    for g, (pe, lb) in enumerate(blocks):
-        data = cluster.peek_block(pe, lb)
-        for off, elem in enumerate(data):
-            position = g * cfg.B + off
-            if is_sentinel(elem):
-                res.fail(f"sentinel in output at position {position}")
-                return res
-            if ordered and last_key is not None and elem[0] < last_key:
-                res.fail(f"keys decrease at position {position}")
+    step = max(1, VERIFY_CHUNK // cfg.B)
+    for g in range(0, len(blocks), step):
+        chunk = []
+        for pe, lb in blocks[g:g + step]:
+            chunk.extend(cluster.peek_block(pe, lb))
+        keys, serials, sentinels = _chunk_columns(chunk)
+        base = g * cfg.B
+        leaks = np.flatnonzero(sentinels)
+        if ordered:
+            prev = np.concatenate(
+                ([keys[0] if last_key is None else last_key], keys[:-1]))
+            drops = np.flatnonzero(keys < prev)
+            if drops.size and (not leaks.size or drops[0] < leaks[0]):
+                res.fail(f"keys decrease at position {base + int(drops[0])}")
                 ordered = False
-            last_key = elem[0]
-        c, t = checksum128(data)
+        if leaks.size:
+            res.fail(f"sentinel in output at position {base + int(leaks[0])}")
+            return res
+        last_key = keys[-1]
+        c, t = checksum128(keys, serials)
         seen += c
         sum128 = (sum128 + t) & ((1 << 128) - 1)
     if seen != count or seen != cfg.N:

@@ -13,13 +13,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ALL_PHASES,
+    MAX_KEY,
     Element,
     MachineConfig,
     PhaseCounters,
-    element_from_bytes,
-    element_to_bytes,
+    element_columns,
+    sentinel,
 )
 
 BlockAddr = tuple[int, int]  # (pe, logical block id)
@@ -174,44 +177,80 @@ class Cluster:
 
     def save_images(self, directory: str) -> None:
         """Write one ``pe<p>_disk<d>.bin`` per disk; slot ``s`` occupies bytes
-        ``[s*B*elem_size, (s+1)*B*elem_size)``, holes zero-filled."""
+        ``[s*B*elem_size, (s+1)*B*elem_size)``, holes zero-filled.  See
+        :func:`_encode_elements` for the element layout."""
         os.makedirs(directory, exist_ok=True)
-        es = self.cfg.elem_size
-        bsize = self.cfg.B * es
+        B, es = self.cfg.B, self.cfg.elem_size
         for arr in self.arrays:
             for d, slots in enumerate(arr.slots):
                 path = os.path.join(directory, f"pe{arr.pe}_disk{d}.bin")
                 top = max(slots) + 1 if slots else 0
-                with open(path, "wb") as fh:
-                    for s in range(top):
-                        block = slots.get(s)
-                        if block is None:
-                            fh.write(b"\x00" * bsize)
-                        else:
-                            fh.write(b"".join(element_to_bytes(e, es) for e in block))
+                image = np.zeros((top, B, es), dtype=np.uint8)
+                if slots:
+                    used = sorted(slots)
+                    elems = [e for s in used for e in slots[s]]
+                    image[used] = _encode_elements(elems, es).reshape(-1, B, es)
+                image.tofile(path)
 
     @classmethod
     def load_images(cls, directory: str, cfg: MachineConfig) -> "Cluster":
+        """Rebuild a cluster from the images :meth:`save_images` wrote; every
+        slot is seeded, holes as blocks of ``(0, 0)``.  Raises
+        :class:`DiskError` for a missing image or a partial block."""
         cluster = cls(cfg)
-        es = cfg.elem_size
-        bsize = cfg.B * es
+        B, es = cfg.B, cfg.elem_size
         for pe in range(cfg.P):
             for d in range(cfg.D):
                 path = os.path.join(directory, f"pe{pe}_disk{d}.bin")
-                if not os.path.exists(path):
-                    continue
-                with open(path, "rb") as fh:
-                    data = fh.read()
-                if len(data) % bsize:
+                try:
+                    data = np.fromfile(path, dtype=np.uint8)
+                except FileNotFoundError:
+                    raise DiskError(f"{path}: image is missing") from None
+                if data.size % (B * es):
                     raise DiskError(f"{path}: size is not a whole number of blocks")
-                for s in range(len(data) // bsize):
-                    raw = data[s * bsize : (s + 1) * bsize]
-                    block = [
-                        element_from_bytes(raw[i * es : (i + 1) * es], es)
-                        for i in range(cfg.B)
-                    ]
-                    cluster.seed_block(pe, s * cfg.D + d, block)
+                elems = _decode_elements(data.reshape(-1, es))
+                for s in range(len(elems) // B):
+                    cluster.seed_block(pe, s * cfg.D + d, elems[s * B:(s + 1) * B])
         return cluster
+
+
+def _encode_elements(elems: list[Element], elem_size: int) -> np.ndarray:
+    """``(len(elems), elem_size)`` image rows: the little-endian key, then a
+    payload of ``elem_size - 8`` bytes holding the serial modulo
+    ``2**(8*(elem_size-8))``, or all ``0xff`` when the serial is negative
+    (a sentinel)."""
+    try:
+        keys, serials = element_columns(elems)
+        wide = []
+    except OverflowError:       # a serial loaded from an image need not fit int64
+        wide = [(i, s) for i, (_k, s) in enumerate(elems) if not -2**63 <= s < 2**63]
+        keys, serials = element_columns(
+            [(k, s if -2**63 <= s < 2**63 else 0) for k, s in elems])
+    rows = np.zeros((len(elems), max(elem_size, 16)), dtype=np.uint8)
+    rows[:, :8] = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    rows[:, 8:16] = serials.astype("<i8").view(np.uint8).reshape(-1, 8)
+    rows[serials < 0, 8:] = 0xFF
+    payload = elem_size - 8
+    for i, s in wide:
+        rows[i, 8:elem_size] = 0xFF if s < 0 else np.frombuffer(
+            (s % (1 << 8 * payload)).to_bytes(payload, "little"), np.uint8)
+    return rows[:, :elem_size]
+
+
+def _decode_elements(rows: np.ndarray) -> list[Element]:
+    """Inverse of :func:`_encode_elements` on ``(n, elem_size)`` image rows:
+    a ``MAX_KEY`` key with an all-``0xff`` payload is a sentinel, any other
+    payload is the serial, little-endian."""
+    n, elem_size = rows.shape
+    keys = np.ascontiguousarray(rows[:, :8]).view("<u8")[:, 0]
+    low = np.zeros((n, 8), dtype=np.uint8)
+    low[:, :elem_size - 8] = rows[:, 8:16]
+    elems = list(zip(keys.tolist(), low.view("<u8")[:, 0].tolist()))
+    for i in np.flatnonzero(rows[:, 16:].any(axis=1)).tolist():
+        elems[i] = (elems[i][0], int.from_bytes(rows[i, 8:].tobytes(), "little"))
+    for i in np.flatnonzero((keys == MAX_KEY) & (rows[:, 8:] == 0xFF).all(axis=1)).tolist():
+        elems[i] = sentinel()
+    return elems
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Shared test utilities: cluster construction and oracle sorting."""
+"""Shared test utilities: cluster construction, oracle sorting, and the
+scalar element codec that the disk images are checked against."""
 from __future__ import annotations
 
-from emsort.core import Element, MachineConfig
+from emsort.core import MAX_KEY, Element, MachineConfig, sentinel
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.vdisk import Cluster, OutputLayout
 
@@ -44,3 +45,24 @@ def oracle_agrees(inputs: list[Element], outputs: list[Element]) -> bool:
     if oracle != [elem[0] for elem in outputs]:
         return False
     return sorted(inputs) == sorted(outputs)
+
+
+def element_to_bytes(elem: Element, elem_size: int) -> bytes:
+    """Little-endian key followed by the payload serial."""
+    key, serial = elem
+    payload_size = elem_size - 8
+    if serial < 0:  # sentinel
+        payload = b"\xff" * payload_size
+    else:
+        payload = (serial % (1 << (8 * payload_size))).to_bytes(payload_size, "little") \
+            if payload_size else b""
+    return key.to_bytes(8, "little") + payload
+
+
+def element_from_bytes(data: bytes, elem_size: int) -> Element:
+    key = int.from_bytes(data[:8], "little")
+    payload = data[8:elem_size]
+    if key == MAX_KEY and payload == b"\xff" * (elem_size - 8):
+        return sentinel()
+    serial = int.from_bytes(payload, "little") if payload else 0
+    return (key, serial)

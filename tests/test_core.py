@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from emsort.core import (
     ALL_PHASES, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
     PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, PhaseCounters,
-    checksum128, compare, derive_seed, element_from_bytes, element_to_bytes,
-    is_sentinel, order_key, parse_config_text, sentinel, strictly_less,
-    validate_config,
+    checksum128, compare, derive_seed, element_columns, is_sentinel, order_key,
+    parse_config_text, sentinel, strictly_less, validate_config,
 )
+
+from helpers import element_from_bytes, element_to_bytes
 
 elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
 
@@ -120,7 +121,7 @@ def test_derive_seed_is_stable_and_spreads():
 def test_checksum128_is_order_independent(elems, rnd):
     shuffled = list(elems)
     rnd.shuffle(shuffled)
-    assert checksum128(elems) == checksum128(shuffled)
+    assert checksum128(*element_columns(elems)) == checksum128(*element_columns(shuffled))
 
 
 @given(st.lists(elements, min_size=1, max_size=50), st.data())
@@ -129,7 +130,17 @@ def test_checksum128_detects_single_change(elems, data):
     key, serial = elems[idx]
     changed = list(elems)
     changed[idx] = ((key + 1) % MAX_KEY, serial)
-    assert checksum128(elems) != checksum128(changed)
+    assert checksum128(*element_columns(elems)) != checksum128(*element_columns(changed))
+
+
+def test_checksum128_known_answer():
+    """Pinned to the value of the scalar definition, one element at a time:
+    h = sm(key) ^ (sm(serial mod 2**64) << 64) ^ (sm(key ^ C) << 32)."""
+    elems = [(0, 0), (1, 7), (2**63, 1), (2**63 + 12345, 2**40 + 3),
+             (MAX_KEY - 1, 2**63 - 1), (MAX_KEY, 0), sentinel()]
+    assert checksum128(*element_columns(elems)) == (
+        7, 0x4D522E59859C40B8767B19E2984B3A19)
+    assert checksum128(*element_columns([])) == (0, 0)
 
 
 def test_phase_counters_aggregation():

@@ -4,18 +4,25 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import emsort
 
 from emsort.cli import main as cli_main
 from emsort.core import DATA_PHASES, MachineConfig, sentinel
 from emsort.harness import (
-    INPUT_KINDS, InputSpec, generate_input, report_stats,
+    INPUT_KINDS, VERIFY_CHUNK, InputSpec, generate_input, report_stats,
     run_experiment_redistribution, run_sort, verify_output, worst_shift_cuts,
 )
 from emsort.redistribute import compute_splitters, per_run_moved
 from emsort.runform import form_runs, run_layout
-from emsort.vdisk import Cluster
+from emsort.vdisk import Cluster, OutputLayout
 
 from helpers import build, fill, input_elements, oracle_agrees, output_elements
 
@@ -174,6 +181,73 @@ def test_verify_detects_sentinel_leak():
     assert any("sentinel" in f for f in verdict.failures)
 
 
+def sorted_output(P=2, N=128, B=4):
+    """A sorted input laid out as a canonical output: element i has key i."""
+    cl = build(P=P, B=B, m=max(32, 2 * B), N=N)
+    gen = fill(cl, "sorted")
+    layout = OutputLayout("canonical", per_pe=gen.pe_blocks)
+    assert verify_output(cl, layout, gen.count, gen.total).ok
+    return cl, gen, layout
+
+
+def set_elements(cl, layout, changes):
+    """Overwrite output positions: ``changes`` maps position -> element."""
+    blocks = list(layout.iter_blocks())
+    for position, elem in changes.items():
+        pe, lb = blocks[position // cl.cfg.B]
+        block = cl.peek_block(pe, lb)
+        block[position % cl.cfg.B] = elem
+        cl.seed_block(pe, lb, block)
+
+
+def swap(cl, layout, i, j):
+    elems = output_elements(cl, layout)
+    set_elements(cl, layout, {i: elems[j], j: elems[i]})
+
+
+def test_verify_detects_decrease_across_a_chunk_boundary():
+    cl, gen, layout = sorted_output(P=1, N=2 * VERIFY_CHUNK, B=64)
+    swap(cl, layout, VERIFY_CHUNK - 1, VERIFY_CHUNK)
+    verdict = verify_output(cl, layout, gen.count, gen.total)
+    assert verdict.failures == [f"keys decrease at position {VERIFY_CHUNK}"]
+
+
+def test_verify_detects_decrease_in_the_last_block():
+    cl, gen, layout = sorted_output()
+    swap(cl, layout, 126, 127)
+    verdict = verify_output(cl, layout, gen.count, gen.total)
+    assert verdict.failures == ["keys decrease at position 127"]
+
+
+def test_verify_reports_a_decrease_then_the_sentinel_after_it():
+    cl, gen, layout = sorted_output()
+    swap(cl, layout, 5, 6)
+    set_elements(cl, layout, {20: sentinel()})
+    verdict = verify_output(cl, layout, gen.count, gen.total)
+    assert verdict.failures == ["keys decrease at position 6",
+                                "sentinel in output at position 20"]
+
+
+def test_verify_stops_at_a_sentinel_before_a_decrease():
+    cl, gen, layout = sorted_output()
+    set_elements(cl, layout, {5: sentinel()})
+    swap(cl, layout, 20, 21)
+    verdict = verify_output(cl, layout, gen.count, gen.total)
+    assert verdict.failures == ["sentinel in output at position 5"]
+
+
+def test_verify_detects_a_corrupted_striped_block():
+    cl = build(P=2, D=2, B=4, m=16, N=512, seed=41)
+    gen = fill(cl, "random", 41)
+    result = run_sort(cl, gen.pe_blocks, "striped")
+    assert verify_output(cl, result.layout, gen.count, gen.total).ok
+    set_elements(cl, result.layout, {4 * 9 + 2: (0, 0)})
+    verdict = verify_output(cl, result.layout, gen.count, gen.total)
+    assert verdict.failures == [
+        "keys decrease at position 38",
+        "output content differs from input (fingerprint mismatch)"]
+
+
 def test_verify_detects_partition_imbalance():
     cl, gen, result = sorted_run_result(seed=31)
     result.layout.per_pe[0] = result.layout.per_pe[0][:-1]   # drop a block
@@ -246,6 +320,38 @@ def test_cli_gen_sort_verify_round_trip(tmp_path, capsys):
     assert "verification: pass" in out.out or "verification: pass" in out.err
     stats = (tmp_path / "stats.csv").read_text()
     assert "# engine=canonical" in stats
+
+
+def test_cli_verify_fails_on_a_missing_image(tmp_path, capsys):
+    config = write_config(tmp_path / "grid.cfg")
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert cli_main(["sort", "--persist", str(store)]) == 0
+    (store / "pe1_disk0.bin").unlink()
+    env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emsort.cli", "verify", "--persist", str(store)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert "pe1_disk0.bin: image is missing" in proc.stderr
+
+
+def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
+    """The top bit of a 64-bit serial payload makes the loaded serial too
+    wide for an int64 column; verification reports it, it does not crash."""
+    config = write_config(tmp_path / "grid.cfg")
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert cli_main(["sort", "--persist", str(store)]) == 0
+    lb = json.loads((store / "manifest.json").read_text())["layout"]["per_pe"][0][0]
+    image = store / f"pe0_disk{lb % 2}.bin"       # D = 2
+    data = bytearray(image.read_bytes())
+    data[(lb // 2) * 4 * 16 + 15] ^= 0x80         # B = 4, elem_size = 16
+    image.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli_main(["verify", "--persist", str(store)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verification: FAIL: output content differs from input (fingerprint mismatch)"]
 
 
 def test_cli_sort_without_persist_runs_fresh(tmp_path):

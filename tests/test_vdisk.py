@@ -1,12 +1,16 @@
 """Virtual disk arrays: allocation, counted I/O, occupancy, persistence."""
 from __future__ import annotations
 
-import pytest
+import tempfile
+from pathlib import Path
 
-from emsort.core import MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP, sentinel
+import pytest
+from hypothesis import given, strategies as st
+
+from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP, sentinel
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
-from helpers import build
+from helpers import build, element_from_bytes, element_to_bytes
 
 
 def block_of(start: int, B: int) -> list[tuple[int, int]]:
@@ -122,6 +126,86 @@ def test_save_and_load_images_round_trip(tmp_path):
     for (pe, lb), data in blocks.items():
         assert loaded.peek_block(pe, lb) == data
     assert loaded.counters.total_element_io(cfg.B) == 0
+
+
+IMAGE_CFG = dict(P=1, D=2, B=2, m=32, N=0)
+
+image_elements = st.one_of(
+    st.tuples(st.integers(0, MAX_KEY), st.integers(0, 2**72)),
+    st.just(sentinel()),
+    st.tuples(st.just(MAX_KEY), st.integers(0, 2**64)),
+)
+
+
+def image_rows(elem_size: int):
+    """Raw elements of an image, biased towards the codec's special cases."""
+    return st.one_of(
+        st.binary(min_size=elem_size, max_size=elem_size),
+        st.binary(min_size=elem_size - 8, max_size=elem_size - 8).map(
+            lambda payload: b"\xff" * 8 + payload),
+        st.just(b"\xff" * elem_size),
+        st.just(bytes(elem_size)),
+    )
+
+
+@given(st.integers(8, 24),
+       st.lists(st.one_of(st.none(), st.lists(image_elements, min_size=2, max_size=2)),
+                max_size=7))
+def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
+    """Block ``lb`` of ``blocks`` lands on disk ``lb % D``; ``None`` is a hole."""
+    cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
+    cl = Cluster(cfg)
+    for lb, block in enumerate(blocks):
+        if block is not None:
+            cl.seed_block(0, lb, block)
+    with tempfile.TemporaryDirectory() as tmp:
+        cl.save_images(tmp)
+        for d in range(cfg.D):
+            mine = blocks[d::cfg.D]
+            while mine and mine[-1] is None:
+                mine.pop()
+            expected = b"".join(
+                bytes(cfg.B * elem_size) if block is None
+                else b"".join(element_to_bytes(e, elem_size) for e in block)
+                for block in mine)
+            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == expected
+
+
+@given(st.integers(8, 24).flatmap(lambda es: st.tuples(
+    st.just(es), st.lists(st.lists(image_rows(es), min_size=4, max_size=4)
+                          .map(b"".join), min_size=2, max_size=2))))
+def test_loaded_images_match_the_scalar_decoding(drawn):
+    elem_size, images = drawn
+    cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
+    with tempfile.TemporaryDirectory() as tmp:
+        for d, data in enumerate(images):
+            Path(tmp, f"pe0_disk{d}.bin").write_bytes(data)
+        loaded = Cluster.load_images(tmp, cfg)
+        bsize = cfg.B * elem_size
+        for d, data in enumerate(images):
+            for s in range(len(data) // bsize):
+                raw = data[s * bsize:(s + 1) * bsize]
+                assert loaded.peek_block(0, s * cfg.D + d) == [
+                    element_from_bytes(raw[i * elem_size:(i + 1) * elem_size], elem_size)
+                    for i in range(cfg.B)]
+        loaded.save_images(tmp)
+        for d, data in enumerate(images):
+            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == data
+
+
+def test_load_images_refuses_missing_and_partial_images(tmp_path):
+    cfg = MachineConfig(P=2, D=2, B=4, m=32, N=64)
+    cl = Cluster(cfg)
+    cl.seed_block(0, cl.alloc_block(0), block_of(0, 4))
+    cl.save_images(str(tmp_path))
+    assert Path(tmp_path, "pe1_disk1.bin").read_bytes() == b""    # empty disk
+    Cluster.load_images(str(tmp_path), cfg)
+    Path(tmp_path, "pe1_disk1.bin").unlink()
+    with pytest.raises(DiskError, match="pe1_disk1.bin: image is missing"):
+        Cluster.load_images(str(tmp_path), cfg)
+    Path(tmp_path, "pe1_disk1.bin").write_bytes(bytes(cfg.elem_size))
+    with pytest.raises(DiskError, match="not a whole number of blocks"):
+        Cluster.load_images(str(tmp_path), cfg)
 
 
 def test_output_layout_iteration_orders():
