@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 from .core import MachineConfig, load_config, validate_config
 from .harness import (
+    ENGINES,
     INPUT_KINDS,
     InputSpec,
     generate_input,
@@ -70,11 +71,18 @@ def _persist(cluster: Cluster, directory: str, payload: dict) -> None:
     _write_manifest(directory, payload)
 
 
+def _check_cfg(cfg: MachineConfig, engines=ENGINES) -> None:
+    """Exit with every engine's reasons unless one of ``engines`` can run
+    ``cfg``."""
+    bad = {engine: validate_config(cfg, engine) for engine in engines}
+    if all(bad.values()):
+        raise SystemExit("error: bad config: " + "; ".join(
+            f"{engine}: {', '.join(reasons)}" for engine, reasons in bad.items()))
+
+
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
-    bad = validate_config(cfg)
-    if bad:
-        raise SystemExit("error: bad config: " + ", ".join(bad))
+    _check_cfg(cfg)
     cluster = Cluster(cfg)
     gen = generate_input(cluster, InputSpec(args.kind, cfg.N, cfg.seed))
     _persist(cluster, args.persist, {
@@ -98,12 +106,14 @@ def cmd_sort(args) -> int:
                              f"(stage={manifest.get('stage')!r})")
     if manifest is not None:
         cfg = _manifest_cfg(manifest)
+        _check_cfg(cfg, (args.engine,))
         cluster = Cluster.load_images(args.persist, cfg)
         kind = manifest["kind"]
         pe_blocks = [list(map(int, lbs)) for lbs in manifest["pe_blocks"]]
         count, total = int(manifest["count"]), int(manifest["total"])
     else:
         cfg = _load_cfg(args)
+        _check_cfg(cfg, (args.engine,))
         cluster = Cluster(cfg)
         gen = generate_input(cluster, InputSpec(args.kind, cfg.N, cfg.seed))
         kind = args.kind
@@ -186,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sort = sub.add_parser("sort", help="sort (fresh or persisted input)")
     _add_config_flags(p_sort)
-    p_sort.add_argument("--engine", choices=("canonical", "striped"),
+    p_sort.add_argument("--engine", choices=ENGINES,
                         default="canonical")
     p_sort.add_argument("--persist", metavar="DIR",
                         help="input directory to load / output directory")

@@ -1,10 +1,12 @@
 """Shared types for the sorting-cluster simulator: elements, machine
 configuration, and per-phase I/O / communication counters.
 
-Elements are ``(key, serial)`` tuples.  ``key`` is an unsigned 64-bit sort
-key; ``serial`` is an opaque payload stand-in that round-trips through
-serialization (``elem_size - 8`` little-endian bytes).  The key 2**64 - 1 is
-reserved for sentinel padding; generators never emit it as a data key.
+An element is a record of :data:`ELEM`: an unsigned 64-bit sort ``key`` and
+a signed 64-bit ``serial``, an opaque payload stand-in that round-trips
+through serialization (``elem_size - 8`` little-endian bytes).  Blocks and
+every other run of elements are numpy arrays of that one dtype; ``.tolist()``
+gives ``(key, serial)`` tuples.  The key 2**64 - 1 with serial -1 is
+reserved for sentinel padding; generators never emit that key as a data key.
 
 Within one merge or selection instance the full order on elements is the
 lexicographic order on ``(key, origin_run, origin_position)``, which is total
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 
 import numpy as np
 
 Element = tuple[int, int]
+
+#: The element record; every block is a read-only array of ``B`` of them.
+ELEM = np.dtype([("key", "<u8"), ("serial", "<i8")])
 
 MAX_KEY = (1 << 64) - 1
 #: First component of a conceptual +infinity order key; compares above every
@@ -64,6 +68,25 @@ def sentinel() -> Element:
 
 def is_sentinel(elem: Element) -> bool:
     return elem[0] == MAX_KEY and elem[1] == SENTINEL_SERIAL
+
+
+def sentinels(n: int) -> np.ndarray:
+    """An array of ``n`` sentinel elements."""
+    return np.full(n, np.array(sentinel(), ELEM))
+
+
+def sentinel_mask(elems: np.ndarray) -> np.ndarray:
+    """Which entries of an element array are sentinels."""
+    return (elems["key"] == MAX_KEY) & (elems["serial"] == SENTINEL_SERIAL)
+
+
+def concat(parts) -> np.ndarray:
+    """The element arrays ``parts`` joined in order, as one read-only array.
+
+    A byte join: ``np.concatenate`` pays several microseconds per structured
+    array, which dominates at one call per block.
+    """
+    return np.frombuffer(b"".join([part.tobytes() for part in parts]), ELEM)
 
 
 def order_key(elem: Element, run: int, pos: int) -> tuple[int, int, int]:
@@ -156,7 +179,9 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
 
     The canonical engine additionally needs one buffer block per run during
     the final local merge, hence R*B <= m.  The striped engine instead needs
-    a merge arity of at least 2 whenever more than one run exists.
+    a merge arity of at least 2 whenever more than one run exists.  Every
+    engine needs a payload wide enough for the serials, so that persisted
+    images round-trip.
     """
     bad: list[str] = []
     if cfg.P < 1:
@@ -171,6 +196,9 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
         bad.append("N < 0")
     if cfg.elem_size < 8:
         bad.append("elem_size < 8")
+    elif cfg.N > 1 << 8 * cfg.payload_size:
+        bad.append("N > 2**(8*(elem_size-8)): the serials 0..N-1 do not fit "
+                   "the payload")
     if cfg.K < 0:
         bad.append("K < 0")
     if cfg.m and cfg.B and cfg.m % cfg.B != 0:
@@ -252,12 +280,12 @@ def derive_seed(seed: int, *tags: int) -> int:
 
 
 def element_columns(elems) -> tuple[np.ndarray, np.ndarray]:
-    """The ``uint64`` key column and ``int64`` serial column of a list of
-    elements.  Raises ``OverflowError`` when a value does not fit its column.
+    """The ``uint64`` key column and ``int64`` serial column of an element
+    array or a list of ``(key, serial)`` tuples.  Raises ``OverflowError``
+    when a value does not fit its column.
     """
-    n = len(elems)
-    return (np.fromiter(map(itemgetter(0), elems), np.uint64, n),
-            np.fromiter(map(itemgetter(1), elems), np.int64, n))
+    elems = np.asarray(elems, ELEM)
+    return elems["key"], elems["serial"]
 
 
 def _splitmix64_columns(x: np.ndarray) -> np.ndarray:

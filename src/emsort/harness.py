@@ -24,16 +24,15 @@ import numpy as np
 from .core import (
     ALL_PHASES,
     DATA_PHASES,
-    MAX_KEY,
+    ELEM,
     MachineConfig,
     PHASE_SELECTION,
     PhaseCounters,
     RNG_NAME,
-    SENTINEL_SERIAL,
     checksum128,
+    concat,
     derive_seed,
-    element_columns,
-    is_sentinel,
+    sentinel_mask,
     validate_config,
 )
 from .merge import local_multiway_merge
@@ -44,6 +43,7 @@ from .vdisk import Cluster, OutputLayout
 
 INPUT_KINDS = ("random", "sorted", "reverse", "duplicate_heavy",
                "worst_case_shift")
+ENGINES = ("canonical", "striped")
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,10 @@ def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
     total = 0
     pe_blocks: list[list[int]] = []
     for pe in range(cfg.P):
-        keys = _band_keys(cfg, spec, pe, shift_ranks)
-        first = pe * local
-        c, t = checksum128(keys, np.arange(first, first + local, dtype=np.int64))
-        elems = list(zip(keys.tolist(), range(first, first + local)))
+        elems = np.empty(local, ELEM)
+        elems["key"] = _band_keys(cfg, spec, pe, shift_ranks)
+        elems["serial"] = np.arange(pe * local, (pe + 1) * local)
+        c, t = checksum128(elems["key"], elems["serial"])
         count += c
         total = (total + t) & ((1 << 128) - 1)
         blocks = []
@@ -198,25 +198,8 @@ def run_sort(cluster: Cluster, pe_blocks: list[list[int]],
     return result
 
 
-#: Elements that :func:`verify_output` converts to columns at a time; whole
-#: output conversion would add tens of MB of peak memory at N = 2**18.
+#: Output elements that :func:`verify_output` checks at a time.
 VERIFY_CHUNK = 1 << 15
-
-
-def _chunk_columns(chunk: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key and serial columns of a chunk of output, and its sentinel mask.
-
-    A serial that does not fit ``int64`` (read from a long payload of a
-    damaged image) enters the fingerprint modulo 2**64, as the fingerprint
-    defines it.
-    """
-    try:
-        keys, serials = element_columns(chunk)
-    except OverflowError:
-        keys, serials = element_columns(
-            [(k, (s + 2**63) % 2**64 - 2**63) for k, s in chunk])
-        return keys, serials, np.fromiter(map(is_sentinel, chunk), bool, len(chunk))
-    return keys, serials, (keys == MAX_KEY) & (serials == SENTINEL_SERIAL)
 
 
 @dataclass
@@ -245,12 +228,10 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     blocks = list(layout.iter_blocks())
     step = max(1, VERIFY_CHUNK // cfg.B)
     for g in range(0, len(blocks), step):
-        chunk = []
-        for pe, lb in blocks[g:g + step]:
-            chunk.extend(cluster.peek_block(pe, lb))
-        keys, serials, sentinels = _chunk_columns(chunk)
+        chunk = concat([cluster.peek_block(pe, lb) for pe, lb in blocks[g:g + step]])
+        keys, serials = chunk["key"], chunk["serial"]
         base = g * cfg.B
-        leaks = np.flatnonzero(sentinels)
+        leaks = np.flatnonzero(sentinel_mask(chunk))
         if ordered:
             prev = np.concatenate(
                 ([keys[0] if last_key is None else last_key], keys[:-1]))
@@ -280,8 +261,8 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
                 continue
             if not lbs:
                 continue
-            first = cluster.peek_block(pe, lbs[0])[0][0]
-            last = cluster.peek_block(pe, lbs[-1])[-1][0]
+            first = int(cluster.peek_block(pe, lbs[0])["key"][0])
+            last = int(cluster.peek_block(pe, lbs[-1])["key"][-1])
             if boundary_key is not None and first < boundary_key:
                 res.fail(f"partition boundary {pe - 1}|{pe} out of order")
             boundary_key = last

@@ -8,13 +8,12 @@ neither the sent nor the received counter.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, Sized
 
-from .core import Element
 from .vdisk import Cluster
 
 #: One tagged unit of an exchange: (caller tag, elements).
-Parcel = tuple[Any, list]
+Parcel = tuple[Any, Sized]
 
 
 class ProtocolError(Exception):
@@ -39,7 +38,8 @@ def all_to_all_v(
     """Exchange ``payloads[src][dst]`` parcel lists; return ``received`` with
     ``received[dst][src]`` holding exactly the parcels ``src`` addressed to
     ``dst``, in sending order.  Element volumes are charged per PE for
-    ``src != dst`` only."""
+    ``src != dst`` only.  Parcels are delivered as sent, not copied: element
+    arrays are never written in place."""
     P = cluster.cfg.P
     _check_matrix(payloads, P)
     received: list[list[list[Parcel]]] = [[[] for _ in range(P)] for _ in range(P)]
@@ -51,16 +51,17 @@ def all_to_all_v(
             if src != dst:
                 counters.add_sent(phase, src, volume)
                 counters.add_received(phase, dst, volume)
-            received[dst][src] = [(tag, list(elems)) for tag, elems in parcels]
+            received[dst][src] = list(parcels)
     return received
 
 
 def exchange_pieces(
     cluster: Cluster,
-    pieces: Sequence[Sequence[list[Element]]],
+    pieces: Sequence[Sequence[Sized]],
     phase: str,
-) -> list[list[list[Element]]]:
-    """Untagged convenience wrapper: ``pieces[src][dst]`` is one element list."""
+) -> list[list[Sized]]:
+    """Untagged convenience wrapper: ``pieces[src][dst]`` is one element
+    array (or list)."""
     payloads = [[[(None, piece)] for piece in row] for row in pieces]
     received = all_to_all_v(cluster, payloads, phase)
     return [[slot[0][1] if slot else [] for slot in row] for row in received]

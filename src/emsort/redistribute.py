@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, sentinel
+from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
 from .net import all_to_all_v, gather_splitters
 from .runform import RunDescriptor
 from .selection import DiskAccessor, select_all_ranks
@@ -119,12 +119,8 @@ def xfer_matrix(runs: list[RunDescriptor], matrix: SplitterMatrix
     """s[q][t]: elements source q must ship to destination t."""
     P = matrix.boundaries
     s = [[0] * P for _ in range(P)]
-    for j, run in enumerate(runs):
-        for t in range(P):
-            for q, a, b in _slice_pieces(run, matrix.pos[t][j],
-                                         matrix.pos[t + 1][j]):
-                if q != t:
-                    s[q][t] += b - a
+    for q, t, _j, a, b in _flow_list(runs, matrix):
+        s[q][t] += b - a
     return s
 
 
@@ -133,16 +129,9 @@ def moved_volume(runs: list[RunDescriptor], matrix: SplitterMatrix) -> int:
 
 
 def per_run_moved(runs: list[RunDescriptor], matrix: SplitterMatrix) -> list[int]:
-    P = matrix.boundaries
-    out = []
-    for j, run in enumerate(runs):
-        v = 0
-        for t in range(P):
-            for q, a, b in _slice_pieces(run, matrix.pos[t][j],
-                                         matrix.pos[t + 1][j]):
-                if q != t:
-                    v += b - a
-        out.append(v)
+    out = [0] * len(runs)
+    for _q, _t, j, a, b in _flow_list(runs, matrix):
+        out[j] += b - a
     return out
 
 
@@ -271,7 +260,7 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
         for f, a, b in sorted(by_round[r],
                               key=lambda e: (flows[e[0]][0], flows[e[0]][2], e[1])):
             q, t, j, _lo, _hi = flows[f]
-            elems = []
+            parts = []
             p = a
             cur = None
             while p < b:
@@ -281,9 +270,9 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
                     reads[q] += 1
                     cur = (j, lb)
                 take = min(b - p, B - off)
-                elems.extend(data[off:off + take])
+                parts.append(data[off:off + take])
                 p += take
-            payloads[q][t].append(((j, a), elems))
+            payloads[q][t].append(((j, a), concat(parts)))
             extracted[q] += b - a
             sent_vol[q] += b - a
         received = all_to_all_v(cluster, payloads, PHASE_ALL_TO_ALL)
@@ -297,14 +286,14 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
                                 f"m={cfg.m} on PE {t}")
             for src in received[t]:
                 for (j, lo), elems in src:
+                    pad = -len(elems) % B
+                    padded = concat([elems, sentinels(pad)]) if pad else elems
+                    padding += pad
                     blocks = []
-                    for c in range(0, len(elems), B):
-                        chunk = elems[c:c + B]
-                        if len(chunk) < B:
-                            padding += B - len(chunk)
-                            chunk = chunk + [sentinel()] * (B - len(chunk))
+                    for c in range(0, len(padded), B):
                         lb = cluster.alloc_block(t)
-                        cluster.write_block(t, lb, chunk, PHASE_ALL_TO_ALL)
+                        cluster.write_block(t, lb, padded[c:c + B],
+                                            PHASE_ALL_TO_ALL)
                         blocks.append(lb)
                     refs_at.setdefault((t, j), []).append(
                         (lo, SegRef(t, blocks, 0, len(elems))))

@@ -15,14 +15,12 @@ which is what keeps redistribution volume low on adversarial inputs.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Element, MachineConfig, PHASE_RUN_FORMATION, derive_seed
+from .core import ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed
 from .net import exchange_pieces, gather_splitters
-from .selection import MemoryAccessor, select_all_ranks
 
 
 @dataclass
@@ -62,38 +60,53 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks: list[int]) -> list[in
     return [blocks[k] for k in rng.permutation(len(blocks))]
 
 
-def internal_parallel_sort(cluster, loads: list[list[Element]],
-                           phase: str = PHASE_RUN_FORMATION) -> list[list[Element]]:
+def _by_key_then_serial(elems: np.ndarray) -> np.ndarray:
+    """``elems`` in (key, serial) order."""
+    keys = elems["key"]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():   # ties: the slower two-key sort
+        order = np.lexsort((elems["serial"], keys))
+    return elems[order]
+
+
+def internal_parallel_sort(cluster, loads: list[np.ndarray],
+                           phase: str = PHASE_RUN_FORMATION) -> list[np.ndarray]:
     """Sort one memory load across processors.
 
     ``loads[p]`` is processor p's unsorted share.  Returns equal-size sorted
     chunks, chunk p preceding chunk p+1, with the single data exchange
     charged to ``phase``.  Local sorts order elements by (key, serial); the
-    chunk cuts are exact rank splits, so chunk sizes match the shares.
+    chunk cuts are exact rank splits in the order (key, processor, position),
+    so chunk sizes match the shares.
     """
     P = len(loads)
     m = cluster.cfg.m
     for load in loads:
         if len(load) > m:
             raise MemoryError(f"load of {len(load)} elements exceeds m={m}")
-    locals_sorted = [sorted(load) for load in loads]
-    total = sum(len(lst) for lst in locals_sorted)
+    total = sum(len(load) for load in loads)
     if total == 0:
-        return [[] for _ in range(P)]
+        return [np.empty(0, ELEM) for _ in range(P)]
     if total % P:
         raise ValueError("load size is not divisible by processor count")
     share = total // P
-    acc = MemoryAccessor(locals_sorted)
-    results = select_all_ranks(acc, [p * share for p in range(1, P)])
-    cutpos = ([[0] * P] + [res.positions for res in results]
-              + [[len(lst) for lst in locals_sorted]])
+    locals_sorted = [_by_key_then_serial(load) for load in loads]
+    # A stable sort by key of the processor-ordered concatenation is the
+    # order (key, processor, position); count each processor's elements per
+    # chunk of ``share`` ranks.
+    keys = np.concatenate([lst["key"] for lst in locals_sorted])
+    source = np.repeat(np.arange(P), [len(lst) for lst in locals_sorted])
+    ranked = source[np.argsort(keys, kind="stable")]
+    counts = np.bincount(np.arange(total) // share * P + ranked, minlength=P * P)
+    cutpos = [[0] * P] + np.cumsum(counts.reshape(P, P), axis=0).tolist()
     # Every processor learns every cut position (control traffic).
     gather_splitters(cluster, [[cutpos[p][q] for p in range(1, P)]
                                for q in range(P)], phase)
     pieces = [[locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]]
                for p in range(P)] for q in range(P)]
     received = exchange_pieces(cluster, pieces, phase)
-    return [list(heapq.merge(*received[p])) for p in range(P)]
+    return [_by_key_then_serial(concat(row)) for row in received]
 
 
 def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
@@ -112,12 +125,9 @@ def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
     for i, (length, share) in enumerate(layout):
         take = share // B
         chunk = [sorted(order[p][base:base + take]) for p in range(cfg.P)]
-        loads = []
-        for p in range(cfg.P):
-            elems: list[Element] = []
-            for lb in order[p][base:base + take]:
-                elems.extend(cluster.read_block(p, lb, PHASE_RUN_FORMATION))
-            loads.append(elems)
+        loads = [concat([cluster.read_block(p, lb, PHASE_RUN_FORMATION)
+                         for lb in order[p][base:base + take]])
+                 for p in range(cfg.P)]
         base += take
         chunks = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
         samples: list[tuple[int, int]] = []
@@ -126,8 +136,7 @@ def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
                 cluster.write_block(p, chunk[p][b],
                                     sorted_chunk[start:start + B], PHASE_RUN_FORMATION)
             g = -(-(p * share) // K) * K  # first sampled position in chunk
-            while g < (p + 1) * share:
-                samples.append((sorted_chunk[g - p * share][0], g))
-                g += K
+            samples.extend(zip(sorted_chunk["key"][g - p * share::K].tolist(),
+                               range(g, (p + 1) * share, K)))
         runs.append(RunDescriptor(i, length, share, B, chunk, samples))
     return runs

@@ -12,8 +12,8 @@ narrow band around sample-derived starting positions) and lose half their
 width each round.  A round compares the element in the middle of every
 window against the largest element currently left of any cut and moves the
 window's edge that the comparison rules out, then rebalances whole chunks
-between runs with a priority queue until the chunk-granular rank matches the
-target.  The final round works at chunk size one, which lands the cut
+between runs, smallest boundary element first, until the chunk-granular rank
+matches the target.  The final round works at chunk size one, which lands the cut
 exactly; a closing sweep double-checks the order property and repairs it by
 single-element exchanges in the (never observed) case that the starting
 windows did not contain the true cut.
@@ -24,8 +24,8 @@ search needs only about ``log2 K`` rounds and touches one block per run.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Any
 
 from .core import INF_KEY, Element, PHASE_SELECTION
 
@@ -80,7 +80,7 @@ class DiskAccessor:
         self.lengths = [seg.length for seg in segments]
         self.touched = 0
         self.blocks_read = 0
-        self._cache: dict[int, tuple[tuple[int, int], list[Element]]] = {}
+        self._cache: dict[int, tuple[tuple[int, int], Any]] = {}
         self._memo: dict[tuple[int, int], OrderKey] = {}
 
     def reset_memo(self) -> None:
@@ -106,7 +106,7 @@ class DiskAccessor:
             self.blocks_read += 1
             if self.cache_blocks:
                 self._cache[run] = ((pe, lb), block)
-        okey = (block[off][0], run, pos)
+        okey = (int(block["key"][off]), run, pos)
         self._memo[(run, pos)] = okey
         return okey
 
@@ -118,10 +118,6 @@ class SelectResult:
     touched: int
     blocks_read: int
     fell_back: bool = False
-
-
-def _neg(okey: OrderKey) -> OrderKey:
-    return (-okey[0], -okey[1], -okey[2])
 
 
 def _refine_windows(acc, r: int, a: list[int], b: list[int], n: int) -> int:
@@ -153,29 +149,29 @@ def _refine_windows(acc, r: int, a: list[int], b: list[int], n: int) -> int:
                 a[i] = min(a[i] + n + 1, ns[i])
             else:
                 b[i] -= n + 1
-        # Rebalance whole chunks until the chunk-granular rank matches.
+        # Rebalance whole chunks until the chunk-granular rank matches: move
+        # the cut of the run whose next chunk starts lowest (or whose last
+        # kept chunk ends highest), one chunk at a time.
         skew = r // (n + 1) - sum(x // (n + 1) for x in a)
         if skew > 0:
-            pq = [(acc.order_key(i, b[i]), i)
-                  for i in range(R) if 0 <= b[i] < ns[i]]
-            heapq.heapify(pq)
-            while skew and pq:
-                _okey, src = heapq.heappop(pq)
+            front = {i: acc.order_key(i, b[i]) for i in range(R) if 0 <= b[i] < ns[i]}
+            while skew and front:
+                src = min(front, key=front.__getitem__)
+                del front[src]
                 a[src] = min(a[src] + n + 1, ns[src])
                 b[src] += n + 1
                 if 0 <= b[src] < ns[src]:
-                    heapq.heappush(pq, (acc.order_key(src, b[src]), src))
+                    front[src] = acc.order_key(src, b[src])
                 skew -= 1
         elif skew < 0:
-            pq = [(_neg(acc.order_key(i, a[i] - 1)), i)
-                  for i in range(R) if a[i] > 0]
-            heapq.heapify(pq)
-            while skew and pq:
-                _nkey, src = heapq.heappop(pq)
+            back = {i: acc.order_key(i, a[i] - 1) for i in range(R) if a[i] > 0}
+            while skew and back:
+                src = max(back, key=back.__getitem__)
+                del back[src]
                 a[src] -= n + 1
                 b[src] -= n + 1
                 if a[src] > 0:
-                    heapq.heappush(pq, (_neg(acc.order_key(src, a[src] - 1)), src))
+                    back[src] = acc.order_key(src, a[src] - 1)
                 skew += 1
     return rounds
 

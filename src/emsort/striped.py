@@ -14,10 +14,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
-    Element,
+    ELEM,
     PHASE_RUN_FORMATION,
     PHASE_STRIPED_MERGE,
+    concat,
     derive_seed,
 )
 from .merge import batch_merge
@@ -49,35 +52,34 @@ class _StripedWriter:
         self.start_disk = start_disk
         self.writer_pe = writer_pe
         self.phase = phase
-        self.tail: list[Element] = []
+        self.tail = np.empty(0, ELEM)
         self.blocks: list[tuple[int, int]] = []
         self.minima: list[int] = []
         self.length = 0
 
-    def _flush_block(self) -> None:
+    def append(self, elems: np.ndarray) -> None:
+        """Write every whole block of the tail plus ``elems``, round-robin
+        from the next disk; keep the rest as the tail."""
         cluster = self.cluster
-        D = cluster.cfg.D
-        disk = (self.start_disk + len(self.blocks)) % cluster.cfg.total_disks
-        pe, local_disk = divmod(disk, D)
-        lb = cluster.alloc_block_on(pe, local_disk)
-        cluster.write_block(pe, lb, self.tail, self.phase)
-        if pe != self.writer_pe:
-            cluster.counters.add_sent(self.phase, self.writer_pe, len(self.tail))
-            cluster.counters.add_received(self.phase, pe, len(self.tail))
-        self.blocks.append((pe, lb))
-        self.minima.append(self.tail[0][0])
-        self.length += len(self.tail)
-        self.tail = []
-
-    def append(self, elems: list[Element]) -> None:
-        B = self.cluster.cfg.B
-        for elem in elems:
-            self.tail.append(elem)
-            if len(self.tail) == B:
-                self._flush_block()
+        cfg = cluster.cfg
+        B = cfg.B
+        data = concat([self.tail, elems])
+        full = len(data) - len(data) % B
+        for start in range(0, full, B):
+            disk = (self.start_disk + len(self.blocks)) % cfg.total_disks
+            pe, local_disk = divmod(disk, cfg.D)
+            lb = cluster.alloc_block_on(pe, local_disk)
+            cluster.write_block(pe, lb, data[start:start + B], self.phase)
+            if pe != self.writer_pe:
+                cluster.counters.add_sent(self.phase, self.writer_pe, B)
+                cluster.counters.add_received(self.phase, pe, B)
+            self.blocks.append((pe, lb))
+        self.minima.extend(data["key"][:full:B].tolist())
+        self.length += full
+        self.tail = data[full:]
 
     def finish(self) -> StripedRun:
-        if self.tail:
+        if len(self.tail):
             raise RuntimeError(
                 f"striped run length {self.length + len(self.tail)} is not "
                 f"a block multiple")
@@ -108,15 +110,15 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
     index = 0
     while offset < local:
         take = min(share, local - offset)
-        loads: list[list[Element]] = []
+        loads = []
         for p in range(cfg.P):
-            chunk: list[Element] = []
+            chunk = []
             for _ in range(take // B):
                 lb = pe_blocks[p][cursor[p]]
                 cursor[p] += 1
-                chunk.extend(cluster.read_block(p, lb, PHASE_RUN_FORMATION))
+                chunk.append(cluster.read_block(p, lb, PHASE_RUN_FORMATION))
                 cluster.deallocate_block(p, lb)
-            loads.append(chunk)
+            loads.append(concat(chunk))
         pieces = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
         writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
                                 COORDINATOR, PHASE_RUN_FORMATION)
@@ -263,21 +265,25 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     n_steps = verify_schedule(disks, steps, W)
 
     batch_blocks = max(1, cfg.M // (2 * B))
-    buffers: list[list[Element]] = [[] for _ in runs]
+    buffers = [np.empty(0, ELEM) for _ in runs]
     offsets = [0] * len(runs)
     writer = _StripedWriter(cluster, start_disk, COORDINATOR,
                             PHASE_STRIPED_MERGE)
     L = len(entries)
     for lo in range(0, L, batch_blocks):
         hi = min(lo + batch_blocks, L)
+        fetched: list[list[np.ndarray]] = [[] for _ in runs]
         for (_k, j, g) in entries[lo:hi]:
             pe, lb = runs[j].blocks[g]
-            buffers[j].extend(cluster.read_block(pe, lb, PHASE_STRIPED_MERGE))
+            fetched[j].append(cluster.read_block(pe, lb, PHASE_STRIPED_MERGE))
             if pe != COORDINATOR:
                 cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B)
                 cluster.counters.add_received(PHASE_STRIPED_MERGE,
                                               COORDINATOR, B)
             cluster.deallocate_block(pe, lb)
+        for j, blocks in enumerate(fetched):
+            if blocks:
+                buffers[j] = concat([buffers[j], *blocks])
         if hi < L:
             key, j, g = entries[hi]
             bound = (key, j, g * B)

@@ -6,7 +6,8 @@ stripe round-robin over the PE's disks.  All engine reads and writes go
 through :class:`Cluster`, which charges them to a named phase in the shared
 :class:`~emsort.core.PhaseCounters`.  Input materialization and verification
 use the uncounted ``seed_block`` / ``peek_block`` paths so the engine I/O
-identities stay exact.
+identities stay exact.  A stored block is a read-only copy of what was
+written, and reads return it as is.
 """
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ import numpy as np
 
 from .core import (
     ALL_PHASES,
+    ELEM,
     MAX_KEY,
-    Element,
+    SENTINEL_SERIAL,
     MachineConfig,
     PhaseCounters,
-    element_columns,
-    sentinel,
+    concat,
+    sentinel_mask,
 )
 
 BlockAddr = tuple[int, int]  # (pe, logical block id)
@@ -38,22 +40,13 @@ class _PEArray:
     def __init__(self, pe: int, d: int):
         self.pe = pe
         self.D = d
-        self.slots: list[dict[int, list[Element]]] = [{} for _ in range(d)]
+        self.slots: list[dict[int, np.ndarray]] = [{} for _ in range(d)]
         self.next_slot = [0] * d
         self.allocated = 0
         self.peak_allocated = 0
 
     def locate(self, lb: int) -> tuple[int, int]:
         return lb % self.D, lb // self.D
-
-    def note_slot(self, lb: int) -> None:
-        disk, slot = self.locate(lb)
-        if slot >= self.next_slot[disk]:
-            self.next_slot[disk] = slot + 1
-
-    def _bump(self) -> None:
-        if self.allocated > self.peak_allocated:
-            self.peak_allocated = self.allocated
 
 
 class Cluster:
@@ -69,9 +62,8 @@ class Cluster:
     def alloc_block(self, pe: int) -> int:
         """Reserve a fresh logical block id on ``pe``, round-robin over disks
         (no I/O charged)."""
-        arr = self.arrays[pe]
-        disk = min(range(arr.D), key=lambda d: (arr.next_slot[d], d))
-        return self.alloc_block_on(pe, disk)
+        free = self.arrays[pe].next_slot
+        return self.alloc_block_on(pe, free.index(min(free)))
 
     def alloc_block_on(self, pe: int, disk: int) -> int:
         """Reserve a fresh logical block id on a specific disk of ``pe``."""
@@ -85,7 +77,8 @@ class Cluster:
 
     # -- counted I/O ---------------------------------------------------------
 
-    def read_block(self, pe: int, lb: int, phase: str) -> list[Element]:
+    def read_block(self, pe: int, lb: int, phase: str) -> np.ndarray:
+        """The stored block itself: a read-only array of ``B`` elements."""
         if phase not in ALL_PHASES:
             raise ValueError(f"unknown phase {phase!r}")
         arr = self.arrays[pe]
@@ -95,23 +88,12 @@ class Cluster:
         except KeyError:
             raise DiskError(f"read of unallocated block pe={pe} lb={lb}") from None
         self.counters.note_read(phase, pe, disk)
-        return list(block)
+        return block
 
-    def write_block(self, pe: int, lb: int, block: list[Element], phase: str) -> None:
+    def write_block(self, pe: int, lb: int, block, phase: str) -> None:
         if phase not in ALL_PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        if len(block) != self.cfg.B:
-            raise DiskError(
-                f"write of {len(block)} elements to pe={pe} lb={lb}; block size is {self.cfg.B}"
-            )
-        arr = self.arrays[pe]
-        disk, slot = arr.locate(lb)
-        if slot not in arr.slots[disk]:
-            arr.allocated += 1
-            arr._bump()
-        arr.note_slot(lb)
-        arr.slots[disk][slot] = list(block)
-        self.counters.note_write(phase, pe, disk)
+        self.counters.note_write(phase, pe, self.seed_block(pe, lb, block))
 
     def deallocate_block(self, pe: int, lb: int) -> None:
         """Release a block slot (no I/O charged; supports in-place accounting)."""
@@ -124,22 +106,29 @@ class Cluster:
 
     # -- uncounted paths (setup / verification only) ---------------------------
 
-    def seed_block(self, pe: int, lb: int, block: list[Element]) -> None:
+    def seed_block(self, pe: int, lb: int, block) -> int:
+        """Store a read-only copy of ``block`` (an element array, or a list of
+        ``(key, serial)`` tuples) without charging I/O; returns its disk."""
+        # frombuffer over fresh bytes: a read-only copy, and cheaper than
+        # ndarray.copy for a block-sized structured array.
+        block = np.frombuffer(np.asarray(block, ELEM).tobytes(), ELEM)
         if len(block) != self.cfg.B:
-            raise DiskError(f"seed of {len(block)} elements; block size is {self.cfg.B}")
+            raise DiskError(f"store of {len(block)} elements to pe={pe} lb={lb}; "
+                            f"block size is {self.cfg.B}")
         arr = self.arrays[pe]
         disk, slot = arr.locate(lb)
         if slot not in arr.slots[disk]:
             arr.allocated += 1
-            arr._bump()
-        arr.note_slot(lb)
-        arr.slots[disk][slot] = list(block)
+            arr.peak_allocated = max(arr.peak_allocated, arr.allocated)
+        arr.next_slot[disk] = max(arr.next_slot[disk], slot + 1)
+        arr.slots[disk][slot] = block
+        return disk
 
-    def peek_block(self, pe: int, lb: int) -> list[Element]:
+    def peek_block(self, pe: int, lb: int) -> np.ndarray:
         arr = self.arrays[pe]
         disk, slot = arr.locate(lb)
         try:
-            return list(arr.slots[disk][slot])
+            return arr.slots[disk][slot]
         except KeyError:
             raise DiskError(f"peek of unallocated block pe={pe} lb={lb}") from None
 
@@ -161,17 +150,11 @@ class Cluster:
 
     def total_elements(self, drop_sentinels: bool = True) -> int:
         """Count elements currently stored on all disks."""
-        from .core import is_sentinel
-
-        total = 0
-        for arr in self.arrays:
-            for slots in arr.slots:
-                for block in slots.values():
-                    if drop_sentinels:
-                        total += sum(1 for e in block if not is_sentinel(e))
-                    else:
-                        total += len(block)
-        return total
+        elems = concat([block for arr in self.arrays for slots in arr.slots
+                        for block in slots.values()])
+        if drop_sentinels:
+            return int(np.count_nonzero(~sentinel_mask(elems)))
+        return len(elems)
 
     # -- persistence -----------------------------------------------------------
 
@@ -188,7 +171,7 @@ class Cluster:
                 image = np.zeros((top, B, es), dtype=np.uint8)
                 if slots:
                     used = sorted(slots)
-                    elems = [e for s in used for e in slots[s]]
+                    elems = concat([slots[s] for s in used])
                     image[used] = _encode_elements(elems, es).reshape(-1, B, es)
                 image.tofile(path)
 
@@ -196,7 +179,8 @@ class Cluster:
     def load_images(cls, directory: str, cfg: MachineConfig) -> "Cluster":
         """Rebuild a cluster from the images :meth:`save_images` wrote; every
         slot is seeded, holes as blocks of ``(0, 0)``.  Raises
-        :class:`DiskError` for a missing image or a partial block."""
+        :class:`DiskError` for a missing image, a partial block, or a row
+        that :meth:`save_images` would not write back byte for byte."""
         cluster = cls(cfg)
         B, es = cfg.B, cfg.elem_size
         for pe in range(cfg.P):
@@ -208,48 +192,40 @@ class Cluster:
                     raise DiskError(f"{path}: image is missing") from None
                 if data.size % (B * es):
                     raise DiskError(f"{path}: size is not a whole number of blocks")
-                elems = _decode_elements(data.reshape(-1, es))
+                rows = data.reshape(-1, es)
+                elems = _decode_elements(rows)
+                wide = np.flatnonzero(
+                    (_encode_elements(elems, es) != rows).any(axis=1))
+                if wide.size:
+                    raise DiskError(f"{path}: row {wide[0]} has payload bytes "
+                                    f"past the 8-byte serial")
                 for s in range(len(elems) // B):
                     cluster.seed_block(pe, s * cfg.D + d, elems[s * B:(s + 1) * B])
         return cluster
 
 
-def _encode_elements(elems: list[Element], elem_size: int) -> np.ndarray:
+def _encode_elements(elems: np.ndarray, elem_size: int) -> np.ndarray:
     """``(len(elems), elem_size)`` image rows: the little-endian key, then a
-    payload of ``elem_size - 8`` bytes holding the serial modulo
-    ``2**(8*(elem_size-8))``, or all ``0xff`` when the serial is negative
-    (a sentinel)."""
-    try:
-        keys, serials = element_columns(elems)
-        wide = []
-    except OverflowError:       # a serial loaded from an image need not fit int64
-        wide = [(i, s) for i, (_k, s) in enumerate(elems) if not -2**63 <= s < 2**63]
-        keys, serials = element_columns(
-            [(k, s if -2**63 <= s < 2**63 else 0) for k, s in elems])
+    payload of ``elem_size - 8`` bytes holding the serial's low bytes (two's
+    complement, zero-filled past the eighth), or all ``0xff`` for a
+    sentinel."""
     rows = np.zeros((len(elems), max(elem_size, 16)), dtype=np.uint8)
-    rows[:, :8] = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
-    rows[:, 8:16] = serials.astype("<i8").view(np.uint8).reshape(-1, 8)
-    rows[serials < 0, 8:] = 0xFF
-    payload = elem_size - 8
-    for i, s in wide:
-        rows[i, 8:elem_size] = 0xFF if s < 0 else np.frombuffer(
-            (s % (1 << 8 * payload)).to_bytes(payload, "little"), np.uint8)
+    rows[:, :16] = np.ascontiguousarray(elems).view(np.uint8).reshape(-1, 16)
+    rows[sentinel_mask(elems), 16:] = 0xFF
     return rows[:, :elem_size]
 
 
-def _decode_elements(rows: np.ndarray) -> list[Element]:
-    """Inverse of :func:`_encode_elements` on ``(n, elem_size)`` image rows:
-    a ``MAX_KEY`` key with an all-``0xff`` payload is a sentinel, any other
-    payload is the serial, little-endian."""
+def _decode_elements(rows: np.ndarray) -> np.ndarray:
+    """The elements of ``(n, elem_size)`` image rows: a ``MAX_KEY`` key with
+    an all-``0xff`` payload is a sentinel, any other payload's first eight
+    bytes are the serial, little-endian.  Inverse of
+    :func:`_encode_elements` on every row that it can write."""
     n, elem_size = rows.shape
-    keys = np.ascontiguousarray(rows[:, :8]).view("<u8")[:, 0]
-    low = np.zeros((n, 8), dtype=np.uint8)
-    low[:, :elem_size - 8] = rows[:, 8:16]
-    elems = list(zip(keys.tolist(), low.view("<u8")[:, 0].tolist()))
-    for i in np.flatnonzero(rows[:, 16:].any(axis=1)).tolist():
-        elems[i] = (elems[i][0], int.from_bytes(rows[i, 8:].tobytes(), "little"))
-    for i in np.flatnonzero((keys == MAX_KEY) & (rows[:, 8:] == 0xFF).all(axis=1)).tolist():
-        elems[i] = sentinel()
+    raw = np.zeros((n, 16), dtype=np.uint8)
+    raw[:, :min(elem_size, 16)] = rows[:, :16]
+    elems = raw.view(ELEM)[:, 0]
+    sentinel = (elems["key"] == MAX_KEY) & (rows[:, 8:] == 0xFF).all(axis=1)
+    elems["serial"][sentinel] = SENTINEL_SERIAL
     return elems
 
 

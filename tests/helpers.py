@@ -1,9 +1,21 @@
-"""Shared test utilities: cluster construction, oracle sorting, and the
-scalar element codec that the disk images are checked against."""
+"""Shared test utilities: cluster construction, oracle sorting, the
+scalar element codec that the disk images are checked against, and the
+element-at-a-time kernels that the array kernels are checked against."""
 from __future__ import annotations
 
-from emsort.core import MAX_KEY, Element, MachineConfig, sentinel
+import heapq
+from operator import itemgetter
+
+import numpy as np
+
+from emsort.core import (
+    ELEM, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, Element,
+    MachineConfig, sentinel,
+)
 from emsort.harness import GeneratedInput, InputSpec, generate_input
+from emsort.net import exchange_pieces, gather_splitters
+from emsort.redistribute import StagedRun
+from emsort.selection import MemoryAccessor, select_all_ranks
 from emsort.vdisk import Cluster, OutputLayout
 
 
@@ -16,20 +28,30 @@ def fill(cluster: Cluster, kind: str = "random", seed: int = 0) -> GeneratedInpu
     return generate_input(cluster, InputSpec(kind, cluster.cfg.N, seed))
 
 
+def elements(tuples) -> np.ndarray:
+    """An element array of ``(key, serial)`` tuples."""
+    return np.array(tuples, dtype=ELEM)
+
+
 def input_elements(cluster: Cluster, gen: GeneratedInput) -> list[Element]:
     """All input elements as generated (setup-time snapshot, unmetered)."""
     out: list[Element] = []
     for pe, blocks in enumerate(gen.pe_blocks):
         for lb in blocks:
-            out.extend(cluster.peek_block(pe, lb))
+            out.extend(cluster.peek_block(pe, lb).tolist())
     return out
 
 
 def output_elements(cluster: Cluster, layout: OutputLayout) -> list[Element]:
     out: list[Element] = []
     for pe, lb in layout.iter_blocks():
-        out.extend(cluster.peek_block(pe, lb))
+        out.extend(cluster.peek_block(pe, lb).tolist())
     return out
+
+
+def counter_state(cluster: Cluster) -> dict:
+    """Every counter of a cluster, for equality checks."""
+    return dict(vars(cluster.counters))
 
 
 def oracle_agrees(inputs: list[Element], outputs: list[Element]) -> bool:
@@ -66,3 +88,120 @@ def element_from_bytes(data: bytes, elem_size: int) -> Element:
         return sentinel()
     serial = int.from_bytes(payload, "little") if payload else 0
     return (key, serial)
+
+
+# --- reference kernels: heapq merges over lists of element tuples ------------
+
+def internal_parallel_sort(cluster, loads: list[list[Element]],
+                           phase: str = PHASE_RUN_FORMATION) -> list[list[Element]]:
+    """Sort one memory load across processors.
+
+    ``loads[p]`` is processor p's unsorted share.  Returns equal-size sorted
+    chunks, chunk p preceding chunk p+1, with the single data exchange
+    charged to ``phase``.  Local sorts order elements by (key, serial); the
+    chunk cuts are exact rank splits, so chunk sizes match the shares.
+    """
+    P = len(loads)
+    m = cluster.cfg.m
+    for load in loads:
+        if len(load) > m:
+            raise MemoryError(f"load of {len(load)} elements exceeds m={m}")
+    locals_sorted = [sorted(load) for load in loads]
+    total = sum(len(lst) for lst in locals_sorted)
+    if total == 0:
+        return [[] for _ in range(P)]
+    if total % P:
+        raise ValueError("load size is not divisible by processor count")
+    share = total // P
+    acc = MemoryAccessor(locals_sorted)
+    results = select_all_ranks(acc, [p * share for p in range(1, P)])
+    cutpos = ([[0] * P] + [res.positions for res in results]
+              + [[len(lst) for lst in locals_sorted]])
+    # Every processor learns every cut position (control traffic).
+    gather_splitters(cluster, [[cutpos[p][q] for p in range(1, P)]
+                               for q in range(P)], phase)
+    pieces = [[locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]]
+               for p in range(P)] for q in range(P)]
+    received = exchange_pieces(cluster, pieces, phase)
+    return [list(heapq.merge(*received[p])) for p in range(P)]
+
+
+def _iter_staged(cluster, staged: StagedRun, phase: str, stats: dict):
+    """Yield a staged run segment in order; free blocks once consumed."""
+    for ref in staged.refs:
+        remaining = ref.length
+        off = ref.start
+        for lb in ref.blocks:
+            if remaining <= 0:
+                break
+            data = cluster.read_block(ref.pe, lb, phase)
+            stats["reads"] += 1
+            take = min(remaining, len(data) - off)
+            yield from data[off:off + take]
+            remaining -= take
+            off = 0
+            cluster.deallocate_block(ref.pe, lb)
+
+
+def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout:
+    """Merge every processor's staged segments into its output slice."""
+    cfg = cluster.cfg
+    B = cfg.B
+    per_pe: list[list[int]] = []
+    for t in range(cfg.P):
+        stats = {"reads": 0}
+        streams = [_iter_staged(cluster, seg, PHASE_LOCAL_MERGE, stats)
+                   for seg in staged[t]]
+        # Stream order equals run order, so key-only merging realizes the
+        # total order (key, run, position).
+        merged = heapq.merge(*streams, key=itemgetter(0))
+        out_blocks: list[int] = []
+        buf: list[Element] = []
+        written = 0
+        for elem in merged:
+            buf.append(elem)
+            if len(buf) == B:
+                lb = cluster.alloc_block(t)
+                cluster.write_block(t, lb, buf, PHASE_LOCAL_MERGE)
+                out_blocks.append(lb)
+                written += B
+                buf = []
+        if buf:
+            raise RuntimeError(
+                f"output slice of PE {t} is {written + len(buf)} elements, "
+                f"not a block multiple")
+        consumed = sum(seg.length for seg in staged[t])
+        cluster.counters.add_overhead(PHASE_LOCAL_MERGE,
+                                      stats["reads"] * B - consumed)
+        per_pe.append(out_blocks)
+    return OutputLayout("canonical", per_pe=per_pe, stripe=None)
+
+
+def batch_merge(buffers: list[list[Element]], offsets: list[int],
+                bound: tuple[int, int, int] | None = None) -> list[Element]:
+    """Pop everything strictly below ``bound`` from the run buffers, merged.
+
+    ``buffers[j]`` holds the unconsumed prefix of run j starting at run
+    position ``offsets[j]``; both are updated in place.  ``bound`` is an
+    order key (key, run, position); ``None`` drains everything.
+    """
+    heap: list[tuple[int, int, int]] = []
+    idx = [0] * len(buffers)
+    for j, buf in enumerate(buffers):
+        if buf:
+            heapq.heappush(heap, (buf[0][0], j, offsets[j]))
+    out: list[Element] = []
+    while heap:
+        key, j, p = heap[0]
+        if bound is not None and (key, j, p) >= bound:
+            break
+        heapq.heappop(heap)
+        out.append(buffers[j][idx[j]])
+        idx[j] += 1
+        if idx[j] < len(buffers[j]):
+            heapq.heappush(heap, (buffers[j][idx[j]][0], j, p + 1))
+    for j, taken in enumerate(idx):
+        if taken:
+            del buffers[j][:taken]
+            offsets[j] += taken
+    return out

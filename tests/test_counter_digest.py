@@ -1,0 +1,108 @@
+"""Counter gate: both engines reproduce recorded counters, inputs and outputs.
+
+Each case runs one engine end to end on a small config and compares four
+values with ones recorded from the element-at-a-time engines that the
+array engines replaced: the SHA-256 of the stats report without its
+``wall_seconds`` line (every counter), the input fingerprint, the SHA-256
+of the output's little-endian keys followed by its serials (the output
+order, ties included), and each PE's peak block allocation.  A speedup that
+moves a counter, a tie or a block fails here in seconds.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from emsort.core import MachineConfig, concat
+from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
+from emsort.vdisk import Cluster
+
+#: Per engine: R = 8 canonical runs (multi-round all-to-all on
+#: ``worst_case_shift``), and R = 64 striped runs at arity 8 (two passes).
+CONFIGS = {"canonical": dict(P=4, D=2, B=8, m=128, N=4096),
+           "striped": dict(P=2, D=2, B=4, m=32, N=4096)}
+SEED = 5
+
+#: (engine, kind, randomize): (stats digest, count, total, output digest,
+#: peak allocated blocks per PE).
+RECORDED = {
+    ("canonical", "random", True): ("8c6f1a0c495061e43b74c12a9fbf4923ff6e6f6e5c3fdca9e179b55ed9e61f52",
+        4096, 325107421709780094848916235389849425830,
+        "549e8bb2fbbdc41f1e31893ff40a7c535de82fd51df0abd154f9f5bb53dff585", [138, 138, 139, 134]),
+    ("canonical", "random", False): ("72e8660f8241af8abb5c69dee31ccb96bf3bdb3dd406976cd4e68df1a4b21e54",
+        4096, 325107421709780094848916235389849425830,
+        "549e8bb2fbbdc41f1e31893ff40a7c535de82fd51df0abd154f9f5bb53dff585", [139, 138, 139, 134]),
+    ("canonical", "sorted", True): ("8d4ff100354afe5bdd1c2eaecbf00e4a99a3376a24e58893d8b552587520d7d9",
+        4096, 325107423055447097827705441987990810554,
+        "85db16798915bba86d05d2b0769f71a7f798788ccda9b179b0e289f9ce07239d", [129, 129, 129, 129]),
+    ("canonical", "sorted", False): ("1695fc3f97589f6b7b69a7194a34a67d9ddcb569bcc9e0d75fef398a747e5705",
+        4096, 325107423055447097827705441987990810554,
+        "85db16798915bba86d05d2b0769f71a7f798788ccda9b179b0e289f9ce07239d", [129, 129, 129, 129]),
+    ("canonical", "reverse", True): ("cf5cb848bf97cb1b68bec0c2e395c0bf83288484fb67f9cea40645cbd7f1751f",
+        4096, 325107421564398737009544851268164546490,
+        "5273d0b919602d453478328a7e8e330b66094fbe2c2a2b89a2056031f4abd782", [129, 129, 129, 129]),
+    ("canonical", "reverse", False): ("77f140601f2af0f6888da21ca183dd6925f325756f500133326d6b15bad081c6",
+        4096, 325107421564398737009544851268164546490,
+        "5273d0b919602d453478328a7e8e330b66094fbe2c2a2b89a2056031f4abd782", [129, 129, 129, 129]),
+    ("canonical", "duplicate_heavy", True): ("75761f2a1ee5367f6b7d73026befb50fce797524ab6a14a3ec7a9f856bce0714",
+        4096, 325107425997287354756264325459785078637,
+        "6e5f2118688c08224ed411c7fdbdf10496260ebc76d1b572ce99225d6a6187e2", [135, 138, 139, 133]),
+    ("canonical", "duplicate_heavy", False): ("1fe392180ed3dea7931c1bf11f6795fba8075a55dac97e3df8d975fa9c3c9749",
+        4096, 325107425997287354756264325459785078637,
+        "d089c93a0acebc5f5e308eecfad827c9bd0e429cbcabd882bcc9b66fa7fefaae", [134, 140, 140, 134]),
+    ("canonical", "worst_case_shift", True): ("1eb33cf442a2d9995908cac5a3bf7c6bf207a4e5dcb6fd91c8d531b987a028e0",
+        4096, 325107423562633046901564125291166724026,
+        "bdcb177895f6cfe99bfeda69a2c0c14e481491032aaf6a012fddb04ad25dbc92", [140, 148, 142, 134]),
+    ("canonical", "worst_case_shift", False): ("50c3f64e2f7f7c12cad4202339dd59814333100b941f8c25b22247bb3cf36df8",
+        4096, 325107423562633046901564125291166724026,
+        "bdcb177895f6cfe99bfeda69a2c0c14e481491032aaf6a012fddb04ad25dbc92", [192, 256, 256, 192]),
+    ("striped", "random", True): ("e8c1338c308084da3f3c1c2aadce8d6747bf762c55a64e258e9a46f02433b685",
+        4096, 325107424289096206328601315039930576773,
+        "47ae28ddfa31ebb3aa593e96a4c18f01f7596a930224bda7ff6aa2ce34ae03da", [514, 514]),
+    ("striped", "random", False): ("fbfe23fb191fb618415672eb7e7b6bf7b2c357975ba8f25eb49e2b7b3cb8df45",
+        4096, 325107424289096206328601315039930576773,
+        "47ae28ddfa31ebb3aa593e96a4c18f01f7596a930224bda7ff6aa2ce34ae03da", [512, 517]),
+    ("striped", "sorted", True): ("5116318bf8c5ac4106dcf333a9228b6001ca508867af0f7862d4ca0a1e6924e2",
+        4096, 325107423055447097827705441987990810554,
+        "85db16798915bba86d05d2b0769f71a7f798788ccda9b179b0e289f9ce07239d", [512, 512]),
+    ("striped", "sorted", False): ("7068b36ce5134baa79bc7017f05845f51710ce4569dc2116d40e0e06acde081a",
+        4096, 325107423055447097827705441987990810554,
+        "85db16798915bba86d05d2b0769f71a7f798788ccda9b179b0e289f9ce07239d", [512, 512]),
+    ("striped", "reverse", True): ("92174ed28f107366f52c16d3cd4a7ff9cbf7d7f3d1e406c7e99734d66a974e15",
+        4096, 325107421564398737009544851268164546490,
+        "5273d0b919602d453478328a7e8e330b66094fbe2c2a2b89a2056031f4abd782", [512, 512]),
+    ("striped", "reverse", False): ("fa41026f282fb9c8c088d1f105306671e9261561c89f776445860b3549264856",
+        4096, 325107421564398737009544851268164546490,
+        "5273d0b919602d453478328a7e8e330b66094fbe2c2a2b89a2056031f4abd782", [512, 512]),
+    ("striped", "duplicate_heavy", True): ("2f98978427fc8e84d27003e579ea0e4c509d0959764c664fba31466fe358deaf",
+        4096, 325107423957642480158009708283398830805,
+        "2552727642c273c9523ccb9d99dc9546ce5383b6986979ccd8abc38483c61117", [514, 513]),
+    ("striped", "duplicate_heavy", False): ("24507feeb55bf623f8cdf0850975cb5a57a12b0e1b5f33d54ffb9c130f7ed523",
+        4096, 325107423957642480158009708283398830805,
+        "2552727642c273c9523ccb9d99dc9546ce5383b6986979ccd8abc38483c61117", [512, 517]),
+    ("striped", "worst_case_shift", True): ("be4a1a058bd8f4d724ffd6f3275ff501bf1066fa9f49278a632a474057e5c3c7",
+        4096, 325107421739326917724415797523816542138,
+        "97b0237fed1c8f3e388730607adc7e9f700ddc037924686cd543fd127b6ffcd0", [512, 512]),
+    ("striped", "worst_case_shift", False): ("199d9ef2b0c90c6fd44841632280594d34bcaa34322ed149c51545e3c8019a95",
+        4096, 325107421739326917724415797523816542138,
+        "97b0237fed1c8f3e388730607adc7e9f700ddc037924686cd543fd127b6ffcd0", [512, 512]),
+}
+
+
+@pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("engine", sorted(CONFIGS))
+def test_counters_inputs_and_outputs_match_the_record(engine, kind, randomize):
+    cfg = MachineConfig(**CONFIGS[engine], seed=SEED, randomize=randomize)
+    cluster = Cluster(cfg)
+    gen = generate_input(cluster, InputSpec(kind, cfg.N, cfg.seed))
+    result = run_sort(cluster, gen.pe_blocks, engine)
+    stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
+                      if not line.startswith("# wall_seconds="))
+    out = concat([cluster.peek_block(pe, lb) for pe, lb in result.layout.iter_blocks()])
+    columns = out["key"].astype("<u8").tobytes() + out["serial"].astype("<i8").tobytes()
+    assert (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,
+            hashlib.sha256(columns).hexdigest(),
+            [cluster.peak_allocated(pe) for pe in range(cfg.P)]
+            ) == RECORDED[engine, kind, randomize]

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import emsort
 
 from emsort.cli import main as cli_main
-from emsort.core import DATA_PHASES, MachineConfig, sentinel
+from emsort.core import DATA_PHASES, MachineConfig, sentinel, validate_config
 from emsort.harness import (
     INPUT_KINDS, VERIFY_CHUNK, InputSpec, generate_input, report_stats,
     run_experiment_redistribution, run_sort, verify_output, worst_shift_cuts,
@@ -152,7 +153,7 @@ def sorted_run_result(seed=19):
 def test_verify_detects_order_violation():
     cl, gen, result = sorted_run_result()
     pe, lb = next(iter(result.layout.iter_blocks()))
-    block = cl.peek_block(pe, lb)
+    block = cl.peek_block(pe, lb).tolist()
     block[0] = (block[0][0] + 10 ** 9, block[0][1])   # bump one key
     cl.seed_block(pe, lb, block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
@@ -163,7 +164,7 @@ def test_verify_detects_order_violation():
 def test_verify_detects_lost_element():
     cl, gen, result = sorted_run_result(seed=23)
     pe, lb = next(iter(result.layout.iter_blocks()))
-    block = cl.peek_block(pe, lb)
+    block = cl.peek_block(pe, lb).tolist()
     block[1] = block[0]                                # duplicate, drop one
     cl.seed_block(pe, lb, block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
@@ -173,7 +174,7 @@ def test_verify_detects_lost_element():
 def test_verify_detects_sentinel_leak():
     cl, gen, result = sorted_run_result(seed=29)
     pe, lb = next(iter(result.layout.iter_blocks()))
-    block = cl.peek_block(pe, lb)
+    block = cl.peek_block(pe, lb).tolist()
     block[2] = sentinel()
     cl.seed_block(pe, lb, block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
@@ -195,7 +196,7 @@ def set_elements(cl, layout, changes):
     blocks = list(layout.iter_blocks())
     for position, elem in changes.items():
         pe, lb = blocks[position // cl.cfg.B]
-        block = cl.peek_block(pe, lb)
+        block = cl.peek_block(pe, lb).tolist()
         block[position % cl.cfg.B] = elem
         cl.seed_block(pe, lb, block)
 
@@ -352,6 +353,55 @@ def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
     assert cli_main(["verify", "--persist", str(store)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "verification: FAIL: output content differs from input (fingerprint mismatch)"]
+
+
+def test_cli_verify_refuses_payload_bytes_past_the_serial(tmp_path):
+    """At elem_size 24 payload bytes 16..23 hold no serial bits; a set bit
+    there is damage the fingerprint cannot see, so loading refuses it."""
+    config = write_config(tmp_path / "grid.cfg", elem_size=24)
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert cli_main(["sort", "--persist", str(store)]) == 0
+    lb = json.loads((store / "manifest.json").read_text())["layout"]["per_pe"][0][0]
+    image = store / f"pe0_disk{lb % 2}.bin"       # D = 2
+    data = bytearray(image.read_bytes())
+    data[(lb // 2) * 4 * 24 + 20] ^= 0x01         # B = 4, elem_size = 24
+    image.write_bytes(bytes(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emsort.cli", "verify", "--persist", str(store)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert (f"pe0_disk{lb % 2}.bin: row {(lb // 2) * 4} has payload bytes past "
+            f"the 8-byte serial") in proc.stderr
+
+
+def test_cli_gen_refuses_an_elem_size_too_small_for_the_serials(tmp_path):
+    config = write_config(tmp_path / "grid.cfg", N=64, elem_size=8)
+    with pytest.raises(SystemExit, match=r"N > 2\*\*\(8\*\(elem_size-8\)\)"):
+        cli_main(["gen", "--config", config, "--persist", str(tmp_path / "s")])
+    fits = MachineConfig(P=2, D=2, B=4, m=32768, N=65536, elem_size=10)
+    assert validate_config(fits) == []
+    assert validate_config(replace(fits, N=65536 + 8)) == [
+        "N > 2**(8*(elem_size-8)): the serials 0..N-1 do not fit the payload"]
+
+
+def test_cli_gen_accepts_a_config_that_one_engine_can_sort(tmp_path):
+    config = write_config(tmp_path / "grid.cfg", D=1, m=8, N=64)    # R*B > m
+    store = str(tmp_path / "state")
+    assert cli_main(["gen", "--config", config, "--persist", store]) == 0
+    with pytest.raises(SystemExit, match="canonical: R\\*B > m"):
+        cli_main(["sort", "--persist", store])
+    assert cli_main(["sort", "--persist", store, "--engine", "striped"]) == 0
+    assert cli_main(["verify", "--persist", store]) == 0
+
+
+def test_cli_gen_lists_the_reasons_of_every_engine(tmp_path):
+    config = write_config(tmp_path / "grid.cfg", D=1, m=4, N=64)
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["gen", "--config", config, "--persist", str(tmp_path / "s")])
+    assert str(refusal.value) == ("error: bad config: canonical: R*B > m, P*B > m; "
+                                  "striped: merge arity < 2")
 
 
 def test_cli_sort_without_persist_runs_fresh(tmp_path):

@@ -3,12 +3,24 @@ from __future__ import annotations
 
 import random
 
-from emsort.core import DATA_PHASES, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE
+from hypothesis import given, strategies as st
+
+from emsort.core import (
+    DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, sentinel,
+)
 from emsort.merge import batch_merge, local_multiway_merge
-from emsort.redistribute import compute_splitters, external_all_to_all
+from emsort.redistribute import SegRef, StagedRun, compute_splitters, external_all_to_all
 from emsort.runform import form_runs
 
-from helpers import build, fill, input_elements, oracle_agrees, output_elements
+import helpers
+from helpers import (
+    build, counter_state, elements, fill, input_elements, oracle_agrees,
+    output_elements,
+)
+
+#: Elements with keys 0..3 (heavy ties) or a sentinel.
+tied_elements = st.one_of(st.tuples(st.integers(0, 3), st.integers(0, 10**6)),
+                          st.just(sentinel()))
 
 
 def pipeline(P=4, B=4, m=32, N=384, kind="random", seed=0):
@@ -30,32 +42,111 @@ def test_batch_merge_drains_to_sorted_order():
     expected = sorted((e[0], j, p) for j, buf in enumerate(buffers)
                       for p, e in enumerate(buf))
     offsets = [0, 0, 0]
-    out = batch_merge([list(b) for b in buffers], offsets)
-    assert [(e[0],) for e in out] == [(k,) for k, _j, _p in expected]
+    out = batch_merge([elements(b) for b in buffers], offsets)
+    assert [(e[0],) for e in out.tolist()] == [(k,) for k, _j, _p in expected]
 
 
 def test_batch_merge_respects_bound_and_leaves_rest():
-    buffers = [[(1, 0), (4, 1), (9, 2)], [(2, 3), (4, 4), (7, 5)]]
+    buffers = [elements([(1, 0), (4, 1), (9, 2)]), elements([(2, 3), (4, 4), (7, 5)])]
     offsets = [0, 0]
     # strict bound: everything below key 4 of run 0 position 1
     out = batch_merge(buffers, offsets, bound=(4, 0, 1))
-    assert [e[0] for e in out] == [1, 2]
-    assert buffers == [[(4, 1), (9, 2)], [(4, 4), (7, 5)]]
+    assert [e[0] for e in out.tolist()] == [1, 2]
+    assert [b.tolist() for b in buffers] == [[(4, 1), (9, 2)], [(4, 4), (7, 5)]]
     rest = batch_merge(buffers, [1, 1])
-    assert [e[0] for e in rest] == [4, 4, 7, 9]
+    assert [e[0] for e in rest.tolist()] == [4, 4, 7, 9]
 
 
 def test_batch_merge_ties_resolve_by_run_then_position():
-    buffers = [[(5, 10), (5, 11)], [(5, 20)]]
+    buffers = [elements([(5, 10), (5, 11)]), elements([(5, 20)])]
     out = batch_merge(buffers, [0, 0])
-    assert out == [(5, 10), (5, 11), (5, 20)]
+    assert out.tolist() == [(5, 10), (5, 11), (5, 20)]
 
 
 def test_batch_merge_bound_excludes_equal_order_key():
-    buffers = [[(3, 0)], [(3, 1)]]
+    buffers = [elements([(3, 0)]), elements([(3, 1)])]
     out = batch_merge(buffers, [0, 0], bound=(3, 1, 0))
-    assert out == [(3, 0)]
-    assert buffers == [[], [(3, 1)]]
+    assert out.tolist() == [(3, 0)]
+    assert [b.tolist() for b in buffers] == [[], [(3, 1)]]
+
+
+@st.composite
+def buffered_runs(draw):
+    """Sorted run buffers (some empty), their offsets, and a bound on a tied
+    key that falls before, inside or after its own run's buffer."""
+    R = draw(st.integers(1, 5))
+    buffers = [sorted(draw(st.lists(tied_elements, max_size=6))) for _ in range(R)]
+    offsets = draw(st.lists(st.integers(0, 5), min_size=R, max_size=R))
+    run = draw(st.integers(0, R - 1))
+    pos = draw(st.integers(offsets[run] - 1, offsets[run] + len(buffers[run]) + 1))
+    key = draw(st.one_of(st.integers(0, 4), st.just(MAX_KEY)))
+    return buffers, offsets, draw(st.one_of(st.none(), st.just((key, run, pos))))
+
+
+@given(buffered_runs())
+def test_batch_merge_matches_the_reference_kernel(drawn):
+    buffers, offsets, bound = drawn
+    ref_buffers, ref_offsets = [list(buf) for buf in buffers], list(offsets)
+    expected = helpers.batch_merge(ref_buffers, ref_offsets, bound)
+    arrays = [elements(buf) for buf in buffers]
+    got = batch_merge(arrays, offsets, bound)
+    assert got.tolist() == expected
+    assert [buf.tolist() for buf in arrays] == ref_buffers
+    assert offsets == ref_offsets
+
+
+@st.composite
+def staged_plans(draw):
+    """Per run: sorted elements split into pieces, each stored from a drawn
+    offset into its first block.  The last run is padded with sentinels to
+    a block multiple, as the output slice must be."""
+    B = draw(st.integers(1, 4))
+    runs = [sorted(draw(st.lists(tied_elements, max_size=9)))
+            for _ in range(draw(st.integers(1, 4)))]
+    runs[-1] += [sentinel()] * (-sum(map(len, runs)) % B)
+    plan = []
+    for elems in runs:
+        cuts = sorted(draw(st.lists(st.integers(1, max(1, len(elems) - 1)),
+                                    max_size=2)))
+        bounds = [0] + [c for c in cuts if c < len(elems)] + [len(elems)]
+        pieces = [(elems[a:b], draw(st.integers(0, B - 1)))
+                  for a, b in zip(bounds, bounds[1:]) if b > a]
+        plan.append(pieces)
+    return B, plan
+
+
+def stage(B, plan):
+    """A one-PE cluster holding the planned staged segments."""
+    cl = build(P=1, D=2, B=B, m=64, N=0)
+    staged = []
+    for j, pieces in enumerate(plan):
+        refs = []
+        for piece, start in pieces:
+            data = [(7, -2)] * start + piece
+            data += [sentinel()] * (-len(data) % B)
+            blocks = []
+            for c in range(0, len(data), B):
+                lb = cl.alloc_block(0)
+                cl.seed_block(0, lb, data[c:c + B])
+                blocks.append(lb)
+            refs.append(SegRef(0, blocks, start, len(piece)))
+        staged.append(StagedRun(j, sum(len(piece) for piece, _ in pieces), refs))
+    return cl, [staged]
+
+
+@given(staged_plans())
+def test_local_merge_matches_the_reference_kernel(drawn):
+    B, plan = drawn
+    ref_cl, ref_staged = stage(B, plan)
+    cl, staged = stage(B, plan)
+    expected = helpers.local_multiway_merge(ref_cl, ref_staged)
+    layout = local_multiway_merge(cl, staged)
+    assert layout.per_pe == expected.per_pe
+    assert output_elements(cl, layout) == output_elements(ref_cl, expected)
+    assert counter_state(cl) == counter_state(ref_cl)
+    assert cl.peak_allocated(0) == ref_cl.peak_allocated(0)
+    assert ([sorted(slots) for slots in cl.arrays[0].slots]
+            == [sorted(slots) for slots in ref_cl.arrays[0].slots])
 
 
 # --- the merge phase -----------------------------------------------------------

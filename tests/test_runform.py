@@ -6,22 +6,24 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from emsort.core import DATA_PHASES, MachineConfig, PHASE_RUN_FORMATION
+from emsort.core import DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION
 from emsort.runform import (
     RunDescriptor, form_runs, internal_parallel_sort, run_layout,
     shuffle_block_ids,
 )
 from emsort.vdisk import Cluster
 
-from helpers import build, fill, input_elements
+import helpers
+from helpers import build, counter_state, elements, fill, input_elements
 
 
 def read_run(cl, run: RunDescriptor):
     elems = []
     for pos in range(run.length):
         pe, lb, off = run.locate(pos)
-        elems.append(cl.peek_block(pe, lb)[off])
+        elems.append(cl.peek_block(pe, lb)[off].item())
     return elems
 
 
@@ -95,13 +97,38 @@ def test_internal_parallel_sort_chunks_are_exact_rank_splits():
     cl = build(P=3, D=1, B=4, m=40, N=120)
     loads = [[(rng.randrange(1000), 100 * p + i) for i in range(40)]
              for p in range(3)]
-    chunks = internal_parallel_sort(cl, loads)
+    chunks = internal_parallel_sort(cl, [elements(load) for load in loads])
     assert [len(c) for c in chunks] == [40, 40, 40]
-    flat = [e for chunk in chunks for e in chunk]
+    flat = [e for chunk in chunks for e in chunk.tolist()]
     assert [e[0] for e in flat] == sorted(e[0] for e in flat)
     assert sorted(flat) == sorted(e for load in loads for e in load)
     with pytest.raises(MemoryError):
-        internal_parallel_sort(cl, [[(0, 0)] * 41, [], []])
+        internal_parallel_sort(cl, [elements([(0, 0)] * 41)] + [elements([])] * 2)
+
+
+@st.composite
+def parallel_loads(draw):
+    """Loads of unequal sizes and a total divisible by P, mostly with keys
+    0..3 so that rank cuts fall inside runs of ties."""
+    P = draw(st.integers(1, 4))
+    total = P * draw(st.integers(0, 6))
+    keys = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, MAX_KEY - 1)),
+                         min_size=total, max_size=total))
+    serials = draw(st.permutations(range(total)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=P - 1,
+                                max_size=P - 1)))
+    elems = list(zip(keys, serials))
+    return [elems[a:b] for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@given(parallel_loads())
+def test_internal_parallel_sort_matches_the_reference_kernel(loads):
+    P = len(loads)
+    ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
+    expected = helpers.internal_parallel_sort(ref_cl, loads)
+    got = internal_parallel_sort(cl, [elements(load) for load in loads])
+    assert [chunk.tolist() for chunk in got] == expected
+    assert counter_state(cl) == counter_state(ref_cl)
 
 
 def test_shuffle_is_seeded_and_respects_toggle():

@@ -26,7 +26,7 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
 def run_elements(cl, run: StripedRun):
     out = []
     for pe, lb in run.blocks:
-        out.extend(cl.peek_block(pe, lb))
+        out.extend(cl.peek_block(pe, lb).tolist())
     return out
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP, sentinel
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
-from helpers import build, element_from_bytes, element_to_bytes
+from helpers import build, element_from_bytes, element_to_bytes, elements
 
 
 def block_of(start: int, B: int) -> list[tuple[int, int]]:
@@ -22,20 +22,23 @@ def test_write_read_round_trip_and_counters():
     lb = cl.alloc_block(0)
     data = block_of(10, 4)
     cl.write_block(0, lb, data, PHASE_RUN_FORMATION)
-    assert cl.read_block(0, lb, PHASE_RUN_FORMATION) == data
+    assert cl.read_block(0, lb, PHASE_RUN_FORMATION).tolist() == data
     disk = lb % cl.cfg.D
     assert cl.counters.blocks_written[PHASE_RUN_FORMATION][0][disk] == 1
     assert cl.counters.blocks_read[PHASE_RUN_FORMATION][0][disk] == 1
     assert cl.counters.phase_blocks_read(PHASE_RUN_FORMATION, 1) == 0
 
 
-def test_read_returns_a_copy():
+def test_read_returns_a_read_only_block():
     cl = build()
     lb = cl.alloc_block(0)
-    cl.write_block(0, lb, block_of(0, 4), PHASE_RUN_FORMATION)
+    data = elements(block_of(0, 4))
+    cl.write_block(0, lb, data, PHASE_RUN_FORMATION)
+    data[0] = (999, 999)                  # the cluster stored its own copy
     got = cl.read_block(0, lb, PHASE_RUN_FORMATION)
-    got[0] = (999, 999)
-    assert cl.read_block(0, lb, PHASE_RUN_FORMATION)[0] == (0, 0)
+    with pytest.raises(ValueError):
+        got[0] = (999, 999)
+    assert cl.read_block(0, lb, PHASE_RUN_FORMATION).tolist() == block_of(0, 4)
 
 
 def test_alloc_block_stripes_round_robin():
@@ -80,7 +83,7 @@ def test_seed_and_peek_are_uncounted():
     cl = build()
     lb = cl.alloc_block(0)
     cl.seed_block(0, lb, block_of(5, 4))
-    assert cl.peek_block(0, lb) == block_of(5, 4)
+    assert cl.peek_block(0, lb).tolist() == block_of(5, 4)
     assert cl.counters.total_element_io(cl.cfg.B) == 0
     assert cl.counters.phase_blocks_written(PHASE_SETUP) == 0
 
@@ -124,28 +127,43 @@ def test_save_and_load_images_round_trip(tmp_path):
     cl.save_images(str(tmp_path))
     loaded = Cluster.load_images(str(tmp_path), cfg)
     for (pe, lb), data in blocks.items():
-        assert loaded.peek_block(pe, lb) == data
+        assert loaded.peek_block(pe, lb).tolist() == data
     assert loaded.counters.total_element_io(cfg.B) == 0
 
 
 IMAGE_CFG = dict(P=1, D=2, B=2, m=32, N=0)
 
 image_elements = st.one_of(
-    st.tuples(st.integers(0, MAX_KEY), st.integers(0, 2**72)),
+    st.tuples(st.integers(0, MAX_KEY), st.integers(0, 2**63 - 1)),
     st.just(sentinel()),
-    st.tuples(st.just(MAX_KEY), st.integers(0, 2**64)),
+    st.tuples(st.just(MAX_KEY), st.integers(0, 2**63 - 1)),
 )
 
 
 def image_rows(elem_size: int):
     """Raw elements of an image, biased towards the codec's special cases."""
+    serial = min(elem_size, 16)
     return st.one_of(
         st.binary(min_size=elem_size, max_size=elem_size),
         st.binary(min_size=elem_size - 8, max_size=elem_size - 8).map(
             lambda payload: b"\xff" * 8 + payload),
+        st.binary(min_size=serial, max_size=serial).map(
+            lambda head: head + bytes(elem_size - serial)),
+        st.just(b"\xff" * serial + bytes(elem_size - serial)),
         st.just(b"\xff" * elem_size),
         st.just(bytes(elem_size)),
     )
+
+
+def refused(row: bytes) -> bool:
+    """Whether an image row cannot be an element of an int64 serial column:
+    a payload byte past the eighth is set, or a row that is not a sentinel
+    would read back as one.  Sentinels are a ``MAX_KEY`` key with an
+    all-``0xff`` payload."""
+    payload = row[8:]
+    if row == b"\xff" * len(row) or len(payload) <= 8:
+        return False
+    return any(payload[8:]) or row[:16] == b"\xff" * 16
 
 
 @given(st.integers(8, 24),
@@ -172,25 +190,34 @@ def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
 
 
 @given(st.integers(8, 24).flatmap(lambda es: st.tuples(
-    st.just(es), st.lists(st.lists(image_rows(es), min_size=4, max_size=4)
-                          .map(b"".join), min_size=2, max_size=2))))
+    st.just(es), st.lists(st.lists(image_rows(es), min_size=4, max_size=4),
+                          min_size=2, max_size=2))))
 def test_loaded_images_match_the_scalar_decoding(drawn):
+    """Rows are refused exactly when :func:`refused` says so; all others
+    decode as the scalar codec does (the serial as an int64) and save back
+    byte for byte."""
     elem_size, images = drawn
     cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
     with tempfile.TemporaryDirectory() as tmp:
-        for d, data in enumerate(images):
-            Path(tmp, f"pe0_disk{d}.bin").write_bytes(data)
+        for d, rows in enumerate(images):
+            Path(tmp, f"pe0_disk{d}.bin").write_bytes(b"".join(rows))
+        bad = [(d, i) for d, rows in enumerate(images)
+               for i, row in enumerate(rows) if refused(row)]
+        if bad:
+            d, i = bad[0]
+            with pytest.raises(DiskError, match=f"pe0_disk{d}.bin: row {i} "):
+                Cluster.load_images(tmp, cfg)
+            return
         loaded = Cluster.load_images(tmp, cfg)
-        bsize = cfg.B * elem_size
-        for d, data in enumerate(images):
-            for s in range(len(data) // bsize):
-                raw = data[s * bsize:(s + 1) * bsize]
-                assert loaded.peek_block(0, s * cfg.D + d) == [
-                    element_from_bytes(raw[i * elem_size:(i + 1) * elem_size], elem_size)
-                    for i in range(cfg.B)]
+        for d, rows in enumerate(images):
+            for s in range(len(rows) // cfg.B):
+                expected = [element_from_bytes(row, elem_size)
+                            for row in rows[s * cfg.B:(s + 1) * cfg.B]]
+                assert loaded.peek_block(0, s * cfg.D + d).tolist() == [
+                    (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
         loaded.save_images(tmp)
-        for d, data in enumerate(images):
-            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == data
+        for d, rows in enumerate(images):
+            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == b"".join(rows)
 
 
 def test_load_images_refuses_missing_and_partial_images(tmp_path):
