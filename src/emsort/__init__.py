@@ -16,7 +16,6 @@ from .core import (
     PhaseCounters,
     checksum128,
     derive_seed,
-    element_columns,
     load_config,
     parse_config_text,
     validate_config,
@@ -91,7 +90,6 @@ __all__ = [
     "checksum128",
     "compute_splitters",
     "derive_seed",
-    "element_columns",
     "exchange_pieces",
     "external_all_to_all",
     "form_runs",

@@ -66,10 +66,6 @@ def sentinel() -> Element:
     return (MAX_KEY, SENTINEL_SERIAL)
 
 
-def is_sentinel(elem: Element) -> bool:
-    return elem[0] == MAX_KEY and elem[1] == SENTINEL_SERIAL
-
-
 def sentinels(n: int) -> np.ndarray:
     """An array of ``n`` sentinel elements."""
     return np.full(n, np.array(sentinel(), ELEM))
@@ -277,15 +273,6 @@ def derive_seed(seed: int, *tags: int) -> int:
     for t in tags:
         x = _splitmix64(x ^ (t & 0xFFFFFFFFFFFFFFFF))
     return x
-
-
-def element_columns(elems) -> tuple[np.ndarray, np.ndarray]:
-    """The ``uint64`` key column and ``int64`` serial column of an element
-    array or a list of ``(key, serial)`` tuples.  Raises ``OverflowError``
-    when a value does not fit its column.
-    """
-    elems = np.asarray(elems, ELEM)
-    return elems["key"], elems["serial"]
 
 
 def _splitmix64_columns(x: np.ndarray) -> np.ndarray:

@@ -62,12 +62,7 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks: list[int]) -> list[in
 
 def _by_key_then_serial(elems: np.ndarray) -> np.ndarray:
     """``elems`` in (key, serial) order."""
-    keys = elems["key"]
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).any():   # ties: the slower two-key sort
-        order = np.lexsort((elems["serial"], keys))
-    return elems[order]
+    return elems[np.lexsort((elems["serial"], elems["key"]))]
 
 
 def internal_parallel_sort(cluster, loads: list[np.ndarray],

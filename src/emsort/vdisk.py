@@ -194,11 +194,14 @@ class Cluster:
                     raise DiskError(f"{path}: size is not a whole number of blocks")
                 rows = data.reshape(-1, es)
                 elems = _decode_elements(rows)
-                wide = np.flatnonzero(
+                bad = np.flatnonzero(
                     (_encode_elements(elems, es) != rows).any(axis=1))
-                if wide.size:
-                    raise DiskError(f"{path}: row {wide[0]} has payload bytes "
-                                    f"past the 8-byte serial")
+                if bad.size:
+                    i = bad[0]
+                    why = ("reads as a sentinel but its payload is not all 0xff"
+                           if sentinel_mask(elems[i:i + 1])[0]
+                           else "has payload bytes past the 8-byte serial")
+                    raise DiskError(f"{path}: row {i} {why}")
                 for s in range(len(elems) // B):
                     cluster.seed_block(pe, s * cfg.D + d, elems[s * B:(s + 1) * B])
         return cluster

@@ -7,20 +7,19 @@ from hypothesis import given, strategies as st
 from emsort.core import (
     ALL_PHASES, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
     PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, PhaseCounters,
-    checksum128, compare, derive_seed, element_columns, is_sentinel, order_key,
-    parse_config_text, sentinel, strictly_less, validate_config,
+    checksum128, compare, derive_seed, order_key, parse_config_text, sentinel,
+    sentinel_mask, strictly_less, validate_config,
 )
 
-from helpers import element_from_bytes, element_to_bytes
+from helpers import element_from_bytes, element_to_bytes, elements as element_array
 
 elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
 
 
 def test_sentinel_is_recognized_and_maximal():
     s = sentinel()
-    assert is_sentinel(s)
-    assert not is_sentinel((MAX_KEY, 0))
-    assert not is_sentinel((0, -1))
+    assert sentinel_mask(element_array([s, (MAX_KEY, 0), (0, -1)])).tolist() == [
+        True, False, False]
     assert s[0] == MAX_KEY
     assert INF_KEY > MAX_KEY
 
@@ -117,11 +116,16 @@ def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(9, 1, 2) != derive_seed(9, 2, 1)
 
 
+def fingerprint(tuples) -> tuple[int, int]:
+    elems = element_array(tuples)
+    return checksum128(elems["key"], elems["serial"])
+
+
 @given(st.lists(elements, max_size=50), st.randoms())
 def test_checksum128_is_order_independent(elems, rnd):
     shuffled = list(elems)
     rnd.shuffle(shuffled)
-    assert checksum128(*element_columns(elems)) == checksum128(*element_columns(shuffled))
+    assert fingerprint(elems) == fingerprint(shuffled)
 
 
 @given(st.lists(elements, min_size=1, max_size=50), st.data())
@@ -130,7 +134,7 @@ def test_checksum128_detects_single_change(elems, data):
     key, serial = elems[idx]
     changed = list(elems)
     changed[idx] = ((key + 1) % MAX_KEY, serial)
-    assert checksum128(*element_columns(elems)) != checksum128(*element_columns(changed))
+    assert fingerprint(elems) != fingerprint(changed)
 
 
 def test_checksum128_known_answer():
@@ -138,9 +142,9 @@ def test_checksum128_known_answer():
     h = sm(key) ^ (sm(serial mod 2**64) << 64) ^ (sm(key ^ C) << 32)."""
     elems = [(0, 0), (1, 7), (2**63, 1), (2**63 + 12345, 2**40 + 3),
              (MAX_KEY - 1, 2**63 - 1), (MAX_KEY, 0), sentinel()]
-    assert checksum128(*element_columns(elems)) == (
+    assert fingerprint(elems) == (
         7, 0x4D522E59859C40B8767B19E2984B3A19)
-    assert checksum128(*element_columns([])) == (0, 0)
+    assert fingerprint([]) == (0, 0)
 
 
 def test_phase_counters_aggregation():

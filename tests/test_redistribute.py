@@ -5,7 +5,7 @@ import pytest
 
 from emsort.core import (
     DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_RUN_FORMATION,
-    PHASE_SELECTION, is_sentinel,
+    PHASE_SELECTION, concat, sentinel_mask,
 )
 from emsort.redistribute import (
     PlanError, compute_splitters, external_all_to_all, moved_volume,
@@ -148,11 +148,9 @@ def test_exchange_delivers_exact_slices():
     for per_run in redist.staged:
         for seg in per_run:
             for ref in seg.refs:
-                got = []
-                for lb in ref.blocks:
-                    got.extend(cl.peek_block(ref.pe, lb))
-                staged_elems.extend(e for e in got[ref.start:]
-                                    if not is_sentinel(e))
+                got = concat([cl.peek_block(ref.pe, lb)
+                              for lb in ref.blocks])[ref.start:]
+                staged_elems.extend(got[~sentinel_mask(got)].tolist())
     # parcels may carry trailing sentinels only as block padding
     assert len(staged_elems) >= cl.cfg.N
 

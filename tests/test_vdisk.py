@@ -155,15 +155,19 @@ def image_rows(elem_size: int):
     )
 
 
-def refused(row: bytes) -> bool:
-    """Whether an image row cannot be an element of an int64 serial column:
-    a payload byte past the eighth is set, or a row that is not a sentinel
-    would read back as one.  Sentinels are a ``MAX_KEY`` key with an
-    all-``0xff`` payload."""
+def refusal(row: bytes) -> str | None:
+    """Why an image row cannot be an element of an int64 serial column, or
+    ``None``: a row that is not a sentinel would read back as one, or a
+    payload byte past the eighth is set.  Sentinels are a ``MAX_KEY`` key
+    with an all-``0xff`` payload."""
     payload = row[8:]
     if row == b"\xff" * len(row) or len(payload) <= 8:
-        return False
-    return any(payload[8:]) or row[:16] == b"\xff" * 16
+        return None
+    if row[:16] == b"\xff" * 16:
+        return "reads as a sentinel but its payload is not all 0xff"
+    if any(payload[8:]):
+        return "has payload bytes past the 8-byte serial"
+    return None
 
 
 @given(st.integers(8, 24),
@@ -193,19 +197,19 @@ def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
     st.just(es), st.lists(st.lists(image_rows(es), min_size=4, max_size=4),
                           min_size=2, max_size=2))))
 def test_loaded_images_match_the_scalar_decoding(drawn):
-    """Rows are refused exactly when :func:`refused` says so; all others
-    decode as the scalar codec does (the serial as an int64) and save back
-    byte for byte."""
+    """Rows are refused exactly when :func:`refusal` gives a reason, and
+    with that reason; all others decode as the scalar codec does (the serial
+    as an int64) and save back byte for byte."""
     elem_size, images = drawn
     cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
     with tempfile.TemporaryDirectory() as tmp:
         for d, rows in enumerate(images):
             Path(tmp, f"pe0_disk{d}.bin").write_bytes(b"".join(rows))
-        bad = [(d, i) for d, rows in enumerate(images)
-               for i, row in enumerate(rows) if refused(row)]
+        bad = [(d, i, refusal(row)) for d, rows in enumerate(images)
+               for i, row in enumerate(rows) if refusal(row)]
         if bad:
-            d, i = bad[0]
-            with pytest.raises(DiskError, match=f"pe0_disk{d}.bin: row {i} "):
+            d, i, why = bad[0]
+            with pytest.raises(DiskError, match=f"pe0_disk{d}.bin: row {i} {why}$"):
                 Cluster.load_images(tmp, cfg)
             return
         loaded = Cluster.load_images(tmp, cfg)
