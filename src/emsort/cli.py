@@ -47,7 +47,10 @@ def _load_cfg(args) -> MachineConfig:
         overrides["seed"] = args.seed
     if args.randomize is not None:
         overrides["randomize"] = args.randomize == "on"
-    return load_config(args.config, overrides)
+    try:
+        return load_config(args.config, overrides)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {args.config}: {exc}") from None
 
 
 def _write_manifest(directory: str, payload: dict) -> None:
@@ -57,8 +60,12 @@ def _write_manifest(directory: str, payload: dict) -> None:
 
 
 def _read_manifest(directory: str) -> dict:
-    with open(os.path.join(directory, MANIFEST), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    path = os.path.join(directory, MANIFEST)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise SystemExit(f"error: {path}: no manifest") from None
 
 
 def _manifest_cfg(manifest: dict) -> MachineConfig:
@@ -173,10 +180,17 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_cfg(args)
-    b_values = tuple(int(v) for v in args.blocks.split(","))
-    _rows, text = run_experiment_redistribution(
-        cfg, kind=args.kind, b_values=b_values, trials=args.trials,
-        path=args.stats)
+    try:
+        b_values = tuple(int(v) for v in args.blocks.split(","))
+    except ValueError:
+        raise SystemExit(f"error: --blocks {args.blocks!r} is not a "
+                         "comma-separated list of integers") from None
+    try:
+        _rows, text = run_experiment_redistribution(
+            cfg, kind=args.kind, b_values=b_values, trials=args.trials,
+            path=args.stats)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     sys.stdout.write(text)
     return 0
 

@@ -10,13 +10,13 @@ reserved for sentinel padding; generators never emit that key as a data key.
 
 Within one merge or selection instance the full order on elements is the
 lexicographic order on ``(key, origin_run, origin_position)``, which is total
-because no two elements share an origin.  The helpers here expose that order
-as plain tuple comparison.
+because no two elements share an origin; selection compares those triples as
+plain tuples.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,24 +83,6 @@ def concat(parts) -> np.ndarray:
     array, which dominates at one call per block.
     """
     return np.frombuffer(b"".join([part.tobytes() for part in parts]), ELEM)
-
-
-def order_key(elem: Element, run: int, pos: int) -> tuple[int, int, int]:
-    """Total-order key of an element at ``pos`` of ``run``."""
-    return (elem[0], run, pos)
-
-
-def compare(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-    """Three-way comparison of ``(key, run, pos)`` order keys."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def strictly_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    return a < b
 
 
 @dataclass(frozen=True)
@@ -204,8 +186,8 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
     if engine == "canonical":
         if cfg.B and cfg.m and cfg.R * cfg.B > cfg.m:
             bad.append("R*B > m")
-        # The redistribution planner needs one buffer block per potential
-        # send partner plus one working block.
+        # An all-to-all round carries up to m - B elements per PE beside one
+        # working block, which needs m >= 2B once P >= 2; P*B <= m covers it.
         if cfg.B and cfg.m and cfg.P * cfg.B > cfg.m:
             bad.append("P*B > m")
     elif engine == "striped":
@@ -245,7 +227,11 @@ def parse_config_text(text: str) -> dict[str, object]:
             except KeyError:
                 raise ValueError(f"line {lineno}: bad boolean {value!r}") from None
         elif key in _INT_FIELDS:
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be an integer, "
+                                 f"got {value!r}") from None
         else:
             out[key] = value
     return out
@@ -370,19 +356,3 @@ class PhaseCounters:
 
     def data_sent_total(self, phases=ENGINE_PHASES) -> int:
         return sum(sum(self.elements_sent[ph]) for ph in phases)
-
-    def per_disk_totals(self, phases=ENGINE_PHASES):
-        """(reads, writes) matrices summed over the given phases."""
-        reads = [[0] * self.D for _ in range(self.P)]
-        writes = [[0] * self.D for _ in range(self.P)]
-        for ph in phases:
-            for pe in range(self.P):
-                for d in range(self.D):
-                    reads[pe][d] += self.blocks_read[ph][pe][d]
-                    writes[pe][d] += self.blocks_written[ph][pe][d]
-        return reads, writes
-
-    def snapshot(self) -> "PhaseCounters":
-        import copy
-
-        return copy.deepcopy(self)

@@ -368,7 +368,15 @@ def run_experiment_redistribution(cfg0: MachineConfig, kind: str = "random",
     splitter matrix; the moved volume is read off the cut positions without
     executing the exchange.  Emits per-grid-point mean/max statistics, the
     per-run maximum, and the mean-ratio between consecutive block sizes.
+    Raises ``ValueError``, before any trial runs, for ``trials < 1`` or a
+    block size the canonical engine cannot run.
     """
+    if trials < 1:
+        raise ValueError(f"trials={trials}: need at least one trial")
+    for B in b_values:
+        bad = validate_config(replace(cfg0, B=B), "canonical")
+        if bad:
+            raise ValueError(f"B={B}: " + ", ".join(bad))
     rows: list[ExperimentRow] = []
     for B in b_values:
         for rnd in (True, False):
@@ -377,9 +385,6 @@ def run_experiment_redistribution(cfg0: MachineConfig, kind: str = "random",
             for trial in range(trials):
                 seed = derive_seed(cfg0.seed, 6, B, int(rnd), trial)
                 cfg = replace(cfg0, B=B, randomize=rnd, seed=seed)
-                bad = validate_config(cfg, "canonical")
-                if bad:
-                    raise ValueError(f"B={B}: " + ", ".join(bad))
                 cluster = Cluster(cfg)
                 gen = generate_input(cluster, InputSpec(kind, cfg.N, seed))
                 runs = form_runs(cluster, gen.pe_blocks)

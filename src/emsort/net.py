@@ -55,18 +55,6 @@ def all_to_all_v(
     return received
 
 
-def exchange_pieces(
-    cluster: Cluster,
-    pieces: Sequence[Sequence[Sized]],
-    phase: str,
-) -> list[list[Sized]]:
-    """Untagged convenience wrapper: ``pieces[src][dst]`` is one element
-    array (or list)."""
-    payloads = [[[(None, piece)] for piece in row] for row in pieces]
-    received = all_to_all_v(cluster, payloads, phase)
-    return [[slot[0][1] if slot else [] for slot in row] for row in received]
-
-
 def gather_splitters(
     cluster: Cluster,
     contributions: Sequence[list],

@@ -101,59 +101,29 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
                           sum(1 for r in results if r.fell_back))
 
 
-def _slice_pieces(run: RunDescriptor, lo: int, hi: int
-                  ) -> list[tuple[int, int, int]]:
-    """Per-source pieces (q, a, b) of run positions [lo, hi), q ascending."""
-    if hi <= lo:
-        return []
-    out = []
-    for q in range(lo // run.share, (hi - 1) // run.share + 1):
-        a = max(lo, q * run.share)
-        b = min(hi, (q + 1) * run.share)
-        out.append((q, a, b))
-    return out
-
-
-def xfer_matrix(runs: list[RunDescriptor], matrix: SplitterMatrix
-                ) -> list[list[int]]:
-    """s[q][t]: elements source q must ship to destination t."""
-    P = matrix.boundaries
-    s = [[0] * P for _ in range(P)]
-    for q, t, _j, a, b in _flow_list(runs, matrix):
-        s[q][t] += b - a
-    return s
-
-
-def moved_volume(runs: list[RunDescriptor], matrix: SplitterMatrix) -> int:
-    return sum(map(sum, xfer_matrix(runs, matrix)))
+def _cut_pieces(runs: list[RunDescriptor], matrix: SplitterMatrix
+                ) -> list[tuple[int, int, int, int, int]]:
+    """Every piece (src, dest, run, lo, hi) of the runs' cuts: the part of
+    dest's cut ``[lo, hi)`` of a run that src holds, in a fixed order.  A
+    piece with ``src == dest`` stays in place; any other is a flow."""
+    pieces = []
+    for t in range(matrix.boundaries):
+        for j, run in enumerate(runs):
+            lo, hi = matrix.pos[t][j], matrix.pos[t + 1][j]
+            if lo < hi:
+                for q in range(lo // run.share, (hi - 1) // run.share + 1):
+                    pieces.append((q, t, j, max(lo, q * run.share),
+                                   min(hi, (q + 1) * run.share)))
+    return pieces
 
 
 def per_run_moved(runs: list[RunDescriptor], matrix: SplitterMatrix) -> list[int]:
+    """Elements of each run that change processors."""
     out = [0] * len(runs)
-    for _q, _t, j, a, b in _flow_list(runs, matrix):
-        out[j] += b - a
+    for q, t, j, a, b in _cut_pieces(runs, matrix):
+        if q != t:
+            out[j] += b - a
     return out
-
-
-def plan_rounds(volumes: list[list[int]], budget: int, B: int) -> int:
-    """Sub-round count so per-round traffic fits ``budget`` on every PE.
-
-    ``budget`` is the per-PE memory left for transfer payloads; one block
-    per send partner is reserved out of it for submessage assembly.
-    """
-    P = len(volumes)
-    k = 1
-    for i in range(P):
-        partners = sum(1 for t in range(P) if t != i and volumes[i][t] > 0)
-        eff = budget - partners * B
-        if eff < B:
-            raise PlanError(
-                f"memory budget {budget} infeasible: PE {i} has {partners} "
-                f"partners and needs at least {(partners + 1) * B} elements")
-        send = sum(volumes[i][t] for t in range(P) if t != i)
-        recv = sum(volumes[q][i] for q in range(P) if q != i)
-        k = max(k, -(-send // eff), -(-recv // eff))
-    return k
 
 
 def _local_ref(run: RunDescriptor, pe: int, lo: int, hi: int) -> SegRef:
@@ -161,19 +131,6 @@ def _local_ref(run: RunDescriptor, pe: int, lo: int, hi: int) -> SegRef:
     b1 = (hi - 1 - pe * run.share) // run.block_size
     start = (lo - pe * run.share) - b0 * run.block_size
     return SegRef(pe, run.blocks[pe][b0:b1 + 1], start, hi - lo)
-
-
-def _flow_list(runs: list[RunDescriptor], matrix: SplitterMatrix
-               ) -> list[tuple[int, int, int, int, int]]:
-    """All cross-PE flows (src, dest, run, lo, hi), deterministically ordered."""
-    flows = []
-    for t in range(matrix.boundaries):
-        for j, run in enumerate(runs):
-            for q, a, b in _slice_pieces(run, matrix.pos[t][j],
-                                         matrix.pos[t + 1][j]):
-                if q != t:
-                    flows.append((q, t, j, a, b))
-    return flows
 
 
 def _schedule_flows(flows: list[tuple[int, int, int, int, int]],
@@ -186,7 +143,7 @@ def _schedule_flows(flows: list[tuple[int, int, int, int, int]],
     per flow, its pieces as (round, lo, hi) element ranges; every piece is a
     whole number of blocks except a flow's final piece.
     """
-    if eff < B:
+    if flows and eff < B:
         raise PlanError(
             f"per-round budget of {eff} elements is below one block ({B})")
     send_load: list[list[int]] = []
@@ -223,23 +180,13 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
     P, B = cfg.P, cfg.B
     pos = matrix.pos
 
-    # Locally kept piece per (dest, run): the overlap of the cut with the
-    # destination's own slice of the run.
-    kept: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in range(P):
-        for j, run in enumerate(runs):
-            lo, hi = pos[t][j], pos[t + 1][j]
-            klo = max(lo, t * run.share)
-            khi = min(hi, (t + 1) * run.share)
-            if klo < khi:
-                kept[(t, j)] = (klo, khi)
-
-    volumes = xfer_matrix(runs, matrix)
-    v_moved = sum(map(sum, volumes))
-    partners = [sum(1 for t in range(P) if t != q and volumes[q][t] > 0)
-                for q in range(P)]
-    plan_rounds(volumes, cfg.m, B)  # validates the memory budget
-    flows = _flow_list(runs, matrix)
+    pieces = _cut_pieces(runs, matrix)
+    flows = [piece for piece in pieces if piece[0] != piece[1]]
+    # The piece of each (dest, run) cut that its holder already has.
+    kept = {(t, j): (a, b) for q, t, j, a, b in pieces if q == t}
+    v_moved = sum(b - a for _q, _t, _j, a, b in flows)
+    partners = [len({t for q, t, *_ in flows if q == p}) for p in range(P)]
+    # Each round leaves one working block of memory beside its payload.
     k, flow_pieces = _schedule_flows(flows, cfg.m - B, B, P)
 
     by_round: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed
-from .net import exchange_pieces, gather_splitters
+from .net import all_to_all_v, gather_splitters
 
 
 @dataclass
@@ -98,10 +98,12 @@ def internal_parallel_sort(cluster, loads: list[np.ndarray],
     # Every processor learns every cut position (control traffic).
     gather_splitters(cluster, [[cutpos[p][q] for p in range(1, P)]
                                for q in range(P)], phase)
-    pieces = [[locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]]
-               for p in range(P)] for q in range(P)]
-    received = exchange_pieces(cluster, pieces, phase)
-    return [_by_key_then_serial(concat(row)) for row in received]
+    payloads = [[[(None, locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]])]
+                 for p in range(P)] for q in range(P)]
+    received = all_to_all_v(cluster, payloads, phase)
+    return [_by_key_then_serial(concat([piece for src in row
+                                        for _tag, piece in src]))
+            for row in received]
 
 
 def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:

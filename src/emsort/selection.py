@@ -27,39 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .core import INF_KEY, Element, PHASE_SELECTION
+from .core import INF_KEY, PHASE_SELECTION
 
 OrderKey = tuple[int, int, int]
 
 
 class SelectionError(Exception):
     pass
-
-
-class MemoryAccessor:
-    """Element access over in-memory sorted runs; counts distinct touches."""
-
-    def __init__(self, runs: list[list[Element]]):
-        self.runs = runs
-        self.lengths = [len(run) for run in runs]
-        self.touched = 0
-        self.blocks_read = 0
-        self._memo: dict[tuple[int, int], OrderKey] = {}
-
-    def reset_memo(self) -> None:
-        self._memo.clear()
-
-    def order_key(self, run: int, pos: int) -> OrderKey:
-        got = self._memo.get((run, pos))
-        if got is not None:
-            return got
-        if pos >= self.lengths[run]:
-            okey: OrderKey = (INF_KEY, run, pos)
-        else:
-            self.touched += 1
-            okey = (self.runs[run][pos][0], run, pos)
-        self._memo[(run, pos)] = okey
-        return okey
 
 
 class DiskAccessor:
@@ -71,12 +45,10 @@ class DiskAccessor:
     low-step rounds into single reads.
     """
 
-    def __init__(self, cluster, segments, phase: str = PHASE_SELECTION,
-                 cache_blocks: bool = True):
+    def __init__(self, cluster, segments, phase: str = PHASE_SELECTION):
         self.cluster = cluster
         self.segments = segments
         self.phase = phase
-        self.cache_blocks = cache_blocks
         self.lengths = [seg.length for seg in segments]
         self.touched = 0
         self.blocks_read = 0
@@ -96,16 +68,13 @@ class DiskAccessor:
             return okey
         self.touched += 1
         pe, lb, off = self.segments[run].locate(pos)
-        block = None
-        if self.cache_blocks:
-            hit = self._cache.get(run)
-            if hit is not None and hit[0] == (pe, lb):
-                block = hit[1]
-        if block is None:
+        hit = self._cache.get(run)
+        if hit is not None and hit[0] == (pe, lb):
+            block = hit[1]
+        else:
             block = self.cluster.read_block(pe, lb, self.phase)
             self.blocks_read += 1
-            if self.cache_blocks:
-                self._cache[run] = ((pe, lb), block)
+            self._cache[run] = ((pe, lb), block)
         okey = (int(block["key"][off]), run, pos)
         self._memo[(run, pos)] = okey
         return okey

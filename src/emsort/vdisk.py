@@ -72,9 +72,6 @@ class Cluster:
         arr.next_slot[disk] += 1
         return lb
 
-    def reserve(self, pe: int, count: int) -> list[int]:
-        return [self.alloc_block(pe) for _ in range(count)]
-
     # -- counted I/O ---------------------------------------------------------
 
     def read_block(self, pe: int, lb: int, phase: str) -> np.ndarray:
@@ -132,29 +129,10 @@ class Cluster:
         except KeyError:
             raise DiskError(f"peek of unallocated block pe={pe} lb={lb}") from None
 
-    def is_allocated(self, pe: int, lb: int) -> bool:
-        arr = self.arrays[pe]
-        disk, slot = arr.locate(lb)
-        return slot in arr.slots[disk]
-
     # -- occupancy -----------------------------------------------------------
-
-    def allocated_blocks(self, pe: int) -> int:
-        return self.arrays[pe].allocated
 
     def peak_allocated(self, pe: int) -> int:
         return self.arrays[pe].peak_allocated
-
-    def blocks_per_disk(self, pe: int) -> list[int]:
-        return [len(s) for s in self.arrays[pe].slots]
-
-    def total_elements(self, drop_sentinels: bool = True) -> int:
-        """Count elements currently stored on all disks."""
-        elems = concat([block for arr in self.arrays for slots in arr.slots
-                        for block in slots.values()])
-        if drop_sentinels:
-            return int(np.count_nonzero(~sentinel_mask(elems)))
-        return len(elems)
 
     # -- persistence -----------------------------------------------------------
 

@@ -1,6 +1,7 @@
-"""Shared test utilities: cluster construction, oracle sorting, the
-scalar element codec that the disk images are checked against, and the
-element-at-a-time kernels that the array kernels are checked against."""
+"""Shared test utilities: cluster construction, oracle sorting, block
+occupancy, an in-memory selection accessor, the scalar element codec that
+the disk images are checked against, and the element-at-a-time kernels that
+the array kernels are checked against."""
 from __future__ import annotations
 
 import heapq
@@ -9,14 +10,14 @@ from operator import itemgetter
 import numpy as np
 
 from emsort.core import (
-    ELEM, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, Element,
-    MachineConfig, sentinel,
+    ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, Element,
+    MachineConfig, concat, sentinel, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
-from emsort.net import exchange_pieces, gather_splitters
+from emsort.net import all_to_all_v, gather_splitters
 from emsort.redistribute import StagedRun
-from emsort.selection import MemoryAccessor, select_all_ranks
-from emsort.vdisk import Cluster, OutputLayout
+from emsort.selection import select_all_ranks
+from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 
 def build(P: int = 2, D: int = 2, B: int = 4, m: int = 32, N: int = 128,
@@ -52,6 +53,55 @@ def output_elements(cluster: Cluster, layout: OutputLayout) -> list[Element]:
 def counter_state(cluster: Cluster) -> dict:
     """Every counter of a cluster, for equality checks."""
     return dict(vars(cluster.counters))
+
+
+def is_allocated(cluster: Cluster, pe: int, lb: int) -> bool:
+    """Whether ``lb`` on ``pe`` holds a block."""
+    try:
+        cluster.peek_block(pe, lb)
+    except DiskError:
+        return False
+    return True
+
+
+def live_blocks(cluster: Cluster, pe: int) -> list[int]:
+    """The logical ids of every block ``pe`` holds, ascending."""
+    top = max(cluster.arrays[pe].next_slot) * cluster.cfg.D
+    return [lb for lb in range(top) if is_allocated(cluster, pe, lb)]
+
+
+def stored_elements(cluster: Cluster) -> int:
+    """Non-sentinel elements held on all disks."""
+    elems = concat([cluster.peek_block(pe, lb) for pe in range(cluster.cfg.P)
+                    for lb in live_blocks(cluster, pe)])
+    return int(np.count_nonzero(~sentinel_mask(elems)))
+
+
+class MemoryAccessor:
+    """Selection's element access over in-memory sorted runs of ``(key,
+    serial)`` tuples; counts distinct touches."""
+
+    def __init__(self, runs: list[list[Element]]):
+        self.runs = runs
+        self.lengths = [len(run) for run in runs]
+        self.touched = 0
+        self.blocks_read = 0
+        self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def reset_memo(self) -> None:
+        self._memo.clear()
+
+    def order_key(self, run: int, pos: int) -> tuple[int, int, int]:
+        got = self._memo.get((run, pos))
+        if got is not None:
+            return got
+        if pos >= self.lengths[run]:
+            okey = (INF_KEY, run, pos)
+        else:
+            self.touched += 1
+            okey = (self.runs[run][pos][0], run, pos)
+        self._memo[(run, pos)] = okey
+        return okey
 
 
 def oracle_agrees(inputs: list[Element], outputs: list[Element]) -> bool:
@@ -92,6 +142,13 @@ def element_from_bytes(data: bytes, elem_size: int) -> Element:
 
 # --- reference kernels: heapq merges over lists of element tuples ------------
 
+def _exchange_pieces(cluster, pieces, phase: str):
+    """``all_to_all_v`` with one untagged parcel per ``pieces[src][dst]``."""
+    payloads = [[[(None, piece)] for piece in row] for row in pieces]
+    received = all_to_all_v(cluster, payloads, phase)
+    return [[slot[0][1] if slot else [] for slot in row] for row in received]
+
+
 def internal_parallel_sort(cluster, loads: list[list[Element]],
                            phase: str = PHASE_RUN_FORMATION) -> list[list[Element]]:
     """Sort one memory load across processors.
@@ -122,7 +179,7 @@ def internal_parallel_sort(cluster, loads: list[list[Element]],
                                for q in range(P)], phase)
     pieces = [[locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]]
                for p in range(P)] for q in range(P)]
-    received = exchange_pieces(cluster, pieces, phase)
+    received = _exchange_pieces(cluster, pieces, phase)
     return [list(heapq.merge(*received[p])) for p in range(P)]
 
 

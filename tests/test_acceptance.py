@@ -19,11 +19,13 @@ from emsort.harness import (
     INPUT_KINDS, run_experiment_redistribution, run_sort, validate_config,
     verify_output,
 )
-from emsort.selection import MemoryAccessor, multiway_select, sampled_init
+from emsort.selection import multiway_select, sampled_init
 from emsort.striped import naive_steps, prefetch_schedule, verify_schedule
 from emsort.vdisk import Cluster
 
-from helpers import fill, input_elements, oracle_agrees, output_elements
+from helpers import (
+    MemoryAccessor, fill, input_elements, oracle_agrees, output_elements,
+)
 from test_selection import brute_force_select
 
 GRID_P = (1, 2, 4, 8)

@@ -1,0 +1,41 @@
+"""The package surface: the exported names and the README's library example."""
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import emsort
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = {
+    "MachineConfig", "Cluster", "InputSpec", "generate_input", "run_sort",
+    "verify_output", "report_stats", "DiskError", "PlanError",
+    "SelectionError", "ProtocolError", "__version__",
+}
+
+
+def library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+
+
+def test_exports_are_the_documented_api():
+    assert sorted(emsort.__all__) == sorted(PUBLIC)
+    for name in emsort.__all__:
+        assert getattr(emsort, name) is not None
+    section = library_section()
+    for name in PUBLIC:
+        assert f"`{name}`" in section, name
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", library_section(), re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from emsort.core import (
     ALL_PHASES, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
     PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, PhaseCounters,
-    checksum128, compare, derive_seed, order_key, parse_config_text, sentinel,
-    sentinel_mask, strictly_less, validate_config,
+    checksum128, derive_seed, parse_config_text, sentinel, sentinel_mask,
+    validate_config,
 )
 
 from helpers import element_from_bytes, element_to_bytes, elements as element_array
@@ -22,14 +22,6 @@ def test_sentinel_is_recognized_and_maximal():
         True, False, False]
     assert s[0] == MAX_KEY
     assert INF_KEY > MAX_KEY
-
-
-def test_order_key_breaks_ties_by_run_then_position():
-    a = order_key((5, 900), 0, 3)
-    b = order_key((5, 100), 1, 0)
-    c = order_key((5, 100), 1, 1)
-    assert strictly_less(a, b) and strictly_less(b, c)
-    assert compare(a, b) == -1 and compare(b, a) == 1 and compare(a, a) == 0
 
 
 def test_machine_config_derived_quantities():
@@ -96,7 +88,7 @@ def test_parse_config_text_round_trip():
     assert cfg.randomize is False and cfg.seed == 42
 
 
-@pytest.mark.parametrize("line", ["bogus", "Q=4", "randomize=maybe"])
+@pytest.mark.parametrize("line", ["bogus", "Q=4", "randomize=maybe", "P=four"])
 def test_parse_config_text_rejects_bad_lines(line):
     with pytest.raises(ValueError):
         parse_config_text(line)
@@ -160,23 +152,22 @@ def test_phase_counters_aggregation():
     assert c.phase_element_io(PHASE_RUN_FORMATION, 4) == 40
     assert c.total_element_io(4) == 4 * (5 + 5 + 1 + 4)
     assert c.total_element_io(4, DATA_PHASES) == 4 * (5 + 5 + 4)
-    reads, writes = c.per_disk_totals()
-    assert reads == [[4, 0], [0, 2]]
-    assert writes == [[0, 5], [4, 0]]
+    assert c.blocks_read[PHASE_RUN_FORMATION] == [[3, 0], [0, 2]]
+    assert c.blocks_written[PHASE_ALL_TO_ALL] == [[0, 0], [4, 0]]
 
 
-def test_phase_counters_communication_and_snapshot():
+def test_phase_counters_communication():
     c = PhaseCounters(2, 1)
     c.add_sent(PHASE_ALL_TO_ALL, 0, 10)
     c.add_received(PHASE_ALL_TO_ALL, 1, 10)
     c.add_control(PHASE_SELECTION, 0, 6)
     c.add_overhead(PHASE_LOCAL_MERGE, 3)
     c.add_steps(PHASE_ALL_TO_ALL, 2)
-    snap = c.snapshot()
     c.add_sent(PHASE_ALL_TO_ALL, 0, 99)
-    c.add_overhead(PHASE_LOCAL_MERGE, 1)
-    assert snap.data_sent_total() == 10
     assert c.data_sent_total() == 109
-    assert snap.overhead_elements[PHASE_LOCAL_MERGE] == 3
-    assert snap.io_steps[PHASE_ALL_TO_ALL] == 2
-    assert set(snap.blocks_read) == set(ALL_PHASES)
+    assert c.data_sent_total((PHASE_SELECTION,)) == 0
+    assert c.elements_received[PHASE_ALL_TO_ALL] == [0, 10]
+    assert c.control_values[PHASE_SELECTION] == [6, 0]
+    assert c.overhead_elements[PHASE_LOCAL_MERGE] == 3
+    assert c.io_steps[PHASE_ALL_TO_ALL] == 2
+    assert set(c.blocks_read) == set(ALL_PHASES)

@@ -25,7 +25,9 @@ from emsort.redistribute import compute_splitters, per_run_moved
 from emsort.runform import form_runs, run_layout
 from emsort.vdisk import Cluster, OutputLayout
 
-from helpers import build, fill, input_elements, oracle_agrees, output_elements
+from helpers import (
+    build, counter_state, fill, input_elements, oracle_agrees, output_elements,
+)
 
 
 # --- input generation -----------------------------------------------------------
@@ -135,9 +137,7 @@ def test_identical_seeds_reproduce_identical_counters():
         cl = build(P=4, B=4, m=32, N=384, seed=3)
         gen = fill(cl, "random", 3)
         run_sort(cl, gen.pe_blocks, "canonical")
-        snaps.append((cl.counters.total_element_io(4),
-                      cl.counters.data_sent_total(),
-                      cl.counters.per_disk_totals()))
+        snaps.append(counter_state(cl))
     assert snaps[0] == snaps[1]
 
 
@@ -430,3 +430,41 @@ def test_cli_rejects_bad_config(tmp_path):
     config = write_config(tmp_path / "grid.cfg", N=100)      # not B*P aligned
     with pytest.raises(SystemExit):
         cli_main(["gen", "--config", config, "--persist", str(tmp_path / "s")])
+
+
+def test_cli_verify_without_a_manifest_is_an_error(tmp_path):
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["verify", "--persist", str(tmp_path)])
+    assert str(refusal.value) == f"error: {tmp_path / 'manifest.json'}: no manifest"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("Q = 4", "line 7: unknown config key 'Q'"),
+    ("B = four", "line 7: B must be an integer, got 'four'"),
+])
+def test_cli_config_file_errors_are_reported(tmp_path, line, reason):
+    config = write_config(tmp_path / "grid.cfg")
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    for argv in (["gen", "--persist", str(tmp_path / "s")], ["sort"],
+                 ["experiment"]):
+        with pytest.raises(SystemExit) as refusal:
+            cli_main([*argv, "--config", config])
+        assert str(refusal.value) == f"error: {config}: {reason}"
+
+
+def test_cli_experiment_refuses_zero_trials(tmp_path):
+    config = write_config(tmp_path / "grid.cfg")
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["experiment", "--config", config, "--trials", "0"])
+    assert str(refusal.value) == "error: trials=0: need at least one trial"
+
+
+def test_cli_experiment_refuses_an_unusable_block_size(tmp_path, capsys):
+    config = write_config(tmp_path / "grid.cfg")
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["experiment", "--config", config, "--blocks", "4,0"])
+    assert str(refusal.value).startswith("error: B=0: B < 1")
+    assert capsys.readouterr().out == ""       # refused before any trial
+    with pytest.raises(SystemExit, match="is not a comma-separated list"):
+        cli_main(["experiment", "--config", config, "--blocks", "4,x"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from emsort.core import PHASE_ALL_TO_ALL, PHASE_SELECTION
-from emsort.net import ProtocolError, all_to_all_v, exchange_pieces, gather_splitters
+from emsort.net import ProtocolError, all_to_all_v, gather_splitters
 
 from helpers import build
 
@@ -40,17 +40,6 @@ def test_all_to_all_rejects_ragged_matrices():
         all_to_all_v(cl, [[[]] * 2], PHASE_ALL_TO_ALL)
     with pytest.raises(ProtocolError):
         all_to_all_v(cl, [[[]], [[]] * 2], PHASE_ALL_TO_ALL)
-
-
-def test_exchange_pieces_round_trip():
-    cl = build(P=2)
-    pieces = [[[(1, 1)], [(2, 2)]],
-              [[(3, 3)], []]]
-    received = exchange_pieces(cl, pieces, PHASE_ALL_TO_ALL)
-    assert received[0][0] == [(1, 1)]
-    assert received[0][1] == [(3, 3)]
-    assert received[1][0] == [(2, 2)]
-    assert received[1][1] == []
 
 
 def test_gather_splitters_concatenates_and_counts_control():

@@ -1,19 +1,23 @@
-"""Splitter computation, transfer planning, and the external all-to-all."""
+"""Splitter computation, round scheduling, and the external all-to-all."""
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from emsort.core import (
-    DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_RUN_FORMATION,
-    PHASE_SELECTION, concat, sentinel_mask,
+    DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION, concat,
+    sentinel_mask, validate_config,
 )
+from emsort.harness import report_stats, run_sort, verify_output
 from emsort.redistribute import (
-    PlanError, compute_splitters, external_all_to_all, moved_volume,
-    per_run_moved, plan_rounds, xfer_matrix,
+    PlanError, _schedule_flows, compute_splitters, external_all_to_all,
+    per_run_moved,
 )
 from emsort.runform import form_runs
+from emsort.vdisk import Cluster
 
-from helpers import build, fill, input_elements
+from helpers import build, fill, is_allocated, stored_elements
 
 
 # --- oracle -----------------------------------------------------------------
@@ -62,14 +66,12 @@ def test_single_processor_has_trivial_matrix():
     cl, _gen, runs = formed(P=1, m=64, N=256)
     matrix = compute_splitters(cl, runs)
     assert matrix.pos == [[0] * len(runs), [run.length for run in runs]]
-    assert xfer_matrix(runs, matrix) == [[0]]
-    assert moved_volume(runs, matrix) == 0
+    assert per_run_moved(runs, matrix) == [0] * len(runs)
 
 
 def test_sorted_input_needs_no_movement():
     cl, _gen, runs = formed(kind="sorted", seed=0)
     matrix = compute_splitters(cl, runs)
-    assert moved_volume(runs, matrix) == 0
     assert per_run_moved(runs, matrix) == [0] * len(runs)
     # boundary t of every run sits exactly at t * share
     for t, row in enumerate(matrix.pos):
@@ -78,13 +80,20 @@ def test_sorted_input_needs_no_movement():
             assert row[j] == expected
 
 
-def test_moved_volume_agrees_with_xfer_matrix():
+def test_moved_volume_counts_elements_cut_away_from_their_holder():
     cl, _gen, runs = formed(seed=13)
     matrix = compute_splitters(cl, runs)
-    s = xfer_matrix(runs, matrix)
-    assert all(s[q][q] == 0 for q in range(cl.cfg.P))
-    assert moved_volume(runs, matrix) == sum(map(sum, s))
-    assert sum(per_run_moved(runs, matrix)) == moved_volume(runs, matrix)
+    P = cl.cfg.P
+    # (holder, destination) of every run position
+    moves = [[(p // run.share, t) for t in range(P)
+              for p in range(matrix.pos[t][j], matrix.pos[t + 1][j])]
+             for j, run in enumerate(runs)]
+    expected = [sum(q != t for q, t in run_moves) for run_moves in moves]
+    assert per_run_moved(runs, matrix) == expected
+    redist = external_all_to_all(cl, runs, matrix)
+    assert redist.v_moved == sum(expected) > 0
+    pairs = {(q, t) for run_moves in moves for q, t in run_moves if q != t}
+    assert redist.partners == [sum(q == p for q, _t in pairs) for p in range(P)]
 
 
 def test_splitter_search_uses_samples_sparingly():
@@ -98,26 +107,70 @@ def test_splitter_search_uses_samples_sparingly():
     assert cl.counters.phase_blocks_read(PHASE_SELECTION) == matrix.blocks_read
 
 
-# --- round planning -----------------------------------------------------------
+# --- round scheduling --------------------------------------------------------
 
-def test_plan_rounds_single_round_when_budget_allows():
-    volumes = [[0, 10], [10, 0]]
-    assert plan_rounds(volumes, budget=100, B=4) == 1
-
-
-def test_plan_rounds_splits_when_traffic_exceeds_budget():
-    volumes = [[0, 100], [0, 0]]
-    # one partner: effective budget 16 - 4 = 12 -> ceil(100/12) = 9
-    assert plan_rounds(volumes, budget=16, B=4) == 9
-    # receive side binds too
-    volumes = [[0, 0], [100, 0]]
-    assert plan_rounds(volumes, budget=16, B=4) == 9
+def round_loads(flows, pieces, k, P):
+    """Elements each PE sends and receives in each round."""
+    send = [[0] * P for _ in range(k)]
+    recv = [[0] * P for _ in range(k)]
+    for (q, t, _j, _lo, _hi), mine in zip(flows, pieces):
+        for r, a, b in mine:
+            send[r][q] += b - a
+            recv[r][t] += b - a
+    return send, recv
 
 
-def test_plan_rounds_rejects_starved_budget():
-    volumes = [[0, 5, 5], [0, 0, 0], [0, 0, 0]]
+@pytest.mark.parametrize("flows", [
+    [(0, 1, 0, 0, 100)],
+    [(0, 1, 0, 0, 50), (0, 2, 0, 50, 100)],     # the send side binds
+    [(1, 0, 0, 0, 50), (2, 0, 0, 50, 100)],     # the receive side binds
+])
+def test_schedule_flows_splits_traffic_over_the_budget(flows):
+    k, pieces = _schedule_flows(flows, 12, 4, 3)
+    assert k == 9                                # ceil(100 / 12)
+    send, recv = round_loads(flows, pieces, k, 3)
+    assert max(map(max, send)) == max(map(max, recv)) == 12
+    for (_q, _t, _j, lo, hi), mine in zip(flows, pieces):
+        assert [mine[0][1], mine[-1][2]] == [lo, hi]
+        assert all(x[2] == y[1] for x, y in zip(mine, mine[1:]))
+
+
+def test_schedule_flows_keeps_each_flow_in_position_order():
+    rng = random.Random(5058)
+    P, B = 4, 4
+    for eff in (4, 12, 16):
+        flows = []
+        for _ in range(30):
+            q, t = rng.sample(range(P), 2)
+            lo = rng.randrange(64)
+            flows.append((q, t, rng.randrange(3), lo, lo + rng.randint(1, 40)))
+        k, pieces = _schedule_flows(flows, eff, B, P)
+        send, recv = round_loads(flows, pieces, k, P)
+        assert max(map(max, send)) <= eff and max(map(max, recv)) <= eff
+        for (_q, _t, _j, lo, hi), mine in zip(flows, pieces):
+            rounds = [r for r, _a, _b in mine]
+            assert rounds == sorted(rounds)
+            assert [mine[0][1], mine[-1][2]] == [lo, hi]
+            assert all(x[2] == y[1] for x, y in zip(mine, mine[1:]))
+            # every piece but the flow's last is whole blocks
+            assert all((b - a) % B == 0 for _r, a, b in mine[:-1])
+
+
+def test_schedule_flows_needs_a_block_of_budget_only_for_a_flow():
     with pytest.raises(PlanError):
-        plan_rounds(volumes, budget=11, B=4)   # needs (2+1)*4 = 12
+        _schedule_flows([(0, 1, 0, 0, 8)], 3, 4, 2)
+    assert _schedule_flows([], 0, 4, 2) == (0, [])
+
+
+def test_one_block_of_memory_sorts_without_exchange_rounds():
+    cfg = MachineConfig(P=1, D=1, B=4, m=4, N=4)
+    assert validate_config(cfg, "canonical") == []
+    cl = Cluster(cfg)
+    gen = fill(cl, "reverse")
+    result = run_sort(cl, gen.pe_blocks, "canonical")
+    assert verify_output(cl, result.layout, gen.count, gen.total).ok
+    assert result.k_rounds == 0
+    assert "# k_rounds=0\n" in report_stats(cfg, result)
 
 
 # --- executing the exchange ---------------------------------------------------
@@ -141,7 +194,7 @@ def test_exchange_delivers_exact_slices():
     cl, gen, runs = formed(seed=2)
     matrix = compute_splitters(cl, runs)
     redist = external_all_to_all(cl, runs, matrix)
-    assert redist.v_moved == moved_volume(runs, matrix)
+    assert redist.v_moved == sum(per_run_moved(runs, matrix))
     staged_tiles_exactly(cl, runs, matrix, redist)
     # staged content is exactly the input multiset
     staged_elems = []
@@ -185,11 +238,11 @@ def test_exchange_reclaims_fully_shipped_blocks():
             for b_idx, lb in enumerate(run.blocks[q]):
                 g0 = q * run.share + b_idx * B
                 overlaps = klo < khi and g0 < khi and g0 + B > klo
-                assert cl.is_allocated(q, lb) == overlaps, (j, q, lb)
+                assert is_allocated(cl, q, lb) == overlaps, (j, q, lb)
                 if overlaps:
                     dup_bound += (klo - g0 if g0 < klo else 0) + \
                                  (g0 + B - khi if g0 + B > khi else 0)
-    total = cl.total_elements(drop_sentinels=True)
+    total = stored_elements(cl)
     assert cl.cfg.N <= total <= cl.cfg.N + dup_bound
 
 

@@ -9,11 +9,11 @@ import pytest
 from emsort.core import PHASE_SELECTION
 from emsort.runform import RunDescriptor
 from emsort.selection import (
-    DiskAccessor, MemoryAccessor, SelectionError, multiway_select,
-    sampled_init, select_all_ranks,
+    DiskAccessor, SelectionError, multiway_select, sampled_init,
+    select_all_ranks,
 )
 
-from helpers import build
+from helpers import MemoryAccessor, build
 
 
 # --- oracle -----------------------------------------------------------------
@@ -235,15 +235,11 @@ def test_disk_accessor_cache_reduces_reads():
                     for _ in range(4)]
     cl = build(P=1, D=2, B=16, m=256, N=512)
     segs = seed_disk_runs(cl, keys_per_run)
-    cached = DiskAccessor(cl, segs, PHASE_SELECTION, cache_blocks=True)
-    uncached = DiskAccessor(cl, segs, PHASE_SELECTION, cache_blocks=False)
-    r = 300
-    res_c = multiway_select(cached, r)
-    res_u = multiway_select(uncached, r)
-    assert res_c.positions == res_u.positions
-    # the final low-step rounds probe neighbouring positions: with a block
-    # cache those coalesce into one read each
-    assert res_c.blocks_read < res_u.blocks_read
+    res = multiway_select(DiskAccessor(cl, segs, PHASE_SELECTION), 300)
+    # the final low-step rounds probe neighbouring positions; the block
+    # cache serves those from one read, so reads fall below distinct probes
+    # (without it every probe would be a read)
+    assert res.blocks_read < res.touched
 
 
 def test_select_all_ranks_detects_broken_order():

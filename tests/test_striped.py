@@ -12,7 +12,7 @@ from emsort.striped import (
 )
 from emsort.vdisk import Cluster
 
-from helpers import build, fill, input_elements, oracle_agrees
+from helpers import build, fill, input_elements, is_allocated, oracle_agrees
 
 
 def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
@@ -147,7 +147,7 @@ def test_merge_pass_produces_one_sorted_striped_run():
     # inputs were consumed
     for run in runs:
         for pe, lb in run.blocks:
-            assert not cl.is_allocated(pe, lb)
+            assert not is_allocated(cl, pe, lb)
 
 
 def test_merge_pass_rejects_too_many_runs():

@@ -10,7 +10,10 @@ from hypothesis import given, strategies as st
 from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP, sentinel
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
-from helpers import build, element_from_bytes, element_to_bytes, elements
+from helpers import (
+    build, element_from_bytes, element_to_bytes, elements, is_allocated,
+    live_blocks,
+)
 
 
 def block_of(start: int, B: int) -> list[tuple[int, int]]:
@@ -46,7 +49,7 @@ def test_alloc_block_stripes_round_robin():
     lbs = [cl.alloc_block(0) for _ in range(9)]
     for lb in lbs:
         cl.write_block(0, lb, block_of(lb, 4), PHASE_SETUP)
-    assert cl.blocks_per_disk(0) == [3, 3, 3]
+    assert sorted(lb % 3 for lb in live_blocks(cl, 0)) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert sorted(lb % 3 for lb in lbs[:3]) == [0, 1, 2]
 
 
@@ -56,12 +59,6 @@ def test_alloc_block_on_places_on_named_disk():
     assert lb % 2 == 1
     nxt = cl.alloc_block_on(0, 1)
     assert nxt == lb + 2
-
-
-def test_reserve_returns_distinct_ids():
-    cl = build()
-    lbs = cl.reserve(1, 8)
-    assert len(set(lbs)) == 8
 
 
 def test_bad_operations_raise():
@@ -93,25 +90,17 @@ def test_occupancy_tracking_and_deallocate():
     lbs = [cl.alloc_block(0) for _ in range(4)]
     for lb in lbs:
         cl.write_block(0, lb, block_of(0, 4), PHASE_SETUP)
-    assert cl.allocated_blocks(0) == 4
+    assert live_blocks(cl, 0) == lbs
     assert cl.peak_allocated(0) == 4
     cl.deallocate_block(0, lbs[0])
     cl.deallocate_block(0, lbs[1])
-    assert cl.allocated_blocks(0) == 2
+    assert live_blocks(cl, 0) == lbs[2:]
     assert cl.peak_allocated(0) == 4          # peak is sticky
-    assert not cl.is_allocated(0, lbs[0])
-    assert cl.is_allocated(0, lbs[2])
+    assert not is_allocated(cl, 0, lbs[0])
+    assert is_allocated(cl, 0, lbs[2])
     # rewriting a freed slot re-counts it
     cl.write_block(0, lbs[0], block_of(1, 4), PHASE_SETUP)
-    assert cl.allocated_blocks(0) == 3
-
-
-def test_total_elements_skips_sentinels():
-    cl = build(B=4)
-    lb = cl.alloc_block(0)
-    cl.seed_block(0, lb, [(1, 1), (2, 2), sentinel(), sentinel()])
-    assert cl.total_elements() == 2
-    assert cl.total_elements(drop_sentinels=False) == 4
+    assert live_blocks(cl, 0) == [lbs[0]] + lbs[2:]
 
 
 def test_save_and_load_images_round_trip(tmp_path):
