@@ -8,6 +8,7 @@ verification passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,29 +54,46 @@ def _load_cfg(args) -> MachineConfig:
         raise SystemExit(f"error: {args.config}: {exc}") from None
 
 
-def _write_manifest(directory: str, payload: dict) -> None:
-    with open(os.path.join(directory, MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_manifest(directory: str) -> dict:
+def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
+    """The manifest in ``directory`` and the machine config it records;
+    exits with ``error: …`` when either cannot be read or the manifest
+    describes another stage."""
     path = os.path.join(directory, MANIFEST)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except FileNotFoundError:
         raise SystemExit(f"error: {path}: no manifest") from None
+    except ValueError as exc:
+        raise SystemExit(f"error: {path}: not valid JSON: {exc}") from None
+    try:
+        cfg = MachineConfig(**manifest["cfg"])
+    except KeyError:
+        raise SystemExit(f"error: {path}: no cfg") from None
+    except TypeError as exc:
+        raise SystemExit(f"error: {path}: bad cfg: {exc}") from None
+    if manifest.get("stage") != stage:
+        raise SystemExit(f"error: {directory} does not hold an {stage} "
+                         f"(stage={manifest.get('stage')!r})")
+    return manifest, cfg
 
 
-def _manifest_cfg(manifest: dict) -> MachineConfig:
-    return MachineConfig(**manifest["cfg"])
+def _open_stats(path: str | None):
+    """``path`` opened for writing, or a null context for ``None``; exits
+    with ``error: <path>: …`` when it cannot be opened."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"error: {path}: {exc.strerror}") from None
 
 
 def _persist(cluster: Cluster, directory: str, payload: dict) -> None:
-    os.makedirs(directory, exist_ok=True)
-    cluster.save_images(directory)
-    _write_manifest(directory, payload)
+    cluster.save_images(directory)      # creates the directory
+    with open(os.path.join(directory, MANIFEST), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _check_cfg(cfg: MachineConfig, engines=ENGINES) -> None:
@@ -105,14 +123,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sort(args) -> int:
-    manifest = None
     if args.persist and os.path.exists(os.path.join(args.persist, MANIFEST)):
-        manifest = _read_manifest(args.persist)
-        if manifest.get("stage") != "input":
-            raise SystemExit(f"error: {args.persist} does not hold an input "
-                             f"(stage={manifest.get('stage')!r})")
-    if manifest is not None:
-        cfg = _manifest_cfg(manifest)
+        manifest, cfg = _read_manifest(args.persist, "input")
         _check_cfg(cfg, (args.engine,))
         cluster = Cluster.load_images(args.persist, cfg)
         kind = manifest["kind"]
@@ -129,8 +141,10 @@ def cmd_sort(args) -> int:
 
     result = run_sort(cluster, pe_blocks, args.engine)
     verdict = verify_output(cluster, result.layout, count, total)
-    text = report_stats(cfg, result, kind, args.stats)
+    text = report_stats(cfg, result, kind)
     sys.stdout.write(text)
+    if args.stats:
+        args.stats.write(text)
 
     if args.persist:
         layout = result.layout
@@ -156,11 +170,7 @@ def cmd_sort(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    manifest = _read_manifest(args.persist)
-    if manifest.get("stage") != "output":
-        raise SystemExit(f"error: {args.persist} does not hold an output "
-                         f"(stage={manifest.get('stage')!r})")
-    cfg = _manifest_cfg(manifest)
+    manifest, cfg = _read_manifest(args.persist, "output")
     cluster = Cluster.load_images(args.persist, cfg)
     desc = manifest["layout"]
     layout = OutputLayout(
@@ -187,11 +197,12 @@ def cmd_experiment(args) -> int:
                          "comma-separated list of integers") from None
     try:
         _rows, text = run_experiment_redistribution(
-            cfg, kind=args.kind, b_values=b_values, trials=args.trials,
-            path=args.stats)
+            cfg, kind=args.kind, b_values=b_values, trials=args.trials)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     sys.stdout.write(text)
+    if args.stats:
+        args.stats.write(text)
     return 0
 
 
@@ -235,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # ``--stats FILE`` is opened before the command does any work.
+        with _open_stats(getattr(args, "stats", None)) as args.stats:
+            return args.func(args)
     except DiskError as exc:
         raise SystemExit(f"error: {exc}") from None
 

@@ -142,11 +142,8 @@ def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
         c, t = checksum128(elems["key"], elems["serial"])
         count += c
         total = (total + t) & ((1 << 128) - 1)
-        blocks = []
-        for c0 in range(0, local, cfg.B):
-            lb = cluster.alloc_block(pe)
-            cluster.seed_block(pe, lb, elems[c0:c0 + cfg.B])
-            blocks.append(lb)
+        blocks = cluster.alloc_blocks(pe, local // cfg.B)
+        cluster.seed_blocks(pe, blocks, elems)
         pe_blocks.append(blocks)
     return GeneratedInput(pe_blocks, count, total)
 
@@ -228,7 +225,7 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     blocks = list(layout.iter_blocks())
     step = max(1, VERIFY_CHUNK // cfg.B)
     for g in range(0, len(blocks), step):
-        chunk = concat([cluster.peek_block(pe, lb) for pe, lb in blocks[g:g + step]])
+        chunk = concat([cluster.peek_blocks(pe, [lb]) for pe, lb in blocks[g:g + step]])
         keys, serials = chunk["key"], chunk["serial"]
         base = g * cfg.B
         leaks = np.flatnonzero(sentinel_mask(chunk))
@@ -261,8 +258,8 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
                 continue
             if not lbs:
                 continue
-            first = int(cluster.peek_block(pe, lbs[0])["key"][0])
-            last = int(cluster.peek_block(pe, lbs[-1])["key"][-1])
+            first = int(cluster.peek_blocks(pe, lbs[:1])["key"][0])
+            last = int(cluster.peek_blocks(pe, lbs[-1:])["key"][-1])
             if boundary_key is not None and first < boundary_key:
                 res.fail(f"partition boundary {pe - 1}|{pe} out of order")
             boundary_key = last
@@ -293,7 +290,7 @@ STATS_META_KEYS = (
 
 
 def report_stats(cfg: MachineConfig, result: SortResult,
-                 kind: str = "?", path: str | None = None) -> str:
+                 kind: str = "?") -> str:
     """Render the run's counters as CSV with ``# key=value`` meta lines.
 
     One row per (phase, pe).  Phase-global counters (overhead, io_steps)
@@ -340,11 +337,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
             row.extend(counters.blocks_read[phase][pe])
             row.extend(counters.blocks_written[phase][pe])
             lines.append(",".join(str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -359,8 +352,7 @@ class ExperimentRow:
 
 def run_experiment_redistribution(cfg0: MachineConfig, kind: str = "random",
                                   b_values: tuple[int, ...] = (4, 16),
-                                  trials: int = 20,
-                                  path: str | None = None
+                                  trials: int = 20
                                   ) -> tuple[list[ExperimentRow], str]:
     """Measure redistribution volume over a (block size, randomize) grid.
 
@@ -406,8 +398,4 @@ def run_experiment_redistribution(cfg0: MachineConfig, kind: str = "random",
         if means.get((lo, True), 0) > 0:
             ratio = means[(hi, True)] / means[(lo, True)]
             lines.append(f"# ratio_mean_v_moved_B{hi}_over_B{lo}={ratio:.4f}")
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return rows, text
+    return rows, "\n".join(lines) + "\n"

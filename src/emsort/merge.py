@@ -36,12 +36,13 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
         for seg in staged[t]:
             for ref in seg.refs:
                 end = ref.start + ref.length
-                for i, lb in enumerate(ref.blocks[:-(-end // B)]):
-                    data = cluster.read_block(ref.pe, lb, PHASE_LOCAL_MERGE)
-                    pieces.append(data[max(ref.start - i * B, 0):min(end - i * B, B)])
-                    n += len(pieces[-1])
-                    held.append((ref.pe, lb))
-                    ends.append(n)
+                lbs = ref.blocks[:-(-end // B)]
+                pieces.append(cluster.read_blocks(ref.pe, lbs, PHASE_LOCAL_MERGE)
+                              [ref.start:end])
+                held.extend((ref.pe, lb) for lb in lbs)
+                ends.extend(n + min(i * B, end) - ref.start
+                            for i in range(1, len(lbs) + 1))
+                n += ref.length
         if n % B:
             raise RuntimeError(
                 f"output slice of PE {t} is {n} elements, not a block multiple")
@@ -51,17 +52,17 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
         rank[order] = np.arange(n)
         # A block is freed before output block (rank of its last element + 1) // B.
         due = ((rank[np.array(ends, dtype=np.intp) - 1] + 1) // B).tolist()
-        frees = sorted(zip(due, held), reverse=True)
+        frees: dict[tuple[int, int], list[int]] = {}
+        for k, (pe, lb) in zip(due, held):
+            frees.setdefault((k, pe), []).append(lb)
         merged = elems[order]
-        out_blocks: list[int] = []
-        for k in range(n // B + 1):
-            while frees and frees[-1][0] == k:
-                cluster.deallocate_block(*frees.pop()[1])
-            if k < n // B:
-                lb = cluster.alloc_block(t)
-                cluster.write_block(t, lb, merged[k * B:(k + 1) * B],
-                                    PHASE_LOCAL_MERGE)
-                out_blocks.append(lb)
+        out_blocks = cluster.alloc_blocks(t, n // B)
+        done = 0
+        for k, pe in sorted(frees.keys() | {(n // B, t)}):
+            cluster.write_blocks(t, out_blocks[done:k], merged[done * B:k * B],
+                                 PHASE_LOCAL_MERGE)
+            cluster.free_blocks(pe, frees.get((k, pe), ()))
+            done = k
         cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(held) * B - n)
         per_pe.append(out_blocks)
     return OutputLayout("canonical", per_pe=per_pe, stripe=None)

@@ -182,8 +182,10 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
 
     pieces = _cut_pieces(runs, matrix)
     flows = [piece for piece in pieces if piece[0] != piece[1]]
-    # The piece of each (dest, run) cut that its holder already has.
-    kept = {(t, j): (a, b) for q, t, j, a, b in pieces if q == t}
+    # (position, SegRef) of the piece of each (dest, run) cut that its
+    # holder already has.
+    kept = {(t, j): (a, _local_ref(runs[j], t, a, b))
+            for q, t, j, a, b in pieces if q == t}
     v_moved = sum(b - a for _q, _t, _j, a, b in flows)
     partners = [len({t for q, t, *_ in flows if q == p}) for p in range(P)]
     # Each round leaves one working block of memory beside its payload.
@@ -197,8 +199,7 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
     # refs_at[(t, j)]: (position, SegRef) of every arriving piece.
     refs_at: dict[tuple[int, int], list[tuple[int, SegRef]]] = {}
     peak = [0] * P
-    reads = [0] * P
-    extracted = [0] * P
+    reads = 0
     padding = 0
 
     for r in range(k):
@@ -207,20 +208,10 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
         for f, a, b in sorted(by_round[r],
                               key=lambda e: (flows[e[0]][0], flows[e[0]][2], e[1])):
             q, t, j, _lo, _hi = flows[f]
-            parts = []
-            p = a
-            cur = None
-            while p < b:
-                _pe, lb, off = runs[j].locate(p)
-                if (j, lb) != cur:
-                    data = cluster.read_block(q, lb, PHASE_ALL_TO_ALL)
-                    reads[q] += 1
-                    cur = (j, lb)
-                take = min(b - p, B - off)
-                parts.append(data[off:off + take])
-                p += take
-            payloads[q][t].append(((j, a), concat(parts)))
-            extracted[q] += b - a
+            ref = _local_ref(runs[j], q, a, b)
+            data = cluster.read_blocks(q, ref.blocks, PHASE_ALL_TO_ALL)
+            reads += len(ref.blocks)
+            payloads[q][t].append(((j, a), data[ref.start:ref.start + ref.length]))
             sent_vol[q] += b - a
         received = all_to_all_v(cluster, payloads, PHASE_ALL_TO_ALL)
         cluster.counters.add_steps(PHASE_ALL_TO_ALL, 1)
@@ -236,36 +227,30 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
                     pad = -len(elems) % B
                     padded = concat([elems, sentinels(pad)]) if pad else elems
                     padding += pad
-                    blocks = []
-                    for c in range(0, len(padded), B):
-                        lb = cluster.alloc_block(t)
-                        cluster.write_block(t, lb, padded[c:c + B],
-                                            PHASE_ALL_TO_ALL)
-                        blocks.append(lb)
+                    blocks = cluster.alloc_blocks(t, len(padded) // B)
+                    cluster.write_blocks(t, blocks, padded, PHASE_ALL_TO_ALL)
                     refs_at.setdefault((t, j), []).append(
                         (lo, SegRef(t, blocks, 0, len(elems))))
 
-    amplification = sum(reads) * B - sum(extracted)
+    # Every flow ships whole, so the flows read v_moved elements.
+    amplification = reads * B - v_moved
     cluster.counters.add_overhead(PHASE_ALL_TO_ALL, padding + amplification)
 
     # Original run blocks with nothing locally kept are dead now.
-    for j, run in enumerate(runs):
-        for q in range(P):
-            kq = kept.get((q, j))
-            for b_idx, lb in enumerate(run.blocks[q]):
-                g0 = q * run.share + b_idx * B
-                if kq is None or g0 + B <= kq[0] or g0 >= kq[1]:
-                    cluster.deallocate_block(q, lb)
+    for q in range(P):
+        live = {lb for (t, _j), (_a, ref) in kept.items() if t == q
+                for lb in ref.blocks}
+        cluster.free_blocks(q, [lb for run in runs for lb in run.blocks[q]
+                                if lb not in live])
 
     staged: list[list[StagedRun]] = []
     for t in range(P):
         per_run = []
-        for j, run in enumerate(runs):
+        for j in range(len(runs)):
             lo, hi = pos[t][j], pos[t + 1][j]
             placed = list(refs_at.get((t, j), ()))
             if (t, j) in kept:
-                klo, khi = kept[(t, j)]
-                placed.append((klo, _local_ref(run, t, klo, khi)))
+                placed.append(kept[(t, j)])
             placed.sort(key=lambda e: e[0])
             cursor = lo
             for at, ref in placed:

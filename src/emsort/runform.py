@@ -122,16 +122,14 @@ def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
     for i, (length, share) in enumerate(layout):
         take = share // B
         chunk = [sorted(order[p][base:base + take]) for p in range(cfg.P)]
-        loads = [concat([cluster.read_block(p, lb, PHASE_RUN_FORMATION)
-                         for lb in order[p][base:base + take]])
+        loads = [cluster.read_blocks(p, order[p][base:base + take],
+                                     PHASE_RUN_FORMATION)
                  for p in range(cfg.P)]
         base += take
         chunks = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
         samples: list[tuple[int, int]] = []
         for p, sorted_chunk in enumerate(chunks):
-            for b, start in enumerate(range(0, share, B)):
-                cluster.write_block(p, chunk[p][b],
-                                    sorted_chunk[start:start + B], PHASE_RUN_FORMATION)
+            cluster.write_blocks(p, chunk[p], sorted_chunk, PHASE_RUN_FORMATION)
             g = -(-(p * share) // K) * K  # first sampled position in chunk
             samples.extend(zip(sorted_chunk["key"][g - p * share::K].tolist(),
                                range(g, (p + 1) * share, K)))

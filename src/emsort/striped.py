@@ -62,18 +62,21 @@ class _StripedWriter:
         from the next disk; keep the rest as the tail."""
         cluster = self.cluster
         cfg = cluster.cfg
-        B = cfg.B
+        B, D = cfg.B, cfg.D
         data = concat([self.tail, elems])
         full = len(data) - len(data) % B
-        for start in range(0, full, B):
-            disk = (self.start_disk + len(self.blocks)) % cfg.total_disks
-            pe, local_disk = divmod(disk, cfg.D)
-            lb = cluster.alloc_block_on(pe, local_disk)
-            cluster.write_block(pe, lb, data[start:start + B], self.phase)
+        first = len(self.blocks)
+        for g in range(first, first + full // B):
+            pe, disk = divmod((self.start_disk + g) % cfg.total_disks, D)
+            self.blocks.append((pe, cluster.alloc_block_on(pe, disk)))
+        rows = data[:full].reshape(-1, B)
+        for pe in range(cfg.P):
+            mine = [g for g in range(full // B) if self.blocks[first + g][0] == pe]
+            cluster.write_blocks(pe, [self.blocks[first + g][1] for g in mine],
+                                 rows[mine], self.phase)
             if pe != self.writer_pe:
-                cluster.counters.add_sent(self.phase, self.writer_pe, B)
-                cluster.counters.add_received(self.phase, pe, B)
-            self.blocks.append((pe, lb))
+                cluster.counters.add_sent(self.phase, self.writer_pe, B * len(mine))
+                cluster.counters.add_received(self.phase, pe, B * len(mine))
         self.minima.extend(data["key"][:full:B].tolist())
         self.length += full
         self.tail = data[full:]
@@ -105,20 +108,15 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
     B, share = cfg.B, cfg.m
     local = cfg.N // cfg.P
     runs: list[StripedRun] = []
-    cursor = [0] * cfg.P  # next unread input block per PE
     offset = 0  # elements of each PE's band consumed so far
     index = 0
     while offset < local:
         take = min(share, local - offset)
         loads = []
         for p in range(cfg.P):
-            chunk = []
-            for _ in range(take // B):
-                lb = pe_blocks[p][cursor[p]]
-                cursor[p] += 1
-                chunk.append(cluster.read_block(p, lb, PHASE_RUN_FORMATION))
-                cluster.deallocate_block(p, lb)
-            loads.append(concat(chunk))
+            lbs = pe_blocks[p][offset // B:(offset + take) // B]
+            loads.append(cluster.read_blocks(p, lbs, PHASE_RUN_FORMATION))
+            cluster.free_blocks(p, lbs)
         pieces = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
         writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
                                 COORDINATOR, PHASE_RUN_FORMATION)
@@ -275,12 +273,12 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
         fetched: list[list[np.ndarray]] = [[] for _ in runs]
         for (_k, j, g) in entries[lo:hi]:
             pe, lb = runs[j].blocks[g]
-            fetched[j].append(cluster.read_block(pe, lb, PHASE_STRIPED_MERGE))
+            fetched[j].append(cluster.read_blocks(pe, [lb], PHASE_STRIPED_MERGE))
             if pe != COORDINATOR:
                 cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B)
                 cluster.counters.add_received(PHASE_STRIPED_MERGE,
                                               COORDINATOR, B)
-            cluster.deallocate_block(pe, lb)
+            cluster.free_blocks(pe, [lb])
         for j, blocks in enumerate(fetched):
             if blocks:
                 buffers[j] = concat([buffers[j], *blocks])

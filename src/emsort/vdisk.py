@@ -2,16 +2,19 @@
 
 Every PE owns D disks addressed by a growing logical block id; logical block
 ``lb`` maps to ``(disk = lb % D, slot = lb // D)`` so sequential allocations
-stripe round-robin over the PE's disks.  All engine reads and writes go
-through :class:`Cluster`, which charges them to a named phase in the shared
-:class:`~emsort.core.PhaseCounters`.  Input materialization and verification
-use the uncounted ``seed_block`` / ``peek_block`` paths so the engine I/O
-identities stay exact.  A stored block is a read-only copy of what was
-written, and reads return it as is.
+stripe round-robin over the PE's disks.  :class:`Cluster` speaks in runs of
+blocks on one PE: a list of ids and one element array of ``B`` elements per
+id.  Engine reads and writes are charged to a named phase in the shared
+:class:`~emsort.core.PhaseCounters`, once per disk a run touches; input
+materialization and verification use the uncounted ``seed_blocks`` /
+``peek_blocks`` so the engine I/O identities stay exact.  A stored block is
+a read-only copy of what was written; a read hands back the blocks joined as
+one read-only array.  A refused run raises before it changes anything.
 """
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +38,12 @@ class DiskError(Exception):
 
 
 class _PEArray:
-    """Block storage of one PE: D dicts of slot -> block."""
+    """Block storage of one PE: logical block id -> block."""
 
-    def __init__(self, pe: int, d: int):
-        self.pe = pe
-        self.D = d
-        self.slots: list[dict[int, np.ndarray]] = [{} for _ in range(d)]
+    def __init__(self, d: int):
+        self.blocks: dict[int, np.ndarray] = {}
         self.next_slot = [0] * d
-        self.allocated = 0
         self.peak_allocated = 0
-
-    def locate(self, lb: int) -> tuple[int, int]:
-        return lb % self.D, lb // self.D
 
 
 class Cluster:
@@ -55,79 +52,100 @@ class Cluster:
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
         self.counters = PhaseCounters(cfg.P, cfg.D)
-        self.arrays = [_PEArray(pe, cfg.D) for pe in range(cfg.P)]
+        self.arrays = [_PEArray(cfg.D) for _ in range(cfg.P)]
 
     # -- allocation ----------------------------------------------------------
 
-    def alloc_block(self, pe: int) -> int:
-        """Reserve a fresh logical block id on ``pe``, round-robin over disks
-        (no I/O charged)."""
+    def alloc_blocks(self, pe: int, n: int) -> list[int]:
+        """Reserve ``n`` fresh logical block ids on ``pe`` (no I/O charged),
+        each on the disk with the fewest slots handed out, lowest disk first:
+        the ``n`` smallest ids at or above their disk's next free slot."""
         free = self.arrays[pe].next_slot
-        return self.alloc_block_on(pe, free.index(min(free)))
+        D, top = len(free), max(free)
+        lbs = sorted(s * D + d for d, nxt in enumerate(free)
+                     for s in range(nxt, min(top, nxt + n)))[:n]
+        lbs += range(top * D, top * D + n - len(lbs))
+        for lb in lbs[-D:]:     # each disk's last id is among the last D
+            free[lb % D] = max(free[lb % D], lb // D + 1)
+        return lbs
 
     def alloc_block_on(self, pe: int, disk: int) -> int:
         """Reserve a fresh logical block id on a specific disk of ``pe``."""
         arr = self.arrays[pe]
-        lb = arr.next_slot[disk] * arr.D + disk
+        lb = arr.next_slot[disk] * self.cfg.D + disk
         arr.next_slot[disk] += 1
         return lb
 
+    def free_blocks(self, pe: int, lbs: Sequence[int]) -> None:
+        """Release blocks (no I/O charged; supports in-place accounting)."""
+        blocks = self.arrays[pe].blocks
+        ids = set(lbs)
+        if len(ids) < len(lbs):
+            raise DiskError(f"free of a block twice in one batch on pe={pe}")
+        if not ids <= blocks.keys():
+            raise DiskError(f"free of unallocated block pe={pe} "
+                            f"lb={min(ids - blocks.keys())}")
+        for lb in ids:
+            del blocks[lb]
+
     # -- counted I/O ---------------------------------------------------------
 
-    def read_block(self, pe: int, lb: int, phase: str) -> np.ndarray:
-        """The stored block itself: a read-only array of ``B`` elements."""
+    def read_blocks(self, pe: int, lbs: Sequence[int], phase: str) -> np.ndarray:
+        """The blocks ``lbs`` of ``pe`` joined as one read-only array."""
         if phase not in ALL_PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        arr = self.arrays[pe]
-        disk, slot = arr.locate(lb)
-        try:
-            block = arr.slots[disk][slot]
-        except KeyError:
-            raise DiskError(f"read of unallocated block pe={pe} lb={lb}") from None
-        self.counters.note_read(phase, pe, disk)
-        return block
+        data = self.peek_blocks(pe, lbs)
+        self._charge(self.counters.note_read, phase, pe, lbs)
+        return data
 
-    def write_block(self, pe: int, lb: int, block, phase: str) -> None:
+    def write_blocks(self, pe: int, lbs: Sequence[int], elems, phase: str) -> None:
+        """Store ``elems`` as the blocks ``lbs`` of ``pe``, ``B`` each."""
         if phase not in ALL_PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        self.counters.note_write(phase, pe, self.seed_block(pe, lb, block))
-
-    def deallocate_block(self, pe: int, lb: int) -> None:
-        """Release a block slot (no I/O charged; supports in-place accounting)."""
-        arr = self.arrays[pe]
-        disk, slot = arr.locate(lb)
-        if slot not in arr.slots[disk]:
-            raise DiskError(f"deallocate of unallocated block pe={pe} lb={lb}")
-        del arr.slots[disk][slot]
-        arr.allocated -= 1
+        self.seed_blocks(pe, lbs, elems)
+        self._charge(self.counters.note_write, phase, pe, lbs)
 
     # -- uncounted paths (setup / verification only) ---------------------------
 
-    def seed_block(self, pe: int, lb: int, block) -> int:
-        """Store a read-only copy of ``block`` (an element array, or a list of
-        ``(key, serial)`` tuples) without charging I/O; returns its disk."""
-        # frombuffer over fresh bytes: a read-only copy, and cheaper than
-        # ndarray.copy for a block-sized structured array.
-        block = np.frombuffer(np.asarray(block, ELEM).tobytes(), ELEM)
-        if len(block) != self.cfg.B:
-            raise DiskError(f"store of {len(block)} elements to pe={pe} lb={lb}; "
-                            f"block size is {self.cfg.B}")
+    def seed_blocks(self, pe: int, lbs: Sequence[int], elems) -> None:
+        """Store ``elems`` (an element array, or a list of ``(key, serial)``
+        tuples) as the blocks ``lbs`` of ``pe`` without charging I/O."""
+        B, D = self.cfg.B, self.cfg.D
+        raw = np.asarray(elems, ELEM).tobytes()
+        size = B * ELEM.itemsize
+        if len(raw) != len(lbs) * size:
+            raise DiskError(f"store of {len(raw) // ELEM.itemsize} elements "
+                            f"to {len(lbs)} blocks of pe={pe}; block size is {B}")
         arr = self.arrays[pe]
-        disk, slot = arr.locate(lb)
-        if slot not in arr.slots[disk]:
-            arr.allocated += 1
-            arr.peak_allocated = max(arr.peak_allocated, arr.allocated)
-        arr.next_slot[disk] = max(arr.next_slot[disk], slot + 1)
-        arr.slots[disk][slot] = block
-        return disk
+        blocks, free = arr.blocks, arr.next_slot
+        for i, lb in enumerate(lbs):
+            # A bytes slice is a fresh copy, so each block owns its memory.
+            blocks[lb] = np.frombuffer(raw[i * size:(i + 1) * size], ELEM)
+            if lb // D >= free[lb % D]:
+                free[lb % D] = lb // D + 1
+        arr.peak_allocated = max(arr.peak_allocated, len(blocks))
 
-    def peek_block(self, pe: int, lb: int) -> np.ndarray:
-        arr = self.arrays[pe]
-        disk, slot = arr.locate(lb)
+    def peek_blocks(self, pe: int, lbs: Sequence[int]) -> np.ndarray:
+        """The blocks ``lbs`` of ``pe`` joined as one read-only array,
+        uncounted."""
+        blocks = self.arrays[pe].blocks
         try:
-            return arr.slots[disk][slot]
-        except KeyError:
-            raise DiskError(f"peek of unallocated block pe={pe} lb={lb}") from None
+            if len(lbs) == 1:       # a stored block is read-only already
+                return blocks[lbs[0]]
+            return concat(list(map(blocks.__getitem__, lbs)))
+        except KeyError as exc:
+            raise DiskError(f"read of unallocated block pe={pe} "
+                            f"lb={exc.args[0]}") from None
+
+    def _charge(self, note, phase: str, pe: int, lbs: Sequence[int]) -> None:
+        """Charge one block per id in ``lbs`` to its disk, once per disk."""
+        D = self.cfg.D
+        if len(lbs) == 1:           # the striped engine's one-block calls
+            note(phase, pe, lbs[0] % D, 1)
+            return
+        disks = [lb % D for lb in lbs]
+        for d in set(disks):
+            note(phase, pe, d, disks.count(d))
 
     # -- occupancy -----------------------------------------------------------
 
@@ -141,16 +159,15 @@ class Cluster:
         ``[s*B*elem_size, (s+1)*B*elem_size)``, holes zero-filled.  See
         :func:`_encode_elements` for the element layout."""
         os.makedirs(directory, exist_ok=True)
-        B, es = self.cfg.B, self.cfg.elem_size
-        for arr in self.arrays:
-            for d, slots in enumerate(arr.slots):
-                path = os.path.join(directory, f"pe{arr.pe}_disk{d}.bin")
-                top = max(slots) + 1 if slots else 0
+        B, D, es = self.cfg.B, self.cfg.D, self.cfg.elem_size
+        for pe, arr in enumerate(self.arrays):
+            for d in range(D):
+                path = os.path.join(directory, f"pe{pe}_disk{d}.bin")
+                used = sorted(lb for lb in arr.blocks if lb % D == d)
+                top = used[-1] // D + 1 if used else 0
                 image = np.zeros((top, B, es), dtype=np.uint8)
-                if slots:
-                    used = sorted(slots)
-                    elems = concat([slots[s] for s in used])
-                    image[used] = _encode_elements(elems, es).reshape(-1, B, es)
+                image[[lb // D for lb in used]] = _encode_elements(
+                    self.peek_blocks(pe, used), es).reshape(-1, B, es)
                 image.tofile(path)
 
     @classmethod
@@ -180,8 +197,8 @@ class Cluster:
                            if sentinel_mask(elems[i:i + 1])[0]
                            else "has payload bytes past the 8-byte serial")
                     raise DiskError(f"{path}: row {i} {why}")
-                for s in range(len(elems) // B):
-                    cluster.seed_block(pe, s * cfg.D + d, elems[s * B:(s + 1) * B])
+                cluster.seed_blocks(
+                    pe, range(d, len(elems) // B * cfg.D, cfg.D), elems)
         return cluster
 
 

@@ -38,15 +38,14 @@ def input_elements(cluster: Cluster, gen: GeneratedInput) -> list[Element]:
     """All input elements as generated (setup-time snapshot, unmetered)."""
     out: list[Element] = []
     for pe, blocks in enumerate(gen.pe_blocks):
-        for lb in blocks:
-            out.extend(cluster.peek_block(pe, lb).tolist())
+        out.extend(cluster.peek_blocks(pe, blocks).tolist())
     return out
 
 
 def output_elements(cluster: Cluster, layout: OutputLayout) -> list[Element]:
     out: list[Element] = []
     for pe, lb in layout.iter_blocks():
-        out.extend(cluster.peek_block(pe, lb).tolist())
+        out.extend(cluster.peek_blocks(pe, [lb]).tolist())
     return out
 
 
@@ -58,7 +57,7 @@ def counter_state(cluster: Cluster) -> dict:
 def is_allocated(cluster: Cluster, pe: int, lb: int) -> bool:
     """Whether ``lb`` on ``pe`` holds a block."""
     try:
-        cluster.peek_block(pe, lb)
+        cluster.peek_blocks(pe, [lb])
     except DiskError:
         return False
     return True
@@ -70,10 +69,23 @@ def live_blocks(cluster: Cluster, pe: int) -> list[int]:
     return [lb for lb in range(top) if is_allocated(cluster, pe, lb)]
 
 
+def alloc_reference(next_slot: list[int], n: int) -> list[int]:
+    """The ids that ``n`` one-block allocations hand out, given each disk's
+    next free slot: each on the disk with the fewest slots handed out, the
+    lowest such disk first.  Advances ``next_slot`` in place."""
+    D = len(next_slot)
+    out = []
+    for _ in range(n):
+        d = next_slot.index(min(next_slot))
+        out.append(next_slot[d] * D + d)
+        next_slot[d] += 1
+    return out
+
+
 def stored_elements(cluster: Cluster) -> int:
     """Non-sentinel elements held on all disks."""
-    elems = concat([cluster.peek_block(pe, lb) for pe in range(cluster.cfg.P)
-                    for lb in live_blocks(cluster, pe)])
+    elems = concat([cluster.peek_blocks(pe, live_blocks(cluster, pe))
+                    for pe in range(cluster.cfg.P)])
     return int(np.count_nonzero(~sentinel_mask(elems)))
 
 
@@ -191,13 +203,13 @@ def _iter_staged(cluster, staged: StagedRun, phase: str, stats: dict):
         for lb in ref.blocks:
             if remaining <= 0:
                 break
-            data = cluster.read_block(ref.pe, lb, phase)
+            data = cluster.read_blocks(ref.pe, [lb], phase)
             stats["reads"] += 1
             take = min(remaining, len(data) - off)
             yield from data[off:off + take]
             remaining -= take
             off = 0
-            cluster.deallocate_block(ref.pe, lb)
+            cluster.free_blocks(ref.pe, [lb])
 
 
 def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout:
@@ -218,8 +230,8 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
         for elem in merged:
             buf.append(elem)
             if len(buf) == B:
-                lb = cluster.alloc_block(t)
-                cluster.write_block(t, lb, buf, PHASE_LOCAL_MERGE)
+                [lb] = cluster.alloc_blocks(t, 1)
+                cluster.write_blocks(t, [lb], buf, PHASE_LOCAL_MERGE)
                 out_blocks.append(lb)
                 written += B
                 buf = []

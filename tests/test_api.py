@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import emsort
+from emsort import Cluster
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,6 +16,13 @@ PUBLIC = {
     "MachineConfig", "Cluster", "InputSpec", "generate_input", "run_sort",
     "verify_output", "report_stats", "DiskError", "PlanError",
     "SelectionError", "ProtocolError", "__version__",
+}
+
+#: ``Cluster``'s methods: allocation, and runs of blocks on one PE.
+CLUSTER_METHODS = {
+    "alloc_blocks", "alloc_block_on", "read_blocks", "peek_blocks",
+    "write_blocks", "seed_blocks", "free_blocks", "peak_allocated",
+    "save_images", "load_images",
 }
 
 
@@ -30,6 +38,14 @@ def test_exports_are_the_documented_api():
     section = library_section()
     for name in PUBLIC:
         assert f"`{name}`" in section, name
+
+
+def test_cluster_speaks_in_runs_of_blocks():
+    public = {name for name in dir(Cluster) if not name.startswith("_")}
+    assert public == CLUSTER_METHODS
+    section = library_section()
+    for name in CLUSTER_METHODS:
+        assert re.search(rf"`(Cluster\.)?{name}\(", section), name
 
 
 def test_readme_library_example_runs():

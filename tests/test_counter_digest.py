@@ -100,7 +100,8 @@ def test_counters_inputs_and_outputs_match_the_record(engine, kind, randomize):
     result = run_sort(cluster, gen.pe_blocks, engine)
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
-    out = concat([cluster.peek_block(pe, lb) for pe, lb in result.layout.iter_blocks()])
+    out = concat([cluster.peek_blocks(pe, [lb])
+                  for pe, lb in result.layout.iter_blocks()])
     columns = out["key"].astype("<u8").tobytes() + out["serial"].astype("<i8").tobytes()
     assert (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,
             hashlib.sha256(columns).hexdigest(),

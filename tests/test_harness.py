@@ -15,6 +15,7 @@ import pytest
 
 import emsort
 
+from emsort import cli
 from emsort.cli import main as cli_main
 from emsort.core import DATA_PHASES, MachineConfig, sentinel, validate_config
 from emsort.harness import (
@@ -153,9 +154,9 @@ def sorted_run_result(seed=19):
 def test_verify_detects_order_violation():
     cl, gen, result = sorted_run_result()
     pe, lb = next(iter(result.layout.iter_blocks()))
-    block = cl.peek_block(pe, lb).tolist()
+    block = cl.peek_blocks(pe, [lb]).tolist()
     block[0] = (block[0][0] + 10 ** 9, block[0][1])   # bump one key
-    cl.seed_block(pe, lb, block)
+    cl.seed_blocks(pe, [lb], block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
     assert not verdict.ok
     assert any("decrease" in f or "fingerprint" in f for f in verdict.failures)
@@ -164,9 +165,9 @@ def test_verify_detects_order_violation():
 def test_verify_detects_lost_element():
     cl, gen, result = sorted_run_result(seed=23)
     pe, lb = next(iter(result.layout.iter_blocks()))
-    block = cl.peek_block(pe, lb).tolist()
+    block = cl.peek_blocks(pe, [lb]).tolist()
     block[1] = block[0]                                # duplicate, drop one
-    cl.seed_block(pe, lb, block)
+    cl.seed_blocks(pe, [lb], block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
     assert not verdict.ok
 
@@ -174,9 +175,9 @@ def test_verify_detects_lost_element():
 def test_verify_detects_sentinel_leak():
     cl, gen, result = sorted_run_result(seed=29)
     pe, lb = next(iter(result.layout.iter_blocks()))
-    block = cl.peek_block(pe, lb).tolist()
+    block = cl.peek_blocks(pe, [lb]).tolist()
     block[2] = sentinel()
-    cl.seed_block(pe, lb, block)
+    cl.seed_blocks(pe, [lb], block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
     assert not verdict.ok
     assert any("sentinel" in f for f in verdict.failures)
@@ -196,9 +197,9 @@ def set_elements(cl, layout, changes):
     blocks = list(layout.iter_blocks())
     for position, elem in changes.items():
         pe, lb = blocks[position // cl.cfg.B]
-        block = cl.peek_block(pe, lb).tolist()
+        block = cl.peek_blocks(pe, [lb]).tolist()
         block[position % cl.cfg.B] = elem
-        cl.seed_block(pe, lb, block)
+        cl.seed_blocks(pe, [lb], block)
 
 
 def swap(cl, layout, i, j):
@@ -421,9 +422,52 @@ def test_cli_verify_rejects_wrong_stage(tmp_path):
 def test_cli_experiment_emits_table(tmp_path, capsys):
     config = write_config(tmp_path / "grid.cfg", m=64, N=512)
     assert cli_main(["experiment", "--config", config, "--blocks", "4,8",
-                     "--trials", "2", "--kind", "random"]) == 0
+                     "--trials", "2", "--kind", "random",
+                     "--stats", str(tmp_path / "v.csv")]) == 0
     out = capsys.readouterr().out
     assert "B,randomize,trials,mean_v_moved" in out
+    assert (tmp_path / "v.csv").read_text() == out
+
+
+@pytest.mark.parametrize("argv", [["sort"], ["experiment", "--trials", "1"]],
+                         ids=["sort", "experiment"])
+def test_cli_refuses_an_unwritable_stats_file_before_any_work(
+        tmp_path, monkeypatch, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "generate_input", no_work)
+    monkeypatch.setattr(cli, "run_experiment_redistribution", no_work)
+    config = write_config(tmp_path / "grid.cfg")
+    stats = str(tmp_path / "missing" / "x.csv")
+    with pytest.raises(SystemExit) as refusal:
+        cli_main([*argv, "--config", config, "--stats", stats])
+    assert str(refusal.value) == f"error: {stats}: No such file or directory"
+
+
+def unknown_cfg_field(manifest: dict) -> dict:
+    manifest["cfg"]["Q"] = 4
+    return manifest
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda manifest: "{", "not valid JSON: "),
+    (lambda manifest: {k: v for k, v in manifest.items() if k != "cfg"}, "no cfg"),
+    (unknown_cfg_field, "bad cfg: "),
+], ids=["not-json", "no-cfg", "unknown-cfg-field"])
+def test_cli_refuses_a_malformed_manifest(tmp_path, damage, reason):
+    config = write_config(tmp_path / "grid.cfg")
+    for command, store in (("sort", tmp_path / "input"),
+                           ("verify", tmp_path / "output")):
+        assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+        if command == "verify":
+            assert cli_main(["sort", "--persist", str(store)]) == 0
+        path = store / "manifest.json"
+        damaged = damage(json.loads(path.read_text()))
+        path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        with pytest.raises(SystemExit) as refusal:
+            cli_main([command, "--persist", str(store)])
+        assert str(refusal.value).startswith(f"error: {path}: {reason}")
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from emsort.core import (
-    DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION, concat,
+    DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
     sentinel_mask, validate_config,
 )
 from emsort.harness import report_stats, run_sort, verify_output
@@ -29,7 +29,7 @@ def brute_force_boundaries(cl, runs):
     for j, run in enumerate(runs):
         for pos in range(run.length):
             pe, lb, off = run.locate(pos)
-            entries.append((cl.peek_block(pe, lb)[off][0], j, pos))
+            entries.append((cl.peek_blocks(pe, [lb])[off][0], j, pos))
     entries.sort()
     total = len(entries)
     pos = [[0] * len(runs)]
@@ -201,8 +201,7 @@ def test_exchange_delivers_exact_slices():
     for per_run in redist.staged:
         for seg in per_run:
             for ref in seg.refs:
-                got = concat([cl.peek_block(ref.pe, lb)
-                              for lb in ref.blocks])[ref.start:]
+                got = cl.peek_blocks(ref.pe, ref.blocks)[ref.start:]
                 staged_elems.extend(got[~sentinel_mask(got)].tolist())
     # parcels may carry trailing sentinels only as block padding
     assert len(staged_elems) >= cl.cfg.N

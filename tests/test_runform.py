@@ -23,7 +23,7 @@ def read_run(cl, run: RunDescriptor):
     elems = []
     for pos in range(run.length):
         pe, lb, off = run.locate(pos)
-        elems.append(cl.peek_block(pe, lb)[off].item())
+        elems.append(cl.peek_blocks(pe, [lb])[off].item())
     return elems
 
 
@@ -40,17 +40,14 @@ def test_two_processor_desk_example():
     cl = Cluster(cfg)
     pe_blocks = []
     for pe, keys in enumerate([[4, 3], [2, 1]]):
-        blocks = []
-        for i, key in enumerate(keys):
-            lb = cl.alloc_block(pe)
-            cl.seed_block(pe, lb, [(key, 2 * pe + i)])
-            blocks.append(lb)
+        blocks = cl.alloc_blocks(pe, len(keys))
+        cl.seed_blocks(pe, blocks, [(key, 2 * pe + i) for i, key in enumerate(keys)])
         pe_blocks.append(blocks)
     runs = form_runs(cl, pe_blocks)
     assert len(runs) == 1
     assert [e[0] for e in read_run(cl, runs[0])] == [1, 2, 3, 4]
-    assert [cl.peek_block(0, lb)[0][0] for lb in runs[0].blocks[0]] == [1, 2]
-    assert [cl.peek_block(1, lb)[0][0] for lb in runs[0].blocks[1]] == [3, 4]
+    assert cl.peek_blocks(0, runs[0].blocks[0])["key"].tolist() == [1, 2]
+    assert cl.peek_blocks(1, runs[0].blocks[1])["key"].tolist() == [3, 4]
 
 
 def test_runs_are_sorted_and_partition_the_input():

@@ -203,12 +203,8 @@ def seed_disk_runs(cl, keys_per_run):
     runs = []
     for j, keys in enumerate(keys_per_run):
         assert len(keys) % B == 0
-        blocks = []
-        for c in range(0, len(keys), B):
-            lb = cl.alloc_block(0)
-            cl.seed_block(0, lb, [(k, j * 1000 + c + i)
-                                  for i, k in enumerate(keys[c:c + B])])
-            blocks.append(lb)
+        blocks = cl.alloc_blocks(0, len(keys) // B)
+        cl.seed_blocks(0, blocks, [(k, j * 1000 + i) for i, k in enumerate(keys)])
         runs.append(RunDescriptor(j, len(keys), len(keys), B, [blocks]))
     return runs
 

@@ -26,7 +26,7 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
 def run_elements(cl, run: StripedRun):
     out = []
     for pe, lb in run.blocks:
-        out.extend(cl.peek_block(pe, lb).tolist())
+        out.extend(cl.peek_blocks(pe, [lb]).tolist())
     return out
 
 
@@ -57,7 +57,7 @@ def test_block_minima_match_contents():
     cl, _inputs, runs = formed(seed=3)
     for run in runs:
         for g, (pe, lb) in enumerate(run.blocks):
-            assert run.minima[g] == cl.peek_block(pe, lb)[0][0]
+            assert run.minima[g] == cl.peek_blocks(pe, [lb])[0][0]
 
 
 def test_formation_costs_one_read_one_write_per_element():

@@ -1,6 +1,8 @@
-"""Virtual disk arrays: allocation, counted I/O, occupancy, persistence."""
+"""Virtual disk arrays: allocation, counted block-run I/O, occupancy,
+persistence."""
 from __future__ import annotations
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -11,46 +13,69 @@ from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    build, element_from_bytes, element_to_bytes, elements, is_allocated,
-    live_blocks,
+    alloc_reference, build, counter_state, element_from_bytes,
+    element_to_bytes, elements, is_allocated, live_blocks,
 )
 
 
-def block_of(start: int, B: int) -> list[tuple[int, int]]:
-    return [(start + i, start + i) for i in range(B)]
+def block_of(start: int, n: int) -> list[tuple[int, int]]:
+    return [(start + i, start + i) for i in range(n)]
 
 
 def test_write_read_round_trip_and_counters():
     cl = build(P=2, D=2, B=4)
-    lb = cl.alloc_block(0)
-    data = block_of(10, 4)
-    cl.write_block(0, lb, data, PHASE_RUN_FORMATION)
-    assert cl.read_block(0, lb, PHASE_RUN_FORMATION).tolist() == data
-    disk = lb % cl.cfg.D
-    assert cl.counters.blocks_written[PHASE_RUN_FORMATION][0][disk] == 1
-    assert cl.counters.blocks_read[PHASE_RUN_FORMATION][0][disk] == 1
+    lbs = cl.alloc_blocks(0, 3)
+    data = block_of(10, 12)
+    cl.write_blocks(0, lbs, data, PHASE_RUN_FORMATION)
+    assert cl.read_blocks(0, lbs, PHASE_RUN_FORMATION).tolist() == data
+    assert cl.read_blocks(0, lbs[::-1], PHASE_RUN_FORMATION).tolist() == (
+        data[8:] + data[4:8] + data[:4])
+    assert cl.read_blocks(0, [], PHASE_RUN_FORMATION).tolist() == []
+    assert [cl.counters.blocks_written[PHASE_RUN_FORMATION][0][d]
+            for d in range(2)] == [2, 1]
+    assert [cl.counters.blocks_read[PHASE_RUN_FORMATION][0][d]
+            for d in range(2)] == [4, 2]
     assert cl.counters.phase_blocks_read(PHASE_RUN_FORMATION, 1) == 0
 
 
-def test_read_returns_a_read_only_block():
+def test_a_batch_charges_each_disk_once():
+    cl = build(P=2, D=2, B=4)
+    lbs = cl.alloc_blocks(1, 5)                    # disks 0, 1, 0, 1, 0
+    calls = []
+    for name in ("note_read", "note_write"):
+        note = getattr(cl.counters, name)
+        setattr(cl.counters, name, lambda *args, name=name, note=note: (
+            calls.append((name,) + args), note(*args)))
+    cl.write_blocks(1, lbs, block_of(0, 20), PHASE_RUN_FORMATION)
+    cl.read_blocks(1, lbs[1:], PHASE_SETUP)
+    assert sorted(calls) == [
+        ("note_read", PHASE_SETUP, 1, 0, 2), ("note_read", PHASE_SETUP, 1, 1, 2),
+        ("note_write", PHASE_RUN_FORMATION, 1, 0, 3),
+        ("note_write", PHASE_RUN_FORMATION, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_read_returns_a_read_only_copy(n):
     cl = build()
-    lb = cl.alloc_block(0)
-    data = elements(block_of(0, 4))
-    cl.write_block(0, lb, data, PHASE_RUN_FORMATION)
+    lbs = cl.alloc_blocks(0, n)
+    data = elements(block_of(0, 4 * n))
+    cl.write_blocks(0, lbs, data, PHASE_RUN_FORMATION)
     data[0] = (999, 999)                  # the cluster stored its own copy
-    got = cl.read_block(0, lb, PHASE_RUN_FORMATION)
+    got = cl.read_blocks(0, lbs, PHASE_RUN_FORMATION)
     with pytest.raises(ValueError):
         got[0] = (999, 999)
-    assert cl.read_block(0, lb, PHASE_RUN_FORMATION).tolist() == block_of(0, 4)
+    cl.write_blocks(0, lbs, block_of(50, 4 * n), PHASE_RUN_FORMATION)
+    assert got.tolist() == block_of(0, 4 * n)    # a later write leaves it be
+    assert cl.peek_blocks(0, lbs).tolist() == block_of(50, 4 * n)
 
 
-def test_alloc_block_stripes_round_robin():
+def test_alloc_blocks_stripes_round_robin():
     cl = build(P=1, D=3, B=4, m=36)
-    lbs = [cl.alloc_block(0) for _ in range(9)]
-    for lb in lbs:
-        cl.write_block(0, lb, block_of(lb, 4), PHASE_SETUP)
+    lbs = cl.alloc_blocks(0, 9)
+    cl.write_blocks(0, lbs, block_of(0, 36), PHASE_SETUP)
     assert sorted(lb % 3 for lb in live_blocks(cl, 0)) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert sorted(lb % 3 for lb in lbs[:3]) == [0, 1, 2]
+    assert cl.alloc_blocks(0, 0) == []
 
 
 def test_alloc_block_on_places_on_named_disk():
@@ -61,46 +86,101 @@ def test_alloc_block_on_places_on_named_disk():
     assert nxt == lb + 2
 
 
-def test_bad_operations_raise():
-    cl = build(B=4)
-    with pytest.raises(DiskError):
-        cl.read_block(0, 0, PHASE_RUN_FORMATION)
-    lb = cl.alloc_block(0)
-    with pytest.raises(DiskError):
-        cl.write_block(0, lb, block_of(0, 3), PHASE_RUN_FORMATION)
-    with pytest.raises(ValueError):
-        cl.write_block(0, lb, block_of(0, 4), "no_such_phase")
-    with pytest.raises(DiskError):
-        cl.deallocate_block(0, lb)   # never written
-    with pytest.raises(DiskError):
-        cl.peek_block(0, lb)
+@given(st.integers(1, 4),
+       st.lists(st.one_of(st.tuples(st.just("on"), st.integers(0, 3)),
+                          st.tuples(st.just("blocks"), st.integers(0, 12))),
+                max_size=12))
+def test_alloc_blocks_matches_one_block_allocations(D, ops):
+    """From disks left uneven by ``alloc_block_on``, ``alloc_blocks(pe, n)``
+    hands out the ids of ``n`` one-block allocations."""
+    cl = build(P=2, D=D)
+    next_slot = [0] * D
+    for op, arg in ops:
+        if op == "on":
+            cl.alloc_block_on(1, arg % D)
+            next_slot[arg % D] += 1
+        else:
+            assert cl.alloc_blocks(1, arg) == alloc_reference(next_slot, arg)
+        assert cl.arrays[1].next_slot == next_slot
+    assert cl.arrays[0].next_slot == [0] * D
+
+
+def store_state(cl):
+    """Everything a refused batch must leave as it was."""
+    return (copy.deepcopy(counter_state(cl)),
+            [(live_blocks(cl, pe), cl.peak_allocated(pe),
+              list(cl.arrays[pe].next_slot)) for pe in range(cl.cfg.P)],
+            [cl.peek_blocks(pe, live_blocks(cl, pe)).tolist()
+             for pe in range(cl.cfg.P)])
+
+
+REFUSED = {
+    "read of a freed id": lambda cl, lbs, freed: cl.read_blocks(
+        0, [lbs[0], freed, lbs[2]], PHASE_RUN_FORMATION),
+    "read of an id never handed out": lambda cl, lbs, freed: cl.read_blocks(
+        0, lbs + [999], PHASE_RUN_FORMATION),
+    "read in an unknown phase": lambda cl, lbs, freed: cl.read_blocks(
+        0, lbs, "no_such_phase"),
+    "peek of a freed id": lambda cl, lbs, freed: cl.peek_blocks(0, [freed]),
+    "write of one element short": lambda cl, lbs, freed: cl.write_blocks(
+        0, lbs + [freed], block_of(7, 4 * 4 - 1), PHASE_RUN_FORMATION),
+    "write of one block too many": lambda cl, lbs, freed: cl.write_blocks(
+        0, lbs + [freed], block_of(7, 4 * 5), PHASE_RUN_FORMATION),
+    "write in an unknown phase": lambda cl, lbs, freed: cl.write_blocks(
+        0, lbs, block_of(7, 4 * 3), "no_such_phase"),
+    "seed of one element short": lambda cl, lbs, freed: cl.seed_blocks(
+        0, [freed, 50], block_of(7, 7)),
+    "free of a freed id": lambda cl, lbs, freed: cl.free_blocks(
+        0, lbs + [freed]),
+    "free of a duplicate id": lambda cl, lbs, freed: cl.free_blocks(
+        0, [lbs[0], lbs[1], lbs[0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_refused_batch_changes_nothing(case):
+    cl = build(P=2, D=2, B=4)
+    lbs = cl.alloc_blocks(0, 4)
+    cl.write_blocks(0, lbs, block_of(0, 16), PHASE_RUN_FORMATION)
+    cl.read_blocks(0, lbs[:2], PHASE_RUN_FORMATION)
+    freed = lbs.pop(1)
+    cl.free_blocks(0, [freed])
+    before = store_state(cl)
+    error = ValueError if "phase" in case else DiskError
+    with pytest.raises(error):
+        REFUSED[case](cl, lbs, freed)
+    assert store_state(cl) == before
 
 
 def test_seed_and_peek_are_uncounted():
     cl = build()
-    lb = cl.alloc_block(0)
-    cl.seed_block(0, lb, block_of(5, 4))
-    assert cl.peek_block(0, lb).tolist() == block_of(5, 4)
+    lbs = cl.alloc_blocks(0, 2)
+    cl.seed_blocks(0, lbs, block_of(5, 8))
+    assert cl.peek_blocks(0, lbs).tolist() == block_of(5, 8)
+    assert cl.peek_blocks(0, lbs[1:]).tolist() == block_of(9, 4)
     assert cl.counters.total_element_io(cl.cfg.B) == 0
     assert cl.counters.phase_blocks_written(PHASE_SETUP) == 0
 
 
-def test_occupancy_tracking_and_deallocate():
+def test_occupancy_tracking_and_free():
     cl = build(P=1, D=2)
-    lbs = [cl.alloc_block(0) for _ in range(4)]
-    for lb in lbs:
-        cl.write_block(0, lb, block_of(0, 4), PHASE_SETUP)
+    lbs = cl.alloc_blocks(0, 4)
+    cl.write_blocks(0, lbs, block_of(0, 16), PHASE_SETUP)
     assert live_blocks(cl, 0) == lbs
     assert cl.peak_allocated(0) == 4
-    cl.deallocate_block(0, lbs[0])
-    cl.deallocate_block(0, lbs[1])
+    cl.free_blocks(0, lbs[:2])
     assert live_blocks(cl, 0) == lbs[2:]
     assert cl.peak_allocated(0) == 4          # peak is sticky
     assert not is_allocated(cl, 0, lbs[0])
     assert is_allocated(cl, 0, lbs[2])
     # rewriting a freed slot re-counts it
-    cl.write_block(0, lbs[0], block_of(1, 4), PHASE_SETUP)
+    cl.write_blocks(0, lbs[:1], block_of(1, 4), PHASE_SETUP)
     assert live_blocks(cl, 0) == [lbs[0]] + lbs[2:]
+    cl.free_blocks(0, [])
+    assert cl.peak_allocated(0) == 4
+    cl.write_blocks(0, lbs[1:2] + cl.alloc_blocks(0, 2), block_of(0, 12),
+                    PHASE_SETUP)
+    assert cl.peak_allocated(0) == 6
 
 
 def test_save_and_load_images_round_trip(tmp_path):
@@ -108,15 +188,14 @@ def test_save_and_load_images_round_trip(tmp_path):
     cl = Cluster(cfg)
     blocks = {}
     for pe in range(2):
-        for i in range(4):
-            lb = cl.alloc_block(pe)
-            data = block_of(100 * pe + 10 * i, 4)
-            cl.seed_block(pe, lb, data)
-            blocks[(pe, lb)] = data
+        lbs = cl.alloc_blocks(pe, 4)
+        data = block_of(100 * pe, 16)
+        cl.seed_blocks(pe, lbs, data)
+        blocks.update({(pe, lb): data[4 * i:4 * i + 4] for i, lb in enumerate(lbs)})
     cl.save_images(str(tmp_path))
     loaded = Cluster.load_images(str(tmp_path), cfg)
     for (pe, lb), data in blocks.items():
-        assert loaded.peek_block(pe, lb).tolist() == data
+        assert loaded.peek_blocks(pe, [lb]).tolist() == data
     assert loaded.counters.total_element_io(cfg.B) == 0
 
 
@@ -168,7 +247,7 @@ def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
     cl = Cluster(cfg)
     for lb, block in enumerate(blocks):
         if block is not None:
-            cl.seed_block(0, lb, block)
+            cl.seed_blocks(0, [lb], block)
     with tempfile.TemporaryDirectory() as tmp:
         cl.save_images(tmp)
         for d in range(cfg.D):
@@ -206,7 +285,7 @@ def test_loaded_images_match_the_scalar_decoding(drawn):
             for s in range(len(rows) // cfg.B):
                 expected = [element_from_bytes(row, elem_size)
                             for row in rows[s * cfg.B:(s + 1) * cfg.B]]
-                assert loaded.peek_block(0, s * cfg.D + d).tolist() == [
+                assert loaded.peek_blocks(0, [s * cfg.D + d]).tolist() == [
                     (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
         loaded.save_images(tmp)
         for d, rows in enumerate(images):
@@ -216,7 +295,7 @@ def test_loaded_images_match_the_scalar_decoding(drawn):
 def test_load_images_refuses_missing_and_partial_images(tmp_path):
     cfg = MachineConfig(P=2, D=2, B=4, m=32, N=64)
     cl = Cluster(cfg)
-    cl.seed_block(0, cl.alloc_block(0), block_of(0, 4))
+    cl.seed_blocks(0, cl.alloc_blocks(0, 1), block_of(0, 4))
     cl.save_images(str(tmp_path))
     assert Path(tmp_path, "pe1_disk1.bin").read_bytes() == b""    # empty disk
     Cluster.load_images(str(tmp_path), cfg)
