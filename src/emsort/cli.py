@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .core import MachineConfig, load_config, validate_config
 from .harness import (
@@ -28,6 +28,10 @@ from .harness import (
 from .vdisk import Cluster, DiskError, OutputLayout
 
 MANIFEST = "manifest.json"
+
+#: The manifest fields that reading each stage needs besides ``cfg``.
+STAGE_FIELDS = {"input": ("kind", "count", "total", "pe_blocks"),
+                "output": ("count", "total", "layout")}
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, kinds: bool = True) -> None:
@@ -56,8 +60,9 @@ def _load_cfg(args) -> MachineConfig:
 
 def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
     """The manifest in ``directory`` and the machine config it records;
-    exits with ``error: …`` when either cannot be read or the manifest
-    describes another stage."""
+    exits with ``error: …`` when either cannot be read, a ``cfg`` value has
+    the wrong type, the manifest describes another stage, or it lacks a
+    field that stage needs."""
     path = os.path.join(directory, MANIFEST)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,9 +77,18 @@ def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
         raise SystemExit(f"error: {path}: no cfg") from None
     except TypeError as exc:
         raise SystemExit(f"error: {path}: bad cfg: {exc}") from None
+    for field in fields(MachineConfig):
+        value = getattr(cfg, field.name)
+        want = bool if field.name == "randomize" else int
+        if type(value) is not want:
+            raise SystemExit(f"error: {path}: bad cfg: {field.name} must be "
+                             f"{want.__name__}, got {value!r}")
     if manifest.get("stage") != stage:
         raise SystemExit(f"error: {directory} does not hold an {stage} "
                          f"(stage={manifest.get('stage')!r})")
+    for name in STAGE_FIELDS[stage]:
+        if name not in manifest:
+            raise SystemExit(f"error: {path}: no {name}")
     return manifest, cfg
 
 

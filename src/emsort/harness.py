@@ -187,8 +187,8 @@ def run_sort(cluster: Cluster, pe_blocks: list[list[int]],
             peak_round_footprint=max(redist.peak_footprint, default=0))
     else:
         final, passes = striped_sort(cluster, pe_blocks)
-        layout = OutputLayout("striped", per_pe=None,
-                              stripe=list(final.blocks))
+        stripe = list(zip(final.pes.tolist(), final.lbs.tolist()))
+        layout = OutputLayout("striped", per_pe=None, stripe=stripe)
         result = SortResult(engine, layout, cluster.counters,
                             merge_passes=passes)
     result.wall_seconds = time.perf_counter() - start

@@ -2,12 +2,14 @@
 
 ``local_multiway_merge`` is phase 3 of the rank-splitting engine: every
 processor merges its R staged run segments into its final slice, reading
-and writing each element once.  ``batch_merge`` is the kernel shared with
-the striped engine: drain every buffered element strictly below a bound in
-the total order (key, run, position), leaving later elements buffered.
+and writing each element once.  ``batch_merge`` is the striped engine's
+kernel: drain every buffered element strictly below a bound in the total
+order (key, run, position), leaving later elements buffered.
 
-Both merge by one array sort: concatenated in run order, and each run in
-position order, the elements sorted stably by key are in the total order.
+Both merge by one array sort.  Concatenated in run order, and each run in
+position order, the elements sorted stably by key are in the total order;
+the batch merge sorts by (key, tag) instead, with a tag that grows with
+run and position, so its buffer may be in any order.
 """
 from __future__ import annotations
 
@@ -68,33 +70,25 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
     return OutputLayout("canonical", per_pe=per_pe, stripe=None)
 
 
-def batch_merge(buffers: list[np.ndarray], offsets: list[int],
-                bound: tuple[int, int, int] | None = None) -> np.ndarray:
-    """Pop everything strictly below ``bound`` from the run buffers, merged.
+def batch_merge(elems: np.ndarray, tags: np.ndarray,
+                bound: tuple[int, int] | None = None):
+    """Split buffered elements at ``bound`` in the total order (key, tag).
 
-    ``buffers[j]`` holds the unconsumed prefix of run j starting at run
-    position ``offsets[j]``; both are updated in place.  ``bound`` is an
-    order key (key, run, position); ``None`` drains everything.
+    ``tags`` is an ``int64`` column that orders ties: the striped engine
+    tags each element with its run's offset plus its position, so (key,
+    tag) is the order (key, run, position).  Returns the elements strictly
+    below the ``bound`` (key, tag) in that order, and the rest with their
+    tags, also in that order; ``None`` drains everything.
     """
-    lengths = [len(buf) for buf in buffers]
-    starts = np.cumsum([0] + lengths).tolist()
-    elems = concat(buffers)
-    order = np.argsort(elems["key"], kind="stable")
+    order = np.lexsort((tags, elems["key"]))
+    elems, tags = elems[order], tags[order]
     n = len(elems)
     if bound is not None:
-        # What lies below the bound is a prefix of the merged order: every
-        # smaller key, then those ties that precede the bound's (run,
-        # position), which among ties is concatenation order.
-        key, run, pos = bound
-        keys = elems["key"][order]
+        # What lies below the bound is a prefix of the order: every smaller
+        # key, then those ties whose tag precedes the bound's.
+        key, tag = bound
+        keys = elems["key"]
         lo = int(keys.searchsorted(np.uint64(key), "left"))
         hi = int(keys.searchsorted(np.uint64(key), "right"))
-        edge = starts[run] + min(max(pos - offsets[run], 0), lengths[run])
-        n = lo + int(order[lo:hi].searchsorted(edge))
-    run_of = np.repeat(np.arange(len(buffers)), lengths)
-    taken = np.bincount(run_of[order[:n]], minlength=len(buffers)).tolist()
-    for j, k in enumerate(taken):
-        if k:
-            buffers[j] = elems[starts[j] + k:starts[j + 1]]
-            offsets[j] += k
-    return elems[order[:n]]
+        n = lo + int(tags[lo:hi].searchsorted(tag))
+    return elems[:n], elems[n:], tags[n:]

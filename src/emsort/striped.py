@@ -1,18 +1,20 @@
 """Globally striped mergesort engine.
 
-Runs are stored round-robin across all P*D disks of the cluster.  A merge
-pass is driven by the prediction sequence — the block minima in sorted
-order, which is exactly the order the merger will exhaust blocks — and by
-a prefetch schedule derived from it: scheduling fetches is the time
-reversal of scheduling buffered writes, so we simulate a greedy write
-buffer over the reversed sequence and flip the step numbers.  Merging
-itself proceeds in batches, each bounded by the smallest key of the next
-unfetched block, which caps buffered leftovers at one block per run.
+Runs are stored round-robin across all P*D disks of the cluster, each
+reserved as one stripe.  A merge pass is driven by the prediction sequence
+— the block minima in sorted order, which is exactly the order the merger
+will exhaust blocks — and by a prefetch schedule derived from it:
+scheduling fetches is the time reversal of scheduling buffered writes, so
+we simulate a greedy write buffer over the reversed sequence and flip the
+step numbers.  Merging itself proceeds in batches of M/(2B) blocks, each
+read, freed and written with one call per PE and bounded by the smallest
+key of the next unfetched block, which caps buffered leftovers at one block
+per run.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,62 +34,35 @@ COORDINATOR = 0
 
 @dataclass
 class StripedRun:
-    """A sorted run striped round-robin over the cluster's disks."""
+    """A sorted run striped round-robin over the cluster's disks: block
+    ``g`` is block ``lbs[g]`` of PE ``pes[g]``, and its smallest key is
+    ``minima[g]``."""
 
     length: int
     start_disk: int
-    blocks: list[tuple[int, int]] = field(default_factory=list)  # (pe, lb)
-    minima: list[int] = field(default_factory=list)  # smallest key per block
-
-    def disk_of(self, index: int, disks_per_pe: int) -> int:
-        pe, lb = self.blocks[index]
-        return pe * disks_per_pe + lb % disks_per_pe
+    pes: np.ndarray
+    lbs: np.ndarray
+    minima: np.ndarray
 
 
-class _StripedWriter:
-    """Emits a sorted element stream as a new striped run."""
-
-    def __init__(self, cluster, start_disk: int, writer_pe: int, phase: str):
-        self.cluster = cluster
-        self.start_disk = start_disk
-        self.writer_pe = writer_pe
-        self.phase = phase
-        self.tail = np.empty(0, ELEM)
-        self.blocks: list[tuple[int, int]] = []
-        self.minima: list[int] = []
-        self.length = 0
-
-    def append(self, elems: np.ndarray) -> None:
-        """Write every whole block of the tail plus ``elems``, round-robin
-        from the next disk; keep the rest as the tail."""
-        cluster = self.cluster
-        cfg = cluster.cfg
-        B, D = cfg.B, cfg.D
-        data = concat([self.tail, elems])
-        full = len(data) - len(data) % B
-        first = len(self.blocks)
-        for g in range(first, first + full // B):
-            pe, disk = divmod((self.start_disk + g) % cfg.total_disks, D)
-            self.blocks.append((pe, cluster.alloc_block_on(pe, disk)))
-        rows = data[:full].reshape(-1, B)
-        for pe in range(cfg.P):
-            mine = [g for g in range(full // B) if self.blocks[first + g][0] == pe]
-            cluster.write_blocks(pe, [self.blocks[first + g][1] for g in mine],
-                                 rows[mine], self.phase)
-            if pe != self.writer_pe:
-                cluster.counters.add_sent(self.phase, self.writer_pe, B * len(mine))
-                cluster.counters.add_received(self.phase, pe, B * len(mine))
-        self.minima.extend(data["key"][:full:B].tolist())
-        self.length += full
-        self.tail = data[full:]
-
-    def finish(self) -> StripedRun:
-        if len(self.tail):
-            raise RuntimeError(
-                f"striped run length {self.length + len(self.tail)} is not "
-                f"a block multiple")
-        return StripedRun(length=self.length, start_disk=self.start_disk,
-                          blocks=self.blocks, minima=self.minima)
+def _write_stripe(cluster, pes: np.ndarray, lbs: np.ndarray, elems: np.ndarray,
+                  senders, phase: str) -> None:
+    """Write ``elems`` to the blocks ``(pes, lbs)``, ``B`` elements each,
+    with one ``write_blocks`` call per PE; a block whose elements come from
+    a PE (``senders``, per block or one for all) other than its owner is
+    charged as communication."""
+    P, B = cluster.cfg.P, cluster.cfg.B
+    rows = elems.reshape(-1, B)
+    for pe in range(P):
+        mine = pes == pe
+        if mine.any():
+            cluster.write_blocks(pe, lbs[mine].tolist(), rows[mine], phase)
+    traffic = np.bincount(senders * P + pes, minlength=P * P).tolist()
+    for k, blocks in enumerate(traffic):
+        src, dst = divmod(k, P)
+        if blocks and src != dst:
+            cluster.counters.add_sent(phase, src, B * blocks)
+            cluster.counters.add_received(phase, dst, B * blocks)
 
 
 def _run_start_disk(cluster, salt: int, index: int) -> int:
@@ -100,9 +75,9 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
     """Sort memory-sized chunks of the input into striped runs.
 
     Chunk p of every run is read and sorted by PE p (one cooperative
-    internal sort per run), then written striped over all disks; the
-    consumed input blocks are freed.  Costs 2N element I/O plus the
-    internal sort's communication.
+    internal sort per run), then written striped over all disks with one
+    call per PE; the consumed input blocks are freed.  Costs 2N element
+    I/O plus the internal sort's communication.
     """
     cfg = cluster.cfg
     B, share = cfg.B, cfg.m
@@ -118,34 +93,42 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
             loads.append(cluster.read_blocks(p, lbs, PHASE_RUN_FORMATION))
             cluster.free_blocks(p, lbs)
         pieces = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
-        writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
-                                COORDINATOR, PHASE_RUN_FORMATION)
+        data = concat(pieces)
+        if len(data) % B:
+            raise RuntimeError(
+                f"striped run length {len(data)} is not a block multiple")
+        start = _run_start_disk(cluster, 2, index)
+        pes, lbs = cluster.alloc_stripe(start, len(data) // B)
         # Every PE writes its own sorted piece, so cross-PE traffic is
-        # charged from the piece's holder to the block's disk owner.
-        for p, piece in enumerate(pieces):
-            writer.writer_pe = p
-            writer.append(piece)
-        runs.append(writer.finish())
+        # charged from the PE holding a block's last element to its owner.
+        ends = np.cumsum([len(piece) for piece in pieces])
+        holders = np.searchsorted(ends, np.arange(B - 1, len(data), B), "right")
+        _write_stripe(cluster, pes, lbs, data, holders, PHASE_RUN_FORMATION)
+        runs.append(StripedRun(len(data), start, pes, lbs,
+                               data["key"][::B].copy()))
         offset += take
         index += 1
     return runs
 
 
 def build_prediction_sequence(cluster, runs: list[StripedRun]):
-    """Return block descriptors sorted by (min key, run, block position).
+    """Order every block of ``runs`` by (min key, run, block position).
 
-    The coordinator gathers every remote block's minimum (two control
-    values per block: key and position tag).
+    Returns three columns in that order: each block's minimum, its run and
+    its position in the run.  The coordinator gathers every remote block's
+    minimum (two control values per block: key and position tag).
     """
-    contributions: list[list[int]] = [[] for _ in range(cluster.cfg.P)]
-    entries = []
-    for j, run in enumerate(runs):
-        for g, (pe, _lb) in enumerate(run.blocks):
-            contributions[pe].extend((run.minima[g], g))
-            entries.append((run.minima[g], j, g))
-    gather_splitters(cluster, contributions, PHASE_STRIPED_MERGE)
-    entries.sort()
-    return entries
+    sizes = [len(run.lbs) for run in runs]
+    minima = np.concatenate([run.minima for run in runs])
+    run_of = np.repeat(np.arange(len(runs)), sizes)
+    pos = np.concatenate([np.arange(n) for n in sizes])
+    pes = np.concatenate([run.pes for run in runs])
+    gather_splitters(cluster, [minima[pes == pe].tolist()
+                               + pos[pes == pe].tolist()
+                               for pe in range(cluster.cfg.P)],
+                     PHASE_STRIPED_MERGE)
+    order = np.lexsort((pos, run_of, minima))
+    return minima[order], run_of[order], pos[order]
 
 
 def prefetch_schedule(disks: list[int], W: int, D_total: int) -> list[int]:
@@ -184,40 +167,36 @@ def prefetch_schedule(disks: list[int], W: int, D_total: int) -> list[int]:
     return [step - s for s in write_step]
 
 
-def verify_schedule(disks: list[int], steps: list[int], W: int) -> int:
+def verify_schedule(disks, steps, W: int) -> int:
     """Replay a fetch schedule; return its step count.
 
     Raises ValueError if two fetches share a disk in one step, a block is
     consumed before it is fetched, or more than W fetched blocks are ever
     unconsumed.  Consumption is in sequence order and happens after each
-    step's fetches land.
+    step's fetches land, so block i is consumed at the end of the latest
+    step among blocks 0..i.
     """
-    L = len(disks)
-    if L == 0:
+    disks = np.asarray(disks, dtype=np.int64)
+    steps = np.asarray(steps, dtype=np.int64)
+    if len(steps) == 0:
         return 0
-    by_step: dict[int, list[int]] = {}
-    for i, s in enumerate(steps):
-        by_step.setdefault(s, []).append(i)
-    fetched = [False] * L
-    occupancy = 0
-    consumed = 0
-    for s in range(max(steps) + 1):
-        batch = by_step.get(s, ())
-        used = set()
-        for i in batch:
-            if disks[i] in used:
-                raise ValueError(f"step {s} fetches disk {disks[i]} twice")
-            used.add(disks[i])
-            fetched[i] = True
-        occupancy += len(batch)
-        if occupancy > W:
-            raise ValueError(f"step {s} buffers {occupancy} > {W} blocks")
-        while consumed < L and fetched[consumed]:
-            consumed += 1
-            occupancy -= 1
-    if consumed < L:
-        raise ValueError(f"block {consumed} is never fetched")
-    return max(steps) + 1
+    if steps.min() < 0:
+        raise ValueError(f"block {int(np.argmax(steps < 0))} is never fetched")
+    span = int(steps.max()) + 1
+    order = np.lexsort((disks, steps))
+    s, d = steps[order], disks[order]
+    twice = np.flatnonzero((s[1:] == s[:-1]) & (d[1:] == d[:-1]))
+    fetched = np.cumsum(np.bincount(steps, minlength=span))
+    consumed = np.cumsum(np.bincount(np.maximum.accumulate(steps),
+                                     minlength=span))
+    occupancy = fetched - np.concatenate(([0], consumed[:-1]))
+    over = np.flatnonzero(occupancy > W)
+    if len(twice) and (not len(over) or s[twice[0]] <= over[0]):
+        raise ValueError(f"step {s[twice[0]]} fetches disk {d[twice[0]]} twice")
+    if len(over):
+        raise ValueError(
+            f"step {over[0]} buffers {occupancy[over[0]]} > {W} blocks")
+    return span
 
 
 def naive_steps(disks: list[int], W: int) -> int:
@@ -246,56 +225,74 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     """Merge up to ``merge_arity`` striped runs into one striped run.
 
     The coordinator fetches blocks per the prefetch schedule (remote reads
-    are charged as communication), merges in batches of M/(2B) blocks, and
-    writes the output striped from ``start_disk``.  The pass costs one
-    read and one write per element; its I/O steps are the schedule length
-    plus the output's round-robin step count.
+    are charged as communication) in batches of M/(2B) blocks, each read
+    and freed with one call per PE, merges each batch, and writes the
+    output with one call per PE into a stripe reserved from ``start_disk``.
+    The pass costs one read and one write per element; its I/O steps are
+    the schedule length plus the output's round-robin step count.
     """
     cfg = cluster.cfg
-    B, D_total = cfg.B, cfg.total_disks
+    P, B, D_total = cfg.P, cfg.B, cfg.total_disks
     if len(runs) > cfg.merge_arity:
         raise ValueError(
             f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
-    entries = build_prediction_sequence(cluster, runs)
-    disks = [runs[j].disk_of(g, cfg.D) for (_k, j, g) in entries]
+    keys, run_of, pos = build_prediction_sequence(cluster, runs)
+    # ``at`` numbers each block in the runs joined in run order, and an
+    # element's tag is its index there, its run's offset plus its position,
+    # so (key, tag) is the order (key, run, position).
+    first = np.cumsum([0] + [len(run.lbs) for run in runs])
+    at = first[run_of] + pos
+    pes = np.concatenate([run.pes for run in runs])[at]
+    lbs = np.concatenate([run.lbs for run in runs])[at]
+    disks = pes * cfg.D + lbs % cfg.D
     W = max(D_total, cfg.merge_arity)
-    steps = prefetch_schedule(disks, W, D_total)
+    steps = prefetch_schedule(disks.tolist(), W, D_total)
     n_steps = verify_schedule(disks, steps, W)
 
+    length = sum(run.length for run in runs)
+    out_pes, out_lbs = cluster.alloc_stripe(start_disk, length // B)
+    minima = np.empty(len(out_lbs), np.uint64)
+    written = 0
+    tail = np.empty(0, ELEM)
+    pending, tags = np.empty(0, ELEM), np.empty(0, np.int64)
     batch_blocks = max(1, cfg.M // (2 * B))
-    buffers = [np.empty(0, ELEM) for _ in runs]
-    offsets = [0] * len(runs)
-    writer = _StripedWriter(cluster, start_disk, COORDINATOR,
-                            PHASE_STRIPED_MERGE)
-    L = len(entries)
+    L = len(at)
     for lo in range(0, L, batch_blocks):
         hi = min(lo + batch_blocks, L)
-        fetched: list[list[np.ndarray]] = [[] for _ in runs]
-        for (_k, j, g) in entries[lo:hi]:
-            pe, lb = runs[j].blocks[g]
-            fetched[j].append(cluster.read_blocks(pe, [lb], PHASE_STRIPED_MERGE))
+        parts, part_tags = [pending], [tags]
+        for pe in range(P):
+            mine = lo + np.flatnonzero(pes[lo:hi] == pe)
+            if not len(mine):
+                continue
+            ids = lbs[mine].tolist()
+            parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
+            part_tags.append((at[mine, None] * B + np.arange(B)).ravel())
             if pe != COORDINATOR:
-                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B)
+                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B * len(ids))
                 cluster.counters.add_received(PHASE_STRIPED_MERGE,
-                                              COORDINATOR, B)
-            cluster.free_blocks(pe, [lb])
-        for j, blocks in enumerate(fetched):
-            if blocks:
-                buffers[j] = concat([buffers[j], *blocks])
-        if hi < L:
-            key, j, g = entries[hi]
-            bound = (key, j, g * B)
-        else:
-            bound = None
-        writer.append(batch_merge(buffers, offsets, bound))
-        leftover = max((len(buf) for buf in buffers), default=0)
-        if leftover > B:
+                                              COORDINATOR, B * len(ids))
+            cluster.free_blocks(pe, ids)
+        bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
+        out, pending, tags = batch_merge(concat(parts),
+                                         np.concatenate(part_tags), bound)
+        held = np.bincount(np.searchsorted(first * B, tags, "right"))
+        if len(held) and held.max() > B:
             raise RuntimeError(
-                f"batch leftover of {leftover} elements exceeds a block")
-    out = writer.finish()
+                f"batch leftover of {held.max()} elements exceeds a block")
+        data = concat([tail, out])
+        full = len(data) // B
+        _write_stripe(cluster, out_pes[written:written + full],
+                      out_lbs[written:written + full], data[:full * B],
+                      COORDINATOR, PHASE_STRIPED_MERGE)
+        minima[written:written + full] = data["key"][:full * B:B]
+        written += full
+        tail = data[full * B:]
+    if len(tail):
+        raise RuntimeError(f"striped run length {written * B + len(tail)} "
+                           "is not a block multiple")
     cluster.counters.add_steps(PHASE_STRIPED_MERGE,
-                               n_steps + -(-len(out.blocks) // D_total))
-    return out
+                               n_steps + -(-written // D_total))
+    return StripedRun(length, start_disk, out_pes, out_lbs, minima)
 
 
 def striped_sort(cluster, pe_blocks: list[list[int]]):

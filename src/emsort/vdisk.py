@@ -2,14 +2,16 @@
 
 Every PE owns D disks addressed by a growing logical block id; logical block
 ``lb`` maps to ``(disk = lb % D, slot = lb // D)`` so sequential allocations
-stripe round-robin over the PE's disks.  :class:`Cluster` speaks in runs of
-blocks on one PE: a list of ids and one element array of ``B`` elements per
-id.  Engine reads and writes are charged to a named phase in the shared
-:class:`~emsort.core.PhaseCounters`, once per disk a run touches; input
-materialization and verification use the uncounted ``seed_blocks`` /
-``peek_blocks`` so the engine I/O identities stay exact.  A stored block is
-a read-only copy of what was written; a read hands back the blocks joined as
-one read-only array.  A refused run raises before it changes anything.
+stripe round-robin over the PE's disks; ``alloc_stripe`` reserves a run
+striped over every disk of the cluster in one call.  :class:`Cluster` speaks
+in runs of blocks on one PE: a list of ids and one element array of ``B``
+elements per id.  Engine reads and writes are charged to a named phase in
+the shared :class:`~emsort.core.PhaseCounters`, once per disk a run
+touches; input materialization and verification use the uncounted
+``seed_blocks`` / ``peek_blocks`` so the engine I/O identities stay exact.
+A stored block is a read-only copy of what was written; a read hands back
+the blocks joined as one read-only array.  A refused run raises before it
+changes anything.
 """
 from __future__ import annotations
 
@@ -69,12 +71,24 @@ class Cluster:
             free[lb % D] = max(free[lb % D], lb // D + 1)
         return lbs
 
-    def alloc_block_on(self, pe: int, disk: int) -> int:
-        """Reserve a fresh logical block id on a specific disk of ``pe``."""
-        arr = self.arrays[pe]
-        lb = arr.next_slot[disk] * self.cfg.D + disk
-        arr.next_slot[disk] += 1
-        return lb
+    def alloc_stripe(self, start_disk: int,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reserve ``n`` fresh ids striped over all ``P*D`` disks (no I/O
+        charged): block ``g`` goes on global disk ``(start_disk + g) mod
+        P*D``, that is PE ``disk // D``, local disk ``disk % D``, at the
+        disk's next free slots in order.  Returns the PE and the id of each
+        block as ``int64`` columns: the ids of ``n`` one-block allocations
+        in stripe order."""
+        D = self.cfg.D
+        total = self.cfg.total_disks
+        first = start_disk % total
+        q = np.arange(first, first + n)
+        disk = q % total
+        rank = q // total - (disk < first)  # stripe blocks before it on disk
+        base = np.array([s for arr in self.arrays for s in arr.next_slot])
+        for g, count in enumerate(np.bincount(disk, minlength=total).tolist()):
+            self.arrays[g // D].next_slot[g % D] += count
+        return disk // D, (base[disk] + rank) * D + disk % D
 
     def free_blocks(self, pe: int, lbs: Sequence[int]) -> None:
         """Release blocks (no I/O charged; supports in-place accounting)."""
@@ -140,7 +154,7 @@ class Cluster:
     def _charge(self, note, phase: str, pe: int, lbs: Sequence[int]) -> None:
         """Charge one block per id in ``lbs`` to its disk, once per disk."""
         D = self.cfg.D
-        if len(lbs) == 1:           # the striped engine's one-block calls
+        if len(lbs) == 1:           # the selection probes' one-block reads
             note(phase, pe, lbs[0] % D, 1)
             return
         disks = [lb % D for lb in lbs]

@@ -1,22 +1,25 @@
 """Shared test utilities: cluster construction, oracle sorting, block
 occupancy, an in-memory selection accessor, the scalar element codec that
-the disk images are checked against, and the element-at-a-time kernels that
-the array kernels are checked against."""
+the disk images are checked against, and the element-at-a-time and
+block-at-a-time kernels that the array kernels are checked against."""
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
 from emsort.core import (
-    ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, Element,
-    MachineConfig, concat, sentinel, sentinel_mask,
+    ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
+    PHASE_STRIPED_MERGE, Element, MachineConfig, concat, sentinel, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.net import all_to_all_v, gather_splitters
 from emsort.redistribute import StagedRun
+from emsort.runform import internal_parallel_sort as array_internal_parallel_sort
 from emsort.selection import select_all_ranks
+from emsort.striped import COORDINATOR, _run_start_disk, prefetch_schedule
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 
@@ -80,6 +83,14 @@ def alloc_reference(next_slot: list[int], n: int) -> list[int]:
         out.append(next_slot[d] * D + d)
         next_slot[d] += 1
     return out
+
+
+def alloc_on_reference(next_slot: list[int], disk: int) -> int:
+    """The id of one fresh block on ``disk``, given each disk's next free
+    slot.  Advances ``next_slot`` in place."""
+    lb = next_slot[disk] * len(next_slot) + disk
+    next_slot[disk] += 1
+    return lb
 
 
 def stored_elements(cluster: Cluster) -> int:
@@ -274,3 +285,207 @@ def batch_merge(buffers: list[list[Element]], offsets: list[int],
             del buffers[j][:taken]
             offsets[j] += taken
     return out
+
+
+# --- reference kernels: the block-at-a-time striped engine --------------------
+
+@dataclass
+class ReferenceStripedRun:
+    """A sorted run striped round-robin over the cluster's disks."""
+
+    length: int
+    start_disk: int
+    blocks: list[tuple[int, int]] = field(default_factory=list)  # (pe, lb)
+    minima: list[int] = field(default_factory=list)  # smallest key per block
+
+    def disk_of(self, index: int, disks_per_pe: int) -> int:
+        pe, lb = self.blocks[index]
+        return pe * disks_per_pe + lb % disks_per_pe
+
+
+class _StripedWriter:
+    """Emits a sorted element stream as a new striped run, allocating one
+    block at a time in stripe order."""
+
+    def __init__(self, cluster, start_disk: int, writer_pe: int, phase: str):
+        self.cluster = cluster
+        self.start_disk = start_disk
+        self.writer_pe = writer_pe
+        self.phase = phase
+        self.tail = np.empty(0, ELEM)
+        self.blocks: list[tuple[int, int]] = []
+        self.minima: list[int] = []
+        self.length = 0
+
+    def append(self, elems: np.ndarray) -> None:
+        """Write every whole block of the tail plus ``elems``, round-robin
+        from the next disk; keep the rest as the tail."""
+        cluster = self.cluster
+        cfg = cluster.cfg
+        B, D = cfg.B, cfg.D
+        data = concat([self.tail, elems])
+        full = len(data) - len(data) % B
+        first = len(self.blocks)
+        for g in range(first, first + full // B):
+            pe, disk = divmod((self.start_disk + g) % cfg.total_disks, D)
+            self.blocks.append(
+                (pe, alloc_on_reference(cluster.arrays[pe].next_slot, disk)))
+        rows = data[:full].reshape(-1, B)
+        for pe in range(cfg.P):
+            mine = [g for g in range(full // B) if self.blocks[first + g][0] == pe]
+            cluster.write_blocks(pe, [self.blocks[first + g][1] for g in mine],
+                                 rows[mine], self.phase)
+            if pe != self.writer_pe:
+                cluster.counters.add_sent(self.phase, self.writer_pe, B * len(mine))
+                cluster.counters.add_received(self.phase, pe, B * len(mine))
+        self.minima.extend(data["key"][:full:B].tolist())
+        self.length += full
+        self.tail = data[full:]
+
+    def finish(self) -> ReferenceStripedRun:
+        if len(self.tail):
+            raise RuntimeError(
+                f"striped run length {self.length + len(self.tail)} is not "
+                f"a block multiple")
+        return ReferenceStripedRun(length=self.length, start_disk=self.start_disk,
+                                   blocks=self.blocks, minima=self.minima)
+
+
+def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[ReferenceStripedRun]:
+    """Sort memory-sized chunks of the input into striped runs."""
+    cfg = cluster.cfg
+    B, share = cfg.B, cfg.m
+    local = cfg.N // cfg.P
+    runs: list[ReferenceStripedRun] = []
+    offset = 0
+    index = 0
+    while offset < local:
+        take = min(share, local - offset)
+        loads = []
+        for p in range(cfg.P):
+            lbs = pe_blocks[p][offset // B:(offset + take) // B]
+            loads.append(cluster.read_blocks(p, lbs, PHASE_RUN_FORMATION))
+            cluster.free_blocks(p, lbs)
+        pieces = array_internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
+        writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
+                                COORDINATOR, PHASE_RUN_FORMATION)
+        for p, piece in enumerate(pieces):
+            writer.writer_pe = p
+            writer.append(piece)
+        runs.append(writer.finish())
+        offset += take
+        index += 1
+    return runs
+
+
+def build_prediction_sequence(cluster, runs: list[ReferenceStripedRun]):
+    """Block descriptors (min key, run, block position), sorted."""
+    contributions: list[list[int]] = [[] for _ in range(cluster.cfg.P)]
+    entries = []
+    for j, run in enumerate(runs):
+        for g, (pe, _lb) in enumerate(run.blocks):
+            contributions[pe].extend((run.minima[g], g))
+            entries.append((run.minima[g], j, g))
+    gather_splitters(cluster, contributions, PHASE_STRIPED_MERGE)
+    entries.sort()
+    return entries
+
+
+def verify_schedule(disks: list[int], steps: list[int], W: int) -> int:
+    """Replay a fetch schedule step by step; return its step count.  Raises
+    ValueError on a disk fetched twice in one step, a block never fetched,
+    or more than W fetched blocks unconsumed."""
+    L = len(disks)
+    if L == 0:
+        return 0
+    by_step: dict[int, list[int]] = {}
+    for i, s in enumerate(steps):
+        by_step.setdefault(s, []).append(i)
+    fetched = [False] * L
+    occupancy = 0
+    consumed = 0
+    for s in range(max(steps) + 1):
+        batch = by_step.get(s, ())
+        used = set()
+        for i in batch:
+            if disks[i] in used:
+                raise ValueError(f"step {s} fetches disk {disks[i]} twice")
+            used.add(disks[i])
+            fetched[i] = True
+        occupancy += len(batch)
+        if occupancy > W:
+            raise ValueError(f"step {s} buffers {occupancy} > {W} blocks")
+        while consumed < L and fetched[consumed]:
+            consumed += 1
+            occupancy -= 1
+    if consumed < L:
+        raise ValueError(f"block {consumed} is never fetched")
+    return max(steps) + 1
+
+
+def striped_merge_pass(cluster, runs: list[ReferenceStripedRun],
+                       start_disk: int) -> ReferenceStripedRun:
+    """Merge striped runs into one, fetching, freeing and allocating one
+    block per call, in prediction order."""
+    cfg = cluster.cfg
+    B, D_total = cfg.B, cfg.total_disks
+    if len(runs) > cfg.merge_arity:
+        raise ValueError(
+            f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
+    entries = build_prediction_sequence(cluster, runs)
+    disks = [runs[j].disk_of(g, cfg.D) for (_k, j, g) in entries]
+    W = max(D_total, cfg.merge_arity)
+    steps = prefetch_schedule(disks, W, D_total)
+    n_steps = verify_schedule(disks, steps, W)
+
+    batch_blocks = max(1, cfg.M // (2 * B))
+    buffers: list[list[Element]] = [[] for _ in runs]
+    offsets = [0] * len(runs)
+    writer = _StripedWriter(cluster, start_disk, COORDINATOR,
+                            PHASE_STRIPED_MERGE)
+    L = len(entries)
+    for lo in range(0, L, batch_blocks):
+        hi = min(lo + batch_blocks, L)
+        for (_k, j, g) in entries[lo:hi]:
+            pe, lb = runs[j].blocks[g]
+            buffers[j].extend(
+                cluster.read_blocks(pe, [lb], PHASE_STRIPED_MERGE).tolist())
+            if pe != COORDINATOR:
+                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B)
+                cluster.counters.add_received(PHASE_STRIPED_MERGE,
+                                              COORDINATOR, B)
+            cluster.free_blocks(pe, [lb])
+        if hi < L:
+            key, j, g = entries[hi]
+            bound = (key, j, g * B)
+        else:
+            bound = None
+        writer.append(np.array(batch_merge(buffers, offsets, bound), ELEM))
+        leftover = max((len(buf) for buf in buffers), default=0)
+        if leftover > B:
+            raise RuntimeError(
+                f"batch leftover of {leftover} elements exceeds a block")
+    out = writer.finish()
+    cluster.counters.add_steps(PHASE_STRIPED_MERGE,
+                               n_steps + -(-len(out.blocks) // D_total))
+    return out
+
+
+def striped_sort(cluster, pe_blocks: list[list[int]]):
+    """Sort the whole input with the block-at-a-time striped engine;
+    returns (final run, passes)."""
+    runs = form_striped_runs(cluster, pe_blocks)
+    arity = cluster.cfg.merge_arity
+    passes = 0
+    while len(runs) > 1:
+        merged: list[ReferenceStripedRun] = []
+        for g0 in range(0, len(runs), arity):
+            group = runs[g0:g0 + arity]
+            if len(group) == 1:
+                merged.append(group[0])
+                continue
+            start = _run_start_disk(cluster, 3, passes * len(runs) + g0)
+            merged.append(striped_merge_pass(cluster, group, start))
+        runs = merged
+        passes += 1
+    return runs[0], passes

@@ -18,9 +18,10 @@ PUBLIC = {
     "SelectionError", "ProtocolError", "__version__",
 }
 
-#: ``Cluster``'s methods: allocation, and runs of blocks on one PE.
+#: ``Cluster``'s methods: allocation of runs and stripes, and runs of blocks
+#: on one PE.
 CLUSTER_METHODS = {
-    "alloc_blocks", "alloc_block_on", "read_blocks", "peek_blocks",
+    "alloc_blocks", "alloc_stripe", "read_blocks", "peek_blocks",
     "write_blocks", "seed_blocks", "free_blocks", "peak_allocated",
     "save_images", "load_images",
 }

@@ -2,10 +2,12 @@
 
 Each case runs one engine end to end on a small config and compares four
 values with ones recorded from the element-at-a-time engines that the
-array engines replaced: the SHA-256 of the stats report without its
-``wall_seconds`` line (every counter), the input fingerprint, the SHA-256
-of the output's little-endian keys followed by its serials (the output
-order, ties included), and each PE's peak block allocation.  A speedup that
+array engines replaced (the uneven-stripe case from the block-at-a-time
+striped engine that the stripe-at-a-time one replaced): the SHA-256 of
+the stats report without its ``wall_seconds`` line (every counter), the
+input fingerprint, the SHA-256 of the output's little-endian keys followed
+by its serials (the output order, ties included), and each PE's peak
+block allocation.  A speedup that
 moves a counter, a tie or a block fails here in seconds.
 """
 from __future__ import annotations
@@ -18,13 +20,16 @@ from emsort.core import MachineConfig, concat
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
 from emsort.vdisk import Cluster
 
-#: Per engine: R = 8 canonical runs (multi-round all-to-all on
-#: ``worst_case_shift``), and R = 64 striped runs at arity 8 (two passes).
-CONFIGS = {"canonical": dict(P=4, D=2, B=8, m=128, N=4096),
-           "striped": dict(P=2, D=2, B=4, m=32, N=4096)}
+#: Per case, its engine and config: R = 8 canonical runs (multi-round
+#: all-to-all on ``worst_case_shift``); R = 64 striped runs at arity 8 (two
+#: passes); and R = 63 striped runs of 16 blocks, the last of 8, over
+#: P*D = 6 disks, so that no stripe covers the disks evenly.
+CASES = {"canonical": ("canonical", dict(P=4, D=2, B=8, m=128, N=4096)),
+         "striped": ("striped", dict(P=2, D=2, B=4, m=32, N=4096)),
+         "striped_uneven": ("striped", dict(P=2, D=3, B=4, m=32, N=4000))}
 SEED = 5
 
-#: (engine, kind, randomize): (stats digest, count, total, output digest,
+#: (case, kind, randomize): (stats digest, count, total, output digest,
 #: peak allocated blocks per PE).
 RECORDED = {
     ("canonical", "random", True): ("8c6f1a0c495061e43b74c12a9fbf4923ff6e6f6e5c3fdca9e179b55ed9e61f52",
@@ -87,14 +92,45 @@ RECORDED = {
     ("striped", "worst_case_shift", False): ("199d9ef2b0c90c6fd44841632280594d34bcaa34322ed149c51545e3c8019a95",
         4096, 325107421739326917724415797523816542138,
         "97b0237fed1c8f3e388730607adc7e9f700ddc037924686cd543fd127b6ffcd0", [512, 512]),
+    ("striped_uneven", "random", True): ("2679131000a31d97aeb8ec365d5170ac90c78de17564749c02af82d36c004d5f",
+        4000, 228978434743548757551194844293472234255,
+        "5605c5b3d74695ab988bc7a0d6fd12f12d222156f91634f0e1df32dc96faaa1f", [505, 502]),
+    ("striped_uneven", "random", False): ("8be8b2c2ccf61927431838152e6c66ac74c1948d3104e02a64144ee98caffbb4",
+        4000, 228978434743548757551194844293472234255,
+        "5605c5b3d74695ab988bc7a0d6fd12f12d222156f91634f0e1df32dc96faaa1f", [563, 500]),
+    ("striped_uneven", "sorted", True): ("9fca8a1647a6fdfa0371ae1c6a8d2d5ca59a312b8f5324684f154c131c4b76fb",
+        4000, 228978432557119832818585785232046084767,
+        "58621bcd906326de44822368501db5c0105b0f3f9baed755de1bccffc92f9e78", [505, 504]),
+    ("striped_uneven", "sorted", False): ("65e6cd49705664db4029447fcbb96b32e902deae684ac49d3bdf42652c99aec0",
+        4000, 228978432557119832818585785232046084767,
+        "58621bcd906326de44822368501db5c0105b0f3f9baed755de1bccffc92f9e78", [563, 500]),
+    ("striped_uneven", "reverse", True): ("27716299fa02165245ff4991307f775911f6e215735ca9bd6a1de9d57bde3943",
+        4000, 228978432639247061097304697923856945823,
+        "d9927ffd3fccbcbef03c961dcad2d9516ea0aba898c4384f627b2f8c0391c92b", [506, 504]),
+    ("striped_uneven", "reverse", False): ("3d37c163ce9ebd120e09e1d1188625ec9436021e6b796b89eea74e4c3aa8d212",
+        4000, 228978432639247061097304697923856945823,
+        "d9927ffd3fccbcbef03c961dcad2d9516ea0aba898c4384f627b2f8c0391c92b", [563, 500]),
+    ("striped_uneven", "duplicate_heavy", True): ("5842995de3671133804067a8d6a15f7180b37416c97ba37a922eaa7fecc19af7",
+        4000, 228978432539913827087468081224875788356,
+        "3320ec9af26c9a69408961a370130c82a5340609e0b8e6ebe7c47d4ece52bd7f", [505, 502]),
+    ("striped_uneven", "duplicate_heavy", False): ("055caa6f88528ec619b241299381a402293c9b856a063aff9f1a93b86ea89943",
+        4000, 228978432539913827087468081224875788356,
+        "3320ec9af26c9a69408961a370130c82a5340609e0b8e6ebe7c47d4ece52bd7f", [563, 500]),
+    ("striped_uneven", "worst_case_shift", True): ("e11789e9e4ed3b0fef69f1febc3c38d8425c9318a191065c4a914669da6b8729",
+        4000, 228978435517748842924093568832649482911,
+        "4c5a6ade0247f08ca410919f5fb69ba2ca4878b4acf7b7c09759d8abe4daba6b", [505, 503]),
+    ("striped_uneven", "worst_case_shift", False): ("5ade49b738d5265c6cb0f2ce76bf34baa987bd058851222f559ff41311722278",
+        4000, 228978435517748842924093568832649482911,
+        "4c5a6ade0247f08ca410919f5fb69ba2ca4878b4acf7b7c09759d8abe4daba6b", [563, 500]),
 }
 
 
 @pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
 @pytest.mark.parametrize("kind", INPUT_KINDS)
-@pytest.mark.parametrize("engine", sorted(CONFIGS))
-def test_counters_inputs_and_outputs_match_the_record(engine, kind, randomize):
-    cfg = MachineConfig(**CONFIGS[engine], seed=SEED, randomize=randomize)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
+    engine, config = CASES[case]
+    cfg = MachineConfig(**config, seed=SEED, randomize=randomize)
     cluster = Cluster(cfg)
     gen = generate_input(cluster, InputSpec(kind, cfg.N, cfg.seed))
     result = run_sort(cluster, gen.pe_blocks, engine)
@@ -106,4 +142,4 @@ def test_counters_inputs_and_outputs_match_the_record(engine, kind, randomize):
     assert (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,
             hashlib.sha256(columns).hexdigest(),
             [cluster.peak_allocated(pe) for pe in range(cfg.P)]
-            ) == RECORDED[engine, kind, randomize]
+            ) == RECORDED[case, kind, randomize]

@@ -470,6 +470,49 @@ def test_cli_refuses_a_malformed_manifest(tmp_path, damage, reason):
         assert str(refusal.value).startswith(f"error: {path}: {reason}")
 
 
+def persisted(tmp_path, command: str) -> Path:
+    """The manifest of a store that ``command`` reads: a generated input
+    for ``sort``, a sorted output for ``verify``."""
+    config = write_config(tmp_path / "grid.cfg")
+    store = tmp_path / command
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    if command == "verify":
+        assert cli_main(["sort", "--persist", str(store)]) == 0
+    return store / "manifest.json"
+
+
+@pytest.mark.parametrize("command, field", [
+    *(("sort", field) for field in cli.STAGE_FIELDS["input"]),
+    *(("verify", field) for field in cli.STAGE_FIELDS["output"]),
+])
+def test_cli_refuses_a_manifest_without_a_field_it_needs(tmp_path, command, field):
+    path = persisted(tmp_path, command)
+    manifest = json.loads(path.read_text())
+    del manifest[field]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main([command, "--persist", str(path.parent)])
+    assert str(refusal.value) == f"error: {path}: no {field}"
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("P", "2", "P must be int, got '2'"),
+    ("m", 32.0, "m must be int, got 32.0"),
+    ("seed", True, "seed must be int, got True"),
+    ("randomize", 1, "randomize must be bool, got 1"),
+])
+@pytest.mark.parametrize("command", ["sort", "verify"])
+def test_cli_refuses_a_cfg_value_of_the_wrong_type(tmp_path, command, field,
+                                                   value, reason):
+    path = persisted(tmp_path, command)
+    manifest = json.loads(path.read_text())
+    manifest["cfg"][field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main([command, "--persist", str(path.parent)])
+    assert str(refusal.value) == f"error: {path}: bad cfg: {reason}"
+
+
 def test_cli_rejects_bad_config(tmp_path):
     config = write_config(tmp_path / "grid.cfg", N=100)      # not B*P aligned
     with pytest.raises(SystemExit):

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from emsort.core import (
-    DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, sentinel,
+    DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, concat, sentinel,
 )
 from emsort.merge import batch_merge, local_multiway_merge
 from emsort.redistribute import SegRef, StagedRun, compute_splitters, external_all_to_all
@@ -35,39 +36,61 @@ def pipeline(P=4, B=4, m=32, N=384, kind="random", seed=0):
 
 # --- batch_merge oracle-first --------------------------------------------------
 
+#: Tag distance between runs: more than any run position drawn here.
+RUN_TAG = 1 << 20
+
+
+def merge_buffers(buffers, offsets, bound=None, rng=None):
+    """``batch_merge`` over run buffers that start at run positions
+    ``offsets``, each element tagged ``run * RUN_TAG + position`` and the
+    buffer shuffled by ``rng`` if given.  Returns the merged prefix below
+    ``bound`` (key, run, position) and what stays of each buffer."""
+    elems = concat(buffers)
+    tags = np.concatenate([j * RUN_TAG + off + np.arange(len(buf), dtype=np.int64)
+                           for j, (buf, off) in enumerate(zip(buffers, offsets))])
+    if rng is not None:
+        perm = rng.sample(range(len(elems)), len(elems))
+        elems, tags = elems[perm], tags[perm]
+    if bound is not None:
+        key, run, pos = bound
+        bound = (key, run * RUN_TAG + pos)
+    out, rest, rest_tags = batch_merge(elems, tags, bound)
+    return out.tolist(), [rest[rest_tags // RUN_TAG == j].tolist()
+                          for j in range(len(buffers))]
+
+
 def test_batch_merge_drains_to_sorted_order():
     rng = random.Random(31)
     buffers = [sorted((rng.randrange(50), j * 100 + i) for i in range(20))
                for j in range(3)]
     expected = sorted((e[0], j, p) for j, buf in enumerate(buffers)
                       for p, e in enumerate(buf))
-    offsets = [0, 0, 0]
-    out = batch_merge([elements(b) for b in buffers], offsets)
-    assert [(e[0],) for e in out.tolist()] == [(k,) for k, _j, _p in expected]
+    out, rest = merge_buffers([elements(b) for b in buffers], [0, 0, 0])
+    assert [(e[0],) for e in out] == [(k,) for k, _j, _p in expected]
+    assert rest == [[], [], []]
 
 
 def test_batch_merge_respects_bound_and_leaves_rest():
     buffers = [elements([(1, 0), (4, 1), (9, 2)]), elements([(2, 3), (4, 4), (7, 5)])]
-    offsets = [0, 0]
     # strict bound: everything below key 4 of run 0 position 1
-    out = batch_merge(buffers, offsets, bound=(4, 0, 1))
-    assert [e[0] for e in out.tolist()] == [1, 2]
-    assert [b.tolist() for b in buffers] == [[(4, 1), (9, 2)], [(4, 4), (7, 5)]]
-    rest = batch_merge(buffers, [1, 1])
-    assert [e[0] for e in rest.tolist()] == [4, 4, 7, 9]
+    out, rest = merge_buffers(buffers, [0, 0], bound=(4, 0, 1))
+    assert [e[0] for e in out] == [1, 2]
+    assert rest == [[(4, 1), (9, 2)], [(4, 4), (7, 5)]]
+    out, rest = merge_buffers([elements(b) for b in rest], [1, 1])
+    assert [e[0] for e in out] == [4, 4, 7, 9]
 
 
 def test_batch_merge_ties_resolve_by_run_then_position():
     buffers = [elements([(5, 10), (5, 11)]), elements([(5, 20)])]
-    out = batch_merge(buffers, [0, 0])
-    assert out.tolist() == [(5, 10), (5, 11), (5, 20)]
+    out, _rest = merge_buffers(buffers, [0, 0], rng=random.Random(3))
+    assert out == [(5, 10), (5, 11), (5, 20)]
 
 
 def test_batch_merge_bound_excludes_equal_order_key():
     buffers = [elements([(3, 0)]), elements([(3, 1)])]
-    out = batch_merge(buffers, [0, 0], bound=(3, 1, 0))
-    assert out.tolist() == [(3, 0)]
-    assert [b.tolist() for b in buffers] == [[], [(3, 1)]]
+    out, rest = merge_buffers(buffers, [0, 0], bound=(3, 1, 0))
+    assert out == [(3, 0)]
+    assert rest == [[], [(3, 1)]]
 
 
 @st.composite
@@ -83,16 +106,17 @@ def buffered_runs(draw):
     return buffers, offsets, draw(st.one_of(st.none(), st.just((key, run, pos))))
 
 
-@given(buffered_runs())
-def test_batch_merge_matches_the_reference_kernel(drawn):
+@given(buffered_runs(), st.randoms(use_true_random=False))
+def test_batch_merge_matches_the_reference_kernel(drawn, rng):
+    """Against the heapq kernel over per-run buffers, with the tagged
+    buffer in any order."""
     buffers, offsets, bound = drawn
-    ref_buffers, ref_offsets = [list(buf) for buf in buffers], list(offsets)
-    expected = helpers.batch_merge(ref_buffers, ref_offsets, bound)
-    arrays = [elements(buf) for buf in buffers]
-    got = batch_merge(arrays, offsets, bound)
-    assert got.tolist() == expected
-    assert [buf.tolist() for buf in arrays] == ref_buffers
-    assert offsets == ref_offsets
+    ref_buffers = [list(buf) for buf in buffers]
+    expected = helpers.batch_merge(ref_buffers, list(offsets), bound)
+    got, rest = merge_buffers([elements(buf) for buf in buffers], offsets,
+                              bound, rng)
+    assert got == expected
+    assert rest == ref_buffers
 
 
 @st.composite

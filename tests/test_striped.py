@@ -1,17 +1,23 @@
 """Striped runs, prediction sequences, prefetch schedules, merge passes."""
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emsort.core import DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE
+from emsort.harness import InputSpec, SortResult, generate_input, report_stats
 from emsort.striped import (
     StripedRun, build_prediction_sequence, form_striped_runs, naive_steps,
     prefetch_schedule, striped_merge_pass, striped_sort, verify_schedule,
 )
-from emsort.vdisk import Cluster
+from emsort.vdisk import Cluster, OutputLayout
 
+import helpers
 from helpers import build, fill, input_elements, is_allocated, oracle_agrees
 
 
@@ -23,9 +29,14 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
     return cl, inputs, runs
 
 
+def addresses(run: StripedRun) -> list[tuple[int, int]]:
+    """Every block of a run as ``(pe, lb)``, in run order."""
+    return list(zip(run.pes.tolist(), run.lbs.tolist()))
+
+
 def run_elements(cl, run: StripedRun):
     out = []
-    for pe, lb in run.blocks:
+    for pe, lb in addresses(run):
         out.extend(cl.peek_blocks(pe, [lb]).tolist())
     return out
 
@@ -49,14 +60,14 @@ def test_striped_runs_go_round_robin_over_all_disks():
     cl, _inputs, runs = formed(seed=2)
     D_total = cl.cfg.total_disks
     for run in runs:
-        for g in range(len(run.blocks)):
-            assert run.disk_of(g, cl.cfg.D) == (run.start_disk + g) % D_total
+        assert (run.pes * cl.cfg.D + run.lbs % cl.cfg.D).tolist() == [
+            (run.start_disk + g) % D_total for g in range(len(run.lbs))]
 
 
 def test_block_minima_match_contents():
     cl, _inputs, runs = formed(seed=3)
     for run in runs:
-        for g, (pe, lb) in enumerate(run.blocks):
+        for g, (pe, lb) in enumerate(addresses(run)):
             assert run.minima[g] == cl.peek_blocks(pe, [lb])[0][0]
 
 
@@ -69,9 +80,9 @@ def test_formation_costs_one_read_one_write_per_element():
 
 def test_prediction_sequence_is_sorted_and_complete():
     cl, _inputs, runs = formed(seed=5)
-    entries = build_prediction_sequence(cl, runs)
+    entries = list(zip(*(col.tolist() for col in build_prediction_sequence(cl, runs))))
     assert entries == sorted(entries)
-    assert len(entries) == sum(len(run.blocks) for run in runs)
+    assert len(entries) == sum(len(run.lbs) for run in runs)
     seen = {(j, g) for (_k, j, g) in entries}
     assert len(seen) == len(entries)
 
@@ -146,7 +157,7 @@ def test_merge_pass_produces_one_sorted_striped_run():
     assert out.length == cl.cfg.N
     # inputs were consumed
     for run in runs:
-        for pe, lb in run.blocks:
+        for pe, lb in addresses(run):
             assert not is_allocated(cl, pe, lb)
 
 
@@ -183,10 +194,9 @@ def test_striped_sort_output_balances_disks():
     cl = build(P=2, D=2, B=4, m=32, N=512, seed=11)
     gen = fill(cl, "random", 11)
     final, _passes = striped_sort(cl, gen.pe_blocks)
-    per_disk = [0] * cl.cfg.total_disks
-    for g in range(len(final.blocks)):
-        per_disk[final.disk_of(g, cl.cfg.D)] += 1
-    assert max(per_disk) - min(per_disk) <= 1
+    per_disk = np.bincount(final.pes * cl.cfg.D + final.lbs % cl.cfg.D,
+                           minlength=cl.cfg.total_disks)
+    assert per_disk.max() - per_disk.min() <= 1
 
 
 def test_striped_sort_carries_odd_group_through():
@@ -207,7 +217,110 @@ def test_merge_pass_records_io_steps():
     before = cl.counters.io_steps[PHASE_STRIPED_MERGE]
     out = striped_merge_pass(cl, runs, start_disk=0)
     steps = cl.counters.io_steps[PHASE_STRIPED_MERGE] - before
-    blocks = len(out.blocks)
+    blocks = len(out.lbs)
     lower = -(-blocks // cl.cfg.total_disks) * 2    # read + write optimum
     assert steps >= lower
     assert steps <= 2 * blocks + 2
+
+
+def test_merge_pass_moves_whole_batches():
+    """One read, free and write call per PE per batch, and one stripe
+    allocation for the output: a return to one-block calls fails here."""
+    cl, _inputs, runs = formed(P=2, N=256, seed=14)     # 64 blocks, batches of 8
+    calls: Counter[str] = Counter()
+    for name in ("read_blocks", "free_blocks", "write_blocks", "alloc_blocks",
+                 "alloc_stripe"):
+        def counted(*args, _method=getattr(cl, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        setattr(cl, name, counted)
+    out = striped_merge_pass(cl, runs, start_disk=0)
+    batches = -(-len(out.lbs) // (cl.cfg.M // (2 * cl.cfg.B)))
+    assert batches == 8
+    for name in ("read_blocks", "free_blocks", "write_blocks"):
+        assert calls[name] <= cl.cfg.P * batches, (name, calls)
+    assert (calls["alloc_stripe"], calls["alloc_blocks"]) == (1, 0)
+
+
+# --- parity with the block-at-a-time engine ------------------------------------
+
+@st.composite
+def striped_configs(draw):
+    """A small config the striped engine runs, with 1 to 12 runs (the last
+    one possibly short), and an input kind."""
+    P = draw(st.integers(1, 4))
+    B = draw(st.sampled_from([2, 4]))
+    low = -(-4 // P)                                    # merge arity >= 2
+    share = draw(st.integers(low, low + 3))             # m / B
+    runs = draw(st.integers(1, 12))
+    N = P * B * (share * (runs - 1) + draw(st.integers(1, share)))
+    m = B * share
+    cfg = MachineConfig(P=P, D=draw(st.integers(1, 3)), B=B, m=m, N=N,
+                        seed=draw(st.integers(0, 1 << 16)),
+                        randomize=draw(st.booleans()))
+    return cfg, draw(st.sampled_from(["random", "duplicate_heavy",
+                                      "worst_case_shift"]))
+
+
+def sorted_by(sort, cfg: MachineConfig, kind: str):
+    """Stripe, output, stats digest and per-PE peak of one striped sort."""
+    cl = Cluster(cfg)
+    gen = generate_input(cl, InputSpec(kind, cfg.N, cfg.seed))
+    final, passes = sort(cl, gen.pe_blocks)
+    stripe = final.blocks if isinstance(final, helpers.ReferenceStripedRun) \
+        else addresses(final)
+    result = SortResult("striped", OutputLayout("striped", stripe=stripe),
+                        cl.counters, merge_passes=passes)
+    stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
+                      if not line.startswith("# wall_seconds="))
+    return (stripe, [cl.peek_blocks(pe, [lb]).tolist() for pe, lb in stripe],
+            list(final.minima), hashlib.sha256(stats.encode()).hexdigest(),
+            [cl.peak_allocated(pe) for pe in range(cfg.P)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(striped_configs())
+def test_striped_sort_matches_the_reference_kernel(drawn):
+    cfg, kind = drawn
+    assert sorted_by(striped_sort, cfg, kind) == sorted_by(helpers.striped_sort,
+                                                           cfg, kind)
+
+
+@st.composite
+def fetch_schedules(draw):
+    """A prefetch schedule, as built or with one fault: a disk fetched twice
+    in a step, a step moved early enough to overflow the buffer, a
+    negative step, or any steps at all."""
+    D_total = draw(st.integers(1, 4))
+    disks = draw(st.lists(st.integers(0, D_total - 1), max_size=24))
+    W = draw(st.integers(D_total, 3 * D_total))
+    steps = prefetch_schedule(disks, W, D_total)
+    fault = draw(st.sampled_from(["none", "twice", "early", "negative", "any"]))
+    if disks and fault != "none":
+        i = draw(st.integers(0, len(disks) - 1))
+        if fault == "twice":
+            same = [j for j, d in enumerate(disks) if d == disks[i] and j != i]
+            if same:
+                steps[i] = steps[draw(st.sampled_from(same))]
+        elif fault == "early":
+            steps[i] = draw(st.integers(0, steps[i]))
+        elif fault == "negative":
+            steps[i] = draw(st.integers(-3, -1))
+        else:
+            steps = draw(st.lists(st.integers(-1, 2 * len(disks)),
+                                  min_size=len(disks), max_size=len(disks)))
+    return disks, steps, W
+
+
+def replay(verify, disks, steps, W):
+    try:
+        return verify(disks, steps, W)
+    except ValueError:
+        return "refused"
+
+
+@given(fetch_schedules())
+def test_verify_schedule_matches_the_step_by_step_replay(drawn):
+    disks, steps, W = drawn
+    assert replay(verify_schedule, disks, steps, W) == \
+        replay(helpers.verify_schedule, disks, steps, W)

@@ -13,7 +13,7 @@ from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    alloc_reference, build, counter_state, element_from_bytes,
+    alloc_on_reference, alloc_reference, build, counter_state, element_from_bytes,
     element_to_bytes, elements, is_allocated, live_blocks,
 )
 
@@ -78,31 +78,40 @@ def test_alloc_blocks_stripes_round_robin():
     assert cl.alloc_blocks(0, 0) == []
 
 
-def test_alloc_block_on_places_on_named_disk():
-    cl = build(P=1, D=2)
-    lb = cl.alloc_block_on(0, 1)
-    assert lb % 2 == 1
-    nxt = cl.alloc_block_on(0, 1)
-    assert nxt == lb + 2
+def test_alloc_stripe_places_each_block_on_its_disk():
+    cl = build(P=2, D=3)
+    pes, lbs = cl.alloc_stripe(4, 8)        # global disks 4 5 0 1 2 3 4 5
+    assert pes.tolist() == [1, 1, 0, 0, 0, 1, 1, 1]
+    assert lbs.tolist() == [1, 2, 0, 1, 2, 0, 4, 5]
+    assert [arr.next_slot for arr in cl.arrays] == [[1, 1, 1], [1, 2, 2]]
+    pes, lbs = cl.alloc_stripe(0, 0)
+    assert (pes.tolist(), lbs.tolist()) == ([], [])
+    pes, lbs = cl.alloc_stripe(6, 1)        # start_disk wraps to 0
+    assert (pes.tolist(), lbs.tolist()) == ([0], [3])
 
 
 @given(st.integers(1, 4),
-       st.lists(st.one_of(st.tuples(st.just("on"), st.integers(0, 3)),
-                          st.tuples(st.just("blocks"), st.integers(0, 12))),
+       st.lists(st.one_of(st.tuples(st.just("stripe"), st.integers(0, 9),
+                                    st.integers(0, 12)),
+                          st.tuples(st.just("blocks"), st.just(0),
+                                    st.integers(0, 12))),
                 max_size=12))
 def test_alloc_blocks_matches_one_block_allocations(D, ops):
-    """From disks left uneven by ``alloc_block_on``, ``alloc_blocks(pe, n)``
-    hands out the ids of ``n`` one-block allocations."""
+    """From disks left uneven by stripes, ``alloc_blocks(pe, n)`` hands out
+    the ids of ``n`` one-block allocations, and ``alloc_stripe(start, n)``
+    those of one-block allocations on the stripe's disks in order."""
     cl = build(P=2, D=D)
-    next_slot = [0] * D
-    for op, arg in ops:
-        if op == "on":
-            cl.alloc_block_on(1, arg % D)
-            next_slot[arg % D] += 1
+    next_slot = [[0] * D for _ in range(2)]
+    for op, start, n in ops:
+        if op == "stripe":
+            pes, lbs = cl.alloc_stripe(start, n)
+            places = [divmod((start + g) % (2 * D), D) for g in range(n)]
+            assert pes.tolist() == [pe for pe, _disk in places]
+            assert lbs.tolist() == [alloc_on_reference(next_slot[pe], disk)
+                                    for pe, disk in places]
         else:
-            assert cl.alloc_blocks(1, arg) == alloc_reference(next_slot, arg)
-        assert cl.arrays[1].next_slot == next_slot
-    assert cl.arrays[0].next_slot == [0] * D
+            assert cl.alloc_blocks(1, n) == alloc_reference(next_slot[1], n)
+        assert [arr.next_slot for arr in cl.arrays] == next_slot
 
 
 def store_state(cl):
