@@ -89,7 +89,42 @@ def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
     for name in STAGE_FIELDS[stage]:
         if name not in manifest:
             raise SystemExit(f"error: {path}: no {name}")
+    if stage == "output":
+        why = _layout_fault(manifest["layout"], cfg.P)
+        if why:
+            raise SystemExit(f"error: {path}: bad layout: {why}")
     return manifest, cfg
+
+
+def _layout_fault(desc, P: int) -> str | None:
+    """Why ``desc`` is not an output layout of a ``P``-PE machine: a known
+    ``engine``, that engine's field in shape (``per_pe`` as ``P`` lists of
+    ints, ``stripe`` as a list of ``[pe, lb]`` int pairs with ``pe < P``)
+    and the other field null; ``None`` when it is one."""
+    def is_id(value) -> bool:
+        return type(value) is int and value >= 0
+
+    if not isinstance(desc, dict):
+        return "not an object"
+    engine = desc.get("engine")
+    if engine not in ENGINES:
+        return f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
+    field, other = (("per_pe", "stripe") if engine == "canonical"
+                    else ("stripe", "per_pe"))
+    if desc.get(other) is not None:
+        return f"{other} must be null for the {engine} engine"
+    value = desc.get(field)
+    if engine == "canonical":
+        if not (isinstance(value, list) and len(value) == P
+                and all(isinstance(row, list) and all(map(is_id, row))
+                        for row in value)):
+            return f"per_pe must be {P} lists of block ids"
+    elif not (isinstance(value, list)
+              and all(isinstance(addr, list) and len(addr) == 2
+                      and all(map(is_id, addr)) and addr[0] < P
+                      for addr in value)):
+        return f"stripe must be a list of [pe, lb] pairs with pe < {P}"
+    return None
 
 
 def _open_stats(path: str | None):
@@ -187,11 +222,11 @@ def cmd_verify(args) -> int:
     manifest, cfg = _read_manifest(args.persist, "output")
     cluster = Cluster.load_images(args.persist, cfg)
     desc = manifest["layout"]
+    stripe = desc.get("stripe")
     layout = OutputLayout(
         desc["engine"],
-        per_pe=desc["per_pe"],
-        stripe=([tuple(addr) for addr in desc["stripe"]]
-                if desc["stripe"] is not None else None))
+        per_pe=desc.get("per_pe"),
+        stripe=[tuple(addr) for addr in stripe] if stripe is not None else None)
     verdict = verify_output(cluster, layout, int(manifest["count"]),
                             int(manifest["total"]))
     if verdict.ok:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .core import (
     PhaseCounters,
     RNG_NAME,
     checksum128,
-    concat,
     derive_seed,
     sentinel_mask,
     validate_config,
@@ -39,7 +39,7 @@ from .merge import local_multiway_merge
 from .redistribute import compute_splitters, external_all_to_all, per_run_moved
 from .runform import form_runs, run_layout
 from .striped import striped_sort
-from .vdisk import Cluster, OutputLayout
+from .vdisk import Cluster, DiskError, OutputLayout
 
 INPUT_KINDS = ("random", "sorted", "reverse", "duplicate_heavy",
                "worst_case_shift")
@@ -209,6 +209,24 @@ class VerifyResult:
         self.failures.append(message)
 
 
+def _peek_in_order(cluster: Cluster, pes: np.ndarray,
+                   lbs: np.ndarray) -> np.ndarray:
+    """The blocks ``(pes[i], lbs[i])`` joined in that order, peeked with one
+    call per PE; a missing block is named as a block-by-block read would
+    name it, the first in that order."""
+    block = np.dtype((np.void, cluster.cfg.B * ELEM.itemsize))
+    rows = np.empty(len(pes), block)
+    try:
+        for pe in sorted(set(pes.tolist())):
+            mine = pes == pe
+            rows[mine] = cluster.peek_blocks(pe, lbs[mine].tolist()).view(block)
+    except DiskError:
+        for pe, lb in zip(pes.tolist(), lbs.tolist()):
+            cluster.peek_blocks(pe, [lb])
+        raise
+    return rows.view(ELEM)
+
+
 def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
                   total: int) -> VerifyResult:
     """Check sortedness, content preservation, and placement of an output.
@@ -223,9 +241,12 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     last_key = None
     ordered = True
     blocks = list(layout.iter_blocks())
+    block_pes = np.fromiter(map(itemgetter(0), blocks), np.int64, len(blocks))
+    block_ids = np.fromiter(map(itemgetter(1), blocks), np.int64, len(blocks))
     step = max(1, VERIFY_CHUNK // cfg.B)
     for g in range(0, len(blocks), step):
-        chunk = concat([cluster.peek_blocks(pe, [lb]) for pe, lb in blocks[g:g + step]])
+        chunk = _peek_in_order(cluster, block_pes[g:g + step],
+                               block_ids[g:g + step])
         keys, serials = chunk["key"], chunk["serial"]
         base = g * cfg.B
         leaks = np.flatnonzero(sentinel_mask(chunk))
@@ -264,18 +285,14 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
                 res.fail(f"partition boundary {pe - 1}|{pe} out of order")
             boundary_key = last
     else:
-        stripe = layout.stripe or []
-        per_disk = [0] * cfg.total_disks
-        start_disk = None
-        for g, (pe, lb) in enumerate(stripe):
-            disk = pe * cfg.D + lb % cfg.D
-            per_disk[disk] += 1
-            if start_disk is None:
-                start_disk = disk
-            elif disk != (start_disk + g) % cfg.total_disks:
-                res.fail(f"stripe breaks round-robin order at block {g}")
-                break
-        if stripe and max(per_disk) - min(per_disk) > 1:
+        disks = block_pes * cfg.D + block_ids % cfg.D
+        breaks = np.flatnonzero(
+            disks != (disks[:1] + np.arange(len(disks))) % cfg.total_disks)
+        if breaks.size:
+            res.fail(f"stripe breaks round-robin order at block {breaks[0]}")
+            disks = disks[:breaks[0] + 1]   # the blocks counted up to the break
+        per_disk = np.bincount(disks, minlength=cfg.total_disks).tolist()
+        if len(disks) and max(per_disk) - min(per_disk) > 1:
             res.fail(f"striping imbalance: per-disk counts {per_disk}")
     return res
 

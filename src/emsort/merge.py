@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PHASE_LOCAL_MERGE, concat
+from .core import PHASE_LOCAL_MERGE, concat, sort_order
 from .redistribute import StagedRun
 from .vdisk import OutputLayout
 
@@ -23,27 +23,33 @@ from .vdisk import OutputLayout
 def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout:
     """Merge every processor's staged segments into its output slice.
 
-    Each staged block is freed once the merge has consumed its last
-    element, interleaved with the output writes as a streaming merge would,
-    so disk occupancy follows the stream.
+    Each staged block is due for freeing once the merge has consumed its
+    last element.  A streaming merge would free it there, between two
+    output writes; instead each PE frees and writes in two calls each,
+    split at the output block after which the stream holds the most
+    blocks, so its peak occupancy, its per-disk charges and its block ids
+    are those of the stream.
     """
     cfg = cluster.cfg
     B = cfg.B
     per_pe: list[list[int]] = []
     for t in range(cfg.P):
         pieces = []
-        held: list[tuple[int, int]] = []    # (pe, lb) of every block read
-        ends: list[int] = []                # its last element's index + 1
+        held: list[int] = []    # every block read, all on PE t
+        ends = [np.empty(0, np.intp)]   # its last element's index + 1
         n = 0
         for seg in staged[t]:
             for ref in seg.refs:
+                if ref.pe != t:
+                    raise RuntimeError(
+                        f"PE {t} merges a segment staged on PE {ref.pe}")
                 end = ref.start + ref.length
                 lbs = ref.blocks[:-(-end // B)]
-                pieces.append(cluster.read_blocks(ref.pe, lbs, PHASE_LOCAL_MERGE)
+                pieces.append(cluster.read_blocks(t, lbs, PHASE_LOCAL_MERGE)
                               [ref.start:end])
-                held.extend((ref.pe, lb) for lb in lbs)
-                ends.extend(n + min(i * B, end) - ref.start
-                            for i in range(1, len(lbs) + 1))
+                held.extend(lbs)
+                ends.append(n - ref.start + np.minimum(
+                    np.arange(B, (len(lbs) + 1) * B, B), end))
                 n += ref.length
         if n % B:
             raise RuntimeError(
@@ -52,19 +58,24 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
         order = np.argsort(elems["key"], kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
-        # A block is freed before output block (rank of its last element + 1) // B.
-        due = ((rank[np.array(ends, dtype=np.intp) - 1] + 1) // B).tolist()
-        frees: dict[tuple[int, int], list[int]] = {}
-        for k, (pe, lb) in zip(due, held):
-            frees.setdefault((k, pe), []).append(lb)
+        # A block falls due before output block (rank of its last element
+        # + 1) // B; after output block j the stream has written j + 1
+        # blocks and freed #(due <= j).
+        due = (rank[np.concatenate(ends, dtype=np.intp) - 1] + 1) // B
+        nb = n // B
+        occupancy = np.arange(1, nb + 1) - np.cumsum(
+            np.bincount(due, minlength=nb + 1)[:nb])
+        split = int(np.argmax(occupancy)) + 1 if nb else 0
+        early = due < split
+        held_ids = np.array(held, dtype=np.int64)
         merged = elems[order]
-        out_blocks = cluster.alloc_blocks(t, n // B)
-        done = 0
-        for k, pe in sorted(frees.keys() | {(n // B, t)}):
-            cluster.write_blocks(t, out_blocks[done:k], merged[done * B:k * B],
-                                 PHASE_LOCAL_MERGE)
-            cluster.free_blocks(pe, frees.get((k, pe), ()))
-            done = k
+        out_blocks = cluster.alloc_blocks(t, nb)
+        for frees, lo, hi in ((early, 0, split), (~early, split, nb)):
+            if frees.any():
+                cluster.free_blocks(t, held_ids[frees].tolist())
+            if hi > lo:
+                cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
+                                     PHASE_LOCAL_MERGE)
         cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(held) * B - n)
         per_pe.append(out_blocks)
     return OutputLayout("canonical", per_pe=per_pe, stripe=None)
@@ -80,7 +91,7 @@ def batch_merge(elems: np.ndarray, tags: np.ndarray,
     below the ``bound`` (key, tag) in that order, and the rest with their
     tags, also in that order; ``None`` drains everything.
     """
-    order = np.lexsort((tags, elems["key"]))
+    order = sort_order(elems["key"], tags)
     elems, tags = elems[order], tags[order]
     n = len(elems)
     if bound is not None:

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed
+from .core import (
+    ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed, sort_order,
+)
 from .net import all_to_all_v, gather_splitters
 
 
@@ -62,7 +64,7 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks: list[int]) -> list[in
 
 def _by_key_then_serial(elems: np.ndarray) -> np.ndarray:
     """``elems`` in (key, serial) order."""
-    return elems[np.lexsort((elems["serial"], elems["key"]))]
+    return elems[sort_order(elems["key"], elems["serial"])]
 
 
 def internal_parallel_sort(cluster, loads: list[np.ndarray],

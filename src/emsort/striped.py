@@ -24,6 +24,7 @@ from .core import (
     PHASE_STRIPED_MERGE,
     concat,
     derive_seed,
+    sort_order,
 )
 from .merge import batch_merge
 from .net import gather_splitters
@@ -127,7 +128,9 @@ def build_prediction_sequence(cluster, runs: list[StripedRun]):
                                + pos[pes == pe].tolist()
                                for pe in range(cluster.cfg.P)],
                      PHASE_STRIPED_MERGE)
-    order = np.lexsort((pos, run_of, minima))
+    # Joined in run order and each run in position order, a block's index
+    # is its run's offset plus its position: the tie order (run, position).
+    order = sort_order(minima, np.arange(len(minima)))
     return minima[order], run_of[order], pos[order]
 
 

@@ -43,7 +43,7 @@ class _PEArray:
     """Block storage of one PE: logical block id -> block."""
 
     def __init__(self, d: int):
-        self.blocks: dict[int, np.ndarray] = {}
+        self.blocks: dict[int, bytes] = {}   # B elements, ELEM-encoded
         self.next_slot = [0] * d
         self.peak_allocated = 0
 
@@ -134,7 +134,7 @@ class Cluster:
         blocks, free = arr.blocks, arr.next_slot
         for i, lb in enumerate(lbs):
             # A bytes slice is a fresh copy, so each block owns its memory.
-            blocks[lb] = np.frombuffer(raw[i * size:(i + 1) * size], ELEM)
+            blocks[lb] = raw[i * size:(i + 1) * size]
             if lb // D >= free[lb % D]:
                 free[lb % D] = lb // D + 1
         arr.peak_allocated = max(arr.peak_allocated, len(blocks))
@@ -144,8 +144,6 @@ class Cluster:
         uncounted."""
         blocks = self.arrays[pe].blocks
         try:
-            if len(lbs) == 1:       # a stored block is read-only already
-                return blocks[lbs[0]]
             return concat(list(map(blocks.__getitem__, lbs)))
         except KeyError as exc:
             raise DiskError(f"read of unallocated block pe={pe} "

@@ -1,14 +1,15 @@
 """Configuration, element encoding, fingerprints, and phase counters."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from emsort.core import (
     ALL_PHASES, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
     PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, PhaseCounters,
-    checksum128, derive_seed, parse_config_text, sentinel, sentinel_mask,
-    validate_config,
+    SENTINEL_SERIAL, checksum128, derive_seed, parse_config_text, sentinel,
+    sentinel_mask, sort_order, validate_config,
 )
 
 from helpers import element_from_bytes, element_to_bytes, elements as element_array
@@ -106,6 +107,43 @@ def test_derive_seed_is_stable_and_spreads():
     seen = {derive_seed(9, tag) for tag in range(1000)}
     assert len(seen) == 1000
     assert derive_seed(9, 1, 2) != derive_seed(9, 2, 1)
+
+
+#: Sort keys, the extremes often; ties, duplicates and the sentinel serial
+#: often.
+sort_keys = st.one_of(st.sampled_from([0, 1, MAX_KEY - 1, MAX_KEY]),
+                      st.integers(0, MAX_KEY))
+sort_ties = st.one_of(st.just(SENTINEL_SERIAL), st.integers(0, 3),
+                      st.integers(-2**63, 2**63 - 1))
+
+
+@st.composite
+def sort_inputs(draw):
+    """Keys of one shape, and as many ties."""
+    shape = draw(st.sampled_from(["empty", "one", "increasing", "nondecreasing",
+                                  "equal", "few", "distinct", "random"]))
+    n = {"empty": 0, "one": 1}.get(shape, draw(st.integers(2, 40)))
+    if shape in ("increasing", "distinct"):
+        keys = sorted(draw(st.sets(sort_keys, min_size=n, max_size=n)))
+        if shape == "distinct":
+            keys = draw(st.permutations(keys))
+    elif shape == "equal":
+        keys = [draw(sort_keys)] * n
+    elif shape in ("nondecreasing", "few"):
+        pool = draw(st.lists(sort_keys, min_size=1, max_size=3))
+        keys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        if shape == "nondecreasing":
+            keys = sorted(keys)
+    else:
+        keys = draw(st.lists(sort_keys, min_size=n, max_size=n))
+    ties = draw(st.lists(sort_ties, min_size=n, max_size=n))
+    return np.array(keys, np.uint64), np.array(ties, np.int64)
+
+
+@given(sort_inputs())
+def test_sort_order_is_lexsort(drawn):
+    keys, ties = drawn
+    assert sort_order(keys, ties).tolist() == np.lexsort((ties, keys)).tolist()
 
 
 def fingerprint(tuples) -> tuple[int, int]:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 import emsort
 
-from emsort import cli
+from emsort import cli, harness
 from emsort.cli import main as cli_main
 from emsort.core import DATA_PHASES, MachineConfig, sentinel, validate_config
 from emsort.harness import (
@@ -24,7 +25,7 @@ from emsort.harness import (
 )
 from emsort.redistribute import compute_splitters, per_run_moved
 from emsort.runform import form_runs, run_layout
-from emsort.vdisk import Cluster, OutputLayout
+from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
     build, counter_state, fill, input_elements, oracle_agrees, output_elements,
@@ -212,6 +213,40 @@ def test_verify_detects_decrease_across_a_chunk_boundary():
     swap(cl, layout, VERIFY_CHUNK - 1, VERIFY_CHUNK)
     verdict = verify_output(cl, layout, gen.count, gen.total)
     assert verdict.failures == [f"keys decrease at position {VERIFY_CHUNK}"]
+
+
+def test_verify_peeks_each_chunk_once_per_pe(monkeypatch):
+    """A striped output changes PE every D blocks; each chunk is still read
+    with one call per PE and checked in layout order."""
+    monkeypatch.setattr(harness, "VERIFY_CHUNK", 32)      # 8 blocks of 4
+    cl = build(P=2, B=4, m=32, N=128, seed=31)
+    gen = fill(cl, "random", 31)
+    layout = run_sort(cl, gen.pe_blocks, "striped").layout
+    assert {pe for pe, _lb in layout.stripe[:8]} == {0, 1}
+    swap(cl, layout, 45, 46)
+    calls: Counter[int] = Counter()
+    peek = cl.peek_blocks
+
+    def counted(pe, lbs):
+        calls[pe] += 1
+        return peek(pe, lbs)
+
+    monkeypatch.setattr(cl, "peek_blocks", counted)
+    verdict = verify_output(cl, layout, gen.count, gen.total)
+    assert verdict.failures == ["keys decrease at position 46"]
+    assert calls == {0: 4, 1: 4}
+
+
+def test_verify_names_the_first_missing_block_in_layout_order():
+    cl = build(P=2, B=4, m=32, N=128, seed=37)
+    gen = fill(cl, "random", 37)
+    layout = run_sort(cl, gen.pe_blocks, "striped").layout
+    first = next(addr for addr in layout.stripe if addr[0] == 1)
+    later = next(addr for addr in reversed(layout.stripe) if addr[0] == 0)
+    for pe, lb in (first, later):
+        cl.free_blocks(pe, [lb])
+    with pytest.raises(DiskError, match=f"pe=1 lb={first[1]}$"):
+        verify_output(cl, layout, gen.count, gen.total)
 
 
 def test_verify_detects_decrease_in_the_last_block():
@@ -511,6 +546,47 @@ def test_cli_refuses_a_cfg_value_of_the_wrong_type(tmp_path, command, field,
     with pytest.raises(SystemExit) as refusal:
         cli_main([command, "--persist", str(path.parent)])
     assert str(refusal.value) == f"error: {path}: bad cfg: {reason}"
+
+
+@pytest.mark.parametrize("engine, damage, reason", [
+    ("canonical", lambda layout: {},
+     "engine must be one of canonical, striped, got None"),
+    ("canonical", lambda layout: [layout], "not an object"),
+    ("canonical", lambda layout: {**layout, "engine": "heap"},
+     "engine must be one of canonical, striped, got 'heap'"),
+    ("canonical", lambda layout: {**layout, "per_pe": layout["per_pe"][:1]},
+     "per_pe must be 2 lists of block ids"),
+    ("canonical", lambda layout: {
+        **layout, "per_pe": [row[:1] + ["7"] for row in layout["per_pe"]]},
+     "per_pe must be 2 lists of block ids"),
+    ("canonical", lambda layout: {**layout, "stripe": [[0, 0]]},
+     "stripe must be null for the canonical engine"),
+    ("striped", lambda layout: {**layout, "stripe": None},
+     "stripe must be a list of [pe, lb] pairs with pe < 2"),
+    ("striped", lambda layout: {
+        **layout, "stripe": [addr + [0] for addr in layout["stripe"]]},
+     "stripe must be a list of [pe, lb] pairs with pe < 2"),
+    ("striped", lambda layout: {
+        **layout, "stripe": [[2, lb] for _pe, lb in layout["stripe"]]},
+     "stripe must be a list of [pe, lb] pairs with pe < 2"),
+    ("striped", lambda layout: {**layout, "per_pe": [[0], [0]]},
+     "per_pe must be null for the striped engine"),
+], ids=["empty", "not-an-object", "unknown-engine", "per_pe-short",
+        "per_pe-string-id", "canonical-with-stripe", "stripe-null",
+        "stripe-triples", "stripe-pe-out-of-range", "striped-with-per_pe"])
+def test_cli_verify_refuses_a_malformed_layout(tmp_path, engine, damage,
+                                               reason):
+    config = write_config(tmp_path / "grid.cfg")
+    store = tmp_path / "output"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert cli_main(["sort", "--persist", str(store), "--engine", engine]) == 0
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["layout"] = damage(manifest["layout"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["verify", "--persist", str(store)])
+    assert str(refusal.value) == f"error: {path}: bad layout: {reason}"
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from emsort.core import (
@@ -24,8 +26,8 @@ tied_elements = st.one_of(st.tuples(st.integers(0, 3), st.integers(0, 10**6)),
                           st.just(sentinel()))
 
 
-def pipeline(P=4, B=4, m=32, N=384, kind="random", seed=0):
-    cl = build(P=P, D=2, B=B, m=m, N=N, seed=seed)
+def pipeline(P=4, B=4, m=32, N=384, kind="random", seed=0, randomize=True):
+    cl = build(P=P, D=2, B=B, m=m, N=N, seed=seed, randomize=randomize)
     gen = fill(cl, kind, seed)
     inputs = input_elements(cl, gen)   # snapshot before blocks are recycled
     runs = form_runs(cl, gen.pe_blocks)
@@ -216,3 +218,50 @@ def test_merge_conserves_content_on_duplicate_heavy_input():
     cl, inputs, redist = pipeline(kind="duplicate_heavy", seed=17)
     layout = local_multiway_merge(cl, redist.staged)
     assert oracle_agrees(inputs, output_elements(cl, layout))
+
+
+def test_local_merge_writes_and_frees_each_slice_in_two_calls():
+    """At most two write and two free calls per PE, even on shifted input
+    at B = 4, where a staged block falls due at nearly every output step:
+    a return to writing between due steps fails here."""
+    cl, _inputs, redist = pipeline(B=4, m=64, N=1024, kind="worst_case_shift",
+                                   randomize=False)
+    calls: Counter[tuple[str, int]] = Counter()
+    for name in ("write_blocks", "free_blocks"):
+        def counted(pe, *args, _method=getattr(cl, name), _name=name):
+            calls[_name, pe] += 1
+            return _method(pe, *args)
+        setattr(cl, name, counted)
+    local_multiway_merge(cl, redist.staged)
+    assert {pe for _name, pe in calls} == set(range(cl.cfg.P))
+    assert max(calls.values()) <= 2, calls
+
+
+@pytest.mark.parametrize("kind, randomize", [("worst_case_shift", False),
+                                             ("duplicate_heavy", True)])
+def test_local_merge_matches_the_stream_on_every_pe(kind, randomize):
+    """Output, counters, per-PE peak occupancy and live blocks equal the
+    block-at-a-time stream's on every PE.  On shifted input a block falls
+    due at nearly every output step; on tied keys the stream peaks inside
+    the slice."""
+    config = dict(B=4, m=64, N=1024, kind=kind, seed=3, randomize=randomize)
+    ref_cl, _inputs, ref_redist = pipeline(**config)
+    cl, _inputs, redist = pipeline(**config)
+    for arr in ref_cl.arrays + cl.arrays:   # so the merge's own peak shows
+        arr.peak_allocated = 0
+    expected = helpers.local_multiway_merge(ref_cl, ref_redist.staged)
+    layout = local_multiway_merge(cl, redist.staged)
+    assert layout.per_pe == expected.per_pe
+    assert output_elements(cl, layout) == output_elements(ref_cl, expected)
+    assert counter_state(cl) == counter_state(ref_cl)
+    for pe in range(cl.cfg.P):
+        assert cl.peak_allocated(pe) == ref_cl.peak_allocated(pe)
+        assert live_blocks(cl, pe) == live_blocks(ref_cl, pe)
+
+
+def test_local_merge_refuses_a_segment_staged_on_another_pe():
+    cl, _inputs, redist = pipeline(seed=19)
+    ref = redist.staged[0][0].refs[0]
+    redist.staged[0][0].refs[0] = SegRef(1, ref.blocks, ref.start, ref.length)
+    with pytest.raises(RuntimeError, match="PE 0 merges a segment staged on PE 1"):
+        local_multiway_merge(cl, redist.staged)
