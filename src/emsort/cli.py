@@ -1,8 +1,10 @@
 """Command line interface: gen / sort / verify / experiment.
 
 A persisted run lives in a directory holding one binary image per (PE,
-disk) plus ``manifest.json`` describing the machine, the input fingerprint,
-and — after sorting — the output layout.  The process exit code is 0 iff
+disk) plus ``manifest.json`` describing the machine, the input kind and
+fingerprint, and — after sorting — the output layout as a PE column and a
+block-id column.  The input's block ids are not stored: ``gen`` puts every
+PE's input in blocks ``0 .. N/(P*B) - 1``.  The process exit code is 0 iff
 verification passed.
 """
 from __future__ import annotations
@@ -12,7 +14,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from .core import MachineConfig, load_config, validate_config
 from .harness import (
@@ -29,9 +31,10 @@ from .vdisk import Cluster, DiskError, OutputLayout
 
 MANIFEST = "manifest.json"
 
-#: The manifest fields that reading each stage needs besides ``cfg``.
-STAGE_FIELDS = {"input": ("kind", "count", "total", "pe_blocks"),
-                "output": ("count", "total", "layout")}
+#: The fields of each stage's manifest besides ``stage`` and ``cfg``: what
+#: ``gen`` and ``sort`` write and what reading that stage requires.
+STAGE_FIELDS = {"input": ("kind", "count", "total"),
+                "output": ("kind", "count", "total", "layout")}
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, kinds: bool = True) -> None:
@@ -54,15 +57,15 @@ def _load_cfg(args) -> MachineConfig:
         overrides["randomize"] = args.randomize == "on"
     try:
         return load_config(args.config, overrides)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"error: {args.config}: {exc}") from None
 
 
 def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
     """The manifest in ``directory`` and the machine config it records;
-    exits with ``error: …`` when either cannot be read, a ``cfg`` value has
-    the wrong type, the manifest describes another stage, or it lacks a
-    field that stage needs."""
+    exits with ``error: …`` when either cannot be read, the manifest
+    describes another stage, or one of that stage's fields is missing or
+    not in shape."""
     path = os.path.join(directory, MANIFEST)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,53 +80,48 @@ def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
         raise SystemExit(f"error: {path}: no cfg") from None
     except TypeError as exc:
         raise SystemExit(f"error: {path}: bad cfg: {exc}") from None
-    for field in fields(MachineConfig):
-        value = getattr(cfg, field.name)
-        want = bool if field.name == "randomize" else int
-        if type(value) is not want:
-            raise SystemExit(f"error: {path}: bad cfg: {field.name} must be "
-                             f"{want.__name__}, got {value!r}")
     if manifest.get("stage") != stage:
         raise SystemExit(f"error: {directory} does not hold an {stage} "
                          f"(stage={manifest.get('stage')!r})")
     for name in STAGE_FIELDS[stage]:
         if name not in manifest:
             raise SystemExit(f"error: {path}: no {name}")
-    if stage == "output":
-        why = _layout_fault(manifest["layout"], cfg.P)
+        why = _field_fault(name, manifest[name], cfg.P)
         if why:
-            raise SystemExit(f"error: {path}: bad layout: {why}")
+            raise SystemExit(f"error: {path}: bad {name}: {why}")
     return manifest, cfg
 
 
-def _layout_fault(desc, P: int) -> str | None:
-    """Why ``desc`` is not an output layout of a ``P``-PE machine: a known
-    ``engine``, that engine's field in shape (``per_pe`` as ``P`` lists of
-    ints, ``stripe`` as a list of ``[pe, lb]`` int pairs with ``pe < P``)
-    and the other field null; ``None`` when it is one."""
-    def is_id(value) -> bool:
-        return type(value) is int and value >= 0
+def _field_fault(name: str, value, P: int) -> str | None:
+    """Why ``value`` is not the manifest field ``name`` of a ``P``-PE
+    machine, or ``None`` when it is: ``kind`` one of :data:`INPUT_KINDS`,
+    ``count`` a non-negative int, ``total`` an int in ``[0, 2**128)``, and
+    ``layout`` an object of a known ``engine`` and two equal-length lists
+    of ints in ``[0, 2**63)``, ``pes`` (each below ``P``) and ``lbs``."""
+    def is_int(v, top=None) -> bool:
+        return type(v) is int and 0 <= v and (top is None or v < top)
 
-    if not isinstance(desc, dict):
+    if name == "kind":
+        return (None if value in INPUT_KINDS else
+                f"must be one of {', '.join(INPUT_KINDS)}, got {value!r}")
+    if name == "count":
+        return None if is_int(value) else f"must be a non-negative int, got {value!r}"
+    if name == "total":
+        return (None if is_int(value, 1 << 128) else
+                f"must be an int in [0, 2**128), got {value!r}")
+    if not isinstance(value, dict):
         return "not an object"
-    engine = desc.get("engine")
-    if engine not in ENGINES:
-        return f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-    field, other = (("per_pe", "stripe") if engine == "canonical"
-                    else ("stripe", "per_pe"))
-    if desc.get(other) is not None:
-        return f"{other} must be null for the {engine} engine"
-    value = desc.get(field)
-    if engine == "canonical":
-        if not (isinstance(value, list) and len(value) == P
-                and all(isinstance(row, list) and all(map(is_id, row))
-                        for row in value)):
-            return f"per_pe must be {P} lists of block ids"
-    elif not (isinstance(value, list)
-              and all(isinstance(addr, list) and len(addr) == 2
-                      and all(map(is_id, addr)) and addr[0] < P
-                      for addr in value)):
-        return f"stripe must be a list of [pe, lb] pairs with pe < {P}"
+    if value.get("engine") not in ENGINES:
+        return (f"engine must be one of {', '.join(ENGINES)}, "
+                f"got {value.get('engine')!r}")
+    pes, lbs = value.get("pes"), value.get("lbs")
+    if not (isinstance(pes, list) and isinstance(lbs, list)
+            and len(pes) == len(lbs)):
+        return "pes and lbs must be lists of equal length"
+    if not all(is_int(v, 1 << 63) for v in pes + lbs):
+        return "pes and lbs must hold ints in [0, 2**63)"
+    if pes and max(pes) >= P:
+        return f"pes must be below {P}, got {max(pes)}"
     return None
 
 
@@ -138,8 +136,13 @@ def _open_stats(path: str | None):
         raise SystemExit(f"error: {path}: {exc.strerror}") from None
 
 
-def _persist(cluster: Cluster, directory: str, payload: dict) -> None:
+def _persist(cluster: Cluster, directory: str, stage: str,
+             **values) -> None:
+    """Save the images and the ``stage`` manifest, whose fields
+    :data:`STAGE_FIELDS` names and ``values`` holds."""
     cluster.save_images(directory)      # creates the directory
+    payload = {"stage": stage, "cfg": asdict(cluster.cfg),
+               **{name: values[name] for name in STAGE_FIELDS[stage]}}
     with open(os.path.join(directory, MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -159,14 +162,8 @@ def cmd_gen(args) -> int:
     _check_cfg(cfg)
     cluster = Cluster(cfg)
     gen = generate_input(cluster, InputSpec(args.kind, cfg.N, cfg.seed))
-    _persist(cluster, args.persist, {
-        "stage": "input",
-        "cfg": asdict(cfg),
-        "kind": args.kind,
-        "count": gen.count,
-        "total": gen.total,
-        "pe_blocks": gen.pe_blocks,
-    })
+    _persist(cluster, args.persist, "input", kind=args.kind,
+             count=gen.count, total=gen.total)
     print(f"generated {gen.count} elements ({args.kind}) into {args.persist}")
     return 0
 
@@ -176,19 +173,18 @@ def cmd_sort(args) -> int:
         manifest, cfg = _read_manifest(args.persist, "input")
         _check_cfg(cfg, (args.engine,))
         cluster = Cluster.load_images(args.persist, cfg)
-        kind = manifest["kind"]
-        pe_blocks = [list(map(int, lbs)) for lbs in manifest["pe_blocks"]]
-        count, total = int(manifest["count"]), int(manifest["total"])
+        kind, count, total = (manifest["kind"], manifest["count"],
+                              manifest["total"])
     else:
         cfg = _load_cfg(args)
         _check_cfg(cfg, (args.engine,))
         cluster = Cluster(cfg)
         gen = generate_input(cluster, InputSpec(args.kind, cfg.N, cfg.seed))
-        kind = args.kind
-        pe_blocks = gen.pe_blocks
-        count, total = gen.count, gen.total
+        kind, count, total = args.kind, gen.count, gen.total
 
-    result = run_sort(cluster, pe_blocks, args.engine)
+    # Generating into a fresh cluster puts each PE's input in its first ids.
+    blocks = [list(range(cfg.blocks_per_pe)) for _ in range(cfg.P)]
+    result = run_sort(cluster, blocks, args.engine)
     verdict = verify_output(cluster, result.layout, count, total)
     text = report_stats(cfg, result, kind)
     sys.stdout.write(text)
@@ -197,19 +193,10 @@ def cmd_sort(args) -> int:
 
     if args.persist:
         layout = result.layout
-        _persist(cluster, args.persist, {
-            "stage": "output",
-            "cfg": asdict(cfg),
-            "kind": kind,
-            "count": count,
-            "total": total,
-            "layout": {
-                "engine": layout.engine,
-                "per_pe": layout.per_pe,
-                "stripe": ([list(addr) for addr in layout.stripe]
-                           if layout.stripe is not None else None),
-            },
-        })
+        _persist(cluster, args.persist, "output", kind=kind, count=count,
+                 total=total, layout={"engine": layout.engine,
+                                      "pes": layout.pes.tolist(),
+                                      "lbs": layout.lbs.tolist()})
     if verdict.ok:
         print("verification: pass", file=sys.stderr)
         return 0
@@ -222,13 +209,9 @@ def cmd_verify(args) -> int:
     manifest, cfg = _read_manifest(args.persist, "output")
     cluster = Cluster.load_images(args.persist, cfg)
     desc = manifest["layout"]
-    stripe = desc.get("stripe")
-    layout = OutputLayout(
-        desc["engine"],
-        per_pe=desc.get("per_pe"),
-        stripe=[tuple(addr) for addr in stripe] if stripe is not None else None)
-    verdict = verify_output(cluster, layout, int(manifest["count"]),
-                            int(manifest["total"]))
+    layout = OutputLayout(desc["engine"], desc["pes"], desc["lbs"])
+    verdict = verify_output(cluster, layout, manifest["count"],
+                            manifest["total"])
     if verdict.ok:
         print("verification: pass")
         return 0

@@ -124,6 +124,12 @@ class MachineConfig:
     randomize: bool = True
     elem_size: int = 16
 
+    def __post_init__(self) -> None:
+        for f in fields(self):      # ``f.type`` is the annotation's text
+            value = getattr(self, f.name)
+            if type(value).__name__ != f.type:
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+
     @property
     def M(self) -> int:
         return self.P * self.m
@@ -218,16 +224,13 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
 
-_INT_FIELDS = {"P", "D", "B", "m", "N", "K", "seed", "elem_size"}
-
-
 def parse_config_text(text: str) -> dict[str, object]:
     """Parse ``key=value`` lines into a MachineConfig field dict.
 
     Blank lines and ``#`` comments are ignored; keys must be MachineConfig
-    field names.
+    field names, and each value is read as that field's type.
     """
-    known = {f.name for f in fields(MachineConfig)}
+    types = {f.name: f.type for f in fields(MachineConfig)}
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -236,21 +239,19 @@ def parse_config_text(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key == "randomize":
+        if types[key] == "bool":
             try:
                 out[key] = _BOOL_WORDS[value.lower()]
             except KeyError:
                 raise ValueError(f"line {lineno}: bad boolean {value!r}") from None
-        elif key in _INT_FIELDS:
+        else:
             try:
                 out[key] = int(value)
             except ValueError:
                 raise ValueError(f"line {lineno}: {key} must be an integer, "
                                  f"got {value!r}") from None
-        else:
-            out[key] = value
     return out
 
 

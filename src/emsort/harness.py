@@ -1,8 +1,11 @@
 """Input generation, sort orchestration, verification, and reporting.
 
 Inputs are laid out in processor bands: element e of the global input lives
-on PE e // (N/P).  Every kind is a pure function of (kind, N, seed, cfg), so
-runs are reproducible bit for bit.
+on PE e // (N/P), in blocks ``0 .. N/(P*B) - 1`` of a fresh cluster.  Every
+kind is a pure function of (kind, N, seed, cfg), so runs are reproducible
+bit for bit.  Both engines report their output as one
+:class:`~emsort.vdisk.OutputLayout` (a PE column and a block-id column in
+key order), which :func:`verify_output` walks in that order.
 
 The ``worst_case_shift`` kind assigns each element a key equal to its global
 sorted rank, choosing the ranks so that run formation leaves every run's
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -187,10 +189,9 @@ def run_sort(cluster: Cluster, pe_blocks: list[list[int]],
             peak_round_footprint=max(redist.peak_footprint, default=0))
     else:
         final, passes = striped_sort(cluster, pe_blocks)
-        stripe = list(zip(final.pes.tolist(), final.lbs.tolist()))
-        layout = OutputLayout("striped", per_pe=None, stripe=stripe)
-        result = SortResult(engine, layout, cluster.counters,
-                            merge_passes=passes)
+        result = SortResult(engine,
+                            OutputLayout("striped", final.pes, final.lbs),
+                            cluster.counters, merge_passes=passes)
     result.wall_seconds = time.perf_counter() - start
     return result
 
@@ -231,8 +232,11 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
                   total: int) -> VerifyResult:
     """Check sortedness, content preservation, and placement of an output.
 
-    ``count``/``total`` are the fingerprint of the generated input.  Reads
-    are unmetered: verification is not part of the simulated machine.
+    The output is walked in layout order, across PE boundaries too.
+    ``count``/``total`` are the fingerprint of the generated input.  A
+    canonical output must list its PEs in non-decreasing order, ``N/P``
+    elements each; a striped one must stripe round robin over all disks.
+    Reads are unmetered: verification is not part of the simulated machine.
     """
     cfg = cluster.cfg
     res = VerifyResult(True)
@@ -240,13 +244,10 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     sum128 = 0
     last_key = None
     ordered = True
-    blocks = list(layout.iter_blocks())
-    block_pes = np.fromiter(map(itemgetter(0), blocks), np.int64, len(blocks))
-    block_ids = np.fromiter(map(itemgetter(1), blocks), np.int64, len(blocks))
+    pes, lbs = layout.pes, layout.lbs
     step = max(1, VERIFY_CHUNK // cfg.B)
-    for g in range(0, len(blocks), step):
-        chunk = _peek_in_order(cluster, block_pes[g:g + step],
-                               block_ids[g:g + step])
+    for g in range(0, len(pes), step):
+        chunk = _peek_in_order(cluster, pes[g:g + step], lbs[g:g + step])
         keys, serials = chunk["key"], chunk["serial"]
         base = g * cfg.B
         leaks = np.flatnonzero(sentinel_mask(chunk))
@@ -269,23 +270,16 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     if sum128 != total:
         res.fail("output content differs from input (fingerprint mismatch)")
 
-    if layout.per_pe is not None:
+    if layout.engine == "canonical":
+        back = np.flatnonzero(pes[1:] < pes[:-1])
+        if back.size:
+            res.fail(f"PEs out of order at block {back[0] + 1}")
         slice_len = cfg.N // cfg.P
-        boundary_key = None
-        for pe, lbs in enumerate(layout.per_pe):
-            held = len(lbs) * cfg.B
-            if held != slice_len:
-                res.fail(f"PE {pe} holds {held} elements, expected {slice_len}")
-                continue
-            if not lbs:
-                continue
-            first = int(cluster.peek_blocks(pe, lbs[:1])["key"][0])
-            last = int(cluster.peek_blocks(pe, lbs[-1:])["key"][-1])
-            if boundary_key is not None and first < boundary_key:
-                res.fail(f"partition boundary {pe - 1}|{pe} out of order")
-            boundary_key = last
+        held = np.bincount(pes, minlength=cfg.P) * cfg.B
+        for pe in np.flatnonzero(held != slice_len).tolist():
+            res.fail(f"PE {pe} holds {held[pe]} elements, expected {slice_len}")
     else:
-        disks = block_pes * cfg.D + block_ids % cfg.D
+        disks = pes * cfg.D + lbs % cfg.D
         breaks = np.flatnonzero(
             disks != (disks[:1] + np.arange(len(disks))) % cfg.total_disks)
         if breaks.size:

@@ -21,7 +21,8 @@ from .vdisk import OutputLayout
 
 
 def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout:
-    """Merge every processor's staged segments into its output slice.
+    """Merge every processor's staged segments into its output slice; the
+    layout lists the PEs' output blocks in PE order.
 
     Each staged block is due for freeing once the merge has consumed its
     last element.  A streaming merge would free it there, between two
@@ -32,7 +33,7 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
     """
     cfg = cluster.cfg
     B = cfg.B
-    per_pe: list[list[int]] = []
+    out_lbs: list[np.ndarray] = []
     for t in range(cfg.P):
         pieces = []
         held: list[int] = []    # every block read, all on PE t
@@ -77,8 +78,10 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
                 cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
                                      PHASE_LOCAL_MERGE)
         cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(held) * B - n)
-        per_pe.append(out_blocks)
-    return OutputLayout("canonical", per_pe=per_pe, stripe=None)
+        out_lbs.append(np.array(out_blocks, np.int64))
+    return OutputLayout("canonical",
+                        np.repeat(np.arange(cfg.P), list(map(len, out_lbs))),
+                        np.concatenate(out_lbs))
 
 
 def batch_merge(elems: np.ndarray, tags: np.ndarray,

@@ -11,7 +11,8 @@ touches; input materialization and verification use the uncounted
 ``seed_blocks`` / ``peek_blocks`` so the engine I/O identities stay exact.
 A stored block is a read-only copy of what was written; a read hands back
 the blocks joined as one read-only array.  A refused run raises before it
-changes anything.
+changes anything.  A finished sort's :class:`OutputLayout` names its output
+blocks the way a striped run does: a PE column and a block-id column.
 """
 from __future__ import annotations
 
@@ -31,9 +32,6 @@ from .core import (
     concat,
     sentinel_mask,
 )
-
-BlockAddr = tuple[int, int]  # (pe, logical block id)
-
 
 class DiskError(Exception):
     pass
@@ -241,21 +239,18 @@ def _decode_elements(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OutputLayout:
-    """Where a finished sort left its output.
+    """Where a finished sort left its output: output block ``g``, in key
+    order, is block ``lbs[g]`` of PE ``pes[g]``, both ``int64`` columns.
 
-    canonical engine: ``per_pe[i]`` lists PE i's output blocks in key order.
-    striped engine:   ``stripe`` lists (pe, lb) globally in key order.
+    The canonical engine leaves each PE's slice on that PE, so ``pes`` does
+    not decrease; the striped engine stripes the blocks round robin over
+    all ``P*D`` disks.
     """
 
     engine: str
-    per_pe: list[list[int]] | None = None
-    stripe: list[BlockAddr] | None = None
+    pes: np.ndarray
+    lbs: np.ndarray
 
-    def iter_blocks(self):
-        if self.per_pe is not None:
-            for pe, blocks in enumerate(self.per_pe):
-                for lb in blocks:
-                    yield pe, lb
-        else:
-            assert self.stripe is not None
-            yield from self.stripe
+    def __post_init__(self) -> None:
+        self.pes = np.asarray(self.pes, np.int64)
+        self.lbs = np.asarray(self.lbs, np.int64)

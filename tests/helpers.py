@@ -45,9 +45,15 @@ def input_elements(cluster: Cluster, gen: GeneratedInput) -> list[Element]:
     return out
 
 
+def addresses(columns) -> list[tuple[int, int]]:
+    """Every block of an output layout or a striped run as ``(pe, lb)``,
+    in order."""
+    return list(zip(columns.pes.tolist(), columns.lbs.tolist()))
+
+
 def output_elements(cluster: Cluster, layout: OutputLayout) -> list[Element]:
     out: list[Element] = []
-    for pe, lb in layout.iter_blocks():
+    for pe, lb in addresses(layout):
         out.extend(cluster.peek_blocks(pe, [lb]).tolist())
     return out
 
@@ -254,7 +260,9 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
         cluster.counters.add_overhead(PHASE_LOCAL_MERGE,
                                       stats["reads"] * B - consumed)
         per_pe.append(out_blocks)
-    return OutputLayout("canonical", per_pe=per_pe, stripe=None)
+    return OutputLayout("canonical",
+                        [pe for pe, lbs in enumerate(per_pe) for _lb in lbs],
+                        [lb for lbs in per_pe for lb in lbs])
 
 
 def batch_merge(buffers: list[list[Element]], offsets: list[int],

@@ -24,7 +24,8 @@ from emsort.striped import naive_steps, prefetch_schedule, verify_schedule
 from emsort.vdisk import Cluster
 
 from helpers import (
-    MemoryAccessor, fill, input_elements, oracle_agrees, output_elements,
+    MemoryAccessor, addresses, fill, input_elements, oracle_agrees,
+    output_elements,
 )
 from test_selection import brute_force_select
 
@@ -237,7 +238,7 @@ def test_criterion_7_striped_pass_counts_and_balance():
         cluster, gen, _inputs, result = sort_fresh(cfg, "random", "striped")
         assert verify_output(cluster, result.layout, gen.count, gen.total).ok
         per_disk = {}
-        for pe, lb in result.layout.iter_blocks():
+        for pe, lb in addresses(result.layout):
             disk = pe * cfg.D + lb % cfg.D
             per_disk[disk] = per_disk.get(disk, 0) + 1
         balance = max(per_disk.values()) - min(per_disk.values())

@@ -38,6 +38,19 @@ def test_machine_config_derived_quantities():
     assert MachineConfig(P=1, D=1, B=1, m=1, N=0).R == 0
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("P", "2", "P must be int, got '2'"),
+    ("N", np.int64(8), f"N must be int, got {np.int64(8)!r}"),
+    ("K", 1.0, "K must be int, got 1.0"),
+    ("elem_size", False, "elem_size must be int, got False"),
+    ("randomize", 1, "randomize must be bool, got 1"),
+])
+def test_machine_config_refuses_a_value_of_the_wrong_type(field, value, reason):
+    with pytest.raises(TypeError) as refusal:
+        MachineConfig(**{**dict(P=2, D=2, B=4, m=32, N=64), field: value})
+    assert str(refusal.value) == reason
+
+
 def test_striped_passes_counts():
     cfg = MachineConfig(P=2, D=2, B=4, m=32, N=256)     # R=4, arity=8
     assert cfg.striped_passes() == 1

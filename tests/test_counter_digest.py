@@ -136,8 +136,9 @@ def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
     result = run_sort(cluster, gen.pe_blocks, engine)
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
+    layout = result.layout
     out = concat([cluster.peek_blocks(pe, [lb])
-                  for pe, lb in result.layout.iter_blocks()])
+                  for pe, lb in zip(layout.pes.tolist(), layout.lbs.tolist())])
     columns = out["key"].astype("<u8").tobytes() + out["serial"].astype("<i8").tobytes()
     assert (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,
             hashlib.sha256(columns).hexdigest(),

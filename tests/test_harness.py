@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emsort
@@ -28,7 +29,8 @@ from emsort.runform import form_runs, run_layout
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    build, counter_state, fill, input_elements, oracle_agrees, output_elements,
+    addresses, build, counter_state, fill, input_elements, oracle_agrees,
+    output_elements,
 )
 
 
@@ -50,6 +52,8 @@ def test_every_kind_generates_the_configured_count(kind):
     assert len(elems) == 384
     assert gen.count == 384
     assert len({e[1] for e in elems}) == 384      # serials are unique
+    # ``sort --persist`` derives these ids from the config.
+    assert gen.pe_blocks == [list(range(384 // 4 // 4))] * 4
 
 
 def test_generation_rejects_mismatched_sizes():
@@ -154,7 +158,7 @@ def sorted_run_result(seed=19):
 
 def test_verify_detects_order_violation():
     cl, gen, result = sorted_run_result()
-    pe, lb = next(iter(result.layout.iter_blocks()))
+    pe, lb = addresses(result.layout)[0]
     block = cl.peek_blocks(pe, [lb]).tolist()
     block[0] = (block[0][0] + 10 ** 9, block[0][1])   # bump one key
     cl.seed_blocks(pe, [lb], block)
@@ -165,7 +169,7 @@ def test_verify_detects_order_violation():
 
 def test_verify_detects_lost_element():
     cl, gen, result = sorted_run_result(seed=23)
-    pe, lb = next(iter(result.layout.iter_blocks()))
+    pe, lb = addresses(result.layout)[0]
     block = cl.peek_blocks(pe, [lb]).tolist()
     block[1] = block[0]                                # duplicate, drop one
     cl.seed_blocks(pe, [lb], block)
@@ -175,7 +179,7 @@ def test_verify_detects_lost_element():
 
 def test_verify_detects_sentinel_leak():
     cl, gen, result = sorted_run_result(seed=29)
-    pe, lb = next(iter(result.layout.iter_blocks()))
+    pe, lb = addresses(result.layout)[0]
     block = cl.peek_blocks(pe, [lb]).tolist()
     block[2] = sentinel()
     cl.seed_blocks(pe, [lb], block)
@@ -188,14 +192,15 @@ def sorted_output(P=2, N=128, B=4):
     """A sorted input laid out as a canonical output: element i has key i."""
     cl = build(P=P, B=B, m=max(32, 2 * B), N=N)
     gen = fill(cl, "sorted")
-    layout = OutputLayout("canonical", per_pe=gen.pe_blocks)
+    layout = OutputLayout("canonical", np.repeat(np.arange(P), N // P // B),
+                          np.concatenate(gen.pe_blocks))
     assert verify_output(cl, layout, gen.count, gen.total).ok
     return cl, gen, layout
 
 
 def set_elements(cl, layout, changes):
     """Overwrite output positions: ``changes`` maps position -> element."""
-    blocks = list(layout.iter_blocks())
+    blocks = addresses(layout)
     for position, elem in changes.items():
         pe, lb = blocks[position // cl.cfg.B]
         block = cl.peek_blocks(pe, [lb]).tolist()
@@ -222,7 +227,7 @@ def test_verify_peeks_each_chunk_once_per_pe(monkeypatch):
     cl = build(P=2, B=4, m=32, N=128, seed=31)
     gen = fill(cl, "random", 31)
     layout = run_sort(cl, gen.pe_blocks, "striped").layout
-    assert {pe for pe, _lb in layout.stripe[:8]} == {0, 1}
+    assert set(layout.pes[:8].tolist()) == {0, 1}
     swap(cl, layout, 45, 46)
     calls: Counter[int] = Counter()
     peek = cl.peek_blocks
@@ -241,8 +246,9 @@ def test_verify_names_the_first_missing_block_in_layout_order():
     cl = build(P=2, B=4, m=32, N=128, seed=37)
     gen = fill(cl, "random", 37)
     layout = run_sort(cl, gen.pe_blocks, "striped").layout
-    first = next(addr for addr in layout.stripe if addr[0] == 1)
-    later = next(addr for addr in reversed(layout.stripe) if addr[0] == 0)
+    blocks = addresses(layout)
+    first = next(addr for addr in blocks if addr[0] == 1)
+    later = next(addr for addr in reversed(blocks) if addr[0] == 0)
     for pe, lb in (first, later):
         cl.free_blocks(pe, [lb])
     with pytest.raises(DiskError, match=f"pe=1 lb={first[1]}$"):
@@ -287,9 +293,32 @@ def test_verify_detects_a_corrupted_striped_block():
 
 def test_verify_detects_partition_imbalance():
     cl, gen, result = sorted_run_result(seed=31)
-    result.layout.per_pe[0] = result.layout.per_pe[0][:-1]   # drop a block
-    verdict = verify_output(cl, result.layout, gen.count, gen.total)
+    pes, lbs = result.layout.pes, result.layout.lbs
+    keep = np.arange(len(pes)) != np.flatnonzero(pes == 0)[-1]  # drop a block
+    layout = OutputLayout("canonical", pes[keep], lbs[keep])
+    verdict = verify_output(cl, layout, gen.count, gen.total)
     assert not verdict.ok
+
+
+def test_verify_detects_pes_out_of_order():
+    """A striped output is sorted and balanced over the PEs, so read as a
+    canonical layout only its PE order is wrong."""
+    cl = build(P=2, D=2, B=4, m=16, N=512, seed=43)
+    gen = fill(cl, "random", 43)
+    layout = run_sort(cl, gen.pe_blocks, "striped").layout
+    back = int(np.flatnonzero(np.diff(layout.pes) < 0)[0]) + 1
+    canonical = OutputLayout("canonical", layout.pes, layout.lbs)
+    verdict = verify_output(cl, canonical, gen.count, gen.total)
+    assert verdict.failures == [f"PEs out of order at block {back}"]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_verify_detects_a_decrease_across_a_pe_boundary(t):
+    cl, gen, layout = sorted_output(P=4)
+    share = cl.cfg.N // cl.cfg.P
+    swap(cl, layout, t * share - 1, t * share)
+    verdict = verify_output(cl, layout, gen.count, gen.total)
+    assert verdict.failures == [f"keys decrease at position {t * share}"]
 
 
 # --- stats reporting -----------------------------------------------------------------
@@ -380,7 +409,9 @@ def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     assert cli_main(["sort", "--persist", str(store)]) == 0
-    lb = json.loads((store / "manifest.json").read_text())["layout"]["per_pe"][0][0]
+    layout = json.loads((store / "manifest.json").read_text())["layout"]
+    assert layout["pes"][0] == 0
+    lb = layout["lbs"][0]
     image = store / f"pe0_disk{lb % 2}.bin"       # D = 2
     data = bytearray(image.read_bytes())
     data[(lb // 2) * 4 * 16 + 15] ^= 0x80         # B = 4, elem_size = 16
@@ -398,7 +429,9 @@ def test_cli_verify_refuses_payload_bytes_past_the_serial(tmp_path):
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     assert cli_main(["sort", "--persist", str(store)]) == 0
-    lb = json.loads((store / "manifest.json").read_text())["layout"]["per_pe"][0][0]
+    layout = json.loads((store / "manifest.json").read_text())["layout"]
+    assert layout["pes"][0] == 0
+    lb = layout["lbs"][0]
     image = store / f"pe0_disk{lb % 2}.bin"       # D = 2
     data = bytearray(image.read_bytes())
     data[(lb // 2) * 4 * 24 + 20] ^= 0x01         # B = 4, elem_size = 24
@@ -505,14 +538,15 @@ def test_cli_refuses_a_malformed_manifest(tmp_path, damage, reason):
         assert str(refusal.value).startswith(f"error: {path}: {reason}")
 
 
-def persisted(tmp_path, command: str) -> Path:
+def persisted(tmp_path, command: str, engine: str = "canonical") -> Path:
     """The manifest of a store that ``command`` reads: a generated input
-    for ``sort``, a sorted output for ``verify``."""
+    for ``sort``, an output that ``engine`` sorted for ``verify``."""
     config = write_config(tmp_path / "grid.cfg")
     store = tmp_path / command
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     if command == "verify":
-        assert cli_main(["sort", "--persist", str(store)]) == 0
+        assert cli_main(["sort", "--persist", str(store), "--engine",
+                         engine]) == 0
     return store / "manifest.json"
 
 
@@ -548,45 +582,134 @@ def test_cli_refuses_a_cfg_value_of_the_wrong_type(tmp_path, command, field,
     assert str(refusal.value) == f"error: {path}: bad cfg: {reason}"
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("count", "abc", "must be a non-negative int, got 'abc'"),
+    ("count", -1, "must be a non-negative int, got -1"),
+    ("count", True, "must be a non-negative int, got True"),
+    ("total", 2 ** 128, f"must be an int in [0, 2**128), got {2 ** 128}"),
+    ("total", -1, "must be an int in [0, 2**128), got -1"),
+    ("total", "abc", "must be an int in [0, 2**128), got 'abc'"),
+    ("kind", "bogus", "must be one of random, sorted, reverse, duplicate_heavy, "
+                      "worst_case_shift, got 'bogus'"),
+], ids=["count-abc", "count-negative", "count-true", "total-2**128",
+        "total-negative", "total-abc", "kind-bogus"])
+@pytest.mark.parametrize("command", ["sort", "verify"])
+def test_cli_refuses_a_malformed_manifest_field(tmp_path, command, field,
+                                                value, reason):
+    path = persisted(tmp_path, command)
+    manifest = json.loads(path.read_text())
+    manifest[field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main([command, "--persist", str(path.parent)])
+    assert str(refusal.value) == f"error: {path}: bad {field}: {reason}"
+
+
+def drop(name):
+    return lambda layout: {k: v for k, v in layout.items() if k != name}
+
+
+def older_shape(layout):
+    """The layout as sorted stores once held it: one list of block ids per
+    PE for canonical, a list of ``[pe, lb]`` pairs for striped."""
+    pairs = list(zip(layout["pes"], layout["lbs"]))
+    if layout["engine"] == "canonical":
+        return {"engine": "canonical", "stripe": None,
+                "per_pe": [[lb for pe, lb in pairs if pe == p] for p in range(2)]}
+    return {"engine": "striped", "per_pe": None, "stripe": list(map(list, pairs))}
+
+
 @pytest.mark.parametrize("engine, damage, reason", [
-    ("canonical", lambda layout: {},
-     "engine must be one of canonical, striped, got None"),
     ("canonical", lambda layout: [layout], "not an object"),
     ("canonical", lambda layout: {**layout, "engine": "heap"},
      "engine must be one of canonical, striped, got 'heap'"),
-    ("canonical", lambda layout: {**layout, "per_pe": layout["per_pe"][:1]},
-     "per_pe must be 2 lists of block ids"),
-    ("canonical", lambda layout: {
-        **layout, "per_pe": [row[:1] + ["7"] for row in layout["per_pe"]]},
-     "per_pe must be 2 lists of block ids"),
-    ("canonical", lambda layout: {**layout, "stripe": [[0, 0]]},
-     "stripe must be null for the canonical engine"),
-    ("striped", lambda layout: {**layout, "stripe": None},
-     "stripe must be a list of [pe, lb] pairs with pe < 2"),
-    ("striped", lambda layout: {
-        **layout, "stripe": [addr + [0] for addr in layout["stripe"]]},
-     "stripe must be a list of [pe, lb] pairs with pe < 2"),
-    ("striped", lambda layout: {
-        **layout, "stripe": [[2, lb] for _pe, lb in layout["stripe"]]},
-     "stripe must be a list of [pe, lb] pairs with pe < 2"),
-    ("striped", lambda layout: {**layout, "per_pe": [[0], [0]]},
-     "per_pe must be null for the striped engine"),
-], ids=["empty", "not-an-object", "unknown-engine", "per_pe-short",
-        "per_pe-string-id", "canonical-with-stripe", "stripe-null",
-        "stripe-triples", "stripe-pe-out-of-range", "striped-with-per_pe"])
+    ("striped", drop("engine"),
+     "engine must be one of canonical, striped, got None"),
+    ("canonical", drop("pes"), "pes and lbs must be lists of equal length"),
+    ("striped", drop("lbs"), "pes and lbs must be lists of equal length"),
+    ("canonical", lambda layout: {**layout, "lbs": layout["lbs"][:-1]},
+     "pes and lbs must be lists of equal length"),
+    ("striped", lambda layout: {**layout, "pes": dict(enumerate(layout["pes"]))},
+     "pes and lbs must be lists of equal length"),
+    ("canonical", lambda layout: {**layout, "lbs": ["7"] + layout["lbs"][1:]},
+     "pes and lbs must hold ints in [0, 2**63)"),
+    ("striped", lambda layout: {**layout, "lbs": layout["lbs"][:-1] + [1.0]},
+     "pes and lbs must hold ints in [0, 2**63)"),
+    ("canonical", lambda layout: {**layout, "pes": [-1] + layout["pes"][1:]},
+     "pes and lbs must hold ints in [0, 2**63)"),
+    ("striped", lambda layout: {**layout, "lbs": [2 ** 63] + layout["lbs"][1:]},
+     "pes and lbs must hold ints in [0, 2**63)"),
+    ("striped", lambda layout: {**layout, "pes": layout["pes"][:-1] + [2]},
+     "pes must be below 2, got 2"),
+    ("canonical", older_shape, "pes and lbs must be lists of equal length"),
+    ("striped", older_shape, "pes and lbs must be lists of equal length"),
+], ids=["not-an-object", "unknown-engine", "no-engine", "no-pes", "no-lbs",
+        "unequal-lengths", "pes-not-a-list", "string-id", "float-id",
+        "negative-pe", "id-past-int64", "pe-out-of-range", "older-per_pe",
+        "older-stripe"])
 def test_cli_verify_refuses_a_malformed_layout(tmp_path, engine, damage,
                                                reason):
-    config = write_config(tmp_path / "grid.cfg")
-    store = tmp_path / "output"
-    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
-    assert cli_main(["sort", "--persist", str(store), "--engine", engine]) == 0
-    path = store / "manifest.json"
+    path = persisted(tmp_path, "verify", engine)
     manifest = json.loads(path.read_text())
     manifest["layout"] = damage(manifest["layout"])
     path.write_text(json.dumps(manifest))
     with pytest.raises(SystemExit) as refusal:
-        cli_main(["verify", "--persist", str(store)])
+        cli_main(["verify", "--persist", str(path.parent)])
     assert str(refusal.value) == f"error: {path}: bad layout: {reason}"
+
+
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_cli_sorts_an_input_manifest_that_lists_its_blocks(tmp_path, engine):
+    """Generated stores once also listed every PE's input block ids
+    (``pe_blocks``); such a store sorts to the same images and manifest."""
+    config = write_config(tmp_path / "grid.cfg")
+    stores = [tmp_path / "listed", tmp_path / "plain"]
+    for store in stores:
+        assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    path = stores[0] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["pe_blocks"] = [list(range(256 // 2 // 4))] * 2   # N / P / B each
+    path.write_text(json.dumps(manifest))
+    for store in stores:
+        assert cli_main(["sort", "--persist", str(store), "--engine",
+                         engine]) == 0
+    listed, plain = ({f.name: f.read_bytes() for f in store.iterdir()}
+                     for store in stores)
+    assert listed.keys() == plain.keys() and len(listed) == 2 * 2 + 1
+    assert listed == plain
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicate_heavy",
+                                  "worst_case_shift"])
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_cli_manifest_layout_round_trips(tmp_path, monkeypatch, engine, kind):
+    """The columns ``sort --persist`` writes are what ``verify --persist``
+    reads back: equal to the sort's own layout, as ``int64`` columns."""
+    results, verified = [], []
+
+    def sorting(*args):
+        results.append(run_sort(*args))
+        return results[-1]
+
+    def verifying(cluster, layout, *args):
+        verified.append(layout)
+        return verify_output(cluster, layout, *args)
+
+    monkeypatch.setattr(cli, "run_sort", sorting)
+    monkeypatch.setattr(cli, "verify_output", verifying)
+    config = write_config(tmp_path / "grid.cfg")
+    store = str(tmp_path / "state")
+    assert cli_main(["gen", "--config", config, "--kind", kind,
+                     "--persist", store]) == 0
+    assert cli_main(["sort", "--persist", store, "--engine", engine]) == 0
+    assert cli_main(["verify", "--persist", store]) == 0
+    [result] = results
+    sorted_layout, read_back = result.layout, verified[-1]
+    assert read_back.engine == sorted_layout.engine == engine
+    for column in ("pes", "lbs"):
+        assert getattr(read_back, column).dtype == np.int64
+        assert np.array_equal(getattr(read_back, column),
+                              getattr(sorted_layout, column))
 
 
 def test_cli_rejects_bad_config(tmp_path):
@@ -614,6 +737,15 @@ def test_cli_config_file_errors_are_reported(tmp_path, line, reason):
         with pytest.raises(SystemExit) as refusal:
             cli_main([*argv, "--config", config])
         assert str(refusal.value) == f"error: {config}: {reason}"
+
+
+def test_cli_config_file_without_a_field_is_reported(tmp_path):
+    config = tmp_path / "grid.cfg"
+    config.write_text("P = 2\nD = 2\nB = 4\nm = 32\n")
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["gen", "--config", str(config), "--persist", str(tmp_path / "s")])
+    assert str(refusal.value) == (f"error: {config}: MachineConfig.__init__() "
+                                  "missing 1 required positional argument: 'N'")
 
 
 def test_cli_experiment_refuses_zero_trials(tmp_path):

@@ -18,7 +18,9 @@ from emsort.striped import (
 from emsort.vdisk import Cluster, OutputLayout
 
 import helpers
-from helpers import build, fill, input_elements, is_allocated, oracle_agrees
+from helpers import (
+    addresses, build, fill, input_elements, is_allocated, oracle_agrees,
+)
 
 
 def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
@@ -27,11 +29,6 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
     inputs = input_elements(cl, gen)
     runs = form_striped_runs(cl, gen.pe_blocks)
     return cl, inputs, runs
-
-
-def addresses(run: StripedRun) -> list[tuple[int, int]]:
-    """Every block of a run as ``(pe, lb)``, in run order."""
-    return list(zip(run.pes.tolist(), run.lbs.tolist()))
 
 
 def run_elements(cl, run: StripedRun):
@@ -269,8 +266,9 @@ def sorted_by(sort, cfg: MachineConfig, kind: str):
     final, passes = sort(cl, gen.pe_blocks)
     stripe = final.blocks if isinstance(final, helpers.ReferenceStripedRun) \
         else addresses(final)
-    result = SortResult("striped", OutputLayout("striped", stripe=stripe),
-                        cl.counters, merge_passes=passes)
+    layout = OutputLayout("striped", [pe for pe, _lb in stripe],
+                          [lb for _pe, lb in stripe])
+    result = SortResult("striped", layout, cl.counters, merge_passes=passes)
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
     return (stripe, [cl.peek_blocks(pe, [lb]).tolist() for pe, lb in stripe],

@@ -6,6 +6,7 @@ import copy
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,8 +14,8 @@ from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    alloc_on_reference, alloc_reference, build, counter_state, element_from_bytes,
-    element_to_bytes, elements, is_allocated, live_blocks,
+    addresses, alloc_on_reference, alloc_reference, build, counter_state,
+    element_from_bytes, element_to_bytes, elements, is_allocated, live_blocks,
 )
 
 
@@ -316,8 +317,10 @@ def test_load_images_refuses_missing_and_partial_images(tmp_path):
         Cluster.load_images(str(tmp_path), cfg)
 
 
-def test_output_layout_iteration_orders():
-    per_pe = OutputLayout("canonical", per_pe=[[0, 2], [1]])
-    assert list(per_pe.iter_blocks()) == [(0, 0), (0, 2), (1, 1)]
-    stripe = OutputLayout("striped", stripe=[(1, 0), (0, 1)])
-    assert list(stripe.iter_blocks()) == [(1, 0), (0, 1)]
+def test_output_layout_holds_int64_columns_in_layout_order():
+    per_pe = OutputLayout("canonical", [0, 0, 1], [0, 2, 1])
+    assert addresses(per_pe) == [(0, 0), (0, 2), (1, 1)]
+    stripe = OutputLayout("striped", np.array([1, 0], np.int32), (0, 1))
+    assert addresses(stripe) == [(1, 0), (0, 1)]
+    for layout in (per_pe, stripe):
+        assert layout.pes.dtype == layout.lbs.dtype == np.int64
