@@ -118,9 +118,13 @@ def _field_fault(name: str, value, P: int) -> str | None:
     if not (isinstance(pes, list) and isinstance(lbs, list)
             and len(pes) == len(lbs)):
         return "pes and lbs must be lists of equal length"
-    if not all(is_int(v, 1 << 63) for v in pes + lbs):
+    ids = pes + lbs
+    if not (set(map(type, ids)) <= {int}
+            and (not ids or (0 <= min(ids) and max(ids) < 1 << 63))):
         return "pes and lbs must hold ints in [0, 2**63)"
-    if pes and max(pes) >= P:
+    try:
+        OutputLayout(value["engine"], pes, lbs).check_ids(P)
+    except DiskError:
         return f"pes must be below {P}, got {max(pes)}"
     return None
 
@@ -143,9 +147,11 @@ def _persist(cluster: Cluster, directory: str, stage: str,
     cluster.save_images(directory)      # creates the directory
     payload = {"stage": stage, "cfg": asdict(cluster.cfg),
                **{name: values[name] for name in STAGE_FIELDS[stage]}}
+    # ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump``
+    # never does.
+    text = json.dumps(payload, sort_keys=True)
     with open(os.path.join(directory, MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _check_cfg(cfg: MachineConfig, engines=ENGINES) -> None:

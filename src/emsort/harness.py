@@ -237,8 +237,11 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     canonical output must list its PEs in non-decreasing order, ``N/P``
     elements each; a striped one must stripe round robin over all disks.
     Reads are unmetered: verification is not part of the simulated machine.
+    Raises :class:`DiskError` for a block the layout names that is out of
+    range (:meth:`OutputLayout.check_ids`) or not allocated.
     """
     cfg = cluster.cfg
+    layout.check_ids(cfg.P)
     res = VerifyResult(True)
     seen = 0
     sum128 = 0

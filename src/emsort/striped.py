@@ -147,7 +147,7 @@ def prefetch_schedule(disks: list[int], W: int, D_total: int) -> list[int]:
     """
     if W < D_total:
         raise ValueError(f"buffer of {W} blocks cannot serve {D_total} disks")
-    if any(d < 0 or d >= D_total for d in disks):
+    if len(disks) and (min(disks) < 0 or max(disks) >= D_total):
         raise ValueError("disk index out of range")
     L = len(disks)
     queues: list[deque[int]] = [deque() for _ in range(D_total)]

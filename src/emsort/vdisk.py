@@ -122,8 +122,11 @@ class Cluster:
     def seed_blocks(self, pe: int, lbs: Sequence[int], elems) -> None:
         """Store ``elems`` (an element array, or a list of ``(key, serial)``
         tuples) as the blocks ``lbs`` of ``pe`` without charging I/O."""
+        self._store(pe, lbs, np.asarray(elems, ELEM).tobytes())
+
+    def _store(self, pe: int, lbs: Sequence[int], raw: bytes) -> None:
+        """Store the element bytes ``raw`` as the blocks ``lbs`` of ``pe``."""
         B, D = self.cfg.B, self.cfg.D
-        raw = np.asarray(elems, ELEM).tobytes()
         size = B * ELEM.itemsize
         if len(raw) != len(lbs) * size:
             raise DiskError(f"store of {len(raw) // ELEM.itemsize} elements "
@@ -167,48 +170,66 @@ class Cluster:
     def save_images(self, directory: str) -> None:
         """Write one ``pe<p>_disk<d>.bin`` per disk; slot ``s`` occupies bytes
         ``[s*B*elem_size, (s+1)*B*elem_size)``, holes zero-filled.  See
-        :func:`_encode_elements` for the element layout."""
+        :func:`_encode_elements` for the element layout; at ``elem_size``
+        16 a row is the element's own bytes, so the stored blocks are
+        written as they are."""
         os.makedirs(directory, exist_ok=True)
         B, D, es = self.cfg.B, self.cfg.D, self.cfg.elem_size
         for pe, arr in enumerate(self.arrays):
             for d in range(D):
-                path = os.path.join(directory, f"pe{pe}_disk{d}.bin")
                 used = sorted(lb for lb in arr.blocks if lb % D == d)
-                top = used[-1] // D + 1 if used else 0
-                image = np.zeros((top, B, es), dtype=np.uint8)
-                image[[lb // D for lb in used]] = _encode_elements(
-                    self.peek_blocks(pe, used), es).reshape(-1, B, es)
-                image.tofile(path)
+                slots = range(d, used[-1] + 1 if used else 0, D)
+                if es == ELEM.itemsize:
+                    hole = bytes(B * es)
+                    image = b"".join(arr.blocks.get(lb, hole) for lb in slots)
+                else:
+                    image = np.zeros((len(slots), B, es), dtype=np.uint8)
+                    image[[lb // D for lb in used]] = _encode_elements(
+                        self.peek_blocks(pe, used), es).reshape(-1, B, es)
+                with open(os.path.join(directory, f"pe{pe}_disk{d}.bin"),
+                          "wb") as fh:
+                    fh.write(image)
 
     @classmethod
     def load_images(cls, directory: str, cfg: MachineConfig) -> "Cluster":
         """Rebuild a cluster from the images :meth:`save_images` wrote; every
         slot is seeded, holes as blocks of ``(0, 0)``.  Raises
         :class:`DiskError` for a missing image, a partial block, or a row
-        that :meth:`save_images` would not write back byte for byte."""
+        that :meth:`save_images` would not write back byte for byte.
+
+        Only a row wider than 16 bytes can be refused: decoding keeps every
+        byte of a narrower row, so encoding writes it back.  At
+        ``elem_size`` 16 the image bytes are the elements themselves."""
         cluster = cls(cfg)
         B, es = cfg.B, cfg.elem_size
         for pe in range(cfg.P):
             for d in range(cfg.D):
                 path = os.path.join(directory, f"pe{pe}_disk{d}.bin")
                 try:
-                    data = np.fromfile(path, dtype=np.uint8)
+                    with open(path, "rb") as fh:
+                        raw = fh.read()
                 except FileNotFoundError:
                     raise DiskError(f"{path}: image is missing") from None
-                if data.size % (B * es):
+                if len(raw) % (B * es):
                     raise DiskError(f"{path}: size is not a whole number of blocks")
-                rows = data.reshape(-1, es)
+                lbs = range(d, len(raw) // (B * es) * cfg.D, cfg.D)
+                if es == ELEM.itemsize:
+                    cluster._store(pe, lbs, raw)
+                    continue
+                rows = np.frombuffer(raw, np.uint8).reshape(-1, es)
                 elems = _decode_elements(rows)
-                bad = np.flatnonzero(
-                    (_encode_elements(elems, es) != rows).any(axis=1))
+                # Decoding keeps a row's first 16 bytes; encoding writes the
+                # rest as all 0xff for a sentinel and as zeros otherwise.
+                tails, sentinels = rows[:, ELEM.itemsize:], sentinel_mask(elems)
+                bad = np.flatnonzero(np.where(
+                    sentinels, (tails != 0xFF).any(axis=1), tails.any(axis=1)))
                 if bad.size:
                     i = bad[0]
                     why = ("reads as a sentinel but its payload is not all 0xff"
-                           if sentinel_mask(elems[i:i + 1])[0]
+                           if sentinels[i]
                            else "has payload bytes past the 8-byte serial")
                     raise DiskError(f"{path}: row {i} {why}")
-                cluster.seed_blocks(
-                    pe, range(d, len(elems) // B * cfg.D, cfg.D), elems)
+                cluster.seed_blocks(pe, lbs, elems)
         return cluster
 
 
@@ -254,3 +275,13 @@ class OutputLayout:
     def __post_init__(self) -> None:
         self.pes = np.asarray(self.pes, np.int64)
         self.lbs = np.asarray(self.lbs, np.int64)
+
+    def check_ids(self, P: int) -> None:
+        """Raise :class:`DiskError` naming the first block whose PE is not
+        in ``[0, P)`` or whose block id is negative."""
+        bad = np.flatnonzero((self.pes < 0) | (self.pes >= P) | (self.lbs < 0))
+        if bad.size:
+            g = int(bad[0])
+            raise DiskError(f"layout block {g} is pe={self.pes[g]} "
+                            f"lb={self.lbs[g]}: the pe must be in [0, {P}) "
+                            "and the lb non-negative")

@@ -255,6 +255,23 @@ def test_verify_names_the_first_missing_block_in_layout_order():
         verify_output(cl, layout, gen.count, gen.total)
 
 
+@pytest.mark.parametrize("column, shift, first", [
+    ("pes", -1, 0), ("pes", 5, 0), ("pes", -5, 0), ("lbs", -100, 3)])
+def test_verify_refuses_a_block_outside_the_machine(column, shift, first):
+    """A layout PE outside ``[0, P)`` or a negative block id is refused
+    with a :class:`DiskError` that names the first such block."""
+    cl = build(P=2, B=4, m=32, N=128, seed=37)
+    gen = fill(cl, "random", 37)
+    layout = run_sort(cl, gen.pe_blocks, "canonical").layout
+    ids = {"pes": layout.pes.copy(), "lbs": layout.lbs.copy()}
+    ids[column][first if column == "lbs" else slice(None)] += shift
+    bad = OutputLayout("canonical", ids["pes"], ids["lbs"])
+    pe, lb = addresses(bad)[first]
+    with pytest.raises(DiskError,
+                       match=rf"^layout block {first} is pe={pe} lb={lb}: "):
+        verify_output(cl, bad, gen.count, gen.total)
+
+
 def test_verify_detects_decrease_in_the_last_block():
     cl, gen, layout = sorted_output()
     swap(cl, layout, 126, 127)
@@ -710,6 +727,47 @@ def test_cli_manifest_layout_round_trips(tmp_path, monkeypatch, engine, kind):
         assert getattr(read_back, column).dtype == np.int64
         assert np.array_equal(getattr(read_back, column),
                               getattr(sorted_layout, column))
+
+
+def test_cli_writes_the_manifest_as_one_line(tmp_path, monkeypatch):
+    """An output manifest is the payload as single-line JSON: the same
+    value the indented encoding gives, at most 10 bytes per output block."""
+    results = []
+
+    def sorting(*args):
+        results.append(run_sort(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_sort", sorting)
+    config = write_config(tmp_path / "grid.cfg", P=4, D=2, B=16, m=1024,
+                          N=65536)
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert cli_main(["sort", "--persist", str(store)]) == 0
+    [result] = results
+    text = (store / "manifest.json").read_text()
+    manifest = json.loads(text)
+    layout = result.layout
+    payload = {"stage": "output", "cfg": manifest["cfg"], "kind": "random",
+               "count": 65536, "total": manifest["total"],
+               "layout": {"engine": "canonical", "pes": layout.pes.tolist(),
+                          "lbs": layout.lbs.tolist()}}
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert manifest == json.loads(
+        json.dumps(payload, indent=1, sort_keys=True))
+    assert len(text.encode()) <= 10 * len(layout.pes) == 10 * 4096
+
+
+@pytest.mark.parametrize("value", [True, -1, 2 ** 63, "3", 1.0])
+@pytest.mark.parametrize("column", ["pes", "lbs"])
+def test_field_fault_refuses_a_layout_id_that_is_not_an_int(column, value):
+    layout = {"engine": "striped", "pes": [0, 1, 1], "lbs": [4, 0, 2]}
+    layout[column][1] = value
+    assert cli._field_fault("layout", layout, 2) == (
+        "pes and lbs must hold ints in [0, 2**63)")
+    layout[column][1] = 1
+    assert cli._field_fault("layout", layout, 2) is None
+    assert cli._field_fault("layout", layout, 1) == "pes must be below 1, got 1"
 
 
 def test_cli_rejects_bad_config(tmp_path):

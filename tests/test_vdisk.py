@@ -302,6 +302,32 @@ def test_loaded_images_match_the_scalar_decoding(drawn):
             assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == b"".join(rows)
 
 
+@given(st.lists(st.lists(st.one_of(st.none(), st.lists(
+    image_rows(16), min_size=2, max_size=2)), max_size=4), min_size=2,
+    max_size=2))
+def test_images_of_16_byte_elements_load_and_save_as_raw_bytes(images):
+    """At ``elem_size`` 16 no row is refused: every block, a hole
+    (``None``) included, loads as the scalar codec decodes it (the serial
+    as an int64), and saving the loaded cluster writes the images back
+    byte for byte."""
+    cfg = MachineConfig(**IMAGE_CFG, elem_size=16)
+    files = [b"".join(bytes(cfg.B * 16) if block is None else b"".join(block)
+                      for block in blocks) for blocks in images]
+    with tempfile.TemporaryDirectory() as tmp:
+        for d, data in enumerate(files):
+            Path(tmp, f"pe0_disk{d}.bin").write_bytes(data)
+        loaded = Cluster.load_images(tmp, cfg)
+        for d, data in enumerate(files):
+            rows = [data[i:i + 16] for i in range(0, len(data), 16)]
+            lbs = range(d, len(rows) // cfg.B * cfg.D, cfg.D)
+            expected = map(element_from_bytes, rows, [16] * len(rows))
+            assert loaded.peek_blocks(0, lbs).tolist() == [
+                (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
+        loaded.save_images(tmp)
+        for d, data in enumerate(files):
+            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == data
+
+
 def test_load_images_refuses_missing_and_partial_images(tmp_path):
     cfg = MachineConfig(P=2, D=2, B=4, m=32, N=64)
     cl = Cluster(cfg)
