@@ -111,8 +111,10 @@ def _band_keys(cfg: MachineConfig, spec: InputSpec, pe: int,
     if spec.kind == "sorted":
         return np.arange(pe * local, (pe + 1) * local, dtype=np.uint64)
     if spec.kind == "reverse":
-        return (cfg.N - 1) - np.arange(pe * local, (pe + 1) * local,
-                                       dtype=np.uint64)
+        # In int64, so that N = 0 gives an empty band rather than N - 1 < 0
+        # in uint64.
+        return (cfg.N - 1 - np.arange(pe * local, (pe + 1) * local)
+                ).astype(np.uint64)
     if spec.kind == "worst_case_shift":
         assert shift_ranks is not None
         parts = []

@@ -9,7 +9,9 @@ we simulate a greedy write buffer over the reversed sequence and flip the
 step numbers.  Merging itself proceeds in batches of M/(2B) blocks, each
 read, freed and written with one call per PE and bounded by the smallest
 key of the next unfetched block, which caps buffered leftovers at one block
-per run.
+per run.  Each pass is planned once: one stable sort groups its blocks by
+(batch, PE), so a batch's reads and frees are slices of one id column, and
+the coordinator's traffic is charged per PE for the whole pass.
 """
 from __future__ import annotations
 
@@ -47,23 +49,32 @@ class StripedRun:
 
 
 def _write_stripe(cluster, pes: np.ndarray, lbs: np.ndarray, elems: np.ndarray,
-                  senders, phase: str) -> None:
+                  phase: str) -> None:
     """Write ``elems`` to the blocks ``(pes, lbs)``, ``B`` elements each,
-    with one ``write_blocks`` call per PE; a block whose elements come from
-    a PE (``senders``, per block or one for all) other than its owner is
-    charged as communication."""
+    with one ``write_blocks`` call per PE, each PE's blocks in stripe
+    order."""
+    P = cluster.cfg.P
+    order = np.argsort(pes, kind="stable")
+    rows = elems.reshape(-1, cluster.cfg.B)[order]
+    ids = lbs[order].tolist()
+    start = 0
+    for pe, end in enumerate(np.cumsum(np.bincount(pes, minlength=P)).tolist()):
+        if end > start:
+            cluster.write_blocks(pe, ids[start:end], rows[start:end], phase)
+        start = end
+
+
+def _charge_moves(cluster, src, dst, phase: str) -> None:
+    """Charge ``B`` elements of communication for every block that moves
+    from PE ``src[i]`` to another PE ``dst[i]``; either may be one PE for
+    all blocks."""
     P, B = cluster.cfg.P, cluster.cfg.B
-    rows = elems.reshape(-1, B)
-    for pe in range(P):
-        mine = pes == pe
-        if mine.any():
-            cluster.write_blocks(pe, lbs[mine].tolist(), rows[mine], phase)
-    traffic = np.bincount(senders * P + pes, minlength=P * P).tolist()
-    for k, blocks in enumerate(traffic):
-        src, dst = divmod(k, P)
-        if blocks and src != dst:
-            cluster.counters.add_sent(phase, src, B * blocks)
-            cluster.counters.add_received(phase, dst, B * blocks)
+    moves = np.bincount(np.ravel(src * P + dst), minlength=P * P).reshape(P, P)
+    np.fill_diagonal(moves, 0)
+    for pe, (sent, received) in enumerate(zip(moves.sum(1).tolist(),
+                                              moves.sum(0).tolist())):
+        cluster.counters.add_sent(phase, pe, B * sent)
+        cluster.counters.add_received(phase, pe, B * received)
 
 
 def _run_start_disk(cluster, salt: int, index: int) -> int:
@@ -104,7 +115,8 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
         # charged from the PE holding a block's last element to its owner.
         ends = np.cumsum([len(piece) for piece in pieces])
         holders = np.searchsorted(ends, np.arange(B - 1, len(data), B), "right")
-        _write_stripe(cluster, pes, lbs, data, holders, PHASE_RUN_FORMATION)
+        _write_stripe(cluster, pes, lbs, data, PHASE_RUN_FORMATION)
+        _charge_moves(cluster, holders, pes, PHASE_RUN_FORMATION)
         runs.append(StripedRun(len(data), start, pes, lbs,
                                data["key"][::B].copy()))
         offset += take
@@ -231,8 +243,11 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     are charged as communication) in batches of M/(2B) blocks, each read
     and freed with one call per PE, merges each batch, and writes the
     output with one call per PE into a stripe reserved from ``start_disk``.
-    The pass costs one read and one write per element; its I/O steps are
-    the schedule length plus the output's round-robin step count.
+    The pass is planned once: its blocks grouped by (batch, PE), so that
+    every batch reads and frees slices of one id column, and its traffic
+    charged per PE from the whole pass.  The pass costs one read and one
+    write per element; its I/O steps are the schedule length plus the
+    output's round-robin step count.
     """
     cfg = cluster.cfg
     P, B, D_total = cfg.P, cfg.B, cfg.total_disks
@@ -249,8 +264,23 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     lbs = np.concatenate([run.lbs for run in runs])[at]
     disks = pes * cfg.D + lbs % cfg.D
     W = max(D_total, cfg.merge_arity)
-    steps = prefetch_schedule(disks.tolist(), W, D_total)
-    n_steps = verify_schedule(disks, steps, W)
+    n_steps = verify_schedule(disks, prefetch_schedule(disks.tolist(), W,
+                                                       D_total), W)
+
+    # The plan.  Batch k drains what lies below the first block of batch
+    # k + 1 in the order (key, tag).  Its blocks on PE p are ``lbs[cuts[i]:
+    # cuts[i + 1]]`` with i = k*P + p, and their indices in the joined runs
+    # ``at[...]``: from here on both columns are grouped by (batch, PE), each
+    # group in prediction order.
+    L = len(at)
+    batch_blocks = max(1, cfg.M // (2 * B))
+    starts = range(0, L, batch_blocks)
+    bounds = [(int(keys[lo]), int(at[lo]) * B) for lo in starts[1:]] + [None]
+    group = np.arange(L) // batch_blocks * P + pes
+    cuts = [0] + np.cumsum(np.bincount(group, minlength=len(starts) * P)).tolist()
+    plan = np.argsort(group, kind="stable")
+    lbs, at = lbs[plan], at[plan]
+    lanes = np.arange(B)
 
     length = sum(run.length for run in runs)
     out_pes, out_lbs = cluster.alloc_stripe(start_disk, length // B)
@@ -258,26 +288,17 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     written = 0
     tail = np.empty(0, ELEM)
     pending, tags = np.empty(0, ELEM), np.empty(0, np.int64)
-    batch_blocks = max(1, cfg.M // (2 * B))
-    L = len(at)
-    for lo in range(0, L, batch_blocks):
-        hi = min(lo + batch_blocks, L)
-        parts, part_tags = [pending], [tags]
+    for batch, bound in enumerate(bounds):
+        parts = [pending]
         for pe in range(P):
-            mine = lo + np.flatnonzero(pes[lo:hi] == pe)
-            if not len(mine):
-                continue
-            ids = lbs[mine].tolist()
-            parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
-            part_tags.append((at[mine, None] * B + np.arange(B)).ravel())
-            if pe != COORDINATOR:
-                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B * len(ids))
-                cluster.counters.add_received(PHASE_STRIPED_MERGE,
-                                              COORDINATOR, B * len(ids))
-            cluster.free_blocks(pe, ids)
-        bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
-        out, pending, tags = batch_merge(concat(parts),
-                                         np.concatenate(part_tags), bound)
+            lo, hi = cuts[batch * P + pe], cuts[batch * P + pe + 1]
+            if hi > lo:
+                ids = lbs[lo:hi].tolist()
+                parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
+                cluster.free_blocks(pe, ids)
+        lo, hi = cuts[batch * P], cuts[batch * P + P]
+        tags = np.concatenate((tags, (at[lo:hi, None] * B + lanes).ravel()))
+        out, pending, tags = batch_merge(concat(parts), tags, bound)
         held = np.bincount(np.searchsorted(first * B, tags, "right"))
         if len(held) and held.max() > B:
             raise RuntimeError(
@@ -286,13 +307,15 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
         full = len(data) // B
         _write_stripe(cluster, out_pes[written:written + full],
                       out_lbs[written:written + full], data[:full * B],
-                      COORDINATOR, PHASE_STRIPED_MERGE)
+                      PHASE_STRIPED_MERGE)
         minima[written:written + full] = data["key"][:full * B:B]
         written += full
         tail = data[full * B:]
     if len(tail):
         raise RuntimeError(f"striped run length {written * B + len(tail)} "
                            "is not a block multiple")
+    _charge_moves(cluster, pes, COORDINATOR, PHASE_STRIPED_MERGE)
+    _charge_moves(cluster, COORDINATOR, out_pes, PHASE_STRIPED_MERGE)
     cluster.counters.add_steps(PHASE_STRIPED_MERGE,
                                n_steps + -(-written // D_total))
     return StripedRun(length, start_disk, out_pes, out_lbs, minima)
@@ -306,6 +329,9 @@ def striped_sort(cluster, pe_blocks: list[list[int]]):
     the next pass unchanged.
     """
     runs = form_striped_runs(cluster, pe_blocks)
+    if not runs:                # an empty input forms no run
+        empty = np.empty(0, np.int64)
+        return StripedRun(0, 0, empty, empty, np.empty(0, np.uint64)), 0
     arity = cluster.cfg.merge_arity
     passes = 0
     while len(runs) > 1:

@@ -1,7 +1,8 @@
 """Shared test utilities: cluster construction, oracle sorting, block
 occupancy, an in-memory selection accessor, the scalar element codec that
-the disk images are checked against, and the element-at-a-time and
-block-at-a-time kernels that the array kernels are checked against."""
+the disk images are checked against, and the element-at-a-time,
+block-at-a-time and per-batch kernels that the array kernels are checked
+against."""
 from __future__ import annotations
 
 import heapq
@@ -15,11 +16,16 @@ from emsort.core import (
     PHASE_STRIPED_MERGE, Element, MachineConfig, concat, sentinel, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
+from emsort.merge import batch_merge as array_batch_merge
 from emsort.net import all_to_all_v, gather_splitters
 from emsort.redistribute import StagedRun
 from emsort.runform import internal_parallel_sort as array_internal_parallel_sort
 from emsort.selection import select_all_ranks
-from emsort.striped import COORDINATOR, _run_start_disk, prefetch_schedule
+from emsort.striped import (
+    COORDINATOR, StripedRun, _run_start_disk, prefetch_schedule,
+    build_prediction_sequence as array_prediction_sequence,
+    verify_schedule as array_verify_schedule,
+)
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 
@@ -497,3 +503,91 @@ def striped_sort(cluster, pe_blocks: list[list[int]]):
         runs = merged
         passes += 1
     return runs[0], passes
+
+
+# --- reference kernel: the per-batch striped merge pass ------------------------
+
+def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
+                         elems: np.ndarray, senders, phase: str) -> None:
+    """Write ``elems`` to the blocks ``(pes, lbs)`` with one boolean mask
+    and one ``write_blocks`` call per PE, and charge each block sent from
+    ``senders`` (per block or one for all) to another owner."""
+    P, B = cluster.cfg.P, cluster.cfg.B
+    rows = elems.reshape(-1, B)
+    for pe in range(P):
+        mine = pes == pe
+        if mine.any():
+            cluster.write_blocks(pe, lbs[mine].tolist(), rows[mine], phase)
+    traffic = np.bincount(senders * P + pes, minlength=P * P).tolist()
+    for k, blocks in enumerate(traffic):
+        src, dst = divmod(k, P)
+        if blocks and src != dst:
+            cluster.counters.add_sent(phase, src, B * blocks)
+            cluster.counters.add_received(phase, dst, B * blocks)
+
+
+def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
+                                 start_disk: int) -> StripedRun:
+    """Merge striped runs into one, finding each batch's blocks per PE with
+    a mask over the batch and charging the coordinator's traffic per PE per
+    batch: one read, free and write call per PE per batch of M/(2B)
+    blocks."""
+    cfg = cluster.cfg
+    P, B, D_total = cfg.P, cfg.B, cfg.total_disks
+    if len(runs) > cfg.merge_arity:
+        raise ValueError(
+            f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
+    keys, run_of, pos = array_prediction_sequence(cluster, runs)
+    first = np.cumsum([0] + [len(run.lbs) for run in runs])
+    at = first[run_of] + pos
+    pes = np.concatenate([run.pes for run in runs])[at]
+    lbs = np.concatenate([run.lbs for run in runs])[at]
+    disks = pes * cfg.D + lbs % cfg.D
+    W = max(D_total, cfg.merge_arity)
+    steps = prefetch_schedule(disks.tolist(), W, D_total)
+    n_steps = array_verify_schedule(disks, steps, W)
+
+    length = sum(run.length for run in runs)
+    out_pes, out_lbs = cluster.alloc_stripe(start_disk, length // B)
+    minima = np.empty(len(out_lbs), np.uint64)
+    written = 0
+    tail = np.empty(0, ELEM)
+    pending, tags = np.empty(0, ELEM), np.empty(0, np.int64)
+    batch_blocks = max(1, cfg.M // (2 * B))
+    L = len(at)
+    for lo in range(0, L, batch_blocks):
+        hi = min(lo + batch_blocks, L)
+        parts, part_tags = [pending], [tags]
+        for pe in range(P):
+            mine = lo + np.flatnonzero(pes[lo:hi] == pe)
+            if not len(mine):
+                continue
+            ids = lbs[mine].tolist()
+            parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
+            part_tags.append((at[mine, None] * B + np.arange(B)).ravel())
+            if pe != COORDINATOR:
+                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B * len(ids))
+                cluster.counters.add_received(PHASE_STRIPED_MERGE,
+                                              COORDINATOR, B * len(ids))
+            cluster.free_blocks(pe, ids)
+        bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
+        out, pending, tags = array_batch_merge(concat(parts),
+                                               np.concatenate(part_tags), bound)
+        held = np.bincount(np.searchsorted(first * B, tags, "right"))
+        if len(held) and held.max() > B:
+            raise RuntimeError(
+                f"batch leftover of {held.max()} elements exceeds a block")
+        data = concat([tail, out])
+        full = len(data) // B
+        _write_stripe_per_pe(cluster, out_pes[written:written + full],
+                             out_lbs[written:written + full], data[:full * B],
+                             COORDINATOR, PHASE_STRIPED_MERGE)
+        minima[written:written + full] = data["key"][:full * B:B]
+        written += full
+        tail = data[full * B:]
+    if len(tail):
+        raise RuntimeError(f"striped run length {written * B + len(tail)} "
+                           "is not a block multiple")
+    cluster.counters.add_steps(PHASE_STRIPED_MERGE,
+                               n_steps + -(-written // D_total))
+    return StripedRun(length, start_disk, out_pes, out_lbs, minima)

@@ -8,7 +8,9 @@ the stats report without its ``wall_seconds`` line (every counter), the
 input fingerprint, the SHA-256 of the output's little-endian keys followed
 by its serials (the output order, ties included), and each PE's peak
 block allocation.  A speedup that
-moves a counter, a tie or a block fails here in seconds.
+moves a counter, a tie or a block fails here in seconds.  The same cases
+hold the striped merge's traffic to a closed form in the coordinator's
+reads and writes.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import hashlib
 
 import pytest
 
-from emsort.core import MachineConfig, concat
+from emsort.core import PHASE_STRIPED_MERGE, MachineConfig, concat
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
 from emsort.vdisk import Cluster
 
@@ -125,15 +127,20 @@ RECORDED = {
 }
 
 
-@pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
-@pytest.mark.parametrize("kind", INPUT_KINDS)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
+def sorted_case(case: str, kind: str, randomize: bool):
+    """The config, cluster, generated input and result of one case."""
     engine, config = CASES[case]
     cfg = MachineConfig(**config, seed=SEED, randomize=randomize)
     cluster = Cluster(cfg)
     gen = generate_input(cluster, InputSpec(kind, cfg.N, cfg.seed))
-    result = run_sort(cluster, gen.pe_blocks, engine)
+    return cfg, cluster, gen, run_sort(cluster, gen.pe_blocks, engine)
+
+
+@pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
+    cfg, cluster, gen, result = sorted_case(case, kind, randomize)
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
     layout = result.layout
@@ -144,3 +151,24 @@ def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
             hashlib.sha256(columns).hexdigest(),
             [cluster.peak_allocated(pe) for pe in range(cfg.P)]
             ) == RECORDED[case, kind, randomize]
+
+
+@pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_striped_merge_traffic_is_the_coordinators_reads_and_writes(
+        case, kind, randomize):
+    """Every remote block the coordinator (PE 0) reads is sent to it and
+    every remote block it writes is sent by it: PE p != 0 sends
+    B*blocks_read[p] and receives B*blocks_written[p], and PE 0 sends and
+    receives the sums of those over p != 0.  The canonical engine runs no
+    striped merge, so every term is 0."""
+    cfg, cluster, _gen, result = sorted_case(case, kind, randomize)
+    counters, B = cluster.counters, cfg.B
+    read = [B * counters.phase_blocks_read(PHASE_STRIPED_MERGE, pe)
+            for pe in range(cfg.P)]
+    written = [B * counters.phase_blocks_written(PHASE_STRIPED_MERGE, pe)
+               for pe in range(cfg.P)]
+    assert counters.elements_sent[PHASE_STRIPED_MERGE] == [sum(written[1:])] + read[1:]
+    assert counters.elements_received[PHASE_STRIPED_MERGE] == [sum(read[1:])] + written[1:]
+    assert (sum(read) > 0) == (result.engine == "striped")

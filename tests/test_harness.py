@@ -130,6 +130,19 @@ def test_both_engines_sort_every_kind(engine, kind):
     assert oracle_agrees(inputs, output_elements(cl, result.layout))
 
 
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_both_engines_sort_an_empty_input(engine, kind):
+    cl = build(P=2, D=2, B=4, m=32, N=0, seed=7)
+    gen = fill(cl, kind, 7)
+    assert (gen.count, gen.total, gen.pe_blocks) == (0, 0, [[], []])
+    result = run_sort(cl, gen.pe_blocks, engine)
+    assert (len(result.layout.pes), len(result.layout.lbs)) == (0, 0)
+    assert result.merge_passes == 0
+    verdict = verify_output(cl, result.layout, gen.count, gen.total)
+    assert verdict.ok, verdict.failures
+
+
 def test_run_sort_rejects_unusable_configs():
     cl = build(P=2, B=4, m=8, N=256)    # R=16, R*B > m
     gen = fill(cl, "random", 0)
@@ -403,6 +416,25 @@ def test_cli_gen_sort_verify_round_trip(tmp_path, capsys):
     assert "verification: pass" in out.out or "verification: pass" in out.err
     stats = (tmp_path / "stats.csv").read_text()
     assert "# engine=canonical" in stats
+
+
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_cli_gen_sort_verify_an_empty_store(tmp_path, capsys, engine, kind):
+    config = write_config(tmp_path / "grid.cfg", N=0)
+    store = str(tmp_path / "state")
+    assert cli_main(["gen", "--config", config, "--kind", kind,
+                     "--persist", store]) == 0
+    assert cli_main(["sort", "--persist", store, "--engine", engine]) == 0
+    assert cli_main(["verify", "--persist", store]) == 0
+    out = capsys.readouterr()
+    assert "generated 0 elements" in out.out
+    assert f"# engine={engine}" in out.out
+    assert out.out.count("verification: pass") == 1     # verify's
+    assert "verification: pass" in out.err              # sort's
+    with open(os.path.join(store, cli.MANIFEST), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["layout"] == {"engine": engine, "pes": [], "lbs": []}
 
 
 def test_cli_verify_fails_on_a_missing_image(tmp_path, capsys):

@@ -4,11 +4,13 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from emsort import striped
 from emsort.core import DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE
 from emsort.harness import InputSpec, SortResult, generate_input, report_stats
 from emsort.striped import (
@@ -282,6 +284,41 @@ def test_striped_sort_matches_the_reference_kernel(drawn):
     cfg, kind = drawn
     assert sorted_by(striped_sort, cfg, kind) == sorted_by(helpers.striped_sort,
                                                            cfg, kind)
+
+
+def passes_by(merge_pass, cfg: MachineConfig, kind: str):
+    """Every run that the merge passes of a striped sort make when they run
+    ``merge_pass``, with the counters, per-PE peaks, live block ids and
+    stored blocks the sort leaves."""
+    made = []
+
+    def recorded(*args):
+        made.append(merge_pass(*args))
+        return made[-1]
+
+    cl = Cluster(cfg)
+    gen = generate_input(cl, InputSpec(kind, cfg.N, cfg.seed))
+    with mock.patch.object(striped, "striped_merge_pass", recorded):
+        striped_sort(cl, gen.pe_blocks)
+    live = [helpers.live_blocks(cl, pe) for pe in range(cfg.P)]
+    return ([(run.length, run.start_disk, run.pes.tolist(), run.lbs.tolist(),
+              run.minima.tolist()) for run in made],
+            helpers.counter_state(cl),
+            [cl.peak_allocated(pe) for pe in range(cfg.P)], live,
+            [cl.peek_blocks(pe, lbs).tolist() for pe, lbs in enumerate(live)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(striped_configs())
+@example((MachineConfig(P=2, D=3, B=4, m=32, N=4000, seed=5), "duplicate_heavy"))
+@example((MachineConfig(P=3, D=2, B=2, m=6, N=150, seed=9, randomize=False),
+          "duplicate_heavy"))
+def test_planned_merge_pass_matches_the_per_batch_pass(drawn):
+    """The pass planned once gives the per-batch pass's runs (columns and
+    minima), counters, per-PE peaks, live block ids and stored blocks."""
+    cfg, kind = drawn
+    assert passes_by(striped_merge_pass, cfg, kind) == passes_by(
+        helpers.per_batch_striped_merge_pass, cfg, kind)
 
 
 @st.composite
