@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
 from .net import all_to_all_v, gather_splitters
 from .runform import RunDescriptor
@@ -77,17 +79,23 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     cfg = cluster.cfg
     P = cfg.P
     total = sum(run.length for run in runs)
-    # Samples travel to the selecting task: control traffic, 2 values each.
+    # Samples travel to the selecting task: control traffic, 2 values each,
+    # from the PE that holds the sampled position.
     contrib: list[list[int]] = [[] for _ in range(P)]
     for run in runs:
-        for key, gpos in run.samples:
-            contrib[gpos // run.share].extend((key, gpos))
+        words = np.empty(2 * len(run.sample_pos), np.uint64)
+        words[0::2] = run.sample_keys
+        words[1::2] = run.sample_pos
+        cuts = 2 * np.searchsorted(run.sample_pos, np.arange(P + 1) * run.share)
+        for p in range(P):
+            contrib[p].extend(words[cuts[p]:cuts[p + 1]].tolist())
     gather_splitters(cluster, contrib, PHASE_SELECTION)
 
     acc = DiskAccessor(cluster, runs, PHASE_SELECTION)
     ranks = [t * (total // P) for t in range(1, P)]
     results = select_all_ranks(acc, ranks,
-                               [run.samples for run in runs], cfg.sample_rate)
+                               [(run.sample_keys, run.sample_pos) for run in runs],
+                               cfg.sample_rate)
     pos = [[0] * len(runs)]
     pos.extend(res.positions for res in results)
     pos.append([run.length for run in runs])
@@ -139,36 +147,58 @@ def _schedule_flows(flows: list[tuple[int, int, int, int, int]],
     """Pack flow blocks into sub-rounds of ≤ ``eff`` elements per PE.
 
     Blocks of one flow are placed in non-decreasing rounds (first fit), so
-    pieces of a flow arrive in position order.  Returns the round count and,
-    per flow, its pieces as (round, lo, hi) element ranges; every piece is a
-    whole number of blocks except a flow's final piece.
+    pieces of a flow arrive in position order.  A flow's full blocks are
+    placed by count, round by round; only its short final block is fitted
+    on its own.  Returns the round count and, per flow, its pieces as
+    (round, lo, hi) element ranges; every piece is a whole number of blocks
+    except a flow's final piece.
     """
     if flows and eff < B:
         raise PlanError(
             f"per-round budget of {eff} elements is below one block ({B})")
     send_load: list[list[int]] = []
     recv_load: list[list[int]] = []
+    # Loads only grow, so a round that a full block misses stays missed by
+    # every later full block of the same sender or receiver.  So a round
+    # takes a flow's full blocks by count, and no full block tries a round
+    # before the first one with a block of room for its sender and receiver.
+    send_room = [0] * P
+    recv_room = [0] * P
     pieces: list[list[tuple[int, int, int]]] = []
     for q, t, _j, lo, hi in flows:
         mine: list[tuple[int, int, int]] = []
-        r = 0
         c = lo
+        left = (hi - lo) // B           # the flow's full blocks still to place
+        r = max(send_room[q], recv_room[t]) if left else 0
         while c < hi:
-            vol = min(B, hi - c)
-            while True:
-                if r == len(send_load):
-                    send_load.append([0] * P)
-                    recv_load.append([0] * P)
-                if send_load[r][q] + vol <= eff and recv_load[r][t] + vol <= eff:
-                    break
+            if r == len(send_load):
+                send_load.append([0] * P)
+                recv_load.append([0] * P)
+            send, recv = send_load[r], recv_load[r]
+            room = eff - max(send[q], recv[t])
+            if left:
+                vol = min(left, room // B) * B
+                left -= vol // B
+            else:                       # the short final block, first fit
+                vol = hi - c if hi - c <= room else 0
+            if vol:
+                send[q] += vol
+                recv[t] += vol
+                if mine and mine[-1][0] == r:
+                    mine[-1] = (r, mine[-1][1], c + vol)
+                else:
+                    mine.append((r, c, c + vol))
+                c += vol
+                while send_room[q] < len(send_load) \
+                        and send_load[send_room[q]][q] > eff - B:
+                    send_room[q] += 1
+                while recv_room[t] < len(recv_load) \
+                        and recv_load[recv_room[t]][t] > eff - B:
+                    recv_room[t] += 1
+            if left:
+                r = max(r + 1, send_room[q], recv_room[t])
+            elif not vol:
                 r += 1
-            send_load[r][q] += vol
-            recv_load[r][t] += vol
-            if mine and mine[-1][0] == r:
-                mine[-1] = (r, mine[-1][1], c + vol)
-            else:
-                mine.append((r, c, c + vol))
-            c += vol
         pieces.append(mine)
     return len(send_load), pieces
 

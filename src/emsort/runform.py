@@ -7,7 +7,8 @@ chunks of m/B of them.  A run is one memory load of the whole cluster
 cooperatively sort the load so that processor 0 ends up with the globally
 smallest chunk and so on, and each chunk is written back over the very
 blocks it was read from.  While writing, every K-th element of the run is
-retained as a sample for splitter seeding.
+retained as a sample for splitter seeding, as a column of keys beside a
+column of run positions.
 
 The shuffle is what makes each run a random subset of the local blocks:
 downstream, the rank cuts of such runs sit close to their slice boundaries,
@@ -34,7 +35,11 @@ class RunDescriptor:
     share: int                    # elements per processor
     block_size: int
     blocks: list[list[int]]       # per processor, logical block ids in order
-    samples: list[tuple[int, int]] = field(default_factory=list)
+    # Every K-th element's key and run position, in position order.
+    sample_keys: np.ndarray = field(
+        default_factory=lambda: np.empty(0, np.uint64))
+    sample_pos: np.ndarray = field(
+        default_factory=lambda: np.empty(0, np.int64))
 
     def locate(self, pos: int) -> tuple[int, int, int]:
         """Map a run-global position to (pe, logical block, offset)."""
@@ -129,11 +134,11 @@ def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
                  for p in range(cfg.P)]
         base += take
         chunks = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
-        samples: list[tuple[int, int]] = []
+        keys = []
         for p, sorted_chunk in enumerate(chunks):
             cluster.write_blocks(p, chunk[p], sorted_chunk, PHASE_RUN_FORMATION)
             g = -(-(p * share) // K) * K  # first sampled position in chunk
-            samples.extend(zip(sorted_chunk["key"][g - p * share::K].tolist(),
-                               range(g, (p + 1) * share, K)))
-        runs.append(RunDescriptor(i, length, share, B, chunk, samples))
+            keys.append(sorted_chunk["key"][g - p * share::K])
+        runs.append(RunDescriptor(i, length, share, B, chunk, np.concatenate(keys),
+                                  np.arange(0, length, K, dtype=np.int64)))
     return runs

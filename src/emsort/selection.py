@@ -27,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .core import INF_KEY, PHASE_SELECTION
+import numpy as np
+
+from .core import INF_KEY, PHASE_SELECTION, sort_order
 
 OrderKey = tuple[int, int, int]
 
@@ -272,42 +274,57 @@ def multiway_select(acc, r: int,
                         acc.blocks_read - read0, moves > 0)
 
 
-def sampled_init(samples: list[list[tuple[int, int]]], K: int, r: int
-                 ) -> tuple[list[int], int]:
-    """Starting splitters from per-run samples of every K-th element.
+def sampled_starts(samples: list[tuple[np.ndarray, np.ndarray]], K: int,
+                   ranks: list[int]) -> list[list[int]]:
+    """Starting splitters for each of ``ranks`` from per-run samples of
+    every K-th element.
 
-    ``samples[j]`` lists ``(key, position)`` pairs of run ``j`` in position
-    order (position 0 always sampled).  Returns per-run start positions and
-    the step ``K``: the start is the position of the last sample preceding
-    the sample of rank ``r // K``, run by run.
+    ``samples[j]`` is run ``j``'s ``(keys, positions)`` column pair in
+    position order, keys non-decreasing as in a sorted run.  The samples are
+    joined in run order and sorted once, in the order ``(key, run,
+    position)``.  Rank ``r`` takes the sorted prefix up to index
+    ``min(r // K, L - 1)`` of the ``L`` samples; run ``j``'s start is the
+    position of its last sample in that prefix, or 0 if it has none there
+    (and every start is 0 for ``r == 0``).
     """
     if K < 1:
         raise ValueError("K < 1")
-    flat = [(key, j, p) for j, entries in enumerate(samples) for key, p in entries]
-    flat.sort()
-    init = [0] * len(samples)
-    if not flat or r == 0:
-        return init, K
-    x = flat[min(r // K, len(flat) - 1)]
-    for key, j, p in flat:
-        if (key, j, p) > x:
-            break
-        init[j] = p
-    return init, K
+    keys = np.concatenate([np.empty(0, np.uint64)]
+                          + [np.asarray(k, np.uint64) for k, _p in samples])
+    pos = np.concatenate([np.empty(0, np.int64)]
+                         + [np.asarray(p, np.int64) for _k, p in samples])
+    sizes = [len(p) for _k, p in samples]
+    run = np.repeat(np.arange(len(samples)), sizes)[
+        sort_order(keys, np.arange(len(keys)))]
+    offset = np.cumsum(sizes, dtype=np.int64) - sizes
+    starts = []
+    for r in ranks:
+        if r == 0 or not len(keys):
+            starts.append([0] * len(samples))
+            continue
+        count = np.bincount(run[:min(r // K, len(keys) - 1) + 1],
+                            minlength=len(samples))
+        # Run j's count-th sample sits at joined index offset[j] + count - 1.
+        starts.append(np.where(count > 0, pos[(offset + count - 1).clip(0)],
+                               0).tolist())
+    return starts
 
 
 def select_all_ranks(acc, ranks: list[int],
-                     samples: list[list[tuple[int, int]]] | None = None,
+                     samples: list[tuple[np.ndarray, np.ndarray]] | None = None,
                      K: int | None = None) -> list[SelectResult]:
-    """Splitters for several ranks; results are componentwise monotone in r."""
+    """Splitters for several ranks; results are componentwise monotone in r.
+
+    With ``samples`` (see :func:`sampled_starts`) each search starts within
+    ``K`` of its cut; the samples are sorted once for all ranks."""
     results: list[SelectResult] = []
     prev: list[int] | None = None
-    for r in sorted(ranks):
-        if samples is not None:
-            init, step = sampled_init(samples, K if K else 1, r)
-            res = multiway_select(acc, r, init, step)
-        else:
-            res = multiway_select(acc, r)
+    ranks = sorted(ranks)
+    step = K if K else 1
+    inits = ([None] * len(ranks) if samples is None
+             else sampled_starts(samples, step, ranks))
+    for r, init in zip(ranks, inits):
+        res = multiway_select(acc, r, init, step)
         if prev is not None and any(a > b for a, b in zip(prev, res.positions)):
             raise SelectionError("splitters are not monotone across ranks")
         prev = res.positions

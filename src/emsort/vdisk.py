@@ -156,9 +156,12 @@ class Cluster:
         if len(lbs) == 1:           # the selection probes' one-block reads
             note(phase, pe, lbs[0] % D, 1)
             return
-        disks = [lb % D for lb in lbs]
-        for d in set(disks):
-            note(phase, pe, d, disks.count(d))
+        counts = [0] * D
+        for lb in lbs:
+            counts[lb % D] += 1
+        for d, n in enumerate(counts):
+            if n:
+                note(phase, pe, d, n)
 
     # -- occupancy -----------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Shared test utilities: cluster construction, oracle sorting, block
 occupancy, an in-memory selection accessor, the scalar element codec that
 the disk images are checked against, and the element-at-a-time,
-block-at-a-time and per-batch kernels that the array kernels are checked
-against."""
+block-at-a-time, per-batch, per-rank and per-block kernels that the array
+kernels are checked against."""
 from __future__ import annotations
 
 import heapq
@@ -18,9 +18,9 @@ from emsort.core import (
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
 from emsort.net import all_to_all_v, gather_splitters
-from emsort.redistribute import StagedRun
+from emsort.redistribute import PlanError, StagedRun
 from emsort.runform import internal_parallel_sort as array_internal_parallel_sort
-from emsort.selection import select_all_ranks
+from emsort.selection import sampled_starts, select_all_ranks
 from emsort.striped import (
     COORDINATOR, StripedRun, _run_start_disk, prefetch_schedule,
     build_prediction_sequence as array_prediction_sequence,
@@ -591,3 +591,85 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
     cluster.counters.add_steps(PHASE_STRIPED_MERGE,
                                n_steps + -(-written // D_total))
     return StripedRun(length, start_disk, out_pes, out_lbs, minima)
+
+
+# --- reference kernels: the per-rank and per-block canonical planners ----------
+
+def sampled_init(samples: list[list[tuple[int, int]]], K: int, r: int
+                 ) -> tuple[list[int], int]:
+    """Starting splitters from per-run samples of every K-th element.
+
+    ``samples[j]`` lists ``(key, position)`` pairs of run ``j`` in position
+    order (position 0 always sampled).  Returns per-run start positions and
+    the step ``K``: the start is the position of the last sample preceding
+    the sample of rank ``r // K``, run by run.
+    """
+    if K < 1:
+        raise ValueError("K < 1")
+    flat = [(key, j, p) for j, entries in enumerate(samples) for key, p in entries]
+    flat.sort()
+    init = [0] * len(samples)
+    if not flat or r == 0:
+        return init, K
+    x = flat[min(r // K, len(flat) - 1)]
+    for key, j, p in flat:
+        if (key, j, p) > x:
+            break
+        init[j] = p
+    return init, K
+
+
+def sample_columns(samples: list[list[tuple[int, int]]]
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-run ``(key, position)`` sample lists as the ``(uint64 keys,
+    int64 positions)`` column pairs of ``RunDescriptor``."""
+    return [(np.array([key for key, _p in entries], np.uint64),
+             np.array([p for _key, p in entries], np.int64))
+            for entries in samples]
+
+
+def array_sampled_init(samples: list[list[tuple[int, int]]], K: int, r: int
+                       ) -> tuple[list[int], int]:
+    """``sampled_starts`` called as :func:`sampled_init` is: tuple-list
+    samples, one rank, the step returned beside the starts."""
+    return sampled_starts(sample_columns(samples), K, [r])[0], K
+
+
+def schedule_flows(flows: list[tuple[int, int, int, int, int]],
+                   eff: int, B: int, P: int
+                   ) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """Pack flow blocks into sub-rounds of ≤ ``eff`` elements per PE.
+
+    Blocks of one flow are placed in non-decreasing rounds (first fit), so
+    pieces of a flow arrive in position order.  Returns the round count and,
+    per flow, its pieces as (round, lo, hi) element ranges; every piece is a
+    whole number of blocks except a flow's final piece.
+    """
+    if flows and eff < B:
+        raise PlanError(
+            f"per-round budget of {eff} elements is below one block ({B})")
+    send_load: list[list[int]] = []
+    recv_load: list[list[int]] = []
+    pieces: list[list[tuple[int, int, int]]] = []
+    for q, t, _j, lo, hi in flows:
+        mine: list[tuple[int, int, int]] = []
+        r = 0
+        c = lo
+        while c < hi:
+            vol = min(B, hi - c)
+            while True:
+                if r == len(send_load):
+                    send_load.append([0] * P)
+                    recv_load.append([0] * P)
+                if send_load[r][q] + vol <= eff and recv_load[r][t] + vol <= eff:
+                    break
+                r += 1
+            send_load[r][q] += vol
+            recv_load[r][t] += vol
+            if mine and mine[-1][0] == r:
+                mine[-1] = (r, mine[-1][1], c + vol)
+            else:
+                mine.append((r, c, c + vol))
+            c += vol
+        pieces.append(mine)
+    return len(send_load), pieces

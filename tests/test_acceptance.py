@@ -19,13 +19,13 @@ from emsort.harness import (
     INPUT_KINDS, run_experiment_redistribution, run_sort, validate_config,
     verify_output,
 )
-from emsort.selection import multiway_select, sampled_init
+from emsort.selection import multiway_select
 from emsort.striped import naive_steps, prefetch_schedule, verify_schedule
 from emsort.vdisk import Cluster
 
 from helpers import (
-    MemoryAccessor, addresses, fill, input_elements, oracle_agrees,
-    output_elements,
+    MemoryAccessor, addresses, array_sampled_init, fill, input_elements,
+    oracle_agrees, output_elements,
 )
 from test_selection import brute_force_select
 
@@ -222,7 +222,7 @@ def test_criterion_6_selection_rounds_and_exactness():
         K = rng.choice(GRID_B)
         samples = [[(run[p][0], p) for p in range(0, len(run), K)]
                    for run in runs]
-        init, step = sampled_init(samples, K, r)
+        init, step = array_sampled_init(samples, K, r)
         res = multiway_select(MemoryAccessor(runs), r, init, step)
         assert res.positions == expected, (trial, r, K)
         assert res.rounds <= math.ceil(math.log2(K)) + 1, (trial, res.rounds, K)

@@ -4,12 +4,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from emsort.core import (
     DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
     sentinel_mask, validate_config,
 )
-from emsort.harness import report_stats, run_sort, verify_output
+from emsort.harness import InputSpec, generate_input, report_stats, run_sort, verify_output
 from emsort.redistribute import (
     PlanError, _schedule_flows, compute_splitters, external_all_to_all,
     per_run_moved,
@@ -17,7 +18,7 @@ from emsort.redistribute import (
 from emsort.runform import form_runs
 from emsort.vdisk import Cluster
 
-from helpers import build, fill, is_allocated, stored_elements
+from helpers import build, fill, is_allocated, schedule_flows, stored_elements
 
 
 # --- oracle -----------------------------------------------------------------
@@ -160,6 +161,75 @@ def test_schedule_flows_needs_a_block_of_budget_only_for_a_flow():
     with pytest.raises(PlanError):
         _schedule_flows([(0, 1, 0, 0, 8)], 3, 4, 2)
     assert _schedule_flows([], 0, 4, 2) == (0, [])
+
+
+@st.composite
+def flow_sets(draw):
+    """Flows with unaligned starts, most longer than a block, under a
+    per-round budget that is often not a multiple of the block size."""
+    P = draw(st.integers(2, 4))
+    B = draw(st.integers(1, 8))
+    flows = []
+    for _ in range(draw(st.integers(0, 25))):
+        q, t = draw(st.permutations(range(P)))[:2]
+        lo = draw(st.integers(0, 50))
+        flows.append((q, t, draw(st.integers(0, 2)), lo,
+                      lo + draw(st.integers(1, 6 * B + 3))))
+    return flows, draw(st.integers(B, 5 * B)), B, P
+
+
+@given(flow_sets())
+# The second flow's block misses round 0; its 2-element tail would fit
+# there but follows the block into round 1.
+@example(([(0, 1, 0, 0, 4), (0, 1, 0, 0, 6)], 6, 4, 2))
+@example(([(0, 1, 0, 3, 12), (2, 1, 1, 5, 7), (0, 2, 0, 1, 30)], 10, 4, 3))
+def test_schedule_flows_matches_the_per_block_reference(case):
+    """Placing full blocks by count gives the same round count and the same
+    (round, lo, hi) pieces as the per-block first fit."""
+    assert _schedule_flows(*case) == schedule_flows(*case)
+
+
+def test_a_short_final_piece_never_goes_back_a_round():
+    assert _schedule_flows([(0, 1, 0, 0, 4), (0, 1, 0, 0, 6)], 6, 4, 2) == \
+        (2, [[(0, 0, 4)], [(1, 0, 6)]])
+
+
+def test_compute_splitters_charges_two_words_per_sample_and_the_cuts():
+    """Each PE gathers 2 words for every sample held by another PE, and
+    every PE but 0 receives PE 0's P - 1 cuts of every run."""
+    for P, B, N, K in ((4, 4, 384, 0), (4, 4, 384, 3), (3, 2, 288, 5), (1, 4, 256, 0)):
+        cl, _gen, runs = formed(P=P, B=B, m=32, N=N, seed=P, K=K)
+        compute_splitters(cl, runs)
+        rate = cl.cfg.sample_rate
+        held = [sum(-(-(p + 1) * run.share // rate) - -(-p * run.share // rate)
+                    for run in runs) for p in range(P)]
+        assert cl.counters.control_values[PHASE_SELECTION] == \
+            [2 * (sum(held) - held[p]) + (p > 0) * (P - 1) * len(runs)
+             for p in range(P)]
+
+
+#: The perfbench ``canonical_shift`` config and the criterion-3 config, with
+#: their exchange rounds, moved volume, selection control words per PE and
+#: peak allocated blocks per PE, as the per-rank and per-block planners gave.
+PLANNED = [
+    (dict(P=8, D=2, B=64, m=16384, N=1 << 18, seed=1009),
+     3, 229376, [7168] + [7182] * 7, [768] + [1024] * 6 + [768]),
+    (dict(P=4, D=2, B=4, m=1024, N=1 << 20, seed=303),
+     258, 786432, [393216] + [393984] * 3, [98304, 131072, 131072, 98304]),
+]
+
+
+@pytest.mark.parametrize("config, k, v_moved, control, peaks", PLANNED,
+                         ids=["canonical_shift", "criterion_3"])
+def test_worst_shift_plan_matches_the_record(config, k, v_moved, control, peaks):
+    cfg = MachineConfig(**config, randomize=False)
+    cl = Cluster(cfg)
+    gen = generate_input(cl, InputSpec("worst_case_shift", cfg.N, cfg.seed))
+    result = run_sort(cl, gen.pe_blocks, "canonical")
+    assert (result.k_rounds, result.v_moved,
+            cl.counters.control_values[PHASE_SELECTION],
+            [cl.peak_allocated(pe) for pe in range(cfg.P)]) == \
+        (k, v_moved, control, peaks)
 
 
 def test_one_block_of_memory_sorts_without_exchange_rounds():

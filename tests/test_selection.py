@@ -5,15 +5,18 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from emsort.core import PHASE_SELECTION
+from emsort.core import MAX_KEY, PHASE_SELECTION
 from emsort.runform import RunDescriptor
 from emsort.selection import (
-    DiskAccessor, SelectionError, multiway_select, sampled_init,
+    DiskAccessor, SelectionError, multiway_select, sampled_starts,
     select_all_ranks,
 )
 
-from helpers import MemoryAccessor, build
+from helpers import (
+    MemoryAccessor, array_sampled_init, build, sample_columns, sampled_init,
+)
 
 
 # --- oracle -----------------------------------------------------------------
@@ -105,7 +108,7 @@ def test_fuzz_matches_oracle_with_sampled_start():
         r = rng.randint(0, total)
         samples = [[(run[p][0], p) for p in range(0, len(run), K)]
                    for run in runs]
-        init, step = sampled_init(samples, K, r)
+        init, step = array_sampled_init(samples, K, r)
         res = multiway_select(MemoryAccessor(runs), r, init, step)
         assert res.positions == brute_force_select(runs, r), (trial, r, K)
 
@@ -135,7 +138,7 @@ def test_round_bound_sampled():
         r = rng.randint(0, total)
         samples = [[(run[p][0], p) for p in range(0, len(run), K)]
                    for run in runs]
-        init, step = sampled_init(samples, K, r)
+        init, step = array_sampled_init(samples, K, r)
         res = multiway_select(MemoryAccessor(runs), r, init, step)
         assert res.rounds <= math.ceil(math.log2(K)) + 1
 
@@ -171,13 +174,40 @@ def test_sampled_init_predecessor_positions():
     K = 2
     samples = [[(run0[p][0], p) for p in range(0, 10, K)],
                [(run1[p][0], p) for p in range(0, 10, K)]]
-    init, step = sampled_init(samples, K, 10)
+    init, step = array_sampled_init(samples, K, 10)
     assert step == K
     exact = brute_force_select([run0, run1], 10)
     assert all(abs(i - e) <= 2 * K for i, e in zip(init, exact))
-    assert sampled_init(samples, K, 0) == ([0, 0], K)
+    assert array_sampled_init(samples, K, 0) == ([0, 0], K)
     with pytest.raises(ValueError):
-        sampled_init(samples, 0, 1)
+        array_sampled_init(samples, 0, 1)
+
+
+@st.composite
+def sampled_ranks(draw):
+    """Sorted key runs (some empty, keys often all equal), a sample rate K
+    and ranks from 0 to past the last sample's rank."""
+    top = draw(st.sampled_from([1, 3, MAX_KEY]))
+    runs = draw(st.lists(st.lists(st.integers(0, top - 1), max_size=40).map(sorted),
+                         max_size=5))
+    K = draw(st.integers(1, 9))
+    total = sum(map(len, runs))
+    return runs, K, draw(st.lists(st.integers(0, total + 2 * K), max_size=6))
+
+
+@given(sampled_ranks())
+@example(([[1, 2, 3]], 1, [0]))                       # r = 0
+@example(([[1, 2, 3, 4]], 2, [3, 4, 5]))              # r // K past the last sample
+@example(([[], [3, 3], []], 1, [1, 2]))               # empty runs
+@example(([[7] * 5, [7] * 3, [7]], 2, [1, 3, 8, 9]))  # all-equal keys
+@example(([], 4, [0, 3]))                             # no runs
+def test_sampled_starts_match_the_per_rank_reference(case):
+    """One sort of the samples gives every rank the starts that sorting
+    them again per rank gives."""
+    runs, K, ranks = case
+    samples = [[(run[p], p) for p in range(0, len(run), K)] for run in runs]
+    assert sampled_starts(sample_columns(samples), K, ranks) == \
+        [sampled_init(samples, K, r)[0] for r in ranks]
 
 
 # --- multiple ranks ----------------------------------------------------------
