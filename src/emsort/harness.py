@@ -41,7 +41,7 @@ from .merge import local_multiway_merge
 from .redistribute import compute_splitters, external_all_to_all, per_run_moved
 from .runform import form_runs, run_layout
 from .striped import striped_sort
-from .vdisk import Cluster, DiskError, OutputLayout
+from .vdisk import Cluster, OutputLayout
 
 INPUT_KINDS = ("random", "sorted", "reverse", "duplicate_heavy",
                "worst_case_shift")
@@ -212,24 +212,6 @@ class VerifyResult:
         self.failures.append(message)
 
 
-def _peek_in_order(cluster: Cluster, pes: np.ndarray,
-                   lbs: np.ndarray) -> np.ndarray:
-    """The blocks ``(pes[i], lbs[i])`` joined in that order, peeked with one
-    call per PE; a missing block is named as a block-by-block read would
-    name it, the first in that order."""
-    block = np.dtype((np.void, cluster.cfg.B * ELEM.itemsize))
-    rows = np.empty(len(pes), block)
-    try:
-        for pe in sorted(set(pes.tolist())):
-            mine = pes == pe
-            rows[mine] = cluster.peek_blocks(pe, lbs[mine].tolist()).view(block)
-    except DiskError:
-        for pe, lb in zip(pes.tolist(), lbs.tolist()):
-            cluster.peek_blocks(pe, [lb])
-        raise
-    return rows.view(ELEM)
-
-
 def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
                   total: int) -> VerifyResult:
     """Check sortedness, content preservation, and placement of an output.
@@ -252,7 +234,7 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     pes, lbs = layout.pes, layout.lbs
     step = max(1, VERIFY_CHUNK // cfg.B)
     for g in range(0, len(pes), step):
-        chunk = _peek_in_order(cluster, pes[g:g + step], lbs[g:g + step])
+        chunk = cluster.peek_blocks(pes[g:g + step], lbs[g:g + step])
         keys, serials = chunk["key"], chunk["serial"]
         base = g * cfg.B
         leaks = np.flatnonzero(sentinel_mask(chunk))

@@ -73,7 +73,7 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
         out_blocks = cluster.alloc_blocks(t, nb)
         for frees, lo, hi in ((early, 0, split), (~early, split, nb)):
             if frees.any():
-                cluster.free_blocks(t, held_ids[frees].tolist())
+                cluster.free_blocks(t, held_ids[frees])
             if hi > lo:
                 cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
                                      PHASE_LOCAL_MERGE)

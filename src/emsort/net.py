@@ -57,23 +57,22 @@ def all_to_all_v(
 
 def gather_splitters(
     cluster: Cluster,
-    contributions: Sequence[list],
+    contributions: Sequence[Sized],
     phase: str,
-) -> list:
+) -> None:
     """All-gather of small control values (splitter positions, counts).
 
-    Every PE ends up with the concatenation in PE order.  The traffic is
-    charged to the control counter, not to element volume.
+    Every PE ends up with the concatenation in PE order, so each PE
+    receives every value it did not contribute.  Only that traffic is
+    simulated: each contribution (a list or an array) is charged by its
+    length to the control counter, not to element volume.
     """
     P = cluster.cfg.P
     if len(contributions) != P:
         raise ProtocolError(
             f"gather_splitters: {len(contributions)} contributions for {P} PEs"
         )
-    merged: list = []
-    for values in contributions:
-        merged.extend(values)
-    total = len(merged)
-    for pe in range(P):
-        cluster.counters.add_control(phase, pe, total - len(contributions[pe]))
-    return merged
+    sizes = [len(values) for values in contributions]
+    total = sum(sizes)
+    for pe, size in enumerate(sizes):
+        cluster.counters.add_control(phase, pe, total - size)

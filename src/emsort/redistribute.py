@@ -81,15 +81,16 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     total = sum(run.length for run in runs)
     # Samples travel to the selecting task: control traffic, 2 values each,
     # from the PE that holds the sampled position.
-    contrib: list[list[int]] = [[] for _ in range(P)]
+    contrib = [[np.empty(0, np.uint64)] for _ in range(P)]
     for run in runs:
         words = np.empty(2 * len(run.sample_pos), np.uint64)
         words[0::2] = run.sample_keys
         words[1::2] = run.sample_pos
         cuts = 2 * np.searchsorted(run.sample_pos, np.arange(P + 1) * run.share)
         for p in range(P):
-            contrib[p].extend(words[cuts[p]:cuts[p + 1]].tolist())
-    gather_splitters(cluster, contrib, PHASE_SELECTION)
+            contrib[p].append(words[cuts[p]:cuts[p + 1]])
+    gather_splitters(cluster, [np.concatenate(parts) for parts in contrib],
+                     PHASE_SELECTION)
 
     acc = DiskAccessor(cluster, runs, PHASE_SELECTION)
     ranks = [t * (total // P) for t in range(1, P)]
@@ -267,11 +268,14 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
     cluster.counters.add_overhead(PHASE_ALL_TO_ALL, padding + amplification)
 
     # Original run blocks with nothing locally kept are dead now.
+    empty = np.empty(0, np.int64)
     for q in range(P):
-        live = {lb for (t, _j), (_a, ref) in kept.items() if t == q
-                for lb in ref.blocks}
-        cluster.free_blocks(q, [lb for run in runs for lb in run.blocks[q]
-                                if lb not in live])
+        ids = np.concatenate([empty] + [np.asarray(run.blocks[q], np.int64)
+                                        for run in runs])
+        live = np.concatenate([empty] + [np.asarray(ref.blocks, np.int64)
+                                         for (t, _j), (_a, ref) in kept.items()
+                                         if t == q])
+        cluster.free_blocks(q, ids[~np.isin(ids, live)])
 
     staged: list[list[StagedRun]] = []
     for t in range(P):

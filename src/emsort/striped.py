@@ -7,11 +7,12 @@ will exhaust blocks — and by a prefetch schedule derived from it:
 scheduling fetches is the time reversal of scheduling buffered writes, so
 we simulate a greedy write buffer over the reversed sequence and flip the
 step numbers.  Merging itself proceeds in batches of M/(2B) blocks, each
-read, freed and written with one call per PE and bounded by the smallest
-key of the next unfetched block, which caps buffered leftovers at one block
-per run.  Each pass is planned once: one stable sort groups its blocks by
-(batch, PE), so a batch's reads and frees are slices of one id column, and
-the coordinator's traffic is charged per PE for the whole pass.
+bounded by the smallest key of the next unfetched block, which caps
+buffered leftovers at one block per run.  A batch is a slice of the
+pass's ``(pe, lb)`` columns in prediction order: it is read with one call,
+freed with one call, and its full output blocks are written with one call
+on a slice of the output stripe's columns.  The coordinator's traffic is
+charged per PE for the whole pass.
 """
 from __future__ import annotations
 
@@ -48,22 +49,6 @@ class StripedRun:
     minima: np.ndarray
 
 
-def _write_stripe(cluster, pes: np.ndarray, lbs: np.ndarray, elems: np.ndarray,
-                  phase: str) -> None:
-    """Write ``elems`` to the blocks ``(pes, lbs)``, ``B`` elements each,
-    with one ``write_blocks`` call per PE, each PE's blocks in stripe
-    order."""
-    P = cluster.cfg.P
-    order = np.argsort(pes, kind="stable")
-    rows = elems.reshape(-1, cluster.cfg.B)[order]
-    ids = lbs[order].tolist()
-    start = 0
-    for pe, end in enumerate(np.cumsum(np.bincount(pes, minlength=P)).tolist()):
-        if end > start:
-            cluster.write_blocks(pe, ids[start:end], rows[start:end], phase)
-        start = end
-
-
 def _charge_moves(cluster, src, dst, phase: str) -> None:
     """Charge ``B`` elements of communication for every block that moves
     from PE ``src[i]`` to another PE ``dst[i]``; either may be one PE for
@@ -87,23 +72,25 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
     """Sort memory-sized chunks of the input into striped runs.
 
     Chunk p of every run is read and sorted by PE p (one cooperative
-    internal sort per run), then written striped over all disks with one
-    call per PE; the consumed input blocks are freed.  Costs 2N element
-    I/O plus the internal sort's communication.
+    internal sort per run), then written striped over all disks; each run
+    reads, frees and writes its blocks with one call each.  Costs 2N
+    element I/O plus the internal sort's communication.
     """
     cfg = cluster.cfg
     B, share = cfg.B, cfg.m
     local = cfg.N // cfg.P
+    ids = np.array(pe_blocks, np.int64)             # [pe, input block]
+    owners = np.broadcast_to(np.arange(cfg.P)[:, None], ids.shape)
     runs: list[StripedRun] = []
     offset = 0  # elements of each PE's band consumed so far
     index = 0
     while offset < local:
         take = min(share, local - offset)
-        loads = []
-        for p in range(cfg.P):
-            lbs = pe_blocks[p][offset // B:(offset + take) // B]
-            loads.append(cluster.read_blocks(p, lbs, PHASE_RUN_FORMATION))
-            cluster.free_blocks(p, lbs)
+        chunk = slice(offset // B, (offset + take) // B)
+        pes, lbs = owners[:, chunk].ravel(), ids[:, chunk].ravel()
+        loads = np.split(cluster.read_blocks(pes, lbs, PHASE_RUN_FORMATION),
+                         cfg.P)
+        cluster.free_blocks(pes, lbs)
         pieces = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
         data = concat(pieces)
         if len(data) % B:
@@ -115,7 +102,7 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
         # charged from the PE holding a block's last element to its owner.
         ends = np.cumsum([len(piece) for piece in pieces])
         holders = np.searchsorted(ends, np.arange(B - 1, len(data), B), "right")
-        _write_stripe(cluster, pes, lbs, data, PHASE_RUN_FORMATION)
+        cluster.write_blocks(pes, lbs, data, PHASE_RUN_FORMATION)
         _charge_moves(cluster, holders, pes, PHASE_RUN_FORMATION)
         runs.append(StripedRun(len(data), start, pes, lbs,
                                data["key"][::B].copy()))
@@ -136,8 +123,8 @@ def build_prediction_sequence(cluster, runs: list[StripedRun]):
     run_of = np.repeat(np.arange(len(runs)), sizes)
     pos = np.concatenate([np.arange(n) for n in sizes])
     pes = np.concatenate([run.pes for run in runs])
-    gather_splitters(cluster, [minima[pes == pe].tolist()
-                               + pos[pes == pe].tolist()
+    words = np.stack((minima, pos.view(np.uint64)), axis=1)
+    gather_splitters(cluster, [words[pes == pe].ravel()
                                for pe in range(cluster.cfg.P)],
                      PHASE_STRIPED_MERGE)
     # Joined in run order and each run in position order, a block's index
@@ -241,16 +228,15 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
 
     The coordinator fetches blocks per the prefetch schedule (remote reads
     are charged as communication) in batches of M/(2B) blocks, each read
-    and freed with one call per PE, merges each batch, and writes the
-    output with one call per PE into a stripe reserved from ``start_disk``.
-    The pass is planned once: its blocks grouped by (batch, PE), so that
-    every batch reads and frees slices of one id column, and its traffic
-    charged per PE from the whole pass.  The pass costs one read and one
-    write per element; its I/O steps are the schedule length plus the
-    output's round-robin step count.
+    and freed with one call on its slice of the prediction sequence's
+    ``(pe, lb)`` columns, merges each batch, and writes its full output
+    blocks with one call into a stripe reserved from ``start_disk``.  The
+    traffic is charged per PE from the whole pass.  The pass costs one read
+    and one write per element; its I/O steps are the schedule length plus
+    the output's round-robin step count.
     """
     cfg = cluster.cfg
-    P, B, D_total = cfg.P, cfg.B, cfg.total_disks
+    B, D_total = cfg.B, cfg.total_disks
     if len(runs) > cfg.merge_arity:
         raise ValueError(
             f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
@@ -267,19 +253,12 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     n_steps = verify_schedule(disks, prefetch_schedule(disks.tolist(), W,
                                                        D_total), W)
 
-    # The plan.  Batch k drains what lies below the first block of batch
-    # k + 1 in the order (key, tag).  Its blocks on PE p are ``lbs[cuts[i]:
-    # cuts[i + 1]]`` with i = k*P + p, and their indices in the joined runs
-    # ``at[...]``: from here on both columns are grouped by (batch, PE), each
-    # group in prediction order.
+    # Batch k drains what lies below the first block of batch k + 1 in the
+    # order (key, tag).
     L = len(at)
     batch_blocks = max(1, cfg.M // (2 * B))
     starts = range(0, L, batch_blocks)
     bounds = [(int(keys[lo]), int(at[lo]) * B) for lo in starts[1:]] + [None]
-    group = np.arange(L) // batch_blocks * P + pes
-    cuts = [0] + np.cumsum(np.bincount(group, minlength=len(starts) * P)).tolist()
-    plan = np.argsort(group, kind="stable")
-    lbs, at = lbs[plan], at[plan]
     lanes = np.arange(B)
 
     length = sum(run.length for run in runs)
@@ -288,26 +267,21 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     written = 0
     tail = np.empty(0, ELEM)
     pending, tags = np.empty(0, ELEM), np.empty(0, np.int64)
-    for batch, bound in enumerate(bounds):
-        parts = [pending]
-        for pe in range(P):
-            lo, hi = cuts[batch * P + pe], cuts[batch * P + pe + 1]
-            if hi > lo:
-                ids = lbs[lo:hi].tolist()
-                parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
-                cluster.free_blocks(pe, ids)
-        lo, hi = cuts[batch * P], cuts[batch * P + P]
+    for lo, bound in zip(starts, bounds):
+        hi = lo + batch_blocks
+        fetched = cluster.read_blocks(pes[lo:hi], lbs[lo:hi], PHASE_STRIPED_MERGE)
+        cluster.free_blocks(pes[lo:hi], lbs[lo:hi])
         tags = np.concatenate((tags, (at[lo:hi, None] * B + lanes).ravel()))
-        out, pending, tags = batch_merge(concat(parts), tags, bound)
+        out, pending, tags = batch_merge(concat([pending, fetched]), tags, bound)
         held = np.bincount(np.searchsorted(first * B, tags, "right"))
         if len(held) and held.max() > B:
             raise RuntimeError(
                 f"batch leftover of {held.max()} elements exceeds a block")
         data = concat([tail, out])
         full = len(data) // B
-        _write_stripe(cluster, out_pes[written:written + full],
-                      out_lbs[written:written + full], data[:full * B],
-                      PHASE_STRIPED_MERGE)
+        cluster.write_blocks(out_pes[written:written + full],
+                             out_lbs[written:written + full], data[:full * B],
+                             PHASE_STRIPED_MERGE)
         minima[written:written + full] = data["key"][:full * B:B]
         written += full
         tail = data[full * B:]

@@ -3,21 +3,29 @@
 Every PE owns D disks addressed by a growing logical block id; logical block
 ``lb`` maps to ``(disk = lb % D, slot = lb // D)`` so sequential allocations
 stripe round-robin over the PE's disks; ``alloc_stripe`` reserves a run
-striped over every disk of the cluster in one call.  :class:`Cluster` speaks
-in runs of blocks on one PE: a list of ids and one element array of ``B``
-elements per id.  Engine reads and writes are charged to a named phase in
-the shared :class:`~emsort.core.PhaseCounters`, once per disk a run
-touches; input materialization and verification use the uncounted
-``seed_blocks`` / ``peek_blocks`` so the engine I/O identities stay exact.
-A stored block is a read-only copy of what was written; a read hands back
-the blocks joined as one read-only array.  A refused run raises before it
-changes anything.  A finished sort's :class:`OutputLayout` names its output
-blocks the way a striped run does: a PE column and a block-id column.
+striped over every disk of the cluster in one call.
+
+:class:`Cluster` keeps every block of the machine in one store: a slab of
+rows of ``B`` elements, an ``int64`` map from ``(lb, pe)`` (laid out as
+``lb * P + pe``) to a slab row or ``-1``, and a stack of free rows, so the
+slab grows with the live blocks, not with the ids handed out.  Its calls
+speak in runs of blocks: a column of ids, and a PE that is either one int
+for the whole run or an ``int64`` column as long as the ids, so one call
+can touch blocks of every PE.  Each call costs a few array operations,
+not a Python step per block.  Engine reads and writes are charged to a
+named phase in the shared :class:`~emsort.core.PhaseCounters`, once per
+(PE, disk) a run touches; input materialization and verification use the
+uncounted ``seed_blocks`` / ``peek_blocks`` so the engine I/O identities
+stay exact.  A write stores a copy of its elements; a read hands back the
+blocks joined as one read-only copy.  A refused run, a PE outside
+``[0, P)`` included, raises before it changes anything.  A finished sort's
+:class:`OutputLayout` names its output blocks the way a striped run does: a
+PE column and a block-id column.
 """
 from __future__ import annotations
 
+import mmap
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,30 +37,44 @@ from .core import (
     SENTINEL_SERIAL,
     MachineConfig,
     PhaseCounters,
-    concat,
     sentinel_mask,
 )
+
+#: ``mmap`` flags for private anonymous memory where the platform has them.
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+            if hasattr(mmap, "MAP_PRIVATE") else {})
+
 
 class DiskError(Exception):
     pass
 
 
-class _PEArray:
-    """Block storage of one PE: logical block id -> block."""
-
-    def __init__(self, d: int):
-        self.blocks: dict[int, bytes] = {}   # B elements, ELEM-encoded
-        self.next_slot = [0] * d
-        self.peak_allocated = 0
-
-
 class Cluster:
-    """The simulated machine: config, per-PE disk arrays, counters."""
+    """The simulated machine: config, one block store for all PEs,
+    counters.
+
+    ``next_slot[pe, d]`` is disk ``d`` of ``pe``'s next free slot, and
+    ``live[pe]`` and ``peak[pe]`` count the blocks ``pe`` holds now and at
+    most so far.
+
+    Block ``lb`` of ``pe`` has the key ``lb * P + pe``: ``_row[key]`` is
+    its slab row, or ``-1``.  A key also gives the block's disk cell
+    ``key % (P * D) = d * P + pe`` and its slot ``key // (P * D)``, the
+    layout of ``_next``, which ``next_slot`` views PE by PE.
+    """
 
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
         self.counters = PhaseCounters(cfg.P, cfg.D)
-        self.arrays = [_PEArray(cfg.D) for _ in range(cfg.P)]
+        self._next = np.zeros(cfg.D * cfg.P, np.int64)
+        self.next_slot = self._next.reshape(cfg.D, cfg.P).T
+        self.live = np.zeros(cfg.P, np.int64)
+        self.peak = np.zeros(cfg.P, np.int64)
+        self._block = np.dtype((np.void, cfg.B * ELEM.itemsize))
+        self._slab = np.empty(0, self._block)
+        self._row = np.empty(0, np.int64)
+        self._free = np.empty(0, np.int64)      # rows _free[:_nfree] are free
+        self._nfree = 0
 
     # -- allocation ----------------------------------------------------------
 
@@ -60,13 +82,15 @@ class Cluster:
         """Reserve ``n`` fresh logical block ids on ``pe`` (no I/O charged),
         each on the disk with the fewest slots handed out, lowest disk first:
         the ``n`` smallest ids at or above their disk's next free slot."""
-        free = self.arrays[pe].next_slot
+        self._check_pe(pe)
+        free = self.next_slot[pe].tolist()
         D, top = len(free), max(free)
         lbs = sorted(s * D + d for d, nxt in enumerate(free)
                      for s in range(nxt, min(top, nxt + n)))[:n]
         lbs += range(top * D, top * D + n - len(lbs))
         for lb in lbs[-D:]:     # each disk's last id is among the last D
             free[lb % D] = max(free[lb % D], lb // D + 1)
+        self.next_slot[pe] = free
         return lbs
 
     def alloc_stripe(self, start_disk: int,
@@ -77,96 +101,211 @@ class Cluster:
         disk's next free slots in order.  Returns the PE and the id of each
         block as ``int64`` columns: the ids of ``n`` one-block allocations
         in stripe order."""
-        D = self.cfg.D
+        P, D = self.cfg.P, self.cfg.D
         total = self.cfg.total_disks
         first = start_disk % total
         q = np.arange(first, first + n)
         disk = q % total
         rank = q // total - (disk < first)  # stripe blocks before it on disk
-        base = np.array([s for arr in self.arrays for s in arr.next_slot])
-        for g, count in enumerate(np.bincount(disk, minlength=total).tolist()):
-            self.arrays[g // D].next_slot[g % D] += count
-        return disk // D, (base[disk] + rank) * D + disk % D
+        pes, d = np.divmod(disk, D)
+        cells = d * P + pes
+        lbs = (self._next[cells] + rank) * D + d
+        self._next += np.bincount(cells, minlength=total)
+        return pes, lbs
 
-    def free_blocks(self, pe: int, lbs: Sequence[int]) -> None:
+    def free_blocks(self, pe, lbs) -> None:
         """Release blocks (no I/O charged; supports in-place accounting)."""
-        blocks = self.arrays[pe].blocks
-        ids = set(lbs)
-        if len(ids) < len(lbs):
-            raise DiskError(f"free of a block twice in one batch on pe={pe}")
-        if not ids <= blocks.keys():
-            raise DiskError(f"free of unallocated block pe={pe} "
-                            f"lb={min(ids - blocks.keys())}")
-        for lb in ids:
-            del blocks[lb]
+        lbs, pe, keys = self._ids(pe, lbs)
+        self._refuse_repeats("free", keys, pe)
+        rows = self._rows(keys)
+        if len(rows) and np.minimum.reduce(rows) < 0:
+            P = self.cfg.P
+            key = int(keys[rows < 0].min())
+            raise DiskError(f"free of unallocated block pe={key % P} "
+                            f"lb={key // P}")
+        self._row[keys] = -1
+        self._free[self._nfree:self._nfree + len(rows)] = rows
+        self._nfree += len(rows)
+        if isinstance(pe, np.ndarray):
+            np.subtract.at(self.live, pe, 1)
+        else:
+            self.live[pe] -= len(rows)
 
     # -- counted I/O ---------------------------------------------------------
 
-    def read_blocks(self, pe: int, lbs: Sequence[int], phase: str) -> np.ndarray:
+    def read_blocks(self, pe, lbs, phase: str) -> np.ndarray:
         """The blocks ``lbs`` of ``pe`` joined as one read-only array."""
         if phase not in ALL_PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        data = self.peek_blocks(pe, lbs)
-        self._charge(self.counters.note_read, phase, pe, lbs)
+        lbs, pe, keys = self._ids(pe, lbs)
+        data = self._gather(lbs, pe, keys)
+        self._charge(self.counters.note_read, phase, keys)
         return data
 
-    def write_blocks(self, pe: int, lbs: Sequence[int], elems, phase: str) -> None:
+    def write_blocks(self, pe, lbs, elems, phase: str) -> None:
         """Store ``elems`` as the blocks ``lbs`` of ``pe``, ``B`` each."""
         if phase not in ALL_PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        self.seed_blocks(pe, lbs, elems)
-        self._charge(self.counters.note_write, phase, pe, lbs)
+        lbs, pe, keys = self._ids(pe, lbs)
+        self._store(lbs, pe, keys, np.asarray(elems, ELEM))
+        self._charge(self.counters.note_write, phase, keys)
 
     # -- uncounted paths (setup / verification only) ---------------------------
 
-    def seed_blocks(self, pe: int, lbs: Sequence[int], elems) -> None:
+    def seed_blocks(self, pe, lbs, elems) -> None:
         """Store ``elems`` (an element array, or a list of ``(key, serial)``
         tuples) as the blocks ``lbs`` of ``pe`` without charging I/O."""
-        self._store(pe, lbs, np.asarray(elems, ELEM).tobytes())
+        lbs, pe, keys = self._ids(pe, lbs)
+        self._store(lbs, pe, keys, np.asarray(elems, ELEM))
 
-    def _store(self, pe: int, lbs: Sequence[int], raw: bytes) -> None:
-        """Store the element bytes ``raw`` as the blocks ``lbs`` of ``pe``."""
-        B, D = self.cfg.B, self.cfg.D
-        size = B * ELEM.itemsize
-        if len(raw) != len(lbs) * size:
-            raise DiskError(f"store of {len(raw) // ELEM.itemsize} elements "
-                            f"to {len(lbs)} blocks of pe={pe}; block size is {B}")
-        arr = self.arrays[pe]
-        blocks, free = arr.blocks, arr.next_slot
-        for i, lb in enumerate(lbs):
-            # A bytes slice is a fresh copy, so each block owns its memory.
-            blocks[lb] = raw[i * size:(i + 1) * size]
-            if lb // D >= free[lb % D]:
-                free[lb % D] = lb // D + 1
-        arr.peak_allocated = max(arr.peak_allocated, len(blocks))
-
-    def peek_blocks(self, pe: int, lbs: Sequence[int]) -> np.ndarray:
+    def peek_blocks(self, pe, lbs) -> np.ndarray:
         """The blocks ``lbs`` of ``pe`` joined as one read-only array,
         uncounted."""
-        blocks = self.arrays[pe].blocks
-        try:
-            return concat(list(map(blocks.__getitem__, lbs)))
-        except KeyError as exc:
-            raise DiskError(f"read of unallocated block pe={pe} "
-                            f"lb={exc.args[0]}") from None
+        return self._gather(*self._ids(pe, lbs))
 
-    def _charge(self, note, phase: str, pe: int, lbs: Sequence[int]) -> None:
-        """Charge one block per id in ``lbs`` to its disk, once per disk."""
-        D = self.cfg.D
-        if len(lbs) == 1:           # the selection probes' one-block reads
-            note(phase, pe, lbs[0] % D, 1)
+    # -- the store -------------------------------------------------------------
+
+    def _check_pe(self, pe) -> None:
+        if not 0 <= pe < self.cfg.P:
+            raise DiskError(f"pe={pe} is outside [0, {self.cfg.P})")
+
+    def _ids(self, pe, lbs):
+        """``lbs`` as an ``int64`` column, ``pe`` as an int or, given as an
+        array, as an ``int64`` column as long, and the blocks' keys; raises
+        :class:`DiskError` naming the first PE outside ``[0, P)``."""
+        lbs = np.asarray(lbs, np.int64)
+        P = self.cfg.P
+        if isinstance(pe, np.ndarray):
+            pe = pe.astype(np.int64, copy=False)
+            if pe.shape != lbs.shape:
+                raise DiskError(f"{len(pe)} pes for {len(lbs)} block ids")
+            if len(pe) and np.maximum.reduce(pe.view(np.uint64)) >= P:
+                self._check_pe(int(pe[(pe.view(np.uint64) >= P).argmax()]))
+        else:
+            self._check_pe(pe)
+        keys = lbs * P
+        keys += pe
+        return lbs, pe, keys
+
+    def _refuse_repeats(self, verb: str, keys: np.ndarray, pe) -> None:
+        """Raise :class:`DiskError` if a block appears twice, naming the PE
+        of its first repeat."""
+        if len(keys) < 2:
             return
-        counts = [0] * D
-        for lb in lbs:
-            counts[lb % D] += 1
-        for d, n in enumerate(counts):
+        ordered = np.sort(keys)
+        if np.logical_and.reduce(ordered[1:] != ordered[:-1]):
+            return
+        _, first = np.unique(keys, return_index=True)
+        repeat = np.ones(len(keys), bool)
+        repeat[first] = False
+        raise DiskError(f"{verb} of a block twice in one batch on "
+                        f"pe={_at(pe, int(repeat.argmax()))}")
+
+    def _rows(self, keys: np.ndarray) -> np.ndarray:
+        """The slab row of each block, ``-1`` where none is stored."""
+        if len(keys) and np.maximum.reduce(keys.view(np.uint64)) >= len(self._row):
+            inside = keys.view(np.uint64) < len(self._row)  # negative ids too
+            rows = np.full(len(keys), -1, np.int64)
+            rows[inside] = self._row[keys[inside]]
+            return rows
+        return self._row[keys]
+
+    def _gather(self, lbs: np.ndarray, pe, keys: np.ndarray) -> np.ndarray:
+        rows = self._rows(keys)
+        if len(rows) and np.minimum.reduce(rows) < 0:
+            i = int((rows < 0).argmax())
+            raise DiskError(f"read of unallocated block pe={_at(pe, i)} "
+                            f"lb={lbs[i]}")
+        data = self._slab[rows].view(ELEM)
+        data.flags.writeable = False
+        return data
+
+    def _store(self, lbs: np.ndarray, pe, keys: np.ndarray,
+               elems: np.ndarray) -> None:
+        """Store ``elems`` as the blocks ``lbs`` of ``pe``."""
+        B = self.cfg.B
+        n = len(lbs)
+        if elems.size != n * B:
+            on = "" if isinstance(pe, np.ndarray) else f" of pe={pe}"
+            raise DiskError(f"store of {elems.size} elements to {n} blocks"
+                            f"{on}; block size is {B}")
+        if not n:
+            return
+        if np.minimum.reduce(lbs) < 0:
+            i = int((lbs < 0).argmax())
+            raise DiskError(f"write of negative block id pe={_at(pe, i)} "
+                            f"lb={lbs[i]}")
+        self._refuse_repeats("write", keys, pe)
+        top = int(np.maximum.reduce(keys))
+        if top >= len(self._row):
+            grown = np.full(max(top + 1, 2 * len(self._row)), -1, np.int64)
+            grown[:len(self._row)] = self._row
+            self._row = grown
+        rows = self._row[keys]
+        fresh = rows < 0
+        k = int(np.count_nonzero(fresh))
+        if k:
+            new = self._pop(k)
+            if k == n:                  # only fresh ids, the common case
+                rows, fresh = new, slice(None)
+            else:
+                rows[fresh] = new
+            self._row[keys[fresh]] = new
+            if isinstance(pe, np.ndarray):
+                np.add.at(self.live, pe[fresh], 1)
+            else:
+                self.live[pe] += k
+            np.maximum(self.peak, self.live, out=self.peak)
+        self._slab[rows] = np.ascontiguousarray(elems).reshape(-1).view(self._block)
+        # A written id counts as handed out: raise its disk's next free slot.
+        slots, cells = np.divmod(keys, len(self._next))
+        slots += 1
+        np.maximum.at(self._next, cells, slots)
+
+    def _pop(self, k: int) -> np.ndarray:
+        """``k`` free rows, growing the slab when fewer are free."""
+        self._reserve(k)
+        self._nfree -= k
+        return self._free[self._nfree:self._nfree + k]
+
+    def _reserve(self, k: int) -> None:
+        """Grow the slab until ``k`` rows are free: to at least twice its
+        size and twice the input's ``N / B`` blocks.  New rows go under the
+        free ones, so freed rows are reused first.
+
+        The slab is private anonymous memory mapped for it alone, so a row
+        costs memory only once written, and dropping a slab hands its
+        memory back without moving the C allocator's thresholds for the
+        many smaller arrays of a sort."""
+        if k <= self._nfree:
+            return
+        old = len(self._slab)
+        cap = max(old + k - self._nfree, 2 * old, 2 * self.cfg.N // self.cfg.B)
+        slab = np.frombuffer(mmap.mmap(-1, cap * self._block.itemsize,
+                                       **_PRIVATE), self._block)
+        slab[:old] = self._slab
+        free = np.empty(cap, np.int64)
+        free[:cap - old] = np.arange(cap - 1, old - 1, -1)
+        free[cap - old:cap - old + self._nfree] = self._free[:self._nfree]
+        self._slab, self._free = slab, free
+        self._nfree += cap - old
+
+    def _charge(self, note, phase: str, keys: np.ndarray) -> None:
+        """Charge one block per key to its disk, once per (PE, disk)."""
+        P = self.cfg.P
+        if len(keys) == 1:          # the selection probes' one-block reads
+            key = int(keys[0])
+            note(phase, key % P, key // P % self.cfg.D, 1)
+            return
+        cells = len(self._next)
+        for cell, n in enumerate(np.bincount(keys % cells, minlength=cells).tolist()):
             if n:
-                note(phase, pe, d, n)
+                note(phase, cell % P, cell // P, n)
 
     # -- occupancy -----------------------------------------------------------
 
     def peak_allocated(self, pe: int) -> int:
-        return self.arrays[pe].peak_allocated
+        return int(self.peak[pe])
 
     # -- persistence -----------------------------------------------------------
 
@@ -174,21 +313,22 @@ class Cluster:
         """Write one ``pe<p>_disk<d>.bin`` per disk; slot ``s`` occupies bytes
         ``[s*B*elem_size, (s+1)*B*elem_size)``, holes zero-filled.  See
         :func:`_encode_elements` for the element layout; at ``elem_size``
-        16 a row is the element's own bytes, so the stored blocks are
-        written as they are."""
+        16 a row is the element's own bytes, so each image is one gather of
+        the stored blocks."""
         os.makedirs(directory, exist_ok=True)
-        B, D, es = self.cfg.B, self.cfg.D, self.cfg.elem_size
-        for pe, arr in enumerate(self.arrays):
+        P, B, D, es = self.cfg.P, self.cfg.B, self.cfg.D, self.cfg.elem_size
+        for pe in range(P):
             for d in range(D):
-                used = sorted(lb for lb in arr.blocks if lb % D == d)
-                slots = range(d, used[-1] + 1 if used else 0, D)
+                rows = self._row[d * P + pe::D * P]     # slot -> row
+                used = np.flatnonzero(rows >= 0)
+                rows = rows[:used[-1] + 1 if len(used) else 0]
                 if es == ELEM.itemsize:
-                    hole = bytes(B * es)
-                    image = b"".join(arr.blocks.get(lb, hole) for lb in slots)
+                    image = self._slab[np.maximum(rows, 0)]
+                    image[rows < 0] = np.zeros((), self._block)
                 else:
-                    image = np.zeros((len(slots), B, es), dtype=np.uint8)
-                    image[[lb // D for lb in used]] = _encode_elements(
-                        self.peek_blocks(pe, used), es).reshape(-1, B, es)
+                    image = np.zeros((len(rows), B, es), dtype=np.uint8)
+                    image[used] = _encode_elements(
+                        self._slab[rows[used]].view(ELEM), es).reshape(-1, B, es)
                 with open(os.path.join(directory, f"pe{pe}_disk{d}.bin"),
                           "wb") as fh:
                     fh.write(image)
@@ -202,38 +342,47 @@ class Cluster:
 
         Only a row wider than 16 bytes can be refused: decoding keeps every
         byte of a narrower row, so encoding writes it back.  At
-        ``elem_size`` 16 the image bytes are the elements themselves."""
+        ``elem_size`` 16 the image bytes are the elements themselves, and
+        each image is stored with one call."""
         cluster = cls(cfg)
         B, es = cfg.B, cfg.elem_size
-        for pe in range(cfg.P):
-            for d in range(cfg.D):
-                path = os.path.join(directory, f"pe{pe}_disk{d}.bin")
-                try:
-                    with open(path, "rb") as fh:
-                        raw = fh.read()
-                except FileNotFoundError:
-                    raise DiskError(f"{path}: image is missing") from None
-                if len(raw) % (B * es):
-                    raise DiskError(f"{path}: size is not a whole number of blocks")
-                lbs = range(d, len(raw) // (B * es) * cfg.D, cfg.D)
-                if es == ELEM.itemsize:
-                    cluster._store(pe, lbs, raw)
-                    continue
-                rows = np.frombuffer(raw, np.uint8).reshape(-1, es)
-                elems = _decode_elements(rows)
-                # Decoding keeps a row's first 16 bytes; encoding writes the
-                # rest as all 0xff for a sentinel and as zeros otherwise.
-                tails, sentinels = rows[:, ELEM.itemsize:], sentinel_mask(elems)
-                bad = np.flatnonzero(np.where(
-                    sentinels, (tails != 0xFF).any(axis=1), tails.any(axis=1)))
-                if bad.size:
-                    i = bad[0]
-                    why = ("reads as a sentinel but its payload is not all 0xff"
-                           if sentinels[i]
-                           else "has payload bytes past the 8-byte serial")
-                    raise DiskError(f"{path}: row {i} {why}")
-                cluster.seed_blocks(pe, lbs, elems)
+        paths = [(pe, d, os.path.join(directory, f"pe{pe}_disk{d}.bin"))
+                 for pe in range(cfg.P) for d in range(cfg.D)]
+        # One slab for all the images: a row for every block they hold.
+        cluster._reserve(sum(os.path.getsize(path) for _pe, _d, path in paths
+                             if os.path.isfile(path)) // (B * es))
+        for pe, d, path in paths:
+            try:
+                with open(path, "rb") as fh:
+                    raw = fh.read()
+            except FileNotFoundError:
+                raise DiskError(f"{path}: image is missing") from None
+            if len(raw) % (B * es):
+                raise DiskError(f"{path}: size is not a whole number of blocks")
+            lbs = np.arange(d, len(raw) // (B * es) * cfg.D, cfg.D)
+            if es == ELEM.itemsize:
+                cluster.seed_blocks(pe, lbs, np.frombuffer(raw, ELEM))
+                continue
+            rows = np.frombuffer(raw, np.uint8).reshape(-1, es)
+            elems = _decode_elements(rows)
+            # Decoding keeps a row's first 16 bytes; encoding writes the
+            # rest as all 0xff for a sentinel and as zeros otherwise.
+            tails, sentinels = rows[:, ELEM.itemsize:], sentinel_mask(elems)
+            bad = np.flatnonzero(np.where(
+                sentinels, (tails != 0xFF).any(axis=1), tails.any(axis=1)))
+            if bad.size:
+                i = bad[0]
+                why = ("reads as a sentinel but its payload is not all 0xff"
+                       if sentinels[i]
+                       else "has payload bytes past the 8-byte serial")
+                raise DiskError(f"{path}: row {i} {why}")
+            cluster.seed_blocks(pe, lbs, elems)
         return cluster
+
+
+def _at(pe, i: int) -> int:
+    """The PE of block ``i`` of a run: ``pe`` itself, or its entry ``i``."""
+    return int(pe[i]) if isinstance(pe, np.ndarray) else int(pe)
 
 
 def _encode_elements(elems: np.ndarray, elem_size: int) -> np.ndarray:

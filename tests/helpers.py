@@ -1,8 +1,9 @@
 """Shared test utilities: cluster construction, oracle sorting, block
 occupancy, an in-memory selection accessor, the scalar element codec that
-the disk images are checked against, and the element-at-a-time,
+the disk images are checked against, the element-at-a-time,
 block-at-a-time, per-batch, per-rank and per-block kernels that the array
-kernels are checked against."""
+kernels are checked against, and the per-PE dict block store that the slab
+store is checked against."""
 from __future__ import annotations
 
 import heapq
@@ -12,8 +13,9 @@ from operator import itemgetter
 import numpy as np
 
 from emsort.core import (
-    ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
-    PHASE_STRIPED_MERGE, Element, MachineConfig, concat, sentinel, sentinel_mask,
+    ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
+    PHASE_STRIPED_MERGE, Element, MachineConfig, PhaseCounters, concat, sentinel,
+    sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
@@ -80,7 +82,7 @@ def is_allocated(cluster: Cluster, pe: int, lb: int) -> bool:
 
 def live_blocks(cluster: Cluster, pe: int) -> list[int]:
     """The logical ids of every block ``pe`` holds, ascending."""
-    top = max(cluster.arrays[pe].next_slot) * cluster.cfg.D
+    top = int(cluster.next_slot[pe].max()) * cluster.cfg.D
     return [lb for lb in range(top) if is_allocated(cluster, pe, lb)]
 
 
@@ -343,7 +345,7 @@ class _StripedWriter:
         for g in range(first, first + full // B):
             pe, disk = divmod((self.start_disk + g) % cfg.total_disks, D)
             self.blocks.append(
-                (pe, alloc_on_reference(cluster.arrays[pe].next_slot, disk)))
+                (pe, alloc_on_reference(cluster.next_slot[pe], disk)))
         rows = data[:full].reshape(-1, B)
         for pe in range(cfg.P):
             mine = [g for g in range(full // B) if self.blocks[first + g][0] == pe]
@@ -673,3 +675,145 @@ def schedule_flows(flows: list[tuple[int, int, int, int, int]],
             c += vol
         pieces.append(mine)
     return len(send_load), pieces
+
+
+# --- reference model: the per-PE dict block store ------------------------------
+
+class _ReferencePE:
+    """Block storage of one PE: logical block id -> block."""
+
+    def __init__(self, d: int):
+        self.blocks: dict[int, bytes] = {}   # B elements, ELEM-encoded
+        self.next_slot = [0] * d
+        self.peak_allocated = 0
+
+
+class ReferenceCluster:
+    """The block store that :class:`~emsort.vdisk.Cluster` had before its
+    slab: one ``bytes`` object per block in a dict per PE, one Python step
+    per block.  A column-PE call walks its ``(pe, lb)`` pairs in order.
+    It refuses what the slab store refuses, with the same
+    :class:`DiskError` text, and otherwise gives the same blocks, counters,
+    peaks and next slots."""
+
+    def __init__(self, cfg: MachineConfig):
+        self.cfg = cfg
+        self.counters = PhaseCounters(cfg.P, cfg.D)
+        self.arrays = [_ReferencePE(cfg.D) for _ in range(cfg.P)]
+
+    @property
+    def next_slot(self) -> list[list[int]]:
+        return [arr.next_slot for arr in self.arrays]
+
+    def peak_allocated(self, pe: int) -> int:
+        return self.arrays[pe].peak_allocated
+
+    def live(self, pe: int) -> list[int]:
+        return sorted(self.arrays[pe].blocks)
+
+    def _check_pe(self, pe) -> None:
+        if not 0 <= pe < self.cfg.P:
+            raise DiskError(f"pe={pe} is outside [0, {self.cfg.P})")
+
+    def _pairs(self, pe, lbs) -> list[tuple[int, int]]:
+        lbs = [int(lb) for lb in lbs]
+        if not isinstance(pe, np.ndarray):
+            self._check_pe(pe)
+            return [(pe, lb) for lb in lbs]
+        if len(pe) != len(lbs):
+            raise DiskError(f"{len(pe)} pes for {len(lbs)} block ids")
+        for p in pe.tolist():
+            self._check_pe(p)
+        return list(zip(pe.tolist(), lbs))
+
+    @staticmethod
+    def _first_repeat(pairs) -> int | None:
+        seen = set()
+        for i, pair in enumerate(pairs):
+            if pair in seen:
+                return i
+            seen.add(pair)
+        return None
+
+    def alloc_blocks(self, pe: int, n: int) -> list[int]:
+        self._check_pe(pe)
+        return alloc_reference(self.arrays[pe].next_slot, n)
+
+    def alloc_stripe(self, start_disk: int, n: int):
+        D = self.cfg.D
+        places = [divmod((start_disk + g) % self.cfg.total_disks, D)
+                  for g in range(n)]
+        return (np.array([pe for pe, _ in places], np.int64),
+                np.array([alloc_on_reference(self.arrays[pe].next_slot, disk)
+                          for pe, disk in places], np.int64))
+
+    def free_blocks(self, pe, lbs) -> None:
+        pairs = self._pairs(pe, lbs)
+        i = self._first_repeat(pairs)
+        if i is not None:
+            raise DiskError("free of a block twice in one batch on "
+                            f"pe={pairs[i][0]}")
+        missing = [(lb, p) for p, lb in pairs if lb not in self.arrays[p].blocks]
+        if missing:
+            lb, p = min(missing)
+            raise DiskError(f"free of unallocated block pe={p} lb={lb}")
+        for p, lb in pairs:
+            del self.arrays[p].blocks[lb]
+
+    def read_blocks(self, pe, lbs, phase: str) -> np.ndarray:
+        if phase not in ALL_PHASES:
+            raise ValueError(f"unknown phase {phase!r}")
+        pairs = self._pairs(pe, lbs)
+        data = self._peek(pairs)
+        self._charge(self.counters.note_read, phase, pairs)
+        return data
+
+    def write_blocks(self, pe, lbs, elems, phase: str) -> None:
+        if phase not in ALL_PHASES:
+            raise ValueError(f"unknown phase {phase!r}")
+        pairs = self._pairs(pe, lbs)
+        self._store(pe, pairs, elems)
+        self._charge(self.counters.note_write, phase, pairs)
+
+    def seed_blocks(self, pe, lbs, elems) -> None:
+        self._store(pe, self._pairs(pe, lbs), elems)
+
+    def peek_blocks(self, pe, lbs) -> np.ndarray:
+        return self._peek(self._pairs(pe, lbs))
+
+    def _peek(self, pairs) -> np.ndarray:
+        for p, lb in pairs:
+            if lb not in self.arrays[p].blocks:
+                raise DiskError(f"read of unallocated block pe={p} lb={lb}")
+        return concat([self.arrays[p].blocks[lb] for p, lb in pairs])
+
+    def _store(self, pe, pairs, elems) -> None:
+        B, D = self.cfg.B, self.cfg.D
+        raw = np.asarray(elems, ELEM).tobytes()
+        size = B * ELEM.itemsize
+        if len(raw) != len(pairs) * size:
+            on = "" if isinstance(pe, np.ndarray) else f" of pe={pe}"
+            raise DiskError(f"store of {len(raw) // ELEM.itemsize} elements "
+                            f"to {len(pairs)} blocks{on}; block size is {B}")
+        for p, lb in pairs:
+            if lb < 0:
+                raise DiskError(f"write of negative block id pe={p} lb={lb}")
+        i = self._first_repeat(pairs)
+        if i is not None:
+            raise DiskError("write of a block twice in one batch on "
+                            f"pe={pairs[i][0]}")
+        for i, (p, lb) in enumerate(pairs):
+            arr = self.arrays[p]
+            arr.blocks[lb] = raw[i * size:(i + 1) * size]
+            if lb // D >= arr.next_slot[lb % D]:
+                arr.next_slot[lb % D] = lb // D + 1
+        for arr in self.arrays:
+            arr.peak_allocated = max(arr.peak_allocated, len(arr.blocks))
+
+    def _charge(self, note, phase: str, pairs) -> None:
+        D = self.cfg.D
+        counts: dict[tuple[int, int], int] = {}
+        for p, lb in pairs:
+            counts[p, lb % D] = counts.get((p, lb % D), 0) + 1
+        for (p, d), n in counts.items():
+            note(phase, p, d, n)

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,26 +232,28 @@ def test_verify_detects_decrease_across_a_chunk_boundary():
     assert verdict.failures == [f"keys decrease at position {VERIFY_CHUNK}"]
 
 
-def test_verify_peeks_each_chunk_once_per_pe(monkeypatch):
+def test_verify_peeks_each_chunk_with_one_column_call(monkeypatch):
     """A striped output changes PE every D blocks; each chunk is still read
-    with one call per PE and checked in layout order."""
+    with one call, on the chunk's slice of the layout columns, and checked
+    in layout order."""
     monkeypatch.setattr(harness, "VERIFY_CHUNK", 32)      # 8 blocks of 4
     cl = build(P=2, B=4, m=32, N=128, seed=31)
     gen = fill(cl, "random", 31)
     layout = run_sort(cl, gen.pe_blocks, "striped").layout
     assert set(layout.pes[:8].tolist()) == {0, 1}
     swap(cl, layout, 45, 46)
-    calls: Counter[int] = Counter()
+    calls = []
     peek = cl.peek_blocks
 
     def counted(pe, lbs):
-        calls[pe] += 1
+        calls.append(list(zip(pe.tolist(), lbs.tolist())))
         return peek(pe, lbs)
 
     monkeypatch.setattr(cl, "peek_blocks", counted)
     verdict = verify_output(cl, layout, gen.count, gen.total)
     assert verdict.failures == ["keys decrease at position 46"]
-    assert calls == {0: 4, 1: 4}
+    blocks = addresses(layout)
+    assert calls == [blocks[g:g + 8] for g in range(0, 32, 8)]
 
 
 def test_verify_names_the_first_missing_block_in_layout_order():

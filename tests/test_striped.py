@@ -222,10 +222,8 @@ def test_merge_pass_records_io_steps():
     assert steps <= 2 * blocks + 2
 
 
-def test_merge_pass_moves_whole_batches():
-    """One read, free and write call per PE per batch, and one stripe
-    allocation for the output: a return to one-block calls fails here."""
-    cl, _inputs, runs = formed(P=2, N=256, seed=14)     # 64 blocks, batches of 8
+def counting(cl):
+    """Count the calls to ``cl``'s block-run and allocation methods."""
     calls: Counter[str] = Counter()
     for name in ("read_blocks", "free_blocks", "write_blocks", "alloc_blocks",
                  "alloc_stripe"):
@@ -233,12 +231,31 @@ def test_merge_pass_moves_whole_batches():
             calls[_name] += 1
             return _method(*args, **kwargs)
         setattr(cl, name, counted)
+    return calls
+
+
+def test_merge_pass_moves_whole_batches():
+    """Exactly one read, one free and one write call per batch, and one
+    stripe allocation for the output: a return to calls per PE or per
+    block fails here."""
+    cl, _inputs, runs = formed(P=2, N=256, seed=14)     # 64 blocks, batches of 8
+    calls = counting(cl)
     out = striped_merge_pass(cl, runs, start_disk=0)
     batches = -(-len(out.lbs) // (cl.cfg.M // (2 * cl.cfg.B)))
     assert batches == 8
     for name in ("read_blocks", "free_blocks", "write_blocks"):
-        assert calls[name] <= cl.cfg.P * batches, (name, calls)
+        assert calls[name] == batches, (name, calls)
     assert (calls["alloc_stripe"], calls["alloc_blocks"]) == (1, 0)
+
+
+def test_formation_moves_each_run_with_one_call_each():
+    cl = build(P=4, D=2, B=4, m=32, N=512, seed=15)
+    gen = fill(cl, "random", 15)
+    calls = counting(cl)
+    runs = form_striped_runs(cl, gen.pe_blocks)
+    assert len(runs) == cl.cfg.R == 4
+    assert calls == {"read_blocks": 4, "free_blocks": 4, "write_blocks": 4,
+                     "alloc_stripe": 4}
 
 
 # --- parity with the block-at-a-time engine ------------------------------------

@@ -8,14 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP, sentinel
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    addresses, alloc_on_reference, alloc_reference, build, counter_state,
-    element_from_bytes, element_to_bytes, elements, is_allocated, live_blocks,
+    ReferenceCluster, addresses, alloc_on_reference, alloc_reference, build,
+    counter_state, element_from_bytes, element_to_bytes, elements,
+    is_allocated, live_blocks,
 )
 
 
@@ -84,7 +85,7 @@ def test_alloc_stripe_places_each_block_on_its_disk():
     pes, lbs = cl.alloc_stripe(4, 8)        # global disks 4 5 0 1 2 3 4 5
     assert pes.tolist() == [1, 1, 0, 0, 0, 1, 1, 1]
     assert lbs.tolist() == [1, 2, 0, 1, 2, 0, 4, 5]
-    assert [arr.next_slot for arr in cl.arrays] == [[1, 1, 1], [1, 2, 2]]
+    assert cl.next_slot.tolist() == [[1, 1, 1], [1, 2, 2]]
     pes, lbs = cl.alloc_stripe(0, 0)
     assert (pes.tolist(), lbs.tolist()) == ([], [])
     pes, lbs = cl.alloc_stripe(6, 1)        # start_disk wraps to 0
@@ -112,14 +113,14 @@ def test_alloc_blocks_matches_one_block_allocations(D, ops):
                                     for pe, disk in places]
         else:
             assert cl.alloc_blocks(1, n) == alloc_reference(next_slot[1], n)
-        assert [arr.next_slot for arr in cl.arrays] == next_slot
+        assert cl.next_slot.tolist() == next_slot
 
 
 def store_state(cl):
     """Everything a refused batch must leave as it was."""
     return (copy.deepcopy(counter_state(cl)),
             [(live_blocks(cl, pe), cl.peak_allocated(pe),
-              list(cl.arrays[pe].next_slot)) for pe in range(cl.cfg.P)],
+              cl.next_slot[pe].tolist()) for pe in range(cl.cfg.P)],
             [cl.peek_blocks(pe, live_blocks(cl, pe)).tolist()
              for pe in range(cl.cfg.P)])
 
@@ -144,6 +145,14 @@ REFUSED = {
         0, lbs + [freed]),
     "free of a duplicate id": lambda cl, lbs, freed: cl.free_blocks(
         0, [lbs[0], lbs[1], lbs[0]]),
+    "write of a negative id": lambda cl, lbs, freed: cl.write_blocks(
+        0, [freed, -2], block_of(7, 4 * 2), PHASE_RUN_FORMATION),
+    "write of a duplicate id": lambda cl, lbs, freed: cl.write_blocks(
+        0, [freed, lbs[0], freed], block_of(7, 4 * 3), PHASE_RUN_FORMATION),
+    "write of a column one PE short": lambda cl, lbs, freed: cl.write_blocks(
+        np.zeros(1, np.int64), lbs, block_of(7, 4 * 3), PHASE_RUN_FORMATION),
+    "free of a column with a freed id": lambda cl, lbs, freed: cl.free_blocks(
+        np.array([0, 0, 1]), [lbs[0], freed, 0]),
 }
 
 
@@ -160,6 +169,140 @@ def test_a_refused_batch_changes_nothing(case):
     with pytest.raises(error):
         REFUSED[case](cl, lbs, freed)
     assert store_state(cl) == before
+
+
+OUTSIDE_CALLS = {
+    "read": lambda cl, pe, lbs: cl.read_blocks(pe, lbs, PHASE_RUN_FORMATION),
+    "write": lambda cl, pe, lbs: cl.write_blocks(
+        pe, lbs, block_of(7, 4 * len(lbs)), PHASE_RUN_FORMATION),
+    "free": lambda cl, pe, lbs: cl.free_blocks(pe, lbs),
+    "seed": lambda cl, pe, lbs: cl.seed_blocks(
+        pe, lbs, block_of(7, 4 * len(lbs))),
+    "peek": lambda cl, pe, lbs: cl.peek_blocks(pe, lbs),
+}
+
+
+@pytest.mark.parametrize("form", ["int", "column"])
+@pytest.mark.parametrize("pe", [-1, 2])
+@pytest.mark.parametrize("call", sorted(OUTSIDE_CALLS))
+def test_a_pe_outside_the_machine_is_refused(call, pe, form):
+    """A PE of -1 or P is refused with a DiskError that names it, on every
+    block-run call, before anything changes; it is not read as another
+    PE's block."""
+    cl = build(P=2, D=2, B=4)
+    for p in range(2):
+        cl.write_blocks(p, cl.alloc_blocks(p, 2), block_of(10 * p, 8),
+                        PHASE_RUN_FORMATION)
+    before = store_state(cl)
+    bad = pe
+    if form == "column":
+        pe = np.array([1, bad], np.int64)       # one good PE, then the bad one
+    with pytest.raises(DiskError, match=rf"^pe={bad} is outside \[0, 2\)$"):
+        OUTSIDE_CALLS[call](cl, pe, [0, 1])
+    assert store_state(cl) == before
+
+
+STORE_CALLS = ("write", "seed", "read", "peek", "free")
+
+
+@st.composite
+def store_programs(draw):
+    """A small machine and a sequence of calls on its block store.  Ids
+    come from a small range with a few negative and never handed out ones,
+    so calls rewrite live ids, touch unallocated blocks and name a block
+    twice in one free; a PE is now and then outside the machine, and a
+    store now and then one element off.  A ``live`` call names blocks live
+    when it runs, so frees succeed between writes and slab rows are
+    reused."""
+    P, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    B = draw(st.integers(1, 2))
+    pe = st.sampled_from(list(range(P)) * 6 + [-1, P])
+    lb = st.sampled_from(list(range(8)) * 3 + [-2, -1, 30])
+    pairs = st.lists(st.tuples(pe, lb), max_size=4)
+    form = st.sampled_from(["int", "column"])
+    live = st.tuples(st.just("live"), st.sampled_from(STORE_CALLS), form,
+                     st.integers(0, 20), st.integers(1, 6),
+                     st.lists(st.tuples(st.integers(0, P - 1), lb), max_size=1))
+    calls = st.one_of(
+        st.tuples(st.just("alloc"), pe, st.integers(0, 4)),
+        st.tuples(st.just("stripe"), st.integers(0, 7), st.integers(0, 5)),
+        st.tuples(st.sampled_from(STORE_CALLS), form, pairs,
+                  st.sampled_from([0] * 8 + [-1, 1])),
+        live, live)
+    return (MachineConfig(P=P, D=D, B=B, m=8, N=0),
+            draw(st.lists(calls, min_size=10, max_size=40)))
+
+
+def resolve(call, live: list[tuple[int, int]]):
+    """A ``live`` call as a plain one: up to ``count`` of the blocks live
+    before it, from ``start`` on (an int-PE call takes them from the PE of
+    the block at ``start``), then, in a store, its drawn pairs."""
+    if call[0] != "live":
+        return call
+    _live, name, form, start, count, extra_pairs = call
+    if live:
+        start %= len(live)
+        live = live[start:] + live[:start]
+        if form == "int":
+            live = [block for block in live if block[0] == live[0][0]]
+    stored = name in ("write", "seed")
+    return name, form, live[:count] + (extra_pairs if stored else []), 0
+
+
+def run_call(store, B: int, call, serial: int):
+    """Apply one drawn call to ``store``; its result, or the refusal."""
+    try:
+        if call[0] == "alloc":
+            return list(map(int, store.alloc_blocks(call[1], call[2])))
+        if call[0] == "stripe":
+            pes, lbs = store.alloc_stripe(call[1], call[2])
+            return pes.tolist(), lbs.tolist()
+        name, form, pairs, extra = call
+        lbs = [lb for _pe, lb in pairs]
+        if form == "int":
+            pe = pairs[0][0] if pairs else 0
+        else:
+            pe = np.array([p for p, _lb in pairs], np.int64)
+            lbs = np.array(lbs, np.int64)
+        elems = [(100 * serial + i, -100 * serial - i)
+                 for i in range(len(pairs) * B + extra)]
+        if name == "read":
+            out = store.read_blocks(pe, lbs, PHASE_RUN_FORMATION)
+        elif name == "peek":
+            out = store.peek_blocks(pe, lbs)
+        elif name == "write":
+            return store.write_blocks(pe, lbs, elems, PHASE_RUN_FORMATION)
+        elif name == "seed":
+            return store.seed_blocks(pe, lbs, elems)
+        else:
+            return store.free_blocks(pe, lbs)
+        return out.dtype, out.tolist(), out.flags.writeable
+    except DiskError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(store_programs())
+def test_slab_store_matches_the_dict_store(program):
+    """Every call gives the dict store's result, array and read-only flag,
+    or its refusal text; after each call the counters, the per-PE live
+    counts, peaks and next slots, the live block ids and their contents
+    are the dict store's."""
+    cfg, calls = program
+    cl, ref = Cluster(cfg), ReferenceCluster(cfg)
+    for i, call in enumerate(calls):
+        call = resolve(call, [(pe, lb) for pe in range(cfg.P)
+                              for lb in ref.live(pe)])
+        assert run_call(cl, cfg.B, call, i) == run_call(ref, cfg.B, call, i)
+        assert counter_state(cl) == counter_state(ref)
+        assert cl.next_slot.tolist() == ref.next_slot
+        for pe in range(cfg.P):
+            live = ref.live(pe)
+            assert live_blocks(cl, pe) == live
+            assert cl.live[pe] == len(live)
+            assert cl.peak_allocated(pe) == ref.peak_allocated(pe)
+            assert (cl.peek_blocks(pe, live).tolist()
+                    == ref.peek_blocks(pe, live).tolist())
 
 
 def test_seed_and_peek_are_uncounted():
