@@ -90,16 +90,41 @@ def sort_order(keys: np.ndarray, ties: np.ndarray) -> np.ndarray:
 
     Keys that already strictly increase need no sort.  Distinct keys have
     one sorting permutation, so the unstable SIMD ``argsort`` (several
-    times faster than ``lexsort`` on 64-bit keys) gives it bit for bit; a
-    value-only sort, cheaper still, tells whether they are distinct.  Only
-    tied keys pay for ``lexsort``.
+    times faster than ``lexsort`` on 64-bit keys) gives it bit for bit.
+    Tied keys fold (key group, tie, index) into one ``int64`` per element,
+    with the index in the low bits: the values are distinct, so a SIMD
+    value sort of them puts the indices in ``lexsort``'s order.  Only ties
+    spread too wide for the fold fall back to ``lexsort``.  ``ties`` is an
+    ``int64`` column.
     """
+    n = len(keys)
     if (keys[1:] > keys[:-1]).all():
-        return np.arange(len(keys))
-    ordered = np.sort(keys)
-    if (ordered[1:] != ordered[:-1]).all():
-        return np.argsort(keys)
-    return np.lexsort((ties, keys))
+        return np.arange(n)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    step = ordered[1:] != ordered[:-1]
+    del ordered
+    if step.all():
+        return order
+    low = int(ties.min())
+    span = int(ties.max()) - low + 1
+    shift = (n - 1).bit_length()
+    if (int(np.count_nonzero(step)) + 1) * span << shift > 1 << 63:
+        return np.lexsort((ties, keys))
+    fold = np.empty(n, np.int64)
+    fold[0] = 0
+    fold[1:] = step
+    del step
+    np.cumsum(fold, out=fold)           # key group of each sorted position
+    fold *= span
+    fold += ties[order]                 # may wrap; the next line unwraps
+    fold -= low
+    fold <<= shift
+    fold |= order
+    del order
+    fold.sort()
+    fold &= (1 << shift) - 1
+    return fold
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ class InputSpec:
 
 @dataclass
 class GeneratedInput:
-    pe_blocks: list[list[int]]
+    pe_blocks: list[np.ndarray]         # per PE, an ``int64`` id column
     count: int
     total: int                  # order-independent 128-bit content sum
 
@@ -138,7 +138,7 @@ def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
     local = cfg.N // cfg.P
     count = 0
     total = 0
-    pe_blocks: list[list[int]] = []
+    pe_blocks: list[np.ndarray] = []
     for pe in range(cfg.P):
         elems = np.empty(local, ELEM)
         elems["key"] = _band_keys(cfg, spec, pe, shift_ranks)

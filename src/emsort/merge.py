@@ -36,7 +36,7 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
     out_lbs: list[np.ndarray] = []
     for t in range(cfg.P):
         pieces = []
-        held: list[int] = []    # every block read, all on PE t
+        held = [np.empty(0, np.int64)]  # every block read, all on PE t
         ends = [np.empty(0, np.intp)]   # its last element's index + 1
         n = 0
         for seg in staged[t]:
@@ -48,7 +48,7 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
                 lbs = ref.blocks[:-(-end // B)]
                 pieces.append(cluster.read_blocks(t, lbs, PHASE_LOCAL_MERGE)
                               [ref.start:end])
-                held.extend(lbs)
+                held.append(np.asarray(lbs, np.int64))
                 ends.append(n - ref.start + np.minimum(
                     np.arange(B, (len(lbs) + 1) * B, B), end))
                 n += ref.length
@@ -68,7 +68,7 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
             np.bincount(due, minlength=nb + 1)[:nb])
         split = int(np.argmax(occupancy)) + 1 if nb else 0
         early = due < split
-        held_ids = np.array(held, dtype=np.int64)
+        held_ids = np.concatenate(held)
         merged = elems[order]
         out_blocks = cluster.alloc_blocks(t, nb)
         for frees, lo, hi in ((early, 0, split), (~early, split, nb)):
@@ -77,8 +77,8 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
             if hi > lo:
                 cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
                                      PHASE_LOCAL_MERGE)
-        cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(held) * B - n)
-        out_lbs.append(np.array(out_blocks, np.int64))
+        cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(held_ids) * B - n)
+        out_lbs.append(out_blocks)
     return OutputLayout("canonical",
                         np.repeat(np.arange(cfg.P), list(map(len, out_lbs))),
                         np.concatenate(out_lbs))

@@ -4,11 +4,16 @@ Collectives are rendezvous points: every PE contributes its slot of the
 argument in the same call, mirroring a bulk-synchronous exchange.  A shape
 mismatch means some PE skipped the barrier and raises :class:`ProtocolError`
 rather than deadlocking.  Self-addressed data stays local and is charged to
-neither the sent nor the received counter.
+neither the sent nor the received counter.  :func:`charge_volume` is the one
+place that turns a (P, P) matrix of moved elements into those counters; the
+all-to-all, run formation's exchange and the striped engine's block moves
+all charge through it.
 """
 from __future__ import annotations
 
 from typing import Any, Iterable, Sequence, Sized
+
+import numpy as np
 
 from .vdisk import Cluster
 
@@ -42,17 +47,21 @@ def all_to_all_v(
     arrays are never written in place."""
     P = cluster.cfg.P
     _check_matrix(payloads, P)
-    received: list[list[list[Parcel]]] = [[[] for _ in range(P)] for _ in range(P)]
+    charge_volume(cluster, [[sum(len(elems) for _tag, elems in parcels)
+                             for parcels in row] for row in payloads], phase)
+    return [[list(payloads[src][dst]) for src in range(P)] for dst in range(P)]
+
+
+def charge_volume(cluster: Cluster, volume, phase: str) -> None:
+    """Charge ``volume[src][dst]`` elements moved from PE ``src`` to PE
+    ``dst``: each PE's sent and received totals, the diagonal free."""
+    moved = np.array(volume, np.int64).reshape(cluster.cfg.P, cluster.cfg.P)
+    np.fill_diagonal(moved, 0)
     counters = cluster.counters
-    for src in range(P):
-        for dst in range(P):
-            parcels = payloads[src][dst]
-            volume = sum(len(elems) for _tag, elems in parcels)
-            if src != dst:
-                counters.add_sent(phase, src, volume)
-                counters.add_received(phase, dst, volume)
-            received[dst][src] = list(parcels)
-    return received
+    for pe, (sent, received) in enumerate(zip(moved.sum(1).tolist(),
+                                              moved.sum(0).tolist())):
+        counters.add_sent(phase, pe, sent)
+        counters.add_received(phase, pe, received)
 
 
 def gather_splitters(

@@ -52,7 +52,7 @@ class SegRef:
     """A position-contiguous piece of a staged run segment on one PE."""
 
     pe: int
-    blocks: list[int]
+    blocks: list[int] | np.ndarray
     start: int              # element offset into blocks[0]
     length: int
 

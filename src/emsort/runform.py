@@ -6,9 +6,11 @@ chunks of m/B of them.  A run is one memory load of the whole cluster
 (M = P*m elements, the last run possibly shorter): the processors
 cooperatively sort the load so that processor 0 ends up with the globally
 smallest chunk and so on, and each chunk is written back over the very
-blocks it was read from.  While writing, every K-th element of the run is
-retained as a sample for splitter seeding, as a column of keys beside a
-column of run positions.
+blocks it was read from.  The load is sorted once, as the processors'
+loads joined in processor order; the exchange that sorting implies is
+charged from where each element came from and which chunk it lands in.
+While writing, every K-th element of the run is retained as a sample for
+splitter seeding, as a column of keys beside a column of run positions.
 
 The shuffle is what makes each run a random subset of the local blocks:
 downstream, the rank cuts of such runs sit close to their slice boundaries,
@@ -23,7 +25,7 @@ import numpy as np
 from .core import (
     ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed, sort_order,
 )
-from .net import all_to_all_v, gather_splitters
+from .net import charge_volume, gather_splitters
 
 
 @dataclass
@@ -59,28 +61,32 @@ def run_layout(cfg: MachineConfig) -> list[tuple[int, int]]:
     return layout
 
 
-def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks: list[int]) -> list[int]:
-    """Seeded random permutation of one processor's input block IDs."""
-    if not cfg.randomize or len(blocks) < 2:
-        return list(blocks)
+def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> list[int]:
+    """Seeded random permutation of one processor's input block IDs (a list
+    or an ``int64`` column)."""
+    ids = np.asarray(blocks, np.int64)
+    if not cfg.randomize or len(ids) < 2:
+        return ids.tolist()
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 1, pe)))
-    return [blocks[k] for k in rng.permutation(len(blocks))]
-
-
-def _by_key_then_serial(elems: np.ndarray) -> np.ndarray:
-    """``elems`` in (key, serial) order."""
-    return elems[sort_order(elems["key"], elems["serial"])]
+    return ids[rng.permutation(len(ids))].tolist()
 
 
 def internal_parallel_sort(cluster, loads: list[np.ndarray],
                            phase: str = PHASE_RUN_FORMATION) -> list[np.ndarray]:
     """Sort one memory load across processors.
 
-    ``loads[p]`` is processor p's unsorted share.  Returns equal-size sorted
-    chunks, chunk p preceding chunk p+1, with the single data exchange
-    charged to ``phase``.  Local sorts order elements by (key, serial); the
-    chunk cuts are exact rank splits in the order (key, processor, position),
-    so chunk sizes match the shares.
+    ``loads[p]`` is processor p's unsorted share.  Returns equal-size
+    chunks, chunk p preceding chunk p+1, each in (key, serial) order, with
+    the single data exchange charged to ``phase``.  The chunk cuts are
+    exact rank splits in the order (key, processor, serial), so chunk sizes
+    match the shares.
+
+    The loads joined in processor order are sorted once by (key, serial),
+    and the chunks are slices of that order.  Only a group of equal keys
+    that crosses a cut is sorted again, by small-integer stable sorts over
+    the group alone: by processor, which gives each element its rank and so
+    its chunk, then by chunk.  Each element's processor and chunk give the
+    exchanged volumes and the cut positions every processor learns.
     """
     P = len(loads)
     m = cluster.cfg.m
@@ -93,32 +99,49 @@ def internal_parallel_sort(cluster, loads: list[np.ndarray],
     if total % P:
         raise ValueError("load size is not divisible by processor count")
     share = total // P
-    locals_sorted = [_by_key_then_serial(load) for load in loads]
-    # A stable sort by key of the processor-ordered concatenation is the
-    # order (key, processor, position); count each processor's elements per
-    # chunk of ``share`` ranks.
-    keys = np.concatenate([lst["key"] for lst in locals_sorted])
-    source = np.repeat(np.arange(P), [len(lst) for lst in locals_sorted])
-    ranked = source[np.argsort(keys, kind="stable")]
-    counts = np.bincount(np.arange(total) // share * P + ranked, minlength=P * P)
-    cutpos = [[0] * P] + np.cumsum(counts.reshape(P, P), axis=0).tolist()
+    joined = concat(loads)
+    order = sort_order(joined["key"], joined["serial"])
+    small = np.min_scalar_type(P)
+    source = np.repeat(np.arange(P, dtype=small),
+                       [len(load) for load in loads])[order]
+    ordered = joined[order]
+    del joined, order
+    keys = ordered["key"]
+    cuts = np.arange(share, total, share)
+    tied = cuts[keys[cuts - 1] == keys[cuts]].tolist()
+    if tied:
+        keys = np.ascontiguousarray(keys)
+        hi = 0
+        for cut in tied:
+            if cut < hi:        # its group was split at an earlier cut
+                continue
+            lo = int(keys.searchsorted(keys[cut], "left"))
+            hi = int(keys.searchsorted(keys[cut], "right"))
+            # The group is in serial order.  Ranked by (processor, serial)
+            # its elements fill the chunks it spans; then it is laid out by
+            # (chunk, serial).
+            chunk = np.empty(hi - lo, small)
+            chunk[np.argsort(source[lo:hi], kind="stable")] = \
+                np.arange(lo, hi) // share
+            regroup = np.argsort(chunk, kind="stable")
+            ordered[lo:hi] = ordered[lo:hi][regroup]
+            source[lo:hi] = source[lo:hi][regroup]
+    # volume[c, q]: the elements of chunk c that came from processor q.
+    volume = np.stack([np.bincount(source[p * share:(p + 1) * share],
+                                   minlength=P) for p in range(P)])
     # Every processor learns every cut position (control traffic).
-    gather_splitters(cluster, [[cutpos[p][q] for p in range(1, P)]
-                               for q in range(P)], phase)
-    payloads = [[[(None, locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]])]
-                 for p in range(P)] for q in range(P)]
-    received = all_to_all_v(cluster, payloads, phase)
-    return [_by_key_then_serial(concat([piece for src in row
-                                        for _tag, piece in src]))
-            for row in received]
+    gather_splitters(cluster, np.cumsum(volume, axis=0)[:-1].T, phase)
+    charge_volume(cluster, volume.T, phase)
+    return [ordered[p * share:(p + 1) * share] for p in range(P)]
 
 
 def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
     """Form all runs in place.
 
-    ``pe_blocks[p]`` lists processor p's input blocks in input order; each
-    holds the same count and N = count * B * P.  Returns a descriptor per
-    run, including the every-K-th sample gathered during write-back.
+    ``pe_blocks[p]`` lists processor p's input blocks in input order (a
+    list or an ``int64`` column); each holds the same count and
+    N = count * B * P.  Returns a descriptor per run, including the
+    every-K-th sample gathered during write-back.
     """
     cfg = cluster.cfg
     B, K = cfg.B, cfg.sample_rate

@@ -30,7 +30,7 @@ from .core import (
     sort_order,
 )
 from .merge import batch_merge
-from .net import gather_splitters
+from .net import charge_volume, gather_splitters
 from .runform import internal_parallel_sort
 
 COORDINATOR = 0
@@ -53,13 +53,9 @@ def _charge_moves(cluster, src, dst, phase: str) -> None:
     """Charge ``B`` elements of communication for every block that moves
     from PE ``src[i]`` to another PE ``dst[i]``; either may be one PE for
     all blocks."""
-    P, B = cluster.cfg.P, cluster.cfg.B
-    moves = np.bincount(np.ravel(src * P + dst), minlength=P * P).reshape(P, P)
-    np.fill_diagonal(moves, 0)
-    for pe, (sent, received) in enumerate(zip(moves.sum(1).tolist(),
-                                              moves.sum(0).tolist())):
-        cluster.counters.add_sent(phase, pe, B * sent)
-        cluster.counters.add_received(phase, pe, B * received)
+    P = cluster.cfg.P
+    moves = np.bincount(np.ravel(src * P + dst), minlength=P * P)
+    charge_volume(cluster, cluster.cfg.B * moves, phase)
 
 
 def _run_start_disk(cluster, salt: int, index: int) -> int:
@@ -71,10 +67,11 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
 def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
     """Sort memory-sized chunks of the input into striped runs.
 
-    Chunk p of every run is read and sorted by PE p (one cooperative
-    internal sort per run), then written striped over all disks; each run
-    reads, frees and writes its blocks with one call each.  Costs 2N
-    element I/O plus the internal sort's communication.
+    Each run is one memory load: PE p reads chunk p of it, the load is
+    sorted by one ``internal_parallel_sort`` (a single sort of the chunks
+    joined in PE order), and the sorted load is written striped over all
+    disks; each run reads, frees and writes its blocks with one call each.
+    Costs 2N element I/O plus the internal sort's communication.
     """
     cfg = cluster.cfg
     B, share = cfg.B, cfg.m

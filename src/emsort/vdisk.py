@@ -78,19 +78,26 @@ class Cluster:
 
     # -- allocation ----------------------------------------------------------
 
-    def alloc_blocks(self, pe: int, n: int) -> list[int]:
+    def alloc_blocks(self, pe: int, n: int) -> np.ndarray:
         """Reserve ``n`` fresh logical block ids on ``pe`` (no I/O charged),
         each on the disk with the fewest slots handed out, lowest disk first:
-        the ``n`` smallest ids at or above their disk's next free slot."""
+        the ``n`` smallest ids at or above their disk's next free slot, as
+        an ``int64`` column."""
         self._check_pe(pe)
-        free = self.next_slot[pe].tolist()
-        D, top = len(free), max(free)
-        lbs = sorted(s * D + d for d, nxt in enumerate(free)
-                     for s in range(nxt, min(top, nxt + n)))[:n]
-        lbs += range(top * D, top * D + n - len(lbs))
-        for lb in lbs[-D:]:     # each disk's last id is among the last D
-            free[lb % D] = max(free[lb % D], lb // D + 1)
-        self.next_slot[pe] = free
+        D = self.cfg.D
+        free = self.next_slot[pe]
+        slots = free.tolist()
+        low, top = min(slots), max(slots)
+        if low == top:          # every disk equally filled: round robin
+            free += (n + D - 1 - np.arange(D)) // D
+            return np.arange(top * D, top * D + n)
+        # Below slot ``top`` the ids lie on disks behind the others; the
+        # least filled disk alone has one in each of the first n slots.
+        ids = np.arange(low * D, min(top, low + n) * D)
+        ids = ids[ids // D >= free[ids % D]][:n]
+        lbs = np.concatenate((ids, np.arange(top * D, top * D + n - len(ids))))
+        # Each disk's ids are consecutive slots from its next free one.
+        free += np.bincount(lbs % D, minlength=D)
         return lbs
 
     def alloc_stripe(self, start_disk: int,

@@ -735,9 +735,10 @@ class ReferenceCluster:
             seen.add(pair)
         return None
 
-    def alloc_blocks(self, pe: int, n: int) -> list[int]:
+    def alloc_blocks(self, pe: int, n: int) -> np.ndarray:
         self._check_pe(pe)
-        return alloc_reference(self.arrays[pe].next_slot, n)
+        return np.array(alloc_reference(self.arrays[pe].next_slot, n),
+                        np.int64)
 
     def alloc_stripe(self, start_disk: int, n: int):
         D = self.cfg.D

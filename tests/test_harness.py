@@ -52,7 +52,8 @@ def test_every_kind_generates_the_configured_count(kind):
     assert gen.count == 384
     assert len({e[1] for e in elems}) == 384      # serials are unique
     # ``sort --persist`` derives these ids from the config.
-    assert gen.pe_blocks == [list(range(384 // 4 // 4))] * 4
+    assert ([ids.tolist() for ids in gen.pe_blocks]
+            == [list(range(384 // 4 // 4))] * 4)
 
 
 def test_generation_rejects_mismatched_sizes():
@@ -134,7 +135,8 @@ def test_both_engines_sort_every_kind(engine, kind):
 def test_both_engines_sort_an_empty_input(engine, kind):
     cl = build(P=2, D=2, B=4, m=32, N=0, seed=7)
     gen = fill(cl, kind, 7)
-    assert (gen.count, gen.total, gen.pe_blocks) == (0, 0, [[], []])
+    assert (gen.count, gen.total, [ids.tolist() for ids in gen.pe_blocks]
+            ) == (0, 0, [[], []])
     result = run_sort(cl, gen.pe_blocks, engine)
     assert (len(result.layout.pes), len(result.layout.lbs)) == (0, 0)
     assert result.merge_passes == 0

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from emsort.core import PHASE_ALL_TO_ALL, PHASE_SELECTION
-from emsort.net import ProtocolError, all_to_all_v, gather_splitters
+from emsort.net import (
+    ProtocolError, all_to_all_v, charge_volume, gather_splitters,
+)
 
 from helpers import build
 
@@ -33,6 +35,16 @@ def test_all_to_all_charges_cross_traffic_only():
     assert sent == [1, 0]          # self-delivery of 2 and 3 elements is free
     assert recv == [0, 1]
     assert sum(sent) == sum(recv)
+
+
+def test_charge_volume_charges_the_off_diagonal_per_pe():
+    cl = build(P=3)
+    volume = np.array([[5, 1, 2], [0, 7, 3], [4, 0, 9]])
+    charge_volume(cl, volume, PHASE_ALL_TO_ALL)
+    charge_volume(cl, [[1, 0, 0], [2, 0, 0], [0, 0, 0]], PHASE_ALL_TO_ALL)
+    assert cl.counters.elements_sent[PHASE_ALL_TO_ALL] == [3, 5, 4]
+    assert cl.counters.elements_received[PHASE_ALL_TO_ALL] == [6, 1, 5]
+    assert volume.tolist() == [[5, 1, 2], [0, 7, 3], [4, 0, 9]]
 
 
 def test_all_to_all_rejects_ragged_matrices():

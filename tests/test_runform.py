@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from emsort.core import DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION
+from emsort import runform
+from emsort.core import (
+    DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, sort_order,
+)
 from emsort.runform import (
     RunDescriptor, form_runs, internal_parallel_sort, run_layout,
     shuffle_block_ids,
@@ -126,6 +129,52 @@ def test_internal_parallel_sort_matches_the_reference_kernel(loads):
     got = internal_parallel_sort(cl, [elements(load) for load in loads])
     assert [chunk.tolist() for chunk in got] == expected
     assert counter_state(cl) == counter_state(ref_cl)
+
+
+#: Loads whose rank cuts fall inside runs of equal keys.
+TIED_LOADS = {
+    "all keys equal, P = 4": [[(7, (5 * i + 3 * p) % 31) for i in range(n)]
+                              for p, n in enumerate([9, 3, 6, 6])],
+    "sentinel duplicates on several PEs": [
+        [(MAX_KEY, -1), (3, 0), (MAX_KEY, -1), (MAX_KEY, 1)],
+        [(MAX_KEY, -1), (2, 2), (MAX_KEY, -1), (MAX_KEY, -1)],
+        [(3, 3), (MAX_KEY, -1), (0, 4), (MAX_KEY, 2)]],
+    "serials decrease with the processor": [
+        [(k % 3, 100 - 10 * p - i) for i, k in enumerate(range(p, p + 5))]
+        for p in range(4)],
+    "loads of unequal size": [[(1, 5), (0, 9), (1, 2), (1, 8), (2, 0), (1, 1),
+                               (0, 3)],
+                              [],
+                              [(1, 4), (1, 7)],
+                              [(2, 6), (1, 0), (0, 10), (1, 11), (1, 12),
+                               (0, 13), (1, 14)]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED_LOADS))
+def test_internal_parallel_sort_splits_tied_groups_as_the_reference(case):
+    loads = TIED_LOADS[case]
+    P = len(loads)
+    ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
+    expected = helpers.internal_parallel_sort(ref_cl, loads)
+    got = internal_parallel_sort(cl, [elements(load) for load in loads])
+    assert [chunk.tolist() for chunk in got] == expected
+    assert counter_state(cl) == counter_state(ref_cl)
+    assert sum(cl.counters.elements_sent[PHASE_RUN_FORMATION]) > 0
+
+
+def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
+    calls = []
+
+    def counted(keys, ties):
+        calls.append(len(keys))
+        return sort_order(keys, ties)
+
+    monkeypatch.setattr(runform, "sort_order", counted)
+    loads = TIED_LOADS["all keys equal, P = 4"]
+    internal_parallel_sort(build(P=4, D=1, B=1, m=32, N=0),
+                           [elements(load) for load in loads])
+    assert calls == [24]
 
 
 def test_shuffle_is_seeded_and_respects_toggle():

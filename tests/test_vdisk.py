@@ -77,7 +77,8 @@ def test_alloc_blocks_stripes_round_robin():
     cl.write_blocks(0, lbs, block_of(0, 36), PHASE_SETUP)
     assert sorted(lb % 3 for lb in live_blocks(cl, 0)) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert sorted(lb % 3 for lb in lbs[:3]) == [0, 1, 2]
-    assert cl.alloc_blocks(0, 0) == []
+    assert lbs.dtype == np.int64
+    assert cl.alloc_blocks(0, 0).tolist() == []
 
 
 def test_alloc_stripe_places_each_block_on_its_disk():
@@ -112,7 +113,8 @@ def test_alloc_blocks_matches_one_block_allocations(D, ops):
             assert lbs.tolist() == [alloc_on_reference(next_slot[pe], disk)
                                     for pe, disk in places]
         else:
-            assert cl.alloc_blocks(1, n) == alloc_reference(next_slot[1], n)
+            assert (cl.alloc_blocks(1, n).tolist()
+                    == alloc_reference(next_slot[1], n))
         assert cl.next_slot.tolist() == next_slot
 
 
@@ -159,7 +161,7 @@ REFUSED = {
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_a_refused_batch_changes_nothing(case):
     cl = build(P=2, D=2, B=4)
-    lbs = cl.alloc_blocks(0, 4)
+    lbs = cl.alloc_blocks(0, 4).tolist()
     cl.write_blocks(0, lbs, block_of(0, 16), PHASE_RUN_FORMATION)
     cl.read_blocks(0, lbs[:2], PHASE_RUN_FORMATION)
     freed = lbs.pop(1)
@@ -253,7 +255,8 @@ def run_call(store, B: int, call, serial: int):
     """Apply one drawn call to ``store``; its result, or the refusal."""
     try:
         if call[0] == "alloc":
-            return list(map(int, store.alloc_blocks(call[1], call[2])))
+            lbs = store.alloc_blocks(call[1], call[2])
+            return lbs.dtype, lbs.tolist()
         if call[0] == "stripe":
             pes, lbs = store.alloc_stripe(call[1], call[2])
             return pes.tolist(), lbs.tolist()
@@ -317,7 +320,7 @@ def test_seed_and_peek_are_uncounted():
 
 def test_occupancy_tracking_and_free():
     cl = build(P=1, D=2)
-    lbs = cl.alloc_blocks(0, 4)
+    lbs = cl.alloc_blocks(0, 4).tolist()
     cl.write_blocks(0, lbs, block_of(0, 16), PHASE_SETUP)
     assert live_blocks(cl, 0) == lbs
     assert cl.peak_allocated(0) == 4
@@ -331,8 +334,8 @@ def test_occupancy_tracking_and_free():
     assert live_blocks(cl, 0) == [lbs[0]] + lbs[2:]
     cl.free_blocks(0, [])
     assert cl.peak_allocated(0) == 4
-    cl.write_blocks(0, lbs[1:2] + cl.alloc_blocks(0, 2), block_of(0, 12),
-                    PHASE_SETUP)
+    cl.write_blocks(0, lbs[1:2] + cl.alloc_blocks(0, 2).tolist(),
+                    block_of(0, 12), PHASE_SETUP)
     assert cl.peak_allocated(0) == 6
 
 
