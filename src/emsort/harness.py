@@ -39,7 +39,7 @@ from .core import (
 )
 from .merge import local_multiway_merge
 from .redistribute import compute_splitters, external_all_to_all, per_run_moved
-from .runform import form_runs, run_layout
+from .runform import PeBlocks, form_runs, run_layout
 from .striped import striped_sort
 from .vdisk import Cluster, OutputLayout
 
@@ -168,7 +168,7 @@ class SortResult:
     wall_seconds: float = 0.0
 
 
-def run_sort(cluster: Cluster, pe_blocks: list[list[int]],
+def run_sort(cluster: Cluster, pe_blocks: PeBlocks,
              engine: str) -> SortResult:
     """Run one engine end to end over an already generated input."""
     bad = validate_config(cluster.cfg, engine)

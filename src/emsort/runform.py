@@ -18,6 +18,7 @@ which is what keeps redistribution volume low on adversarial inputs.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,9 @@ from .core import (
     ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed, sort_order,
 )
 from .net import charge_volume, gather_splitters
+
+#: Per processor, its input block ids in order: a list or an ``int64`` column.
+PeBlocks = Sequence["np.ndarray | Sequence[int]"]
 
 
 @dataclass
@@ -135,7 +139,7 @@ def internal_parallel_sort(cluster, loads: list[np.ndarray],
     return [ordered[p * share:(p + 1) * share] for p in range(P)]
 
 
-def form_runs(cluster, pe_blocks: list[list[int]]) -> list[RunDescriptor]:
+def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
     """Form all runs in place.
 
     ``pe_blocks[p]`` lists processor p's input blocks in input order (a

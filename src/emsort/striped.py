@@ -31,7 +31,7 @@ from .core import (
 )
 from .merge import batch_merge
 from .net import charge_volume, gather_splitters
-from .runform import internal_parallel_sort
+from .runform import PeBlocks, internal_parallel_sort
 
 COORDINATOR = 0
 
@@ -64,7 +64,7 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
     return derive_seed(cluster.cfg.seed, salt, index) % cluster.cfg.total_disks
 
 
-def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[StripedRun]:
+def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
     """Sort memory-sized chunks of the input into striped runs.
 
     Each run is one memory load: PE p reads chunk p of it, the load is
@@ -292,7 +292,7 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     return StripedRun(length, start_disk, out_pes, out_lbs, minima)
 
 
-def striped_sort(cluster, pe_blocks: list[list[int]]):
+def striped_sort(cluster, pe_blocks: PeBlocks):
     """Sort the whole input with the striped engine.
 
     Returns (final run, passes).  Runs are merged ``merge_arity`` at a

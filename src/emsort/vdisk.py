@@ -88,9 +88,6 @@ class Cluster:
         free = self.next_slot[pe]
         slots = free.tolist()
         low, top = min(slots), max(slots)
-        if low == top:          # every disk equally filled: round robin
-            free += (n + D - 1 - np.arange(D)) // D
-            return np.arange(top * D, top * D + n)
         # Below slot ``top`` the ids lie on disks behind the others; the
         # least filled disk alone has one in each of the first n slots.
         ids = np.arange(low * D, min(top, low + n) * D)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from emsort.core import (
     ALL_PHASES, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
@@ -153,50 +153,32 @@ def sort_inputs(draw):
     return np.array(keys, np.uint64), np.array(ties, np.int64)
 
 
+def keys_ties(keys, ties):
+    return np.array(keys, np.uint64), np.array(ties, np.int64)
+
+
+# One example per path of ``sort_order``.
 @given(sort_inputs())
+@example(keys_ties([1, 5, 9, 2**64 - 1], [3, 2, 1, 0]))     # strictly increasing
+@example(keys_ties([5, 1, 9, 3, 0], [0, 0, 0, 0, 0]))       # distinct keys
+@example(keys_ties([2, 1, 2, 1, 2, 2], [5, -3, 1, 7, 0, -2**40]))  # tied keys
+@example(keys_ties([1, 1, 2, 2], [5, 3, 9, -9]))  # nondecreasing, ties unsorted
+@example(keys_ties([3, 3, 1, 3, 1] * 8, [0, 0, 4, 0, 4] * 8))  # repeated pairs
+@example(keys_ties([1, 0, 1, 0],
+                   [2**59 - 1, -2**59, -2**59, 2**59 - 1]))  # widest fold
+@example(keys_ties([1, 0, 1, 0, 1], [2**63 - 1, 2**63 - 2, 2**63 - 3,
+                                     2**63 - 1, 2**63 - 5]))  # ties near 2**63
+@example(keys_ties([1, 0, 1, 0],
+                   [2**61 + 3, 2**61 - 3, 2**61 - 3, 2**61 + 3]))  # near 2**61
+@example(keys_ties([1, 0, 1, 0],
+                   [2**59, -2**59, -2**59, 2**59]))  # past the fold: lexsort
+@example(keys_ties([1, 1, 0, 1, 0],
+                   [2**63 - 1, -2**63, 0, -2**63 + 1, -1]))  # lexsort, span ~2**64
 def test_sort_order_is_lexsort(drawn):
     keys, ties = drawn
-    assert sort_order(keys, ties).tolist() == np.lexsort((ties, keys)).tolist()
-
-
-#: One case per path of ``sort_order``: (keys, ties, the lexsort order).
-SORT_PATHS = {
-    "strictly increasing": ([1, 5, 9, 2**64 - 1], [3, 2, 1, 0], [0, 1, 2, 3]),
-    "distinct keys": ([5, 1, 9, 3, 0], [0, 0, 0, 0, 0], [4, 1, 3, 0, 2]),
-    "tied keys, distinct ties": ([2, 1, 2, 1, 2, 2], [5, -3, 1, 7, 0, -2**40],
-                                 [1, 3, 5, 4, 2, 0]),
-    "nondecreasing keys, ties out of order": ([1, 1, 2, 2], [5, 3, 9, -9],
-                                              [1, 0, 3, 2]),
-    "repeated (key, tie) pairs": (
-        [3, 3, 1, 3, 1] * 8, [0, 0, 4, 0, 4] * 8,
-        [i for i in range(40) if i % 5 in (2, 4)]
-        + [i for i in range(40) if i % 5 in (0, 1, 3)]),
-    "ties as wide as the fold takes": ([1, 0, 1, 0],
-                                       [2**59 - 1, -2**59, -2**59, 2**59 - 1],
-                                       [1, 3, 2, 0]),
-    "tied keys, ties near 2**63": ([1, 0, 1, 0, 1],
-                                   [2**63 - 1, 2**63 - 2, 2**63 - 3,
-                                    2**63 - 1, 2**63 - 5],
-                                   [1, 3, 4, 2, 0]),
-    "tied keys, ties around 2**61": (
-        [1, 0, 1, 0], [2**61 + 3, 2**61 - 3, 2**61 - 3, 2**61 + 3],
-        [1, 3, 2, 0]),
-    "tie span just past the fold: lexsort fallback": (
-        [1, 0, 1, 0], [2**59, -2**59, -2**59, 2**59], [1, 3, 2, 0]),
-    "tie span near 2**64: lexsort fallback": (
-        [1, 1, 0, 1, 0], [2**63 - 1, -2**63, 0, -2**63 + 1, -1],
-        [4, 2, 1, 3, 0]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SORT_PATHS))
-def test_sort_order_is_lexsort_on_each_path(case):
-    keys, ties, expected = SORT_PATHS[case]
-    keys, ties = np.array(keys, np.uint64), np.array(ties, np.int64)
-    assert np.lexsort((ties, keys)).tolist() == expected
     got = sort_order(keys, ties)
     assert got.dtype == np.intp
-    assert got.tolist() == expected
+    assert got.tolist() == np.lexsort((ties, keys)).tolist()
 
 
 def fingerprint(tuples) -> tuple[int, int]:
