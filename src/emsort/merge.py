@@ -1,10 +1,11 @@
 """Local multiway merging and the batch-merge kernel.
 
 ``local_multiway_merge`` is phase 3 of the rank-splitting engine: every
-processor merges its R staged run segments into its final slice, reading
-and writing each element once.  ``batch_merge`` is the striped engine's
-kernel: drain every buffered element strictly below a bound in the total
-order (key, run, position), leaving later elements buffered.
+processor reads the blocks of its staged pieces in one call and merges
+its R run pieces into its final slice, reading and writing each element
+once.  ``batch_merge`` is the striped engine's kernel: drain every
+buffered element strictly below a bound in the total order (key, run,
+position), leaving later elements buffered.
 
 Both merge by one array sort.  Concatenated in run order, and each run in
 position order, the elements sorted stably by key are in the total order;
@@ -16,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import PHASE_LOCAL_MERGE, concat, sort_order
-from .redistribute import StagedRun
+from .redistribute import Staged
 from .vdisk import OutputLayout
 
 
-def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout:
-    """Merge every processor's staged segments into its output slice; the
+def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
+    """Merge every processor's staged pieces into its output slice; the
     layout lists the PEs' output blocks in PE order.
 
     Each staged block is due for freeing once the merge has consumed its
@@ -34,50 +35,43 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
     cfg = cluster.cfg
     B = cfg.B
     out_lbs: list[np.ndarray] = []
-    for t in range(cfg.P):
-        pieces = []
-        held = [np.empty(0, np.int64)]  # every block read, all on PE t
-        ends = [np.empty(0, np.intp)]   # its last element's index + 1
-        n = 0
-        for seg in staged[t]:
-            for ref in seg.refs:
-                if ref.pe != t:
-                    raise RuntimeError(
-                        f"PE {t} merges a segment staged on PE {ref.pe}")
-                end = ref.start + ref.length
-                lbs = ref.blocks[:-(-end // B)]
-                pieces.append(cluster.read_blocks(t, lbs, PHASE_LOCAL_MERGE)
-                              [ref.start:end])
-                held.append(np.asarray(lbs, np.int64))
-                ends.append(n - ref.start + np.minimum(
-                    np.arange(B, (len(lbs) + 1) * B, B), end))
-                n += ref.length
+    for t, table in enumerate(staged):
+        count = -(-(table.start + table.length) // B)
+        n = int(table.length.sum())
         if n % B:
             raise RuntimeError(
                 f"output slice of PE {t} is {n} elements, not a block multiple")
-        elems = concat(pieces)
+        data = cluster.read_blocks(t, table.ids, PHASE_LOCAL_MERGE)
+        # Piece i is data[at[i]:end[i]]; in elems it starts shift[i] earlier.
+        at = (np.cumsum(count) - count) * B + table.start
+        end = at + table.length
+        shift = at - (np.cumsum(table.length) - table.length)
+        elems = concat([data[a:b] for a, b in zip(at.tolist(), end.tolist())])
+        # Each block's last element's index + 1 in elems.
+        piece = np.repeat(np.arange(len(count)), count)
+        ends = np.minimum(np.arange(B, (len(piece) + 1) * B, B),
+                          end[piece]) - shift[piece]
         order = np.argsort(elems["key"], kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         # A block falls due before output block (rank of its last element
         # + 1) // B; after output block j the stream has written j + 1
         # blocks and freed #(due <= j).
-        due = (rank[np.concatenate(ends, dtype=np.intp) - 1] + 1) // B
+        due = (rank[ends - 1] + 1) // B
         nb = n // B
         occupancy = np.arange(1, nb + 1) - np.cumsum(
             np.bincount(due, minlength=nb + 1)[:nb])
         split = int(np.argmax(occupancy)) + 1 if nb else 0
         early = due < split
-        held_ids = np.concatenate(held)
         merged = elems[order]
         out_blocks = cluster.alloc_blocks(t, nb)
         for frees, lo, hi in ((early, 0, split), (~early, split, nb)):
             if frees.any():
-                cluster.free_blocks(t, held_ids[frees])
+                cluster.free_blocks(t, table.ids[frees])
             if hi > lo:
                 cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
                                      PHASE_LOCAL_MERGE)
-        cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(held_ids) * B - n)
+        cluster.counters.add_overhead(PHASE_LOCAL_MERGE, len(table.ids) * B - n)
         out_lbs.append(out_blocks)
     return OutputLayout("canonical",
                         np.repeat(np.arange(cfg.P), list(map(len, out_lbs))),

@@ -1,55 +1,26 @@
-"""Synchronous communication collectives with exact volume accounting.
+"""Communication accounting: moved element volumes and control gathers.
 
-Collectives are rendezvous points: every PE contributes its slot of the
-argument in the same call, mirroring a bulk-synchronous exchange.  A shape
-mismatch means some PE skipped the barrier and raises :class:`ProtocolError`
-rather than deadlocking.  Self-addressed data stays local and is charged to
-neither the sent nor the received counter.  :func:`charge_volume` is the one
-place that turns a (P, P) matrix of moved elements into those counters; the
-all-to-all, run formation's exchange and the striped engine's block moves
-all charge through it.
+The simulator moves no data between PEs itself; a phase that exchanges
+elements charges what it moved.  :func:`charge_volume` is the one place
+that turns a (P, P) matrix of moved elements into the sent and received
+counters; the all-to-all's rounds, run formation's exchange and the striped
+engine's block moves all charge through it.  Self-addressed data stays
+local and is charged to neither counter.  :func:`gather_splitters` is a
+rendezvous point: every PE contributes its slot in the same call, and a
+missing slot means some PE skipped the barrier, which raises
+:class:`ProtocolError` rather than deadlocking.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence, Sized
+from typing import Sequence, Sized
 
 import numpy as np
 
 from .vdisk import Cluster
 
-#: One tagged unit of an exchange: (caller tag, elements).
-Parcel = tuple[Any, Sized]
-
 
 class ProtocolError(Exception):
     pass
-
-
-def _check_matrix(payloads: Sequence[Sequence[Iterable[Parcel]]], P: int) -> None:
-    if len(payloads) != P:
-        raise ProtocolError(f"all_to_all_v: {len(payloads)} source rows for {P} PEs")
-    for src, row in enumerate(payloads):
-        if len(row) != P:
-            raise ProtocolError(
-                f"all_to_all_v: source {src} provided {len(row)} destination slots"
-            )
-
-
-def all_to_all_v(
-    cluster: Cluster,
-    payloads: Sequence[Sequence[list[Parcel]]],
-    phase: str,
-) -> list[list[list[Parcel]]]:
-    """Exchange ``payloads[src][dst]`` parcel lists; return ``received`` with
-    ``received[dst][src]`` holding exactly the parcels ``src`` addressed to
-    ``dst``, in sending order.  Element volumes are charged per PE for
-    ``src != dst`` only.  Parcels are delivered as sent, not copied: element
-    arrays are never written in place."""
-    P = cluster.cfg.P
-    _check_matrix(payloads, P)
-    charge_volume(cluster, [[sum(len(elems) for _tag, elems in parcels)
-                             for parcels in row] for row in payloads], phase)
-    return [[list(payloads[src][dst]) for src in range(P)] for dst in range(P)]
 
 
 def charge_volume(cluster: Cluster, volume, phase: str) -> None:

@@ -4,17 +4,18 @@ Every formed run is cut at the global ranks t*N/P, so that processor t is
 assigned, per run, exactly the subsegment holding its slice of the final
 order.  The cuts come from multiway selection seeded by the run samples.
 
-The data exchange is organized around flows: one flow per (source,
-destination, run) triple, covering the position-contiguous piece of the
-run's cut that must change processors.  Flows are cut at block boundaries
-and greedily packed into sub-rounds so that every processor's per-round
-send and receive volumes fit in memory next to one working block.  A
-destination writes each arriving piece straight to fresh blocks — only a
-flow's final block can be ragged, and it is sentinel-padded — so nothing
-is buffered across rounds and the padding is at most one block per flow.
-Run subsegments that are already local are left in place and recorded by
-reference, so a fully canonical input incurs zero I/O and zero
-communication here.
+The data exchange is one table of pieces: the part of each destination's
+cut of a run that one source holds.  A piece that changes processors is a
+flow; flows are cut at block boundaries and greedily packed into
+sub-rounds so that every processor's per-round send and receive volumes
+fit in memory next to one working block.  Each round reads all its pieces'
+blocks in one call, charges its (P, P) volume matrix, and writes every
+arriving piece straight to fresh blocks in one call — only a flow's final
+block can be ragged, and it is sentinel-padded — so nothing is buffered
+across rounds and the padding is at most one block per flow.  Pieces
+already on their destination stay in place, so a fully canonical input
+incurs zero I/O and zero communication here.  What each PE then holds is
+one table of its pieces' blocks, in (run, position) order.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
-from .net import all_to_all_v, gather_splitters
+from .net import charge_volume, gather_splitters
 from .runform import RunDescriptor
 from .selection import DiskAccessor, select_all_ranks
 
@@ -48,29 +49,26 @@ class SplitterMatrix:
 
 
 @dataclass
-class SegRef:
-    """A position-contiguous piece of a staged run segment on one PE."""
+class Staged:
+    """The run pieces staged on one PE, in (run, position) order: piece
+    ``i`` is ``length[i]`` elements of run ``run[i]`` from run position
+    ``pos[i]``, stored from element ``start[i]`` of the first of its
+    ``ceil((start[i] + length[i]) / B)`` blocks, the next ones of ``ids``.
+    All five are ``int64`` columns."""
 
-    pe: int
-    blocks: list[int] | np.ndarray
-    start: int              # element offset into blocks[0]
-    length: int
-
-
-@dataclass
-class StagedRun:
-    run: int
-    length: int
-    refs: list[SegRef]
+    ids: np.ndarray
+    run: np.ndarray
+    pos: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
 
 
 @dataclass
 class Redistribution:
-    matrix: SplitterMatrix
     v_moved: int
     k: int
     partners: list[int]
-    staged: list[list[StagedRun]]       # [dest][run]
+    staged: list[Staged]                # per destination PE
     peak_footprint: list[int]
 
 
@@ -135,13 +133,6 @@ def per_run_moved(runs: list[RunDescriptor], matrix: SplitterMatrix) -> list[int
     return out
 
 
-def _local_ref(run: RunDescriptor, pe: int, lo: int, hi: int) -> SegRef:
-    b0 = (lo - pe * run.share) // run.block_size
-    b1 = (hi - 1 - pe * run.share) // run.block_size
-    start = (lo - pe * run.share) - b0 * run.block_size
-    return SegRef(pe, run.blocks[pe][b0:b1 + 1], start, hi - lo)
-
-
 def _schedule_flows(flows: list[tuple[int, int, int, int, int]],
                     eff: int, B: int, P: int
                     ) -> tuple[int, list[list[tuple[int, int, int]]]]:
@@ -204,97 +195,107 @@ def _schedule_flows(flows: list[tuple[int, int, int, int, int]],
     return len(send_load), pieces
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(f, f + c)`` for each pair of ``first`` and ``count``, joined."""
+    return (np.repeat(first - np.cumsum(count) + count, count)
+            + np.arange(int(count.sum())))
+
+
 def external_all_to_all(cluster, runs: list[RunDescriptor],
                         matrix: SplitterMatrix) -> Redistribution:
-    """Execute the redistribution; returns per-PE staged run segments."""
+    """Execute the redistribution; returns each PE's staged pieces."""
     cfg = cluster.cfg
     P, B = cfg.P, cfg.B
-    pos = matrix.pos
 
     pieces = _cut_pieces(runs, matrix)
     flows = [piece for piece in pieces if piece[0] != piece[1]]
-    # (position, SegRef) of the piece of each (dest, run) cut that its
-    # holder already has.
-    kept = {(t, j): (a, _local_ref(runs[j], t, a, b))
-            for q, t, j, a, b in pieces if q == t}
     v_moved = sum(b - a for _q, _t, _j, a, b in flows)
     partners = [len({t for q, t, *_ in flows if q == p}) for p in range(P)]
     # Each round leaves one working block of memory beside its payload.
     k, flow_pieces = _schedule_flows(flows, cfg.m - B, B, P)
 
-    by_round: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
-    for f, mine in enumerate(flow_pieces):
-        for r, a, b in mine:
-            by_round[r].append((f, a, b))
+    # The exchange as int64 columns, one row per piece: the pieces kept in
+    # place (round -1), then the shipped ones by (round, source, dest, run,
+    # position).
+    rows = sorted([(-1, q, t, j, a, b) for q, t, j, a, b in pieces if q == t]
+                  + [(r, q, t, j, a, b)
+                     for (q, t, j, _lo, _hi), mine in zip(flows, flow_pieces)
+                     for r, a, b in mine])
+    rnd, src, dest, run, lo, hi = np.array(rows, np.int64).reshape(-1, 6).T
+    kept = rnd < 0
+    length = hi - lo
 
-    # refs_at[(t, j)]: (position, SegRef) of every arriving piece.
-    refs_at: dict[tuple[int, int], list[tuple[int, SegRef]]] = {}
-    peak = [0] * P
-    reads = 0
-    padding = 0
+    # Every run block in (run, holder, position) order; each piece's source
+    # blocks are a range of them, from element ``start`` of the first.
+    held = [np.asarray(desc.blocks[q], np.int64) for desc in runs for q in range(P)]
+    sizes = np.array([len(ids) for ids in held], np.int64)
+    ids = np.concatenate([np.empty(0, np.int64)] + held)
+    holder = np.repeat(np.tile(np.arange(P), len(runs)), sizes)
+    off = lo - src * np.array([desc.share for desc in runs], np.int64)[run]
+    src_first = (np.cumsum(sizes) - sizes)[run * P + src] + off // B
+    start = off % B
+    nread = (off + length - 1) // B - off // B + 1
 
+    # A destination writes each arriving piece to fresh blocks, sentinel-
+    # padding a flow's ragged final block.  It takes them all in one call,
+    # in (round, source, run, position) order: allocation charges nothing,
+    # and nothing else allocates on it before the last round.
+    nwrite = np.where(kept, 0, -(-length // B))
+    by_dest = np.argsort(dest, kind="stable")
+    slot = np.empty_like(nwrite)
+    slot[by_dest] = np.cumsum(nwrite[by_dest]) - nwrite[by_dest] + len(ids)
+    totals = np.zeros(P, np.int64)
+    np.add.at(totals, dest, nwrite)
+    ids = np.concatenate([ids] + [cluster.alloc_blocks(t, n)
+                                  for t, n in enumerate(totals.tolist()) if n])
+
+    peak = np.zeros(P, np.int64)
+    pad = sentinels(B)
+    cuts = np.searchsorted(rnd, np.arange(k + 1)).tolist()
     for r in range(k):
-        payloads: list[list[list]] = [[[] for _ in range(P)] for _ in range(P)]
-        sent_vol = [0] * P
-        for f, a, b in sorted(by_round[r],
-                              key=lambda e: (flows[e[0]][0], flows[e[0]][2], e[1])):
-            q, t, j, _lo, _hi = flows[f]
-            ref = _local_ref(runs[j], q, a, b)
-            data = cluster.read_blocks(q, ref.blocks, PHASE_ALL_TO_ALL)
-            reads += len(ref.blocks)
-            payloads[q][t].append(((j, a), data[ref.start:ref.start + ref.length]))
-            sent_vol[q] += b - a
-        received = all_to_all_v(cluster, payloads, PHASE_ALL_TO_ALL)
+        i = slice(cuts[r], cuts[r + 1])
+        data = cluster.read_blocks(np.repeat(src[i], nread[i]),
+                                   ids[_ranges(src_first[i], nread[i])],
+                                   PHASE_ALL_TO_ALL)
+        volume = np.zeros((P, P), np.int64)
+        np.add.at(volume, (src[i], dest[i]), length[i])
+        charge_volume(cluster, volume, PHASE_ALL_TO_ALL)
         cluster.counters.add_steps(PHASE_ALL_TO_ALL, 1)
-        for t in range(P):
-            arrived = sum(len(parcel[1]) for src in received[t] for parcel in src)
-            footprint = max(arrived, sent_vol[t] + B)
-            peak[t] = max(peak[t], footprint)
-            if footprint > cfg.m:
-                raise PlanError(f"round {r} footprint {footprint} exceeds "
-                                f"m={cfg.m} on PE {t}")
-            for src in received[t]:
-                for (j, lo), elems in src:
-                    pad = -len(elems) % B
-                    padded = concat([elems, sentinels(pad)]) if pad else elems
-                    padding += pad
-                    blocks = cluster.alloc_blocks(t, len(padded) // B)
-                    cluster.write_blocks(t, blocks, padded, PHASE_ALL_TO_ALL)
-                    refs_at.setdefault((t, j), []).append(
-                        (lo, SegRef(t, blocks, 0, len(elems))))
+        footprint = np.maximum(volume.sum(0), volume.sum(1) + B)
+        np.maximum(peak, footprint, out=peak)
+        if footprint.max() > cfg.m:
+            t = int((footprint > cfg.m).argmax())
+            raise PlanError(f"round {r} footprint {footprint[t]} exceeds "
+                            f"m={cfg.m} on PE {t}")
+        at = (np.cumsum(nread[i]) - nread[i]) * B + start[i]
+        parts = []
+        for a, n in zip(at.tolist(), length[i].tolist()):
+            parts += (data[a:a + n], pad[:-n % B])
+        cluster.write_blocks(np.repeat(dest[i], nwrite[i]),
+                             ids[_ranges(slot[i], nwrite[i])], concat(parts),
+                             PHASE_ALL_TO_ALL)
+        del data, parts     # before the next round reads
 
-    # Every flow ships whole, so the flows read v_moved elements.
-    amplification = reads * B - v_moved
-    cluster.counters.add_overhead(PHASE_ALL_TO_ALL, padding + amplification)
+    # Every flow ships whole, so the flows read and write v_moved elements
+    # besides the partial blocks and the padding.
+    cluster.counters.add_overhead(
+        PHASE_ALL_TO_ALL,
+        int(nread[~kept].sum() + nwrite.sum()) * B - 2 * v_moved)
 
     # Original run blocks with nothing locally kept are dead now.
-    empty = np.empty(0, np.int64)
-    for q in range(P):
-        ids = np.concatenate([empty] + [np.asarray(run.blocks[q], np.int64)
-                                        for run in runs])
-        live = np.concatenate([empty] + [np.asarray(ref.blocks, np.int64)
-                                         for (t, _j), (_a, ref) in kept.items()
-                                         if t == q])
-        cluster.free_blocks(q, ids[~np.isin(ids, live)])
+    dead = np.ones(len(holder), bool)
+    dead[_ranges(src_first[kept], nread[kept])] = False
+    cluster.free_blocks(holder[dead], ids[:len(holder)][dead])
 
-    staged: list[list[StagedRun]] = []
+    # Each PE's staged pieces, kept and arrived, by (run, position).
+    first = np.where(kept, src_first, slot)
+    count = np.where(kept, nread, nwrite)
+    start[~kept] = 0
+    order = np.lexsort((lo, run, dest))
+    bounds = np.searchsorted(dest[order], np.arange(P + 1)).tolist()
+    staged = []
     for t in range(P):
-        per_run = []
-        for j in range(len(runs)):
-            lo, hi = pos[t][j], pos[t + 1][j]
-            placed = list(refs_at.get((t, j), ()))
-            if (t, j) in kept:
-                placed.append(kept[(t, j)])
-            placed.sort(key=lambda e: e[0])
-            cursor = lo
-            for at, ref in placed:
-                if at != cursor:
-                    raise PlanError(f"staged run {j} on PE {t} jumps from "
-                                    f"{cursor} to {at}")
-                cursor += ref.length
-            if cursor != hi:
-                raise PlanError(f"staged run {j} on PE {t} ends at {cursor}, "
-                                f"expected {hi}")
-            per_run.append(StagedRun(j, hi - lo, [ref for _, ref in placed]))
-        staged.append(per_run)
-    return Redistribution(matrix, v_moved, k, partners, staged, peak)
+        o = order[bounds[t]:bounds[t + 1]]
+        staged.append(Staged(ids[_ranges(first[o], count[o])], run[o], lo[o],
+                             start[o], length[o]))
+    return Redistribution(v_moved, k, partners, staged, peak.tolist())

@@ -19,8 +19,8 @@ from emsort.core import (
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
-from emsort.net import all_to_all_v, gather_splitters
-from emsort.redistribute import PlanError, StagedRun
+from emsort.net import charge_volume, gather_splitters
+from emsort.redistribute import PlanError, Staged
 from emsort.runform import internal_parallel_sort as array_internal_parallel_sort
 from emsort.selection import sampled_starts, select_all_ranks
 from emsort.striped import (
@@ -180,10 +180,10 @@ def element_from_bytes(data: bytes, elem_size: int) -> Element:
 # --- reference kernels: heapq merges over lists of element tuples ------------
 
 def _exchange_pieces(cluster, pieces, phase: str):
-    """``all_to_all_v`` with one untagged parcel per ``pieces[src][dst]``."""
-    payloads = [[[(None, piece)] for piece in row] for row in pieces]
-    received = all_to_all_v(cluster, payloads, phase)
-    return [[slot[0][1] if slot else [] for slot in row] for row in received]
+    """Deliver ``pieces[src][dst]`` as ``received[dst][src]``, charging
+    the moved volume."""
+    charge_volume(cluster, [list(map(len, row)) for row in pieces], phase)
+    return [list(row) for row in zip(*pieces)]
 
 
 def internal_parallel_sort(cluster, loads: list[list[Element]],
@@ -220,32 +220,39 @@ def internal_parallel_sort(cluster, loads: list[list[Element]],
     return [list(heapq.merge(*received[p])) for p in range(P)]
 
 
-def _iter_staged(cluster, staged: StagedRun, phase: str, stats: dict):
-    """Yield a staged run segment in order; free blocks once consumed."""
-    for ref in staged.refs:
-        remaining = ref.length
-        off = ref.start
-        for lb in ref.blocks:
-            if remaining <= 0:
-                break
-            data = cluster.read_blocks(ref.pe, [lb], phase)
-            stats["reads"] += 1
-            take = min(remaining, len(data) - off)
-            yield from data[off:off + take]
-            remaining -= take
-            off = 0
-            cluster.free_blocks(ref.pe, [lb])
+def _iter_staged(cluster, pe: int, table: Staged, pieces, phase: str,
+                 stats: dict):
+    """Yield the ``pieces`` of a PE's staged table in order; free each
+    block once consumed."""
+    B = cluster.cfg.B
+    first = 0
+    for i, (start, length) in enumerate(zip(table.start.tolist(),
+                                            table.length.tolist())):
+        count = -(-(start + length) // B)
+        if i in pieces:
+            for lb in table.ids[first:first + count].tolist():
+                data = cluster.read_blocks(pe, [lb], phase)
+                stats["reads"] += 1
+                take = min(length, B - start)
+                yield from data[start:start + take]
+                length -= take
+                start = 0
+                cluster.free_blocks(pe, [lb])
+        first += count
 
 
-def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout:
-    """Merge every processor's staged segments into its output slice."""
+def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
+    """Merge every processor's staged pieces into its output slice."""
     cfg = cluster.cfg
     B = cfg.B
     per_pe: list[list[int]] = []
-    for t in range(cfg.P):
+    for t, table in enumerate(staged):
         stats = {"reads": 0}
-        streams = [_iter_staged(cluster, seg, PHASE_LOCAL_MERGE, stats)
-                   for seg in staged[t]]
+        runs = table.run.tolist()
+        streams = [_iter_staged(cluster, t, table,
+                                {i for i, run in enumerate(runs) if run == j},
+                                PHASE_LOCAL_MERGE, stats)
+                   for j in dict.fromkeys(runs)]
         # Stream order equals run order, so key-only merging realizes the
         # total order (key, run, position).
         merged = heapq.merge(*streams, key=itemgetter(0))
@@ -264,7 +271,7 @@ def local_multiway_merge(cluster, staged: list[list[StagedRun]]) -> OutputLayout
             raise RuntimeError(
                 f"output slice of PE {t} is {written + len(buf)} elements, "
                 f"not a block multiple")
-        consumed = sum(seg.length for seg in staged[t])
+        consumed = int(table.length.sum())
         cluster.counters.add_overhead(PHASE_LOCAL_MERGE,
                                       stats["reads"] * B - consumed)
         per_pe.append(out_blocks)

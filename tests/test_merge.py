@@ -12,7 +12,7 @@ from emsort.core import (
     DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, concat, sentinel,
 )
 from emsort.merge import batch_merge, local_multiway_merge
-from emsort.redistribute import SegRef, StagedRun, compute_splitters, external_all_to_all
+from emsort.redistribute import Staged, compute_splitters, external_all_to_all
 from emsort.runform import form_runs
 
 import helpers
@@ -142,19 +142,21 @@ def staged_plans(draw):
 
 
 def stage(B, plan):
-    """A one-PE cluster holding the planned staged segments."""
+    """A one-PE cluster holding the planned staged pieces, and its table."""
     cl = build(P=1, D=2, B=B, m=64, N=0)
-    staged = []
+    ids, rows = [], []
     for j, pieces in enumerate(plan):
-        refs = []
+        pos = 0
         for piece, start in pieces:
             data = [(7, -2)] * start + piece
             data += [sentinel()] * (-len(data) % B)
             blocks = cl.alloc_blocks(0, len(data) // B)
             cl.seed_blocks(0, blocks, data)
-            refs.append(SegRef(0, blocks, start, len(piece)))
-        staged.append(StagedRun(j, sum(len(piece) for piece, _ in pieces), refs))
-    return cl, [staged]
+            ids.append(blocks)
+            rows.append((j, pos, start, len(piece)))
+            pos += len(piece)
+    columns = np.array(rows, np.int64).reshape(-1, 4).T
+    return cl, [Staged(np.concatenate([np.empty(0, np.int64)] + ids), *columns)]
 
 
 @given(staged_plans())
@@ -209,7 +211,7 @@ def test_merge_overhead_accounts_for_boundary_blocks():
     local_multiway_merge(cl, redist.staged)
     overhead = cl.counters.overhead_elements[PHASE_LOCAL_MERGE]
     reads = cl.counters.phase_blocks_read(PHASE_LOCAL_MERGE) * cl.cfg.B
-    consumed = sum(seg.length for per_run in redist.staged for seg in per_run)
+    consumed = sum(int(table.length.sum()) for table in redist.staged)
     assert consumed == cl.cfg.N
     assert overhead == reads - consumed
     assert overhead >= 0
@@ -258,11 +260,3 @@ def test_local_merge_matches_the_stream_on_every_pe(kind, randomize):
     for pe in range(cl.cfg.P):
         assert cl.peak_allocated(pe) == ref_cl.peak_allocated(pe)
         assert live_blocks(cl, pe) == live_blocks(ref_cl, pe)
-
-
-def test_local_merge_refuses_a_segment_staged_on_another_pe():
-    cl, _inputs, redist = pipeline(seed=19)
-    ref = redist.staged[0][0].refs[0]
-    redist.staged[0][0].refs[0] = SegRef(1, ref.blocks, ref.start, ref.length)
-    with pytest.raises(RuntimeError, match="PE 0 merges a segment staged on PE 1"):
-        local_multiway_merge(cl, redist.staged)

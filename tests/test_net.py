@@ -1,40 +1,13 @@
-"""Message exchange primitives and their communication accounting."""
+"""Communication accounting: moved volumes and control gathers."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from emsort.core import PHASE_ALL_TO_ALL, PHASE_SELECTION
-from emsort.net import (
-    ProtocolError, all_to_all_v, charge_volume, gather_splitters,
-)
+from emsort.net import ProtocolError, charge_volume, gather_splitters
 
 from helpers import build
-
-
-def test_all_to_all_delivers_exactly_and_in_order():
-    cl = build(P=3)
-    payloads = [[[] for _ in range(3)] for _ in range(3)]
-    payloads[0][2] = [("a", [(1, 1)]), ("b", [(2, 2), (3, 3)])]
-    payloads[2][0] = [("c", [(9, 9)])]
-    payloads[1][1] = [("self", [(5, 5)])]
-    received = all_to_all_v(cl, payloads, PHASE_ALL_TO_ALL)
-    assert received[2][0] == [("a", [(1, 1)]), ("b", [(2, 2), (3, 3)])]
-    assert received[0][2] == [("c", [(9, 9)])]
-    assert received[1][1] == [("self", [(5, 5)])]
-    assert received[0][1] == []
-
-
-def test_all_to_all_charges_cross_traffic_only():
-    cl = build(P=2)
-    payloads = [[[(None, [(1, 1), (2, 2)])], [(None, [(3, 3)])]],
-                [[], [(None, [(4, 4), (5, 5), (6, 6)])]]]
-    all_to_all_v(cl, payloads, PHASE_ALL_TO_ALL)
-    sent = cl.counters.elements_sent[PHASE_ALL_TO_ALL]
-    recv = cl.counters.elements_received[PHASE_ALL_TO_ALL]
-    assert sent == [1, 0]          # self-delivery of 2 and 3 elements is free
-    assert recv == [0, 1]
-    assert sum(sent) == sum(recv)
 
 
 def test_charge_volume_charges_the_off_diagonal_per_pe():
@@ -45,14 +18,6 @@ def test_charge_volume_charges_the_off_diagonal_per_pe():
     assert cl.counters.elements_sent[PHASE_ALL_TO_ALL] == [3, 5, 4]
     assert cl.counters.elements_received[PHASE_ALL_TO_ALL] == [6, 1, 5]
     assert volume.tolist() == [[5, 1, 2], [0, 7, 3], [4, 0, 9]]
-
-
-def test_all_to_all_rejects_ragged_matrices():
-    cl = build(P=2)
-    with pytest.raises(ProtocolError):
-        all_to_all_v(cl, [[[]] * 2], PHASE_ALL_TO_ALL)
-    with pytest.raises(ProtocolError):
-        all_to_all_v(cl, [[[]], [[]] * 2], PHASE_ALL_TO_ALL)
 
 
 def test_gather_splitters_counts_control():

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from emsort.core import (
     DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
-    sentinel_mask, validate_config,
+    validate_config,
 )
 from emsort.harness import InputSpec, generate_input, report_stats, run_sort, verify_output
+from emsort.merge import local_multiway_merge
 from emsort.redistribute import (
     PlanError, _schedule_flows, compute_splitters, external_all_to_all,
     per_run_moved,
@@ -18,7 +21,9 @@ from emsort.redistribute import (
 from emsort.runform import form_runs
 from emsort.vdisk import Cluster
 
-from helpers import build, fill, is_allocated, schedule_flows, stored_elements
+from helpers import (
+    build, fill, input_elements, is_allocated, schedule_flows, stored_elements,
+)
 
 
 # --- oracle -----------------------------------------------------------------
@@ -246,35 +251,64 @@ def test_one_block_of_memory_sorts_without_exchange_rounds():
 # --- executing the exchange ---------------------------------------------------
 
 def staged_tiles_exactly(cl, runs, matrix, redist):
-    """Every destination's staged segments tile its cut of every run."""
-    P = cl.cfg.P
-    for t in range(P):
+    """Every destination's staged pieces tile its cut of every run, in
+    (run, position) order, and its table lists each piece's blocks."""
+    B = cl.cfg.B
+    for t, table in enumerate(redist.staged):
+        rows = list(zip(table.run.tolist(), table.pos.tolist(),
+                        table.length.tolist()))
+        assert rows == sorted(rows)
         for j, run in enumerate(runs):
-            lo, hi = matrix.pos[t][j], matrix.pos[t + 1][j]
-            seg = redist.staged[t][j]
-            assert seg.length == hi - lo
-            covered = 0
-            for ref in seg.refs:
-                assert ref.pe == t
-                covered += ref.length
-            assert covered == hi - lo
+            cursor = matrix.pos[t][j]
+            for _j, pos, length in (row for row in rows if row[0] == j):
+                assert pos == cursor
+                cursor += length
+            assert cursor == matrix.pos[t + 1][j]
+        assert len(table.ids) == sum(-(-(table.start + table.length) // B))
 
 
 def test_exchange_delivers_exact_slices():
     cl, gen, runs = formed(seed=2)
+    inputs = sorted(input_elements(cl, gen))
     matrix = compute_splitters(cl, runs)
     redist = external_all_to_all(cl, runs, matrix)
     assert redist.v_moved == sum(per_run_moved(runs, matrix))
     staged_tiles_exactly(cl, runs, matrix, redist)
     # staged content is exactly the input multiset
+    B = cl.cfg.B
     staged_elems = []
-    for per_run in redist.staged:
-        for seg in per_run:
-            for ref in seg.refs:
-                got = cl.peek_blocks(ref.pe, ref.blocks)[ref.start:]
-                staged_elems.extend(got[~sentinel_mask(got)].tolist())
-    # parcels may carry trailing sentinels only as block padding
-    assert len(staged_elems) >= cl.cfg.N
+    for t, table in enumerate(redist.staged):
+        data = cl.peek_blocks(t, table.ids)
+        count = -(-(table.start + table.length) // B)
+        at = (np.cumsum(count) - count) * B + table.start
+        for a, n in zip(at.tolist(), table.length.tolist()):
+            staged_elems.extend(data[a:a + n].tolist())
+    assert sorted(staged_elems) == inputs
+
+
+def test_exchange_and_merge_make_one_block_call_per_round_and_pe():
+    """Over several rounds of shifted input, the all-to-all reads and writes
+    each round's blocks in one call each and allocates once per
+    destination, and the local merge reads each PE's pieces in one call."""
+    cl, _gen, runs = formed(B=4, m=64, N=1024, kind="worst_case_shift",
+                            randomize=False)
+    matrix = compute_splitters(cl, runs)
+    calls: Counter[str] = Counter()
+    for name in ("read_blocks", "write_blocks", "alloc_blocks"):
+        def counted(pe, *args, _method=getattr(cl, name), _name=name):
+            calls[_name] += 1
+            if isinstance(pe, int):
+                calls[_name, pe] += 1
+            return _method(pe, *args)
+        setattr(cl, name, counted)
+    redist = external_all_to_all(cl, runs, matrix)
+    assert redist.k > 1
+    assert calls["read_blocks"] <= redist.k, calls
+    assert calls["write_blocks"] <= redist.k, calls
+    assert calls["alloc_blocks"] <= cl.cfg.P, calls
+    calls.clear()
+    local_multiway_merge(cl, redist.staged)
+    assert [calls["read_blocks", pe] for pe in range(cl.cfg.P)] == [1] * cl.cfg.P
 
 
 def test_exchange_io_identity_and_footprint():
