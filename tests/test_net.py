@@ -20,6 +20,14 @@ def test_charge_volume_charges_the_off_diagonal_per_pe():
     assert volume.tolist() == [[5, 1, 2], [0, 7, 3], [4, 0, 9]]
 
 
+def test_charge_volume_refuses_a_matrix_for_another_processor_count():
+    cl = build(P=3)
+    with pytest.raises(ValueError):
+        charge_volume(cl, np.ones((2, 2), np.int64), PHASE_ALL_TO_ALL)
+    assert cl.counters.elements_sent[PHASE_ALL_TO_ALL] == [0, 0, 0]
+    assert cl.counters.elements_received[PHASE_ALL_TO_ALL] == [0, 0, 0]
+
+
 def test_gather_splitters_counts_control():
     cl = build(P=3)
     gather_splitters(cl, [[1, 2], np.empty(0, np.uint64), np.array([3])],

@@ -15,14 +15,15 @@ from emsort.core import (
 from emsort.harness import InputSpec, generate_input, report_stats, run_sort, verify_output
 from emsort.merge import local_multiway_merge
 from emsort.redistribute import (
-    PlanError, _schedule_flows, compute_splitters, external_all_to_all,
-    per_run_moved,
+    PlanError, _ranges, _schedule_flows, compute_splitters,
+    external_all_to_all, per_run_moved,
 )
 from emsort.runform import form_runs
 from emsort.vdisk import Cluster
 
 from helpers import (
-    build, fill, input_elements, is_allocated, schedule_flows, stored_elements,
+    build, fill, input_elements, is_allocated, live_blocks, schedule_flows,
+    stored_elements,
 )
 
 
@@ -267,6 +268,14 @@ def staged_tiles_exactly(cl, runs, matrix, redist):
         assert len(table.ids) == sum(-(-(table.start + table.length) // B))
 
 
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 4)), max_size=8))
+def test_ranges_joins_one_arange_per_pair(pairs):
+    first = np.array([f for f, _c in pairs], np.int64)
+    count = np.array([c for _f, c in pairs], np.int64)
+    expected = [v for f, c in pairs for v in range(f, f + c)]
+    assert _ranges(first, count).tolist() == expected
+
+
 def test_exchange_delivers_exact_slices():
     cl, gen, runs = formed(seed=2)
     inputs = sorted(input_elements(cl, gen))
@@ -309,6 +318,34 @@ def test_exchange_and_merge_make_one_block_call_per_round_and_pe():
     calls.clear()
     local_multiway_merge(cl, redist.staged)
     assert [calls["read_blocks", pe] for pe in range(cl.cfg.P)] == [1] * cl.cfg.P
+
+
+def test_exchange_holds_exactly_its_staged_blocks():
+    """After the exchange each PE holds the blocks its table lists, each
+    once, and nothing else: no dead run block is left and none is freed
+    twice."""
+    for seed in (6, 7):
+        cl, _gen, runs = formed(seed=seed)
+        redist = external_all_to_all(cl, runs, compute_splitters(cl, runs))
+        for pe, table in enumerate(redist.staged):
+            ids = table.ids.tolist()
+            assert len(set(ids)) == len(ids)
+            assert sorted(ids) == live_blocks(cl, pe)
+
+
+def test_exchange_refuses_an_oversized_round_before_writing(monkeypatch):
+    """The footprint check reads a round's volume matrix before the round
+    writes anything: a schedule that ships every flow in one round is
+    refused with no block written."""
+    def one_round(flows, eff, B, P):
+        return 1, [[(0, lo, hi)] for _q, _t, _j, lo, hi in flows]
+
+    monkeypatch.setattr("emsort.redistribute._schedule_flows", one_round)
+    cl, _gen, runs = formed(kind="worst_case_shift", randomize=False)
+    matrix = compute_splitters(cl, runs)
+    with pytest.raises(PlanError, match=r"round 0 footprint \d+ exceeds m=32"):
+        external_all_to_all(cl, runs, matrix)
+    assert cl.counters.phase_blocks_written(PHASE_ALL_TO_ALL) == 0
 
 
 def test_exchange_io_identity_and_footprint():
