@@ -339,63 +339,40 @@ def checksum128(keys, serials) -> tuple[int, int]:
     return len(keys), total
 
 
+#: Second indices of :attr:`PhaseCounters.blocks` and
+#: :attr:`PhaseCounters.traffic`.
+READ, WRITE = 0, 1
+SENT, RECEIVED, CONTROL = 0, 1, 2
+
+
+def phase_index(phase: str) -> int:
+    """The position of ``phase`` in :data:`ALL_PHASES`, the first index of
+    every counter array; raises ``ValueError`` for an unknown phase."""
+    try:
+        return ALL_PHASES.index(phase)
+    except ValueError:
+        raise ValueError(f"unknown phase {phase!r}") from None
+
+
 class PhaseCounters:
-    """Exact per-phase accounting: block I/O per (pe, disk), element
-    communication per pe, control traffic, striped I/O steps, and an
-    instrumented overhead tally (sentinel padding, partial-block waste,
-    boundary re-reads) used by the accounting identities."""
+    """Exact per-phase accounting: four ``int64`` arrays, each indexed
+    first by :func:`phase_index`.
+
+    ``blocks[phase, READ | WRITE, disk, pe]`` counts block I/O per disk,
+    in the layout of the cluster's disk cells ``disk * P + pe``;
+    ``traffic[phase, SENT | RECEIVED | CONTROL, pe]`` counts elements sent
+    and received and control values received; ``steps[phase]`` counts
+    parallel I/O steps; ``overhead[phase]`` tallies instrumented overhead
+    elements (sentinel padding, partial-block waste, boundary re-reads)
+    used by the accounting identities."""
 
     def __init__(self, P: int, D: int):
-        self.P = P
-        self.D = D
-        self.blocks_read = {ph: [[0] * D for _ in range(P)] for ph in ALL_PHASES}
-        self.blocks_written = {ph: [[0] * D for _ in range(P)] for ph in ALL_PHASES}
-        self.elements_sent = {ph: [0] * P for ph in ALL_PHASES}
-        self.elements_received = {ph: [0] * P for ph in ALL_PHASES}
-        self.control_values = {ph: [0] * P for ph in ALL_PHASES}
-        self.io_steps = {ph: 0 for ph in ALL_PHASES}
-        self.overhead_elements = {ph: 0 for ph in ALL_PHASES}
+        n = len(ALL_PHASES)
+        self.blocks = np.zeros((n, 2, D, P), np.int64)
+        self.traffic = np.zeros((n, 3, P), np.int64)
+        self.steps = np.zeros(n, np.int64)
+        self.overhead = np.zeros(n, np.int64)
 
-    def note_read(self, phase: str, pe: int, disk: int, blocks: int = 1) -> None:
-        self.blocks_read[phase][pe][disk] += blocks
-
-    def note_write(self, phase: str, pe: int, disk: int, blocks: int = 1) -> None:
-        self.blocks_written[phase][pe][disk] += blocks
-
-    def add_sent(self, phase: str, pe: int, n: int) -> None:
-        self.elements_sent[phase][pe] += n
-
-    def add_received(self, phase: str, pe: int, n: int) -> None:
-        self.elements_received[phase][pe] += n
-
-    def add_control(self, phase: str, pe: int, n: int) -> None:
-        self.control_values[phase][pe] += n
-
-    def add_steps(self, phase: str, n: int) -> None:
-        self.io_steps[phase] += n
-
-    def add_overhead(self, phase: str, n: int) -> None:
-        self.overhead_elements[phase] += n
-
-    # -- aggregation helpers -------------------------------------------------
-
-    def phase_blocks_read(self, phase: str, pe: int | None = None) -> int:
-        rows = self.blocks_read[phase]
-        if pe is None:
-            return sum(sum(r) for r in rows)
-        return sum(rows[pe])
-
-    def phase_blocks_written(self, phase: str, pe: int | None = None) -> int:
-        rows = self.blocks_written[phase]
-        if pe is None:
-            return sum(sum(r) for r in rows)
-        return sum(rows[pe])
-
-    def phase_element_io(self, phase: str, B: int, pe: int | None = None) -> int:
-        return B * (self.phase_blocks_read(phase, pe) + self.phase_blocks_written(phase, pe))
-
-    def total_element_io(self, B: int, phases=ENGINE_PHASES) -> int:
-        return sum(self.phase_element_io(ph, B) for ph in phases)
-
-    def data_sent_total(self, phases=ENGINE_PHASES) -> int:
-        return sum(sum(self.elements_sent[ph]) for ph in phases)
+    def element_io(self, B: int, phases=ENGINE_PHASES) -> int:
+        """Elements read and written in ``phases``, ``B`` per block."""
+        return B * int(self.blocks[[phase_index(ph) for ph in phases]].sum())

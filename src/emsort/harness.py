@@ -28,12 +28,15 @@ from .core import (
     ALL_PHASES,
     DATA_PHASES,
     ELEM,
+    ENGINE_PHASES,
     MachineConfig,
     PHASE_SELECTION,
     PhaseCounters,
     RNG_NAME,
+    SENT,
     checksum128,
     derive_seed,
+    phase_index,
     sentinel_mask,
     validate_config,
 )
@@ -296,6 +299,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
     documented in the README.
     """
     counters = result.counters
+    engine_rows = [phase_index(phase) for phase in ENGINE_PHASES]
     meta = {
         "engine": result.engine,
         "kind": kind,
@@ -311,9 +315,9 @@ def report_stats(cfg: MachineConfig, result: SortResult,
         "selection_fallbacks": result.selection_fallbacks,
         "peak_round_footprint": result.peak_round_footprint,
         "merge_passes": result.merge_passes,
-        "data_element_io": counters.total_element_io(cfg.B, DATA_PHASES),
-        "sample_io": counters.phase_element_io(PHASE_SELECTION, cfg.B),
-        "data_sent": counters.data_sent_total(),
+        "data_element_io": counters.element_io(cfg.B, DATA_PHASES),
+        "sample_io": counters.element_io(cfg.B, (PHASE_SELECTION,)),
+        "data_sent": int(counters.traffic[engine_rows, SENT].sum()),
         "wall_seconds": f"{result.wall_seconds:.6f}",
     }
     lines = [f"# {key}={meta[key]}" for key in STATS_META_KEYS]
@@ -322,18 +326,16 @@ def report_stats(cfg: MachineConfig, result: SortResult,
                + [f"read_disk{d}" for d in range(cfg.D)]
                + [f"write_disk{d}" for d in range(cfg.D)])
     lines.append(",".join(columns))
-    for phase in ALL_PHASES:
+    disks = counters.blocks.transpose(0, 3, 1, 2).tolist()  # [ph][pe][rw][d]
+    traffic = counters.traffic.transpose(0, 2, 1).tolist()  # [ph][pe][kind]
+    overhead, steps = counters.overhead.tolist(), counters.steps.tolist()
+    for i, phase in enumerate(ALL_PHASES):
         for pe in range(cfg.P):
-            br = counters.phase_blocks_read(phase, pe)
-            bw = counters.phase_blocks_written(phase, pe)
-            row = [phase, pe, br, bw, (br + bw) * cfg.B,
-                   counters.elements_sent[phase][pe],
-                   counters.elements_received[phase][pe],
-                   counters.control_values[phase][pe],
-                   counters.overhead_elements[phase] if pe == 0 else 0,
-                   counters.io_steps[phase] if pe == 0 else 0]
-            row.extend(counters.blocks_read[phase][pe])
-            row.extend(counters.blocks_written[phase][pe])
+            reads, writes = disks[i][pe]
+            br, bw = sum(reads), sum(writes)
+            row = [phase, pe, br, bw, (br + bw) * cfg.B, *traffic[i][pe],
+                   overhead[i] if pe == 0 else 0, steps[i] if pe == 0 else 0,
+                   *reads, *writes]
             lines.append(",".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 

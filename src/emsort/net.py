@@ -16,6 +16,7 @@ from typing import Sequence, Sized
 
 import numpy as np
 
+from .core import CONTROL, RECEIVED, SENT, phase_index
 from .vdisk import Cluster
 
 
@@ -28,11 +29,9 @@ def charge_volume(cluster: Cluster, volume, phase: str) -> None:
     ``dst``: each PE's sent and received totals, the diagonal free."""
     moved = np.array(volume, np.int64).reshape(cluster.cfg.P, cluster.cfg.P)
     np.fill_diagonal(moved, 0)
-    counters = cluster.counters
-    for pe, (sent, received) in enumerate(zip(moved.sum(1).tolist(),
-                                              moved.sum(0).tolist())):
-        counters.add_sent(phase, pe, sent)
-        counters.add_received(phase, pe, received)
+    traffic = cluster.counters.traffic[phase_index(phase)]
+    traffic[SENT] += moved.sum(1)
+    traffic[RECEIVED] += moved.sum(0)
 
 
 def gather_splitters(
@@ -52,7 +51,5 @@ def gather_splitters(
         raise ProtocolError(
             f"gather_splitters: {len(contributions)} contributions for {P} PEs"
         )
-    sizes = [len(values) for values in contributions]
-    total = sum(sizes)
-    for pe, size in enumerate(sizes):
-        cluster.counters.add_control(phase, pe, total - size)
+    sizes = np.array([len(values) for values in contributions], np.int64)
+    cluster.counters.traffic[phase_index(phase), CONTROL] += sizes.sum() - sizes

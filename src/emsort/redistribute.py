@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
+from .core import (
+    PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, phase_index, sentinels,
+)
 from .net import charge_volume, gather_splitters
 from .runform import RunDescriptor
 from .selection import DiskAccessor, select_all_ranks
@@ -227,9 +229,10 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
 
     # Every run block in (run, holder, position) order; each piece's source
     # blocks are a range of them, from element ``start`` of the first.
-    held = [np.asarray(desc.blocks[q], np.int64) for desc in runs for q in range(P)]
-    sizes = np.array([len(ids) for ids in held], np.int64)
-    ids = np.concatenate([np.empty(0, np.int64)] + held)
+    sizes = np.repeat(np.array([desc.blocks.shape[1] for desc in runs],
+                               np.int64), P)
+    ids = np.concatenate([np.empty(0, np.int64)]
+                         + [desc.blocks.reshape(-1) for desc in runs])
     holder = np.repeat(np.tile(np.arange(P), len(runs)), sizes)
     off = lo - src * np.array([desc.share for desc in runs], np.int64)[run]
     src_first = (np.cumsum(sizes) - sizes)[run * P + src] + off // B
@@ -260,7 +263,7 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
         volume = np.zeros((P, P), np.int64)
         np.add.at(volume, (src[i], dest[i]), length[i])
         charge_volume(cluster, volume, PHASE_ALL_TO_ALL)
-        cluster.counters.add_steps(PHASE_ALL_TO_ALL, 1)
+        cluster.counters.steps[phase_index(PHASE_ALL_TO_ALL)] += 1
         footprint = np.maximum(volume.sum(0), volume.sum(1) + B)
         np.maximum(peak, footprint, out=peak)
         if footprint.max() > cfg.m:
@@ -278,9 +281,8 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
 
     # Every flow ships whole, so the flows read and write v_moved elements
     # besides the partial blocks and the padding.
-    cluster.counters.add_overhead(
-        PHASE_ALL_TO_ALL,
-        int(nread[~kept].sum() + nwrite.sum()) * B - 2 * v_moved)
+    cluster.counters.overhead[phase_index(PHASE_ALL_TO_ALL)] += \
+        int(nread[~kept].sum() + nwrite.sum()) * B - 2 * v_moved
 
     # Original run blocks with nothing locally kept are dead now.
     dead = np.ones(len(holder), bool)

@@ -40,7 +40,7 @@ class RunDescriptor:
     length: int
     share: int                    # elements per processor
     block_size: int
-    blocks: list[list[int]]       # per processor, logical block ids in order
+    blocks: np.ndarray            # [processor, b]: ``int64`` block ids in order
     # Every K-th element's key and run position, in position order.
     sample_keys: np.ndarray = field(
         default_factory=lambda: np.empty(0, np.uint64))
@@ -51,7 +51,7 @@ class RunDescriptor:
         """Map a run-global position to (pe, logical block, offset)."""
         pe, lp = divmod(pos, self.share)
         b, off = divmod(lp, self.block_size)
-        return pe, self.blocks[pe][b], off
+        return pe, int(self.blocks[pe, b]), off
 
 
 def run_layout(cfg: MachineConfig) -> list[tuple[int, int]]:
@@ -65,14 +65,14 @@ def run_layout(cfg: MachineConfig) -> list[tuple[int, int]]:
     return layout
 
 
-def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> list[int]:
+def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> np.ndarray:
     """Seeded random permutation of one processor's input block IDs (a list
-    or an ``int64`` column)."""
+    or an ``int64`` column), as an ``int64`` column."""
     ids = np.asarray(blocks, np.int64)
     if not cfg.randomize or len(ids) < 2:
-        return ids.tolist()
+        return ids
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 1, pe)))
-    return ids[rng.permutation(len(ids))].tolist()
+    return ids[rng.permutation(len(ids))]
 
 
 def internal_parallel_sort(cluster, loads: list[np.ndarray],
@@ -149,14 +149,15 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
     """
     cfg = cluster.cfg
     B, K = cfg.B, cfg.sample_rate
-    order = [shuffle_block_ids(cfg, p, pe_blocks[p]) for p in range(cfg.P)]
+    order = np.stack([shuffle_block_ids(cfg, p, pe_blocks[p])
+                      for p in range(cfg.P)])
     layout = run_layout(cfg)
     runs: list[RunDescriptor] = []
     base = 0
     for i, (length, share) in enumerate(layout):
         take = share // B
-        chunk = [sorted(order[p][base:base + take]) for p in range(cfg.P)]
-        loads = [cluster.read_blocks(p, order[p][base:base + take],
+        chunk = np.sort(order[:, base:base + take])
+        loads = [cluster.read_blocks(p, order[p, base:base + take],
                                      PHASE_RUN_FORMATION)
                  for p in range(cfg.P)]
         base += take

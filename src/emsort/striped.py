@@ -27,6 +27,7 @@ from .core import (
     PHASE_STRIPED_MERGE,
     concat,
     derive_seed,
+    phase_index,
     sort_order,
 )
 from .merge import batch_merge
@@ -287,8 +288,8 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
                            "is not a block multiple")
     _charge_moves(cluster, pes, COORDINATOR, PHASE_STRIPED_MERGE)
     _charge_moves(cluster, COORDINATOR, out_pes, PHASE_STRIPED_MERGE)
-    cluster.counters.add_steps(PHASE_STRIPED_MERGE,
-                               n_steps + -(-written // D_total))
+    cluster.counters.steps[phase_index(PHASE_STRIPED_MERGE)] += \
+        n_steps + -(-written // D_total)
     return StripedRun(length, start_disk, out_pes, out_lbs, minima)
 
 

@@ -13,10 +13,10 @@ speak in runs of blocks: a column of ids, and a PE that is either one int
 for the whole run or an ``int64`` column as long as the ids, so one call
 can touch blocks of every PE.  Each call costs a few array operations,
 not a Python step per block.  Engine reads and writes are charged to a
-named phase in the shared :class:`~emsort.core.PhaseCounters`, once per
-(PE, disk) a run touches; input materialization and verification use the
-uncounted ``seed_blocks`` / ``peek_blocks`` so the engine I/O identities
-stay exact.  A write stores a copy of its elements; a read hands back the
+named phase in the shared :class:`~emsort.core.PhaseCounters`, one
+``(D, P)`` count matrix per call; input materialization and verification
+use the uncounted ``seed_blocks`` / ``peek_blocks`` so the engine I/O
+identities stay exact.  A write stores a copy of its elements; a read hands back the
 blocks joined as one read-only copy.  A refused run, a PE outside
 ``[0, P)`` included, raises before it changes anything.  A finished sort's
 :class:`OutputLayout` names its output blocks the way a striped run does: a
@@ -31,12 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ALL_PHASES,
     ELEM,
     MAX_KEY,
+    READ,
     SENTINEL_SERIAL,
+    WRITE,
     MachineConfig,
     PhaseCounters,
+    phase_index,
     sentinel_mask,
 )
 
@@ -139,20 +141,18 @@ class Cluster:
 
     def read_blocks(self, pe, lbs, phase: str) -> np.ndarray:
         """The blocks ``lbs`` of ``pe`` joined as one read-only array."""
-        if phase not in ALL_PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+        i = phase_index(phase)
         lbs, pe, keys = self._ids(pe, lbs)
         data = self._gather(lbs, pe, keys)
-        self._charge(self.counters.note_read, phase, keys)
+        self._charge(i, READ, keys)
         return data
 
     def write_blocks(self, pe, lbs, elems, phase: str) -> None:
         """Store ``elems`` as the blocks ``lbs`` of ``pe``, ``B`` each."""
-        if phase not in ALL_PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+        i = phase_index(phase)
         lbs, pe, keys = self._ids(pe, lbs)
         self._store(lbs, pe, keys, np.asarray(elems, ELEM))
-        self._charge(self.counters.note_write, phase, keys)
+        self._charge(i, WRITE, keys)
 
     # -- uncounted paths (setup / verification only) ---------------------------
 
@@ -294,17 +294,12 @@ class Cluster:
         self._slab, self._free = slab, free
         self._nfree += cap - old
 
-    def _charge(self, note, phase: str, keys: np.ndarray) -> None:
-        """Charge one block per key to its disk, once per (PE, disk)."""
-        P = self.cfg.P
-        if len(keys) == 1:          # the selection probes' one-block reads
-            key = int(keys[0])
-            note(phase, key % P, key // P % self.cfg.D, 1)
-            return
+    def _charge(self, phase: int, rw: int, keys: np.ndarray) -> None:
+        """Charge one block per key to its disk cell ``key % (P * D)``."""
         cells = len(self._next)
-        for cell, n in enumerate(np.bincount(keys % cells, minlength=cells).tolist()):
-            if n:
-                note(phase, cell % P, cell // P, n)
+        counts = self.counters.blocks[phase, rw]    # a view: add in place
+        counts += np.bincount(keys % cells, minlength=cells).reshape(
+            self.cfg.D, self.cfg.P)
 
     # -- occupancy -----------------------------------------------------------
 

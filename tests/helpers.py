@@ -2,8 +2,9 @@
 occupancy, an in-memory selection accessor, the scalar element codec that
 the disk images are checked against, the element-at-a-time,
 block-at-a-time, per-batch, per-rank and per-block kernels that the array
-kernels are checked against, and the per-PE dict block store that the slab
-store is checked against."""
+kernels are checked against, and the per-PE dict block store and the
+list-based counters that the slab store and the counter arrays are checked
+against."""
 from __future__ import annotations
 
 import heapq
@@ -14,8 +15,8 @@ import numpy as np
 
 from emsort.core import (
     ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
-    PHASE_STRIPED_MERGE, Element, MachineConfig, PhaseCounters, concat, sentinel,
-    sentinel_mask,
+    PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, concat,
+    phase_index, sentinel, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
@@ -66,9 +67,37 @@ def output_elements(cluster: Cluster, layout: OutputLayout) -> list[Element]:
     return out
 
 
-def counter_state(cluster: Cluster) -> dict:
-    """Every counter of a cluster, for equality checks."""
-    return dict(vars(cluster.counters))
+COUNTER_NAMES = ("blocks_read", "blocks_written", "elements_sent",
+                 "elements_received", "control_values", "io_steps",
+                 "overhead_elements")
+
+
+def counter_state(cluster) -> dict:
+    """Every counter of a cluster or a :class:`ReferenceCluster`, laid out
+    as :class:`ReferenceCounters` holds them, for equality checks: per
+    counter, a dict by phase of ``[pe][disk]`` block counts, of per-PE
+    traffic lists, or of numbers."""
+    c = cluster.counters
+    if isinstance(c, ReferenceCounters):
+        return {name: getattr(c, name) for name in COUNTER_NAMES}
+    lists = (c.blocks.transpose(1, 0, 3, 2).tolist()     # [rw][phase][pe][d]
+             + c.traffic.transpose(1, 0, 2).tolist()     # [kind][phase][pe]
+             + [c.steps.tolist(), c.overhead.tolist()])
+    return {name: dict(zip(ALL_PHASES, values))
+            for name, values in zip(COUNTER_NAMES, lists)}
+
+
+def phase_rows(phases) -> list[int]:
+    """The first counter-array index of each of ``phases``."""
+    return [phase_index(phase) for phase in phases]
+
+
+def charge_move(cluster, phase: str, src: int, dst: int, n: int) -> None:
+    """Charge ``n`` elements sent from PE ``src`` to PE ``dst``, one move
+    at a time."""
+    traffic = cluster.counters.traffic[phase_index(phase)]
+    traffic[SENT, src] += n
+    traffic[RECEIVED, dst] += n
 
 
 def is_allocated(cluster: Cluster, pe: int, lb: int) -> bool:
@@ -272,8 +301,8 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
                 f"output slice of PE {t} is {written + len(buf)} elements, "
                 f"not a block multiple")
         consumed = int(table.length.sum())
-        cluster.counters.add_overhead(PHASE_LOCAL_MERGE,
-                                      stats["reads"] * B - consumed)
+        cluster.counters.overhead[phase_index(PHASE_LOCAL_MERGE)] += \
+            stats["reads"] * B - consumed
         per_pe.append(out_blocks)
     return OutputLayout("canonical",
                         [pe for pe, lbs in enumerate(per_pe) for _lb in lbs],
@@ -359,8 +388,8 @@ class _StripedWriter:
             cluster.write_blocks(pe, [self.blocks[first + g][1] for g in mine],
                                  rows[mine], self.phase)
             if pe != self.writer_pe:
-                cluster.counters.add_sent(self.phase, self.writer_pe, B * len(mine))
-                cluster.counters.add_received(self.phase, pe, B * len(mine))
+                charge_move(cluster, self.phase, self.writer_pe, pe,
+                            B * len(mine))
         self.minima.extend(data["key"][:full:B].tolist())
         self.length += full
         self.tail = data[full:]
@@ -474,9 +503,7 @@ def striped_merge_pass(cluster, runs: list[ReferenceStripedRun],
             buffers[j].extend(
                 cluster.read_blocks(pe, [lb], PHASE_STRIPED_MERGE).tolist())
             if pe != COORDINATOR:
-                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B)
-                cluster.counters.add_received(PHASE_STRIPED_MERGE,
-                                              COORDINATOR, B)
+                charge_move(cluster, PHASE_STRIPED_MERGE, pe, COORDINATOR, B)
             cluster.free_blocks(pe, [lb])
         if hi < L:
             key, j, g = entries[hi]
@@ -489,8 +516,8 @@ def striped_merge_pass(cluster, runs: list[ReferenceStripedRun],
             raise RuntimeError(
                 f"batch leftover of {leftover} elements exceeds a block")
     out = writer.finish()
-    cluster.counters.add_steps(PHASE_STRIPED_MERGE,
-                               n_steps + -(-len(out.blocks) // D_total))
+    cluster.counters.steps[phase_index(PHASE_STRIPED_MERGE)] += \
+        n_steps + -(-len(out.blocks) // D_total)
     return out
 
 
@@ -531,8 +558,7 @@ def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
     for k, blocks in enumerate(traffic):
         src, dst = divmod(k, P)
         if blocks and src != dst:
-            cluster.counters.add_sent(phase, src, B * blocks)
-            cluster.counters.add_received(phase, dst, B * blocks)
+            charge_move(cluster, phase, src, dst, B * blocks)
 
 
 def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
@@ -575,9 +601,8 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
             parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
             part_tags.append((at[mine, None] * B + np.arange(B)).ravel())
             if pe != COORDINATOR:
-                cluster.counters.add_sent(PHASE_STRIPED_MERGE, pe, B * len(ids))
-                cluster.counters.add_received(PHASE_STRIPED_MERGE,
-                                              COORDINATOR, B * len(ids))
+                charge_move(cluster, PHASE_STRIPED_MERGE, pe, COORDINATOR,
+                            B * len(ids))
             cluster.free_blocks(pe, ids)
         bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
         out, pending, tags = array_batch_merge(concat(parts),
@@ -597,8 +622,8 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
     if len(tail):
         raise RuntimeError(f"striped run length {written * B + len(tail)} "
                            "is not a block multiple")
-    cluster.counters.add_steps(PHASE_STRIPED_MERGE,
-                               n_steps + -(-written // D_total))
+    cluster.counters.steps[phase_index(PHASE_STRIPED_MERGE)] += \
+        n_steps + -(-written // D_total)
     return StripedRun(length, start_disk, out_pes, out_lbs, minima)
 
 
@@ -684,7 +709,58 @@ def schedule_flows(flows: list[tuple[int, int, int, int, int]],
     return len(send_load), pieces
 
 
-# --- reference model: the per-PE dict block store ------------------------------
+# --- reference model: the list-based counters and the per-PE dict block store --
+
+class ReferenceCounters:
+    """The counters that :class:`~emsort.core.PhaseCounters` had before
+    its arrays: per phase, nested lists of block I/O per (pe, disk) and of
+    traffic per pe, and one number of steps and of overhead, charged one
+    (phase, pe, disk) or (phase, pe) at a time."""
+
+    def __init__(self, P: int, D: int):
+        self.blocks_read = {ph: [[0] * D for _ in range(P)] for ph in ALL_PHASES}
+        self.blocks_written = {ph: [[0] * D for _ in range(P)] for ph in ALL_PHASES}
+        self.elements_sent = {ph: [0] * P for ph in ALL_PHASES}
+        self.elements_received = {ph: [0] * P for ph in ALL_PHASES}
+        self.control_values = {ph: [0] * P for ph in ALL_PHASES}
+        self.io_steps = {ph: 0 for ph in ALL_PHASES}
+        self.overhead_elements = {ph: 0 for ph in ALL_PHASES}
+
+    def note_read(self, phase: str, pe: int, disk: int, blocks: int = 1) -> None:
+        self.blocks_read[phase][pe][disk] += blocks
+
+    def note_write(self, phase: str, pe: int, disk: int, blocks: int = 1) -> None:
+        self.blocks_written[phase][pe][disk] += blocks
+
+    def add_sent(self, phase: str, pe: int, n: int) -> None:
+        self.elements_sent[phase][pe] += n
+
+    def add_received(self, phase: str, pe: int, n: int) -> None:
+        self.elements_received[phase][pe] += n
+
+    def add_control(self, phase: str, pe: int, n: int) -> None:
+        self.control_values[phase][pe] += n
+
+    def add_steps(self, phase: str, n: int) -> None:
+        self.io_steps[phase] += n
+
+    def add_overhead(self, phase: str, n: int) -> None:
+        self.overhead_elements[phase] += n
+
+    def charge_volume(self, volume, phase: str) -> None:
+        """``net.charge_volume``, one (src, dst) pair at a time."""
+        for src, row in enumerate(volume):
+            for dst, n in enumerate(row):
+                if src != dst:
+                    self.add_sent(phase, src, n)
+                    self.add_received(phase, dst, n)
+
+    def gather_splitters(self, contributions, phase: str) -> None:
+        """``net.gather_splitters``' charge, one PE at a time."""
+        total = sum(len(values) for values in contributions)
+        for pe, values in enumerate(contributions):
+            self.add_control(phase, pe, total - len(values))
+
 
 class _ReferencePE:
     """Block storage of one PE: logical block id -> block."""
@@ -705,7 +781,7 @@ class ReferenceCluster:
 
     def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
-        self.counters = PhaseCounters(cfg.P, cfg.D)
+        self.counters = ReferenceCounters(cfg.P, cfg.D)
         self.arrays = [_ReferencePE(cfg.D) for _ in range(cfg.P)]
 
     @property

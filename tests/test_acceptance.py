@@ -12,8 +12,8 @@ import random
 from dataclasses import replace
 
 from emsort.core import (
-    DATA_PHASES, ENGINE_PHASES, MachineConfig, PHASE_ALL_TO_ALL,
-    PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION,
+    CONTROL, DATA_PHASES, ENGINE_PHASES, MachineConfig, PHASE_ALL_TO_ALL,
+    PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, SENT, phase_index,
 )
 from emsort.harness import (
     INPUT_KINDS, run_experiment_redistribution, run_sort, validate_config,
@@ -25,13 +25,15 @@ from emsort.vdisk import Cluster
 
 from helpers import (
     MemoryAccessor, addresses, array_sampled_init, fill, input_elements,
-    oracle_agrees, output_elements,
+    oracle_agrees, output_elements, phase_rows,
 )
 from test_selection import brute_force_select
 
 GRID_P = (1, 2, 4, 8)
 GRID_B = (4, 16, 64)
 GRID_M = (256, 1024)
+#: The phases whose overhead the canonical I/O identity adds to 4N + 2V.
+OVERHEAD_PHASES = (PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -91,12 +93,10 @@ def test_criterion_2_io_window_and_identity():
         cluster, _gen, _inputs, result = sort_fresh(cfg, "random", "canonical")
         c = cluster.counters
         N, B, V = cfg.N, cfg.B, result.v_moved
-        dio = c.total_element_io(B, DATA_PHASES)
-        overhead = (c.overhead_elements[PHASE_ALL_TO_ALL]
-                    + c.overhead_elements[PHASE_LOCAL_MERGE]
-                    + c.overhead_elements[PHASE_RUN_FORMATION])
+        dio = c.element_io(B, DATA_PHASES)
+        overhead = int(c.overhead[phase_rows(OVERHEAD_PHASES)].sum())
         assert dio == 4 * N + 2 * V + overhead, (cfg, dio, V, overhead)
-        sample_io = c.phase_element_io(PHASE_SELECTION, B)
+        sample_io = c.element_io(B, (PHASE_SELECTION,))
         hi = 4 * N + 2 * V + result.k_rounds * result.max_partners * B * cfg.P \
             + sample_io
         assert 4 * N <= dio <= hi, (cfg, dio, 4 * N, hi)
@@ -107,7 +107,7 @@ def test_criterion_2_io_window_and_identity():
         if cfg is None:
             continue
         cluster, _gen, _inputs, result = sort_fresh(cfg, "sorted", "canonical")
-        dio = cluster.counters.total_element_io(cfg.B, DATA_PHASES)
+        dio = cluster.counters.element_io(cfg.B, DATA_PHASES)
         assert result.v_moved == 0 and dio == 4 * cfg.N, (cfg, dio, result.v_moved)
         sorted_checked += 1
     report(2, True, f"{checked} random+randomize-on runs inside "
@@ -132,10 +132,8 @@ def test_criterion_3_worst_shift_moves_everything():
                                                     "canonical")
         c = cluster.counters
         N, V = cfg.N, result.v_moved
-        dio = c.total_element_io(cfg.B, DATA_PHASES)
-        padding = (c.overhead_elements[PHASE_ALL_TO_ALL]
-                   + c.overhead_elements[PHASE_LOCAL_MERGE]
-                   + c.overhead_elements[PHASE_RUN_FORMATION])
+        dio = c.element_io(cfg.B, DATA_PHASES)
+        padding = int(c.overhead[phase_rows(OVERHEAD_PHASES)].sum())
         details.append(f"P={P} N={N}: V/N={V / N:.4f} (1-1/P={1 - 1 / P:.4f}) "
                        f"dio/N={dio / N:.4f} padding/N={padding / N:.4f}")
         if not (V == N - N // P and dio == 4 * N + 2 * V + padding
@@ -182,10 +180,10 @@ def test_criterion_5_communication_bound():
             cfg = MachineConfig(P=P, D=2, B=4, m=m, N=N, seed=505)
             cluster, _gen, _inputs, result = sort_fresh(cfg, kind, "canonical")
             c = cluster.counters
-            sent = c.data_sent_total()
-            formation = sum(c.elements_sent[PHASE_RUN_FORMATION])
-            exchange = sum(c.elements_sent[PHASE_ALL_TO_ALL])
-            control = sum(sum(c.control_values[ph]) for ph in ENGINE_PHASES)
+            sent = c.traffic[phase_rows(ENGINE_PHASES), SENT].sum()
+            formation = c.traffic[phase_index(PHASE_RUN_FORMATION), SENT].sum()
+            exchange = c.traffic[phase_index(PHASE_ALL_TO_ALL), SENT].sum()
+            control = c.traffic[phase_rows(ENGINE_PHASES), CONTROL].sum()
             assert sent == formation + exchange, (kind, cfg)
             assert exchange == result.v_moved, (kind, cfg)
             assert formation <= N, (kind, cfg)
@@ -242,7 +240,7 @@ def test_criterion_7_striped_pass_counts_and_balance():
             disk = pe * cfg.D + lb % cfg.D
             per_disk[disk] = per_disk.get(disk, 0) + 1
         balance = max(per_disk.values()) - min(per_disk.values())
-        return cfg, cluster.counters.total_element_io(B, DATA_PHASES), balance
+        return cfg, cluster.counters.element_io(B, DATA_PHASES), balance
 
     for P, B, m, N in ((1, 4, 64, 256), (2, 16, 256, 4096), (4, 4, 32, 512)):
         cfg, dio, balance = run(P, B, m, N)

@@ -3,16 +3,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emsort.core import (
-    ALL_PHASES, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
-    PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, PhaseCounters,
-    SENTINEL_SERIAL, checksum128, derive_seed, parse_config_text, sentinel,
+    ALL_PHASES, CONTROL, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig,
+    PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION,
+    PHASE_SETUP, READ, RECEIVED, SENT, SENTINEL_SERIAL, WRITE, PhaseCounters,
+    checksum128, derive_seed, parse_config_text, phase_index, sentinel,
     sentinel_mask, sort_order, validate_config,
 )
+from emsort.net import charge_volume, gather_splitters
+from emsort.vdisk import Cluster
 
-from helpers import element_from_bytes, element_to_bytes, elements as element_array
+from helpers import (
+    ReferenceCluster, counter_state, element_from_bytes, element_to_bytes,
+    elements as element_array,
+)
 
 elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
 
@@ -214,33 +220,109 @@ def test_checksum128_known_answer():
 
 def test_phase_counters_aggregation():
     c = PhaseCounters(2, 2)
-    c.note_read(PHASE_RUN_FORMATION, 0, 0, 3)
-    c.note_read(PHASE_RUN_FORMATION, 1, 1, 2)
-    c.note_write(PHASE_RUN_FORMATION, 0, 1, 5)
-    c.note_read(PHASE_SELECTION, 0, 0, 1)
-    c.note_write(PHASE_ALL_TO_ALL, 1, 0, 4)
-    assert c.phase_blocks_read(PHASE_RUN_FORMATION) == 5
-    assert c.phase_blocks_read(PHASE_RUN_FORMATION, 0) == 3
-    assert c.phase_blocks_written(PHASE_RUN_FORMATION) == 5
-    assert c.phase_element_io(PHASE_RUN_FORMATION, 4) == 40
-    assert c.total_element_io(4) == 4 * (5 + 5 + 1 + 4)
-    assert c.total_element_io(4, DATA_PHASES) == 4 * (5 + 5 + 4)
-    assert c.blocks_read[PHASE_RUN_FORMATION] == [[3, 0], [0, 2]]
-    assert c.blocks_written[PHASE_ALL_TO_ALL] == [[0, 0], [4, 0]]
+    rf, sel, a2a = map(phase_index, (PHASE_RUN_FORMATION, PHASE_SELECTION,
+                                     PHASE_ALL_TO_ALL))
+    c.blocks[rf, READ, 0, 0] += 3          # [phase, rw, disk, pe]
+    c.blocks[rf, READ, 1, 1] += 2
+    c.blocks[rf, WRITE, 1, 0] += 5
+    c.blocks[sel, READ, 0, 0] += 1
+    c.blocks[a2a, WRITE, 0, 1] += 4
+    c.blocks[phase_index(PHASE_SETUP), WRITE, 1, 1] += 7
+    assert c.blocks[rf, READ].sum() == 5
+    assert c.blocks[rf, READ, :, 0].sum() == 3
+    assert c.blocks[rf, WRITE].sum() == 5
+    assert c.element_io(4, (PHASE_RUN_FORMATION,)) == 40
+    assert c.element_io(4) == 4 * (5 + 5 + 1 + 4)
+    assert c.element_io(4, DATA_PHASES) == 4 * (5 + 5 + 4)
+    assert c.element_io(4, ALL_PHASES) == 4 * (5 + 5 + 1 + 4 + 7)
+    assert c.blocks[rf, READ].T.tolist() == [[3, 0], [0, 2]]
+    assert c.blocks[a2a, WRITE].T.tolist() == [[0, 0], [4, 0]]
 
 
 def test_phase_counters_communication():
     c = PhaseCounters(2, 1)
-    c.add_sent(PHASE_ALL_TO_ALL, 0, 10)
-    c.add_received(PHASE_ALL_TO_ALL, 1, 10)
-    c.add_control(PHASE_SELECTION, 0, 6)
-    c.add_overhead(PHASE_LOCAL_MERGE, 3)
-    c.add_steps(PHASE_ALL_TO_ALL, 2)
-    c.add_sent(PHASE_ALL_TO_ALL, 0, 99)
-    assert c.data_sent_total() == 109
-    assert c.data_sent_total((PHASE_SELECTION,)) == 0
-    assert c.elements_received[PHASE_ALL_TO_ALL] == [0, 10]
-    assert c.control_values[PHASE_SELECTION] == [6, 0]
-    assert c.overhead_elements[PHASE_LOCAL_MERGE] == 3
-    assert c.io_steps[PHASE_ALL_TO_ALL] == 2
-    assert set(c.blocks_read) == set(ALL_PHASES)
+    a2a, sel, lm = map(phase_index, (PHASE_ALL_TO_ALL, PHASE_SELECTION,
+                                     PHASE_LOCAL_MERGE))
+    c.traffic[a2a, SENT, 0] += 10
+    c.traffic[a2a, RECEIVED, 1] += 10
+    c.traffic[sel, CONTROL, 0] += 6
+    c.overhead[lm] += 3
+    c.steps[a2a] += 2
+    c.traffic[a2a, SENT, 0] += 99
+    assert c.traffic[:, SENT].sum() == 109
+    assert c.traffic[sel, SENT].sum() == 0
+    assert c.traffic[a2a, RECEIVED].tolist() == [0, 10]
+    assert c.traffic[sel, CONTROL].tolist() == [6, 0]
+    assert c.overhead[lm] == 3
+    assert c.steps[a2a] == 2
+    n = len(ALL_PHASES)
+    assert [(a.shape, a.dtype) for a in (c.blocks, c.traffic, c.steps,
+                                         c.overhead)] == [
+        ((n, 2, 1, 2), np.int64), ((n, 3, 2), np.int64), ((n,), np.int64),
+        ((n,), np.int64)]
+    assert [phase_index(ph) for ph in ALL_PHASES] == list(range(n))
+    with pytest.raises(ValueError, match="unknown phase 'sorting'"):
+        phase_index("sorting")
+
+
+@st.composite
+def charge_programs(draw):
+    """A machine shape and calls that charge every counter: reads and
+    writes of up to six blocks (often one) with an int or a column PE,
+    moved-volume matrices, splitter gathers, steps and overhead."""
+    P, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    calls = []
+    for _ in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(["read", "write", "volume", "gather",
+                                     "steps", "overhead"]))
+        phase = draw(st.sampled_from(ALL_PHASES))
+        if kind in ("read", "write"):
+            lbs = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6,
+                                unique=True))
+            pe = draw(st.integers(0, P - 1) | st.lists(
+                st.integers(0, P - 1), min_size=len(lbs),
+                max_size=len(lbs)).map(lambda pes: np.array(pes, np.int64)))
+            calls.append((kind, phase, pe, lbs))
+        elif kind == "volume":
+            calls.append((kind, phase, draw(st.lists(
+                st.lists(st.integers(0, 50), min_size=P, max_size=P),
+                min_size=P, max_size=P))))
+        elif kind == "gather":
+            calls.append((kind, phase, [list(range(n)) for n in draw(
+                st.lists(st.integers(0, 5), min_size=P, max_size=P))]))
+        else:
+            calls.append((kind, phase, draw(st.integers(0, 9))))
+    return MachineConfig(P=P, D=D, B=1, m=8, N=0), calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(charge_programs())
+def test_counter_arrays_match_the_list_counters(program):
+    """After every charge, the four arrays hold what the list-based
+    reference counters hold."""
+    cfg, calls = program
+    cl, ref = Cluster(cfg), ReferenceCluster(cfg)
+    for store in (cl, ref):
+        for pe in range(cfg.P):
+            store.seed_blocks(pe, list(range(8)), [(pe, lb) for lb in range(8)])
+    for kind, phase, *args in calls:
+        if kind == "read":
+            assert (cl.read_blocks(*args, phase).tolist()
+                    == ref.read_blocks(*args, phase).tolist())
+        elif kind == "write":
+            elems = [(i, i) for i in range(len(args[1]))]
+            cl.write_blocks(*args, elems, phase)
+            ref.write_blocks(*args, elems, phase)
+        elif kind == "volume":
+            charge_volume(cl, args[0], phase)
+            ref.counters.charge_volume(args[0], phase)
+        elif kind == "gather":
+            gather_splitters(cl, args[0], phase)
+            ref.counters.gather_splitters(args[0], phase)
+        elif kind == "steps":
+            cl.counters.steps[phase_index(phase)] += args[0]
+            ref.counters.add_steps(phase, args[0])
+        else:
+            cl.counters.overhead[phase_index(phase)] += args[0]
+            ref.counters.add_overhead(phase, args[0])
+        assert counter_state(cl) == counter_state(ref)

@@ -20,7 +20,10 @@ import hashlib
 
 import pytest
 
-from emsort.core import PHASE_STRIPED_MERGE, MachineConfig, concat
+from emsort.core import (
+    PHASE_STRIPED_MERGE, READ, RECEIVED, SENT, WRITE, MachineConfig, concat,
+    phase_index,
+)
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
 from emsort.vdisk import Cluster
 
@@ -197,11 +200,10 @@ def test_striped_merge_traffic_is_the_coordinators_reads_and_writes(
     receives the sums of those over p != 0.  The canonical engine runs no
     striped merge, so every term is 0."""
     cfg, cluster, _gen, result = sorted_case(case, kind, randomize)
-    counters, B = cluster.counters, cfg.B
-    read = [B * counters.phase_blocks_read(PHASE_STRIPED_MERGE, pe)
-            for pe in range(cfg.P)]
-    written = [B * counters.phase_blocks_written(PHASE_STRIPED_MERGE, pe)
-               for pe in range(cfg.P)]
-    assert counters.elements_sent[PHASE_STRIPED_MERGE] == [sum(written[1:])] + read[1:]
-    assert counters.elements_received[PHASE_STRIPED_MERGE] == [sum(read[1:])] + written[1:]
+    merge, B = phase_index(PHASE_STRIPED_MERGE), cfg.B
+    blocks, traffic = cluster.counters.blocks[merge], cluster.counters.traffic[merge]
+    read = (B * blocks[READ].sum(0)).tolist()           # per PE
+    written = (B * blocks[WRITE].sum(0)).tolist()
+    assert traffic[SENT].tolist() == [sum(written[1:])] + read[1:]
+    assert traffic[RECEIVED].tolist() == [sum(read[1:])] + written[1:]
     assert (sum(read) > 0) == (result.engine == "striped")

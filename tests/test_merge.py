@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emsort.core import (
-    DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, concat, sentinel,
+    DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, READ, WRITE,
+    concat, phase_index, sentinel,
 )
 from emsort.merge import batch_merge, local_multiway_merge
 from emsort.redistribute import Staged, compute_splitters, external_all_to_all
@@ -187,15 +188,16 @@ def test_merge_of_single_run_is_a_straight_copy():
     outputs = output_elements(cl, layout)
     assert [e[0] for e in outputs] == sorted(e[0] for e in outputs)
     N, B = cl.cfg.N, cl.cfg.B
-    assert cl.counters.phase_blocks_read(PHASE_LOCAL_MERGE) * B == N
-    assert cl.counters.phase_blocks_written(PHASE_LOCAL_MERGE) * B == N
+    merge = cl.counters.blocks[phase_index(PHASE_LOCAL_MERGE)]
+    assert merge[READ].sum() * B == N
+    assert merge[WRITE].sum() * B == N
 
 
 def test_merge_phase_needs_no_communication():
     cl, _inputs, redist = pipeline(seed=14)
-    before = cl.counters.data_sent_total()
+    before = cl.counters.traffic.copy()
     local_multiway_merge(cl, redist.staged)
-    assert cl.counters.data_sent_total() == before
+    assert (cl.counters.traffic == before).all()
 
 
 def test_merge_output_is_block_aligned_per_processor():
@@ -209,8 +211,9 @@ def test_merge_output_is_block_aligned_per_processor():
 def test_merge_overhead_accounts_for_boundary_blocks():
     cl, _inputs, redist = pipeline(seed=16)
     local_multiway_merge(cl, redist.staged)
-    overhead = cl.counters.overhead_elements[PHASE_LOCAL_MERGE]
-    reads = cl.counters.phase_blocks_read(PHASE_LOCAL_MERGE) * cl.cfg.B
+    merge = phase_index(PHASE_LOCAL_MERGE)
+    overhead = cl.counters.overhead[merge]
+    reads = cl.counters.blocks[merge, READ].sum() * cl.cfg.B
     consumed = sum(int(table.length.sum()) for table in redist.staged)
     assert consumed == cl.cfg.N
     assert overhead == reads - consumed

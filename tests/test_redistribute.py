@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from emsort.core import (
-    DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
-    validate_config,
+    CONTROL, DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
+    READ, SENT, WRITE, phase_index, validate_config,
 )
 from emsort.harness import InputSpec, generate_input, report_stats, run_sort, verify_output
 from emsort.merge import local_multiway_merge
@@ -25,6 +25,8 @@ from helpers import (
     build, fill, input_elements, is_allocated, live_blocks, schedule_flows,
     stored_elements,
 )
+
+SELECT, EXCHANGE = phase_index(PHASE_SELECTION), phase_index(PHASE_ALL_TO_ALL)
 
 
 # --- oracle -----------------------------------------------------------------
@@ -111,7 +113,8 @@ def test_splitter_search_uses_samples_sparingly():
     per_rank = math.ceil(math.log2(K)) + 1
     assert matrix.rounds <= (cl.cfg.P - 1) * per_rank
     assert matrix.fallbacks == 0
-    assert cl.counters.phase_blocks_read(PHASE_SELECTION) == matrix.blocks_read
+    assert (cl.counters.blocks[SELECT, READ].sum()
+            == matrix.blocks_read)
 
 
 # --- round scheduling --------------------------------------------------------
@@ -209,7 +212,7 @@ def test_compute_splitters_charges_two_words_per_sample_and_the_cuts():
         rate = cl.cfg.sample_rate
         held = [sum(-(-(p + 1) * run.share // rate) - -(-p * run.share // rate)
                     for run in runs) for p in range(P)]
-        assert cl.counters.control_values[PHASE_SELECTION] == \
+        assert cl.counters.traffic[SELECT, CONTROL].tolist() == \
             [2 * (sum(held) - held[p]) + (p > 0) * (P - 1) * len(runs)
              for p in range(P)]
 
@@ -233,7 +236,7 @@ def test_worst_shift_plan_matches_the_record(config, k, v_moved, control, peaks)
     gen = generate_input(cl, InputSpec("worst_case_shift", cfg.N, cfg.seed))
     result = run_sort(cl, gen.pe_blocks, "canonical")
     assert (result.k_rounds, result.v_moved,
-            cl.counters.control_values[PHASE_SELECTION],
+            cl.counters.traffic[SELECT, CONTROL].tolist(),
             [cl.peak_allocated(pe) for pe in range(cfg.P)]) == \
         (k, v_moved, control, peaks)
 
@@ -345,21 +348,21 @@ def test_exchange_refuses_an_oversized_round_before_writing(monkeypatch):
     matrix = compute_splitters(cl, runs)
     with pytest.raises(PlanError, match=r"round 0 footprint \d+ exceeds m=32"):
         external_all_to_all(cl, runs, matrix)
-    assert cl.counters.phase_blocks_written(PHASE_ALL_TO_ALL) == 0
+    assert cl.counters.blocks[EXCHANGE, WRITE].sum() == 0
 
 
 def test_exchange_io_identity_and_footprint():
     for seed in (3, 4):
         cl, gen, runs = formed(P=4, N=768, m=32, seed=seed)
         matrix = compute_splitters(cl, runs)
-        io_before = cl.counters.total_element_io(cl.cfg.B, DATA_PHASES)
+        io_before = cl.counters.element_io(cl.cfg.B, DATA_PHASES)
         redist = external_all_to_all(cl, runs, matrix)
-        io_after = cl.counters.total_element_io(cl.cfg.B, DATA_PHASES)
-        overhead = cl.counters.overhead_elements[PHASE_ALL_TO_ALL]
+        io_after = cl.counters.element_io(cl.cfg.B, DATA_PHASES)
+        overhead = cl.counters.overhead[EXCHANGE]
         assert io_after - io_before == 2 * redist.v_moved + overhead
         assert max(redist.peak_footprint) <= cl.cfg.m
         assert redist.k >= 1
-        assert cl.counters.io_steps[PHASE_ALL_TO_ALL] == redist.k
+        assert cl.counters.steps[EXCHANGE] == redist.k
 
 
 def test_exchange_reclaims_fully_shipped_blocks():
@@ -389,9 +392,9 @@ def test_exchange_reclaims_fully_shipped_blocks():
 def test_exchange_communicates_only_moved_elements():
     cl, gen, runs = formed(seed=8)
     matrix = compute_splitters(cl, runs)
-    sent_before = cl.counters.data_sent_total((PHASE_ALL_TO_ALL,))
+    sent_before = cl.counters.traffic[EXCHANGE, SENT].sum()
     redist = external_all_to_all(cl, runs, matrix)
-    sent = cl.counters.data_sent_total((PHASE_ALL_TO_ALL,)) - sent_before
+    sent = cl.counters.traffic[EXCHANGE, SENT].sum() - sent_before
     assert sent == redist.v_moved
 
 
@@ -400,6 +403,6 @@ def test_sorted_input_exchange_is_free():
     matrix = compute_splitters(cl, runs)
     redist = external_all_to_all(cl, runs, matrix)
     assert redist.v_moved == 0
-    assert cl.counters.data_sent_total((PHASE_ALL_TO_ALL,)) == 0
-    assert cl.counters.phase_blocks_read(PHASE_ALL_TO_ALL) == 0
-    assert cl.counters.phase_blocks_written(PHASE_ALL_TO_ALL) == 0
+    assert cl.counters.traffic[EXCHANGE, SENT].sum() == 0
+    assert cl.counters.blocks[EXCHANGE, READ].sum() == 0
+    assert cl.counters.blocks[EXCHANGE, WRITE].sum() == 0

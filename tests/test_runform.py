@@ -10,7 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from emsort import runform
 from emsort.core import (
-    DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, sort_order,
+    DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, READ, SENT, WRITE,
+    phase_index, sort_order,
 )
 from emsort.runform import (
     RunDescriptor, form_runs, internal_parallel_sort, run_layout,
@@ -73,10 +74,14 @@ def test_formation_io_is_exactly_two_passes_and_in_place():
     peak_before = [cl.peak_allocated(pe) for pe in range(4)]
     runs = form_runs(cl, gen.pe_blocks)
     N, B = cl.cfg.N, cl.cfg.B
-    assert cl.counters.phase_blocks_read(PHASE_RUN_FORMATION) * B == N
-    assert cl.counters.phase_blocks_written(PHASE_RUN_FORMATION) * B == N
+    formation = cl.counters.blocks[phase_index(PHASE_RUN_FORMATION)]
+    assert formation[READ].sum() * B == N
+    assert formation[WRITE].sum() * B == N
     # write-back reuses the input blocks: no new allocations at all
     assert [cl.peak_allocated(pe) for pe in range(4)] == peak_before
+    for run in runs:
+        assert run.blocks.dtype == np.int64
+        assert run.blocks.shape == (4, run.share // B)
     claimed = {(pe, lb) for run in runs
                for pe, blocks in enumerate(run.blocks) for lb in blocks}
     original = {(pe, lb) for pe, blocks in enumerate(gen.pe_blocks)
@@ -89,7 +94,8 @@ def test_sorted_input_forms_runs_without_communication():
         cl = build(P=4, D=2, B=4, m=32, N=384, seed=1, randomize=randomize)
         gen = fill(cl, "sorted", 1)
         form_runs(cl, gen.pe_blocks)
-        assert cl.counters.data_sent_total((PHASE_RUN_FORMATION,)) == 0
+        assert cl.counters.traffic[phase_index(PHASE_RUN_FORMATION),
+                                   SENT].sum() == 0
 
 
 def test_internal_parallel_sort_chunks_are_exact_rank_splits():
@@ -173,13 +179,14 @@ def test_shuffle_is_seeded_and_respects_toggle():
     cfg = MachineConfig(P=2, D=2, B=4, m=32, N=256, seed=11)
     blocks = list(range(10, 42))
     once = shuffle_block_ids(cfg, 0, blocks)
-    again = shuffle_block_ids(cfg, 0, blocks)
+    again = shuffle_block_ids(cfg, 0, np.array(blocks, np.int64))
     other_pe = shuffle_block_ids(cfg, 1, blocks)
-    assert once == again
-    assert sorted(once) == sorted(blocks)
-    assert once != other_pe
+    assert once.dtype == again.dtype == np.int64
+    assert once.tolist() == again.tolist()
+    assert sorted(once.tolist()) == blocks
+    assert once.tolist() != other_pe.tolist()
     off = MachineConfig(P=2, D=2, B=4, m=32, N=256, seed=11, randomize=False)
-    assert shuffle_block_ids(off, 0, blocks) == blocks
+    assert shuffle_block_ids(off, 0, blocks).tolist() == blocks
 
 
 def test_shuffle_positions_are_uniform():
@@ -188,7 +195,8 @@ def test_shuffle_positions_are_uniform():
     counts = Counter()
     for seed in range(trials):
         cfg = MachineConfig(P=1, D=1, B=1, m=8, N=8, seed=seed)
-        counts[shuffle_block_ids(cfg, 0, list(range(n_blocks))).index(0)] += 1
+        order = shuffle_block_ids(cfg, 0, list(range(n_blocks))).tolist()
+        counts[order.index(0)] += 1
     expect = trials / n_blocks
     chi2 = sum((counts[i] - expect) ** 2 / expect for i in range(n_blocks))
     dof = n_blocks - 1

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from emsort.core import MAX_KEY, PHASE_SELECTION
+from emsort.core import MAX_KEY, PHASE_SELECTION, READ, phase_index
 from emsort.runform import RunDescriptor
 from emsort.selection import (
     DiskAccessor, SelectionError, multiway_select, sampled_starts,
@@ -235,7 +235,7 @@ def seed_disk_runs(cl, keys_per_run):
         assert len(keys) % B == 0
         blocks = cl.alloc_blocks(0, len(keys) // B)
         cl.seed_blocks(0, blocks, [(k, j * 1000 + i) for i, k in enumerate(keys)])
-        runs.append(RunDescriptor(j, len(keys), len(keys), B, [blocks]))
+        runs.append(RunDescriptor(j, len(keys), len(keys), B, blocks[None]))
     return runs
 
 
@@ -252,7 +252,8 @@ def test_disk_accessor_matches_memory_and_counts_reads():
     res = multiway_select(disk, r)
     assert res.positions == brute_force_select(mem_runs, r)
     assert res.blocks_read > 0
-    assert cl.counters.phase_blocks_read(PHASE_SELECTION) == res.blocks_read
+    assert (cl.counters.blocks[phase_index(PHASE_SELECTION), READ].sum()
+            == res.blocks_read)
 
 
 def test_disk_accessor_cache_reduces_reads():

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from emsort import striped
-from emsort.core import DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE
+from emsort.core import (
+    CONTROL, DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE, SENT, phase_index,
+)
 from emsort.harness import InputSpec, SortResult, generate_input, report_stats
 from emsort.striped import (
     StripedRun, build_prediction_sequence, form_striped_runs, naive_steps,
@@ -72,7 +74,7 @@ def test_block_minima_match_contents():
 
 def test_formation_costs_one_read_one_write_per_element():
     cl, _inputs, _runs = formed(seed=4)
-    assert cl.counters.total_element_io(cl.cfg.B, DATA_PHASES) == 2 * cl.cfg.N
+    assert cl.counters.element_io(cl.cfg.B, DATA_PHASES) == 2 * cl.cfg.N
 
 
 # --- prediction sequences --------------------------------------------------------
@@ -88,11 +90,12 @@ def test_prediction_sequence_is_sorted_and_complete():
 
 def test_prediction_sequence_charges_control_traffic():
     cl, _inputs, runs = formed(seed=6)
-    before = list(cl.counters.control_values[PHASE_STRIPED_MERGE])
+    traffic = cl.counters.traffic[phase_index(PHASE_STRIPED_MERGE)]
+    before = traffic[CONTROL].tolist()
     build_prediction_sequence(cl, runs)
-    after = cl.counters.control_values[PHASE_STRIPED_MERGE]
+    after = traffic[CONTROL].tolist()
     assert any(a > b for a, b in zip(after, before))
-    assert cl.counters.data_sent_total((PHASE_STRIPED_MERGE,)) == 0
+    assert traffic[SENT].sum() == 0
 
 
 # --- prefetch scheduling ----------------------------------------------------------
@@ -172,7 +175,7 @@ def test_striped_sort_single_run_needs_no_pass():
     gen2 = fill(cl2, "random", 9)
     final, passes = striped_sort(cl2, gen2.pe_blocks)
     assert passes == 0
-    assert cl2.counters.total_element_io(cl2.cfg.B, DATA_PHASES) == 2 * cl2.cfg.N
+    assert cl2.counters.element_io(cl2.cfg.B, DATA_PHASES) == 2 * cl2.cfg.N
 
 
 def test_striped_sort_pass_counts_match_config():
@@ -185,7 +188,7 @@ def test_striped_sort_pass_counts_match_config():
         final, passes = striped_sort(cl, gen.pe_blocks)
         assert passes == cfg.striped_passes()
         assert oracle_agrees(inputs, run_elements(cl, final))
-        io = cl.counters.total_element_io(cfg.B, DATA_PHASES)
+        io = cl.counters.element_io(cfg.B, DATA_PHASES)
         assert io == 2 * cfg.N * (passes + 1)
 
 
@@ -213,9 +216,9 @@ def test_striped_sort_carries_odd_group_through():
 
 def test_merge_pass_records_io_steps():
     cl, _inputs, runs = formed(P=2, N=256, seed=13)
-    before = cl.counters.io_steps[PHASE_STRIPED_MERGE]
+    before = cl.counters.steps[phase_index(PHASE_STRIPED_MERGE)]
     out = striped_merge_pass(cl, runs, start_disk=0)
-    steps = cl.counters.io_steps[PHASE_STRIPED_MERGE] - before
+    steps = cl.counters.steps[phase_index(PHASE_STRIPED_MERGE)] - before
     blocks = len(out.lbs)
     lower = -(-blocks // cl.cfg.total_disks) * 2    # read + write optimum
     assert steps >= lower

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emsort.core import MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, PHASE_SETUP, sentinel
+from emsort.core import (
+    ALL_PHASES, MAX_KEY, READ, WRITE, MachineConfig, PHASE_RUN_FORMATION,
+    PHASE_SETUP, phase_index, sentinel,
+)
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
@@ -33,27 +36,36 @@ def test_write_read_round_trip_and_counters():
     assert cl.read_blocks(0, lbs[::-1], PHASE_RUN_FORMATION).tolist() == (
         data[8:] + data[4:8] + data[:4])
     assert cl.read_blocks(0, [], PHASE_RUN_FORMATION).tolist() == []
-    assert [cl.counters.blocks_written[PHASE_RUN_FORMATION][0][d]
-            for d in range(2)] == [2, 1]
-    assert [cl.counters.blocks_read[PHASE_RUN_FORMATION][0][d]
-            for d in range(2)] == [4, 2]
-    assert cl.counters.phase_blocks_read(PHASE_RUN_FORMATION, 1) == 0
+    formation = cl.counters.blocks[phase_index(PHASE_RUN_FORMATION)]
+    assert formation[WRITE, :, 0].tolist() == [2, 1]
+    assert formation[READ, :, 0].tolist() == [4, 2]
+    assert formation[READ, :, 1].sum() == 0
+
+
+def charges(cl, call) -> list[tuple[str, int, int, int, int]]:
+    """The block counts ``call`` adds, per (phase, read or write, pe,
+    disk) that it touches."""
+    before = cl.counters.blocks.copy()
+    call()
+    delta = cl.counters.blocks - before
+    return [(ALL_PHASES[ph], rw, pe, d, int(delta[ph, rw, d, pe]))
+            for ph, rw, d, pe in np.argwhere(delta).tolist()]
 
 
 def test_a_batch_charges_each_disk_once():
     cl = build(P=2, D=2, B=4)
     lbs = cl.alloc_blocks(1, 5)                    # disks 0, 1, 0, 1, 0
-    calls = []
-    for name in ("note_read", "note_write"):
-        note = getattr(cl.counters, name)
-        setattr(cl.counters, name, lambda *args, name=name, note=note: (
-            calls.append((name,) + args), note(*args)))
-    cl.write_blocks(1, lbs, block_of(0, 20), PHASE_RUN_FORMATION)
-    cl.read_blocks(1, lbs[1:], PHASE_SETUP)
-    assert sorted(calls) == [
-        ("note_read", PHASE_SETUP, 1, 0, 2), ("note_read", PHASE_SETUP, 1, 1, 2),
-        ("note_write", PHASE_RUN_FORMATION, 1, 0, 3),
-        ("note_write", PHASE_RUN_FORMATION, 1, 1, 2)]
+    assert charges(cl, lambda: cl.write_blocks(
+        1, lbs, block_of(0, 20), PHASE_RUN_FORMATION)) == [
+        (PHASE_RUN_FORMATION, WRITE, 1, 0, 3),
+        (PHASE_RUN_FORMATION, WRITE, 1, 1, 2)]
+    assert charges(cl, lambda: cl.read_blocks(1, lbs[1:], PHASE_SETUP)) == [
+        (PHASE_SETUP, READ, 1, 0, 2), (PHASE_SETUP, READ, 1, 1, 2)]
+    assert charges(cl, lambda: cl.read_blocks(1, lbs[3:4], PHASE_SETUP)) == [
+        (PHASE_SETUP, READ, 1, 1, 1)]
+    assert charges(cl, lambda: cl.read_blocks(
+        np.array([1, 1]), lbs[:2], PHASE_SETUP)) == [
+        (PHASE_SETUP, READ, 1, 0, 1), (PHASE_SETUP, READ, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -314,8 +326,8 @@ def test_seed_and_peek_are_uncounted():
     cl.seed_blocks(0, lbs, block_of(5, 8))
     assert cl.peek_blocks(0, lbs).tolist() == block_of(5, 8)
     assert cl.peek_blocks(0, lbs[1:]).tolist() == block_of(9, 4)
-    assert cl.counters.total_element_io(cl.cfg.B) == 0
-    assert cl.counters.phase_blocks_written(PHASE_SETUP) == 0
+    assert cl.counters.element_io(cl.cfg.B) == 0
+    assert cl.counters.blocks[phase_index(PHASE_SETUP), WRITE].sum() == 0
 
 
 def test_occupancy_tracking_and_free():
@@ -352,7 +364,7 @@ def test_save_and_load_images_round_trip(tmp_path):
     loaded = Cluster.load_images(str(tmp_path), cfg)
     for (pe, lb), data in blocks.items():
         assert loaded.peek_blocks(pe, [lb]).tolist() == data
-    assert loaded.counters.total_element_io(cfg.B) == 0
+    assert loaded.counters.element_io(cfg.B) == 0
 
 
 IMAGE_CFG = dict(P=1, D=2, B=2, m=32, N=0)
