@@ -37,14 +37,13 @@ STAGE_FIELDS = {"input": ("kind", "count", "total"),
                 "output": ("kind", "count", "total", "layout")}
 
 
-def _add_config_flags(sub: argparse.ArgumentParser, kinds: bool = True) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="machine config file (key=value lines)")
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--randomize", choices=("on", "off"),
                      help="override the config randomize flag")
-    if kinds:
-        sub.add_argument("--kind", choices=INPUT_KINDS, default="random",
-                         help="input kind (default: random)")
+    sub.add_argument("--kind", choices=INPUT_KINDS, default="random",
+                     help="input kind (default: random)")
 
 
 def _load_cfg(args) -> MachineConfig:

@@ -32,12 +32,12 @@ INF_KEY = 1 << 64
 
 SENTINEL_SERIAL = -1
 
-PHASE_SETUP = "setup"
-PHASE_RUN_FORMATION = "run_formation"
-PHASE_SELECTION = "selection"
-PHASE_ALL_TO_ALL = "all_to_all"
-PHASE_LOCAL_MERGE = "local_merge"
-PHASE_STRIPED_MERGE = "striped_merge"
+#: A phase is the first index of every counter array; ``PHASE_NAMES[phase]``
+#: is the name that reports print for it.
+PHASE_NAMES = ("setup", "run_formation", "selection", "all_to_all",
+               "local_merge", "striped_merge")
+(PHASE_SETUP, PHASE_RUN_FORMATION, PHASE_SELECTION, PHASE_ALL_TO_ALL,
+ PHASE_LOCAL_MERGE, PHASE_STRIPED_MERGE) = range(len(PHASE_NAMES))
 
 #: Phases that belong to the engines proper.  ``setup`` covers input
 #: materialization and is excluded from engine I/O totals.
@@ -345,18 +345,9 @@ READ, WRITE = 0, 1
 SENT, RECEIVED, CONTROL = 0, 1, 2
 
 
-def phase_index(phase: str) -> int:
-    """The position of ``phase`` in :data:`ALL_PHASES`, the first index of
-    every counter array; raises ``ValueError`` for an unknown phase."""
-    try:
-        return ALL_PHASES.index(phase)
-    except ValueError:
-        raise ValueError(f"unknown phase {phase!r}") from None
-
-
 class PhaseCounters:
     """Exact per-phase accounting: four ``int64`` arrays, each indexed
-    first by :func:`phase_index`.
+    first by phase (``PHASE_*``).
 
     ``blocks[phase, READ | WRITE, disk, pe]`` counts block I/O per disk,
     in the layout of the cluster's disk cells ``disk * P + pe``;
@@ -367,7 +358,7 @@ class PhaseCounters:
     used by the accounting identities."""
 
     def __init__(self, P: int, D: int):
-        n = len(ALL_PHASES)
+        n = len(PHASE_NAMES)
         self.blocks = np.zeros((n, 2, D, P), np.int64)
         self.traffic = np.zeros((n, 3, P), np.int64)
         self.steps = np.zeros(n, np.int64)
@@ -375,4 +366,4 @@ class PhaseCounters:
 
     def element_io(self, B: int, phases=ENGINE_PHASES) -> int:
         """Elements read and written in ``phases``, ``B`` per block."""
-        return B * int(self.blocks[[phase_index(ph) for ph in phases]].sum())
+        return B * int(self.blocks[list(phases)].sum())

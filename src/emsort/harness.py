@@ -25,18 +25,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    ALL_PHASES,
     DATA_PHASES,
     ELEM,
     ENGINE_PHASES,
     MachineConfig,
+    PHASE_NAMES,
     PHASE_SELECTION,
     PhaseCounters,
     RNG_NAME,
     SENT,
     checksum128,
     derive_seed,
-    phase_index,
     sentinel_mask,
     validate_config,
 )
@@ -299,7 +298,6 @@ def report_stats(cfg: MachineConfig, result: SortResult,
     documented in the README.
     """
     counters = result.counters
-    engine_rows = [phase_index(phase) for phase in ENGINE_PHASES]
     meta = {
         "engine": result.engine,
         "kind": kind,
@@ -317,7 +315,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
         "merge_passes": result.merge_passes,
         "data_element_io": counters.element_io(cfg.B, DATA_PHASES),
         "sample_io": counters.element_io(cfg.B, (PHASE_SELECTION,)),
-        "data_sent": int(counters.traffic[engine_rows, SENT].sum()),
+        "data_sent": int(counters.traffic[list(ENGINE_PHASES), SENT].sum()),
         "wall_seconds": f"{result.wall_seconds:.6f}",
     }
     lines = [f"# {key}={meta[key]}" for key in STATS_META_KEYS]
@@ -329,7 +327,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
     disks = counters.blocks.transpose(0, 3, 1, 2).tolist()  # [ph][pe][rw][d]
     traffic = counters.traffic.transpose(0, 2, 1).tolist()  # [ph][pe][kind]
     overhead, steps = counters.overhead.tolist(), counters.steps.tolist()
-    for i, phase in enumerate(ALL_PHASES):
+    for i, phase in enumerate(PHASE_NAMES):
         for pe in range(cfg.P):
             reads, writes = disks[i][pe]
             br, bw = sum(reads), sum(writes)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PHASE_LOCAL_MERGE, concat, phase_index, sort_order
+from .core import PHASE_LOCAL_MERGE, concat, sort_order
 from .redistribute import Staged
 from .vdisk import OutputLayout
 
@@ -71,8 +71,7 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
             if hi > lo:
                 cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
                                      PHASE_LOCAL_MERGE)
-        cluster.counters.overhead[phase_index(PHASE_LOCAL_MERGE)] += \
-            len(table.ids) * B - n
+        cluster.counters.overhead[PHASE_LOCAL_MERGE] += len(table.ids) * B - n
         out_lbs.append(out_blocks)
     return OutputLayout("canonical",
                         np.repeat(np.arange(cfg.P), list(map(len, out_lbs))),

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, phase_index, sentinels,
-)
+from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
 from .net import charge_volume, gather_splitters
 from .runform import RunDescriptor
 from .selection import DiskAccessor, select_all_ranks
@@ -79,20 +77,15 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     cfg = cluster.cfg
     P = cfg.P
     total = sum(run.length for run in runs)
-    # Samples travel to the selecting task: control traffic, 2 values each,
-    # from the PE that holds the sampled position.
-    contrib = [[np.empty(0, np.uint64)] for _ in range(P)]
+    # Samples travel to the selecting task: control traffic, 2 values each
+    # (key and position), from the PE that holds the sampled position.
+    samples = np.zeros(P, np.int64)
     for run in runs:
-        words = np.empty(2 * len(run.sample_pos), np.uint64)
-        words[0::2] = run.sample_keys
-        words[1::2] = run.sample_pos
-        cuts = 2 * np.searchsorted(run.sample_pos, np.arange(P + 1) * run.share)
-        for p in range(P):
-            contrib[p].append(words[cuts[p]:cuts[p + 1]])
-    gather_splitters(cluster, [np.concatenate(parts) for parts in contrib],
-                     PHASE_SELECTION)
+        samples += np.diff(np.searchsorted(run.sample_pos,
+                                           np.arange(P + 1) * run.share))
+    gather_splitters(cluster, 2 * samples, PHASE_SELECTION)
 
-    acc = DiskAccessor(cluster, runs, PHASE_SELECTION)
+    acc = DiskAccessor(cluster, runs)
     ranks = [t * (total // P) for t in range(1, P)]
     results = select_all_ranks(acc, ranks,
                                [(run.sample_keys, run.sample_pos) for run in runs],
@@ -100,8 +93,8 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     pos = [[0] * len(runs)]
     pos.extend(res.positions for res in results)
     pos.append([run.length for run in runs])
-    flat = [v for row in pos[1:-1] for v in row]
-    gather_splitters(cluster, [flat if p == 0 else [] for p in range(P)],
+    # PE 0 shares the P - 1 inner cuts of every run.
+    gather_splitters(cluster, [(P - 1) * len(runs)] + [0] * (P - 1),
                      PHASE_SELECTION)
     return SplitterMatrix(pos,
                           sum(r.rounds for r in results),
@@ -263,7 +256,7 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
         volume = np.zeros((P, P), np.int64)
         np.add.at(volume, (src[i], dest[i]), length[i])
         charge_volume(cluster, volume, PHASE_ALL_TO_ALL)
-        cluster.counters.steps[phase_index(PHASE_ALL_TO_ALL)] += 1
+        cluster.counters.steps[PHASE_ALL_TO_ALL] += 1
         footprint = np.maximum(volume.sum(0), volume.sum(1) + B)
         np.maximum(peak, footprint, out=peak)
         if footprint.max() > cfg.m:
@@ -281,7 +274,7 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
 
     # Every flow ships whole, so the flows read and write v_moved elements
     # besides the partial blocks and the padding.
-    cluster.counters.overhead[phase_index(PHASE_ALL_TO_ALL)] += \
+    cluster.counters.overhead[PHASE_ALL_TO_ALL] += \
         int(nread[~kept].sum() + nwrite.sum()) * B - 2 * v_moved
 
     # Original run blocks with nothing locally kept are dead now.

@@ -36,7 +36,6 @@ PeBlocks = Sequence["np.ndarray | Sequence[int]"]
 class RunDescriptor:
     """Where a formed run lives and how to address it by rank."""
 
-    index: int
     length: int
     share: int                    # elements per processor
     block_size: int
@@ -75,13 +74,12 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> np.ndarray:
     return ids[rng.permutation(len(ids))]
 
 
-def internal_parallel_sort(cluster, loads: list[np.ndarray],
-                           phase: str = PHASE_RUN_FORMATION) -> list[np.ndarray]:
+def internal_parallel_sort(cluster, loads: list[np.ndarray]) -> list[np.ndarray]:
     """Sort one memory load across processors.
 
     ``loads[p]`` is processor p's unsorted share.  Returns equal-size
     chunks, chunk p preceding chunk p+1, each in (key, serial) order, with
-    the single data exchange charged to ``phase``.  The chunk cuts are
+    the single data exchange charged to run formation.  The chunk cuts are
     exact rank splits in the order (key, processor, serial), so chunk sizes
     match the shares.
 
@@ -133,9 +131,10 @@ def internal_parallel_sort(cluster, loads: list[np.ndarray],
     # volume[c, q]: the elements of chunk c that came from processor q.
     volume = np.stack([np.bincount(source[p * share:(p + 1) * share],
                                    minlength=P) for p in range(P)])
-    # Every processor learns every cut position (control traffic).
-    gather_splitters(cluster, np.cumsum(volume, axis=0)[:-1].T, phase)
-    charge_volume(cluster, volume.T, phase)
+    # Every processor learns every cut position: each contributes its
+    # P - 1 cuts as control traffic.
+    gather_splitters(cluster, np.full(P, P - 1), PHASE_RUN_FORMATION)
+    charge_volume(cluster, volume.T, PHASE_RUN_FORMATION)
     return [ordered[p * share:(p + 1) * share] for p in range(P)]
 
 
@@ -151,22 +150,21 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
     B, K = cfg.B, cfg.sample_rate
     order = np.stack([shuffle_block_ids(cfg, p, pe_blocks[p])
                       for p in range(cfg.P)])
-    layout = run_layout(cfg)
     runs: list[RunDescriptor] = []
     base = 0
-    for i, (length, share) in enumerate(layout):
+    for length, share in run_layout(cfg):
         take = share // B
         chunk = np.sort(order[:, base:base + take])
         loads = [cluster.read_blocks(p, order[p, base:base + take],
                                      PHASE_RUN_FORMATION)
                  for p in range(cfg.P)]
         base += take
-        chunks = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
+        chunks = internal_parallel_sort(cluster, loads)
         keys = []
         for p, sorted_chunk in enumerate(chunks):
             cluster.write_blocks(p, chunk[p], sorted_chunk, PHASE_RUN_FORMATION)
             g = -(-(p * share) // K) * K  # first sampled position in chunk
             keys.append(sorted_chunk["key"][g - p * share::K])
-        runs.append(RunDescriptor(i, length, share, B, chunk, np.concatenate(keys),
+        runs.append(RunDescriptor(length, share, B, chunk, np.concatenate(keys),
                                   np.arange(0, length, K, dtype=np.int64)))
     return runs

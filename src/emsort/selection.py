@@ -14,9 +14,10 @@ window against the largest element currently left of any cut and moves the
 window's edge that the comparison rules out, then rebalances whole chunks
 between runs, smallest boundary element first, until the chunk-granular rank
 matches the target.  The final round works at chunk size one, which lands the cut
-exactly; a closing sweep double-checks the order property and repairs it by
-single-element exchanges in the (never observed) case that the starting
-windows did not contain the true cut.
+exactly.  A closing sweep returns only once the order property holds: it
+repairs the cut by single-element moves when the starting windows did not
+contain it (never seen from sampled or full-window starts), and raises
+:class:`SelectionError` if it cannot converge.
 
 Starting positions may come from a per-run sample of every K-th element.  A
 sample-derived start is normally within K of the exact cut, so the windowed
@@ -44,13 +45,12 @@ class DiskAccessor:
     ``segments`` supplies, per run, a ``length`` and a
     ``locate(pos) -> (pe, logical_block, offset)`` map.  A per-run
     most-recently-used block cache turns the clustered probes of the final
-    low-step rounds into single reads.
+    low-step rounds into single reads; each read is charged to selection.
     """
 
-    def __init__(self, cluster, segments, phase: str = PHASE_SELECTION):
+    def __init__(self, cluster, segments):
         self.cluster = cluster
         self.segments = segments
-        self.phase = phase
         self.lengths = [seg.length for seg in segments]
         self.touched = 0
         self.blocks_read = 0
@@ -74,7 +74,7 @@ class DiskAccessor:
         if hit is not None and hit[0] == (pe, lb):
             block = hit[1]
         else:
-            block = self.cluster.read_blocks(pe, [lb], self.phase)
+            block = self.cluster.read_blocks(pe, [lb], PHASE_SELECTION)
             self.blocks_read += 1
             self._cache[run] = ((pe, lb), block)
         okey = (int(block["key"][off]), run, pos)
@@ -152,9 +152,11 @@ def _exact_sweep(acc, r: int, pos: list[int]) -> int:
 
     Greedy single-element advances/retreats followed by exchanges of the
     largest selected element against the smallest unselected one converge to
-    the unique rank-``r`` cut from any starting positions.  Returns the
-    number of unit moves (zero whenever the windowed search already landed
-    exactly).
+    the unique rank-``r`` cut from any starting positions within the runs.
+    Returns the number of unit moves (zero whenever the windowed search
+    already landed exactly) once the largest element left of the cuts
+    precedes the smallest one right of them; raises :class:`SelectionError`
+    if that takes more than ``4 * sum(lengths) + 64`` moves.
     """
     R = len(pos)
     ns = acc.lengths
@@ -192,24 +194,6 @@ def _exact_sweep(acc, r: int, pos: list[int]) -> int:
         pos[hi[1]] -= 1
         pos[lo[1]] += 1
         moves += 2
-
-
-def _order_ok(acc, pos: list[int]) -> bool:
-    """Largest selected element strictly precedes smallest unselected one."""
-    lo: OrderKey | None = None
-    hi: OrderKey | None = None
-    for j, p in enumerate(pos):
-        if p > acc.lengths[j]:
-            return False
-        if p > 0:
-            okey = acc.order_key(j, p - 1)
-            if lo is None or okey > lo:
-                lo = okey
-        if p < acc.lengths[j]:
-            okey = acc.order_key(j, p)
-            if hi is None or okey < hi:
-                hi = okey
-    return lo is None or hi is None or lo < hi
 
 
 def multiway_select(acc, r: int,
@@ -268,8 +252,6 @@ def multiway_select(acc, r: int,
     rounds = _refine_windows(acc, r, a, b, n)
     pos = [max(0, min(a[i], ns[i])) for i in range(R)]
     moves = _exact_sweep(acc, r, pos)
-    if not _order_ok(acc, pos):
-        raise SelectionError("splitter search failed")
     return SelectResult(pos, rounds, acc.touched - touched0,
                         acc.blocks_read - read0, moves > 0)
 

@@ -27,7 +27,6 @@ from .core import (
     PHASE_STRIPED_MERGE,
     concat,
     derive_seed,
-    phase_index,
     sort_order,
 )
 from .merge import batch_merge
@@ -44,13 +43,12 @@ class StripedRun:
     ``minima[g]``."""
 
     length: int
-    start_disk: int
     pes: np.ndarray
     lbs: np.ndarray
     minima: np.ndarray
 
 
-def _charge_moves(cluster, src, dst, phase: str) -> None:
+def _charge_moves(cluster, src, dst, phase: int) -> None:
     """Charge ``B`` elements of communication for every block that moves
     from PE ``src[i]`` to another PE ``dst[i]``; either may be one PE for
     all blocks."""
@@ -89,7 +87,7 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
         loads = np.split(cluster.read_blocks(pes, lbs, PHASE_RUN_FORMATION),
                          cfg.P)
         cluster.free_blocks(pes, lbs)
-        pieces = internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
+        pieces = internal_parallel_sort(cluster, loads)
         data = concat(pieces)
         if len(data) % B:
             raise RuntimeError(
@@ -102,8 +100,7 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
         holders = np.searchsorted(ends, np.arange(B - 1, len(data), B), "right")
         cluster.write_blocks(pes, lbs, data, PHASE_RUN_FORMATION)
         _charge_moves(cluster, holders, pes, PHASE_RUN_FORMATION)
-        runs.append(StripedRun(len(data), start, pes, lbs,
-                               data["key"][::B].copy()))
+        runs.append(StripedRun(len(data), pes, lbs, data["key"][::B].copy()))
         offset += take
         index += 1
     return runs
@@ -114,16 +111,15 @@ def build_prediction_sequence(cluster, runs: list[StripedRun]):
 
     Returns three columns in that order: each block's minimum, its run and
     its position in the run.  The coordinator gathers every remote block's
-    minimum (two control values per block: key and position tag).
+    minimum (two control values per block: key and position tag) from the
+    PE that holds the block.
     """
     sizes = [len(run.lbs) for run in runs]
     minima = np.concatenate([run.minima for run in runs])
     run_of = np.repeat(np.arange(len(runs)), sizes)
     pos = np.concatenate([np.arange(n) for n in sizes])
     pes = np.concatenate([run.pes for run in runs])
-    words = np.stack((minima, pos.view(np.uint64)), axis=1)
-    gather_splitters(cluster, [words[pes == pe].ravel()
-                               for pe in range(cluster.cfg.P)],
+    gather_splitters(cluster, 2 * np.bincount(pes, minlength=cluster.cfg.P),
                      PHASE_STRIPED_MERGE)
     # Joined in run order and each run in position order, a block's index
     # is its run's offset plus its position: the tie order (run, position).
@@ -288,9 +284,9 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
                            "is not a block multiple")
     _charge_moves(cluster, pes, COORDINATOR, PHASE_STRIPED_MERGE)
     _charge_moves(cluster, COORDINATOR, out_pes, PHASE_STRIPED_MERGE)
-    cluster.counters.steps[phase_index(PHASE_STRIPED_MERGE)] += \
+    cluster.counters.steps[PHASE_STRIPED_MERGE] += \
         n_steps + -(-written // D_total)
-    return StripedRun(length, start_disk, out_pes, out_lbs, minima)
+    return StripedRun(length, out_pes, out_lbs, minima)
 
 
 def striped_sort(cluster, pe_blocks: PeBlocks):
@@ -303,7 +299,7 @@ def striped_sort(cluster, pe_blocks: PeBlocks):
     runs = form_striped_runs(cluster, pe_blocks)
     if not runs:                # an empty input forms no run
         empty = np.empty(0, np.int64)
-        return StripedRun(0, 0, empty, empty, np.empty(0, np.uint64)), 0
+        return StripedRun(0, empty, empty, np.empty(0, np.uint64)), 0
     arity = cluster.cfg.merge_arity
     passes = 0
     while len(runs) > 1:

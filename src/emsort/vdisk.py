@@ -13,12 +13,13 @@ speak in runs of blocks: a column of ids, and a PE that is either one int
 for the whole run or an ``int64`` column as long as the ids, so one call
 can touch blocks of every PE.  Each call costs a few array operations,
 not a Python step per block.  Engine reads and writes are charged to a
-named phase in the shared :class:`~emsort.core.PhaseCounters`, one
-``(D, P)`` count matrix per call; input materialization and verification
-use the uncounted ``seed_blocks`` / ``peek_blocks`` so the engine I/O
-identities stay exact.  A write stores a copy of its elements; a read hands back the
-blocks joined as one read-only copy.  A refused run, a PE outside
-``[0, P)`` included, raises before it changes anything.  A finished sort's
+phase, the first index of the shared :class:`~emsort.core.PhaseCounters`
+arrays, one ``(D, P)`` count matrix per call; input materialization and
+verification use the uncounted ``seed_blocks`` / ``peek_blocks`` so the
+engine I/O identities stay exact.  A write stores a copy of its elements;
+a read hands back the blocks joined as one read-only copy.  A refused run
+raises before it changes anything; that includes a PE outside ``[0, P)``
+and a phase past the counters' last (``IndexError``).  A finished sort's
 :class:`OutputLayout` names its output blocks the way a striped run does: a
 PE column and a block-id column.
 """
@@ -38,7 +39,6 @@ from .core import (
     WRITE,
     MachineConfig,
     PhaseCounters,
-    phase_index,
     sentinel_mask,
 )
 
@@ -139,20 +139,20 @@ class Cluster:
 
     # -- counted I/O ---------------------------------------------------------
 
-    def read_blocks(self, pe, lbs, phase: str) -> np.ndarray:
+    def read_blocks(self, pe, lbs, phase: int) -> np.ndarray:
         """The blocks ``lbs`` of ``pe`` joined as one read-only array."""
-        i = phase_index(phase)
+        counts = self.counters.blocks[phase, READ]  # refuses a bad phase first
         lbs, pe, keys = self._ids(pe, lbs)
         data = self._gather(lbs, pe, keys)
-        self._charge(i, READ, keys)
+        self._charge(counts, keys)
         return data
 
-    def write_blocks(self, pe, lbs, elems, phase: str) -> None:
+    def write_blocks(self, pe, lbs, elems, phase: int) -> None:
         """Store ``elems`` as the blocks ``lbs`` of ``pe``, ``B`` each."""
-        i = phase_index(phase)
+        counts = self.counters.blocks[phase, WRITE]
         lbs, pe, keys = self._ids(pe, lbs)
         self._store(lbs, pe, keys, np.asarray(elems, ELEM))
-        self._charge(i, WRITE, keys)
+        self._charge(counts, keys)
 
     # -- uncounted paths (setup / verification only) ---------------------------
 
@@ -294,10 +294,10 @@ class Cluster:
         self._slab, self._free = slab, free
         self._nfree += cap - old
 
-    def _charge(self, phase: int, rw: int, keys: np.ndarray) -> None:
-        """Charge one block per key to its disk cell ``key % (P * D)``."""
+    def _charge(self, counts: np.ndarray, keys: np.ndarray) -> None:
+        """Add one block per key to its disk cell ``key % (P * D)`` of the
+        ``(D, P)`` counter view ``counts``."""
         cells = len(self._next)
-        counts = self.counters.blocks[phase, rw]    # a view: add in place
         counts += np.bincount(keys % cells, minlength=cells).reshape(
             self.cfg.D, self.cfg.P)
 

@@ -16,7 +16,7 @@ import numpy as np
 from emsort.core import (
     ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
     PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, concat,
-    phase_index, sentinel, sentinel_mask,
+    sentinel, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
@@ -87,15 +87,10 @@ def counter_state(cluster) -> dict:
             for name, values in zip(COUNTER_NAMES, lists)}
 
 
-def phase_rows(phases) -> list[int]:
-    """The first counter-array index of each of ``phases``."""
-    return [phase_index(phase) for phase in phases]
-
-
-def charge_move(cluster, phase: str, src: int, dst: int, n: int) -> None:
+def charge_move(cluster, phase: int, src: int, dst: int, n: int) -> None:
     """Charge ``n`` elements sent from PE ``src`` to PE ``dst``, one move
     at a time."""
-    traffic = cluster.counters.traffic[phase_index(phase)]
+    traffic = cluster.counters.traffic[phase]
     traffic[SENT, src] += n
     traffic[RECEIVED, dst] += n
 
@@ -208,21 +203,21 @@ def element_from_bytes(data: bytes, elem_size: int) -> Element:
 
 # --- reference kernels: heapq merges over lists of element tuples ------------
 
-def _exchange_pieces(cluster, pieces, phase: str):
+def _exchange_pieces(cluster, pieces, phase: int):
     """Deliver ``pieces[src][dst]`` as ``received[dst][src]``, charging
     the moved volume."""
     charge_volume(cluster, [list(map(len, row)) for row in pieces], phase)
     return [list(row) for row in zip(*pieces)]
 
 
-def internal_parallel_sort(cluster, loads: list[list[Element]],
-                           phase: str = PHASE_RUN_FORMATION) -> list[list[Element]]:
+def internal_parallel_sort(cluster,
+                           loads: list[list[Element]]) -> list[list[Element]]:
     """Sort one memory load across processors.
 
     ``loads[p]`` is processor p's unsorted share.  Returns equal-size sorted
     chunks, chunk p preceding chunk p+1, with the single data exchange
-    charged to ``phase``.  Local sorts order elements by (key, serial); the
-    chunk cuts are exact rank splits, so chunk sizes match the shares.
+    charged to run formation.  Local sorts order elements by (key, serial);
+    the chunk cuts are exact rank splits, so chunk sizes match the shares.
     """
     P = len(loads)
     m = cluster.cfg.m
@@ -240,16 +235,16 @@ def internal_parallel_sort(cluster, loads: list[list[Element]],
     results = select_all_ranks(acc, [p * share for p in range(1, P)])
     cutpos = ([[0] * P] + [res.positions for res in results]
               + [[len(lst) for lst in locals_sorted]])
-    # Every processor learns every cut position (control traffic).
-    gather_splitters(cluster, [[cutpos[p][q] for p in range(1, P)]
-                               for q in range(P)], phase)
+    # Every processor learns every cut position: its own P - 1 cuts are
+    # control traffic to every other processor.
+    gather_splitters(cluster, [P - 1] * P, PHASE_RUN_FORMATION)
     pieces = [[locals_sorted[q][cutpos[p][q]:cutpos[p + 1][q]]
                for p in range(P)] for q in range(P)]
-    received = _exchange_pieces(cluster, pieces, phase)
+    received = _exchange_pieces(cluster, pieces, PHASE_RUN_FORMATION)
     return [list(heapq.merge(*received[p])) for p in range(P)]
 
 
-def _iter_staged(cluster, pe: int, table: Staged, pieces, phase: str,
+def _iter_staged(cluster, pe: int, table: Staged, pieces, phase: int,
                  stats: dict):
     """Yield the ``pieces`` of a PE's staged table in order; free each
     block once consumed."""
@@ -301,7 +296,7 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
                 f"output slice of PE {t} is {written + len(buf)} elements, "
                 f"not a block multiple")
         consumed = int(table.length.sum())
-        cluster.counters.overhead[phase_index(PHASE_LOCAL_MERGE)] += \
+        cluster.counters.overhead[PHASE_LOCAL_MERGE] += \
             stats["reads"] * B - consumed
         per_pe.append(out_blocks)
     return OutputLayout("canonical",
@@ -359,7 +354,7 @@ class _StripedWriter:
     """Emits a sorted element stream as a new striped run, allocating one
     block at a time in stripe order."""
 
-    def __init__(self, cluster, start_disk: int, writer_pe: int, phase: str):
+    def __init__(self, cluster, start_disk: int, writer_pe: int, phase: int):
         self.cluster = cluster
         self.start_disk = start_disk
         self.writer_pe = writer_pe
@@ -418,7 +413,7 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[ReferenceStri
             lbs = pe_blocks[p][offset // B:(offset + take) // B]
             loads.append(cluster.read_blocks(p, lbs, PHASE_RUN_FORMATION))
             cluster.free_blocks(p, lbs)
-        pieces = array_internal_parallel_sort(cluster, loads, PHASE_RUN_FORMATION)
+        pieces = array_internal_parallel_sort(cluster, loads)
         writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
                                 COORDINATOR, PHASE_RUN_FORMATION)
         for p, piece in enumerate(pieces):
@@ -432,13 +427,13 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[ReferenceStri
 
 def build_prediction_sequence(cluster, runs: list[ReferenceStripedRun]):
     """Block descriptors (min key, run, block position), sorted."""
-    contributions: list[list[int]] = [[] for _ in range(cluster.cfg.P)]
+    sizes = [0] * cluster.cfg.P
     entries = []
     for j, run in enumerate(runs):
         for g, (pe, _lb) in enumerate(run.blocks):
-            contributions[pe].extend((run.minima[g], g))
+            sizes[pe] += 2              # the block's minimum and position
             entries.append((run.minima[g], j, g))
-    gather_splitters(cluster, contributions, PHASE_STRIPED_MERGE)
+    gather_splitters(cluster, sizes, PHASE_STRIPED_MERGE)
     entries.sort()
     return entries
 
@@ -516,7 +511,7 @@ def striped_merge_pass(cluster, runs: list[ReferenceStripedRun],
             raise RuntimeError(
                 f"batch leftover of {leftover} elements exceeds a block")
     out = writer.finish()
-    cluster.counters.steps[phase_index(PHASE_STRIPED_MERGE)] += \
+    cluster.counters.steps[PHASE_STRIPED_MERGE] += \
         n_steps + -(-len(out.blocks) // D_total)
     return out
 
@@ -544,7 +539,7 @@ def striped_sort(cluster, pe_blocks: list[list[int]]):
 # --- reference kernel: the per-batch striped merge pass ------------------------
 
 def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
-                         elems: np.ndarray, senders, phase: str) -> None:
+                         elems: np.ndarray, senders, phase: int) -> None:
     """Write ``elems`` to the blocks ``(pes, lbs)`` with one boolean mask
     and one ``write_blocks`` call per PE, and charge each block sent from
     ``senders`` (per block or one for all) to another owner."""
@@ -622,9 +617,9 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
     if len(tail):
         raise RuntimeError(f"striped run length {written * B + len(tail)} "
                            "is not a block multiple")
-    cluster.counters.steps[phase_index(PHASE_STRIPED_MERGE)] += \
+    cluster.counters.steps[PHASE_STRIPED_MERGE] += \
         n_steps + -(-written // D_total)
-    return StripedRun(length, start_disk, out_pes, out_lbs, minima)
+    return StripedRun(length, out_pes, out_lbs, minima)
 
 
 # --- reference kernels: the per-rank and per-block canonical planners ----------
@@ -726,28 +721,28 @@ class ReferenceCounters:
         self.io_steps = {ph: 0 for ph in ALL_PHASES}
         self.overhead_elements = {ph: 0 for ph in ALL_PHASES}
 
-    def note_read(self, phase: str, pe: int, disk: int, blocks: int = 1) -> None:
+    def note_read(self, phase: int, pe: int, disk: int, blocks: int = 1) -> None:
         self.blocks_read[phase][pe][disk] += blocks
 
-    def note_write(self, phase: str, pe: int, disk: int, blocks: int = 1) -> None:
+    def note_write(self, phase: int, pe: int, disk: int, blocks: int = 1) -> None:
         self.blocks_written[phase][pe][disk] += blocks
 
-    def add_sent(self, phase: str, pe: int, n: int) -> None:
+    def add_sent(self, phase: int, pe: int, n: int) -> None:
         self.elements_sent[phase][pe] += n
 
-    def add_received(self, phase: str, pe: int, n: int) -> None:
+    def add_received(self, phase: int, pe: int, n: int) -> None:
         self.elements_received[phase][pe] += n
 
-    def add_control(self, phase: str, pe: int, n: int) -> None:
+    def add_control(self, phase: int, pe: int, n: int) -> None:
         self.control_values[phase][pe] += n
 
-    def add_steps(self, phase: str, n: int) -> None:
+    def add_steps(self, phase: int, n: int) -> None:
         self.io_steps[phase] += n
 
-    def add_overhead(self, phase: str, n: int) -> None:
+    def add_overhead(self, phase: int, n: int) -> None:
         self.overhead_elements[phase] += n
 
-    def charge_volume(self, volume, phase: str) -> None:
+    def charge_volume(self, volume, phase: int) -> None:
         """``net.charge_volume``, one (src, dst) pair at a time."""
         for src, row in enumerate(volume):
             for dst, n in enumerate(row):
@@ -755,11 +750,10 @@ class ReferenceCounters:
                     self.add_sent(phase, src, n)
                     self.add_received(phase, dst, n)
 
-    def gather_splitters(self, contributions, phase: str) -> None:
+    def gather_splitters(self, sizes, phase: int) -> None:
         """``net.gather_splitters``' charge, one PE at a time."""
-        total = sum(len(values) for values in contributions)
-        for pe, values in enumerate(contributions):
-            self.add_control(phase, pe, total - len(values))
+        for pe, n in enumerate(sizes):
+            self.add_control(phase, pe, sum(sizes) - n)
 
 
 class _ReferencePE:
@@ -844,17 +838,17 @@ class ReferenceCluster:
         for p, lb in pairs:
             del self.arrays[p].blocks[lb]
 
-    def read_blocks(self, pe, lbs, phase: str) -> np.ndarray:
+    def read_blocks(self, pe, lbs, phase: int) -> np.ndarray:
         if phase not in ALL_PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+            raise IndexError(f"phase {phase!r} is not a counter index")
         pairs = self._pairs(pe, lbs)
         data = self._peek(pairs)
         self._charge(self.counters.note_read, phase, pairs)
         return data
 
-    def write_blocks(self, pe, lbs, elems, phase: str) -> None:
+    def write_blocks(self, pe, lbs, elems, phase: int) -> None:
         if phase not in ALL_PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+            raise IndexError(f"phase {phase!r} is not a counter index")
         pairs = self._pairs(pe, lbs)
         self._store(pe, pairs, elems)
         self._charge(self.counters.note_write, phase, pairs)
@@ -894,7 +888,7 @@ class ReferenceCluster:
         for arr in self.arrays:
             arr.peak_allocated = max(arr.peak_allocated, len(arr.blocks))
 
-    def _charge(self, note, phase: str, pairs) -> None:
+    def _charge(self, note, phase: int, pairs) -> None:
         D = self.cfg.D
         counts: dict[tuple[int, int], int] = {}
         for p, lb in pairs:

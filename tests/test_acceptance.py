@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from emsort.core import (
     CONTROL, DATA_PHASES, ENGINE_PHASES, MachineConfig, PHASE_ALL_TO_ALL,
-    PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, SENT, phase_index,
+    PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION, SENT,
 )
 from emsort.harness import (
     INPUT_KINDS, run_experiment_redistribution, run_sort, validate_config,
@@ -25,7 +25,7 @@ from emsort.vdisk import Cluster
 
 from helpers import (
     MemoryAccessor, addresses, array_sampled_init, fill, input_elements,
-    oracle_agrees, output_elements, phase_rows,
+    oracle_agrees, output_elements,
 )
 from test_selection import brute_force_select
 
@@ -94,7 +94,7 @@ def test_criterion_2_io_window_and_identity():
         c = cluster.counters
         N, B, V = cfg.N, cfg.B, result.v_moved
         dio = c.element_io(B, DATA_PHASES)
-        overhead = int(c.overhead[phase_rows(OVERHEAD_PHASES)].sum())
+        overhead = int(c.overhead[list(OVERHEAD_PHASES)].sum())
         assert dio == 4 * N + 2 * V + overhead, (cfg, dio, V, overhead)
         sample_io = c.element_io(B, (PHASE_SELECTION,))
         hi = 4 * N + 2 * V + result.k_rounds * result.max_partners * B * cfg.P \
@@ -133,7 +133,7 @@ def test_criterion_3_worst_shift_moves_everything():
         c = cluster.counters
         N, V = cfg.N, result.v_moved
         dio = c.element_io(cfg.B, DATA_PHASES)
-        padding = int(c.overhead[phase_rows(OVERHEAD_PHASES)].sum())
+        padding = int(c.overhead[list(OVERHEAD_PHASES)].sum())
         details.append(f"P={P} N={N}: V/N={V / N:.4f} (1-1/P={1 - 1 / P:.4f}) "
                        f"dio/N={dio / N:.4f} padding/N={padding / N:.4f}")
         if not (V == N - N // P and dio == 4 * N + 2 * V + padding
@@ -180,10 +180,10 @@ def test_criterion_5_communication_bound():
             cfg = MachineConfig(P=P, D=2, B=4, m=m, N=N, seed=505)
             cluster, _gen, _inputs, result = sort_fresh(cfg, kind, "canonical")
             c = cluster.counters
-            sent = c.traffic[phase_rows(ENGINE_PHASES), SENT].sum()
-            formation = c.traffic[phase_index(PHASE_RUN_FORMATION), SENT].sum()
-            exchange = c.traffic[phase_index(PHASE_ALL_TO_ALL), SENT].sum()
-            control = c.traffic[phase_rows(ENGINE_PHASES), CONTROL].sum()
+            sent = c.traffic[list(ENGINE_PHASES), SENT].sum()
+            formation = c.traffic[PHASE_RUN_FORMATION, SENT].sum()
+            exchange = c.traffic[PHASE_ALL_TO_ALL, SENT].sum()
+            control = c.traffic[list(ENGINE_PHASES), CONTROL].sum()
             assert sent == formation + exchange, (kind, cfg)
             assert exchange == result.v_moved, (kind, cfg)
             assert formation <= N, (kind, cfg)

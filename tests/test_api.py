@@ -1,6 +1,8 @@
 """The package surface: the exported names and the README's library example."""
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ import emsort
 from emsort import Cluster
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = README.parent / "perfbench" / "tracing.py"
 
 PUBLIC = {
     "MachineConfig", "Cluster", "InputSpec", "generate_input", "run_sort",
@@ -56,3 +59,18 @@ def test_readme_library_example_runs():
     proc = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_trace_points_resolve():
+    """Every call the benchmark's tracer rebinds, and the ``Cluster``
+    methods it wraps or calls, exist; a renamed one would otherwise fail
+    only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACE_POINTS
+    for owner, attr, name in tracing.TRACE_POINTS:
+        assert callable(getattr(owner, attr, None)), (owner, attr, name)
+    assert isinstance(inspect.getattr_static(Cluster, "load_images"),
+                      classmethod)
+    assert callable(getattr(Cluster, "peak_allocated", None))

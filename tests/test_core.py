@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from emsort.core import (
     ALL_PHASES, CONTROL, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig,
-    PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_SELECTION,
-    PHASE_SETUP, READ, RECEIVED, SENT, SENTINEL_SERIAL, WRITE, PhaseCounters,
-    checksum128, derive_seed, parse_config_text, phase_index, sentinel,
+    PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_NAMES, PHASE_RUN_FORMATION,
+    PHASE_SELECTION, PHASE_SETUP, READ, RECEIVED, SENT, SENTINEL_SERIAL, WRITE,
+    PhaseCounters, checksum128, derive_seed, parse_config_text, sentinel,
     sentinel_mask, sort_order, validate_config,
 )
 from emsort.net import charge_volume, gather_splitters
@@ -220,14 +220,13 @@ def test_checksum128_known_answer():
 
 def test_phase_counters_aggregation():
     c = PhaseCounters(2, 2)
-    rf, sel, a2a = map(phase_index, (PHASE_RUN_FORMATION, PHASE_SELECTION,
-                                     PHASE_ALL_TO_ALL))
+    rf, sel, a2a = PHASE_RUN_FORMATION, PHASE_SELECTION, PHASE_ALL_TO_ALL
     c.blocks[rf, READ, 0, 0] += 3          # [phase, rw, disk, pe]
     c.blocks[rf, READ, 1, 1] += 2
     c.blocks[rf, WRITE, 1, 0] += 5
     c.blocks[sel, READ, 0, 0] += 1
     c.blocks[a2a, WRITE, 0, 1] += 4
-    c.blocks[phase_index(PHASE_SETUP), WRITE, 1, 1] += 7
+    c.blocks[PHASE_SETUP, WRITE, 1, 1] += 7
     assert c.blocks[rf, READ].sum() == 5
     assert c.blocks[rf, READ, :, 0].sum() == 3
     assert c.blocks[rf, WRITE].sum() == 5
@@ -241,8 +240,7 @@ def test_phase_counters_aggregation():
 
 def test_phase_counters_communication():
     c = PhaseCounters(2, 1)
-    a2a, sel, lm = map(phase_index, (PHASE_ALL_TO_ALL, PHASE_SELECTION,
-                                     PHASE_LOCAL_MERGE))
+    a2a, sel, lm = PHASE_ALL_TO_ALL, PHASE_SELECTION, PHASE_LOCAL_MERGE
     c.traffic[a2a, SENT, 0] += 10
     c.traffic[a2a, RECEIVED, 1] += 10
     c.traffic[sel, CONTROL, 0] += 6
@@ -260,9 +258,8 @@ def test_phase_counters_communication():
                                          c.overhead)] == [
         ((n, 2, 1, 2), np.int64), ((n, 3, 2), np.int64), ((n,), np.int64),
         ((n,), np.int64)]
-    assert [phase_index(ph) for ph in ALL_PHASES] == list(range(n))
-    with pytest.raises(ValueError, match="unknown phase 'sorting'"):
-        phase_index("sorting")
+    assert list(ALL_PHASES) == list(range(n))
+    assert PHASE_NAMES[PHASE_SELECTION] == "selection"
 
 
 @st.composite
@@ -288,8 +285,8 @@ def charge_programs(draw):
                 st.lists(st.integers(0, 50), min_size=P, max_size=P),
                 min_size=P, max_size=P))))
         elif kind == "gather":
-            calls.append((kind, phase, [list(range(n)) for n in draw(
-                st.lists(st.integers(0, 5), min_size=P, max_size=P))]))
+            calls.append((kind, phase, draw(
+                st.lists(st.integers(0, 5), min_size=P, max_size=P))))
         else:
             calls.append((kind, phase, draw(st.integers(0, 9))))
     return MachineConfig(P=P, D=D, B=1, m=8, N=0), calls
@@ -320,9 +317,9 @@ def test_counter_arrays_match_the_list_counters(program):
             gather_splitters(cl, args[0], phase)
             ref.counters.gather_splitters(args[0], phase)
         elif kind == "steps":
-            cl.counters.steps[phase_index(phase)] += args[0]
+            cl.counters.steps[phase] += args[0]
             ref.counters.add_steps(phase, args[0])
         else:
-            cl.counters.overhead[phase_index(phase)] += args[0]
+            cl.counters.overhead[phase] += args[0]
             ref.counters.add_overhead(phase, args[0])
         assert counter_state(cl) == counter_state(ref)

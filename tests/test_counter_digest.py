@@ -22,7 +22,6 @@ import pytest
 
 from emsort.core import (
     PHASE_STRIPED_MERGE, READ, RECEIVED, SENT, WRITE, MachineConfig, concat,
-    phase_index,
 )
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
 from emsort.vdisk import Cluster
@@ -200,7 +199,7 @@ def test_striped_merge_traffic_is_the_coordinators_reads_and_writes(
     receives the sums of those over p != 0.  The canonical engine runs no
     striped merge, so every term is 0."""
     cfg, cluster, _gen, result = sorted_case(case, kind, randomize)
-    merge, B = phase_index(PHASE_STRIPED_MERGE), cfg.B
+    merge, B = PHASE_STRIPED_MERGE, cfg.B
     blocks, traffic = cluster.counters.blocks[merge], cluster.counters.traffic[merge]
     read = (B * blocks[READ].sum(0)).tolist()           # per PE
     written = (B * blocks[WRITE].sum(0)).tolist()

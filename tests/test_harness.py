@@ -18,7 +18,9 @@ import emsort
 
 from emsort import cli, harness
 from emsort.cli import main as cli_main
-from emsort.core import DATA_PHASES, MachineConfig, sentinel, validate_config
+from emsort.core import (
+    DATA_PHASES, PHASE_NAMES, MachineConfig, sentinel, validate_config,
+)
 from emsort.harness import (
     INPUT_KINDS, VERIFY_CHUNK, InputSpec, generate_input, report_stats,
     run_experiment_redistribution, run_sort, verify_output, worst_shift_cuts,
@@ -376,7 +378,7 @@ def test_report_stats_is_parseable_and_consistent():
     parsed = list(csv.DictReader(io.StringIO("\n".join(rows))))
     assert {row["phase"] for row in parsed} >= {"run_formation", "selection"}
     data_io = sum(int(row["element_io"]) for row in parsed
-                  if row["phase"] in DATA_PHASES)
+                  if row["phase"] in [PHASE_NAMES[ph] for ph in DATA_PHASES])
     assert data_io == int(meta["data_element_io"])
     sent = sum(int(row["sent"]) for row in parsed
                if row["phase"] != "setup")

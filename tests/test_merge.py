@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from emsort.core import (
     DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, READ, WRITE,
-    concat, phase_index, sentinel,
+    concat, sentinel,
 )
 from emsort.merge import batch_merge, local_multiway_merge
 from emsort.redistribute import Staged, compute_splitters, external_all_to_all
@@ -188,7 +188,7 @@ def test_merge_of_single_run_is_a_straight_copy():
     outputs = output_elements(cl, layout)
     assert [e[0] for e in outputs] == sorted(e[0] for e in outputs)
     N, B = cl.cfg.N, cl.cfg.B
-    merge = cl.counters.blocks[phase_index(PHASE_LOCAL_MERGE)]
+    merge = cl.counters.blocks[PHASE_LOCAL_MERGE]
     assert merge[READ].sum() * B == N
     assert merge[WRITE].sum() * B == N
 
@@ -211,7 +211,7 @@ def test_merge_output_is_block_aligned_per_processor():
 def test_merge_overhead_accounts_for_boundary_blocks():
     cl, _inputs, redist = pipeline(seed=16)
     local_multiway_merge(cl, redist.staged)
-    merge = phase_index(PHASE_LOCAL_MERGE)
+    merge = PHASE_LOCAL_MERGE
     overhead = cl.counters.overhead[merge]
     reads = cl.counters.blocks[merge, READ].sum() * cl.cfg.B
     consumed = sum(int(table.length.sum()) for table in redist.staged)

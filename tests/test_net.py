@@ -1,15 +1,22 @@
 """Communication accounting: moved volumes and control gathers."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from emsort import striped
 from emsort.core import (
-    CONTROL, PHASE_ALL_TO_ALL, PHASE_SELECTION, RECEIVED, SENT, phase_index,
+    CONTROL, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
+    PHASE_SELECTION, PHASE_STRIPED_MERGE, RECEIVED, SENT,
 )
+from emsort.harness import run_sort
 from emsort.net import ProtocolError, charge_volume, gather_splitters
+from emsort.redistribute import compute_splitters
+from emsort.runform import run_layout
 
-from helpers import build
+from helpers import build, fill
 
 
 def test_charge_volume_charges_the_off_diagonal_per_pe():
@@ -17,7 +24,7 @@ def test_charge_volume_charges_the_off_diagonal_per_pe():
     volume = np.array([[5, 1, 2], [0, 7, 3], [4, 0, 9]])
     charge_volume(cl, volume, PHASE_ALL_TO_ALL)
     charge_volume(cl, [[1, 0, 0], [2, 0, 0], [0, 0, 0]], PHASE_ALL_TO_ALL)
-    traffic = cl.counters.traffic[phase_index(PHASE_ALL_TO_ALL)]
+    traffic = cl.counters.traffic[PHASE_ALL_TO_ALL]
     assert traffic[SENT].tolist() == [3, 5, 4]
     assert traffic[RECEIVED].tolist() == [6, 1, 5]
     assert volume.tolist() == [[5, 1, 2], [0, 7, 3], [4, 0, 9]]
@@ -27,24 +34,90 @@ def test_charge_volume_refuses_a_matrix_for_another_processor_count():
     cl = build(P=3)
     with pytest.raises(ValueError):
         charge_volume(cl, np.ones((2, 2), np.int64), PHASE_ALL_TO_ALL)
-    traffic = cl.counters.traffic[phase_index(PHASE_ALL_TO_ALL)]
+    traffic = cl.counters.traffic[PHASE_ALL_TO_ALL]
     assert traffic[SENT].tolist() == [0, 0, 0]
     assert traffic[RECEIVED].tolist() == [0, 0, 0]
 
 
 def test_gather_splitters_counts_control():
     cl = build(P=3)
-    gather_splitters(cl, [[1, 2], np.empty(0, np.uint64), np.array([3])],
-                     PHASE_SELECTION)
-    control = cl.counters.traffic[phase_index(PHASE_SELECTION), CONTROL].tolist()
+    gather_splitters(cl, [2, 0, 1], PHASE_SELECTION)
+    gather_splitters(cl, np.zeros(3, np.int64), PHASE_SELECTION)
+    control = cl.counters.traffic[PHASE_SELECTION, CONTROL].tolist()
     # each PE receives everything it did not contribute
     assert control == [1, 3, 2]
-    with pytest.raises(ProtocolError):
-        gather_splitters(cl, [[1], [2]], PHASE_SELECTION)
+    for sizes in ([1, 2], [[1, 2, 3]], 3):
+        with pytest.raises(ProtocolError):
+            gather_splitters(cl, sizes, PHASE_SELECTION)
+    assert cl.counters.traffic[PHASE_SELECTION, CONTROL].tolist() == control
 
 
 def test_gather_splitters_charges_no_element_traffic():
     cl = build(P=2)
-    gather_splitters(cl, [[7], [8]], PHASE_SELECTION)
+    gather_splitters(cl, [1, 1], PHASE_SELECTION)
     assert cl.counters.traffic[:, SENT].sum() == 0
     assert cl.counters.element_io(cl.cfg.B) == 0
+
+
+def control(cl, phase) -> list[int]:
+    return cl.counters.traffic[phase, CONTROL].tolist()
+
+
+@pytest.mark.parametrize("P", [1, 3, 4])
+def test_canonical_control_traffic_has_closed_forms(P):
+    """Run formation gathers each of R loads' P - 1 cuts from every PE.
+    Selection gathers two words per sample from the PE that holds it, and
+    then PE 0's P - 1 inner cuts of every run."""
+    cl = build(P=P, D=2, B=4, m=64, N=288 * P, K=5, seed=P)
+    run_sort(cl, fill(cl, "random", P).pe_blocks, "canonical")
+    R, K = cl.cfg.R, cl.cfg.sample_rate
+    assert R == 5                   # the last run is half a memory load
+
+    def sampled_below(n: int) -> int:
+        """The sampled run positions below ``n``: every K-th from 0."""
+        return -(-n // K)
+
+    # Run positions p * share .. (p + 1) * share - 1 are on PE p.
+    held = [sum(sampled_below((p + 1) * share) - sampled_below(p * share)
+                for _length, share in run_layout(cl.cfg)) for p in range(P)]
+    S = sum(held)
+    assert S == sum(sampled_below(length) for length, _ in run_layout(cl.cfg))
+    assert control(cl, PHASE_RUN_FORMATION) == [R * (P - 1) ** 2] * P
+    assert control(cl, PHASE_SELECTION) == [
+        2 * (S - held[p]) + (p != 0) * (P - 1) * R for p in range(P)]
+    for phase in (PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_STRIPED_MERGE):
+        assert control(cl, phase) == [0] * P
+
+
+def test_splitters_of_no_runs_charge_zero_control():
+    cl = build(P=3)
+    assert compute_splitters(cl, []).pos == [[]] * 4
+    assert cl.counters.traffic[:, CONTROL].sum() == 0
+
+
+def test_striped_control_traffic_has_closed_forms():
+    """Run formation as in the canonical engine; each merge pass gathers
+    two words per block of its runs from the PE that holds the block."""
+    cl = build(P=3, D=2, B=4, m=16, N=384, seed=7)
+    P = cl.cfg.P
+    passes = []
+
+    def recorded(cluster, runs, start_disk):
+        before = control(cluster, PHASE_STRIPED_MERGE)
+        out = merge_pass(cluster, runs, start_disk)
+        on_pe = np.bincount(np.concatenate([run.pes for run in runs]),
+                            minlength=P)
+        passes.append((np.subtract(control(cluster, PHASE_STRIPED_MERGE),
+                                   before).tolist(),
+                       (2 * (on_pe.sum() - on_pe)).tolist()))
+        return out
+
+    merge_pass = striped.striped_merge_pass
+    with mock.patch.object(striped, "striped_merge_pass", recorded):
+        _final, merge_passes = striped.striped_sort(
+            cl, fill(cl, "random", 7).pe_blocks)
+    assert merge_passes == 2 and len(passes) == 3
+    for got, expected in passes:
+        assert got == expected
+    assert control(cl, PHASE_RUN_FORMATION) == [cl.cfg.R * (P - 1) ** 2] * P
+    assert control(cl, PHASE_SELECTION) == [0] * P

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from emsort.core import (
     CONTROL, DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
-    READ, SENT, WRITE, phase_index, validate_config,
+    READ, SENT, WRITE, validate_config,
 )
 from emsort.harness import InputSpec, generate_input, report_stats, run_sort, verify_output
 from emsort.merge import local_multiway_merge
@@ -26,7 +26,7 @@ from helpers import (
     stored_elements,
 )
 
-SELECT, EXCHANGE = phase_index(PHASE_SELECTION), phase_index(PHASE_ALL_TO_ALL)
+SELECT, EXCHANGE = PHASE_SELECTION, PHASE_ALL_TO_ALL
 
 
 # --- oracle -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from emsort import runform
 from emsort.core import (
     DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, READ, SENT, WRITE,
-    phase_index, sort_order,
+    sort_order,
 )
 from emsort.runform import (
     RunDescriptor, form_runs, internal_parallel_sort, run_layout,
@@ -74,7 +74,7 @@ def test_formation_io_is_exactly_two_passes_and_in_place():
     peak_before = [cl.peak_allocated(pe) for pe in range(4)]
     runs = form_runs(cl, gen.pe_blocks)
     N, B = cl.cfg.N, cl.cfg.B
-    formation = cl.counters.blocks[phase_index(PHASE_RUN_FORMATION)]
+    formation = cl.counters.blocks[PHASE_RUN_FORMATION]
     assert formation[READ].sum() * B == N
     assert formation[WRITE].sum() * B == N
     # write-back reuses the input blocks: no new allocations at all
@@ -94,7 +94,7 @@ def test_sorted_input_forms_runs_without_communication():
         cl = build(P=4, D=2, B=4, m=32, N=384, seed=1, randomize=randomize)
         gen = fill(cl, "sorted", 1)
         form_runs(cl, gen.pe_blocks)
-        assert cl.counters.traffic[phase_index(PHASE_RUN_FORMATION),
+        assert cl.counters.traffic[PHASE_RUN_FORMATION,
                                    SENT].sum() == 0
 
 

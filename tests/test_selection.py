@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from emsort.core import MAX_KEY, PHASE_SELECTION, READ, phase_index
+from emsort.core import MAX_KEY, PHASE_SELECTION, READ
 from emsort.runform import RunDescriptor
 from emsort.selection import (
     DiskAccessor, SelectionError, multiway_select, sampled_starts,
@@ -235,7 +235,7 @@ def seed_disk_runs(cl, keys_per_run):
         assert len(keys) % B == 0
         blocks = cl.alloc_blocks(0, len(keys) // B)
         cl.seed_blocks(0, blocks, [(k, j * 1000 + i) for i, k in enumerate(keys)])
-        runs.append(RunDescriptor(j, len(keys), len(keys), B, blocks[None]))
+        runs.append(RunDescriptor(len(keys), len(keys), B, blocks[None]))
     return runs
 
 
@@ -248,11 +248,11 @@ def test_disk_accessor_matches_memory_and_counts_reads():
     mem_runs = [[(k, j * 1000 + p) for p, k in enumerate(keys)]
                 for j, keys in enumerate(keys_per_run)]
     r = 100
-    disk = DiskAccessor(cl, segs, PHASE_SELECTION)
+    disk = DiskAccessor(cl, segs)
     res = multiway_select(disk, r)
     assert res.positions == brute_force_select(mem_runs, r)
     assert res.blocks_read > 0
-    assert (cl.counters.blocks[phase_index(PHASE_SELECTION), READ].sum()
+    assert (cl.counters.blocks[PHASE_SELECTION, READ].sum()
             == res.blocks_read)
 
 
@@ -262,7 +262,7 @@ def test_disk_accessor_cache_reduces_reads():
                     for _ in range(4)]
     cl = build(P=1, D=2, B=16, m=256, N=512)
     segs = seed_disk_runs(cl, keys_per_run)
-    res = multiway_select(DiskAccessor(cl, segs, PHASE_SELECTION), 300)
+    res = multiway_select(DiskAccessor(cl, segs), 300)
     # the final low-step rounds probe neighbouring positions; the block
     # cache serves those from one read, so reads fall below distinct probes
     # (without it every probe would be a read)
@@ -270,10 +270,10 @@ def test_disk_accessor_cache_reduces_reads():
 
 
 def test_select_all_ranks_detects_broken_order():
-    # an unsorted "run" can drive the search into an inconsistent state;
-    # the order check rejects it instead of returning silent garbage
+    # an unsorted "run" has no cut with the order property; the exact
+    # sweep's guard rejects it instead of returning silent garbage
     runs = [[(9, 0), (1, 1), (7, 2), (0, 3)], [(5, 4), (4, 5), (3, 6), (2, 7)]]
     acc = MemoryAccessor(runs)
-    with pytest.raises(SelectionError):
+    with pytest.raises(SelectionError, match="exact sweep did not converge"):
         for r in range(sum(len(x) for x in runs) + 1):
             multiway_select(acc, r)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from emsort import striped
 from emsort.core import (
-    CONTROL, DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE, SENT, phase_index,
+    CONTROL, DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE, SENT,
 )
 from emsort.harness import InputSpec, SortResult, generate_input, report_stats
 from emsort.striped import (
@@ -60,9 +60,10 @@ def test_striped_runs_are_sorted_and_partition_the_input():
 def test_striped_runs_go_round_robin_over_all_disks():
     cl, _inputs, runs = formed(seed=2)
     D_total = cl.cfg.total_disks
-    for run in runs:
+    for i, run in enumerate(runs):
+        start = striped._run_start_disk(cl, 2, i)
         assert (run.pes * cl.cfg.D + run.lbs % cl.cfg.D).tolist() == [
-            (run.start_disk + g) % D_total for g in range(len(run.lbs))]
+            (start + g) % D_total for g in range(len(run.lbs))]
 
 
 def test_block_minima_match_contents():
@@ -90,7 +91,7 @@ def test_prediction_sequence_is_sorted_and_complete():
 
 def test_prediction_sequence_charges_control_traffic():
     cl, _inputs, runs = formed(seed=6)
-    traffic = cl.counters.traffic[phase_index(PHASE_STRIPED_MERGE)]
+    traffic = cl.counters.traffic[PHASE_STRIPED_MERGE]
     before = traffic[CONTROL].tolist()
     build_prediction_sequence(cl, runs)
     after = traffic[CONTROL].tolist()
@@ -216,9 +217,9 @@ def test_striped_sort_carries_odd_group_through():
 
 def test_merge_pass_records_io_steps():
     cl, _inputs, runs = formed(P=2, N=256, seed=13)
-    before = cl.counters.steps[phase_index(PHASE_STRIPED_MERGE)]
+    before = cl.counters.steps[PHASE_STRIPED_MERGE]
     out = striped_merge_pass(cl, runs, start_disk=0)
-    steps = cl.counters.steps[phase_index(PHASE_STRIPED_MERGE)] - before
+    steps = cl.counters.steps[PHASE_STRIPED_MERGE] - before
     blocks = len(out.lbs)
     lower = -(-blocks // cl.cfg.total_disks) * 2    # read + write optimum
     assert steps >= lower
@@ -321,7 +322,7 @@ def passes_by(merge_pass, cfg: MachineConfig, kind: str):
     with mock.patch.object(striped, "striped_merge_pass", recorded):
         striped_sort(cl, gen.pe_blocks)
     live = [helpers.live_blocks(cl, pe) for pe in range(cfg.P)]
-    return ([(run.length, run.start_disk, run.pes.tolist(), run.lbs.tolist(),
+    return ([(run.length, run.pes.tolist(), run.lbs.tolist(),
               run.minima.tolist()) for run in made],
             helpers.counter_state(cl),
             [cl.peak_allocated(pe) for pe in range(cfg.P)], live,

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emsort.core import (
-    ALL_PHASES, MAX_KEY, READ, WRITE, MachineConfig, PHASE_RUN_FORMATION,
-    PHASE_SETUP, phase_index, sentinel,
+    MAX_KEY, PHASE_NAMES, READ, WRITE, MachineConfig, PHASE_RUN_FORMATION,
+    PHASE_SETUP, sentinel,
 )
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
@@ -36,19 +36,19 @@ def test_write_read_round_trip_and_counters():
     assert cl.read_blocks(0, lbs[::-1], PHASE_RUN_FORMATION).tolist() == (
         data[8:] + data[4:8] + data[:4])
     assert cl.read_blocks(0, [], PHASE_RUN_FORMATION).tolist() == []
-    formation = cl.counters.blocks[phase_index(PHASE_RUN_FORMATION)]
+    formation = cl.counters.blocks[PHASE_RUN_FORMATION]
     assert formation[WRITE, :, 0].tolist() == [2, 1]
     assert formation[READ, :, 0].tolist() == [4, 2]
     assert formation[READ, :, 1].sum() == 0
 
 
-def charges(cl, call) -> list[tuple[str, int, int, int, int]]:
+def charges(cl, call) -> list[tuple[int, int, int, int, int]]:
     """The block counts ``call`` adds, per (phase, read or write, pe,
     disk) that it touches."""
     before = cl.counters.blocks.copy()
     call()
     delta = cl.counters.blocks - before
-    return [(ALL_PHASES[ph], rw, pe, d, int(delta[ph, rw, d, pe]))
+    return [(ph, rw, pe, d, int(delta[ph, rw, d, pe]))
             for ph, rw, d, pe in np.argwhere(delta).tolist()]
 
 
@@ -145,14 +145,14 @@ REFUSED = {
     "read of an id never handed out": lambda cl, lbs, freed: cl.read_blocks(
         0, lbs + [999], PHASE_RUN_FORMATION),
     "read in an unknown phase": lambda cl, lbs, freed: cl.read_blocks(
-        0, lbs, "no_such_phase"),
+        0, lbs, len(PHASE_NAMES)),
     "peek of a freed id": lambda cl, lbs, freed: cl.peek_blocks(0, [freed]),
     "write of one element short": lambda cl, lbs, freed: cl.write_blocks(
         0, lbs + [freed], block_of(7, 4 * 4 - 1), PHASE_RUN_FORMATION),
     "write of one block too many": lambda cl, lbs, freed: cl.write_blocks(
         0, lbs + [freed], block_of(7, 4 * 5), PHASE_RUN_FORMATION),
     "write in an unknown phase": lambda cl, lbs, freed: cl.write_blocks(
-        0, lbs, block_of(7, 4 * 3), "no_such_phase"),
+        0, lbs, block_of(7, 4 * 3), len(PHASE_NAMES)),
     "seed of one element short": lambda cl, lbs, freed: cl.seed_blocks(
         0, [freed, 50], block_of(7, 7)),
     "free of a freed id": lambda cl, lbs, freed: cl.free_blocks(
@@ -179,7 +179,7 @@ def test_a_refused_batch_changes_nothing(case):
     freed = lbs.pop(1)
     cl.free_blocks(0, [freed])
     before = store_state(cl)
-    error = ValueError if "phase" in case else DiskError
+    error = IndexError if "phase" in case else DiskError
     with pytest.raises(error):
         REFUSED[case](cl, lbs, freed)
     assert store_state(cl) == before
@@ -327,7 +327,7 @@ def test_seed_and_peek_are_uncounted():
     assert cl.peek_blocks(0, lbs).tolist() == block_of(5, 8)
     assert cl.peek_blocks(0, lbs[1:]).tolist() == block_of(9, 4)
     assert cl.counters.element_io(cl.cfg.B) == 0
-    assert cl.counters.blocks[phase_index(PHASE_SETUP), WRITE].sum() == 0
+    assert cl.counters.blocks[PHASE_SETUP, WRITE].sum() == 0
 
 
 def test_occupancy_tracking_and_free():
