@@ -39,6 +39,15 @@ PHASE_NAMES = ("setup", "run_formation", "selection", "all_to_all",
 (PHASE_SETUP, PHASE_RUN_FORMATION, PHASE_SELECTION, PHASE_ALL_TO_ALL,
  PHASE_LOCAL_MERGE, PHASE_STRIPED_MERGE) = range(len(PHASE_NAMES))
 
+
+def refuse_phase(phase: int) -> None:
+    """Raise :class:`IndexError` for a negative phase, which numpy would
+    count from the end of a counter array; indexing with the phase
+    refuses one past the last."""
+    if phase < 0:
+        raise IndexError(f"phase {phase} is not in [0, {len(PHASE_NAMES)})")
+
+
 #: Phases that belong to the engines proper.  ``setup`` covers input
 #: materialization and is excluded from engine I/O totals.
 ENGINE_PHASES = (

@@ -3,9 +3,12 @@
 ``local_multiway_merge`` is phase 3 of the rank-splitting engine: every
 processor reads the blocks of its staged pieces in one call and merges
 its R run pieces into its final slice, reading and writing each element
-once.  ``batch_merge`` is the striped engine's kernel: drain every
-buffered element strictly below a bound in the total order (key, run,
-position), leaving later elements buffered.
+once.  ``batch_merge`` is the striped engine's kernel: sort a window's
+buffered elements in the total order (key, run, position) and cut them at
+each batch's bound, the elements past the last cut staying buffered.
+Both free their input blocks and write their output blocks with
+``free_and_write``, in two calls each, as a streaming merge would leave
+them.
 
 Both merge by one array sort.  Concatenated in run order, and each run in
 position order, the elements sorted stably by key are in the total order;
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PHASE_LOCAL_MERGE, concat, sort_order
+from .core import ELEM, PHASE_LOCAL_MERGE, concat, sort_order
 from .redistribute import Staged
 from .vdisk import OutputLayout
 
@@ -27,10 +30,8 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
 
     Each staged block is due for freeing once the merge has consumed its
     last element.  A streaming merge would free it there, between two
-    output writes; instead each PE frees and writes in two calls each,
-    split at the output block after which the stream holds the most
-    blocks, so its peak occupancy, its per-disk charges and its block ids
-    are those of the stream.
+    output writes; :func:`free_and_write` frees and writes in two calls
+    each with the stream's peak occupancy, per-disk charges and block ids.
     """
     cfg = cluster.cfg
     B = cfg.B
@@ -55,22 +56,12 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         # A block falls due before output block (rank of its last element
-        # + 1) // B; after output block j the stream has written j + 1
-        # blocks and freed #(due <= j).
+        # + 1) // B, the stream's step j writing output block j.
         due = (rank[ends - 1] + 1) // B
         nb = n // B
-        occupancy = np.arange(1, nb + 1) - np.cumsum(
-            np.bincount(due, minlength=nb + 1)[:nb])
-        split = int(np.argmax(occupancy)) + 1 if nb else 0
-        early = due < split
-        merged = elems[order]
         out_blocks = cluster.alloc_blocks(t, nb)
-        for frees, lo, hi in ((early, 0, split), (~early, split, nb)):
-            if frees.any():
-                cluster.free_blocks(t, table.ids[frees])
-            if hi > lo:
-                cluster.write_blocks(t, out_blocks[lo:hi], merged[lo * B:hi * B],
-                                     PHASE_LOCAL_MERGE)
+        free_and_write(cluster, t, table.ids, due, t, out_blocks,
+                       np.arange(nb), elems[order], PHASE_LOCAL_MERGE)
         cluster.counters.overhead[PHASE_LOCAL_MERGE] += len(table.ids) * B - n
         out_lbs.append(out_blocks)
     return OutputLayout("canonical",
@@ -78,25 +69,74 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
                         np.concatenate(out_lbs))
 
 
+def free_and_write(cluster, pe_in, ids_in, due, pe, ids, step, elems,
+                   phase: int) -> None:
+    """Free the blocks ``ids_in`` of ``pe_in`` and write ``elems`` as the
+    blocks ``ids`` of ``pe``, ``B`` each, in two calls each, leaving every
+    PE's peak block count, per-disk charges and block ids those of a
+    stream.
+
+    Step ``s`` of the stream frees the blocks due at ``s``, then writes
+    the blocks of step ``s``; ``step`` ascends, and a block due after the
+    last step is freed at the end.  The first calls run each PE's part of
+    the stream up to that PE's first step of most blocks held, the second
+    the rest.  A PE is one int for all blocks or an ``int64`` column, as in
+    the cluster's calls.
+    """
+    S = int(step[-1]) + 1 if len(step) else 0
+    per_pe = isinstance(pe, np.ndarray)
+    rows, row_in, row = (cluster.cfg.P, pe_in, pe) if per_pe else (1, 0, 0)
+    width = S + 1
+    held = (np.bincount(row * width + step, minlength=rows * width)
+            - np.bincount(row_in * width + np.minimum(due, S),
+                          minlength=rows * width))
+    peak = (held.reshape(rows, width)[:, :S].cumsum(1).argmax(1) if S
+            else np.full(rows, -1))
+    first_in, first = due <= peak[row_in], step <= peak[row]
+    # Whole blocks as single values: selecting them is then one copy each,
+    # and none where the first writes are a prefix, as they are for one PE.
+    blocks = elems.view(np.dtype((np.void, cluster.cfg.B * ELEM.itemsize)))
+    k = int(np.count_nonzero(first))
+    picks = ((slice(0, k), slice(k, None)) if first[:k].all()
+             else (first, ~first))
+    for frees, writes in zip((first_in, ~first_in), picks):
+        if frees.any():
+            cluster.free_blocks(pe_in[frees] if per_pe else pe_in,
+                                ids_in[frees])
+        out = ids[writes]
+        if len(out):
+            cluster.write_blocks(pe[writes] if per_pe else pe, out,
+                                 blocks[writes].view(ELEM), phase)
+
+
 def batch_merge(elems: np.ndarray, tags: np.ndarray,
-                bound: tuple[int, int] | None = None):
-    """Split buffered elements at ``bound`` in the total order (key, tag).
+                bound: tuple[int, int] | None = None, *, bounds=None):
+    """Sort buffered elements in the total order (key, tag) and cut them at
+    bounds in that order.
 
     ``tags`` is an ``int64`` column that orders ties: the striped engine
-    tags each element with its run's offset plus its position, so (key,
-    tag) is the order (key, run, position).  Returns the elements strictly
-    below the ``bound`` (key, tag) in that order, and the rest with their
-    tags, also in that order; ``None`` drains everything.
+    tags each element with its run over its position, so (key, tag) is the
+    order (key, run, position).  Given ``bounds``, ascending (key, tag)
+    pairs with ``None`` for one past everything, returns the elements and
+    their tags in that order and, per bound, how many lie strictly below
+    it.  Given one ``bound`` instead, returns the elements strictly below
+    it, the rest, and the rest's tags; ``None`` drains everything.
     """
     order = sort_order(elems["key"], tags)
     elems, tags = elems[order], tags[order]
-    n = len(elems)
-    if bound is not None:
-        # What lies below the bound is a prefix of the order: every smaller
-        # key, then those ties whose tag precedes the bound's.
-        key, tag = bound
-        keys = elems["key"]
-        lo = int(keys.searchsorted(np.uint64(key), "left"))
-        hi = int(keys.searchsorted(np.uint64(key), "right"))
-        n = lo + int(tags[lo:hi].searchsorted(tag))
+    keys = elems["key"]
+    cuts = np.array([len(keys) if b is None else _below(keys, tags, *b)
+                     for b in (bounds if bounds is not None else [bound])],
+                    np.int64)
+    if bounds is not None:
+        return elems, tags, cuts
+    n = int(cuts[0])
     return elems[:n], elems[n:], tags[n:]
+
+
+def _below(keys: np.ndarray, tags: np.ndarray, key: int, tag: int) -> int:
+    """How many of the sorted pairs (keys, tags) lie below (key, tag): every
+    smaller key, then those ties whose tag precedes ``tag``."""
+    lo = int(keys.searchsorted(np.uint64(key), "left"))
+    hi = int(keys.searchsorted(np.uint64(key), "right"))
+    return lo + int(tags[lo:hi].searchsorted(tag))

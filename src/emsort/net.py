@@ -9,13 +9,14 @@ through it.  Self-addressed data stays local and is charged to neither
 counter.  :func:`gather_splitters` charges an all-gather of control values
 from the count each PE contributes; a count missing for some PE means it
 skipped the barrier, which raises :class:`ProtocolError` rather than
-deadlocking.  A phase is an index of the counter arrays (``core.PHASE_*``).
+deadlocking.  A phase is an index of the counter arrays (``core.PHASE_*``);
+one outside them raises ``IndexError`` before anything is charged.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CONTROL, RECEIVED, SENT
+from .core import CONTROL, RECEIVED, SENT, refuse_phase
 from .vdisk import Cluster
 
 
@@ -26,6 +27,7 @@ class ProtocolError(Exception):
 def charge_volume(cluster: Cluster, volume, phase: int) -> None:
     """Charge ``volume[src][dst]`` elements moved from PE ``src`` to PE
     ``dst``: each PE's sent and received totals, the diagonal free."""
+    refuse_phase(phase)
     moved = np.array(volume, np.int64).reshape(cluster.cfg.P, cluster.cfg.P)
     np.fill_diagonal(moved, 0)
     traffic = cluster.counters.traffic[phase]
@@ -41,6 +43,7 @@ def gather_splitters(cluster: Cluster, sizes, phase: int) -> None:
     receives every value it did not contribute: the total less its own
     count, charged to the control counter, not to element volume.
     """
+    refuse_phase(phase)
     P = cluster.cfg.P
     sizes = np.asarray(sizes, np.int64)
     if sizes.shape != (P,):

@@ -8,11 +8,18 @@ scheduling fetches is the time reversal of scheduling buffered writes, so
 we simulate a greedy write buffer over the reversed sequence and flip the
 step numbers.  Merging itself proceeds in batches of M/(2B) blocks, each
 bounded by the smallest key of the next unfetched block, which caps
-buffered leftovers at one block per run.  A batch is a slice of the
-pass's ``(pe, lb)`` columns in prediction order: it is read with one call,
-freed with one call, and its full output blocks are written with one call
-on a slice of the output stripe's columns.  The coordinator's traffic is
-charged per PE for the whole pass.
+buffered leftovers at one block per run.  The prediction sequence fixes
+every batch in advance, so the host moves them in windows of whole
+batches holding at most ``_WINDOW`` = 2**14 fetched elements: a window is
+a slice of the pass's ``(pe, lb)`` columns in prediction order, read with
+one call and sorted with one ``batch_merge`` that cuts it at every
+batch's bound.  Each batch's output is the prefix of that sort up to its
+cut, because every element fetched later lies at or above the bound; the
+one-block leftover check is made for every batch.  The window's blocks
+are freed, and its full output blocks written on a slice of the output
+stripe's columns, with two calls each, so each PE's peak block count is
+that of the batch-by-batch stream.  The coordinator's traffic is charged
+per PE for the whole pass.
 """
 from __future__ import annotations
 
@@ -29,11 +36,15 @@ from .core import (
     derive_seed,
     sort_order,
 )
-from .merge import batch_merge
+from .merge import batch_merge, free_and_write
 from .net import charge_volume, gather_splitters
 from .runform import PeBlocks, internal_parallel_sort
 
 COORDINATOR = 0
+
+#: Elements a merge pass fetches per window of batches, at most: the host
+#: reads, sorts, frees and writes a window's batches together.
+_WINDOW = 1 << 14
 
 
 @dataclass
@@ -221,13 +232,17 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     """Merge up to ``merge_arity`` striped runs into one striped run.
 
     The coordinator fetches blocks per the prefetch schedule (remote reads
-    are charged as communication) in batches of M/(2B) blocks, each read
-    and freed with one call on its slice of the prediction sequence's
-    ``(pe, lb)`` columns, merges each batch, and writes its full output
-    blocks with one call into a stripe reserved from ``start_disk``.  The
-    traffic is charged per PE from the whole pass.  The pass costs one read
-    and one write per element; its I/O steps are the schedule length plus
-    the output's round-robin step count.
+    are charged as communication) in batches of M/(2B) blocks, and merges
+    each batch into a stripe reserved from ``start_disk``.  The host takes
+    the batches in windows, each the most whole batches whose blocks hold
+    at most ``_WINDOW`` (2**14) elements, and at least one batch: a window
+    is read with one call on its slice of the prediction sequence's
+    ``(pe, lb)`` columns, sorted once with its leftovers, cut at every
+    batch's bound, and freed and written with two calls each, as the
+    batch-by-batch stream would leave each PE's blocks.  The traffic is
+    charged per PE from the whole pass.  The pass costs one read and one
+    write per element; its I/O steps are the schedule length plus the
+    output's round-robin step count.
     """
     cfg = cluster.cfg
     B, D_total = cfg.B, cfg.total_disks
@@ -235,9 +250,6 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
         raise ValueError(
             f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
     keys, run_of, pos = build_prediction_sequence(cluster, runs)
-    # ``at`` numbers each block in the runs joined in run order, and an
-    # element's tag is its index there, its run's offset plus its position,
-    # so (key, tag) is the order (key, run, position).
     first = np.cumsum([0] + [len(run.lbs) for run in runs])
     at = first[run_of] + pos
     pes = np.concatenate([run.pes for run in runs])[at]
@@ -247,40 +259,66 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     n_steps = verify_schedule(disks, prefetch_schedule(disks.tolist(), W,
                                                        D_total), W)
 
-    # Batch k drains what lies below the first block of batch k + 1 in the
-    # order (key, tag).
+    # An element's tag is its run over its position in the run, so (key,
+    # tag) is the order (key, run, position) and ``tag >> shift`` its run.
+    # Batch k drains what lies below the first block of batch k + 1.
+    R = len(runs)
+    shift = max(run.length for run in runs).bit_length()
+    heads = (run_of << shift) + pos * B
     L = len(at)
     batch_blocks = max(1, cfg.M // (2 * B))
-    starts = range(0, L, batch_blocks)
-    bounds = [(int(keys[lo]), int(at[lo]) * B) for lo in starts[1:]] + [None]
+    window = max(1, _WINDOW // (batch_blocks * B)) * batch_blocks
     lanes = np.arange(B)
 
     length = sum(run.length for run in runs)
     out_pes, out_lbs = cluster.alloc_stripe(start_disk, length // B)
     minima = np.empty(len(out_lbs), np.uint64)
     written = 0
-    tail = np.empty(0, ELEM)
-    pending, tags = np.empty(0, ELEM), np.empty(0, np.int64)
-    for lo, bound in zip(starts, bounds):
-        hi = lo + batch_blocks
-        fetched = cluster.read_blocks(pes[lo:hi], lbs[lo:hi], PHASE_STRIPED_MERGE)
-        cluster.free_blocks(pes[lo:hi], lbs[lo:hi])
-        tags = np.concatenate((tags, (at[lo:hi, None] * B + lanes).ravel()))
-        out, pending, tags = batch_merge(concat([pending, fetched]), tags, bound)
-        held = np.bincount(np.searchsorted(first * B, tags, "right"))
-        if len(held) and held.max() > B:
+    # ``pending`` holds the merged elements short of a full block (its
+    # first ``tail``), which precede every later element, then those not
+    # merged yet; ``tags`` are theirs.
+    pending, tags, tail = np.empty(0, ELEM), np.empty(0, np.int64), 0
+    held = np.zeros(R, np.int64)    # each run's elements fetched, not merged
+    for lo in range(0, L, window):
+        hi = min(lo + window, L)
+        batch = np.arange(hi - lo) // batch_blocks
+        nb = int(batch[-1]) + 1
+        bounds = [(int(keys[b]), int(heads[b])) if b < L else None
+                  for b in range(lo + batch_blocks, hi + batch_blocks,
+                                 batch_blocks)]
+        tags = np.concatenate((tags, (heads[lo:hi, None] + lanes).ravel()))
+        merged, tags, cuts = batch_merge(
+            concat([pending, cluster.read_blocks(pes[lo:hi], lbs[lo:hi],
+                                                 PHASE_STRIPED_MERGE)]),
+            tags, bounds=bounds)
+        out = int(cuts[-1])
+        # Each run's leftover after each batch: what it fetched less what
+        # it merged, the batch of a merged element found from the cuts.
+        merged_in = tags[tail:out] >> shift
+        merged_in += np.repeat(np.arange(0, nb * R, R),
+                               np.diff(cuts, prepend=tail))
+        left = held + (B * np.bincount(batch * R + run_of[lo:hi],
+                                       minlength=nb * R)
+                       - np.bincount(merged_in, minlength=nb * R)
+                       ).reshape(nb, R).cumsum(0)
+        if left.max() > B:
             raise RuntimeError(
-                f"batch leftover of {held.max()} elements exceeds a block")
-        data = concat([tail, out])
-        full = len(data) // B
-        cluster.write_blocks(out_pes[written:written + full],
-                             out_lbs[written:written + full], data[:full * B],
-                             PHASE_STRIPED_MERGE)
-        minima[written:written + full] = data["key"][:full * B:B]
+                f"batch leftover of {left.max()} elements exceeds a block")
+        held = left[-1]
+        full = out // B
+        # An output block is written by the batch that fills it.
+        free_and_write(cluster, pes[lo:hi], lbs[lo:hi], batch,
+                       out_pes[written:written + full],
+                       out_lbs[written:written + full],
+                       np.repeat(np.arange(nb), np.diff(cuts // B, prepend=0)),
+                       merged[:full * B], PHASE_STRIPED_MERGE)
+        minima[written:written + full] = merged["key"][:full * B:B]
         written += full
-        tail = data[full * B:]
-    if len(tail):
-        raise RuntimeError(f"striped run length {written * B + len(tail)} "
+        tail = out - full * B
+        # Copied, so that the window's arrays are dropped.
+        pending, tags = merged[full * B:].copy(), tags[full * B:].copy()
+    if tail:
+        raise RuntimeError(f"striped run length {written * B + tail} "
                            "is not a block multiple")
     _charge_moves(cluster, pes, COORDINATOR, PHASE_STRIPED_MERGE)
     _charge_moves(cluster, COORDINATOR, out_pes, PHASE_STRIPED_MERGE)

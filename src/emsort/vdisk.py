@@ -19,9 +19,9 @@ verification use the uncounted ``seed_blocks`` / ``peek_blocks`` so the
 engine I/O identities stay exact.  A write stores a copy of its elements;
 a read hands back the blocks joined as one read-only copy.  A refused run
 raises before it changes anything; that includes a PE outside ``[0, P)``
-and a phase past the counters' last (``IndexError``).  A finished sort's
-:class:`OutputLayout` names its output blocks the way a striped run does: a
-PE column and a block-id column.
+and a phase outside ``[0, len(PHASE_NAMES))`` (``IndexError``).  A
+finished sort's :class:`OutputLayout` names its output blocks the way a
+striped run does: a PE column and a block-id column.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .core import (
     WRITE,
     MachineConfig,
     PhaseCounters,
+    refuse_phase,
     sentinel_mask,
 )
 
@@ -141,7 +142,8 @@ class Cluster:
 
     def read_blocks(self, pe, lbs, phase: int) -> np.ndarray:
         """The blocks ``lbs`` of ``pe`` joined as one read-only array."""
-        counts = self.counters.blocks[phase, READ]  # refuses a bad phase first
+        refuse_phase(phase)
+        counts = self.counters.blocks[phase, READ]  # refuses a phase too high
         lbs, pe, keys = self._ids(pe, lbs)
         data = self._gather(lbs, pe, keys)
         self._charge(counts, keys)
@@ -149,6 +151,7 @@ class Cluster:
 
     def write_blocks(self, pe, lbs, elems, phase: int) -> None:
         """Store ``elems`` as the blocks ``lbs`` of ``pe``, ``B`` each."""
+        refuse_phase(phase)
         counts = self.counters.blocks[phase, WRITE]
         lbs, pe, keys = self._ids(pe, lbs)
         self._store(lbs, pe, keys, np.asarray(elems, ELEM))

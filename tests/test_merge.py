@@ -123,6 +123,42 @@ def test_batch_merge_matches_the_reference_kernel(drawn, rng):
 
 
 @st.composite
+def bounded_buffers(draw):
+    """Sorted run buffers (some empty), their offsets, and ascending
+    bounds (key, run, position), the last one possibly ``None``."""
+    R = draw(st.integers(1, 5))
+    buffers = [sorted(draw(st.lists(tied_elements, max_size=6))) for _ in range(R)]
+    offsets = draw(st.lists(st.integers(0, 5), min_size=R, max_size=R))
+    bound = st.tuples(st.one_of(st.integers(0, 4), st.just(MAX_KEY)),
+                      st.integers(0, R - 1), st.integers(0, 12))
+    bounds = sorted(draw(st.lists(bound, max_size=4)))
+    return buffers, offsets, bounds + draw(st.sampled_from([[], [None]]))
+
+
+@given(bounded_buffers(), st.randoms(use_true_random=False))
+def test_batch_merge_cuts_where_the_reference_kernel_stops(drawn, rng):
+    """One sort cut at every bound gives, up to each cut, what the heapq
+    kernel drains for that bound alone, with the tagged buffer in any
+    order."""
+    buffers, offsets, bounds = drawn
+    elems = concat([elements(buf) for buf in buffers])
+    tags = np.concatenate([j * RUN_TAG + off + np.arange(len(buf), dtype=np.int64)
+                           for j, (buf, off) in enumerate(zip(buffers, offsets))])
+    perm = rng.sample(range(len(elems)), len(elems))
+    merged, merged_tags, cuts = batch_merge(
+        elems[perm], tags[perm],
+        bounds=[b and (b[0], b[1] * RUN_TAG + b[2]) for b in bounds])
+    assert len(cuts) == len(bounds)
+    assert merged.tolist() == helpers.batch_merge(
+        [list(buf) for buf in buffers], list(offsets))
+    assert list(zip(merged["key"].tolist(), merged_tags.tolist())) == \
+        sorted(zip(elems["key"].tolist(), tags.tolist()))
+    for bound, cut in zip(bounds, cuts):
+        assert merged[:cut].tolist() == helpers.batch_merge(
+            [list(buf) for buf in buffers], list(offsets), bound)
+
+
+@st.composite
 def staged_plans(draw):
     """Per run: sorted elements split into pieces, each stored from a drawn
     offset into its first block.  The last run is padded with sentinels to

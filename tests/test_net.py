@@ -16,7 +16,7 @@ from emsort.net import ProtocolError, charge_volume, gather_splitters
 from emsort.redistribute import compute_splitters
 from emsort.runform import run_layout
 
-from helpers import build, fill
+from helpers import build, counter_state, fill
 
 
 def test_charge_volume_charges_the_off_diagonal_per_pe():
@@ -50,6 +50,19 @@ def test_gather_splitters_counts_control():
         with pytest.raises(ProtocolError):
             gather_splitters(cl, sizes, PHASE_SELECTION)
     assert cl.counters.traffic[PHASE_SELECTION, CONTROL].tolist() == control
+
+
+@pytest.mark.parametrize("charge", [
+    lambda cl: charge_volume(cl, np.ones((2, 2), np.int64), -1),
+    lambda cl: gather_splitters(cl, [1, 2], -1),
+], ids=["charge_volume", "gather_splitters"])
+def test_a_negative_phase_is_refused_before_any_charge(charge):
+    """Phase -1 would index the counters' last phase; it is refused."""
+    cl = build(P=2)
+    before = counter_state(cl)
+    with pytest.raises(IndexError):
+        charge(cl)
+    assert counter_state(cl) == before
 
 
 def test_gather_splitters_charges_no_element_traffic():

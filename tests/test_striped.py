@@ -238,17 +238,46 @@ def counting(cl):
     return calls
 
 
-def test_merge_pass_moves_whole_batches():
-    """Exactly one read, one free and one write call per batch, and one
-    stripe allocation for the output: a return to calls per PE or per
-    block fails here."""
+def windowed(cfg: MachineConfig, batches: int | None):
+    """A patch of the merge pass's window to ``batches`` whole batches of
+    ``cfg`` (``None`` keeps the default), and the batches it then holds."""
+    batch = max(1, cfg.M // (2 * cfg.B)) * cfg.B
+    size = striped._WINDOW if batches is None else batches * batch
+    return mock.patch.object(striped, "_WINDOW", size), max(1, size // batch)
+
+
+@pytest.mark.parametrize("batches", [1, 3, None])
+def test_merge_pass_moves_whole_batches(batches):
+    """Per window of whole batches, one read call, one ``batch_merge``
+    call, and at most two free and two write calls; one stripe allocation
+    for the output: a return to calls per batch, per PE or per block fails
+    here."""
     cl, _inputs, runs = formed(P=2, N=256, seed=14)     # 64 blocks, batches of 8
     calls = counting(cl)
-    out = striped_merge_pass(cl, runs, start_disk=0)
-    batches = -(-len(out.lbs) // (cl.cfg.M // (2 * cl.cfg.B)))
-    assert batches == 8
+    log: list[str] = []
     for name in ("read_blocks", "free_blocks", "write_blocks"):
-        assert calls[name] == batches, (name, calls)
+        def logged(*args, _method=getattr(cl, name), _name=name, **kwargs):
+            log.append(_name)
+            return _method(*args, **kwargs)
+        setattr(cl, name, logged)
+    merges = []
+
+    def merge(*args, _kernel=striped.batch_merge, **kwargs):
+        merges.append(args)
+        return _kernel(*args, **kwargs)
+
+    window, per_window = windowed(cl.cfg, batches)
+    with window, mock.patch.object(striped, "batch_merge", merge):
+        out = striped_merge_pass(cl, runs, start_disk=0)
+    batches_in_pass = -(-len(out.lbs) // (cl.cfg.M // (2 * cl.cfg.B)))
+    assert batches_in_pass == 8
+    windows = -(-batches_in_pass // per_window)
+    assert calls["read_blocks"] == len(merges) == windows
+    assert log[0] == "read_blocks"
+    per_window_calls = " ".join(log).split("read_blocks")[1:]
+    for names in per_window_calls:
+        assert 1 <= names.count("free_blocks") <= 2, log
+        assert names.count("write_blocks") <= 2, log
     assert (calls["alloc_stripe"], calls["alloc_blocks"]) == (1, 0)
 
 
@@ -329,17 +358,34 @@ def passes_by(merge_pass, cfg: MachineConfig, kind: str):
             [cl.peek_blocks(pe, lbs).tolist() for pe, lbs in enumerate(live)])
 
 
+@pytest.mark.parametrize("batches", [1, 3, None])
 @settings(max_examples=60, deadline=None)
 @given(striped_configs())
 @example((MachineConfig(P=2, D=3, B=4, m=32, N=4000, seed=5), "duplicate_heavy"))
 @example((MachineConfig(P=3, D=2, B=2, m=6, N=150, seed=9, randomize=False),
           "duplicate_heavy"))
-def test_planned_merge_pass_matches_the_per_batch_pass(drawn):
+def test_planned_merge_pass_matches_the_per_batch_pass(batches, drawn):
     """The pass planned once gives the per-batch pass's runs (columns and
-    minima), counters, per-PE peaks, live block ids and stored blocks."""
+    minima), counters, per-PE peaks, live block ids and stored blocks,
+    with windows of ``batches`` batches: every drawn config fits one
+    default window, so only a smaller one spans several."""
     cfg, kind = drawn
-    assert passes_by(striped_merge_pass, cfg, kind) == passes_by(
-        helpers.per_batch_striped_merge_pass, cfg, kind)
+    window, _per_window = windowed(cfg, batches)
+    with window:
+        planned = passes_by(striped_merge_pass, cfg, kind)
+    assert planned == passes_by(helpers.per_batch_striped_merge_pass, cfg, kind)
+
+
+@pytest.mark.parametrize("batches", [1, None])
+def test_merge_pass_refuses_blocks_fetched_early(batches):
+    """Two late blocks of one run whose minima claim the smallest key are
+    fetched with the first batch, and their elements stay buffered past
+    it: the leftover check refuses the pass, whatever the window."""
+    cl, _inputs, runs = formed(P=2, N=256, seed=16)     # 4 runs, batches of 8
+    runs[0].minima[-3:-1] = 0
+    window, _per_window = windowed(cl.cfg, batches)
+    with window, pytest.raises(RuntimeError, match="leftover"):
+        striped_merge_pass(cl, runs, start_disk=0)
 
 
 @st.composite

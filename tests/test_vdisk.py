@@ -146,6 +146,7 @@ REFUSED = {
         0, lbs + [999], PHASE_RUN_FORMATION),
     "read in an unknown phase": lambda cl, lbs, freed: cl.read_blocks(
         0, lbs, len(PHASE_NAMES)),
+    "read in phase -1": lambda cl, lbs, freed: cl.read_blocks(0, lbs, -1),
     "peek of a freed id": lambda cl, lbs, freed: cl.peek_blocks(0, [freed]),
     "write of one element short": lambda cl, lbs, freed: cl.write_blocks(
         0, lbs + [freed], block_of(7, 4 * 4 - 1), PHASE_RUN_FORMATION),
@@ -153,6 +154,8 @@ REFUSED = {
         0, lbs + [freed], block_of(7, 4 * 5), PHASE_RUN_FORMATION),
     "write in an unknown phase": lambda cl, lbs, freed: cl.write_blocks(
         0, lbs, block_of(7, 4 * 3), len(PHASE_NAMES)),
+    "write in phase -1": lambda cl, lbs, freed: cl.write_blocks(
+        0, lbs, block_of(7, 4 * 3), -1),
     "seed of one element short": lambda cl, lbs, freed: cl.seed_blocks(
         0, [freed, 50], block_of(7, 7)),
     "free of a freed id": lambda cl, lbs, freed: cl.free_blocks(
