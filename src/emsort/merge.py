@@ -60,8 +60,9 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
         due = (rank[ends - 1] + 1) // B
         nb = n // B
         out_blocks = cluster.alloc_blocks(t, nb)
-        free_and_write(cluster, t, table.ids, due, t, out_blocks,
-                       np.arange(nb), elems[order], PHASE_LOCAL_MERGE)
+        free_and_write(cluster, np.full(len(due), t), table.ids, due,
+                       np.full(nb, t), out_blocks, np.arange(nb), elems[order],
+                       PHASE_LOCAL_MERGE)
         cluster.counters.overhead[PHASE_LOCAL_MERGE] += len(table.ids) * B - n
         out_lbs.append(out_blocks)
     return OutputLayout("canonical",
@@ -71,28 +72,25 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
 
 def free_and_write(cluster, pe_in, ids_in, due, pe, ids, step, elems,
                    phase: int) -> None:
-    """Free the blocks ``ids_in`` of ``pe_in`` and write ``elems`` as the
-    blocks ``ids`` of ``pe``, ``B`` each, in two calls each, leaving every
-    PE's peak block count, per-disk charges and block ids those of a
-    stream.
+    """Free the blocks ``ids_in`` of the PEs ``pe_in`` and write ``elems``
+    as the blocks ``ids`` of the PEs ``pe``, ``B`` each, in two calls each,
+    leaving every PE's peak block count, per-disk charges and block ids
+    those of a stream.
 
     Step ``s`` of the stream frees the blocks due at ``s``, then writes
     the blocks of step ``s``; ``step`` ascends, and a block due after the
     last step is freed at the end.  The first calls run each PE's part of
     the stream up to that PE's first step of most blocks held, the second
-    the rest.  A PE is one int for all blocks or an ``int64`` column, as in
-    the cluster's calls.
+    the rest.  The PEs are ``int64`` columns, one per block.
     """
     S = int(step[-1]) + 1 if len(step) else 0
-    per_pe = isinstance(pe, np.ndarray)
-    rows, row_in, row = (cluster.cfg.P, pe_in, pe) if per_pe else (1, 0, 0)
-    width = S + 1
-    held = (np.bincount(row * width + step, minlength=rows * width)
-            - np.bincount(row_in * width + np.minimum(due, S),
-                          minlength=rows * width))
-    peak = (held.reshape(rows, width)[:, :S].cumsum(1).argmax(1) if S
-            else np.full(rows, -1))
-    first_in, first = due <= peak[row_in], step <= peak[row]
+    P, width = cluster.cfg.P, S + 1
+    held = (np.bincount(pe * width + step, minlength=P * width)
+            - np.bincount(pe_in * width + np.minimum(due, S),
+                          minlength=P * width))
+    peak = (held.reshape(P, width)[:, :S].cumsum(1).argmax(1) if S
+            else np.full(P, -1))
+    first_in, first = due <= peak[pe_in], step <= peak[pe]
     # Whole blocks as single values: selecting them is then one copy each,
     # and none where the first writes are a prefix, as they are for one PE.
     blocks = elems.view(np.dtype((np.void, cluster.cfg.B * ELEM.itemsize)))
@@ -101,37 +99,30 @@ def free_and_write(cluster, pe_in, ids_in, due, pe, ids, step, elems,
              else (first, ~first))
     for frees, writes in zip((first_in, ~first_in), picks):
         if frees.any():
-            cluster.free_blocks(pe_in[frees] if per_pe else pe_in,
-                                ids_in[frees])
+            cluster.free_blocks(pe_in[frees], ids_in[frees])
         out = ids[writes]
         if len(out):
-            cluster.write_blocks(pe[writes] if per_pe else pe, out,
-                                 blocks[writes].view(ELEM), phase)
+            cluster.write_blocks(pe[writes], out, blocks[writes].view(ELEM),
+                                 phase)
 
 
-def batch_merge(elems: np.ndarray, tags: np.ndarray,
-                bound: tuple[int, int] | None = None, *, bounds=None):
+def batch_merge(elems: np.ndarray, tags: np.ndarray, bounds):
     """Sort buffered elements in the total order (key, tag) and cut them at
-    bounds in that order.
+    each of ``bounds``.
 
     ``tags`` is an ``int64`` column that orders ties: the striped engine
     tags each element with its run over its position, so (key, tag) is the
-    order (key, run, position).  Given ``bounds``, ascending (key, tag)
-    pairs with ``None`` for one past everything, returns the elements and
+    order (key, run, position).  ``bounds`` are ascending (key, tag) pairs,
+    ``None`` standing for one past everything.  Returns the elements and
     their tags in that order and, per bound, how many lie strictly below
-    it.  Given one ``bound`` instead, returns the elements strictly below
-    it, the rest, and the rest's tags; ``None`` drains everything.
+    it.
     """
     order = sort_order(elems["key"], tags)
     elems, tags = elems[order], tags[order]
     keys = elems["key"]
     cuts = np.array([len(keys) if b is None else _below(keys, tags, *b)
-                     for b in (bounds if bounds is not None else [bound])],
-                    np.int64)
-    if bounds is not None:
-        return elems, tags, cuts
-    n = int(cuts[0])
-    return elems[:n], elems[n:], tags[n:]
+                     for b in bounds], np.int64)
+    return elems, tags, cuts
 
 
 def _below(keys: np.ndarray, tags: np.ndarray, key: int, tag: int) -> int:

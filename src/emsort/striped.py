@@ -290,7 +290,7 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
         merged, tags, cuts = batch_merge(
             concat([pending, cluster.read_blocks(pes[lo:hi], lbs[lo:hi],
                                                  PHASE_STRIPED_MERGE)]),
-            tags, bounds=bounds)
+            tags, bounds)
         out = int(cuts[-1])
         # Each run's leftover after each batch: what it fetched less what
         # it merged, the batch of a merged element found from the cuts.

@@ -600,8 +600,10 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
                             B * len(ids))
             cluster.free_blocks(pe, ids)
         bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
-        out, pending, tags = array_batch_merge(concat(parts),
-                                               np.concatenate(part_tags), bound)
+        merged, tags, cuts = array_batch_merge(
+            concat(parts), np.concatenate(part_tags), [bound])
+        n = int(cuts[0])
+        out, pending, tags = merged[:n], merged[n:], tags[n:]
         held = np.bincount(np.searchsorted(first * B, tags, "right"))
         if len(held) and held.max() > B:
             raise RuntimeError(

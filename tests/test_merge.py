@@ -43,23 +43,34 @@ def pipeline(P=4, B=4, m=32, N=384, kind="random", seed=0, randomize=True):
 RUN_TAG = 1 << 20
 
 
-def merge_buffers(buffers, offsets, bound=None, rng=None):
-    """``batch_merge`` over run buffers that start at run positions
-    ``offsets``, each element tagged ``run * RUN_TAG + position`` and the
-    buffer shuffled by ``rng`` if given.  Returns the merged prefix below
-    ``bound`` (key, run, position) and what stays of each buffer."""
+def tag_buffers(buffers, offsets, rng=None):
+    """The run buffers joined, each element tagged ``run * RUN_TAG +
+    position`` from run positions ``offsets``, shuffled by ``rng`` if
+    given."""
     elems = concat(buffers)
     tags = np.concatenate([j * RUN_TAG + off + np.arange(len(buf), dtype=np.int64)
                            for j, (buf, off) in enumerate(zip(buffers, offsets))])
     if rng is not None:
         perm = rng.sample(range(len(elems)), len(elems))
         elems, tags = elems[perm], tags[perm]
-    if bound is not None:
-        key, run, pos = bound
-        bound = (key, run * RUN_TAG + pos)
-    out, rest, rest_tags = batch_merge(elems, tags, bound)
-    return out.tolist(), [rest[rest_tags // RUN_TAG == j].tolist()
-                          for j in range(len(buffers))]
+    return elems, tags
+
+
+def order_key(bound):
+    """A bound (key, run, position) as the kernel's (key, tag)."""
+    return bound and (bound[0], bound[1] * RUN_TAG + bound[2])
+
+
+def merge_buffers(buffers, offsets, bound=None, rng=None):
+    """``batch_merge`` over run buffers that start at run positions
+    ``offsets``, the buffer shuffled by ``rng`` if given.  Returns the
+    merged prefix below ``bound`` (key, run, position) and what stays of
+    each buffer."""
+    merged, tags, cuts = batch_merge(*tag_buffers(buffers, offsets, rng),
+                                     [order_key(bound)])
+    n = int(cuts[0])
+    return merged[:n].tolist(), [merged[n:][tags[n:] // RUN_TAG == j].tolist()
+                                 for j in range(len(buffers))]
 
 
 def test_batch_merge_drains_to_sorted_order():
@@ -98,64 +109,45 @@ def test_batch_merge_bound_excludes_equal_order_key():
 
 @st.composite
 def buffered_runs(draw):
-    """Sorted run buffers (some empty), their offsets, and a bound on a tied
-    key that falls before, inside or after its own run's buffer."""
+    """Sorted run buffers (some empty), their offsets, and ascending bounds
+    (key, run, position), each on a tied key and falling before, inside or
+    after its own run's buffer, the last one possibly ``None``."""
     R = draw(st.integers(1, 5))
     buffers = [sorted(draw(st.lists(tied_elements, max_size=6))) for _ in range(R)]
     offsets = draw(st.lists(st.integers(0, 5), min_size=R, max_size=R))
-    run = draw(st.integers(0, R - 1))
-    pos = draw(st.integers(offsets[run] - 1, offsets[run] + len(buffers[run]) + 1))
-    key = draw(st.one_of(st.integers(0, 4), st.just(MAX_KEY)))
-    return buffers, offsets, draw(st.one_of(st.none(), st.just((key, run, pos))))
+
+    @st.composite
+    def bound(draw):
+        run = draw(st.integers(0, R - 1))
+        pos = draw(st.integers(offsets[run] - 1,
+                               offsets[run] + len(buffers[run]) + 1))
+        return draw(st.one_of(st.integers(0, 4), st.just(MAX_KEY))), run, pos
+
+    bounds = sorted(draw(st.lists(bound(), max_size=4)))
+    if not bounds or draw(st.booleans()):
+        bounds.append(None)
+    return buffers, offsets, bounds
 
 
 @given(buffered_runs(), st.randoms(use_true_random=False))
 def test_batch_merge_matches_the_reference_kernel(drawn, rng):
-    """Against the heapq kernel over per-run buffers, with the tagged
-    buffer in any order."""
-    buffers, offsets, bound = drawn
-    ref_buffers = [list(buf) for buf in buffers]
-    expected = helpers.batch_merge(ref_buffers, list(offsets), bound)
-    got, rest = merge_buffers([elements(buf) for buf in buffers], offsets,
-                              bound, rng)
-    assert got == expected
-    assert rest == ref_buffers
-
-
-@st.composite
-def bounded_buffers(draw):
-    """Sorted run buffers (some empty), their offsets, and ascending
-    bounds (key, run, position), the last one possibly ``None``."""
-    R = draw(st.integers(1, 5))
-    buffers = [sorted(draw(st.lists(tied_elements, max_size=6))) for _ in range(R)]
-    offsets = draw(st.lists(st.integers(0, 5), min_size=R, max_size=R))
-    bound = st.tuples(st.one_of(st.integers(0, 4), st.just(MAX_KEY)),
-                      st.integers(0, R - 1), st.integers(0, 12))
-    bounds = sorted(draw(st.lists(bound, max_size=4)))
-    return buffers, offsets, bounds + draw(st.sampled_from([[], [None]]))
-
-
-@given(bounded_buffers(), st.randoms(use_true_random=False))
-def test_batch_merge_cuts_where_the_reference_kernel_stops(drawn, rng):
     """One sort cut at every bound gives, up to each cut, what the heapq
-    kernel drains for that bound alone, with the tagged buffer in any
+    kernel over per-run buffers drains for that bound alone, and past the
+    last cut what that kernel leaves, with the tagged buffer in any
     order."""
     buffers, offsets, bounds = drawn
-    elems = concat([elements(buf) for buf in buffers])
-    tags = np.concatenate([j * RUN_TAG + off + np.arange(len(buf), dtype=np.int64)
-                           for j, (buf, off) in enumerate(zip(buffers, offsets))])
-    perm = rng.sample(range(len(elems)), len(elems))
-    merged, merged_tags, cuts = batch_merge(
-        elems[perm], tags[perm],
-        bounds=[b and (b[0], b[1] * RUN_TAG + b[2]) for b in bounds])
+    elems, tags = tag_buffers([elements(buf) for buf in buffers], offsets, rng)
+    merged, merged_tags, cuts = batch_merge(elems, tags,
+                                            [order_key(b) for b in bounds])
     assert len(cuts) == len(bounds)
-    assert merged.tolist() == helpers.batch_merge(
-        [list(buf) for buf in buffers], list(offsets))
     assert list(zip(merged["key"].tolist(), merged_tags.tolist())) == \
         sorted(zip(elems["key"].tolist(), tags.tolist()))
     for bound, cut in zip(bounds, cuts):
+        ref_buffers = [list(buf) for buf in buffers]
         assert merged[:cut].tolist() == helpers.batch_merge(
-            [list(buf) for buf in buffers], list(offsets), bound)
+            ref_buffers, list(offsets), bound)
+    assert [merged[cut:][merged_tags[cut:] // RUN_TAG == j].tolist()
+            for j in range(len(buffers))] == ref_buffers
 
 
 @st.composite
@@ -271,7 +263,8 @@ def test_local_merge_writes_and_frees_each_slice_in_two_calls():
     calls: Counter[tuple[str, int]] = Counter()
     for name in ("write_blocks", "free_blocks"):
         def counted(pe, *args, _method=getattr(cl, name), _name=name):
-            calls[_name, pe] += 1
+            (one,) = set(np.atleast_1d(pe).tolist())   # one PE per call
+            calls[_name, one] += 1
             return _method(pe, *args)
         setattr(cl, name, counted)
     local_multiway_merge(cl, redist.staged)
