@@ -149,7 +149,7 @@ def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
         count += c
         total = (total + t) & ((1 << 128) - 1)
         blocks = cluster.alloc_blocks(pe, local // cfg.B)
-        cluster.seed_blocks(pe, blocks, elems)
+        cluster.seed_blocks(np.full(len(blocks), pe), blocks, elems)
         pe_blocks.append(blocks)
     return GeneratedInput(pe_blocks, count, total)
 

@@ -42,7 +42,8 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
         if n % B:
             raise RuntimeError(
                 f"output slice of PE {t} is {n} elements, not a block multiple")
-        data = cluster.read_blocks(t, table.ids, PHASE_LOCAL_MERGE)
+        pe_in = np.full(len(table.ids), t)
+        data = cluster.read_blocks(pe_in, table.ids, PHASE_LOCAL_MERGE)
         # Piece i is data[at[i]:end[i]]; in elems it starts shift[i] earlier.
         at = (np.cumsum(count) - count) * B + table.start
         end = at + table.length
@@ -52,6 +53,10 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
         piece = np.repeat(np.arange(len(count)), count)
         ends = np.minimum(np.arange(B, (len(piece) + 1) * B, B),
                           end[piece]) - shift[piece]
+        # Not core.sort_order: elems is R sorted pieces joined, which the
+        # stable sort (timsort) merges in near-linear time.  Two sorted
+        # runs of 16,384 keys take 0.23 ms against 0.81 ms with distinct
+        # keys, and 0.10 ms against 0.85 ms with 8 (numpy 2.4.6, 2 vCPUs).
         order = np.argsort(elems["key"], kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
@@ -60,7 +65,7 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
         due = (rank[ends - 1] + 1) // B
         nb = n // B
         out_blocks = cluster.alloc_blocks(t, nb)
-        free_and_write(cluster, np.full(len(due), t), table.ids, due,
+        free_and_write(cluster, pe_in, table.ids, due,
                        np.full(nb, t), out_blocks, np.arange(nb), elems[order],
                        PHASE_LOCAL_MERGE)
         cluster.counters.overhead[PHASE_LOCAL_MERGE] += len(table.ids) * B - n

@@ -6,11 +6,13 @@ chunks of m/B of them.  A run is one memory load of the whole cluster
 (M = P*m elements, the last run possibly shorter): the processors
 cooperatively sort the load so that processor 0 ends up with the globally
 smallest chunk and so on, and each chunk is written back over the very
-blocks it was read from.  The load is sorted once, as the processors'
-loads joined in processor order; the exchange that sorting implies is
-charged from where each element came from and which chunk it lands in.
-While writing, every K-th element of the run is retained as a sample for
-splitter seeding, as a column of keys beside a column of run positions.
+blocks it was read from.  A load is one array, the processors' shares
+joined in processor order: it is read with one call on the PE and block-id
+columns of the whole cluster, sorted once, and written back with one call,
+and the exchange that sorting implies is charged from where each element
+came from and which chunk it lands in.  Every K-th element of the run is
+retained as a sample for splitter seeding, as a column of keys beside a
+column of run positions.
 
 The shuffle is what makes each run a random subset of the local blocks:
 downstream, the rank cuts of such runs sit close to their slice boundaries,
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ELEM, MachineConfig, PHASE_RUN_FORMATION, concat, derive_seed, sort_order,
+    ELEM, MachineConfig, PHASE_RUN_FORMATION, derive_seed, sort_order,
 )
 from .net import charge_volume, gather_splitters
 
@@ -74,40 +76,37 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> np.ndarray:
     return ids[rng.permutation(len(ids))]
 
 
-def internal_parallel_sort(cluster, loads: list[np.ndarray]) -> list[np.ndarray]:
+def internal_parallel_sort(cluster, load: np.ndarray) -> np.ndarray:
     """Sort one memory load across processors.
 
-    ``loads[p]`` is processor p's unsorted share.  Returns equal-size
-    chunks, chunk p preceding chunk p+1, each in (key, serial) order, with
-    the single data exchange charged to run formation.  The chunk cuts are
-    exact rank splits in the order (key, processor, serial), so chunk sizes
-    match the shares.
+    ``load`` is the processors' equal unsorted shares joined in processor
+    order.  Returns it in (key, serial) order as one array, whose share p
+    is the sorted chunk p ends up with, with the single data exchange
+    charged to run formation.  The chunk cuts are exact rank splits in the
+    order (key, processor, serial).
 
-    The loads joined in processor order are sorted once by (key, serial),
-    and the chunks are slices of that order.  Only a group of equal keys
-    that crosses a cut is sorted again, by small-integer stable sorts over
-    the group alone: by processor, which gives each element its rank and so
-    its chunk, then by chunk.  Each element's processor and chunk give the
-    exchanged volumes and the cut positions every processor learns.
+    The load is sorted once by (key, serial), and the chunks are slices of
+    that order.  Only a group of equal keys that crosses a cut is sorted
+    again, by small-integer stable sorts over the group alone: by
+    processor, which gives each element its rank and so its chunk, then by
+    chunk.  Each element's processor and chunk give the exchanged volumes
+    and the cut positions every processor learns.
     """
-    P = len(loads)
+    P = cluster.cfg.P
     m = cluster.cfg.m
-    for load in loads:
-        if len(load) > m:
-            raise MemoryError(f"load of {len(load)} elements exceeds m={m}")
-    total = sum(len(load) for load in loads)
-    if total == 0:
-        return [np.empty(0, ELEM) for _ in range(P)]
+    total = len(load)
+    if total > P * m:
+        raise MemoryError(f"a share of a {total}-element load exceeds m={m}")
     if total % P:
         raise ValueError("load size is not divisible by processor count")
+    if total == 0:
+        return np.empty(0, ELEM)
     share = total // P
-    joined = concat(loads)
-    order = sort_order(joined["key"], joined["serial"])
+    order = sort_order(load["key"], load["serial"])
     small = np.min_scalar_type(P)
-    source = np.repeat(np.arange(P, dtype=small),
-                       [len(load) for load in loads])[order]
-    ordered = joined[order]
-    del joined, order
+    source = (order // share).astype(small)
+    ordered = load[order]
+    del order
     keys = ordered["key"]
     cuts = np.arange(share, total, share)
     tied = cuts[keys[cuts - 1] == keys[cuts]].tolist()
@@ -135,7 +134,7 @@ def internal_parallel_sort(cluster, loads: list[np.ndarray]) -> list[np.ndarray]
     # P - 1 cuts as control traffic.
     gather_splitters(cluster, np.full(P, P - 1), PHASE_RUN_FORMATION)
     charge_volume(cluster, volume.T, PHASE_RUN_FORMATION)
-    return [ordered[p * share:(p + 1) * share] for p in range(P)]
+    return ordered
 
 
 def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
@@ -143,8 +142,9 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
 
     ``pe_blocks[p]`` lists processor p's input blocks in input order (a
     list or an ``int64`` column); each holds the same count and
-    N = count * B * P.  Returns a descriptor per run, including the
-    every-K-th sample gathered during write-back.
+    N = count * B * P.  Each run is read with one call and written with
+    one.  Returns a descriptor per run, including the every-K-th sample
+    of the sorted load.
     """
     cfg = cluster.cfg
     B, K = cfg.B, cfg.sample_rate
@@ -154,17 +154,14 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
     base = 0
     for length, share in run_layout(cfg):
         take = share // B
-        chunk = np.sort(order[:, base:base + take])
-        loads = [cluster.read_blocks(p, order[p, base:base + take],
-                                     PHASE_RUN_FORMATION)
-                 for p in range(cfg.P)]
+        ids = order[:, base:base + take]
         base += take
-        chunks = internal_parallel_sort(cluster, loads)
-        keys = []
-        for p, sorted_chunk in enumerate(chunks):
-            cluster.write_blocks(p, chunk[p], sorted_chunk, PHASE_RUN_FORMATION)
-            g = -(-(p * share) // K) * K  # first sampled position in chunk
-            keys.append(sorted_chunk["key"][g - p * share::K])
-        runs.append(RunDescriptor(length, share, B, chunk, np.concatenate(keys),
+        pes = np.repeat(np.arange(cfg.P), take)
+        data = internal_parallel_sort(
+            cluster, cluster.read_blocks(pes, ids.ravel(), PHASE_RUN_FORMATION))
+        chunk = np.sort(ids)
+        cluster.write_blocks(pes, chunk.ravel(), data, PHASE_RUN_FORMATION)
+        runs.append(RunDescriptor(length, share, B, chunk,
+                                  data["key"][::K].copy(),
                                   np.arange(0, length, K, dtype=np.int64)))
     return runs

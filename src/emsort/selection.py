@@ -74,7 +74,7 @@ class DiskAccessor:
         if hit is not None and hit[0] == (pe, lb):
             block = hit[1]
         else:
-            block = self.cluster.read_blocks(pe, [lb], PHASE_SELECTION)
+            block = self.cluster.read_blocks([pe], [lb], PHASE_SELECTION)
             self.blocks_read += 1
             self._cache[run] = ((pe, lb), block)
         okey = (int(block["key"][off]), run, pos)

@@ -77,10 +77,10 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
 def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
     """Sort memory-sized chunks of the input into striped runs.
 
-    Each run is one memory load: PE p reads chunk p of it, the load is
-    sorted by one ``internal_parallel_sort`` (a single sort of the chunks
-    joined in PE order), and the sorted load is written striped over all
-    disks; each run reads, frees and writes its blocks with one call each.
+    Each run is one memory load: PE p reads share p of it, the load (the
+    shares joined in PE order) is sorted by one ``internal_parallel_sort``,
+    and the sorted load is written striped over all disks; each run reads,
+    frees and writes its blocks with one call each.
     Costs 2N element I/O plus the internal sort's communication.
     """
     cfg = cluster.cfg
@@ -95,20 +95,17 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
         take = min(share, local - offset)
         chunk = slice(offset // B, (offset + take) // B)
         pes, lbs = owners[:, chunk].ravel(), ids[:, chunk].ravel()
-        loads = np.split(cluster.read_blocks(pes, lbs, PHASE_RUN_FORMATION),
-                         cfg.P)
+        load = cluster.read_blocks(pes, lbs, PHASE_RUN_FORMATION)
         cluster.free_blocks(pes, lbs)
-        pieces = internal_parallel_sort(cluster, loads)
-        data = concat(pieces)
+        data = internal_parallel_sort(cluster, load)
         if len(data) % B:
             raise RuntimeError(
                 f"striped run length {len(data)} is not a block multiple")
         start = _run_start_disk(cluster, 2, index)
         pes, lbs = cluster.alloc_stripe(start, len(data) // B)
-        # Every PE writes its own sorted piece, so cross-PE traffic is
+        # Every PE writes its own sorted share, so cross-PE traffic is
         # charged from the PE holding a block's last element to its owner.
-        ends = np.cumsum([len(piece) for piece in pieces])
-        holders = np.searchsorted(ends, np.arange(B - 1, len(data), B), "right")
+        holders = np.arange(B - 1, len(data), B) // take
         cluster.write_blocks(pes, lbs, data, PHASE_RUN_FORMATION)
         _charge_moves(cluster, holders, pes, PHASE_RUN_FORMATION)
         runs.append(StripedRun(len(data), pes, lbs, data["key"][::B].copy()))

@@ -9,19 +9,19 @@ striped over every disk of the cluster in one call.
 rows of ``B`` elements, an ``int64`` map from ``(lb, pe)`` (laid out as
 ``lb * P + pe``) to a slab row or ``-1``, and a stack of free rows, so the
 slab grows with the live blocks, not with the ids handed out.  Its calls
-speak in runs of blocks: a column of ids, and a PE that is either one int
-for the whole run or an ``int64`` column as long as the ids, so one call
-can touch blocks of every PE.  Each call costs a few array operations,
-not a Python step per block.  Engine reads and writes are charged to a
-phase, the first index of the shared :class:`~emsort.core.PhaseCounters`
-arrays, one ``(D, P)`` count matrix per call; input materialization and
-verification use the uncounted ``seed_blocks`` / ``peek_blocks`` so the
-engine I/O identities stay exact.  A write stores a copy of its elements;
-a read hands back the blocks joined as one read-only copy.  A refused run
-raises before it changes anything; that includes a PE outside ``[0, P)``
-and a phase outside ``[0, len(PHASE_NAMES))`` (``IndexError``).  A
-finished sort's :class:`OutputLayout` names its output blocks the way a
-striped run does: a PE column and a block-id column.
+speak in runs of blocks: a column of ids and a column of their PEs, both
+``int64`` and as long, so one call can touch blocks of every PE.  Each
+call costs a few array operations, not a Python step per block.  Engine
+reads and writes are charged to a phase, the first index of the shared
+:class:`~emsort.core.PhaseCounters` arrays, one ``(D, P)`` count matrix
+per call; input materialization and verification use the uncounted
+``seed_blocks`` / ``peek_blocks`` so the engine I/O identities stay exact.
+A write stores a copy of its elements; a read hands back the blocks joined
+as one read-only copy.  A refused run raises before it changes anything;
+that includes a PE that is not such a column, a PE outside ``[0, P)`` and
+a phase outside ``[0, len(PHASE_NAMES))`` (``IndexError``).  A finished
+sort's :class:`OutputLayout` names its output blocks the way a striped run
+does: a PE column and a block-id column.
 """
 from __future__ import annotations
 
@@ -133,10 +133,7 @@ class Cluster:
         self._row[keys] = -1
         self._free[self._nfree:self._nfree + len(rows)] = rows
         self._nfree += len(rows)
-        if isinstance(pe, np.ndarray):
-            np.subtract.at(self.live, pe, 1)
-        else:
-            self.live[pe] -= len(rows)
+        self.live -= np.bincount(pe, minlength=self.cfg.P)
 
     # -- counted I/O ---------------------------------------------------------
 
@@ -177,19 +174,17 @@ class Cluster:
             raise DiskError(f"pe={pe} is outside [0, {self.cfg.P})")
 
     def _ids(self, pe, lbs):
-        """``lbs`` as an ``int64`` column, ``pe`` as an int or, given as an
-        array, as an ``int64`` column as long, and the blocks' keys; raises
-        :class:`DiskError` naming the first PE outside ``[0, P)``."""
+        """``lbs`` and ``pe`` as ``int64`` columns, and the blocks' keys;
+        raises :class:`DiskError` unless ``pe`` is a column as long as
+        ``lbs``, or naming the first PE outside ``[0, P)``."""
         lbs = np.asarray(lbs, np.int64)
+        pe = np.asarray(pe, np.int64)
         P = self.cfg.P
-        if isinstance(pe, np.ndarray):
-            pe = pe.astype(np.int64, copy=False)
-            if pe.shape != lbs.shape:
-                raise DiskError(f"{len(pe)} pes for {len(lbs)} block ids")
-            if len(pe) and np.maximum.reduce(pe.view(np.uint64)) >= P:
-                self._check_pe(int(pe[(pe.view(np.uint64) >= P).argmax()]))
-        else:
-            self._check_pe(pe)
+        if pe.shape != lbs.shape:
+            raise DiskError(f"pe of shape {pe.shape} for block ids of shape "
+                            f"{lbs.shape}: give one pe per block id")
+        if len(pe) and np.maximum.reduce(pe.view(np.uint64)) >= P:
+            self._check_pe(int(pe[(pe.view(np.uint64) >= P).argmax()]))
         keys = lbs * P
         keys += pe
         return lbs, pe, keys
@@ -206,7 +201,7 @@ class Cluster:
         repeat = np.ones(len(keys), bool)
         repeat[first] = False
         raise DiskError(f"{verb} of a block twice in one batch on "
-                        f"pe={_at(pe, int(repeat.argmax()))}")
+                        f"pe={pe[repeat.argmax()]}")
 
     def _rows(self, keys: np.ndarray) -> np.ndarray:
         """The slab row of each block, ``-1`` where none is stored."""
@@ -221,7 +216,7 @@ class Cluster:
         rows = self._rows(keys)
         if len(rows) and np.minimum.reduce(rows) < 0:
             i = int((rows < 0).argmax())
-            raise DiskError(f"read of unallocated block pe={_at(pe, i)} "
+            raise DiskError(f"read of unallocated block pe={pe[i]} "
                             f"lb={lbs[i]}")
         data = self._slab[rows].view(ELEM)
         data.flags.writeable = False
@@ -233,14 +228,13 @@ class Cluster:
         B = self.cfg.B
         n = len(lbs)
         if elems.size != n * B:
-            on = "" if isinstance(pe, np.ndarray) else f" of pe={pe}"
-            raise DiskError(f"store of {elems.size} elements to {n} blocks"
-                            f"{on}; block size is {B}")
+            raise DiskError(f"store of {elems.size} elements to {n} blocks; "
+                            f"block size is {B}")
         if not n:
             return
         if np.minimum.reduce(lbs) < 0:
             i = int((lbs < 0).argmax())
-            raise DiskError(f"write of negative block id pe={_at(pe, i)} "
+            raise DiskError(f"write of negative block id pe={pe[i]} "
                             f"lb={lbs[i]}")
         self._refuse_repeats("write", keys, pe)
         top = int(np.maximum.reduce(keys))
@@ -258,10 +252,7 @@ class Cluster:
             else:
                 rows[fresh] = new
             self._row[keys[fresh]] = new
-            if isinstance(pe, np.ndarray):
-                np.add.at(self.live, pe[fresh], 1)
-            else:
-                self.live[pe] += k
+            self.live += np.bincount(pe[fresh], minlength=self.cfg.P)
             np.maximum(self.peak, self.live, out=self.peak)
         self._slab[rows] = np.ascontiguousarray(elems).reshape(-1).view(self._block)
         # A written id counts as handed out: raise its disk's next free slot.
@@ -363,7 +354,8 @@ class Cluster:
                 raise DiskError(f"{path}: size is not a whole number of blocks")
             lbs = np.arange(d, len(raw) // (B * es) * cfg.D, cfg.D)
             if es == ELEM.itemsize:
-                cluster.seed_blocks(pe, lbs, np.frombuffer(raw, ELEM))
+                cluster.seed_blocks(np.full(len(lbs), pe), lbs,
+                                    np.frombuffer(raw, ELEM))
                 continue
             rows = np.frombuffer(raw, np.uint8).reshape(-1, es)
             elems = _decode_elements(rows)
@@ -378,13 +370,8 @@ class Cluster:
                        if sentinels[i]
                        else "has payload bytes past the 8-byte serial")
                 raise DiskError(f"{path}: row {i} {why}")
-            cluster.seed_blocks(pe, lbs, elems)
+            cluster.seed_blocks(np.full(len(lbs), pe), lbs, elems)
         return cluster
-
-
-def _at(pe, i: int) -> int:
-    """The PE of block ``i`` of a run: ``pe`` itself, or its entry ``i``."""
-    return int(pe[i]) if isinstance(pe, np.ndarray) else int(pe)
 
 
 def _encode_elements(elems: np.ndarray, elem_size: int) -> np.ndarray:

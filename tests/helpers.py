@@ -41,6 +41,12 @@ def fill(cluster: Cluster, kind: str = "random", seed: int = 0) -> GeneratedInpu
     return generate_input(cluster, InputSpec(kind, cluster.cfg.N, seed))
 
 
+def on(pe: int, lbs):
+    """The PE and id columns of the blocks ``lbs`` of one PE, as a block
+    call takes them: ``cl.peek_blocks(*on(pe, lbs))``."""
+    return np.full(len(lbs), pe, np.int64), lbs
+
+
 def elements(tuples) -> np.ndarray:
     """An element array of ``(key, serial)`` tuples."""
     return np.array(tuples, dtype=ELEM)
@@ -50,7 +56,7 @@ def input_elements(cluster: Cluster, gen: GeneratedInput) -> list[Element]:
     """All input elements as generated (setup-time snapshot, unmetered)."""
     out: list[Element] = []
     for pe, blocks in enumerate(gen.pe_blocks):
-        out.extend(cluster.peek_blocks(pe, blocks).tolist())
+        out.extend(cluster.peek_blocks(*on(pe, blocks)).tolist())
     return out
 
 
@@ -63,7 +69,7 @@ def addresses(columns) -> list[tuple[int, int]]:
 def output_elements(cluster: Cluster, layout: OutputLayout) -> list[Element]:
     out: list[Element] = []
     for pe, lb in addresses(layout):
-        out.extend(cluster.peek_blocks(pe, [lb]).tolist())
+        out.extend(cluster.peek_blocks(*on(pe, [lb])).tolist())
     return out
 
 
@@ -98,7 +104,7 @@ def charge_move(cluster, phase: int, src: int, dst: int, n: int) -> None:
 def is_allocated(cluster: Cluster, pe: int, lb: int) -> bool:
     """Whether ``lb`` on ``pe`` holds a block."""
     try:
-        cluster.peek_blocks(pe, [lb])
+        cluster.peek_blocks(*on(pe, [lb]))
     except DiskError:
         return False
     return True
@@ -133,7 +139,7 @@ def alloc_on_reference(next_slot: list[int], disk: int) -> int:
 
 def stored_elements(cluster: Cluster) -> int:
     """Non-sentinel elements held on all disks."""
-    elems = concat([cluster.peek_blocks(pe, live_blocks(cluster, pe))
+    elems = concat([cluster.peek_blocks(*on(pe, live_blocks(cluster, pe)))
                     for pe in range(cluster.cfg.P)])
     return int(np.count_nonzero(~sentinel_mask(elems)))
 
@@ -255,13 +261,13 @@ def _iter_staged(cluster, pe: int, table: Staged, pieces, phase: int,
         count = -(-(start + length) // B)
         if i in pieces:
             for lb in table.ids[first:first + count].tolist():
-                data = cluster.read_blocks(pe, [lb], phase)
+                data = cluster.read_blocks(*on(pe, [lb]), phase)
                 stats["reads"] += 1
                 take = min(length, B - start)
                 yield from data[start:start + take]
                 length -= take
                 start = 0
-                cluster.free_blocks(pe, [lb])
+                cluster.free_blocks(*on(pe, [lb]))
         first += count
 
 
@@ -287,7 +293,7 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
             buf.append(elem)
             if len(buf) == B:
                 [lb] = cluster.alloc_blocks(t, 1)
-                cluster.write_blocks(t, [lb], buf, PHASE_LOCAL_MERGE)
+                cluster.write_blocks(*on(t, [lb]), buf, PHASE_LOCAL_MERGE)
                 out_blocks.append(lb)
                 written += B
                 buf = []
@@ -380,7 +386,7 @@ class _StripedWriter:
         rows = data[:full].reshape(-1, B)
         for pe in range(cfg.P):
             mine = [g for g in range(full // B) if self.blocks[first + g][0] == pe]
-            cluster.write_blocks(pe, [self.blocks[first + g][1] for g in mine],
+            cluster.write_blocks(*on(pe, [self.blocks[first + g][1] for g in mine]),
                                  rows[mine], self.phase)
             if pe != self.writer_pe:
                 charge_move(cluster, self.phase, self.writer_pe, pe,
@@ -411,12 +417,12 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[ReferenceStri
         loads = []
         for p in range(cfg.P):
             lbs = pe_blocks[p][offset // B:(offset + take) // B]
-            loads.append(cluster.read_blocks(p, lbs, PHASE_RUN_FORMATION))
-            cluster.free_blocks(p, lbs)
-        pieces = array_internal_parallel_sort(cluster, loads)
+            loads.append(cluster.read_blocks(*on(p, lbs), PHASE_RUN_FORMATION))
+            cluster.free_blocks(*on(p, lbs))
+        data = array_internal_parallel_sort(cluster, concat(loads))
         writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
                                 COORDINATOR, PHASE_RUN_FORMATION)
-        for p, piece in enumerate(pieces):
+        for p, piece in enumerate(np.split(data, cfg.P)):
             writer.writer_pe = p
             writer.append(piece)
         runs.append(writer.finish())
@@ -496,10 +502,10 @@ def striped_merge_pass(cluster, runs: list[ReferenceStripedRun],
         for (_k, j, g) in entries[lo:hi]:
             pe, lb = runs[j].blocks[g]
             buffers[j].extend(
-                cluster.read_blocks(pe, [lb], PHASE_STRIPED_MERGE).tolist())
+                cluster.read_blocks(*on(pe, [lb]), PHASE_STRIPED_MERGE).tolist())
             if pe != COORDINATOR:
                 charge_move(cluster, PHASE_STRIPED_MERGE, pe, COORDINATOR, B)
-            cluster.free_blocks(pe, [lb])
+            cluster.free_blocks(*on(pe, [lb]))
         if hi < L:
             key, j, g = entries[hi]
             bound = (key, j, g * B)
@@ -548,7 +554,7 @@ def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
     for pe in range(P):
         mine = pes == pe
         if mine.any():
-            cluster.write_blocks(pe, lbs[mine].tolist(), rows[mine], phase)
+            cluster.write_blocks(*on(pe, lbs[mine].tolist()), rows[mine], phase)
     traffic = np.bincount(senders * P + pes, minlength=P * P).tolist()
     for k, blocks in enumerate(traffic):
         src, dst = divmod(k, P)
@@ -593,12 +599,12 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
             if not len(mine):
                 continue
             ids = lbs[mine].tolist()
-            parts.append(cluster.read_blocks(pe, ids, PHASE_STRIPED_MERGE))
+            parts.append(cluster.read_blocks(*on(pe, ids), PHASE_STRIPED_MERGE))
             part_tags.append((at[mine, None] * B + np.arange(B)).ravel())
             if pe != COORDINATOR:
                 charge_move(cluster, PHASE_STRIPED_MERGE, pe, COORDINATOR,
                             B * len(ids))
-            cluster.free_blocks(pe, ids)
+            cluster.free_blocks(*on(pe, ids))
         bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
         merged, tags, cuts = array_batch_merge(
             concat(parts), np.concatenate(part_tags), [bound])
@@ -770,7 +776,7 @@ class _ReferencePE:
 class ReferenceCluster:
     """The block store that :class:`~emsort.vdisk.Cluster` had before its
     slab: one ``bytes`` object per block in a dict per PE, one Python step
-    per block.  A column-PE call walks its ``(pe, lb)`` pairs in order.
+    per block.  A call walks its ``(pe, lb)`` pairs in order.
     It refuses what the slab store refuses, with the same
     :class:`DiskError` text, and otherwise gives the same blocks, counters,
     peaks and next slots."""
@@ -796,11 +802,10 @@ class ReferenceCluster:
 
     def _pairs(self, pe, lbs) -> list[tuple[int, int]]:
         lbs = [int(lb) for lb in lbs]
-        if not isinstance(pe, np.ndarray):
-            self._check_pe(pe)
-            return [(pe, lb) for lb in lbs]
-        if len(pe) != len(lbs):
-            raise DiskError(f"{len(pe)} pes for {len(lbs)} block ids")
+        pe = np.asarray(pe)
+        if pe.shape != (len(lbs),):
+            raise DiskError(f"pe of shape {pe.shape} for block ids of shape "
+                            f"({len(lbs)},): give one pe per block id")
         for p in pe.tolist():
             self._check_pe(p)
         return list(zip(pe.tolist(), lbs))
@@ -852,11 +857,11 @@ class ReferenceCluster:
         if phase not in ALL_PHASES:
             raise IndexError(f"phase {phase!r} is not a counter index")
         pairs = self._pairs(pe, lbs)
-        self._store(pe, pairs, elems)
+        self._store(pairs, elems)
         self._charge(self.counters.note_write, phase, pairs)
 
     def seed_blocks(self, pe, lbs, elems) -> None:
-        self._store(pe, self._pairs(pe, lbs), elems)
+        self._store(self._pairs(pe, lbs), elems)
 
     def peek_blocks(self, pe, lbs) -> np.ndarray:
         return self._peek(self._pairs(pe, lbs))
@@ -867,14 +872,13 @@ class ReferenceCluster:
                 raise DiskError(f"read of unallocated block pe={p} lb={lb}")
         return concat([self.arrays[p].blocks[lb] for p, lb in pairs])
 
-    def _store(self, pe, pairs, elems) -> None:
+    def _store(self, pairs, elems) -> None:
         B, D = self.cfg.B, self.cfg.D
         raw = np.asarray(elems, ELEM).tobytes()
         size = B * ELEM.itemsize
         if len(raw) != len(pairs) * size:
-            on = "" if isinstance(pe, np.ndarray) else f" of pe={pe}"
             raise DiskError(f"store of {len(raw) // ELEM.itemsize} elements "
-                            f"to {len(pairs)} blocks{on}; block size is {B}")
+                            f"to {len(pairs)} blocks; block size is {B}")
         for p, lb in pairs:
             if lb < 0:
                 raise DiskError(f"write of negative block id pe={p} lb={lb}")

@@ -17,7 +17,7 @@ from emsort.vdisk import Cluster
 
 from helpers import (
     ReferenceCluster, counter_state, element_from_bytes, element_to_bytes,
-    elements as element_array,
+    elements as element_array, on,
 )
 
 elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
@@ -265,7 +265,7 @@ def test_phase_counters_communication():
 @st.composite
 def charge_programs(draw):
     """A machine shape and calls that charge every counter: reads and
-    writes of up to six blocks (often one) with an int or a column PE,
+    writes of up to six blocks (often one) on one PE or several,
     moved-volume matrices, splitter gathers, steps and overhead."""
     P, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     calls = []
@@ -276,7 +276,8 @@ def charge_programs(draw):
         if kind in ("read", "write"):
             lbs = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6,
                                 unique=True))
-            pe = draw(st.integers(0, P - 1) | st.lists(
+            pe = draw(st.integers(0, P - 1).map(
+                lambda p: np.full(len(lbs), p, np.int64)) | st.lists(
                 st.integers(0, P - 1), min_size=len(lbs),
                 max_size=len(lbs)).map(lambda pes: np.array(pes, np.int64)))
             calls.append((kind, phase, pe, lbs))
@@ -301,7 +302,7 @@ def test_counter_arrays_match_the_list_counters(program):
     cl, ref = Cluster(cfg), ReferenceCluster(cfg)
     for store in (cl, ref):
         for pe in range(cfg.P):
-            store.seed_blocks(pe, list(range(8)), [(pe, lb) for lb in range(8)])
+            store.seed_blocks(*on(pe, list(range(8))), [(pe, lb) for lb in range(8)])
     for kind, phase, *args in calls:
         if kind == "read":
             assert (cl.read_blocks(*args, phase).tolist()

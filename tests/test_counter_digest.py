@@ -21,7 +21,7 @@ import hashlib
 import pytest
 
 from emsort.core import (
-    PHASE_STRIPED_MERGE, READ, RECEIVED, SENT, WRITE, MachineConfig, concat,
+    PHASE_STRIPED_MERGE, READ, RECEIVED, SENT, WRITE, MachineConfig,
 )
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
 from emsort.vdisk import Cluster
@@ -178,8 +178,7 @@ def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
     layout = result.layout
-    out = concat([cluster.peek_blocks(pe, [lb])
-                  for pe, lb in zip(layout.pes.tolist(), layout.lbs.tolist())])
+    out = cluster.peek_blocks(layout.pes, layout.lbs)
     columns = out["key"].astype("<u8").tobytes() + out["serial"].astype("<i8").tobytes()
     ids = layout.pes.astype("<i8").tobytes() + layout.lbs.astype("<i8").tobytes()
     assert (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,

@@ -30,7 +30,7 @@ from emsort.runform import form_runs, run_layout
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    addresses, build, counter_state, fill, input_elements, oracle_agrees,
+    addresses, build, counter_state, fill, input_elements, on, oracle_agrees,
     output_elements,
 )
 
@@ -175,9 +175,9 @@ def sorted_run_result(seed=19):
 def test_verify_detects_order_violation():
     cl, gen, result = sorted_run_result()
     pe, lb = addresses(result.layout)[0]
-    block = cl.peek_blocks(pe, [lb]).tolist()
+    block = cl.peek_blocks(*on(pe, [lb])).tolist()
     block[0] = (block[0][0] + 10 ** 9, block[0][1])   # bump one key
-    cl.seed_blocks(pe, [lb], block)
+    cl.seed_blocks(*on(pe, [lb]), block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
     assert not verdict.ok
     assert any("decrease" in f or "fingerprint" in f for f in verdict.failures)
@@ -186,9 +186,9 @@ def test_verify_detects_order_violation():
 def test_verify_detects_lost_element():
     cl, gen, result = sorted_run_result(seed=23)
     pe, lb = addresses(result.layout)[0]
-    block = cl.peek_blocks(pe, [lb]).tolist()
+    block = cl.peek_blocks(*on(pe, [lb])).tolist()
     block[1] = block[0]                                # duplicate, drop one
-    cl.seed_blocks(pe, [lb], block)
+    cl.seed_blocks(*on(pe, [lb]), block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
     assert not verdict.ok
 
@@ -196,9 +196,9 @@ def test_verify_detects_lost_element():
 def test_verify_detects_sentinel_leak():
     cl, gen, result = sorted_run_result(seed=29)
     pe, lb = addresses(result.layout)[0]
-    block = cl.peek_blocks(pe, [lb]).tolist()
+    block = cl.peek_blocks(*on(pe, [lb])).tolist()
     block[2] = sentinel()
-    cl.seed_blocks(pe, [lb], block)
+    cl.seed_blocks(*on(pe, [lb]), block)
     verdict = verify_output(cl, result.layout, gen.count, gen.total)
     assert not verdict.ok
     assert any("sentinel" in f for f in verdict.failures)
@@ -219,9 +219,9 @@ def set_elements(cl, layout, changes):
     blocks = addresses(layout)
     for position, elem in changes.items():
         pe, lb = blocks[position // cl.cfg.B]
-        block = cl.peek_blocks(pe, [lb]).tolist()
+        block = cl.peek_blocks(*on(pe, [lb])).tolist()
         block[position % cl.cfg.B] = elem
-        cl.seed_blocks(pe, [lb], block)
+        cl.seed_blocks(*on(pe, [lb]), block)
 
 
 def swap(cl, layout, i, j):
@@ -268,7 +268,7 @@ def test_verify_names_the_first_missing_block_in_layout_order():
     first = next(addr for addr in blocks if addr[0] == 1)
     later = next(addr for addr in reversed(blocks) if addr[0] == 0)
     for pe, lb in (first, later):
-        cl.free_blocks(pe, [lb])
+        cl.free_blocks(*on(pe, [lb]))
     with pytest.raises(DiskError, match=f"pe=1 lb={first[1]}$"):
         verify_output(cl, layout, gen.count, gen.total)
 

@@ -19,7 +19,7 @@ from emsort.runform import form_runs
 import helpers
 from helpers import (
     addresses, build, counter_state, elements, fill, input_elements,
-    live_blocks, oracle_agrees, output_elements,
+    live_blocks, on, oracle_agrees, output_elements,
 )
 
 #: Elements with keys 0..3 (heavy ties) or a sentinel.
@@ -180,7 +180,7 @@ def stage(B, plan):
             data = [(7, -2)] * start + piece
             data += [sentinel()] * (-len(data) % B)
             blocks = cl.alloc_blocks(0, len(data) // B)
-            cl.seed_blocks(0, blocks, data)
+            cl.seed_blocks(*on(0, blocks), data)
             ids.append(blocks)
             rows.append((j, pos, start, len(piece)))
             pos += len(piece)

@@ -22,8 +22,8 @@ from emsort.runform import form_runs
 from emsort.vdisk import Cluster
 
 from helpers import (
-    build, fill, input_elements, is_allocated, live_blocks, schedule_flows,
-    stored_elements,
+    build, fill, input_elements, is_allocated, live_blocks, on,
+    schedule_flows, stored_elements,
 )
 
 SELECT, EXCHANGE = PHASE_SELECTION, PHASE_ALL_TO_ALL
@@ -38,7 +38,7 @@ def brute_force_boundaries(cl, runs):
     for j, run in enumerate(runs):
         for pos in range(run.length):
             pe, lb, off = run.locate(pos)
-            entries.append((cl.peek_blocks(pe, [lb])[off][0], j, pos))
+            entries.append((cl.peek_blocks(*on(pe, [lb]))[off][0], j, pos))
     entries.sort()
     total = len(entries)
     pos = [[0] * len(runs)]
@@ -290,7 +290,7 @@ def test_exchange_delivers_exact_slices():
     B = cl.cfg.B
     staged_elems = []
     for t, table in enumerate(redist.staged):
-        data = cl.peek_blocks(t, table.ids)
+        data = cl.peek_blocks(*on(t, table.ids))
         count = -(-(table.start + table.length) // B)
         at = (np.cumsum(count) - count) * B + table.start
         for a, n in zip(at.tolist(), table.length.tolist()):
@@ -309,8 +309,7 @@ def test_exchange_and_merge_make_one_block_call_per_round_and_pe():
     for name in ("read_blocks", "write_blocks", "alloc_blocks"):
         def counted(pe, *args, _method=getattr(cl, name), _name=name):
             calls[_name] += 1
-            if isinstance(pe, int):
-                calls[_name, pe] += 1
+            calls[_name, *np.unique(pe).tolist()] += 1     # the PEs it names
             return _method(pe, *args)
         setattr(cl, name, counted)
     redist = external_all_to_all(cl, runs, matrix)

@@ -20,14 +20,14 @@ from emsort.runform import (
 from emsort.vdisk import Cluster
 
 import helpers
-from helpers import build, counter_state, elements, fill, input_elements
+from helpers import build, counter_state, elements, fill, input_elements, on
 
 
 def read_run(cl, run: RunDescriptor):
     elems = []
     for pos in range(run.length):
         pe, lb, off = run.locate(pos)
-        elems.append(cl.peek_blocks(pe, [lb])[off].item())
+        elems.append(cl.peek_blocks(*on(pe, [lb]))[off].item())
     return elems
 
 
@@ -45,13 +45,13 @@ def test_two_processor_desk_example():
     pe_blocks = []
     for pe, keys in enumerate([[4, 3], [2, 1]]):
         blocks = cl.alloc_blocks(pe, len(keys))
-        cl.seed_blocks(pe, blocks, [(key, 2 * pe + i) for i, key in enumerate(keys)])
+        cl.seed_blocks(*on(pe, blocks), [(key, 2 * pe + i) for i, key in enumerate(keys)])
         pe_blocks.append(blocks)
     runs = form_runs(cl, pe_blocks)
     assert len(runs) == 1
     assert [e[0] for e in read_run(cl, runs[0])] == [1, 2, 3, 4]
-    assert cl.peek_blocks(0, runs[0].blocks[0])["key"].tolist() == [1, 2]
-    assert cl.peek_blocks(1, runs[0].blocks[1])["key"].tolist() == [3, 4]
+    assert cl.peek_blocks(*on(0, runs[0].blocks[0]))["key"].tolist() == [1, 2]
+    assert cl.peek_blocks(*on(1, runs[0].blocks[1]))["key"].tolist() == [3, 4]
 
 
 def test_runs_are_sorted_and_partition_the_input():
@@ -101,36 +101,36 @@ def test_sorted_input_forms_runs_without_communication():
 def test_internal_parallel_sort_chunks_are_exact_rank_splits():
     rng = random.Random(77)
     cl = build(P=3, D=1, B=4, m=40, N=120)
-    loads = [[(rng.randrange(1000), 100 * p + i) for i in range(40)]
-             for p in range(3)]
-    chunks = internal_parallel_sort(cl, [elements(load) for load in loads])
-    assert [len(c) for c in chunks] == [40, 40, 40]
-    flat = [e for chunk in chunks for e in chunk.tolist()]
+    load = [(rng.randrange(1000), i) for i in range(120)]
+    got = internal_parallel_sort(cl, elements(load))
+    assert len(got) == 120
+    flat = got.tolist()
     assert [e[0] for e in flat] == sorted(e[0] for e in flat)
-    assert sorted(flat) == sorted(e for load in loads for e in load)
+    assert sorted(flat) == sorted(load)
     with pytest.raises(MemoryError):
-        internal_parallel_sort(cl, [elements([(0, 0)] * 41)] + [elements([])] * 2)
+        internal_parallel_sort(cl, elements([(0, 0)] * 123))
+    with pytest.raises(ValueError):
+        internal_parallel_sort(cl, elements([(0, 0)] * 4))
 
 
 @st.composite
 def parallel_loads(draw):
-    """Loads of unequal sizes and a total divisible by P, mostly with keys
-    0..3 so that rank cuts fall inside runs of ties."""
+    """P equal shares, mostly with keys 0..3 so that rank cuts fall inside
+    runs of ties."""
     P = draw(st.integers(1, 4))
-    total = P * draw(st.integers(0, 6))
+    share = draw(st.integers(0, 6))
+    total = P * share
     keys = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, MAX_KEY - 1)),
                          min_size=total, max_size=total))
     serials = draw(st.permutations(range(total)))
-    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=P - 1,
-                                max_size=P - 1)))
     elems = list(zip(keys, serials))
-    return [elems[a:b] for a, b in zip([0] + cuts, cuts + [total])]
+    return [elems[p * share:(p + 1) * share] for p in range(P)]
 
 
-#: Loads whose rank cuts fall inside runs of equal keys.
+#: Equal shares whose rank cuts fall inside runs of equal keys.
 TIED_LOADS = {
-    "all keys equal, P = 4": [[(7, (5 * i + 3 * p) % 31) for i in range(n)]
-                              for p, n in enumerate([9, 3, 6, 6])],
+    "all keys equal, P = 4": [[(7, (5 * i + 3 * p) % 31) for i in range(6)]
+                              for p in range(4)],
     "sentinel duplicates on several PEs": [
         [(MAX_KEY, -1), (3, 0), (MAX_KEY, -1), (MAX_KEY, 1)],
         [(MAX_KEY, -1), (2, 2), (MAX_KEY, -1), (MAX_KEY, -1)],
@@ -138,12 +138,6 @@ TIED_LOADS = {
     "serials decrease with the processor": [
         [(k % 3, 100 - 10 * p - i) for i, k in enumerate(range(p, p + 5))]
         for p in range(4)],
-    "loads of unequal size": [[(1, 5), (0, 9), (1, 2), (1, 8), (2, 0), (1, 1),
-                               (0, 3)],
-                              [],
-                              [(1, 4), (1, 7)],
-                              [(2, 6), (1, 0), (0, 10), (1, 11), (1, 12),
-                               (0, 13), (1, 14)]],
 }
 
 
@@ -151,13 +145,14 @@ TIED_LOADS = {
 @example(TIED_LOADS["all keys equal, P = 4"])
 @example(TIED_LOADS["sentinel duplicates on several PEs"])
 @example(TIED_LOADS["serials decrease with the processor"])
-@example(TIED_LOADS["loads of unequal size"])
 def test_internal_parallel_sort_matches_the_reference_kernel(loads):
+    """The array kernel sorts the shares joined; its share p is the
+    reference kernel's chunk p."""
     P = len(loads)
     ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
     expected = helpers.internal_parallel_sort(ref_cl, loads)
-    got = internal_parallel_sort(cl, [elements(load) for load in loads])
-    assert [chunk.tolist() for chunk in got] == expected
+    got = internal_parallel_sort(cl, elements([e for load in loads for e in load]))
+    assert [chunk.tolist() for chunk in np.split(got, P)] == expected
     assert counter_state(cl) == counter_state(ref_cl)
 
 
@@ -171,7 +166,7 @@ def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
     monkeypatch.setattr(runform, "sort_order", counted)
     loads = TIED_LOADS["all keys equal, P = 4"]
     internal_parallel_sort(build(P=4, D=1, B=1, m=32, N=0),
-                           [elements(load) for load in loads])
+                           elements([e for load in loads for e in load]))
     assert calls == [24]
 
 

@@ -15,7 +15,8 @@ from emsort.selection import (
 )
 
 from helpers import (
-    MemoryAccessor, array_sampled_init, build, sample_columns, sampled_init,
+    MemoryAccessor, array_sampled_init, build, on, sample_columns,
+    sampled_init,
 )
 
 
@@ -234,7 +235,7 @@ def seed_disk_runs(cl, keys_per_run):
     for j, keys in enumerate(keys_per_run):
         assert len(keys) % B == 0
         blocks = cl.alloc_blocks(0, len(keys) // B)
-        cl.seed_blocks(0, blocks, [(k, j * 1000 + i) for i, k in enumerate(keys)])
+        cl.seed_blocks(*on(0, blocks), [(k, j * 1000 + i) for i, k in enumerate(keys)])
         runs.append(RunDescriptor(len(keys), len(keys), B, blocks[None]))
     return runs
 

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from emsort import striped
+from emsort import runform, striped
 from emsort.core import (
     CONTROL, DATA_PHASES, MachineConfig, PHASE_STRIPED_MERGE, SENT,
 )
-from emsort.harness import InputSpec, SortResult, generate_input, report_stats
+from emsort.harness import (
+    InputSpec, SortResult, generate_input, report_stats, run_sort,
+)
+from emsort.runform import form_runs
 from emsort.striped import (
     StripedRun, build_prediction_sequence, form_striped_runs, naive_steps,
     prefetch_schedule, striped_merge_pass, striped_sort, verify_schedule,
@@ -23,7 +26,7 @@ from emsort.vdisk import Cluster, OutputLayout
 
 import helpers
 from helpers import (
-    addresses, build, fill, input_elements, is_allocated, oracle_agrees,
+    addresses, build, fill, input_elements, is_allocated, on, oracle_agrees,
 )
 
 
@@ -38,7 +41,7 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
 def run_elements(cl, run: StripedRun):
     out = []
     for pe, lb in addresses(run):
-        out.extend(cl.peek_blocks(pe, [lb]).tolist())
+        out.extend(cl.peek_blocks(*on(pe, [lb])).tolist())
     return out
 
 
@@ -70,7 +73,7 @@ def test_block_minima_match_contents():
     cl, _inputs, runs = formed(seed=3)
     for run in runs:
         for g, (pe, lb) in enumerate(addresses(run)):
-            assert run.minima[g] == cl.peek_blocks(pe, [lb])[0][0]
+            assert run.minima[g] == cl.peek_blocks(*on(pe, [lb]))[0][0]
 
 
 def test_formation_costs_one_read_one_write_per_element():
@@ -281,14 +284,45 @@ def test_merge_pass_moves_whole_batches(batches):
     assert (calls["alloc_stripe"], calls["alloc_blocks"]) == (1, 0)
 
 
-def test_formation_moves_each_run_with_one_call_each():
-    cl = build(P=4, D=2, B=4, m=32, N=512, seed=15)
+@pytest.mark.parametrize("P", [1, 3, 4])
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_formation_moves_each_run_with_one_call_each(engine, P):
+    """Both engines read and write each run with one call each, and the
+    striped engine frees it with one and reserves one stripe for it: a
+    return to calls per PE fails here at P > 1."""
+    cl = build(P=P, D=2, B=4, m=32, N=128 * P, seed=15)
     gen = fill(cl, "random", 15)
     calls = counting(cl)
-    runs = form_striped_runs(cl, gen.pe_blocks)
+    if engine == "canonical":
+        runs = form_runs(cl, gen.pe_blocks)
+        expected = {"read_blocks": 4, "write_blocks": 4}
+    else:
+        runs = form_striped_runs(cl, gen.pe_blocks)
+        expected = {"read_blocks": 4, "free_blocks": 4, "write_blocks": 4,
+                    "alloc_stripe": 4}
     assert len(runs) == cl.cfg.R == 4
-    assert calls == {"read_blocks": 4, "free_blocks": 4, "write_blocks": 4,
-                     "alloc_stripe": 4}
+    assert calls == expected
+
+
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_each_engine_sorts_its_loads_through_its_own_binding(engine,
+                                                             monkeypatch):
+    """Each engine's run formation calls its own module's binding of
+    ``internal_parallel_sort`` once per run and the other one never, so
+    that a tracer rebinding both names (``perfbench/tracing.py``) records
+    each engine's spans where they happen."""
+    calls: Counter[str] = Counter()
+    for module in (runform, striped):
+        def counted(*args, _kernel=module.internal_parallel_sort,
+                    _name=module.__name__, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(module, "internal_parallel_sort", counted)
+    cl = build(P=2, D=2, B=4, m=32, N=256, seed=16)
+    gen = fill(cl, "random", 16)
+    run_sort(cl, gen.pe_blocks, engine)
+    own = "emsort.runform" if engine == "canonical" else "emsort.striped"
+    assert calls == {own: cl.cfg.R}
 
 
 # --- parity with the block-at-a-time engine ------------------------------------
@@ -323,7 +357,7 @@ def sorted_by(sort, cfg: MachineConfig, kind: str):
     result = SortResult("striped", layout, cl.counters, merge_passes=passes)
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
-    return (stripe, [cl.peek_blocks(pe, [lb]).tolist() for pe, lb in stripe],
+    return (stripe, [cl.peek_blocks(*on(pe, [lb])).tolist() for pe, lb in stripe],
             list(final.minima), hashlib.sha256(stats.encode()).hexdigest(),
             [cl.peak_allocated(pe) for pe in range(cfg.P)])
 
@@ -355,7 +389,7 @@ def passes_by(merge_pass, cfg: MachineConfig, kind: str):
               run.minima.tolist()) for run in made],
             helpers.counter_state(cl),
             [cl.peak_allocated(pe) for pe in range(cfg.P)], live,
-            [cl.peek_blocks(pe, lbs).tolist() for pe, lbs in enumerate(live)])
+            [cl.peek_blocks(*on(pe, lbs)).tolist() for pe, lbs in enumerate(live)])
 
 
 @pytest.mark.parametrize("batches", [1, 3, None])

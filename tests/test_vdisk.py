@@ -19,7 +19,7 @@ from emsort.vdisk import Cluster, DiskError, OutputLayout
 from helpers import (
     ReferenceCluster, addresses, alloc_on_reference, alloc_reference, build,
     counter_state, element_from_bytes, element_to_bytes, elements,
-    is_allocated, live_blocks,
+    is_allocated, live_blocks, on,
 )
 
 
@@ -31,11 +31,11 @@ def test_write_read_round_trip_and_counters():
     cl = build(P=2, D=2, B=4)
     lbs = cl.alloc_blocks(0, 3)
     data = block_of(10, 12)
-    cl.write_blocks(0, lbs, data, PHASE_RUN_FORMATION)
-    assert cl.read_blocks(0, lbs, PHASE_RUN_FORMATION).tolist() == data
-    assert cl.read_blocks(0, lbs[::-1], PHASE_RUN_FORMATION).tolist() == (
+    cl.write_blocks(*on(0, lbs), data, PHASE_RUN_FORMATION)
+    assert cl.read_blocks(*on(0, lbs), PHASE_RUN_FORMATION).tolist() == data
+    assert cl.read_blocks(*on(0, lbs[::-1]), PHASE_RUN_FORMATION).tolist() == (
         data[8:] + data[4:8] + data[:4])
-    assert cl.read_blocks(0, [], PHASE_RUN_FORMATION).tolist() == []
+    assert cl.read_blocks(*on(0, []), PHASE_RUN_FORMATION).tolist() == []
     formation = cl.counters.blocks[PHASE_RUN_FORMATION]
     assert formation[WRITE, :, 0].tolist() == [2, 1]
     assert formation[READ, :, 0].tolist() == [4, 2]
@@ -56,12 +56,12 @@ def test_a_batch_charges_each_disk_once():
     cl = build(P=2, D=2, B=4)
     lbs = cl.alloc_blocks(1, 5)                    # disks 0, 1, 0, 1, 0
     assert charges(cl, lambda: cl.write_blocks(
-        1, lbs, block_of(0, 20), PHASE_RUN_FORMATION)) == [
+        *on(1, lbs), block_of(0, 20), PHASE_RUN_FORMATION)) == [
         (PHASE_RUN_FORMATION, WRITE, 1, 0, 3),
         (PHASE_RUN_FORMATION, WRITE, 1, 1, 2)]
-    assert charges(cl, lambda: cl.read_blocks(1, lbs[1:], PHASE_SETUP)) == [
+    assert charges(cl, lambda: cl.read_blocks(*on(1, lbs[1:]), PHASE_SETUP)) == [
         (PHASE_SETUP, READ, 1, 0, 2), (PHASE_SETUP, READ, 1, 1, 2)]
-    assert charges(cl, lambda: cl.read_blocks(1, lbs[3:4], PHASE_SETUP)) == [
+    assert charges(cl, lambda: cl.read_blocks(*on(1, lbs[3:4]), PHASE_SETUP)) == [
         (PHASE_SETUP, READ, 1, 1, 1)]
     assert charges(cl, lambda: cl.read_blocks(
         np.array([1, 1]), lbs[:2], PHASE_SETUP)) == [
@@ -73,20 +73,20 @@ def test_read_returns_a_read_only_copy(n):
     cl = build()
     lbs = cl.alloc_blocks(0, n)
     data = elements(block_of(0, 4 * n))
-    cl.write_blocks(0, lbs, data, PHASE_RUN_FORMATION)
+    cl.write_blocks(*on(0, lbs), data, PHASE_RUN_FORMATION)
     data[0] = (999, 999)                  # the cluster stored its own copy
-    got = cl.read_blocks(0, lbs, PHASE_RUN_FORMATION)
+    got = cl.read_blocks(*on(0, lbs), PHASE_RUN_FORMATION)
     with pytest.raises(ValueError):
         got[0] = (999, 999)
-    cl.write_blocks(0, lbs, block_of(50, 4 * n), PHASE_RUN_FORMATION)
+    cl.write_blocks(*on(0, lbs), block_of(50, 4 * n), PHASE_RUN_FORMATION)
     assert got.tolist() == block_of(0, 4 * n)    # a later write leaves it be
-    assert cl.peek_blocks(0, lbs).tolist() == block_of(50, 4 * n)
+    assert cl.peek_blocks(*on(0, lbs)).tolist() == block_of(50, 4 * n)
 
 
 def test_alloc_blocks_stripes_round_robin():
     cl = build(P=1, D=3, B=4, m=36)
     lbs = cl.alloc_blocks(0, 9)
-    cl.write_blocks(0, lbs, block_of(0, 36), PHASE_SETUP)
+    cl.write_blocks(*on(0, lbs), block_of(0, 36), PHASE_SETUP)
     assert sorted(lb % 3 for lb in live_blocks(cl, 0)) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert sorted(lb % 3 for lb in lbs[:3]) == [0, 1, 2]
     assert lbs.dtype == np.int64
@@ -135,37 +135,37 @@ def store_state(cl):
     return (copy.deepcopy(counter_state(cl)),
             [(live_blocks(cl, pe), cl.peak_allocated(pe),
               cl.next_slot[pe].tolist()) for pe in range(cl.cfg.P)],
-            [cl.peek_blocks(pe, live_blocks(cl, pe)).tolist()
+            [cl.peek_blocks(*on(pe, live_blocks(cl, pe))).tolist()
              for pe in range(cl.cfg.P)])
 
 
 REFUSED = {
     "read of a freed id": lambda cl, lbs, freed: cl.read_blocks(
-        0, [lbs[0], freed, lbs[2]], PHASE_RUN_FORMATION),
+        *on(0, [lbs[0], freed, lbs[2]]), PHASE_RUN_FORMATION),
     "read of an id never handed out": lambda cl, lbs, freed: cl.read_blocks(
-        0, lbs + [999], PHASE_RUN_FORMATION),
+        *on(0, lbs + [999]), PHASE_RUN_FORMATION),
     "read in an unknown phase": lambda cl, lbs, freed: cl.read_blocks(
-        0, lbs, len(PHASE_NAMES)),
-    "read in phase -1": lambda cl, lbs, freed: cl.read_blocks(0, lbs, -1),
-    "peek of a freed id": lambda cl, lbs, freed: cl.peek_blocks(0, [freed]),
+        *on(0, lbs), len(PHASE_NAMES)),
+    "read in phase -1": lambda cl, lbs, freed: cl.read_blocks(*on(0, lbs), -1),
+    "peek of a freed id": lambda cl, lbs, freed: cl.peek_blocks(*on(0, [freed])),
     "write of one element short": lambda cl, lbs, freed: cl.write_blocks(
-        0, lbs + [freed], block_of(7, 4 * 4 - 1), PHASE_RUN_FORMATION),
+        *on(0, lbs + [freed]), block_of(7, 4 * 4 - 1), PHASE_RUN_FORMATION),
     "write of one block too many": lambda cl, lbs, freed: cl.write_blocks(
-        0, lbs + [freed], block_of(7, 4 * 5), PHASE_RUN_FORMATION),
+        *on(0, lbs + [freed]), block_of(7, 4 * 5), PHASE_RUN_FORMATION),
     "write in an unknown phase": lambda cl, lbs, freed: cl.write_blocks(
-        0, lbs, block_of(7, 4 * 3), len(PHASE_NAMES)),
+        *on(0, lbs), block_of(7, 4 * 3), len(PHASE_NAMES)),
     "write in phase -1": lambda cl, lbs, freed: cl.write_blocks(
-        0, lbs, block_of(7, 4 * 3), -1),
+        *on(0, lbs), block_of(7, 4 * 3), -1),
     "seed of one element short": lambda cl, lbs, freed: cl.seed_blocks(
-        0, [freed, 50], block_of(7, 7)),
+        *on(0, [freed, 50]), block_of(7, 7)),
     "free of a freed id": lambda cl, lbs, freed: cl.free_blocks(
-        0, lbs + [freed]),
+        *on(0, lbs + [freed])),
     "free of a duplicate id": lambda cl, lbs, freed: cl.free_blocks(
-        0, [lbs[0], lbs[1], lbs[0]]),
+        *on(0, [lbs[0], lbs[1], lbs[0]])),
     "write of a negative id": lambda cl, lbs, freed: cl.write_blocks(
-        0, [freed, -2], block_of(7, 4 * 2), PHASE_RUN_FORMATION),
+        *on(0, [freed, -2]), block_of(7, 4 * 2), PHASE_RUN_FORMATION),
     "write of a duplicate id": lambda cl, lbs, freed: cl.write_blocks(
-        0, [freed, lbs[0], freed], block_of(7, 4 * 3), PHASE_RUN_FORMATION),
+        *on(0, [freed, lbs[0], freed]), block_of(7, 4 * 3), PHASE_RUN_FORMATION),
     "write of a column one PE short": lambda cl, lbs, freed: cl.write_blocks(
         np.zeros(1, np.int64), lbs, block_of(7, 4 * 3), PHASE_RUN_FORMATION),
     "free of a column with a freed id": lambda cl, lbs, freed: cl.free_blocks(
@@ -177,10 +177,10 @@ REFUSED = {
 def test_a_refused_batch_changes_nothing(case):
     cl = build(P=2, D=2, B=4)
     lbs = cl.alloc_blocks(0, 4).tolist()
-    cl.write_blocks(0, lbs, block_of(0, 16), PHASE_RUN_FORMATION)
-    cl.read_blocks(0, lbs[:2], PHASE_RUN_FORMATION)
+    cl.write_blocks(*on(0, lbs), block_of(0, 16), PHASE_RUN_FORMATION)
+    cl.read_blocks(*on(0, lbs[:2]), PHASE_RUN_FORMATION)
     freed = lbs.pop(1)
-    cl.free_blocks(0, [freed])
+    cl.free_blocks(*on(0, [freed]))
     before = store_state(cl)
     error = IndexError if "phase" in case else DiskError
     with pytest.raises(error):
@@ -199,22 +199,39 @@ OUTSIDE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("form", ["int", "column"])
+def two_blocks_each():
+    """A two-PE machine whose PEs hold their blocks 0 and 1."""
+    cl = build(P=2, D=2, B=4)
+    for p in range(2):
+        cl.write_blocks(*on(p, cl.alloc_blocks(p, 2)), block_of(10 * p, 8),
+                        PHASE_RUN_FORMATION)
+    return cl
+
+
 @pytest.mark.parametrize("pe", [-1, 2])
 @pytest.mark.parametrize("call", sorted(OUTSIDE_CALLS))
-def test_a_pe_outside_the_machine_is_refused(call, pe, form):
+def test_a_pe_outside_the_machine_is_refused(call, pe):
     """A PE of -1 or P is refused with a DiskError that names it, on every
     block-run call, before anything changes; it is not read as another
     PE's block."""
-    cl = build(P=2, D=2, B=4)
-    for p in range(2):
-        cl.write_blocks(p, cl.alloc_blocks(p, 2), block_of(10 * p, 8),
-                        PHASE_RUN_FORMATION)
+    cl = two_blocks_each()
     before = store_state(cl)
-    bad = pe
-    if form == "column":
-        pe = np.array([1, bad], np.int64)       # one good PE, then the bad one
-    with pytest.raises(DiskError, match=rf"^pe={bad} is outside \[0, 2\)$"):
+    column = np.array([1, pe], np.int64)        # one good PE, then the bad one
+    with pytest.raises(DiskError, match=rf"^pe={pe} is outside \[0, 2\)$"):
+        OUTSIDE_CALLS[call](cl, column, [0, 1])
+    assert store_state(cl) == before
+
+
+@pytest.mark.parametrize("form", ["bare int", "column one short"])
+@pytest.mark.parametrize("call", sorted(OUTSIDE_CALLS))
+def test_a_pe_that_is_not_a_column_as_long_as_the_ids_is_refused(call, form):
+    """The PE of a block call is an ``int64`` column, one entry per block
+    id: a bare int or a column of another length is refused with a
+    DiskError on every block-run call, before anything changes."""
+    cl = two_blocks_each()
+    before = store_state(cl)
+    pe = 1 if form == "bare int" else np.ones(1, np.int64)
+    with pytest.raises(DiskError, match="give one pe per block id"):
         OUTSIDE_CALLS[call](cl, pe, [0, 1])
     assert store_state(cl) == before
 
@@ -227,8 +244,8 @@ def store_programs(draw):
     """A small machine and a sequence of calls on its block store.  Ids
     come from a small range with a few negative and never handed out ones,
     so calls rewrite live ids, touch unallocated blocks and name a block
-    twice in one free; a PE is now and then outside the machine, and a
-    store now and then one element off.  A ``live`` call names blocks live
+    twice in one free; a PE is now and then outside the machine or a bare
+    int, which is refused, and a store now and then one element off.  A ``live`` call names blocks live
     when it runs, so frees succeed between writes and slab rows are
     reused."""
     P, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -236,7 +253,7 @@ def store_programs(draw):
     pe = st.sampled_from(list(range(P)) * 6 + [-1, P])
     lb = st.sampled_from(list(range(8)) * 3 + [-2, -1, 30])
     pairs = st.lists(st.tuples(pe, lb), max_size=4)
-    form = st.sampled_from(["int", "column"])
+    form = st.sampled_from(["column"] * 4 + ["int"])
     live = st.tuples(st.just("live"), st.sampled_from(STORE_CALLS), form,
                      st.integers(0, 20), st.integers(1, 6),
                      st.lists(st.tuples(st.integers(0, P - 1), lb), max_size=1))
@@ -252,16 +269,13 @@ def store_programs(draw):
 
 def resolve(call, live: list[tuple[int, int]]):
     """A ``live`` call as a plain one: up to ``count`` of the blocks live
-    before it, from ``start`` on (an int-PE call takes them from the PE of
-    the block at ``start``), then, in a store, its drawn pairs."""
+    before it, from ``start`` on, then, in a store, its drawn pairs."""
     if call[0] != "live":
         return call
     _live, name, form, start, count, extra_pairs = call
     if live:
         start %= len(live)
         live = live[start:] + live[:start]
-        if form == "int":
-            live = [block for block in live if block[0] == live[0][0]]
     stored = name in ("write", "seed")
     return name, form, live[:count] + (extra_pairs if stored else []), 0
 
@@ -319,16 +333,16 @@ def test_slab_store_matches_the_dict_store(program):
             assert live_blocks(cl, pe) == live
             assert cl.live[pe] == len(live)
             assert cl.peak_allocated(pe) == ref.peak_allocated(pe)
-            assert (cl.peek_blocks(pe, live).tolist()
-                    == ref.peek_blocks(pe, live).tolist())
+            assert (cl.peek_blocks(*on(pe, live)).tolist()
+                    == ref.peek_blocks(*on(pe, live)).tolist())
 
 
 def test_seed_and_peek_are_uncounted():
     cl = build()
     lbs = cl.alloc_blocks(0, 2)
-    cl.seed_blocks(0, lbs, block_of(5, 8))
-    assert cl.peek_blocks(0, lbs).tolist() == block_of(5, 8)
-    assert cl.peek_blocks(0, lbs[1:]).tolist() == block_of(9, 4)
+    cl.seed_blocks(*on(0, lbs), block_of(5, 8))
+    assert cl.peek_blocks(*on(0, lbs)).tolist() == block_of(5, 8)
+    assert cl.peek_blocks(*on(0, lbs[1:])).tolist() == block_of(9, 4)
     assert cl.counters.element_io(cl.cfg.B) == 0
     assert cl.counters.blocks[PHASE_SETUP, WRITE].sum() == 0
 
@@ -336,20 +350,20 @@ def test_seed_and_peek_are_uncounted():
 def test_occupancy_tracking_and_free():
     cl = build(P=1, D=2)
     lbs = cl.alloc_blocks(0, 4).tolist()
-    cl.write_blocks(0, lbs, block_of(0, 16), PHASE_SETUP)
+    cl.write_blocks(*on(0, lbs), block_of(0, 16), PHASE_SETUP)
     assert live_blocks(cl, 0) == lbs
     assert cl.peak_allocated(0) == 4
-    cl.free_blocks(0, lbs[:2])
+    cl.free_blocks(*on(0, lbs[:2]))
     assert live_blocks(cl, 0) == lbs[2:]
     assert cl.peak_allocated(0) == 4          # peak is sticky
     assert not is_allocated(cl, 0, lbs[0])
     assert is_allocated(cl, 0, lbs[2])
     # rewriting a freed slot re-counts it
-    cl.write_blocks(0, lbs[:1], block_of(1, 4), PHASE_SETUP)
+    cl.write_blocks(*on(0, lbs[:1]), block_of(1, 4), PHASE_SETUP)
     assert live_blocks(cl, 0) == [lbs[0]] + lbs[2:]
-    cl.free_blocks(0, [])
+    cl.free_blocks(*on(0, []))
     assert cl.peak_allocated(0) == 4
-    cl.write_blocks(0, lbs[1:2] + cl.alloc_blocks(0, 2).tolist(),
+    cl.write_blocks(*on(0, lbs[1:2] + cl.alloc_blocks(0, 2).tolist()),
                     block_of(0, 12), PHASE_SETUP)
     assert cl.peak_allocated(0) == 6
 
@@ -361,12 +375,12 @@ def test_save_and_load_images_round_trip(tmp_path):
     for pe in range(2):
         lbs = cl.alloc_blocks(pe, 4)
         data = block_of(100 * pe, 16)
-        cl.seed_blocks(pe, lbs, data)
+        cl.seed_blocks(*on(pe, lbs), data)
         blocks.update({(pe, lb): data[4 * i:4 * i + 4] for i, lb in enumerate(lbs)})
     cl.save_images(str(tmp_path))
     loaded = Cluster.load_images(str(tmp_path), cfg)
     for (pe, lb), data in blocks.items():
-        assert loaded.peek_blocks(pe, [lb]).tolist() == data
+        assert loaded.peek_blocks(*on(pe, [lb])).tolist() == data
     assert loaded.counters.element_io(cfg.B) == 0
 
 
@@ -418,7 +432,7 @@ def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
     cl = Cluster(cfg)
     for lb, block in enumerate(blocks):
         if block is not None:
-            cl.seed_blocks(0, [lb], block)
+            cl.seed_blocks(*on(0, [lb]), block)
     with tempfile.TemporaryDirectory() as tmp:
         cl.save_images(tmp)
         for d in range(cfg.D):
@@ -456,7 +470,7 @@ def test_loaded_images_match_the_scalar_decoding(drawn):
             for s in range(len(rows) // cfg.B):
                 expected = [element_from_bytes(row, elem_size)
                             for row in rows[s * cfg.B:(s + 1) * cfg.B]]
-                assert loaded.peek_blocks(0, [s * cfg.D + d]).tolist() == [
+                assert loaded.peek_blocks(*on(0, [s * cfg.D + d])).tolist() == [
                     (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
         loaded.save_images(tmp)
         for d, rows in enumerate(images):
@@ -482,7 +496,7 @@ def test_images_of_16_byte_elements_load_and_save_as_raw_bytes(images):
             rows = [data[i:i + 16] for i in range(0, len(data), 16)]
             lbs = range(d, len(rows) // cfg.B * cfg.D, cfg.D)
             expected = map(element_from_bytes, rows, [16] * len(rows))
-            assert loaded.peek_blocks(0, lbs).tolist() == [
+            assert loaded.peek_blocks(*on(0, lbs)).tolist() == [
                 (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
         loaded.save_images(tmp)
         for d, data in enumerate(files):
@@ -492,7 +506,7 @@ def test_images_of_16_byte_elements_load_and_save_as_raw_bytes(images):
 def test_load_images_refuses_missing_and_partial_images(tmp_path):
     cfg = MachineConfig(P=2, D=2, B=4, m=32, N=64)
     cl = Cluster(cfg)
-    cl.seed_blocks(0, cl.alloc_blocks(0, 1), block_of(0, 4))
+    cl.seed_blocks(*on(0, cl.alloc_blocks(0, 1)), block_of(0, 4))
     cl.save_images(str(tmp_path))
     assert Path(tmp_path, "pe1_disk1.bin").read_bytes() == b""    # empty disk
     Cluster.load_images(str(tmp_path), cfg)
