@@ -386,8 +386,8 @@ class _StripedWriter:
         rows = data[:full].reshape(-1, B)
         for pe in range(cfg.P):
             mine = [g for g in range(full // B) if self.blocks[first + g][0] == pe]
-            cluster.write_blocks(*on(pe, [self.blocks[first + g][1] for g in mine]),
-                                 rows[mine], self.phase)
+            lbs = [self.blocks[first + g][1] for g in mine]
+            cluster.write_blocks(*on(pe, lbs), rows[mine], self.phase)
             if pe != self.writer_pe:
                 charge_move(cluster, self.phase, self.writer_pe, pe,
                             B * len(mine))

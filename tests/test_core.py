@@ -302,7 +302,8 @@ def test_counter_arrays_match_the_list_counters(program):
     cl, ref = Cluster(cfg), ReferenceCluster(cfg)
     for store in (cl, ref):
         for pe in range(cfg.P):
-            store.seed_blocks(*on(pe, list(range(8))), [(pe, lb) for lb in range(8)])
+            store.seed_blocks(*on(pe, list(range(8))),
+                              [(pe, lb) for lb in range(8)])
     for kind, phase, *args in calls:
         if kind == "read":
             assert (cl.read_blocks(*args, phase).tolist()

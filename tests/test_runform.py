@@ -45,7 +45,8 @@ def test_two_processor_desk_example():
     pe_blocks = []
     for pe, keys in enumerate([[4, 3], [2, 1]]):
         blocks = cl.alloc_blocks(pe, len(keys))
-        cl.seed_blocks(*on(pe, blocks), [(key, 2 * pe + i) for i, key in enumerate(keys)])
+        cl.seed_blocks(*on(pe, blocks),
+                       [(key, 2 * pe + i) for i, key in enumerate(keys)])
         pe_blocks.append(blocks)
     runs = form_runs(cl, pe_blocks)
     assert len(runs) == 1

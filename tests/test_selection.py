@@ -235,7 +235,8 @@ def seed_disk_runs(cl, keys_per_run):
     for j, keys in enumerate(keys_per_run):
         assert len(keys) % B == 0
         blocks = cl.alloc_blocks(0, len(keys) // B)
-        cl.seed_blocks(*on(0, blocks), [(k, j * 1000 + i) for i, k in enumerate(keys)])
+        cl.seed_blocks(*on(0, blocks),
+                       [(k, j * 1000 + i) for i, k in enumerate(keys)])
         runs.append(RunDescriptor(len(keys), len(keys), B, blocks[None]))
     return runs
 

@@ -245,9 +245,9 @@ def store_programs(draw):
     come from a small range with a few negative and never handed out ones,
     so calls rewrite live ids, touch unallocated blocks and name a block
     twice in one free; a PE is now and then outside the machine or a bare
-    int, which is refused, and a store now and then one element off.  A ``live`` call names blocks live
-    when it runs, so frees succeed between writes and slab rows are
-    reused."""
+    int, which is refused, and a store now and then one element off.  A
+    ``live`` call names blocks live when it runs, so frees succeed between
+    writes and slab rows are reused."""
     P, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     B = draw(st.integers(1, 2))
     pe = st.sampled_from(list(range(P)) * 6 + [-1, P])
