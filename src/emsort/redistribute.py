@@ -41,7 +41,6 @@ class SplitterMatrix:
     rounds: int
     touched: int
     blocks_read: int
-    fallbacks: int
 
     @property
     def boundaries(self) -> int:
@@ -75,21 +74,20 @@ class Redistribution:
 def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     """Exact cuts of every run at the ranks t*N/P, shared with all PEs."""
     cfg = cluster.cfg
-    P = cfg.P
+    P, K = cfg.P, cfg.sample_rate
     total = sum(run.length for run in runs)
     # Samples travel to the selecting task: control traffic, 2 values each
     # (key and position), from the PE that holds the sampled position.
+    # PE p holds the sample positions K*i in [p*share, (p+1)*share).
     samples = np.zeros(P, np.int64)
     for run in runs:
-        samples += np.diff(np.searchsorted(run.sample_pos,
-                                           np.arange(P + 1) * run.share))
+        samples += np.diff((np.arange(P + 1) * run.share + K - 1) // K)
     gather_splitters(cluster, 2 * samples, PHASE_SELECTION)
 
     acc = DiskAccessor(cluster, runs)
     ranks = [t * (total // P) for t in range(1, P)]
     results = select_all_ranks(acc, ranks,
-                               [(run.sample_keys, run.sample_pos) for run in runs],
-                               cfg.sample_rate)
+                               [run.sample_keys for run in runs], K)
     pos = [[0] * len(runs)]
     pos.extend(res.positions for res in results)
     pos.append([run.length for run in runs])
@@ -99,8 +97,7 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     return SplitterMatrix(pos,
                           sum(r.rounds for r in results),
                           sum(r.touched for r in results),
-                          acc.blocks_read,
-                          sum(1 for r in results if r.fell_back))
+                          acc.blocks_read)
 
 
 def _cut_pieces(runs: list[RunDescriptor], matrix: SplitterMatrix

@@ -11,8 +11,8 @@ joined in processor order: it is read with one call on the PE and block-id
 columns of the whole cluster, sorted once, and written back with one call,
 and the exchange that sorting implies is charged from where each element
 came from and which chunk it lands in.  Every K-th element of the run is
-retained as a sample for splitter seeding, as a column of keys beside a
-column of run positions.
+retained as a sample for splitter seeding, as a column of keys: sample i
+sits at run position K*i.
 
 The shuffle is what makes each run a random subset of the local blocks:
 downstream, the rank cuts of such runs sit close to their slice boundaries,
@@ -42,11 +42,9 @@ class RunDescriptor:
     share: int                    # elements per processor
     block_size: int
     blocks: np.ndarray            # [processor, b]: ``int64`` block ids in order
-    # Every K-th element's key and run position, in position order.
+    # Every K-th element's key, in position order: sample i is at K*i.
     sample_keys: np.ndarray = field(
         default_factory=lambda: np.empty(0, np.uint64))
-    sample_pos: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64))
 
     def locate(self, pos: int) -> tuple[int, int, int]:
         """Map a run-global position to (pe, logical block, offset)."""
@@ -162,6 +160,5 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
         chunk = np.sort(ids)
         cluster.write_blocks(pes, chunk.ravel(), data, PHASE_RUN_FORMATION)
         runs.append(RunDescriptor(length, share, B, chunk,
-                                  data["key"][::K].copy(),
-                                  np.arange(0, length, K, dtype=np.int64)))
+                                  data["key"][::K].copy()))
     return runs

@@ -5,7 +5,7 @@ Given R sorted runs and a target rank r, find per-run splitter positions
 precedes every element right of one under the total order
 ``(key, run, position)``.
 
-The search keeps one window ``[a_j, b_j]`` per run that is known to contain
+The search keeps one window ``[a_j, b_j]`` per run that is meant to contain
 the run's final splitter.  Runs are conceptually padded with +infinity to a
 common power-of-two length; windows start as the full padded range (or as a
 narrow band around sample-derived starting positions) and lose half their
@@ -13,15 +13,15 @@ width each round.  A round compares the element in the middle of every
 window against the largest element currently left of any cut and moves the
 window's edge that the comparison rules out, then rebalances whole chunks
 between runs, smallest boundary element first, until the chunk-granular rank
-matches the target.  The final round works at chunk size one, which lands the cut
-exactly.  A closing sweep returns only once the order property holds: it
-repairs the cut by single-element moves when the starting windows did not
-contain it (never seen from sampled or full-window starts), and raises
-:class:`SelectionError` if it cannot converge.
+matches the target.  The final round works at chunk size one.  A closing
+check then probes both sides of every cut and raises
+:class:`SelectionError` unless the cut is exact; nothing repairs a miss.
 
 Starting positions may come from a per-run sample of every K-th element.  A
 sample-derived start is normally within K of the exact cut, so the windowed
 search needs only about ``log2 K`` rounds and touches one block per run.
+Full-window and sampled starts landed exactly in every case tried; any
+other start may miss, and then the check raises.
 """
 from __future__ import annotations
 
@@ -88,7 +88,6 @@ class SelectResult:
     rounds: int
     touched: int
     blocks_read: int
-    fell_back: bool = False
 
 
 def _refine_windows(acc, r: int, a: list[int], b: list[int], n: int) -> int:
@@ -147,53 +146,19 @@ def _refine_windows(acc, r: int, a: list[int], b: list[int], n: int) -> int:
     return rounds
 
 
-def _exact_sweep(acc, r: int, pos: list[int]) -> int:
-    """Force ``sum(pos) == r`` and the order property by unit moves.
-
-    Greedy single-element advances/retreats followed by exchanges of the
-    largest selected element against the smallest unselected one converge to
-    the unique rank-``r`` cut from any starting positions within the runs.
-    Returns the number of unit moves (zero whenever the windowed search
-    already landed exactly) once the largest element left of the cuts
-    precedes the smallest one right of them; raises :class:`SelectionError`
-    if that takes more than ``4 * sum(lengths) + 64`` moves.
-    """
-    R = len(pos)
-    ns = acc.lengths
-    count = sum(pos)
-    moves = 0
-    guard = 4 * sum(ns) + 64
-    while count < r:
-        j = min((i for i in range(R) if pos[i] < ns[i]),
-                key=lambda i: acc.order_key(i, pos[i]))
-        pos[j] += 1
-        count += 1
-        moves += 1
-    while count > r:
-        j = max((i for i in range(R) if pos[i] > 0),
-                key=lambda i: acc.order_key(i, pos[i] - 1))
-        pos[j] -= 1
-        count -= 1
-        moves += 1
-    while True:
-        if moves > guard:
-            raise SelectionError("exact sweep did not converge")
-        hi: tuple[OrderKey, int] | None = None
-        lo: tuple[OrderKey, int] | None = None
-        for i in range(R):
-            if pos[i] > 0:
-                okey = acc.order_key(i, pos[i] - 1)
-                if hi is None or okey > hi[0]:
-                    hi = (okey, i)
-            if pos[i] < ns[i]:
-                okey = acc.order_key(i, pos[i])
-                if lo is None or okey < lo[0]:
-                    lo = (okey, i)
-        if hi is None or lo is None or hi[0] < lo[0]:
-            return moves
-        pos[hi[1]] -= 1
-        pos[lo[1]] += 1
-        moves += 2
+def _check_exact(acc, r: int, pos: list[int]) -> None:
+    """Raise :class:`SelectionError` unless ``pos`` is the rank-``r`` cut:
+    ``sum(pos) == r`` and the largest element left of the cuts precedes the
+    smallest one right of them.  Each run is probed at ``pos - 1``, then at
+    ``pos``."""
+    left, right = [], []
+    for i in range(len(pos)):
+        if pos[i] > 0:
+            left.append(acc.order_key(i, pos[i] - 1))
+        if pos[i] < acc.lengths[i]:
+            right.append(acc.order_key(i, pos[i]))
+    if sum(pos) != r or (left and right and max(left) > min(right)):
+        raise SelectionError(f"the search missed the exact rank-{r} cut")
 
 
 def multiway_select(acc, r: int,
@@ -203,7 +168,10 @@ def multiway_select(acc, r: int,
 
     ``init``/``step`` give a starting guess (the true cut is expected within
     ``step`` of ``init`` per run); without one the search starts from full
-    windows over the padded run length.
+    windows over the padded run length.  Starts from
+    :func:`sampled_starts` or full windows land on the cut in every case
+    tried; if a start misses it, :class:`SelectionError` is raised and no
+    result is returned.
     """
     R = len(acc.lengths)
     total = sum(acc.lengths)
@@ -251,34 +219,31 @@ def multiway_select(acc, r: int,
 
     rounds = _refine_windows(acc, r, a, b, n)
     pos = [max(0, min(a[i], ns[i])) for i in range(R)]
-    moves = _exact_sweep(acc, r, pos)
+    _check_exact(acc, r, pos)
     return SelectResult(pos, rounds, acc.touched - touched0,
-                        acc.blocks_read - read0, moves > 0)
+                        acc.blocks_read - read0)
 
 
-def sampled_starts(samples: list[tuple[np.ndarray, np.ndarray]], K: int,
+def sampled_starts(samples: list[np.ndarray], K: int,
                    ranks: list[int]) -> list[list[int]]:
     """Starting splitters for each of ``ranks`` from per-run samples of
     every K-th element.
 
-    ``samples[j]`` is run ``j``'s ``(keys, positions)`` column pair in
-    position order, keys non-decreasing as in a sorted run.  The samples are
+    ``samples[j]`` is run ``j``'s key column of the elements at positions
+    0, K, 2K, ..., non-decreasing as in a sorted run.  The samples are
     joined in run order and sorted once, in the order ``(key, run,
     position)``.  Rank ``r`` takes the sorted prefix up to index
-    ``min(r // K, L - 1)`` of the ``L`` samples; run ``j``'s start is the
-    position of its last sample in that prefix, or 0 if it has none there
-    (and every start is 0 for ``r == 0``).
+    ``min(r // K, L - 1)`` of the ``L`` samples.  If run ``j`` has ``c``
+    samples in that prefix, its start is ``K * (c - 1)``, the position of
+    the last of them, or 0 if ``c == 0`` (and every start is 0 for
+    ``r == 0``).
     """
     if K < 1:
         raise ValueError("K < 1")
     keys = np.concatenate([np.empty(0, np.uint64)]
-                          + [np.asarray(k, np.uint64) for k, _p in samples])
-    pos = np.concatenate([np.empty(0, np.int64)]
-                         + [np.asarray(p, np.int64) for _k, p in samples])
-    sizes = [len(p) for _k, p in samples]
-    run = np.repeat(np.arange(len(samples)), sizes)[
+                          + [np.asarray(k, np.uint64) for k in samples])
+    run = np.repeat(np.arange(len(samples)), [len(k) for k in samples])[
         sort_order(keys, np.arange(len(keys)))]
-    offset = np.cumsum(sizes, dtype=np.int64) - sizes
     starts = []
     for r in ranks:
         if r == 0 or not len(keys):
@@ -286,29 +251,21 @@ def sampled_starts(samples: list[tuple[np.ndarray, np.ndarray]], K: int,
             continue
         count = np.bincount(run[:min(r // K, len(keys) - 1) + 1],
                             minlength=len(samples))
-        # Run j's count-th sample sits at joined index offset[j] + count - 1.
-        starts.append(np.where(count > 0, pos[(offset + count - 1).clip(0)],
-                               0).tolist())
+        starts.append((K * (count - 1)).clip(0).tolist())
     return starts
 
 
 def select_all_ranks(acc, ranks: list[int],
-                     samples: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                     samples: list[np.ndarray] | None = None,
                      K: int | None = None) -> list[SelectResult]:
-    """Splitters for several ranks; results are componentwise monotone in r.
+    """Splitters for several ranks, in ascending rank order.  Exact cuts
+    are nested, so the results are componentwise monotone in r.
 
     With ``samples`` (see :func:`sampled_starts`) each search starts within
     ``K`` of its cut; the samples are sorted once for all ranks."""
-    results: list[SelectResult] = []
-    prev: list[int] | None = None
     ranks = sorted(ranks)
     step = K if K else 1
     inits = ([None] * len(ranks) if samples is None
              else sampled_starts(samples, step, ranks))
-    for r, init in zip(ranks, inits):
-        res = multiway_select(acc, r, init, step)
-        if prev is not None and any(a > b for a, b in zip(prev, res.positions)):
-            raise SelectionError("splitters are not monotone across ranks")
-        prev = res.positions
-        results.append(res)
-    return results
+    return [multiway_select(acc, r, init, step)
+            for r, init in zip(ranks, inits)]

@@ -656,12 +656,10 @@ def sampled_init(samples: list[list[tuple[int, int]]], K: int, r: int
     return init, K
 
 
-def sample_columns(samples: list[list[tuple[int, int]]]
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-run ``(key, position)`` sample lists as the ``(uint64 keys,
-    int64 positions)`` column pairs of ``RunDescriptor``."""
-    return [(np.array([key for key, _p in entries], np.uint64),
-             np.array([p for _key, p in entries], np.int64))
+def sample_columns(samples: list[list[tuple[int, int]]]) -> list[np.ndarray]:
+    """Per-run ``(key, position)`` sample lists as the ``uint64`` key
+    columns of ``RunDescriptor``; the positions must be 0, K, 2K, ..."""
+    return [np.array([key for key, _p in entries], np.uint64)
             for entries in samples]
 
 

@@ -96,7 +96,18 @@ def test_fuzz_matches_oracle_from_scratch():
         r = rng.randint(0, total)
         res = multiway_select(MemoryAccessor(runs), r)
         assert res.positions == brute_force_select(runs, r), (trial, r)
-        assert not res.fell_back
+
+
+def brute_force_all_ranks(runs):
+    """``brute_force_select(runs, r)`` for every rank r, in one pass."""
+    flat = sorted((runs[j][p][0], j, p)
+                  for j in range(len(runs)) for p in range(len(runs[j])))
+    pos = [0] * len(runs)
+    cuts = [list(pos)]
+    for _key, j, p in flat:
+        pos[j] = p + 1
+        cuts.append(list(pos))
+    return cuts
 
 
 def test_fuzz_matches_oracle_with_sampled_start():
@@ -112,6 +123,28 @@ def test_fuzz_matches_oracle_with_sampled_start():
         init, step = array_sampled_init(samples, K, r)
         res = multiway_select(MemoryAccessor(runs), r, init, step)
         assert res.positions == brute_force_select(runs, r), (trial, r, K)
+    # Far starts: up to 64 runs of length K whose first key is below every
+    # other key, plus one long run.  Those first keys fill the front of the
+    # sorted samples, so the long run's sampled start can sit about R*K
+    # below its cut.  Every rank is checked.
+    for trial in range(4):
+        K = rng.choice([8, 16, 32, 64])
+        R = rng.randint(1, min(64, 1024 // K))
+        dom = rng.choice([4, 1 << 40])
+        tail = rng.choice([1, dom])   # dom: every tail above the long run
+        runs = [[(k, j * 100000 + p) for p, k in enumerate(
+            [0] + sorted(tail + rng.randrange(dom) for _ in range(K - 1)))]
+            for j in range(R)]
+        length = rng.randint(1, (R + 1) * K)
+        runs.append([(1 + k, R * 100000 + p) for p, k in enumerate(
+            sorted(rng.randrange(dom) for _ in range(length)))])
+        samples = [[(run[p][0], p) for p in range(0, len(run), K)]
+                   for run in runs]
+        ranks = list(range(sum(len(run) for run in runs) + 1))
+        results = select_all_ranks(MemoryAccessor(runs), ranks,
+                                   sample_columns(samples), K)
+        assert [res.positions for res in results] == \
+            brute_force_all_ranks(runs), (trial, R, K)
 
 
 # --- bounds -----------------------------------------------------------------
@@ -272,10 +305,22 @@ def test_disk_accessor_cache_reduces_reads():
 
 
 def test_select_all_ranks_detects_broken_order():
-    # an unsorted "run" has no cut with the order property; the exact
-    # sweep's guard rejects it instead of returning silent garbage
+    # an unsorted "run" has no cut with the order property; the closing
+    # check rejects it instead of returning silent garbage
     runs = [[(9, 0), (1, 1), (7, 2), (0, 3)], [(5, 4), (4, 5), (3, 6), (2, 7)]]
     acc = MemoryAccessor(runs)
-    with pytest.raises(SelectionError, match="exact sweep did not converge"):
+    with pytest.raises(SelectionError, match="missed the exact rank-"):
         for r in range(sum(len(x) for x in runs) + 1):
             multiway_select(acc, r)
+
+
+def test_a_start_that_misses_the_cut_raises():
+    # A start outside the contract (not sampled, not full windows) can
+    # leave the windows short of the cut; the check raises rather than
+    # return a wrong cut.
+    keys = [[8, 20, 32, 36, 39, 44], [3, 25, 25, 29, 35, 41, 43, 43, 47, 49],
+            [3, 6, 12, 25, 25, 30, 40], [13, 28]]
+    runs = [[(k, 100 * j + p) for p, k in enumerate(run)]
+            for j, run in enumerate(keys)]
+    with pytest.raises(SelectionError, match="missed the exact rank-6 cut"):
+        multiway_select(MemoryAccessor(runs), 6, init=[2, 9, 0, 0], step=1)
