@@ -126,7 +126,7 @@ def test_fuzz_matches_oracle_with_sampled_start():
     # Far starts: up to 64 runs of length K whose first key is below every
     # other key, plus one long run.  Those first keys fill the front of the
     # sorted samples, so the long run's sampled start can sit about R*K
-    # below its cut.  Every rank is checked.
+    # below its cut.  Every rank is checked, so R*K stays at most 1024.
     for trial in range(4):
         K = rng.choice([8, 16, 32, 64])
         R = rng.randint(1, min(64, 1024 // K))
