@@ -94,39 +94,45 @@ def concat(parts) -> np.ndarray:
 
 
 def sort_order(keys: np.ndarray, ties: np.ndarray) -> np.ndarray:
-    """The permutation that sorts by ``keys``, equal keys by ``ties``:
-    exactly ``np.lexsort((ties, keys))``, by the cheapest exact path.
+    """The permutation that sorts each row of ``keys`` by key, equal keys
+    by ``ties``, as indices into the flattened array, row after row: for
+    one row exactly ``np.lexsort((ties, keys))``, by the cheapest exact
+    path.  ``keys`` is one row ``(n,)`` or rows ``(w, n)``, and ``ties``
+    is an ``int64`` array of its shape.
 
-    Keys that already strictly increase need no sort.  Distinct keys have
-    one sorting permutation, so the unstable SIMD ``argsort`` (several
+    Rows whose keys already strictly increase need no sort.  Distinct keys
+    have one sorting permutation, so the unstable SIMD ``argsort`` (several
     times faster than ``lexsort`` on 64-bit keys) gives it bit for bit.
     Tied keys fold (key group, tie, index) into one ``int64`` per element,
     with the index in the low bits: the values are distinct, so a SIMD
-    value sort of them puts the indices in ``lexsort``'s order.  Only ties
-    spread too wide for the fold fall back to ``lexsort``.  ``ties`` is an
-    ``int64`` column.
+    value sort of them puts the indices in ``lexsort``'s order.  A row
+    starts a key group, so no group crosses a row.  Only ties spread too
+    wide for the fold fall back to ``lexsort``.
     """
-    n = len(keys)
-    if (keys[1:] > keys[:-1]).all():
-        return np.arange(n)
-    order = np.argsort(keys)
-    ordered = keys[order]
+    n = keys.shape[-1]
+    size = keys.size
+    if (keys[..., 1:] > keys[..., :-1]).all():
+        return np.arange(size)
+    order = _flat(np.argsort(keys))
+    flat_keys, flat_ties = keys.reshape(-1), ties.reshape(-1)
+    ordered = flat_keys[order]
     step = ordered[1:] != ordered[:-1]
     del ordered
+    step[n - 1::n] = True               # the last of a row, before the next
     if step.all():
         return order
-    low = int(ties.min())
-    span = int(ties.max()) - low + 1
-    shift = (n - 1).bit_length()
+    low = int(flat_ties.min())
+    span = int(flat_ties.max()) - low + 1
+    shift = (size - 1).bit_length()
     if (int(np.count_nonzero(step)) + 1) * span << shift > 1 << 63:
-        return np.lexsort((ties, keys))
-    fold = np.empty(n, np.int64)
+        return _flat(np.lexsort((ties, keys)))
+    fold = np.empty(size, np.int64)
     fold[0] = 0
     fold[1:] = step
     del step
     np.cumsum(fold, out=fold)           # key group of each sorted position
     fold *= span
-    fold += ties[order]                 # may wrap; the next line unwraps
+    fold += flat_ties[order]            # may wrap; the next line unwraps
     fold -= low
     fold <<= shift
     fold |= order
@@ -134,6 +140,14 @@ def sort_order(keys: np.ndarray, ties: np.ndarray) -> np.ndarray:
     fold.sort()
     fold &= (1 << shift) - 1
     return fold
+
+
+def _flat(order: np.ndarray) -> np.ndarray:
+    """Each row's own indices, as from ``argsort`` along the last axis, as
+    indices into the flattened array."""
+    if order.ndim > 1 and len(order) > 1:
+        order += np.arange(0, order.size, order.shape[-1])[:, None]
+    return order.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,16 @@ chunks of m/B of them.  A run is one memory load of the whole cluster
 cooperatively sort the load so that processor 0 ends up with the globally
 smallest chunk and so on, and each chunk is written back over the very
 blocks it was read from.  A load is one array, the processors' shares
-joined in processor order: it is read with one call on the PE and block-id
-columns of the whole cluster, sorted once, and written back with one call,
-and the exchange that sorting implies is charged from where each element
-came from and which chunk it lands in.  Every K-th element of the run is
-retained as a sample for splitter seeding, as a column of keys: sample i
-sits at run position K*i.
+joined in processor order.  The host takes the loads in windows
+(:func:`windows`): the most consecutive full loads holding at most
+``_WINDOW`` = 2**14 elements, and at least one, with a short last load
+alone.  A window is one ``(loads, P*share)`` array, read with one call on
+the PE and block-id columns of the whole cluster, sorted row by row with
+one call, and written back with one call; the exchange that sorting
+implies is charged once per window, from where each element came from
+and which chunk it lands in.  Every K-th element of the run is retained
+as a sample for splitter seeding, as a column of keys: sample i sits at
+run position K*i.
 
 The shuffle is what makes each run a random subset of the local blocks:
 downstream, the rank cuts of such runs sit close to their slice boundaries,
@@ -29,6 +33,11 @@ from .core import (
     ELEM, MachineConfig, PHASE_RUN_FORMATION, derive_seed, sort_order,
 )
 from .net import charge_volume, gather_splitters
+
+#: Elements a window of run formation holds at most, the bound of the
+#: striped merge's windows: the host reads, sorts and writes a window's
+#: whole memory loads together.
+_WINDOW = 1 << 14
 
 #: Per processor, its input block ids in order: a list or an ``int64`` column.
 PeBlocks = Sequence["np.ndarray | Sequence[int]"]
@@ -74,65 +83,100 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> np.ndarray:
     return ids[rng.permutation(len(ids))]
 
 
-def internal_parallel_sort(cluster, load: np.ndarray) -> np.ndarray:
-    """Sort one memory load across processors.
+def windows(cfg: MachineConfig) -> list[tuple[int, int, int]]:
+    """(first run, runs, per-processor share) of each window of run
+    formation: the most consecutive full memory loads that hold at most
+    ``_WINDOW`` elements, and at least one; a short last load is a window
+    of its own."""
+    full, rest = divmod(cfg.N, cfg.M)
+    per = max(1, _WINDOW // cfg.M)
+    out = [(j, min(per, full - j), cfg.m) for j in range(0, full, per)]
+    if rest:
+        out.append((full, 1, rest // cfg.P))
+    return out
 
-    ``load`` is the processors' equal unsorted shares joined in processor
-    order.  Returns it in (key, serial) order as one array, whose share p
-    is the sorted chunk p ends up with, with the single data exchange
-    charged to run formation.  The chunk cuts are exact rank splits in the
-    order (key, processor, serial).
 
-    The load is sorted once by (key, serial), and the chunks are slices of
-    that order.  Only a group of equal keys that crosses a cut is sorted
-    again, by small-integer stable sorts over the group alone: by
-    processor, which gives each element its rank and so its chunk, then by
-    chunk.  Each element's processor and chunk give the exchanged volumes
-    and the cut positions every processor learns.
+def window_blocks(cfg: MachineConfig, ids: np.ndarray, first: int, w: int,
+                  share: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of a window of ``w`` loads from run ``first`` on, each
+    processor contributing ``share`` elements to a load: a PE column, and
+    the ids as a ``[load, processor, block]`` array in the same order.
+    ``ids[p]`` lists processor p's input blocks in the order that runs
+    consume them, m/B to a full load."""
+    take = share // cfg.B
+    base = first * (cfg.m // cfg.B)
+    lbs = ids[:, base:base + w * take].reshape(cfg.P, w, take)
+    return (np.tile(np.repeat(np.arange(cfg.P), take), w),
+            np.ascontiguousarray(lbs.swapaxes(0, 1)))
+
+
+def internal_parallel_sort(cluster, loads: np.ndarray) -> np.ndarray:
+    """Sort a window of memory loads, each across the processors.
+
+    ``loads`` holds one load per row, each the processors' equal unsorted
+    shares joined in processor order.  Returns each row in (key, serial)
+    order, whose share p is the sorted chunk p ends up with, with the
+    data exchange charged to run formation.  The chunk cuts are exact
+    rank splits of each row in the order (key, processor, serial).
+
+    The rows are sorted once by (key, serial), and the chunks are slices
+    of that order.  Only a group of equal keys that crosses a cut is
+    sorted again, by small-integer stable sorts over the group alone: by
+    processor, which gives each element its rank and so its chunk, then
+    by chunk.  Each element's processor and chunk give the exchanged
+    volumes, summed over the rows, and the cut positions every processor
+    learns.
     """
     P = cluster.cfg.P
     m = cluster.cfg.m
-    total = len(load)
+    w, total = loads.shape
     if total > P * m:
         raise MemoryError(f"a share of a {total}-element load exceeds m={m}")
     if total % P:
         raise ValueError("load size is not divisible by processor count")
     if total == 0:
-        return np.empty(0, ELEM)
+        return np.empty((w, 0), ELEM)
     share = total // P
-    order = sort_order(load["key"], load["serial"])
-    small = np.min_scalar_type(P)
-    source = (order // share).astype(small)
-    ordered = load[order]
-    del order
-    keys = ordered["key"]
-    cuts = np.arange(share, total, share)
-    tied = cuts[keys[cuts - 1] == keys[cuts]].tolist()
+    order = sort_order(loads["key"], loads["serial"])
+    keys = loads["key"].reshape(-1)
+    cuts = (np.arange(0, w * total, total)[:, None]
+            + np.arange(share, total, share)).ravel()
+    tied = cuts[keys[order[cuts - 1]] == keys[order[cuts]]].tolist()
     if tied:
-        keys = np.ascontiguousarray(keys)
+        keys = keys[order]
+        small = np.min_scalar_type(P)
         hi = 0
         for cut in tied:
             if cut < hi:        # its group was split at an earlier cut
                 continue
-            lo = int(keys.searchsorted(keys[cut], "left"))
-            hi = int(keys.searchsorted(keys[cut], "right"))
+            first = cut - cut % total
+            lo = first + int(keys[first:first + total].searchsorted(
+                keys[cut], "left"))
+            hi = first + int(keys[first:first + total].searchsorted(
+                keys[cut], "right"))
             # The group is in serial order.  Ranked by (processor, serial)
             # its elements fill the chunks it spans; then it is laid out by
             # (chunk, serial).
+            source = ((order[lo:hi] - first) // share).astype(small)
             chunk = np.empty(hi - lo, small)
-            chunk[np.argsort(source[lo:hi], kind="stable")] = \
-                np.arange(lo, hi) // share
-            regroup = np.argsort(chunk, kind="stable")
-            ordered[lo:hi] = ordered[lo:hi][regroup]
-            source[lo:hi] = source[lo:hi][regroup]
+            chunk[np.argsort(source, kind="stable")] = \
+                np.arange(lo - first, hi - first) // share
+            order[lo:hi] = order[lo:hi][np.argsort(chunk, kind="stable")]
+    del keys    # a copy when tied, dropped before the sorted rows are made
+    ordered = loads.reshape(-1)[order]
     # volume[c, q]: the elements of chunk c that came from processor q.
-    volume = np.stack([np.bincount(source[p * share:(p + 1) * share],
-                                   minlength=P) for p in range(P)])
+    # Over the share, an element's flat position is q plus P times its
+    # row, so the order becomes each element's lane c * P + q.
+    lanes = order.reshape(w, P, share)      # [row, chunk, position]
+    lanes //= share
+    lanes += (np.arange(0, P * P, P)
+              - np.arange(0, w * P, P)[:, None])[:, :, None]
+    volume = np.bincount(order, minlength=P * P).reshape(P, P)
     # Every processor learns every cut position: each contributes its
-    # P - 1 cuts as control traffic.
-    gather_splitters(cluster, np.full(P, P - 1), PHASE_RUN_FORMATION)
+    # P - 1 cuts of every row as control traffic.
+    gather_splitters(cluster, np.full(P, w * (P - 1)), PHASE_RUN_FORMATION)
     charge_volume(cluster, volume.T, PHASE_RUN_FORMATION)
-    return ordered
+    return ordered.reshape(w, total)
 
 
 def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
@@ -140,25 +184,24 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
 
     ``pe_blocks[p]`` lists processor p's input blocks in input order (a
     list or an ``int64`` column); each holds the same count and
-    N = count * B * P.  Each run is read with one call and written with
-    one.  Returns a descriptor per run, including the every-K-th sample
-    of the sorted load.
+    N = count * B * P.  Each window of loads (:func:`windows`) is read
+    with one call, sorted with one :func:`internal_parallel_sort` and
+    written over the same blocks with one call.  Returns a descriptor per
+    run, including the every-K-th sample of the sorted load.
     """
     cfg = cluster.cfg
-    B, K = cfg.B, cfg.sample_rate
+    P, B, K = cfg.P, cfg.B, cfg.sample_rate
     order = np.stack([shuffle_block_ids(cfg, p, pe_blocks[p])
-                      for p in range(cfg.P)])
+                      for p in range(P)])
     runs: list[RunDescriptor] = []
-    base = 0
-    for length, share in run_layout(cfg):
-        take = share // B
-        ids = order[:, base:base + take]
-        base += take
-        pes = np.repeat(np.arange(cfg.P), take)
-        data = internal_parallel_sort(
-            cluster, cluster.read_blocks(pes, ids.ravel(), PHASE_RUN_FORMATION))
-        chunk = np.sort(ids)
-        cluster.write_blocks(pes, chunk.ravel(), data, PHASE_RUN_FORMATION)
-        runs.append(RunDescriptor(length, share, B, chunk,
-                                  data["key"][::K].copy()))
+    for first, w, share in windows(cfg):
+        pes, ids = window_blocks(cfg, order, first, w, share)
+        data = internal_parallel_sort(cluster, cluster.read_blocks(
+            pes, ids.reshape(-1), PHASE_RUN_FORMATION).reshape(w, P * share))
+        chunks = np.sort(ids, axis=2)
+        cluster.write_blocks(pes, chunks.reshape(-1), data,
+                             PHASE_RUN_FORMATION)
+        samples = data["key"][:, ::K].copy()
+        runs.extend(RunDescriptor(P * share, share, B, chunks[j], samples[j])
+                    for j in range(w))
     return runs

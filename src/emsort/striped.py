@@ -19,7 +19,11 @@ one-block leftover check is made for every batch.  The window's blocks
 are freed, and its full output blocks written on a slice of the output
 stripe's columns, with two calls each, so each PE's peak block count is
 that of the batch-by-batch stream.  The coordinator's traffic is charged
-per PE for the whole pass.
+per PE for the whole pass.  Run formation takes its memory loads in
+windows as well (``runform.windows``): a window is read with one call,
+sorted with one ``internal_parallel_sort``, given its stripes with one
+``alloc_stripe`` call, and freed and written as the load-by-load stream
+would.
 """
 from __future__ import annotations
 
@@ -38,7 +42,9 @@ from .core import (
 )
 from .merge import batch_merge, free_and_write
 from .net import charge_volume, gather_splitters
-from .runform import PeBlocks, internal_parallel_sort
+from .runform import (
+    PeBlocks, internal_parallel_sort, window_blocks, windows,
+)
 
 COORDINATOR = 0
 
@@ -77,40 +83,44 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
 def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
     """Sort memory-sized chunks of the input into striped runs.
 
-    Each run is one memory load: PE p reads share p of it, the load (the
-    shares joined in PE order) is sorted by one ``internal_parallel_sort``,
-    and the sorted load is written striped over all disks; each run reads,
-    frees and writes its blocks with one call each.
-    Costs 2N element I/O plus the internal sort's communication.
+    Each run is one memory load: PE p reads share p of it, and the load
+    (the shares joined in PE order) is sorted and written striped over all
+    disks.  The loads go in windows (``runform.windows``): a window is
+    read with one call, sorted with one ``internal_parallel_sort``, given
+    its stripes by one ``alloc_stripe`` and freed and written by
+    ``free_and_write`` as the load-by-load stream would leave each PE's
+    blocks.  Costs 2N element I/O plus the internal sort's communication.
     """
     cfg = cluster.cfg
-    B, share = cfg.B, cfg.m
-    local = cfg.N // cfg.P
+    P, B = cfg.P, cfg.B
     ids = np.array(pe_blocks, np.int64)             # [pe, input block]
-    owners = np.broadcast_to(np.arange(cfg.P)[:, None], ids.shape)
     runs: list[StripedRun] = []
-    offset = 0  # elements of each PE's band consumed so far
-    index = 0
-    while offset < local:
-        take = min(share, local - offset)
-        chunk = slice(offset // B, (offset + take) // B)
-        pes, lbs = owners[:, chunk].ravel(), ids[:, chunk].ravel()
-        load = cluster.read_blocks(pes, lbs, PHASE_RUN_FORMATION)
-        cluster.free_blocks(pes, lbs)
-        data = internal_parallel_sort(cluster, load)
-        if len(data) % B:
+    for first, w, share in windows(cfg):
+        length = P * share
+        pes_in, lbs_in = window_blocks(cfg, ids, first, w, share)
+        lbs_in = lbs_in.reshape(-1)
+        data = internal_parallel_sort(cluster, cluster.read_blocks(
+            pes_in, lbs_in, PHASE_RUN_FORMATION).reshape(w, length))
+        if length % B:
             raise RuntimeError(
-                f"striped run length {len(data)} is not a block multiple")
-        start = _run_start_disk(cluster, 2, index)
-        pes, lbs = cluster.alloc_stripe(start, len(data) // B)
+                f"striped run length {length} is not a block multiple")
+        nb = length // B
+        pes, lbs = cluster.alloc_stripe(
+            [_run_start_disk(cluster, 2, j) for j in range(first, first + w)],
+            nb)
+        # Load j of the window frees its input blocks, and writes its
+        # stripe, at step j: each load reads and writes nb blocks.
+        step = np.repeat(np.arange(w), nb)
+        free_and_write(cluster, pes_in, lbs_in, step, pes, lbs, step,
+                       data.reshape(-1), PHASE_RUN_FORMATION)
         # Every PE writes its own sorted share, so cross-PE traffic is
         # charged from the PE holding a block's last element to its owner.
-        holders = np.arange(B - 1, len(data), B) // take
-        cluster.write_blocks(pes, lbs, data, PHASE_RUN_FORMATION)
-        _charge_moves(cluster, holders, pes, PHASE_RUN_FORMATION)
-        runs.append(StripedRun(len(data), pes, lbs, data["key"][::B].copy()))
-        offset += take
-        index += 1
+        holders = np.arange(B - 1, length, B) // share
+        _charge_moves(cluster, np.tile(holders, w), pes, PHASE_RUN_FORMATION)
+        minima = data["key"][:, ::B].copy()
+        runs.extend(StripedRun(length, pes[j * nb:(j + 1) * nb],
+                               lbs[j * nb:(j + 1) * nb], minima[j])
+                    for j in range(w))
     return runs
 
 

@@ -100,25 +100,35 @@ class Cluster:
         free += np.bincount(lbs % D, minlength=D)
         return lbs
 
-    def alloc_stripe(self, start_disk: int,
+    def alloc_stripe(self, start_disk,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reserve ``n`` fresh ids striped over all ``P*D`` disks (no I/O
-        charged): block ``g`` goes on global disk ``(start_disk + g) mod
-        P*D``, that is PE ``disk // D``, local disk ``disk % D``, at the
-        disk's next free slots in order.  Returns the PE and the id of each
-        block as ``int64`` columns: the ids of ``n`` one-block allocations
-        in stripe order."""
+        """Reserve a stripe of ``n`` fresh ids over all ``P*D`` disks (no
+        I/O charged) from each start disk of ``start_disk``, an int or a
+        column, one stripe after another: block ``g`` of a stripe goes on
+        global disk ``(start + g) mod P*D``, that is PE ``disk // D``,
+        local disk ``disk % D``, at the disk's next free slots in order.
+        Returns the PE and the id of each block as ``int64`` columns,
+        stripe after stripe: the ids of ``n`` one-block allocations per
+        stripe in stripe order, as consecutive calls would hand out."""
         P, D = self.cfg.P, self.cfg.D
         total = self.cfg.total_disks
-        first = start_disk % total
-        q = np.arange(first, first + n)
-        disk = q % total
-        rank = q // total - (disk < first)  # stripe blocks before it on disk
-        pes, d = np.divmod(disk, D)
-        cells = d * P + pes
-        lbs = (self._next[cells] + rank) * D + d
-        self._next += np.bincount(cells, minlength=total)
-        return pes, lbs
+        first = np.asarray(start_disk, np.int64).reshape(-1, 1) % total
+        # Each stripe's blocks on each global disk: n // total, and one more
+        # on the n % total disks from its start.
+        put = n // total + ((np.arange(total) - first) % total < n % total)
+        cell = np.arange(total) % D * P + np.arange(total) // D
+        # A stripe's first free slot on each disk, after the earlier ones.
+        slot = self._next[cell] + np.cumsum(put, 0) - put
+        q = first + np.arange(n)
+        turn = q // total
+        disk = q - turn * total             # q % total, without the slower %
+        rank = turn - (disk < first)        # stripe blocks before it on disk
+        pes = disk // D
+        d = disk - pes * D
+        at = disk + np.arange(0, slot.size, total)[:, None]
+        lbs = (np.take(slot, at) + rank) * D + d
+        self._next[cell] += put.sum(0)
+        return pes.reshape(-1), lbs.reshape(-1)
 
     def free_blocks(self, pe, lbs) -> None:
         """Release blocks (no I/O charged; supports in-place accounting)."""

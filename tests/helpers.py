@@ -10,9 +10,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 
+from emsort import runform
 from emsort.core import (
     ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
     PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, concat,
@@ -39,6 +41,13 @@ def build(P: int = 2, D: int = 2, B: int = 4, m: int = 32, N: int = 128,
 
 def fill(cluster: Cluster, kind: str = "random", seed: int = 0) -> GeneratedInput:
     return generate_input(cluster, InputSpec(kind, cluster.cfg.N, seed))
+
+
+def formation_window(cfg: MachineConfig, loads: int | None):
+    """A patch of run formation's window to ``loads`` whole memory loads
+    of ``cfg`` (``None`` keeps the default)."""
+    size = runform._WINDOW if loads is None else loads * cfg.M
+    return mock.patch.object(runform, "_WINDOW", size)
 
 
 def on(pe: int, lbs):
@@ -419,7 +428,7 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[ReferenceStri
             lbs = pe_blocks[p][offset // B:(offset + take) // B]
             loads.append(cluster.read_blocks(*on(p, lbs), PHASE_RUN_FORMATION))
             cluster.free_blocks(*on(p, lbs))
-        data = array_internal_parallel_sort(cluster, concat(loads))
+        data = array_internal_parallel_sort(cluster, concat(loads)[None])[0]
         writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
                                 COORDINATOR, PHASE_RUN_FORMATION)
         for p, piece in enumerate(np.split(data, cfg.P)):

@@ -187,6 +187,26 @@ def test_sort_order_is_lexsort(drawn):
     assert got.tolist() == np.lexsort((ties, keys)).tolist()
 
 
+@given(sort_inputs(), st.lists(st.randoms(use_true_random=False),
+                              min_size=1, max_size=4))
+def test_sort_order_sorts_each_row_as_lexsort(drawn, shufflers):
+    """Rows holding the same keys and ties in other orders: each row's
+    part of the order is that row's ``lexsort``, shifted to its place in
+    the flattened rows, so no run of equal keys crosses a row."""
+    keys, ties = drawn
+    rows = []
+    for rnd in shufflers:
+        perm = list(range(len(keys)))
+        rnd.shuffle(perm)
+        rows.append(perm)
+    rows = np.array(rows, np.intp).reshape(len(shufflers), len(keys))
+    got = sort_order(keys[rows], ties[rows])
+    assert got.dtype == np.intp
+    n = len(keys)
+    assert got.tolist() == [j * n + i for j, row in enumerate(rows)
+                            for i in np.lexsort((ties[row], keys[row])).tolist()]
+
+
 def fingerprint(tuples) -> tuple[int, int]:
     elems = element_array(tuples)
     return checksum128(elems["key"], elems["serial"])

@@ -26,6 +26,8 @@ from emsort.core import (
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
 from emsort.vdisk import Cluster
 
+from helpers import formation_window
+
 #: Per case, its engine and config: R = 8 canonical runs (multi-round
 #: all-to-all on ``worst_case_shift``); R = 64 striped runs at arity 8 (two
 #: passes); and R = 63 striped runs of 16 blocks, the last of 8, over
@@ -175,16 +177,38 @@ def sorted_case(case: str, kind: str, randomize: bool):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_counters_inputs_and_outputs_match_the_record(case, kind, randomize):
     cfg, cluster, gen, result = sorted_case(case, kind, randomize)
+    assert recorded_values(cfg, cluster, gen, result, kind) \
+        == RECORDED[case, kind, randomize]
+
+
+@pytest.mark.parametrize("loads", [1, 3])
+@pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_record_holds_across_formation_window_edges(case, kind,
+                                                        randomize, loads):
+    """The same values with run formation in windows of one and of three
+    memory loads, where every case fits one default window: a window of
+    one load, window edges between the runs of each case, and the short
+    last load of ``striped_uneven`` in a window of its own."""
+    with formation_window(MachineConfig(**CASES[case][1]), loads):
+        cfg, cluster, gen, result = sorted_case(case, kind, randomize)
+    assert recorded_values(cfg, cluster, gen, result, kind) \
+        == RECORDED[case, kind, randomize]
+
+
+def recorded_values(cfg, cluster, gen, result, kind: str):
+    """The five recorded values of a sorted case."""
     stats = "\n".join(line for line in report_stats(cfg, result, kind).splitlines()
                       if not line.startswith("# wall_seconds="))
     layout = result.layout
     out = cluster.peek_blocks(layout.pes, layout.lbs)
     columns = out["key"].astype("<u8").tobytes() + out["serial"].astype("<i8").tobytes()
     ids = layout.pes.astype("<i8").tobytes() + layout.lbs.astype("<i8").tobytes()
-    assert (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,
+    return (hashlib.sha256(stats.encode()).hexdigest(), gen.count, gen.total,
             hashlib.sha256(columns).hexdigest(),
             [cluster.peak_allocated(pe) for pe in range(cfg.P)],
-            hashlib.sha256(ids).hexdigest()) == RECORDED[case, kind, randomize]
+            hashlib.sha256(ids).hexdigest())
 
 
 @pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])

@@ -34,6 +34,10 @@ def read_run(cl, run: RunDescriptor):
 def test_run_layout_covers_input_with_trailing_short_run():
     cfg = MachineConfig(P=4, D=2, B=4, m=32, N=320)   # M=128
     assert run_layout(cfg) == [(128, 32), (128, 32), (64, 16)]
+    assert runform.windows(cfg) == [(0, 2, 32), (2, 1, 16)]
+    # A load above the window's 2**14 elements is a window alone.
+    assert runform.windows(MachineConfig(P=4, D=2, B=4, m=8192, N=81920)) \
+        == [(0, 1, 8192), (1, 1, 8192), (2, 1, 4096)]
     assert run_layout(MachineConfig(P=2, D=2, B=4, m=32, N=0)) == []
 
 
@@ -103,72 +107,89 @@ def test_internal_parallel_sort_chunks_are_exact_rank_splits():
     rng = random.Random(77)
     cl = build(P=3, D=1, B=4, m=40, N=120)
     load = [(rng.randrange(1000), i) for i in range(120)]
-    got = internal_parallel_sort(cl, elements(load))
-    assert len(got) == 120
-    flat = got.tolist()
+    got = internal_parallel_sort(cl, elements(load)[None])
+    assert got.shape == (1, 120)
+    flat = got[0].tolist()
     assert [e[0] for e in flat] == sorted(e[0] for e in flat)
     assert sorted(flat) == sorted(load)
     with pytest.raises(MemoryError):
-        internal_parallel_sort(cl, elements([(0, 0)] * 123))
+        internal_parallel_sort(cl, elements([(0, 0)] * 246).reshape(2, 123))
     with pytest.raises(ValueError):
-        internal_parallel_sort(cl, elements([(0, 0)] * 4))
+        internal_parallel_sort(cl, elements([(0, 0)] * 8).reshape(2, 4))
 
 
 @st.composite
-def parallel_loads(draw):
-    """P equal shares, mostly with keys 0..3 so that rank cuts fall inside
-    runs of ties."""
+def parallel_windows(draw):
+    """A window of 1 to 5 loads of P equal shares each, mostly with keys
+    0..3 so that rank cuts fall inside runs of ties, and often in rows
+    that repeat each other's keys."""
     P = draw(st.integers(1, 4))
     share = draw(st.integers(0, 6))
     total = P * share
-    keys = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, MAX_KEY - 1)),
-                         min_size=total, max_size=total))
-    serials = draw(st.permutations(range(total)))
-    elems = list(zip(keys, serials))
-    return [elems[p * share:(p + 1) * share] for p in range(P)]
+    key = st.one_of(st.integers(0, 3), st.integers(0, MAX_KEY - 1))
+    window = []
+    for _ in range(draw(st.integers(1, 5))):
+        keys = draw(st.lists(key, min_size=total, max_size=total))
+        serials = draw(st.permutations(range(total)))
+        elems = list(zip(keys, serials))
+        window.append([elems[p * share:(p + 1) * share] for p in range(P)])
+    return window
 
 
-#: Equal shares whose rank cuts fall inside runs of equal keys.
-TIED_LOADS = {
-    "all keys equal, P = 4": [[(7, (5 * i + 3 * p) % 31) for i in range(6)]
-                              for p in range(4)],
-    "sentinel duplicates on several PEs": [
+#: Windows of equal shares whose rank cuts fall inside runs of equal keys.
+TIED_WINDOWS = {
+    "all keys equal, P = 4": [[[(7, (5 * i + 3 * p) % 31) for i in range(6)]
+                               for p in range(4)]],
+    "sentinel duplicates on several PEs": [[
         [(MAX_KEY, -1), (3, 0), (MAX_KEY, -1), (MAX_KEY, 1)],
         [(MAX_KEY, -1), (2, 2), (MAX_KEY, -1), (MAX_KEY, -1)],
-        [(3, 3), (MAX_KEY, -1), (0, 4), (MAX_KEY, 2)]],
-    "serials decrease with the processor": [
+        [(3, 3), (MAX_KEY, -1), (0, 4), (MAX_KEY, 2)]]],
+    "serials decrease with the processor": [[
         [(k % 3, 100 - 10 * p - i) for i, k in enumerate(range(p, p + 5))]
-        for p in range(4)],
+        for p in range(4)]],
+    # A key group that ran on into the next row would trade serials
+    # between the rows.
+    "two rows of the same tied keys": [
+        [[(5, 3), (5, 0)], [(5, 6), (5, 1)]],
+        [[(5, 2), (5, 7)], [(5, 0), (5, 4)]]],
 }
 
 
-@given(parallel_loads())
-@example(TIED_LOADS["all keys equal, P = 4"])
-@example(TIED_LOADS["sentinel duplicates on several PEs"])
-@example(TIED_LOADS["serials decrease with the processor"])
-def test_internal_parallel_sort_matches_the_reference_kernel(loads):
-    """The array kernel sorts the shares joined; its share p is the
-    reference kernel's chunk p."""
-    P = len(loads)
+@given(parallel_windows())
+@example(TIED_WINDOWS["all keys equal, P = 4"])
+@example(TIED_WINDOWS["sentinel duplicates on several PEs"])
+@example(TIED_WINDOWS["serials decrease with the processor"])
+@example(TIED_WINDOWS["two rows of the same tied keys"])
+def test_internal_parallel_sort_matches_the_reference_kernel(window):
+    """The array kernel sorts a window of loads, each the shares joined;
+    share p of its row j is the reference kernel's chunk p of load j, and
+    the counters are the reference's applied load by load."""
+    P = len(window[0])
     ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
-    expected = helpers.internal_parallel_sort(ref_cl, loads)
-    got = internal_parallel_sort(cl, elements([e for load in loads for e in load]))
-    assert [chunk.tolist() for chunk in np.split(got, P)] == expected
+    expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
+    rows = elements([e for load in window for share in load for e in share])
+    got = internal_parallel_sort(cl, rows.reshape(len(window), -1))
+    assert [[chunk.tolist() for chunk in np.split(row, P)]
+            for row in got] == expected
     assert counter_state(cl) == counter_state(ref_cl)
 
 
 def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
+    """Run formation sorts each window of loads with one call, whose rows
+    are the window's loads: two windows of two loads, one of one, and the
+    short last load alone."""
     calls = []
 
     def counted(keys, ties):
-        calls.append(len(keys))
+        calls.append(keys.shape)
         return sort_order(keys, ties)
 
     monkeypatch.setattr(runform, "sort_order", counted)
-    loads = TIED_LOADS["all keys equal, P = 4"]
-    internal_parallel_sort(build(P=4, D=1, B=1, m=32, N=0),
-                           elements([e for load in loads for e in load]))
-    assert calls == [24]
+    cl = build(P=4, D=1, B=2, m=8, N=4 * 44, seed=6)    # M = 32, R = 6
+    gen = fill(cl, "duplicate_heavy", 6)
+    with helpers.formation_window(cl.cfg, 2):
+        form_runs(cl, gen.pe_blocks)
+    assert calls == [(2, 32), (2, 32), (1, 32), (1, 16)]
 
 
 def test_shuffle_is_seeded_and_respects_toggle():

@@ -105,6 +105,27 @@ def test_alloc_stripe_places_each_block_on_its_disk():
     assert (pes.tolist(), lbs.tolist()) == ([0], [3])
 
 
+@given(st.sampled_from([(2, 3), (3, 2), (1, 4)]),
+       st.lists(st.tuples(st.integers(0, 13), st.integers(0, 9)), max_size=3),
+       st.lists(st.integers(0, 13), max_size=5), st.integers(0, 17))
+def test_alloc_stripe_of_many_starts_is_consecutive_calls(shape, before,
+                                                         starts, n):
+    """One call with a column of start disks hands out the ids, and leaves
+    the next free slots, of one call per start in order, from disks left
+    uneven by earlier stripes; ``n`` is often not a multiple of P*D."""
+    P, D = shape
+    one, many = build(P=P, D=D), build(P=P, D=D)
+    for cl in (one, many):
+        for start, length in before:
+            cl.alloc_stripe(start, length)
+    pes, lbs = many.alloc_stripe(np.array(starts, np.int64), n)
+    singles = [one.alloc_stripe(start, n) for start in starts]
+    assert pes.dtype == lbs.dtype == np.int64
+    assert pes.tolist() == [pe for p, _l in singles for pe in p.tolist()]
+    assert lbs.tolist() == [lb for _p, ls in singles for lb in ls.tolist()]
+    assert many.next_slot.tolist() == one.next_slot.tolist()
+
+
 @given(st.integers(1, 4),
        st.lists(st.one_of(st.tuples(st.just("stripe"), st.integers(0, 9),
                                     st.integers(0, 12)),
