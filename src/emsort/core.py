@@ -96,58 +96,91 @@ def concat(parts) -> np.ndarray:
 def sort_order(keys: np.ndarray, ties: np.ndarray) -> np.ndarray:
     """The permutation that sorts each row of ``keys`` by key, equal keys
     by ``ties``, as indices into the flattened array, row after row: for
-    one row exactly ``np.lexsort((ties, keys))``, by the cheapest exact
-    path.  ``keys`` is one row ``(n,)`` or rows ``(w, n)``, and ``ties``
-    is an ``int64`` array of its shape.
+    one row exactly ``np.lexsort((ties, keys))``.  ``keys`` is one row
+    ``(n,)`` or rows ``(w, n)`` of ``uint64``, and ``ties`` is an
+    ``int64`` array of its shape.
 
-    Rows whose keys already strictly increase need no sort.  Distinct keys
-    have one sorting permutation, so the unstable SIMD ``argsort`` (several
-    times faster than ``lexsort`` on 64-bit keys) gives it bit for bit.
-    Tied keys fold (key group, tie, index) into one ``int64`` per element,
-    with the index in the low bits: the values are distinct, so a SIMD
-    value sort of them puts the indices in ``lexsort``'s order.  A row
-    starts a key group, so no group crosses a row.  Only ties spread too
-    wide for the fold fall back to ``lexsort``.
+    Rows whose keys already strictly increase need no sort.  Otherwise each
+    element becomes one ``int64`` word (row, key − min, tie − min, flat
+    index), high bits to low, and one SIMD value sort of the words, which
+    are distinct, puts the indices in ``lexsort``'s order; the row in the
+    high bits keeps every row apart.  When key and tie spans do not both
+    fit beside the row and the index, the word keeps the key's high bits
+    and no tie, and only the elements whose (row, high bits) equal a
+    neighbour's are sorted again, by a second value sort of (collision
+    group, low key bits, tie − min, position) or, when that does not fit
+    either, by ``lexsort`` on those elements alone.
     """
-    n = keys.shape[-1]
     size = keys.size
     if (keys[..., 1:] > keys[..., :-1]).all():
         return np.arange(size)
-    order = _flat(np.argsort(keys))
-    flat_keys, flat_ties = keys.reshape(-1), ties.reshape(-1)
-    ordered = flat_keys[order]
-    step = ordered[1:] != ordered[:-1]
-    del ordered
-    step[n - 1::n] = True               # the last of a row, before the next
-    if step.all():
+    shift = (size - 1).bit_length()     # the flat index, in the low bits
+    room = 63 - shift - (size // keys.shape[-1] - 1).bit_length()
+    lo, tlo = keys.min(), int(ties.min())
+    key_bits = int(keys.max() - lo).bit_length()
+    tie_bits = (int(ties.max()) - tlo).bit_length()
+    narrow = key_bits + tie_bits <= room
+    cut = 0 if narrow else max(0, key_bits - room)  # key bits left out
+    order = np.arange(size)
+    scratch = np.subtract(keys, lo).reshape(-1)
+    scratch >>= cut
+    scratch = scratch.view(np.int64)
+    scratch <<= shift + tie_bits if narrow else shift
+    order |= scratch
+    if narrow:
+        np.subtract(ties, tlo, out=scratch.reshape(ties.shape))
+        scratch <<= shift
+        order |= scratch
+    if keys.ndim > 1 and len(keys) > 1:
+        order.reshape(len(keys), -1)[...] |= (
+            np.arange(len(keys))[:, None] << shift + room)
+    order.sort()
+    if narrow:
+        order &= (1 << shift) - 1
         return order
-    low = int(flat_ties.min())
-    span = int(flat_ties.max()) - low + 1
+    np.right_shift(order, shift, out=scratch)  # (row, high key bits)
+    order &= (1 << shift) - 1
+    _sort_collisions(order, scratch, keys.reshape(-1), ties.reshape(-1),
+                     int(lo), cut)
+    return order
+
+
+def _sort_collisions(order: np.ndarray, high: np.ndarray, keys: np.ndarray,
+                     ties: np.ndarray, lo: int, cut: int) -> None:
+    """Put in order, in place, each run of sorted positions of ``order``
+    whose ``high`` words are equal, by (low ``cut`` bits of key − ``lo``,
+    tie), equal pairs by position; ``high`` is spent.  The elements of a
+    run are in index order, so the position keeps ``lexsort``'s
+    stability."""
+    size = len(order)
+    tied = np.zeros(size + 1, bool)         # position p - 1 ties with p
+    np.equal(high[1:], high[:-1], out=tied[1:-1])
+    if not tied.any():
+        return
+    at = np.flatnonzero(tied[:-1] | tied[1:])
+    index = order[at]
+    low = keys[index] - np.uint64(lo)
+    low &= np.uint64((1 << cut) - 1)
+    tie = ties[index]
+    del index
+    tlo = int(tie.min())
+    tie_bits = (int(tie.max()) - tlo).bit_length()
     shift = (size - 1).bit_length()
-    if (int(np.count_nonzero(step)) + 1) * span << shift > 1 << 63:
-        return _flat(np.lexsort((ties, keys)))
-    fold = np.empty(size, np.int64)
-    fold[0] = 0
-    fold[1:] = step
-    del step
-    np.cumsum(fold, out=fold)           # key group of each sorted position
-    fold *= span
-    fold += flat_ties[order]            # may wrap; the next line unwraps
-    fold -= low
-    fold <<= shift
-    fold |= order
-    del order
-    fold.sort()
-    fold &= (1 << shift) - 1
-    return fold
-
-
-def _flat(order: np.ndarray) -> np.ndarray:
-    """Each row's own indices, as from ``argsort`` along the last axis, as
-    indices into the flattened array."""
-    if order.ndim > 1 and len(order) > 1:
-        order += np.arange(0, order.size, order.shape[-1])[:, None]
-    return order.reshape(-1)
+    word = high[:len(at)]
+    np.cumsum(~tied[at], out=word)          # collision group
+    if int(word[-1]).bit_length() + cut + tie_bits + shift > 63:
+        order[at] = order[at[np.lexsort((tie, low, word))]]
+        return
+    word <<= cut
+    word |= low.view(np.int64)
+    word <<= tie_bits
+    tie -= tlo
+    word |= tie
+    word <<= shift
+    word |= at
+    word.sort()
+    word &= (1 << shift) - 1
+    order[at] = order[word]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ would.
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,40 +145,42 @@ def build_prediction_sequence(cluster, runs: list[StripedRun]):
     return minima[order], run_of[order], pos[order]
 
 
-def prefetch_schedule(disks: list[int], W: int, D_total: int) -> list[int]:
+def prefetch_schedule(disks: list[int], W: int, D_total: int) -> np.ndarray:
     """Assign a fetch step to each block of a prediction sequence.
 
     ``disks[i]`` is the disk of the i-th block in consumption order; the
-    returned ``steps[i]`` is its 0-based fetch step.  At most one block is
-    fetched per disk per step and at most W fetched blocks are ever
-    unconsumed.  The schedule is the time reversal of a greedy buffered
-    write of the reversed sequence: admit requests into a W-slot buffer in
-    order, and each step retire one block from every disk with a pending
-    request.
+    returned ``int64`` column holds each block's 0-based fetch step.  At
+    most one block is fetched per disk per step and at most W fetched
+    blocks are ever unconsumed.  The schedule is the time reversal of a
+    greedy buffered write of the reversed sequence: requests enter a
+    W-slot buffer in order, and each step retires one block from every
+    disk with a pending request.  Counted, block ``k`` of the reversed
+    sequence enters at the first step by whose start ``k − W + 1`` blocks
+    are written, and is written at that step or one after its disk's
+    previous block, whichever is later.
     """
     if W < D_total:
         raise ValueError(f"buffer of {W} blocks cannot serve {D_total} disks")
     if len(disks) and (min(disks) < 0 or max(disks) >= D_total):
         raise ValueError("disk index out of range")
-    L = len(disks)
-    queues: list[deque[int]] = [deque() for _ in range(D_total)]
-    write_step = [0] * L
-    admitted = L - 1  # reversed order: admit L-1, L-2, ...
-    buffered = 0
-    step = 0
-    while True:
-        while admitted >= 0 and buffered < W:
-            queues[disks[admitted]].append(admitted)
-            admitted -= 1
-            buffered += 1
-        if buffered == 0:
-            break
-        step += 1
-        for queue in queues:
-            if queue:
-                write_step[queue.popleft()] = step
-                buffered -= 1
-    return [step - s for s in write_step]
+    last = [0] * D_total            # each disk's latest write step
+    count = [0] * (len(disks) + 2)  # blocks written at each step
+    write = array("q")              # write steps, reversed sequence order
+    enter = 1                       # the step the next block enters at
+    written = 0                     # blocks written before step ``enter``
+    need = 1 - W                    # blocks written before it may enter
+    for d in reversed(disks):
+        while written < need:
+            written += count[enter]
+            enter += 1
+        step = last[d] + 1
+        if step < enter:
+            step = enter
+        last[d] = step
+        count[step] += 1
+        write.append(step)
+        need += 1
+    return max(last, default=0) - np.frombuffer(write, np.int64)[::-1]
 
 
 def verify_schedule(disks, steps, W: int) -> int:
@@ -197,16 +199,16 @@ def verify_schedule(disks, steps, W: int) -> int:
     if steps.min() < 0:
         raise ValueError(f"block {int(np.argmax(steps < 0))} is never fetched")
     span = int(steps.max()) + 1
-    order = np.lexsort((disks, steps))
-    s, d = steps[order], disks[order]
-    twice = np.flatnonzero((s[1:] == s[:-1]) & (d[1:] == d[:-1]))
+    width = int(disks.max()) + 1
+    twice = np.flatnonzero(np.bincount(steps * width + disks) > 1)
     fetched = np.cumsum(np.bincount(steps, minlength=span))
     consumed = np.cumsum(np.bincount(np.maximum.accumulate(steps),
                                      minlength=span))
     occupancy = fetched - np.concatenate(([0], consumed[:-1]))
     over = np.flatnonzero(occupancy > W)
-    if len(twice) and (not len(over) or s[twice[0]] <= over[0]):
-        raise ValueError(f"step {s[twice[0]]} fetches disk {d[twice[0]]} twice")
+    if len(twice) and (not len(over) or twice[0] // width <= over[0]):
+        step, disk = divmod(int(twice[0]), width)
+        raise ValueError(f"step {step} fetches disk {disk} twice")
     if len(over):
         raise ValueError(
             f"step {over[0]} buffers {occupancy[over[0]]} > {W} blocks")

@@ -1,13 +1,14 @@
 """Shared test utilities: cluster construction, oracle sorting, block
 occupancy, an in-memory selection accessor, the scalar element codec that
 the disk images are checked against, the element-at-a-time,
-block-at-a-time, per-batch, per-rank and per-block kernels that the array
-kernels are checked against, and the per-PE dict block store and the
+block-at-a-time, per-batch, per-rank, per-block and step-by-step kernels
+that the array kernels are checked against, and the per-PE dict block store and the
 list-based counters that the slab store and the counter arrays are checked
 against."""
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from unittest import mock
@@ -27,8 +28,9 @@ from emsort.redistribute import PlanError, Staged
 from emsort.runform import internal_parallel_sort as array_internal_parallel_sort
 from emsort.selection import sampled_starts, select_all_ranks
 from emsort.striped import (
-    COORDINATOR, StripedRun, _run_start_disk, prefetch_schedule,
+    COORDINATOR, StripedRun, _run_start_disk,
     build_prediction_sequence as array_prediction_sequence,
+    prefetch_schedule as array_prefetch_schedule,
     verify_schedule as array_verify_schedule,
 )
 from emsort.vdisk import Cluster, DiskError, OutputLayout
@@ -453,6 +455,36 @@ def build_prediction_sequence(cluster, runs: list[ReferenceStripedRun]):
     return entries
 
 
+def prefetch_schedule(disks: list[int], W: int, D_total: int) -> list[int]:
+    """Fetch steps of a prediction sequence by simulating the greedy
+    buffered write of the reversed sequence step by step: admit requests
+    into a W-slot buffer in order, one deque per disk, and each step retire
+    one block from every disk with a pending request."""
+    if W < D_total:
+        raise ValueError(f"buffer of {W} blocks cannot serve {D_total} disks")
+    if len(disks) and (min(disks) < 0 or max(disks) >= D_total):
+        raise ValueError("disk index out of range")
+    L = len(disks)
+    queues: list[deque[int]] = [deque() for _ in range(D_total)]
+    write_step = [0] * L
+    admitted = L - 1  # reversed order: admit L-1, L-2, ...
+    buffered = 0
+    step = 0
+    while True:
+        while admitted >= 0 and buffered < W:
+            queues[disks[admitted]].append(admitted)
+            admitted -= 1
+            buffered += 1
+        if buffered == 0:
+            break
+        step += 1
+        for queue in queues:
+            if queue:
+                write_step[queue.popleft()] = step
+                buffered -= 1
+    return [step - s for s in write_step]
+
+
 def verify_schedule(disks: list[int], steps: list[int], W: int) -> int:
     """Replay a fetch schedule step by step; return its step count.  Raises
     ValueError on a disk fetched twice in one step, a block never fetched,
@@ -589,7 +621,7 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
     lbs = np.concatenate([run.lbs for run in runs])[at]
     disks = pes * cfg.D + lbs % cfg.D
     W = max(D_total, cfg.merge_arity)
-    steps = prefetch_schedule(disks.tolist(), W, D_total)
+    steps = array_prefetch_schedule(disks.tolist(), W, D_total)
     n_steps = array_verify_schedule(disks, steps, W)
 
     length = sum(run.length for run in runs)

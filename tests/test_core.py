@@ -1,6 +1,9 @@
 """Configuration, element encoding, fingerprints, and phase counters."""
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -166,18 +169,24 @@ def keys_ties(keys, ties):
 # One example per path of ``sort_order``.
 @given(sort_inputs())
 @example(keys_ties([1, 5, 9, 2**64 - 1], [3, 2, 1, 0]))     # strictly increasing
-@example(keys_ties([5, 1, 9, 3, 0], [0, 0, 0, 0, 0]))       # distinct keys
-@example(keys_ties([2, 1, 2, 1, 2, 2], [5, -3, 1, 7, 0, -2**40]))  # tied keys
+@example(keys_ties([5, 1, 9, 3, 0], [0, 0, 0, 0, 0]))       # narrow: distinct keys
+@example(keys_ties([2, 1, 2, 1, 2, 2], [5, -3, 1, 7, 0, -2**40]))  # narrow: ties
 @example(keys_ties([1, 1, 2, 2], [5, 3, 9, -9]))  # nondecreasing, ties unsorted
 @example(keys_ties([3, 3, 1, 3, 1] * 8, [0, 0, 4, 0, 4] * 8))  # repeated pairs
 @example(keys_ties([1, 0, 1, 0],
-                   [2**59 - 1, -2**59, -2**59, 2**59 - 1]))  # widest fold
+                   [2**59 - 1, -2**59, -2**59, 2**59 - 1]))  # widest narrow word
 @example(keys_ties([1, 0, 1, 0, 1], [2**63 - 1, 2**63 - 2, 2**63 - 3,
                                      2**63 - 1, 2**63 - 5]))  # ties near 2**63
 @example(keys_ties([1, 0, 1, 0],
                    [2**61 + 3, 2**61 - 3, 2**61 - 3, 2**61 + 3]))  # near 2**61
 @example(keys_ties([1, 0, 1, 0],
-                   [2**59, -2**59, -2**59, 2**59]))  # past the fold: lexsort
+                   [2**59, -2**59, -2**59, 2**59]))  # one bit past: equal keys
+@example(keys_ties([2**64 - 1, 0, 2**63, 2**40],
+                   [0, 0, 0, 0]))               # wide keys, high bits distinct
+@example(keys_ties([2, 1, 2, 0, 2**64 - 1],
+                   [5, 3, 1, 0, 0]))            # high bits collide: value sort
+@example(keys_ties([2, 1, 2, 0, 2**64 - 1],
+                   [2**63 - 1, -2**63, 0, 5, 0]))  # collided, ties ~2**64: lexsort
 @example(keys_ties([1, 1, 0, 1, 0],
                    [2**63 - 1, -2**63, 0, -2**63 + 1, -1]))  # lexsort, span ~2**64
 def test_sort_order_is_lexsort(drawn):
@@ -187,8 +196,20 @@ def test_sort_order_is_lexsort(drawn):
     assert got.tolist() == np.lexsort((ties, keys)).tolist()
 
 
+def shufflers(n: int) -> list[random.Random]:
+    return [random.Random(seed) for seed in range(n)]
+
+
 @given(sort_inputs(), st.lists(st.randoms(use_true_random=False),
                               min_size=1, max_size=4))
+@example(keys_ties([5, 1, 9, 3, 0, 3], [0, 0, 0, 1, 0, 1]),
+         shufflers(3))                                      # narrow
+@example(keys_ties([2**64 - 1, 0, 2**63, 2**40], [0, 1, 2, 3]),
+         shufflers(4))                      # wide keys, high bits distinct
+@example(keys_ties([2, 1, 2, 0, 2**64 - 1], [5, 3, 1, 0, 0]),
+         shufflers(3))                      # high bits collide in each row
+@example(keys_ties([2, 1, 2, 0, 2**64 - 1], [2**63 - 1, -2**63, 0, 5, 0]),
+         shufflers(2))                      # collided, ties ~2**64: lexsort
 def test_sort_order_sorts_each_row_as_lexsort(drawn, shufflers):
     """Rows holding the same keys and ties in other orders: each row's
     part of the order is that row's ``lexsort``, shifted to its place in
@@ -205,6 +226,18 @@ def test_sort_order_sorts_each_row_as_lexsort(drawn, shufflers):
     n = len(keys)
     assert got.tolist() == [j * n + i for j, row in enumerate(rows)
                             for i in np.lexsort((ties[row], keys[row])).tolist()]
+
+
+def test_sort_order_sorts_a_band_and_an_outlier_without_lexsort(monkeypatch):
+    """Keys in a narrow band plus one far outlier collide in their high
+    bits; the second value sort, not ``lexsort``, puts them in order."""
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 2**20, 4097).astype(np.uint64)
+    keys[1234] = 2**64 - 1
+    ties = np.arange(len(keys))
+    want = np.lexsort((ties, keys)).tolist()
+    monkeypatch.setattr(np, "lexsort", mock.Mock(side_effect=AssertionError))
+    assert sort_order(keys, ties).tolist() == want
 
 
 def fingerprint(tuples) -> tuple[int, int]:

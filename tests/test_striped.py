@@ -153,6 +153,33 @@ def test_buffered_duality_gains_on_skewed_sequences():
     assert verify_schedule(disks, steps, W) < naive_steps(disks, W)
 
 
+@st.composite
+def prediction_disks(draw):
+    """A disk sequence with a buffer of ``D_total`` to three times it:
+    drawn blocks, long stretches on one disk, or none."""
+    D_total = draw(st.integers(1, 6))
+    W = draw(st.sampled_from([D_total, D_total + 1,
+                              draw(st.integers(D_total, 3 * D_total))]))
+    disk = st.integers(0, D_total - 1)
+    stretches = draw(st.lists(st.tuples(disk, st.integers(1, 20)),
+                              max_size=8))
+    disks = [d for d, n in stretches for _ in range(n)]
+    if draw(st.booleans()):
+        disks = draw(st.permutations(disks))
+    return disks, W, D_total
+
+
+@given(prediction_disks())
+@example(([], 1, 1))
+@example(([0] * 30 + [1, 2] * 5, 3, 3))       # a long same-disk stretch
+@example(([0, 1, 2, 3] * 6 + [2] * 9, 4, 4))  # W = D_total
+def test_prefetch_schedule_matches_the_step_by_step_buffer(drawn):
+    disks, W, D_total = drawn
+    steps = prefetch_schedule(disks, W, D_total)
+    assert steps.dtype == np.int64
+    assert steps.tolist() == helpers.prefetch_schedule(disks, W, D_total)
+
+
 # --- merge passes -----------------------------------------------------------------
 
 def test_merge_pass_produces_one_sorted_striped_run():
@@ -453,7 +480,7 @@ def fetch_schedules(draw):
     D_total = draw(st.integers(1, 4))
     disks = draw(st.lists(st.integers(0, D_total - 1), max_size=24))
     W = draw(st.integers(D_total, 3 * D_total))
-    steps = prefetch_schedule(disks, W, D_total)
+    steps = prefetch_schedule(disks, W, D_total).tolist()
     fault = draw(st.sampled_from(["none", "twice", "early", "negative", "any"]))
     if disks and fault != "none":
         i = draw(st.integers(0, len(disks) - 1))
