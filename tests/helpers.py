@@ -2,9 +2,9 @@
 occupancy, an in-memory selection accessor, the scalar element codec that
 the disk images are checked against, the element-at-a-time,
 block-at-a-time, per-batch, per-rank, per-block and step-by-step kernels
-that the array kernels are checked against, and the per-PE dict block store and the
-list-based counters that the slab store and the counter arrays are checked
-against."""
+that the array kernels are checked against, and the per-PE dict block
+store and the list-based counters that the slab store and the counter
+arrays are checked against."""
 from __future__ import annotations
 
 import heapq

@@ -196,20 +196,20 @@ def test_sort_order_is_lexsort(drawn):
     assert got.tolist() == np.lexsort((ties, keys)).tolist()
 
 
-def shufflers(n: int) -> list[random.Random]:
+def seeded_randoms(n: int) -> list[random.Random]:
     return [random.Random(seed) for seed in range(n)]
 
 
 @given(sort_inputs(), st.lists(st.randoms(use_true_random=False),
                               min_size=1, max_size=4))
 @example(keys_ties([5, 1, 9, 3, 0, 3], [0, 0, 0, 1, 0, 1]),
-         shufflers(3))                                      # narrow
+         seeded_randoms(3))                 # narrow
 @example(keys_ties([2**64 - 1, 0, 2**63, 2**40], [0, 1, 2, 3]),
-         shufflers(4))                      # wide keys, high bits distinct
+         seeded_randoms(4))                 # wide keys, high bits distinct
 @example(keys_ties([2, 1, 2, 0, 2**64 - 1], [5, 3, 1, 0, 0]),
-         shufflers(3))                      # high bits collide in each row
+         seeded_randoms(3))                 # high bits collide in each row
 @example(keys_ties([2, 1, 2, 0, 2**64 - 1], [2**63 - 1, -2**63, 0, 5, 0]),
-         shufflers(2))                      # collided, ties ~2**64: lexsort
+         seeded_randoms(2))                 # collided, ties ~2**64: lexsort
 def test_sort_order_sorts_each_row_as_lexsort(drawn, shufflers):
     """Rows holding the same keys and ties in other orders: each row's
     part of the order is that row's ``lexsort``, shifted to its place in
