@@ -1,11 +1,11 @@
 """Command line interface: gen / sort / verify / experiment.
 
 A persisted run lives in a directory holding one binary image per (PE,
-disk) plus ``manifest.json`` describing the machine, the input kind and
-fingerprint, and — after sorting — the output layout as a PE column and a
-block-id column.  The input's block ids are not stored: ``gen`` puts every
-PE's input in blocks ``0 .. N/(P*B) - 1``.  The process exit code is 0 iff
-verification passed.
+disk), ``manifest.json`` describing the machine, the images' generation,
+the input kind and fingerprint, and — after sorting — ``layout.bin``, the
+output layout as a PE column and a block-id column.  The input's block ids
+are not stored: ``gen`` puts every PE's input in blocks
+``0 .. N/(P*B) - 1``.  The process exit code is 0 iff verification passed.
 """
 from __future__ import annotations
 
@@ -27,14 +27,16 @@ from .harness import (
     run_sort,
     verify_output,
 )
+from .images import IMAGE_NAME
 from .vdisk import Cluster, DiskError, OutputLayout
 
 MANIFEST = "manifest.json"
+LAYOUT = "layout.bin"
 
 #: The fields of each stage's manifest besides ``stage`` and ``cfg``: what
 #: ``gen`` and ``sort`` write and what reading that stage requires.
-STAGE_FIELDS = {"input": ("kind", "count", "total"),
-                "output": ("kind", "count", "total", "layout")}
+STAGE_FIELDS = {"input": ("generation", "kind", "count", "total"),
+                "output": ("generation", "kind", "count", "total", "layout")}
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -85,25 +87,26 @@ def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
     for name in STAGE_FIELDS[stage]:
         if name not in manifest:
             raise SystemExit(f"error: {path}: no {name}")
-        why = _field_fault(name, manifest[name], cfg.P)
+        why = _field_fault(name, manifest[name])
         if why:
             raise SystemExit(f"error: {path}: bad {name}: {why}")
     return manifest, cfg
 
 
-def _field_fault(name: str, value, P: int) -> str | None:
-    """Why ``value`` is not the manifest field ``name`` of a ``P``-PE
-    machine, or ``None`` when it is: ``kind`` one of :data:`INPUT_KINDS`,
-    ``count`` a non-negative int, ``total`` an int in ``[0, 2**128)``, and
-    ``layout`` an object of a known ``engine`` and two equal-length lists
-    of ints in ``[0, 2**63)``, ``pes`` (each below ``P``) and ``lbs``."""
+def _field_fault(name: str, value) -> str | None:
+    """Why ``value`` is not the manifest field ``name``, or ``None`` when
+    it is: ``kind`` one of :data:`INPUT_KINDS`,
+    ``generation`` and ``count`` non-negative ints, ``total`` an int in
+    ``[0, 2**128)``, and ``layout`` an object of a known ``engine`` and a
+    non-negative int ``blocks``, the length of the columns in
+    ``layout.bin``."""
     def is_int(v, top=None) -> bool:
         return type(v) is int and 0 <= v and (top is None or v < top)
 
     if name == "kind":
         return (None if value in INPUT_KINDS else
                 f"must be one of {', '.join(INPUT_KINDS)}, got {value!r}")
-    if name == "count":
+    if name in ("generation", "count"):
         return None if is_int(value) else f"must be a non-negative int, got {value!r}"
     if name == "total":
         return (None if is_int(value, 1 << 128) else
@@ -113,18 +116,9 @@ def _field_fault(name: str, value, P: int) -> str | None:
     if value.get("engine") not in ENGINES:
         return (f"engine must be one of {', '.join(ENGINES)}, "
                 f"got {value.get('engine')!r}")
-    pes, lbs = value.get("pes"), value.get("lbs")
-    if not (isinstance(pes, list) and isinstance(lbs, list)
-            and len(pes) == len(lbs)):
-        return "pes and lbs must be lists of equal length"
-    ids = pes + lbs
-    if not (set(map(type, ids)) <= {int}
-            and (not ids or (0 <= min(ids) and max(ids) < 1 << 63))):
-        return "pes and lbs must hold ints in [0, 2**63)"
-    try:
-        OutputLayout(value["engine"], pes, lbs).check_ids(P)
-    except DiskError:
-        return f"pes must be below {P}, got {max(pes)}"
+    blocks = value.get("blocks")
+    if not is_int(blocks):
+        return f"blocks must be a non-negative int, got {blocks!r}"
     return None
 
 
@@ -140,17 +134,35 @@ def _open_stats(path: str | None):
 
 
 def _persist(cluster: Cluster, directory: str, stage: str,
-             **values) -> None:
-    """Save the images and the ``stage`` manifest, whose fields
-    :data:`STAGE_FIELDS` names and ``values`` holds."""
-    cluster.save_images(directory)      # creates the directory
+             layout: OutputLayout | None = None, **values) -> None:
+    """Save the ``stage`` store: the images in a generation no file in
+    ``directory`` has yet, for an output the ``layout``, then the manifest,
+    whose other fields :data:`STAGE_FIELDS` names and ``values`` holds, by
+    one rename.  A crash before the rename leaves the old store as it was;
+    after it, the files the new manifest does not name are deleted."""
+    os.makedirs(directory, exist_ok=True)       # to list it
+    generation = 1 + max((int(m[1]) for m in map(IMAGE_NAME.fullmatch,
+                                                  os.listdir(directory)) if m),
+                         default=0)
+    cluster.save_images(directory, generation)
+    if layout is not None:
+        layout.save(os.path.join(directory, LAYOUT))
+        values["layout"] = {"engine": layout.engine, "blocks": len(layout.pes)}
+    values["generation"] = generation
     payload = {"stage": stage, "cfg": asdict(cluster.cfg),
                **{name: values[name] for name in STAGE_FIELDS[stage]}}
     # ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump``
     # never does.
     text = json.dumps(payload, sort_keys=True)
-    with open(os.path.join(directory, MANIFEST), "w", encoding="utf-8") as fh:
+    path = os.path.join(directory, MANIFEST)
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+    os.replace(path + ".tmp", path)
+    for name in os.listdir(directory):
+        match = IMAGE_NAME.fullmatch(name)
+        if ((match and int(match[1]) != generation)
+                or (name == LAYOUT and layout is None)):
+            os.remove(os.path.join(directory, name))
 
 
 def _check_cfg(cfg: MachineConfig, engines=ENGINES) -> None:
@@ -177,7 +189,8 @@ def cmd_sort(args) -> int:
     if args.persist and os.path.exists(os.path.join(args.persist, MANIFEST)):
         manifest, cfg = _read_manifest(args.persist, "input")
         _check_cfg(cfg, (args.engine,))
-        cluster = Cluster.load_images(args.persist, cfg)
+        cluster = Cluster.load_images(args.persist, cfg,
+                                      manifest["generation"])
         kind, count, total = (manifest["kind"], manifest["count"],
                               manifest["total"])
     else:
@@ -197,11 +210,8 @@ def cmd_sort(args) -> int:
         args.stats.write(text)
 
     if args.persist:
-        layout = result.layout
-        _persist(cluster, args.persist, "output", kind=kind, count=count,
-                 total=total, layout={"engine": layout.engine,
-                                      "pes": layout.pes.tolist(),
-                                      "lbs": layout.lbs.tolist()})
+        _persist(cluster, args.persist, "output", result.layout, kind=kind,
+                 count=count, total=total)
     if verdict.ok:
         print("verification: pass", file=sys.stderr)
         return 0
@@ -212,9 +222,10 @@ def cmd_sort(args) -> int:
 
 def cmd_verify(args) -> int:
     manifest, cfg = _read_manifest(args.persist, "output")
-    cluster = Cluster.load_images(args.persist, cfg)
+    cluster = Cluster.load_images(args.persist, cfg, manifest["generation"])
     desc = manifest["layout"]
-    layout = OutputLayout(desc["engine"], desc["pes"], desc["lbs"])
+    layout = OutputLayout.load(os.path.join(args.persist, LAYOUT),
+                               desc["engine"], desc["blocks"], cfg.P)
     verdict = verify_output(cluster, layout, manifest["count"],
                             manifest["total"])
     if verdict.ok:

@@ -395,6 +395,10 @@ def checksum128(keys, serials) -> tuple[int, int]:
     return len(keys), total
 
 
+class DiskError(Exception):
+    """A bad block access or disk image."""
+
+
 #: Second indices of :attr:`PhaseCounters.blocks` and
 #: :attr:`PhaseCounters.traffic`.
 READ, WRITE = 0, 1

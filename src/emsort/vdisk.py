@@ -25,6 +25,7 @@ does: a PE column and a block-id column.
 """
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 from dataclasses import dataclass
@@ -33,23 +34,24 @@ import numpy as np
 
 from .core import (
     ELEM,
-    MAX_KEY,
     READ,
-    SENTINEL_SERIAL,
     WRITE,
+    DiskError,
     MachineConfig,
     PhaseCounters,
     refuse_phase,
-    sentinel_mask,
+)
+from .images import (
+    IMAGE,
+    decode_elements,
+    encode_elements,
+    file_size,
+    read_slots,
 )
 
 #: ``mmap`` flags for private anonymous memory where the platform has them.
 _PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
             if hasattr(mmap, "MAP_PRIVATE") else {})
-
-
-class DiskError(Exception):
-    pass
 
 
 class Cluster:
@@ -312,101 +314,75 @@ class Cluster:
 
     # -- persistence -----------------------------------------------------------
 
-    def save_images(self, directory: str) -> None:
-        """Write one ``pe<p>_disk<d>.bin`` per disk; slot ``s`` occupies bytes
-        ``[s*B*elem_size, (s+1)*B*elem_size)``, holes zero-filled.  See
-        :func:`_encode_elements` for the element layout; at ``elem_size``
-        16 a row is the element's own bytes, so each image is one gather of
-        the stored blocks."""
+    def save_images(self, directory: str, generation: int) -> None:
+        """Write one image per disk, named by :data:`IMAGE`, in one call
+        each: the count ``n`` of the disk's live blocks and their ``n``
+        slots in increasing order, as little-endian ``int64``, then their
+        rows.  See :func:`encode_elements` for the element layout; at
+        ``elem_size`` 16 a row is the element's own bytes, so the rows are
+        one gather of the stored blocks."""
         os.makedirs(directory, exist_ok=True)
-        P, B, D, es = self.cfg.P, self.cfg.B, self.cfg.D, self.cfg.elem_size
-        for pe in range(P):
-            for d in range(D):
-                rows = self._row[d * P + pe::D * P]     # slot -> row
-                used = np.flatnonzero(rows >= 0)
-                rows = rows[:used[-1] + 1 if len(used) else 0]
-                if es == ELEM.itemsize:
-                    image = self._slab[np.maximum(rows, 0)]
-                    image[rows < 0] = np.zeros((), self._block)
-                else:
-                    image = np.zeros((len(rows), B, es), dtype=np.uint8)
-                    image[used] = _encode_elements(
-                        self._slab[rows[used]].view(ELEM), es).reshape(-1, B, es)
-                with open(os.path.join(directory, f"pe{pe}_disk{d}.bin"),
-                          "wb") as fh:
-                    fh.write(image)
+        P, D, es = self.cfg.P, self.cfg.D, self.cfg.elem_size
+        for pe, d in itertools.product(range(P), range(D)):
+            rows = self._row[d * P + pe::D * P]         # slot -> row
+            slots = np.flatnonzero(rows >= 0)
+            rows, n = rows[slots], len(slots)
+            image = np.empty(8 + n * (8 + self.cfg.B * es), np.uint8)
+            image[:8 + 8 * n].view("<i8")[:] = np.append(n, slots)
+            body = image[8 + 8 * n:]
+            if es == ELEM.itemsize:
+                # ``clip`` never clips these rows; the default mode
+                # would gather into a buffer and copy that into ``out``.
+                np.take(self._slab, rows, out=body.view(self._block),
+                        mode="clip")
+            else:
+                body.reshape(-1, es)[:] = encode_elements(
+                    self._slab[rows].view(ELEM), es)
+            name = IMAGE.format(pe=pe, d=d, generation=generation)
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(image)
 
     @classmethod
-    def load_images(cls, directory: str, cfg: MachineConfig) -> "Cluster":
-        """Rebuild a cluster from the images :meth:`save_images` wrote; every
-        slot is seeded, holes as blocks of ``(0, 0)``.  Raises
-        :class:`DiskError` for a missing image, a partial block, or a row
-        that :meth:`save_images` would not write back byte for byte.
-
-        Only a row wider than 16 bytes can be refused: decoding keeps every
-        byte of a narrower row, so encoding writes it back.  At
-        ``elem_size`` 16 the image bytes are the elements themselves, and
-        each image is stored with one call."""
+    def load_images(cls, directory: str, cfg: MachineConfig,
+                    generation: int) -> "Cluster":
+        """Rebuild a cluster from the images :meth:`save_images` wrote: the
+        blocks at their slots, each disk's next free slot one past its last
+        and each PE's peak its live count.  Raises :class:`DiskError`
+        naming the image for a missing image, a header :func:`read_slots`
+        refuses, or a row :func:`decode_elements` refuses.  At
+        ``elem_size`` 16 the rows are read straight into the slab."""
         cluster = cls(cfg)
-        B, es = cfg.B, cfg.elem_size
-        paths = [(pe, d, os.path.join(directory, f"pe{pe}_disk{d}.bin"))
-                 for pe in range(cfg.P) for d in range(cfg.D)]
-        # One slab for all the images: a row for every block they hold.
-        cluster._reserve(sum(os.path.getsize(path) for _pe, _d, path in paths
-                             if os.path.isfile(path)) // (B * es))
-        for pe, d, path in paths:
-            try:
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-            except FileNotFoundError:
-                raise DiskError(f"{path}: image is missing") from None
-            if len(raw) % (B * es):
-                raise DiskError(f"{path}: size is not a whole number of blocks")
-            lbs = np.arange(d, len(raw) // (B * es) * cfg.D, cfg.D)
-            if es == ELEM.itemsize:
-                cluster.seed_blocks(np.full(len(lbs), pe), lbs,
-                                    np.frombuffer(raw, ELEM))
-                continue
-            rows = np.frombuffer(raw, np.uint8).reshape(-1, es)
-            elems = _decode_elements(rows)
-            # Decoding keeps a row's first 16 bytes; encoding writes the
-            # rest as all 0xff for a sentinel and as zeros otherwise.
-            tails, sentinels = rows[:, ELEM.itemsize:], sentinel_mask(elems)
-            bad = np.flatnonzero(np.where(
-                sentinels, (tails != 0xFF).any(axis=1), tails.any(axis=1)))
-            if bad.size:
-                i = bad[0]
-                why = ("reads as a sentinel but its payload is not all 0xff"
-                       if sentinels[i]
-                       else "has payload bytes past the 8-byte serial")
-                raise DiskError(f"{path}: row {i} {why}")
-            cluster.seed_blocks(np.full(len(lbs), pe), lbs, elems)
+        P, D, es = cfg.P, cfg.D, cfg.elem_size
+        width, limit = cfg.B * es, (1 << 63) // (P * D)
+        paths = [os.path.join(directory, IMAGE.format(pe=pe, d=d,
+                                                      generation=generation))
+                 for pe, d in itertools.product(range(P), range(D))]
+        sizes = [file_size(path, "image") for path in paths]
+        # A valid image's size gives its block count: the slab hands out
+        # rows 0, 1, ... for the images' blocks in order.
+        cluster._pop(sum(max(size - 8, 0) // (8 + width) for size in sizes))
+        images, start = [], 0
+        for path, size in zip(paths, sizes):
+            with open(path, "rb") as fh:
+                slots = read_slots(fh, path, size, width, limit)
+                body = cluster._slab[start:start + len(slots)]
+                raw = (body.view(np.uint8) if es == ELEM.itemsize else
+                       np.empty((len(slots) * cfg.B, es), np.uint8))
+                if fh.readinto(raw) != raw.nbytes:
+                    raise DiskError(f"{path}: ends inside its rows")
+            if es != ELEM.itemsize:
+                body.view(ELEM)[:] = decode_elements(raw, path)
+            images.append(slots)
+            start += len(slots)
+        counts = np.array(list(map(len, images)), np.int64)
+        pe, d = np.divmod(np.repeat(np.arange(P * D), counts), D)
+        keys = (np.concatenate(images) * D + d) * P + pe
+        cluster._row = np.full(int(keys.max(initial=-1)) + 1, -1, np.int64)
+        cluster._row[keys] = np.arange(len(keys))
+        cluster.next_slot[:] = np.reshape(
+            [s[-1] + 1 if len(s) else 0 for s in images], (P, D))
+        cluster.live[:] = cluster.peak[:] = counts.reshape(P, D).sum(1)
         return cluster
-
-
-def _encode_elements(elems: np.ndarray, elem_size: int) -> np.ndarray:
-    """``(len(elems), elem_size)`` image rows: the little-endian key, then a
-    payload of ``elem_size - 8`` bytes holding the serial's low bytes (two's
-    complement, zero-filled past the eighth), or all ``0xff`` for a
-    sentinel."""
-    rows = np.zeros((len(elems), max(elem_size, 16)), dtype=np.uint8)
-    rows[:, :16] = np.ascontiguousarray(elems).view(np.uint8).reshape(-1, 16)
-    rows[sentinel_mask(elems), 16:] = 0xFF
-    return rows[:, :elem_size]
-
-
-def _decode_elements(rows: np.ndarray) -> np.ndarray:
-    """The elements of ``(n, elem_size)`` image rows: a ``MAX_KEY`` key with
-    an all-``0xff`` payload is a sentinel, any other payload's first eight
-    bytes are the serial, little-endian.  Inverse of
-    :func:`_encode_elements` on every row that it can write."""
-    n, elem_size = rows.shape
-    raw = np.zeros((n, 16), dtype=np.uint8)
-    raw[:, :min(elem_size, 16)] = rows[:, :16]
-    elems = raw.view(ELEM)[:, 0]
-    sentinel = (elems["key"] == MAX_KEY) & (rows[:, 8:] == 0xFF).all(axis=1)
-    elems["serial"][sentinel] = SENTINEL_SERIAL
-    return elems
 
 
 @dataclass
@@ -426,6 +402,29 @@ class OutputLayout:
     def __post_init__(self) -> None:
         self.pes = np.asarray(self.pes, np.int64)
         self.lbs = np.asarray(self.lbs, np.int64)
+
+    def save(self, path: str) -> None:
+        """Write ``pes`` then ``lbs`` as little-endian ``int64``."""
+        with open(path, "wb") as fh:
+            fh.write(np.concatenate((self.pes, self.lbs)).astype("<i8"))
+
+    @classmethod
+    def load(cls, path: str, engine: str, blocks: int,
+             P: int) -> "OutputLayout":
+        """The ``blocks`` blocks :meth:`save` wrote to ``path``; raises
+        :class:`DiskError` naming ``path`` for a missing file, a size other
+        than 16 bytes per block, or a block :meth:`check_ids` refuses."""
+        size = file_size(path, "layout")
+        if size != 16 * blocks:
+            raise DiskError(f"{path}: {size} bytes, not 16 for each of "
+                            f"{blocks} blocks")
+        ids = np.fromfile(path, "<i8")
+        layout = cls(engine, ids[:blocks], ids[blocks:])
+        try:
+            layout.check_ids(P)
+        except DiskError as exc:
+            raise DiskError(f"{path}: {exc}") from None
+        return layout
 
     def check_ids(self, P: int) -> None:
         """Raise :class:`DiskError` naming the first block whose PE is not

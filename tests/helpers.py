@@ -1,6 +1,6 @@
 """Shared test utilities: cluster construction, oracle sorting, block
-occupancy, an in-memory selection accessor, the scalar element codec that
-the disk images are checked against, the element-at-a-time,
+occupancy, an in-memory selection accessor, the scalar element and image
+codec that the disk images are checked against, the element-at-a-time,
 block-at-a-time, per-batch, per-rank, per-block and step-by-step kernels
 that the array kernels are checked against, and the per-PE dict block
 store and the list-based counters that the slab store and the counter
@@ -216,6 +216,34 @@ def element_from_bytes(data: bytes, elem_size: int) -> Element:
         return sentinel()
     serial = int.from_bytes(payload, "little") if payload else 0
     return (key, serial)
+
+
+def int64_bytes(values) -> bytes:
+    """``values`` as little-endian two's-complement 8-byte ints."""
+    return b"".join(v.to_bytes(8, "little", signed=True) for v in values)
+
+
+def int64_values(data: bytes) -> list[int]:
+    """The little-endian 8-byte ints of ``data``."""
+    return [int.from_bytes(data[i:i + 8], "little", signed=True)
+            for i in range(0, len(data), 8)]
+
+
+def image_bytes(blocks: dict[int, bytes]) -> bytes:
+    """A disk image of the encoded blocks ``blocks[slot]``: the block count,
+    the slots in increasing order, then the blocks in that order."""
+    slots = sorted(blocks)
+    return int64_bytes([len(slots), *slots]) + b"".join(blocks[s] for s in slots)
+
+
+def image_slots(data: bytes) -> list[int]:
+    """The slot column of a disk image."""
+    n = int64_values(data[:8])[0]
+    return int64_values(data[8:8 + 8 * n])
+
+
+def encode_block(block: list[Element], elem_size: int) -> bytes:
+    return b"".join(element_to_bytes(e, elem_size) for e in block)
 
 
 # --- reference kernels: heapq merges over lists of element tuples ------------

@@ -8,11 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import emsort
 
@@ -30,7 +33,8 @@ from emsort.runform import form_runs, run_layout
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
-    addresses, build, counter_state, fill, input_elements, on, oracle_agrees,
+    addresses, build, counter_state, fill, image_slots, input_elements,
+    int64_bytes, int64_values, is_allocated, live_blocks, on, oracle_agrees,
     output_elements,
 )
 
@@ -439,7 +443,8 @@ def test_cli_gen_sort_verify_an_empty_store(tmp_path, capsys, engine, kind):
     assert "verification: pass" in out.err              # sort's
     with open(os.path.join(store, cli.MANIFEST), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    assert manifest["layout"] == {"engine": engine, "pes": [], "lbs": []}
+    assert manifest["layout"] == {"engine": engine, "blocks": 0}
+    assert (Path(store) / cli.LAYOUT).read_bytes() == b""
 
 
 def test_cli_verify_fails_on_a_missing_image(tmp_path, capsys):
@@ -447,13 +452,30 @@ def test_cli_verify_fails_on_a_missing_image(tmp_path, capsys):
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     assert cli_main(["sort", "--persist", str(store)]) == 0
-    (store / "pe1_disk0.bin").unlink()
+    (store / "pe1_disk0.g2.bin").unlink()
     env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "emsort.cli", "verify", "--persist", str(store)],
         capture_output=True, text=True, env=env)
     assert proc.returncode != 0
-    assert "pe1_disk0.bin: image is missing" in proc.stderr
+    assert "pe1_disk0.g2.bin: image is missing" in proc.stderr
+
+
+def first_output_row(store: Path, width: int) -> tuple[Path, int]:
+    """The image holding output block 0 of a sorted store on PE 0 (D = 2),
+    and the offset of that block's first row in it, read with the scalar
+    codec."""
+    pes, lbs = stored_layout(store)
+    assert pes[0] == 0
+    image = store / f"pe0_disk{lbs[0] % 2}.g2.bin"
+    slots = image_slots(image.read_bytes())
+    return image, 8 + 8 * len(slots) + slots.index(lbs[0] // 2) * width
+
+
+def stored_layout(store: Path) -> tuple[list[int], list[int]]:
+    """The PE and id columns of a store's ``layout.bin``."""
+    ids = int64_values((store / cli.LAYOUT).read_bytes())
+    return ids[:len(ids) // 2], ids[len(ids) // 2:]
 
 
 def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
@@ -463,12 +485,9 @@ def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     assert cli_main(["sort", "--persist", str(store)]) == 0
-    layout = json.loads((store / "manifest.json").read_text())["layout"]
-    assert layout["pes"][0] == 0
-    lb = layout["lbs"][0]
-    image = store / f"pe0_disk{lb % 2}.bin"       # D = 2
+    image, row = first_output_row(store, 4 * 16)  # B = 4, elem_size = 16
     data = bytearray(image.read_bytes())
-    data[(lb // 2) * 4 * 16 + 15] ^= 0x80         # B = 4, elem_size = 16
+    data[row + 15] ^= 0x80
     image.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli_main(["verify", "--persist", str(store)]) == 1
@@ -483,20 +502,19 @@ def test_cli_verify_refuses_payload_bytes_past_the_serial(tmp_path):
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     assert cli_main(["sort", "--persist", str(store)]) == 0
-    layout = json.loads((store / "manifest.json").read_text())["layout"]
-    assert layout["pes"][0] == 0
-    lb = layout["lbs"][0]
-    image = store / f"pe0_disk{lb % 2}.bin"       # D = 2
+    image, row = first_output_row(store, 4 * 24)  # B = 4, elem_size = 24
     data = bytearray(image.read_bytes())
-    data[(lb // 2) * 4 * 24 + 20] ^= 0x01         # B = 4, elem_size = 24
+    data[row + 20] ^= 0x01
     image.write_bytes(bytes(data))
     env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "emsort.cli", "verify", "--persist", str(store)],
         capture_output=True, text=True, env=env)
+    slots = image_slots(image.read_bytes())
+    _pes, lbs = stored_layout(store)
     assert proc.returncode == 1
-    assert (f"pe0_disk{lb % 2}.bin: row {(lb // 2) * 4} has payload bytes past "
-            f"the 8-byte serial") in proc.stderr
+    assert proc.stderr == (f"error: {image}: row {slots.index(lbs[0] // 2) * 4} "
+                           "has payload bytes past the 8-byte serial\n")
 
 
 def test_cli_gen_refuses_an_elem_size_too_small_for_the_serials(tmp_path):
@@ -645,8 +663,11 @@ def test_cli_refuses_a_cfg_value_of_the_wrong_type(tmp_path, command, field,
     ("total", "abc", "must be an int in [0, 2**128), got 'abc'"),
     ("kind", "bogus", "must be one of random, sorted, reverse, duplicate_heavy, "
                       "worst_case_shift, got 'bogus'"),
+    ("generation", -1, "must be a non-negative int, got -1"),
+    ("generation", "1", "must be a non-negative int, got '1'"),
 ], ids=["count-abc", "count-negative", "count-true", "total-2**128",
-        "total-negative", "total-abc", "kind-bogus"])
+        "total-negative", "total-abc", "kind-bogus", "generation-negative",
+        "generation-string"])
 @pytest.mark.parametrize("command", ["sort", "verify"])
 def test_cli_refuses_a_malformed_manifest_field(tmp_path, command, field,
                                                 value, reason):
@@ -664,13 +685,12 @@ def drop(name):
 
 
 def older_shape(layout):
-    """The layout as sorted stores once held it: one list of block ids per
-    PE for canonical, a list of ``[pe, lb]`` pairs for striped."""
-    pairs = list(zip(layout["pes"], layout["lbs"]))
+    """The layout as sorted stores once held it in the manifest: one list
+    of block ids per PE for canonical, a list of ``[pe, lb]`` pairs for
+    striped, later a ``pes`` and an ``lbs`` list for both."""
     if layout["engine"] == "canonical":
-        return {"engine": "canonical", "stripe": None,
-                "per_pe": [[lb for pe, lb in pairs if pe == p] for p in range(2)]}
-    return {"engine": "striped", "per_pe": None, "stripe": list(map(list, pairs))}
+        return {"engine": "canonical", "stripe": None, "per_pe": [[0], [1]]}
+    return {"engine": "striped", "per_pe": None, "stripe": [[0, 0], [1, 0]]}
 
 
 @pytest.mark.parametrize("engine, damage, reason", [
@@ -679,28 +699,22 @@ def older_shape(layout):
      "engine must be one of canonical, striped, got 'heap'"),
     ("striped", drop("engine"),
      "engine must be one of canonical, striped, got None"),
-    ("canonical", drop("pes"), "pes and lbs must be lists of equal length"),
-    ("striped", drop("lbs"), "pes and lbs must be lists of equal length"),
-    ("canonical", lambda layout: {**layout, "lbs": layout["lbs"][:-1]},
-     "pes and lbs must be lists of equal length"),
-    ("striped", lambda layout: {**layout, "pes": dict(enumerate(layout["pes"]))},
-     "pes and lbs must be lists of equal length"),
-    ("canonical", lambda layout: {**layout, "lbs": ["7"] + layout["lbs"][1:]},
-     "pes and lbs must hold ints in [0, 2**63)"),
-    ("striped", lambda layout: {**layout, "lbs": layout["lbs"][:-1] + [1.0]},
-     "pes and lbs must hold ints in [0, 2**63)"),
-    ("canonical", lambda layout: {**layout, "pes": [-1] + layout["pes"][1:]},
-     "pes and lbs must hold ints in [0, 2**63)"),
-    ("striped", lambda layout: {**layout, "lbs": [2 ** 63] + layout["lbs"][1:]},
-     "pes and lbs must hold ints in [0, 2**63)"),
-    ("striped", lambda layout: {**layout, "pes": layout["pes"][:-1] + [2]},
-     "pes must be below 2, got 2"),
-    ("canonical", older_shape, "pes and lbs must be lists of equal length"),
-    ("striped", older_shape, "pes and lbs must be lists of equal length"),
-], ids=["not-an-object", "unknown-engine", "no-engine", "no-pes", "no-lbs",
-        "unequal-lengths", "pes-not-a-list", "string-id", "float-id",
-        "negative-pe", "id-past-int64", "pe-out-of-range", "older-per_pe",
-        "older-stripe"])
+    ("canonical", drop("blocks"), "blocks must be a non-negative int, got None"),
+    ("striped", lambda layout: {**layout, "blocks": -1},
+     "blocks must be a non-negative int, got -1"),
+    ("canonical", lambda layout: {**layout, "blocks": "64"},
+     "blocks must be a non-negative int, got '64'"),
+    ("striped", lambda layout: {**layout, "blocks": 64.0},
+     "blocks must be a non-negative int, got 64.0"),
+    ("canonical", lambda layout: {**layout, "blocks": True},
+     "blocks must be a non-negative int, got True"),
+    ("canonical", older_shape, "blocks must be a non-negative int, got None"),
+    ("striped", older_shape, "blocks must be a non-negative int, got None"),
+    ("striped", lambda layout: {"engine": "striped", "pes": [0], "lbs": [0]},
+     "blocks must be a non-negative int, got None"),
+], ids=["not-an-object", "unknown-engine", "no-engine", "no-blocks",
+        "negative-blocks", "string-blocks", "float-blocks", "bool-blocks",
+        "older-per_pe", "older-stripe", "older-pes-lbs"])
 def test_cli_verify_refuses_a_malformed_layout(tmp_path, engine, damage,
                                                reason):
     path = persisted(tmp_path, "verify", engine)
@@ -729,8 +743,208 @@ def test_cli_sorts_an_input_manifest_that_lists_its_blocks(tmp_path, engine):
                          engine]) == 0
     listed, plain = ({f.name: f.read_bytes() for f in store.iterdir()}
                      for store in stores)
-    assert listed.keys() == plain.keys() and len(listed) == 2 * 2 + 1
+    # The P * D images, the layout and the manifest.
+    assert listed.keys() == plain.keys() and len(listed) == 2 * 2 + 2
     assert listed == plain
+
+
+def sorted_store(tmp_path) -> Path:
+    """A store that the canonical engine sorted: P = D = 2, B = 4,
+    ``elem_size`` 16, generation 2."""
+    return persisted(tmp_path, "verify").parent
+
+
+def edit_image(store: Path, change) -> str:
+    """Replace ``pe0_disk0.g2.bin`` by ``change(data, n, slots)``, which
+    returns the new bytes and the reason loading gives for them; returns
+    the message ``verify`` exits with."""
+    image = store / "pe0_disk0.g2.bin"
+    data = image.read_bytes()
+    slots = image_slots(data)
+    damaged, reason = change(data, len(slots), slots)
+    image.write_bytes(damaged)
+    return f"error: {image}: {reason}"
+
+
+def with_slot(data: bytes, i: int, value: int) -> bytes:
+    return data[:8 + 8 * i] + int64_bytes([value]) + data[16 + 8 * i:]
+
+
+SLOT_RULE = f"slots must increase strictly from 0 up to below {2**63 // 4}"
+
+
+@pytest.mark.parametrize("change", [
+    lambda data, n, slots: (data[:5], "5 bytes hold no block count"),
+    lambda data, n, slots: (int64_bytes([-1]) + data[8:],
+                            "negative block count -1"),
+    lambda data, n, slots: (int64_bytes([n + 1]) + data[8:],
+                            f"{n + 1} blocks need {8 + (n + 1) * 72} bytes, "
+                            f"the image has {len(data)}"),
+    lambda data, n, slots: (data[:-1], f"{n} blocks need {len(data)} bytes, "
+                                       f"the image has {len(data) - 1}"),
+    lambda data, n, slots: (data + bytes(5), f"5 bytes past its {n} blocks"),
+    lambda data, n, slots: (with_slot(with_slot(data, 0, slots[1]), 1, slots[0]),
+                            f"slot 1 is {slots[0]}; {SLOT_RULE}"),
+    lambda data, n, slots: (with_slot(data, 1, slots[0]),
+                            f"slot 1 is {slots[0]}; {SLOT_RULE}"),
+    lambda data, n, slots: (with_slot(data, 0, -1), f"slot 0 is -1; {SLOT_RULE}"),
+    lambda data, n, slots: (with_slot(data, n - 1, 2**63 // 4),
+                            f"slot {n - 1} is {2**63 // 4}; {SLOT_RULE}"),
+], ids=["no-count", "negative-count", "count-past-the-file", "partial-block",
+        "trailing-bytes", "slots-out-of-order", "repeated-slot",
+        "negative-slot", "slot-past-the-key-range"])
+def test_cli_verify_refuses_a_bad_image_header(tmp_path, change):
+    """Every image is a count, that many increasing slots, and that many
+    rows of ``B * elem_size`` bytes (72 with the slot here), and nothing
+    else; anything else exits 1 naming the image."""
+    store = sorted_store(tmp_path)
+    message = edit_image(store, change)
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["verify", "--persist", str(store)])
+    assert refusal.value.code == message        # a message: exit status 1
+
+
+def test_cli_refuses_a_bad_image_header_without_a_traceback(tmp_path):
+    store = sorted_store(tmp_path)
+    message = edit_image(store, lambda data, n, slots: (
+        int64_bytes([-3]) + data[8:], "negative block count -3"))
+    env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emsort.cli", "verify", "--persist", str(store)],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (1, message + "\n")
+
+
+def with_id(ids: list[int], i: int, value: int) -> list[int]:
+    return ids[:i] + [value] + ids[i + 1:]
+
+
+@pytest.mark.parametrize("change", [
+    lambda pes, lbs, data: (data[:-8], None,
+                            f"{len(data) - 8} bytes, not 16 for each of "
+                            f"{len(pes)} blocks"),
+    lambda pes, lbs, data: (data, len(pes) + 1,
+                            f"{len(data)} bytes, not 16 for each of "
+                            f"{len(pes) + 1} blocks"),
+    lambda pes, lbs, data: (int64_bytes(with_id(pes, 3, 2) + lbs), None,
+                            f"layout block 3 is pe=2 lb={lbs[3]}: the pe must "
+                            "be in [0, 2) and the lb non-negative"),
+    lambda pes, lbs, data: (int64_bytes(with_id(pes, 0, -1) + lbs), None,
+                            f"layout block 0 is pe=-1 lb={lbs[0]}: the pe must "
+                            "be in [0, 2) and the lb non-negative"),
+    lambda pes, lbs, data: (int64_bytes(pes + with_id(lbs, 5, -1)), None,
+                            f"layout block 5 is pe={pes[5]} lb=-1: the pe must "
+                            "be in [0, 2) and the lb non-negative"),
+    lambda pes, lbs, data: (None, None, "layout is missing"),
+], ids=["short-file", "blocks-past-the-file", "pe-out-of-range", "negative-pe",
+        "negative-id", "missing"])
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_cli_verify_refuses_a_bad_layout_file(tmp_path, engine, change):
+    """``layout.bin`` is ``16 * blocks`` bytes of block ids whose PEs lie
+    in ``[0, P)`` and whose ids are non-negative; anything else exits 1
+    naming the file."""
+    path = persisted(tmp_path, "verify", engine)
+    layout = tmp_path / "verify" / cli.LAYOUT
+    pes, lbs = stored_layout(layout.parent)
+    data, blocks, reason = change(pes, lbs, layout.read_bytes())
+    if data is None:
+        layout.unlink()
+    else:
+        layout.write_bytes(data)
+    if blocks is not None:
+        manifest = json.loads(path.read_text())
+        manifest["layout"]["blocks"] = blocks
+        path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["verify", "--persist", str(layout.parent)])
+    assert refusal.value.code == f"error: {layout}: {reason}"
+
+
+def store_files(store: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in store.iterdir()}
+
+
+def test_a_crash_before_the_manifest_switch_keeps_the_old_store(
+        tmp_path, monkeypatch):
+    """A crash after the new images are written but before the manifest
+    names them leaves the old stage loadable and its files unchanged; the
+    next run removes what the crash left."""
+    def crash(*_args):
+        raise OSError("crash before the switch")
+
+    config = write_config(tmp_path / "grid.cfg")
+    store = tmp_path / "state"
+    images = [f"pe{pe}_disk{d}.g{{}}.bin" for pe in range(2) for d in range(2)]
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert cli_main(["sort", "--persist", str(store)]) == 0
+    before = store_files(store)
+    assert sorted(before) == sorted(
+        [cli.LAYOUT, cli.MANIFEST] + [name.format(2) for name in images])
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crash before the switch"):
+            cli_main(["gen", "--config", config, "--kind", "reverse",
+                      "--persist", str(store)])
+    after = store_files(store)
+    assert {name: after[name] for name in before} == before
+    assert sorted(after.keys() - before.keys()) == sorted(
+        [cli.MANIFEST + ".tmp"] + [name.format(3) for name in images])
+    assert cli_main(["verify", "--persist", str(store)]) == 0
+
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    assert sorted(store_files(store)) == sorted(
+        [cli.MANIFEST] + [name.format(4) for name in images])
+    input_files = store_files(store)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crash before the switch"):
+            cli_main(["sort", "--persist", str(store)])
+    assert {name: store_files(store)[name] for name in input_files} == input_files
+    assert cli_main(["sort", "--persist", str(store)]) == 0
+    assert sorted(store_files(store)) == sorted(
+        [cli.LAYOUT, cli.MANIFEST] + [name.format(6) for name in images])
+    assert cli_main(["verify", "--persist", str(store)]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 6), st.integers(1, 4), st.integers(8, 24),
+       st.sampled_from(["canonical", "striped"]),
+       st.sampled_from(["random", "duplicate_heavy", "worst_case_shift"]))
+def test_cli_round_trip_persists_only_live_blocks(P, D, B, loads, memory,
+                                                  elem_size, engine, kind):
+    """``gen``, ``sort --persist`` and ``verify --persist`` on a drawn
+    machine: each sorted image is exactly ``8 + n * (8 + B * elem_size)``
+    bytes for the ``n`` blocks its disk holds after the sort, and the
+    cluster ``verify`` loads holds the sorted cluster's blocks."""
+    cfg = MachineConfig(P=P, D=D, B=B, m=memory * P * B, N=loads * P * B,
+                        seed=loads, elem_size=elem_size)
+    assume(validate_config(cfg, engine) == [])
+    clusters = []
+
+    def verifying(cluster, *args):
+        clusters.append(cluster)
+        return verify_output(cluster, *args)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "verify_output", verifying):
+        config = write_config(Path(tmp, "grid.cfg"), P=P, D=D, B=B, m=cfg.m,
+                              N=cfg.N, seed=cfg.seed, elem_size=elem_size)
+        store = Path(tmp, "state")
+        assert cli_main(["gen", "--config", config, "--kind", kind,
+                         "--persist", str(store)]) == 0
+        assert cli_main(["sort", "--persist", str(store), "--engine",
+                         engine]) == 0
+        assert cli_main(["verify", "--persist", str(store)]) == 0
+        sorted_cluster, loaded = clusters
+        for pe in range(P):
+            live = live_blocks(sorted_cluster, pe)
+            assert live_blocks(loaded, pe) == live
+            for d in range(D):
+                n = sum(lb % D == d for lb in live)
+                size = (store / f"pe{pe}_disk{d}.g2.bin").stat().st_size
+                assert size == 8 + n * (8 + B * elem_size)
+        assert loaded.live.tolist() == sorted_cluster.live.tolist()
 
 
 @pytest.mark.parametrize("kind", ["random", "duplicate_heavy",
@@ -768,7 +982,8 @@ def test_cli_manifest_layout_round_trips(tmp_path, monkeypatch, engine, kind):
 
 def test_cli_writes_the_manifest_as_one_line(tmp_path, monkeypatch):
     """An output manifest is the payload as single-line JSON: the same
-    value the indented encoding gives, at most 10 bytes per output block."""
+    value the indented encoding gives, with the layout's engine and length;
+    ``layout.bin`` holds its two columns."""
     results = []
 
     def sorting(*args):
@@ -785,26 +1000,14 @@ def test_cli_writes_the_manifest_as_one_line(tmp_path, monkeypatch):
     text = (store / "manifest.json").read_text()
     manifest = json.loads(text)
     layout = result.layout
-    payload = {"stage": "output", "cfg": manifest["cfg"], "kind": "random",
-               "count": 65536, "total": manifest["total"],
-               "layout": {"engine": "canonical", "pes": layout.pes.tolist(),
-                          "lbs": layout.lbs.tolist()}}
+    payload = {"stage": "output", "cfg": manifest["cfg"], "generation": 2,
+               "kind": "random", "count": 65536, "total": manifest["total"],
+               "layout": {"engine": "canonical", "blocks": 4096}}
     assert text.endswith("}\n") and text.count("\n") == 1
     assert manifest == json.loads(
         json.dumps(payload, indent=1, sort_keys=True))
-    assert len(text.encode()) <= 10 * len(layout.pes) == 10 * 4096
-
-
-@pytest.mark.parametrize("value", [True, -1, 2 ** 63, "3", 1.0])
-@pytest.mark.parametrize("column", ["pes", "lbs"])
-def test_field_fault_refuses_a_layout_id_that_is_not_an_int(column, value):
-    layout = {"engine": "striped", "pes": [0, 1, 1], "lbs": [4, 0, 2]}
-    layout[column][1] = value
-    assert cli._field_fault("layout", layout, 2) == (
-        "pes and lbs must hold ints in [0, 2**63)")
-    layout[column][1] = 1
-    assert cli._field_fault("layout", layout, 2) is None
-    assert cli._field_fault("layout", layout, 1) == "pes must be below 1, got 1"
+    assert (store / cli.LAYOUT).read_bytes() == int64_bytes(
+        layout.pes.tolist() + layout.lbs.tolist())
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -18,8 +18,8 @@ from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
     ReferenceCluster, addresses, alloc_on_reference, alloc_reference, build,
-    counter_state, element_from_bytes, element_to_bytes, elements,
-    is_allocated, live_blocks, on,
+    counter_state, element_from_bytes, elements, encode_block, image_bytes,
+    int64_bytes, is_allocated, live_blocks, on,
 )
 
 
@@ -398,11 +398,18 @@ def test_save_and_load_images_round_trip(tmp_path):
         data = block_of(100 * pe, 16)
         cl.seed_blocks(*on(pe, lbs), data)
         blocks.update({(pe, lb): data[4 * i:4 * i + 4] for i, lb in enumerate(lbs)})
-    cl.save_images(str(tmp_path))
-    loaded = Cluster.load_images(str(tmp_path), cfg)
+    cl.free_blocks(*on(1, [1]))
+    del blocks[1, 1]
+    cl.save_images(str(tmp_path), 3)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        f"pe{pe}_disk{d}.g3.bin" for pe in range(2) for d in range(2)]
+    loaded = Cluster.load_images(str(tmp_path), cfg, 3)
     for (pe, lb), data in blocks.items():
         assert loaded.peek_blocks(*on(pe, [lb])).tolist() == data
     assert loaded.counters.element_io(cfg.B) == 0
+    assert live_blocks(loaded, 1) == [0, 2, 3]
+    assert loaded.live.tolist() == loaded.peak.tolist() == [4, 3]
+    assert loaded.next_slot.tolist() == cl.next_slot.tolist() == [[2, 2], [2, 2]]
 
 
 IMAGE_CFG = dict(P=1, D=2, B=2, m=32, N=0)
@@ -444,99 +451,141 @@ def refusal(row: bytes) -> str | None:
     return None
 
 
+def drawn_images(rows):
+    """Two disks' images: each a dict from distinct slots in ``[0, 6)`` to
+    blocks of two drawn rows."""
+    return st.lists(st.dictionaries(st.integers(0, 5), st.lists(
+        rows, min_size=2, max_size=2), max_size=4), min_size=2, max_size=2)
+
+
+def as_int64(serial: int) -> int:
+    return (serial + 2**63) % 2**64 - 2**63
+
+
 @given(st.integers(8, 24),
        st.lists(st.one_of(st.none(), st.lists(image_elements, min_size=2, max_size=2)),
                 max_size=7))
 def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
-    """Block ``lb`` of ``blocks`` lands on disk ``lb % D``; ``None`` is a hole."""
+    """Block ``lb`` of ``blocks`` lands on disk ``lb % D`` at slot
+    ``lb // D``; ``None`` is a hole, which the image leaves out."""
     cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
     cl = Cluster(cfg)
     for lb, block in enumerate(blocks):
         if block is not None:
             cl.seed_blocks(*on(0, [lb]), block)
     with tempfile.TemporaryDirectory() as tmp:
-        cl.save_images(tmp)
+        cl.save_images(tmp, 1)
         for d in range(cfg.D):
-            mine = blocks[d::cfg.D]
-            while mine and mine[-1] is None:
-                mine.pop()
-            expected = b"".join(
-                bytes(cfg.B * elem_size) if block is None
-                else b"".join(element_to_bytes(e, elem_size) for e in block)
-                for block in mine)
-            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == expected
+            expected = image_bytes({
+                slot: encode_block(block, elem_size)
+                for slot, block in enumerate(blocks[d::cfg.D]) if block is not None})
+            assert Path(tmp, f"pe0_disk{d}.g1.bin").read_bytes() == expected
 
 
 @given(st.integers(8, 24).flatmap(lambda es: st.tuples(
-    st.just(es), st.lists(st.lists(image_rows(es), min_size=4, max_size=4),
-                          min_size=2, max_size=2))))
+    st.just(es), drawn_images(image_rows(es)))))
 def test_loaded_images_match_the_scalar_decoding(drawn):
     """Rows are refused exactly when :func:`refusal` gives a reason, and
-    with that reason; all others decode as the scalar codec does (the serial
-    as an int64) and save back byte for byte."""
+    with that reason and their row in the image; all others decode as the
+    scalar codec does (the serial as an int64), at their slots, and save
+    back byte for byte."""
     elem_size, images = drawn
     cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
+    files = [image_bytes({s: b"".join(rows) for s, rows in image.items()})
+             for image in images]
     with tempfile.TemporaryDirectory() as tmp:
-        for d, rows in enumerate(images):
-            Path(tmp, f"pe0_disk{d}.bin").write_bytes(b"".join(rows))
-        bad = [(d, i, refusal(row)) for d, rows in enumerate(images)
-               for i, row in enumerate(rows) if refusal(row)]
+        for d, data in enumerate(files):
+            Path(tmp, f"pe0_disk{d}.g1.bin").write_bytes(data)
+        bad = [(d, i, refusal(row)) for d, image in enumerate(images)
+               for i, row in enumerate(row for s in sorted(image)
+                                       for row in image[s]) if refusal(row)]
         if bad:
             d, i, why = bad[0]
-            with pytest.raises(DiskError, match=f"pe0_disk{d}.bin: row {i} {why}$"):
-                Cluster.load_images(tmp, cfg)
+            with pytest.raises(DiskError,
+                               match=f"pe0_disk{d}.g1.bin: row {i} {why}$"):
+                Cluster.load_images(tmp, cfg, 1)
             return
-        loaded = Cluster.load_images(tmp, cfg)
-        for d, rows in enumerate(images):
-            for s in range(len(rows) // cfg.B):
-                expected = [element_from_bytes(row, elem_size)
-                            for row in rows[s * cfg.B:(s + 1) * cfg.B]]
-                assert loaded.peek_blocks(*on(0, [s * cfg.D + d])).tolist() == [
-                    (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
-        loaded.save_images(tmp)
-        for d, rows in enumerate(images):
-            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == b"".join(rows)
+        loaded = Cluster.load_images(tmp, cfg, 1)
+        for d, image in enumerate(images):
+            for slot in range(6):
+                lb = slot * cfg.D + d
+                assert is_allocated(loaded, 0, lb) == (slot in image)
+                if slot in image:
+                    assert loaded.peek_blocks(*on(0, [lb])).tolist() == [
+                        (key, as_int64(serial)) for key, serial in
+                        (element_from_bytes(row, elem_size) for row in image[slot])]
+        loaded.save_images(tmp, 2)
+        for d, data in enumerate(files):
+            assert Path(tmp, f"pe0_disk{d}.g2.bin").read_bytes() == data
 
 
-@given(st.lists(st.lists(st.one_of(st.none(), st.lists(
-    image_rows(16), min_size=2, max_size=2)), max_size=4), min_size=2,
-    max_size=2))
+@given(drawn_images(image_rows(16)))
 def test_images_of_16_byte_elements_load_and_save_as_raw_bytes(images):
-    """At ``elem_size`` 16 no row is refused: every block, a hole
-    (``None``) included, loads as the scalar codec decodes it (the serial
-    as an int64), and saving the loaded cluster writes the images back
+    """At ``elem_size`` 16 no row is refused: every block loads at its slot
+    as the scalar codec decodes it (the serial as an int64), a slot the
+    image leaves out holds no block, the counts and next free slots follow
+    the slot columns, and saving the loaded cluster writes the images back
     byte for byte."""
     cfg = MachineConfig(**IMAGE_CFG, elem_size=16)
-    files = [b"".join(bytes(cfg.B * 16) if block is None else b"".join(block)
-                      for block in blocks) for blocks in images]
+    files = [image_bytes({s: b"".join(rows) for s, rows in image.items()})
+             for image in images]
     with tempfile.TemporaryDirectory() as tmp:
         for d, data in enumerate(files):
-            Path(tmp, f"pe0_disk{d}.bin").write_bytes(data)
-        loaded = Cluster.load_images(tmp, cfg)
+            Path(tmp, f"pe0_disk{d}.g1.bin").write_bytes(data)
+        loaded = Cluster.load_images(tmp, cfg, 1)
+        expected = {slot * cfg.D + d: [(key, as_int64(serial)) for key, serial
+                                       in map(element_from_bytes, rows, [16, 16])]
+                    for d, image in enumerate(images) for slot, rows in image.items()}
+        assert live_blocks(loaded, 0) == sorted(expected)
+        for lb, block in expected.items():
+            assert loaded.peek_blocks(*on(0, [lb])).tolist() == block
+        assert loaded.live.tolist() == loaded.peak.tolist() == [len(expected)]
+        assert loaded.next_slot[0].tolist() == [
+            max(image, default=-1) + 1 for image in images]
+        assert loaded.counters.element_io(cfg.B) == 0
+        loaded.save_images(tmp, 2)
         for d, data in enumerate(files):
-            rows = [data[i:i + 16] for i in range(0, len(data), 16)]
-            lbs = range(d, len(rows) // cfg.B * cfg.D, cfg.D)
-            expected = map(element_from_bytes, rows, [16] * len(rows))
-            assert loaded.peek_blocks(*on(0, lbs)).tolist() == [
-                (key, (serial + 2**63) % 2**64 - 2**63) for key, serial in expected]
-        loaded.save_images(tmp)
-        for d, data in enumerate(files):
-            assert Path(tmp, f"pe0_disk{d}.bin").read_bytes() == data
+            assert Path(tmp, f"pe0_disk{d}.g2.bin").read_bytes() == data
 
 
 def test_load_images_refuses_missing_and_partial_images(tmp_path):
     cfg = MachineConfig(P=2, D=2, B=4, m=32, N=64)
     cl = Cluster(cfg)
-    cl.seed_blocks(*on(0, cl.alloc_blocks(0, 1)), block_of(0, 4))
-    cl.save_images(str(tmp_path))
-    assert Path(tmp_path, "pe1_disk1.bin").read_bytes() == b""    # empty disk
-    Cluster.load_images(str(tmp_path), cfg)
-    Path(tmp_path, "pe1_disk1.bin").unlink()
-    with pytest.raises(DiskError, match="pe1_disk1.bin: image is missing"):
-        Cluster.load_images(str(tmp_path), cfg)
-    Path(tmp_path, "pe1_disk1.bin").write_bytes(bytes(cfg.elem_size))
-    with pytest.raises(DiskError, match="not a whole number of blocks"):
-        Cluster.load_images(str(tmp_path), cfg)
+    cl.seed_blocks(*on(0, cl.alloc_blocks(0, 3)), block_of(0, 12))
+    cl.save_images(str(tmp_path), 1)
+    empty = Path(tmp_path, "pe1_disk1.g1.bin")
+    assert empty.read_bytes() == image_bytes({})
+    Cluster.load_images(str(tmp_path), cfg, 1)
+    empty.unlink()
+    with pytest.raises(DiskError, match=f"^{empty}: image is missing$"):
+        Cluster.load_images(str(tmp_path), cfg, 1)
+    empty.write_bytes(image_bytes({}))
+    image = Path(tmp_path, "pe0_disk0.g1.bin")       # slots 0 and 1
+    assert image.read_bytes() == image_bytes(
+        {0: encode_block(block_of(0, 4), 16), 1: encode_block(block_of(8, 4), 16)})
+    image.write_bytes(image.read_bytes()[:-1])       # a partial last block
+    with pytest.raises(DiskError, match=f"^{image}: 2 blocks need 152 bytes, "
+                                        "the image has 151$"):
+        Cluster.load_images(str(tmp_path), cfg, 1)
+
+
+def test_output_layout_saves_and_loads_its_columns(tmp_path):
+    """``layout.bin`` is the PE column, then the id column, as little-endian
+    ``int64``; loading checks its size and its ids."""
+    path = str(tmp_path / "layout.bin")
+    layout = OutputLayout("striped", [1, 0, 1], [4, 0, 2])
+    layout.save(path)
+    assert Path(path).read_bytes() == int64_bytes([1, 0, 1, 4, 0, 2])
+    loaded = OutputLayout.load(path, "striped", 3, 2)
+    assert addresses(loaded) == addresses(layout)
+    with pytest.raises(DiskError, match=rf"^{path}: 48 bytes, not 16 for "
+                                        r"each of 2 blocks$"):
+        OutputLayout.load(path, "striped", 2, 2)
+    with pytest.raises(DiskError, match=rf"^{path}: layout block 0 is pe=1 "
+                                        r"lb=4: the pe must be in \[0, 1\)"):
+        OutputLayout.load(path, "striped", 3, 1)
+    with pytest.raises(DiskError, match=f"^{tmp_path / 'x'}: layout is missing$"):
+        OutputLayout.load(str(tmp_path / "x"), "striped", 3, 2)
 
 
 def test_output_layout_holds_int64_columns_in_layout_order():
