@@ -75,6 +75,8 @@ def _read_manifest(directory: str, stage: str) -> tuple[dict, MachineConfig]:
         raise SystemExit(f"error: {path}: no manifest") from None
     except ValueError as exc:
         raise SystemExit(f"error: {path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SystemExit(f"error: {path}: not a JSON object")
     try:
         cfg = MachineConfig(**manifest["cfg"])
     except KeyError:
@@ -222,8 +224,9 @@ def cmd_sort(args) -> int:
 
 def cmd_verify(args) -> int:
     manifest, cfg = _read_manifest(args.persist, "output")
-    cluster = Cluster.load_images(args.persist, cfg, manifest["generation"])
     desc = manifest["layout"]
+    _check_cfg(cfg, (desc["engine"],))
+    cluster = Cluster.load_images(args.persist, cfg, manifest["generation"])
     layout = OutputLayout.load(os.path.join(args.persist, LAYOUT),
                                desc["engine"], desc["blocks"], cfg.P)
     verdict = verify_output(cluster, layout, manifest["count"],

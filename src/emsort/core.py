@@ -288,14 +288,14 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
     if cfg.P and cfg.B and cfg.N % (cfg.B * cfg.P) != 0:
         bad.append("N % (B*P) != 0")
     if engine == "canonical":
-        if cfg.B and cfg.m and cfg.R * cfg.B > cfg.m:
+        if cfg.B and cfg.M and cfg.R * cfg.B > cfg.m:
             bad.append("R*B > m")
         # An all-to-all round carries up to m - B elements per PE beside one
         # working block, which needs m >= 2B once P >= 2; P*B <= m covers it.
         if cfg.B and cfg.m and cfg.P * cfg.B > cfg.m:
             bad.append("P*B > m")
     elif engine == "striped":
-        if cfg.R > 1 and cfg.merge_arity < 2:
+        if cfg.M and cfg.R > 1 and cfg.merge_arity < 2:
             bad.append("merge arity < 2")
     else:
         bad.append(f"unknown engine {engine!r}")

@@ -7,8 +7,8 @@ once.  ``batch_merge`` is the striped engine's kernel: sort a window's
 buffered elements in the total order (key, run, position) and cut them at
 each batch's bound, the elements past the last cut staying buffered.
 Both free their input blocks and write their output blocks with
-``free_and_write``, in two calls each, as a streaming merge would leave
-them.
+``free_and_write``, in one call each, charging the peak of the streaming
+merge those calls stand for.
 
 Both merge by one array sort.  Concatenated in run order, and each run in
 position order, the elements sorted stably by key are in the total order;
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ELEM, PHASE_LOCAL_MERGE, concat, sort_order
+from .core import PHASE_LOCAL_MERGE, concat, sort_order
 from .redistribute import Staged
 from .vdisk import OutputLayout
 
@@ -30,7 +30,7 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
 
     Each staged block is due for freeing once the merge has consumed its
     last element.  A streaming merge would free it there, between two
-    output writes; :func:`free_and_write` frees and writes in two calls
+    output writes; :func:`free_and_write` frees and writes in one call
     each with the stream's peak occupancy, per-disk charges and block ids.
     """
     cfg = cluster.cfg
@@ -78,37 +78,27 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
 def free_and_write(cluster, pe_in, ids_in, due, pe, ids, step, elems,
                    phase: int) -> None:
     """Free the blocks ``ids_in`` of the PEs ``pe_in`` and write ``elems``
-    as the blocks ``ids`` of the PEs ``pe``, ``B`` each, in two calls each,
-    leaving every PE's peak block count, per-disk charges and block ids
-    those of a stream.
+    as the blocks ``ids`` of the PEs ``pe``, ``B`` each, in one call each,
+    charging every PE the peak block count of the stream they stand for.
 
     Step ``s`` of the stream frees the blocks due at ``s``, then writes
     the blocks of step ``s``; ``step`` ascends, and a block due after the
-    last step is freed at the end.  The first calls run each PE's part of
-    the stream up to that PE's first step of most blocks held, the second
-    the rest.  The PEs are ``int64`` columns, one per block.
+    last step is freed at the end.  The PEs are ``int64`` columns, one per
+    block.
     """
     S = int(step[-1]) + 1 if len(step) else 0
     P, width = cluster.cfg.P, S + 1
     held = (np.bincount(pe * width + step, minlength=P * width)
             - np.bincount(pe_in * width + np.minimum(due, S),
-                          minlength=P * width))
-    peak = (held.reshape(P, width)[:, :S].cumsum(1).argmax(1) if S
-            else np.full(P, -1))
-    first_in, first = due <= peak[pe_in], step <= peak[pe]
-    # Whole blocks as single values: selecting them is then one copy each,
-    # and none where the first writes are a prefix, as they are for one PE.
-    blocks = elems.view(np.dtype((np.void, cluster.cfg.B * ELEM.itemsize)))
-    k = int(np.count_nonzero(first))
-    picks = ((slice(0, k), slice(k, None)) if first[:k].all()
-             else (first, ~first))
-    for frees, writes in zip((first_in, ~first_in), picks):
-        if frees.any():
-            cluster.free_blocks(pe_in[frees], ids_in[frees])
-        out = ids[writes]
-        if len(out):
-            cluster.write_blocks(pe[writes], out, blocks[writes].view(ELEM),
-                                 phase)
+                          minlength=P * width)).reshape(P, width)
+    # Taken before the free lowers ``live``; the blocks freed at the end
+    # (column S) come after every write.
+    top = cluster.live + held[:, :S].cumsum(1).max(1, initial=0)
+    if len(ids_in):
+        cluster.free_blocks(pe_in, ids_in)
+    if len(ids):
+        cluster.write_blocks(pe, ids, elems, phase)
+    np.maximum(cluster.peak, top, out=cluster.peak)
 
 
 def batch_merge(elems: np.ndarray, tags: np.ndarray, bounds):

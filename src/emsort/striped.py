@@ -17,7 +17,7 @@ batch's bound.  Each batch's output is the prefix of that sort up to its
 cut, because every element fetched later lies at or above the bound; the
 one-block leftover check is made for every batch.  The window's blocks
 are freed, and its full output blocks written on a slice of the output
-stripe's columns, with two calls each, so each PE's peak block count is
+stripe's columns, with one call each, and each PE's peak block count is
 that of the batch-by-batch stream.  The coordinator's traffic is charged
 per PE for the whole pass.  Run formation takes its memory loads in
 windows as well (``runform.windows``): a window is read with one call,
@@ -247,8 +247,8 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     at most ``_WINDOW`` (2**14) elements, and at least one batch: a window
     is read with one call on its slice of the prediction sequence's
     ``(pe, lb)`` columns, sorted once with its leftovers, cut at every
-    batch's bound, and freed and written with two calls each, as the
-    batch-by-batch stream would leave each PE's blocks.  The traffic is
+    batch's bound, and freed and written with one call each, charging
+    each PE the peak of the batch-by-batch stream.  The traffic is
     charged per PE from the whole pass.  The pass costs one read and one
     write per element; its I/O steps are the schedule length plus the
     output's round-robin step count.

@@ -25,7 +25,7 @@ from emsort.core import (
     DATA_PHASES, PHASE_NAMES, MachineConfig, sentinel, validate_config,
 )
 from emsort.harness import (
-    INPUT_KINDS, VERIFY_CHUNK, InputSpec, generate_input, report_stats,
+    ENGINES, INPUT_KINDS, VERIFY_CHUNK, InputSpec, generate_input, report_stats,
     run_experiment_redistribution, run_sort, verify_output, worst_shift_cuts,
 )
 from emsort.redistribute import compute_splitters, per_run_moved
@@ -724,6 +724,44 @@ def test_cli_verify_refuses_a_malformed_layout(tmp_path, engine, damage,
     with pytest.raises(SystemExit) as refusal:
         cli_main(["verify", "--persist", str(path.parent)])
     assert str(refusal.value) == f"error: {path}: bad layout: {reason}"
+
+
+@pytest.mark.parametrize("engine, damage, message", [
+    ("canonical", {"P": 0}, "bad config: canonical: P < 1"),
+    ("striped", {"P": 0}, "bad config: striped: P < 1"),
+    ("canonical", {"D": 0}, "bad config: canonical: D < 1"),
+    ("striped", {"B": 0}, "bad config: striped: B < 1, merge arity < 2"),
+    ("canonical", {"m": 0}, "bad config: canonical: m < B"),
+    ("striped", {"m": 0}, "bad config: striped: m < B"),
+    ("canonical", None, "{path}: not a JSON object"),
+], ids=["canonical-P0", "striped-P0", "D0", "B0", "canonical-m0",
+        "striped-m0", "a-list"])
+def test_cli_verify_refuses_a_manifest_no_engine_can_run(tmp_path, engine,
+                                                        damage, message):
+    """The config is checked against the layout's engine before the images
+    are loaded; a manifest that is not an object is refused as such."""
+    path = persisted(tmp_path, "verify", engine)
+    manifest = json.loads(path.read_text())
+    if damage is None:
+        manifest = [manifest]
+    else:
+        manifest["cfg"].update(damage)
+    path.write_text(json.dumps(manifest))
+    env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emsort.cli", "verify", "--persist",
+         str(path.parent)], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {message.format(path=path)}\n")
+
+
+def test_validate_config_names_a_machine_without_memory():
+    """``P = 0`` or ``m = 0`` leaves no memory; the reasons say so rather
+    than dividing by it."""
+    cfg = MachineConfig(P=2, D=2, B=4, m=32, N=256)
+    for engine in ENGINES:
+        assert validate_config(replace(cfg, P=0), engine) == ["P < 1"]
+        assert validate_config(replace(cfg, m=0), engine) == ["m < B"]
 
 
 @pytest.mark.parametrize("engine", ["canonical", "striped"])

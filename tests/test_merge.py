@@ -12,7 +12,7 @@ from emsort.core import (
     DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, READ, WRITE,
     concat, sentinel,
 )
-from emsort.merge import batch_merge, local_multiway_merge
+from emsort.merge import batch_merge, free_and_write, local_multiway_merge
 from emsort.redistribute import Staged, compute_splitters, external_all_to_all
 from emsort.runform import form_runs
 
@@ -254,10 +254,10 @@ def test_merge_conserves_content_on_duplicate_heavy_input():
     assert oracle_agrees(inputs, output_elements(cl, layout))
 
 
-def test_local_merge_writes_and_frees_each_slice_in_two_calls():
-    """At most two write and two free calls per PE, even on shifted input
-    at B = 4, where a staged block falls due at nearly every output step:
-    a return to writing between due steps fails here."""
+def test_local_merge_writes_and_frees_each_slice_in_one_call():
+    """One write and one free call per PE, even on shifted input at B = 4,
+    where a staged block falls due at nearly every output step: a return
+    to writing between due steps fails here."""
     cl, _inputs, redist = pipeline(B=4, m=64, N=1024, kind="worst_case_shift",
                                    randomize=False)
     calls: Counter[tuple[str, int]] = Counter()
@@ -268,8 +268,82 @@ def test_local_merge_writes_and_frees_each_slice_in_two_calls():
             return _method(pe, *args)
         setattr(cl, name, counted)
     local_multiway_merge(cl, redist.staged)
-    assert {pe for _name, pe in calls} == set(range(cl.cfg.P))
-    assert max(calls.values()) <= 2, calls
+    assert calls == {(name, pe): 1 for name in ("write_blocks", "free_blocks")
+                     for pe in range(cl.cfg.P)}, calls
+
+
+@st.composite
+def streams(draw):
+    """A machine and a stream for ``free_and_write``: per PE, blocks kept
+    throughout and blocks due for freeing at a step, some after the last;
+    and per step, the PEs of the blocks written there, with one PE left
+    out of the writes when drawn."""
+    P, B, S = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    kept = draw(st.lists(st.integers(0, 3), min_size=P, max_size=P))
+    writers = P - draw(st.integers(0, min(1, P - 1)))
+    due = [draw(st.lists(st.integers(0, S + 1), max_size=4)) for _ in range(P)]
+    step = [draw(st.lists(st.integers(0, writers - 1), max_size=3))
+            for _ in range(S)]
+    return P, B, kept, due, step
+
+
+def stream_cluster(P, B, kept, due, step):
+    """A cluster holding the kept and due blocks, and the stream's columns:
+    the due blocks' PEs, ids and due steps, and the written blocks' PEs,
+    ids, steps and elements, in step order."""
+    cl = build(P=P, D=2, B=B, m=8, N=0)
+    columns = {"pe_in": [], "ids_in": [], "due": []}
+    for pe, (n, dues) in enumerate(zip(kept, due)):
+        for k, blocks in ((n, None), (len(dues), dues)):
+            ids = cl.alloc_blocks(pe, k)
+            cl.seed_blocks(*on(pe, ids), [(pe, lb) for lb in ids for _ in range(B)])
+            if blocks is not None:
+                columns["pe_in"] += [pe] * k
+                columns["ids_in"] += ids.tolist()
+                columns["due"] += blocks
+    pe = np.array([p for pes in step for p in pes], np.int64)
+    ids = np.array([int(cl.alloc_blocks(p, 1)[0]) for p in pe.tolist()], np.int64)
+    steps = np.repeat(np.arange(len(step)), list(map(len, step)))
+    elems = elements([(7, int(lb)) for lb in ids for _ in range(B)])
+    return cl, ({k: np.array(v, np.int64) for k, v in columns.items()},
+                pe, ids, steps, elems)
+
+
+@given(streams())
+def test_free_and_write_charges_the_stepwise_stream(drawn):
+    """One free call and one write call leave the peak, live count,
+    counters and stored blocks of the stream run step by step: the frees
+    due at a step, then that step's writes, and the blocks due after the
+    last step freed at the end."""
+    cl, (freed, pe, ids, steps, elems) = stream_cluster(*drawn)
+    ref, _ = stream_cluster(*drawn)
+    S = len(drawn[4])
+    due = np.minimum(freed["due"], S)
+    for s in range(S + 1):
+        if (due == s).any():
+            ref.free_blocks(freed["pe_in"][due == s], freed["ids_in"][due == s])
+        if s < S and (steps == s).any():
+            mine = np.repeat(steps == s, cl.cfg.B)
+            ref.write_blocks(pe[steps == s], ids[steps == s], elems[mine],
+                             PHASE_LOCAL_MERGE)
+    calls: Counter[str] = Counter()
+    for name in ("free_blocks", "write_blocks"):
+        def counted(*args, _method=getattr(cl, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        setattr(cl, name, counted)
+    free_and_write(cl, freed["pe_in"], freed["ids_in"], freed["due"], pe, ids,
+                   steps, elems, PHASE_LOCAL_MERGE)
+    assert [calls["free_blocks"], calls["write_blocks"]] == [
+        int(len(due) > 0), int(len(ids) > 0)]
+    assert cl.peak.tolist() == ref.peak.tolist()
+    assert cl.live.tolist() == ref.live.tolist()
+    assert counter_state(cl) == counter_state(ref)
+    for p in range(cl.cfg.P):
+        held = live_blocks(ref, p)
+        assert live_blocks(cl, p) == held
+        assert (cl.peek_blocks(*on(p, held)).tolist()
+                == ref.peek_blocks(*on(p, held)).tolist())
 
 
 @pytest.mark.parametrize("kind, randomize", [("worst_case_shift", False),
