@@ -211,7 +211,7 @@ def cmd_sort(args) -> int:
     if args.stats:
         args.stats.write(text)
 
-    if args.persist:
+    if args.persist and verdict.ok:
         _persist(cluster, args.persist, "output", result.layout, kind=kind,
                  count=count, total=total)
     if verdict.ok:

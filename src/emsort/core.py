@@ -93,6 +93,12 @@ def concat(parts) -> np.ndarray:
     return np.frombuffer(b"".join(parts), ELEM)
 
 
+def rows_increase(keys: np.ndarray) -> bool:
+    """Whether every row of ``keys`` strictly increases; 16 keys of each
+    row first, so that most rows out of order cost no whole pass."""
+    return all((r[..., 1:] > r[..., :-1]).all() for r in (keys[..., :16], keys))
+
+
 def sort_order(keys: np.ndarray, ties: np.ndarray) -> np.ndarray:
     """The permutation that sorts each row of ``keys`` by key, equal keys
     by ``ties``, as indices into the flattened array, row after row: for
@@ -112,14 +118,16 @@ def sort_order(keys: np.ndarray, ties: np.ndarray) -> np.ndarray:
     either, by ``lexsort`` on those elements alone.
     """
     size = keys.size
-    if (keys[..., 1:] > keys[..., :-1]).all():
+    if rows_increase(keys):
         return np.arange(size)
     shift = (size - 1).bit_length()     # the flat index, in the low bits
     room = 63 - shift - (size // keys.shape[-1] - 1).bit_length()
-    lo, tlo = keys.min(), int(ties.min())
+    lo = keys.min()
     key_bits = int(keys.max() - lo).bit_length()
-    tie_bits = (int(ties.max()) - tlo).bit_length()
-    narrow = key_bits + tie_bits <= room
+    if narrow := key_bits <= room:      # else no tie span can fit: unread
+        tlo = int(ties.min())
+        tie_bits = (int(ties.max()) - tlo).bit_length()
+        narrow = key_bits + tie_bits <= room
     cut = 0 if narrow else max(0, key_bits - room)  # key bits left out
     order = np.arange(size)
     scratch = np.subtract(keys, lo).reshape(-1)

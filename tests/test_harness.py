@@ -495,6 +495,27 @@ def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
         "verification: FAIL: output content differs from input (fingerprint mismatch)"]
 
 
+def test_cli_sort_persists_nothing_when_verification_fails(tmp_path, capsys):
+    """A flipped key bit in an input image is sorted and found by the
+    fingerprint; the store keeps its input generation as it was."""
+    config = write_config(tmp_path / "grid.cfg", m=64)
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    image = store / "pe1_disk0.g1.bin"
+    data = bytearray(image.read_bytes())
+    data[8 + 8 * len(image_slots(bytes(data)))] ^= 0x01    # row 0's key
+    image.write_bytes(bytes(data))
+    before = {path.name: path.read_bytes() for path in store.iterdir()}
+    capsys.readouterr()
+    assert cli_main(["sort", "--persist", str(store)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "verification: FAIL: output content differs from input (fingerprint mismatch)"]
+    manifest = json.loads((store / cli.MANIFEST).read_text())
+    assert (manifest["stage"], manifest["generation"]) == ("input", 1)
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == before
+    assert not (store / cli.LAYOUT).exists()
+
+
 def test_cli_verify_refuses_payload_bytes_past_the_serial(tmp_path):
     """At elem_size 24 payload bytes 16..23 hold no serial bits; a set bit
     there is damage the fingerprint cannot see, so loading refuses it."""

@@ -151,13 +151,18 @@ def test_batch_merge_matches_the_reference_kernel(drawn, rng):
 
 
 @st.composite
-def staged_plans(draw):
+def staged_plans(draw, in_order=False):
     """Per run: sorted elements split into pieces, each stored from a drawn
     offset into its first block.  The last run is padded with sentinels to
-    a block multiple, as the output slice must be."""
+    a block multiple, as the output slice must be.  With ``in_order``, no
+    run's keys lie below the run before it."""
     B = draw(st.integers(1, 4))
     runs = [sorted(draw(st.lists(tied_elements, max_size=9)))
             for _ in range(draw(st.integers(1, 4)))]
+    if in_order:
+        joined = iter(sorted((e for run in runs for e in run),
+                             key=lambda e: e[0]))
+        runs = [[next(joined) for _ in run] for run in runs]
     runs[-1] += [sentinel()] * (-sum(map(len, runs)) % B)
     plan = []
     for elems in runs:
@@ -188,13 +193,37 @@ def stage(B, plan):
     return cl, [Staged(np.concatenate([np.empty(0, np.int64)] + ids), *columns)]
 
 
-@given(staged_plans())
+@given(st.one_of(staged_plans(), staged_plans(in_order=True)))
 def test_local_merge_matches_the_reference_kernel(drawn):
     B, plan = drawn
     ref_cl, ref_staged = stage(B, plan)
     cl, staged = stage(B, plan)
     expected = helpers.local_multiway_merge(ref_cl, ref_staged)
     layout = local_multiway_merge(cl, staged)
+    assert addresses(layout) == addresses(expected)
+    assert output_elements(cl, layout) == output_elements(ref_cl, expected)
+    assert counter_state(cl) == counter_state(ref_cl)
+    assert cl.peak_allocated(0) == ref_cl.peak_allocated(0)
+    assert live_blocks(cl, 0) == live_blocks(ref_cl, 0)
+
+
+@pytest.mark.parametrize("in_order", [True, False])
+def test_local_merge_sorts_only_pieces_out_of_order(monkeypatch, in_order):
+    """Pieces in order are written as they are, with no sort; pieces out
+    of order are sorted once.  Output, layout, counters and the peak are
+    the reference's either way."""
+    keys = [[0, 2, 2, 5], [5, 6, 9, 9]] if in_order else [[0, 2, 6], [1, 5, 7]]
+    plan = [[([(k, -2) for k in run[:2]], 1), ([(k, -2) for k in run[2:]], 0)]
+            for run in keys]
+    ref_cl, ref_staged = stage(2, plan)
+    cl, staged = stage(2, plan)
+    expected = helpers.local_multiway_merge(ref_cl, ref_staged)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    layout = local_multiway_merge(cl, staged)
+    assert len(calls) == (not in_order)
     assert addresses(layout) == addresses(expected)
     assert output_elements(cl, layout) == output_elements(ref_cl, expected)
     assert counter_state(cl) == counter_state(ref_cl)
@@ -347,7 +376,8 @@ def test_free_and_write_charges_the_stepwise_stream(drawn):
 
 
 @pytest.mark.parametrize("kind, randomize", [("worst_case_shift", False),
-                                             ("duplicate_heavy", True)])
+                                             ("duplicate_heavy", True),
+                                             ("sorted", False)])
 def test_local_merge_matches_the_stream_on_every_pe(kind, randomize):
     """Output, counters, per-PE peak occupancy and live blocks equal the
     block-at-a-time stream's on every PE.  On shifted input a block falls

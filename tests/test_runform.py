@@ -10,8 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from emsort import runform
 from emsort.core import (
-    DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, READ, SENT, WRITE,
-    sort_order,
+    CONTROL, DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, READ,
+    RECEIVED, SENT, WRITE, sort_order,
 )
 from emsort.runform import (
     RunDescriptor, form_runs, internal_parallel_sort, run_layout,
@@ -119,10 +119,11 @@ def test_internal_parallel_sort_chunks_are_exact_rank_splits():
 
 
 @st.composite
-def parallel_windows(draw):
+def parallel_windows(draw, banded=False):
     """A window of 1 to 5 loads of P equal shares each, mostly with keys
     0..3 so that rank cuts fall inside runs of ties, and often in rows
-    that repeat each other's keys."""
+    that repeat each other's keys.  With ``banded``, every serial of share
+    p lies below every serial of share p + 1, as in a generated input."""
     P = draw(st.integers(1, 4))
     share = draw(st.integers(0, 6))
     total = P * share
@@ -130,7 +131,11 @@ def parallel_windows(draw):
     window = []
     for _ in range(draw(st.integers(1, 5))):
         keys = draw(st.lists(key, min_size=total, max_size=total))
-        serials = draw(st.permutations(range(total)))
+        if banded:
+            serials = [p * share + s for p in range(P)
+                       for s in draw(st.permutations(range(share)))]
+        else:
+            serials = draw(st.permutations(range(total)))
         elems = list(zip(keys, serials))
         window.append([elems[p * share:(p + 1) * share] for p in range(P)])
     return window
@@ -172,6 +177,78 @@ def test_internal_parallel_sort_matches_the_reference_kernel(window):
     assert [[chunk.tolist() for chunk in np.split(row, P)]
             for row in got] == expected
     assert counter_state(cl) == counter_state(ref_cl)
+
+
+@given(parallel_windows(banded=True))
+@example([[[(2, 1), (2, 0)], [(2, 2), (1, 3)], [(2, 5), (2, 4)]]])
+def test_internal_parallel_sort_of_banded_serials_matches_the_reference_kernel(
+        window):
+    """On serials banded by processor the tied groups at the cuts are not
+    sorted again, and the chunks and counters stay the reference's."""
+    P = len(window[0])
+    ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
+    expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
+    rows = elements([e for load in window for share in load for e in share])
+    got = internal_parallel_sort(cl, rows.reshape(len(window), -1))
+    assert [[chunk.tolist() for chunk in np.split(row, P)]
+            for row in got] == expected
+    assert counter_state(cl) == counter_state(ref_cl)
+
+
+def test_internal_parallel_sort_returns_an_increasing_window_as_read():
+    """Rows that strictly increase stay where they are: nothing is sent or
+    received, and the cut positions are charged as on any window."""
+    P, share = 3, 4
+    keys = np.arange(2 * P * share).reshape(2, -1) * 5
+    window = [[[(int(k), 40 - int(k) % 7) for k in row[p * share:(p + 1) * share]]
+               for p in range(P)] for row in keys]
+    ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
+    expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
+    rows = elements([e for load in window for share in load for e in share])
+    got = internal_parallel_sort(cl, rows.reshape(2, -1))
+    assert got.tolist() == rows.reshape(2, -1).tolist()
+    assert [[chunk.tolist() for chunk in np.split(row, P)]
+            for row in got] == expected
+    traffic = cl.counters.traffic[PHASE_RUN_FORMATION]
+    assert traffic[SENT].sum() == traffic[RECEIVED].sum() == 0
+    assert traffic[CONTROL].tolist() == [2 * 2 * (P - 1)] * P
+    assert counter_state(cl) == counter_state(ref_cl)
+
+
+def tied_window(serials) -> np.ndarray:
+    """One load of 4 processors' shares of 3, keys 0, 1, 2 in turn, so
+    that each cut falls in a tied group, with the given serials."""
+    return elements([(i % 3, s) for i, s in enumerate(serials)]).reshape(1, -1)
+
+
+@pytest.mark.parametrize("loads, sorts, argsorts", [
+    (elements([(k, -k) for k in range(12)]).reshape(1, -1), 0, 0),
+    (tied_window(range(12)), 1, 0),                     # banded
+    (tied_window(range(11, -1, -1)), 1, 6),             # not banded
+])
+def test_internal_parallel_sort_skips_the_passes_that_change_nothing(
+        monkeypatch, loads, sorts, argsorts):
+    """An increasing window is not sorted, a window of banded serials is
+    sorted once with no tied group sorted again, and a window whose
+    serials fall with the processor sorts each tied group at a cut by
+    processor and by chunk."""
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    ref_cl, cl = build(P=4, D=1, B=1, m=32, N=0), build(P=4, D=1, B=1, m=32, N=0)
+    expected = helpers.internal_parallel_sort(
+        ref_cl, [share.tolist() for share in np.split(loads[0], 4)])
+    monkeypatch.setattr(runform, "sort_order", counted("sort", sort_order))
+    monkeypatch.setattr(np, "argsort", counted("argsort", np.argsort))
+    got = internal_parallel_sort(cl, loads)
+    assert [chunk.tolist() for chunk in np.split(got[0], 4)] == expected
+    assert counter_state(cl) == counter_state(ref_cl)
+    assert (calls["sort"], calls["argsort"]) == (sorts, argsorts)
 
 
 def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
