@@ -13,7 +13,9 @@ merge those calls stand for.
 Both merge by one array sort.  Concatenated in run order, and each run in
 position order, the elements sorted stably by key are in the total order;
 the batch merge sorts by (key, tag) instead, with a tag that grows with
-run and position, so its buffer may be in any order.
+run and position, so its buffer may be in any order.  The local merge
+skips the sort when each piece starts at or above where the one before
+it ends, as on sorted or shifted input with the shuffle off.
 """
 from __future__ import annotations
 

@@ -153,7 +153,7 @@ def internal_parallel_sort(cluster, loads: np.ndarray) -> np.ndarray:
     cuts = (np.arange(0, w * total, total)[:, None]
             + np.arange(share, total, share)).ravel()
     tied = cuts[keys[order[cuts - 1]] == keys[order[cuts]]]
-    if len(tied):                       # unless their rows are banded
+    if len(tied):   # a banded row is in (key, processor, serial) order
         serials = loads["serial"].reshape(w, P, share)
         banded = (serials.max(2)[:, :-1] < serials.min(2)[:, 1:]).all(1)
         tied = tied[~banded[tied // total]]

@@ -193,9 +193,7 @@ def stage(B, plan):
     return cl, [Staged(np.concatenate([np.empty(0, np.int64)] + ids), *columns)]
 
 
-@given(st.one_of(staged_plans(), staged_plans(in_order=True)))
-def test_local_merge_matches_the_reference_kernel(drawn):
-    B, plan = drawn
+def assert_merge_matches_the_reference_kernel(B, plan):
     ref_cl, ref_staged = stage(B, plan)
     cl, staged = stage(B, plan)
     expected = helpers.local_multiway_merge(ref_cl, ref_staged)
@@ -207,6 +205,18 @@ def test_local_merge_matches_the_reference_kernel(drawn):
     assert live_blocks(cl, 0) == live_blocks(ref_cl, 0)
 
 
+@given(staged_plans())
+def test_local_merge_matches_the_reference_kernel(drawn):
+    assert_merge_matches_the_reference_kernel(*drawn)
+
+
+@given(staged_plans(in_order=True))
+def test_local_merge_of_pieces_in_order_matches_the_reference_kernel(drawn):
+    """Pieces already in order skip the sort; output, layout, counters
+    and the peak stay the reference's."""
+    assert_merge_matches_the_reference_kernel(*drawn)
+
+
 @pytest.mark.parametrize("in_order", [True, False])
 def test_local_merge_sorts_only_pieces_out_of_order(monkeypatch, in_order):
     """Pieces in order are written as they are, with no sort; pieces out
@@ -215,20 +225,12 @@ def test_local_merge_sorts_only_pieces_out_of_order(monkeypatch, in_order):
     keys = [[0, 2, 2, 5], [5, 6, 9, 9]] if in_order else [[0, 2, 6], [1, 5, 7]]
     plan = [[([(k, -2) for k in run[:2]], 1), ([(k, -2) for k in run[2:]], 0)]
             for run in keys]
-    ref_cl, ref_staged = stage(2, plan)
-    cl, staged = stage(2, plan)
-    expected = helpers.local_multiway_merge(ref_cl, ref_staged)
     calls = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort",
                         lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
-    layout = local_multiway_merge(cl, staged)
+    assert_merge_matches_the_reference_kernel(2, plan)
     assert len(calls) == (not in_order)
-    assert addresses(layout) == addresses(expected)
-    assert output_elements(cl, layout) == output_elements(ref_cl, expected)
-    assert counter_state(cl) == counter_state(ref_cl)
-    assert cl.peak_allocated(0) == ref_cl.peak_allocated(0)
-    assert live_blocks(cl, 0) == live_blocks(ref_cl, 0)
 
 
 # --- the merge phase -----------------------------------------------------------

@@ -169,14 +169,7 @@ def test_internal_parallel_sort_matches_the_reference_kernel(window):
     """The array kernel sorts a window of loads, each the shares joined;
     share p of its row j is the reference kernel's chunk p of load j, and
     the counters are the reference's applied load by load."""
-    P = len(window[0])
-    ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
-    expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
-    rows = elements([e for load in window for share in load for e in share])
-    got = internal_parallel_sort(cl, rows.reshape(len(window), -1))
-    assert [[chunk.tolist() for chunk in np.split(row, P)]
-            for row in got] == expected
-    assert counter_state(cl) == counter_state(ref_cl)
+    assert_sort_matches_the_reference_kernel(window)
 
 
 @given(parallel_windows(banded=True))
@@ -185,6 +178,10 @@ def test_internal_parallel_sort_of_banded_serials_matches_the_reference_kernel(
         window):
     """On serials banded by processor the tied groups at the cuts are not
     sorted again, and the chunks and counters stay the reference's."""
+    assert_sort_matches_the_reference_kernel(window)
+
+
+def assert_sort_matches_the_reference_kernel(window):
     P = len(window[0])
     ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
     expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
@@ -202,17 +199,14 @@ def test_internal_parallel_sort_returns_an_increasing_window_as_read():
     keys = np.arange(2 * P * share).reshape(2, -1) * 5
     window = [[[(int(k), 40 - int(k) % 7) for k in row[p * share:(p + 1) * share]]
                for p in range(P)] for row in keys]
-    ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
-    expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
+    cl = build(P=P, D=1, B=1, m=32, N=0)
     rows = elements([e for load in window for share in load for e in share])
-    got = internal_parallel_sort(cl, rows.reshape(2, -1))
-    assert got.tolist() == rows.reshape(2, -1).tolist()
-    assert [[chunk.tolist() for chunk in np.split(row, P)]
-            for row in got] == expected
+    assert internal_parallel_sort(cl, rows.reshape(2, -1)).tolist() == \
+        rows.reshape(2, -1).tolist()
     traffic = cl.counters.traffic[PHASE_RUN_FORMATION]
     assert traffic[SENT].sum() == traffic[RECEIVED].sum() == 0
     assert traffic[CONTROL].tolist() == [2 * 2 * (P - 1)] * P
-    assert counter_state(cl) == counter_state(ref_cl)
+    assert_sort_matches_the_reference_kernel(window)
 
 
 def tied_window(serials) -> np.ndarray:
