@@ -5,7 +5,9 @@ disk), ``manifest.json`` describing the machine, the images' generation,
 the input kind and fingerprint, and — after sorting — ``layout.bin``, the
 output layout as a PE column and a block-id column.  The input's block ids
 are not stored: ``gen`` puts every PE's input in blocks
-``0 .. N/(P*B) - 1``.  The process exit code is 0 iff verification passed.
+``0 .. N/(P*B) - 1``.  ``sort`` checks a loaded input's fingerprint
+against its manifest before sorting.  The process exit code is 0 iff
+verification passed.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .harness import (
     INPUT_KINDS,
     InputSpec,
     generate_input,
+    loaded_fingerprint,
     report_stats,
     run_experiment_redistribution,
     run_sort,
@@ -195,6 +198,9 @@ def cmd_sort(args) -> int:
                                       manifest["generation"])
         kind, count, total = (manifest["kind"], manifest["count"],
                               manifest["total"])
+        if loaded_fingerprint(cluster) != (count, total):
+            raise SystemExit(f"error: {args.persist}: the input's fingerprint "
+                             "differs from its manifest's")
     else:
         cfg = _load_cfg(args)
         _check_cfg(cfg, (args.engine,))

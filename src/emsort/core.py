@@ -368,41 +368,6 @@ def derive_seed(seed: int, *tags: int) -> int:
     return x
 
 
-def _splitmix64_columns(x: np.ndarray) -> np.ndarray:
-    """:func:`_splitmix64` of every entry, in wrapping ``uint64`` arithmetic."""
-    z = x + 0x9E3779B97F4A7C15
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    return z ^ (z >> 31)
-
-
-def _sum128(words: np.ndarray) -> int:
-    """Exact sum of ``uint64`` words, from the sums of their 32-bit halves
-    (each fits ``uint64`` for fewer than 2**32 words)."""
-    low = int((words & 0xFFFFFFFF).sum(dtype=np.uint64))
-    high = int((words >> 32).sum(dtype=np.uint64))
-    return low + (high << 32)
-
-
-def checksum128(keys, serials) -> tuple[int, int]:
-    """Order-independent fingerprint of the elements ``zip(keys, serials)``:
-    (count, sum of mixed hashes mod 2**128).
-
-    An element hashes to ``sm(key) ^ (sm(serial mod 2**64) << 64)
-    ^ (sm(key ^ C) << 32)`` with ``sm`` the splitmix64 finalizer, computed
-    here as a low and a high 64-bit word per element.  Equal multisets of
-    elements produce equal fingerprints regardless of arrangement; a single
-    changed key or payload changes the sum.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    serials = np.asarray(serials, dtype=np.int64).view(np.uint64)
-    mix = _splitmix64_columns(keys ^ 0xD6E8FEB86659FD93)
-    low = _splitmix64_columns(keys) ^ (mix << 32)
-    high = _splitmix64_columns(serials) ^ (mix >> 32)
-    total = (_sum128(low) + (_sum128(high) << 64)) & ((1 << 128) - 1)
-    return len(keys), total
-
-
 class DiskError(Exception):
     """A bad block access or disk image."""
 

@@ -34,11 +34,11 @@ from .core import (
     PhaseCounters,
     RNG_NAME,
     SENT,
-    checksum128,
     derive_seed,
     sentinel_mask,
     validate_config,
 )
+from .fingerprint import checksum128
 from .merge import local_multiway_merge
 from .redistribute import compute_splitters, external_all_to_all, per_run_moved
 from .runform import PeBlocks, form_runs, run_layout
@@ -142,16 +142,26 @@ def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
     total = 0
     pe_blocks: list[np.ndarray] = []
     for pe in range(cfg.P):
-        elems = np.empty(local, ELEM)
-        elems["key"] = _band_keys(cfg, spec, pe, shift_ranks)
-        elems["serial"] = np.arange(pe * local, (pe + 1) * local)
-        c, t = checksum128(elems["key"], elems["serial"])
+        keys = _band_keys(cfg, spec, pe, shift_ranks)
+        serials = np.arange(pe * local, (pe + 1) * local)
+        c, t = checksum128(keys, serials)   # while the columns are contiguous
         count += c
         total = (total + t) & ((1 << 128) - 1)
+        elems = np.empty(local, ELEM)
+        elems["key"] = keys
+        elems["serial"] = serials
         blocks = cluster.alloc_blocks(pe, local // cfg.B)
         cluster.seed_blocks(np.full(len(blocks), pe), blocks, elems)
         pe_blocks.append(blocks)
     return GeneratedInput(pe_blocks, count, total)
+
+
+def loaded_fingerprint(cluster: Cluster) -> tuple[int, int]:
+    """The fingerprint of every element of a cluster that
+    :meth:`Cluster.load_images` has just built, hashed where it is stored,
+    for a check against the manifest's before the input is sorted."""
+    elems = cluster.loaded_elements()
+    return checksum128(elems["key"], elems["serial"])
 
 
 @dataclass

@@ -179,6 +179,13 @@ class Cluster:
         uncounted."""
         return self._gather(*self._ids(pe, lbs))
 
+    def loaded_elements(self) -> np.ndarray:
+        """Every element :meth:`load_images` has just stored, as one
+        read-only view of the store, uncounted."""
+        elems = self._slab[:int(self.live.sum())].view(ELEM)
+        elems.flags.writeable = False
+        return elems
+
     # -- the store -------------------------------------------------------------
 
     def _check_pe(self, pe) -> None:

@@ -2,9 +2,9 @@
 occupancy, an in-memory selection accessor, the scalar element and image
 codec that the disk images are checked against, the element-at-a-time,
 block-at-a-time, per-batch, per-rank, per-block and step-by-step kernels
-that the array kernels are checked against, and the per-PE dict block
-store and the list-based counters that the slab store and the counter
-arrays are checked against."""
+and the scalar fingerprint that the array kernels are checked against, and
+the per-PE dict block store and the list-based counters that the slab
+store and the counter arrays are checked against."""
 from __future__ import annotations
 
 import heapq
@@ -195,6 +195,25 @@ def oracle_agrees(inputs: list[Element], outputs: list[Element]) -> bool:
     if oracle != [elem[0] for elem in outputs]:
         return False
     return sorted(inputs) == sorted(outputs)
+
+
+def _splitmix64(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & MAX_KEY
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MAX_KEY
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MAX_KEY
+    return z ^ (z >> 31)
+
+
+def checksum128(pairs) -> tuple[int, int]:
+    """The fingerprint one element at a time in Python ints: the count of
+    ``(key, serial)`` pairs and the sum mod 2**128 of ``sm(key)
+    ^ (sm(serial mod 2**64) << 64) ^ (sm(key ^ C) << 32)``."""
+    total = count = 0
+    for key, serial in pairs:
+        total += (_splitmix64(key) ^ (_splitmix64(serial & MAX_KEY) << 64)
+                  ^ (_splitmix64(key ^ 0xD6E8FEB86659FD93) << 32))
+        count += 1
+    return count, total % (1 << 128)
 
 
 def element_to_bytes(elem: Element, elem_size: int) -> bytes:

@@ -21,12 +21,12 @@ PUBLIC = {
     "SelectionError", "ProtocolError", "__version__",
 }
 
-#: ``Cluster``'s methods: allocation of runs and stripes, and runs of blocks
-#: on one PE.
+#: ``Cluster``'s methods: allocation of runs and stripes, runs of blocks on
+#: one PE, and persistence.
 CLUSTER_METHODS = {
     "alloc_blocks", "alloc_stripe", "read_blocks", "peek_blocks",
     "write_blocks", "seed_blocks", "free_blocks", "peak_allocated",
-    "save_images", "load_images",
+    "save_images", "load_images", "loaded_elements",
 }
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,18 +10,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from emsort.core import (
-    ALL_PHASES, CONTROL, DATA_PHASES, INF_KEY, MAX_KEY, MachineConfig,
+    ALL_PHASES, CONTROL, DATA_PHASES, ELEM, INF_KEY, MAX_KEY, MachineConfig,
     PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_NAMES, PHASE_RUN_FORMATION,
     PHASE_SELECTION, PHASE_SETUP, READ, RECEIVED, SENT, SENTINEL_SERIAL, WRITE,
-    PhaseCounters, checksum128, derive_seed, parse_config_text, sentinel,
-    sentinel_mask, sort_order, validate_config,
+    PhaseCounters, derive_seed, parse_config_text, sentinel, sentinel_mask,
+    sort_order, validate_config,
 )
+from emsort.fingerprint import FINGERPRINT_CHUNK, checksum128
 from emsort.net import charge_volume, gather_splitters
 from emsort.vdisk import Cluster
 
 from helpers import (
-    ReferenceCluster, counter_state, element_from_bytes, element_to_bytes,
-    elements as element_array, on,
+    ReferenceCluster, checksum128 as scalar_checksum128, counter_state,
+    element_from_bytes, element_to_bytes, elements as element_array, on,
 )
 
 elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
@@ -269,6 +271,62 @@ def test_checksum128_known_answer():
     assert fingerprint(elems) == (
         7, 0x4D522E59859C40B8767B19E2984B3A19)
     assert fingerprint([]) == (0, 0)
+
+
+def drawn_elements(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    elems = np.empty(n, ELEM)
+    elems["key"] = rng.integers(0, 2**64, n, dtype=np.uint64)
+    elems["serial"] = rng.integers(-2**63, 2**63, n, dtype=np.int64)
+    return elems
+
+
+@pytest.mark.parametrize("n", [0, 1, FINGERPRINT_CHUNK - 1, FINGERPRINT_CHUNK,
+                               FINGERPRINT_CHUNK + 1, 3 * FINGERPRINT_CHUNK + 5])
+def test_checksum128_matches_the_scalar_fingerprint_at_chunk_edges(n):
+    elems = drawn_elements(n, n)
+    keys, serials = elems["key"].copy(), elems["serial"].copy()
+    assert checksum128(keys, serials) == scalar_checksum128(elems.tolist())
+
+
+def test_checksum128_is_exact_when_every_word_carries():
+    """All-ones keys with serial -1: every element hashes to the same two
+    words, so each chunk's wrapping sums overflow thousands of times."""
+    n = 3 * FINGERPRINT_CHUNK + 5
+    keys = np.full(n, MAX_KEY, np.uint64)
+    serials = np.full(n, SENTINEL_SERIAL, np.int64)
+    assert checksum128(keys, serials) == scalar_checksum128(
+        [sentinel()] * n)
+
+
+def test_checksum128_reads_strided_fields_lists_and_int64_keys():
+    elems = drawn_elements(2 * FINGERPRINT_CHUNK + 3, 7)
+    elems["key"][:100] >>= 1                   # some keys that fit int64
+    want = scalar_checksum128(elems.tolist())
+    assert checksum128(elems["key"], elems["serial"]) == want
+    assert checksum128(elems["key"].tolist(), elems["serial"].tolist()) == want
+    every_third = elems[::3]
+    assert checksum128(every_third["key"], every_third["serial"]) == (
+        scalar_checksum128(every_third.tolist()))
+    head = elems[:100]
+    assert checksum128(head["key"].astype(np.int64), head["serial"]) == (
+        scalar_checksum128(head.tolist()))
+
+
+@pytest.mark.parametrize("layout", ["columns", "fields"])
+def test_checksum128_allocates_no_input_sized_temporary(layout):
+    """One call on 2**18 elements (4 MB) peaks below 1 MB: its scratch is
+    three chunk-sized columns whatever the input's length."""
+    elems = drawn_elements(1 << 18, 3)
+    keys, serials = ((elems["key"].copy(), elems["serial"].copy())
+                     if layout == "columns" else (elems["key"], elems["serial"]))
+    tracemalloc.start()
+    try:
+        checksum128(keys, serials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_phase_counters_aggregation():

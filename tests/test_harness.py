@@ -495,17 +495,17 @@ def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
         "verification: FAIL: output content differs from input (fingerprint mismatch)"]
 
 
-def test_cli_sort_persists_nothing_when_verification_fails(tmp_path, capsys):
-    """A flipped key bit in an input image is sorted and found by the
-    fingerprint; the store keeps its input generation as it was."""
+def test_cli_sort_persists_nothing_when_verification_fails(tmp_path, capsys,
+                                                           monkeypatch):
+    """A sort whose verification fails leaves the store with its input
+    generation as it was."""
     config = write_config(tmp_path / "grid.cfg", m=64)
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
-    image = store / "pe1_disk0.g1.bin"
-    data = bytearray(image.read_bytes())
-    data[8 + 8 * len(image_slots(bytes(data)))] ^= 0x01    # row 0's key
-    image.write_bytes(bytes(data))
     before = {path.name: path.read_bytes() for path in store.iterdir()}
+    verdict = harness.VerifyResult(True)
+    verdict.fail("output content differs from input (fingerprint mismatch)")
+    monkeypatch.setattr(cli, "verify_output", lambda *args: verdict)
     capsys.readouterr()
     assert cli_main(["sort", "--persist", str(store)]) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -514,6 +514,31 @@ def test_cli_sort_persists_nothing_when_verification_fails(tmp_path, capsys):
     assert (manifest["stage"], manifest["generation"]) == ("input", 1)
     assert {path.name: path.read_bytes() for path in store.iterdir()} == before
     assert not (store / cli.LAYOUT).exists()
+
+
+@pytest.mark.parametrize("elem_size", [16, 12])
+def test_cli_sort_refuses_a_changed_input_before_sorting(tmp_path, capsys,
+                                                         monkeypatch,
+                                                         elem_size):
+    """A flipped key bit in an input image is found by the loaded input's
+    fingerprint: the sort exits with an error before it runs, and the store
+    stays byte-identical."""
+    config = write_config(tmp_path / "grid.cfg", m=64, elem_size=elem_size)
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    image = store / "pe1_disk0.g1.bin"
+    data = bytearray(image.read_bytes())
+    data[8 + 8 * len(image_slots(bytes(data)))] ^= 0x01    # row 0's key
+    image.write_bytes(bytes(data))
+    before = {path.name: path.read_bytes() for path in store.iterdir()}
+    monkeypatch.setattr(cli, "run_sort", mock.Mock(side_effect=AssertionError))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sort", "--persist", str(store)])
+    assert exc.value.code == (f"error: {store}: the input's fingerprint "
+                              "differs from its manifest's")
+    assert capsys.readouterr().out == ""
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == before
 
 
 def test_cli_verify_refuses_payload_bytes_past_the_serial(tmp_path):

@@ -406,6 +406,8 @@ def test_save_and_load_images_round_trip(tmp_path):
     loaded = Cluster.load_images(str(tmp_path), cfg, 3)
     for (pe, lb), data in blocks.items():
         assert loaded.peek_blocks(*on(pe, [lb])).tolist() == data
+    assert sorted(loaded.loaded_elements().tolist()) == sorted(
+        elem for data in blocks.values() for elem in data)
     assert loaded.counters.element_io(cfg.B) == 0
     assert live_blocks(loaded, 1) == [0, 2, 3]
     assert loaded.live.tolist() == loaded.peak.tolist() == [4, 3]
@@ -539,6 +541,8 @@ def test_images_of_16_byte_elements_load_and_save_as_raw_bytes(images):
         assert live_blocks(loaded, 0) == sorted(expected)
         for lb, block in expected.items():
             assert loaded.peek_blocks(*on(0, [lb])).tolist() == block
+        assert sorted(loaded.loaded_elements().tolist()) == sorted(
+            elem for block in expected.values() for elem in block)
         assert loaded.live.tolist() == loaded.peak.tolist() == [len(expected)]
         assert loaded.next_slot[0].tolist() == [
             max(image, default=-1) + 1 for image in images]
