@@ -2,11 +2,12 @@
 configuration, and per-phase I/O / communication counters.
 
 An element is a record of :data:`ELEM`: an unsigned 64-bit sort ``key`` and
-a signed 64-bit ``serial``, an opaque payload stand-in that round-trips
-through serialization (``elem_size - 8`` little-endian bytes).  Blocks and
-every other run of elements are numpy arrays of that one dtype; ``.tolist()``
-gives ``(key, serial)`` tuples.  The key 2**64 - 1 with serial -1 is
-reserved for sentinel padding; generators never emit that key as a data key.
+a signed 64-bit ``serial``, an opaque payload stand-in.  Its 16 bytes are
+also the row of a persisted disk image, so ``elem_size`` has the one value
+16.  Blocks and every other run of elements are numpy arrays of that one
+dtype; ``.tolist()`` gives ``(key, serial)`` tuples.  The key 2**64 - 1
+with serial -1 is reserved for sentinel padding; generators never emit
+that key as a data key.
 
 Within one merge or selection instance the full order on elements is the
 lexicographic order on ``(key, origin_run, origin_position)``, which is total
@@ -232,10 +233,6 @@ class MachineConfig:
         return self.K if self.K > 0 else self.B
 
     @property
-    def payload_size(self) -> int:
-        return self.elem_size - 8
-
-    @property
     def total_disks(self) -> int:
         return self.P * self.D
 
@@ -270,8 +267,8 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
     The canonical engine additionally needs one buffer block per run during
     the final local merge, hence R*B <= m.  The striped engine instead needs
     a merge arity of at least 2 whenever more than one run exists.  Every
-    engine needs a payload wide enough for the serials, so that persisted
-    images round-trip.
+    engine needs ``elem_size`` to be the 16 bytes of :data:`ELEM`, the only
+    row a persisted image holds.
     """
     bad: list[str] = []
     if cfg.P < 1:
@@ -284,11 +281,8 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
         bad.append("m < B")
     if cfg.N < 0:
         bad.append("N < 0")
-    if cfg.elem_size < 8:
-        bad.append("elem_size < 8")
-    elif cfg.N > 1 << 8 * cfg.payload_size:
-        bad.append("N > 2**(8*(elem_size-8)): the serials 0..N-1 do not fit "
-                   "the payload")
+    if cfg.elem_size != ELEM.itemsize:
+        bad.append(f"elem_size != {ELEM.itemsize}")
     if cfg.K < 0:
         bad.append("K < 0")
     if cfg.m and cfg.B and cfg.m % cfg.B != 0:

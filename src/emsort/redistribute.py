@@ -40,7 +40,6 @@ class SplitterMatrix:
     pos: list[list[int]]
     rounds: int
     touched: int
-    blocks_read: int
 
     @property
     def boundaries(self) -> int:
@@ -94,10 +93,8 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
     # PE 0 shares the P - 1 inner cuts of every run.
     gather_splitters(cluster, [(P - 1) * len(runs)] + [0] * (P - 1),
                      PHASE_SELECTION)
-    return SplitterMatrix(pos,
-                          sum(r.rounds for r in results),
-                          sum(r.touched for r in results),
-                          acc.blocks_read)
+    return SplitterMatrix(pos, sum(r.rounds for r in results),
+                          sum(r.touched for r in results))
 
 
 def _cut_pieces(runs: list[RunDescriptor], matrix: SplitterMatrix

@@ -9,10 +9,11 @@ smallest chunk and so on, and each chunk is written back over the very
 blocks it was read from.  A load is one array, the processors' shares
 joined in processor order.  The host takes the loads in windows
 (:func:`windows`): the most consecutive full loads holding at most
-``_WINDOW`` = 2**14 elements, and at least one, with a short last load
-alone.  A window is one ``(loads, P*share)`` array, read with one call on
-the PE and block-id columns of the whole cluster, sorted row by row with
-one call, and written back with one call; the exchange that sorting
+:data:`WINDOW` = 2**14 elements, and at least one, with a short last load
+alone; the striped merge's windows of batches share that bound.  A
+window is one ``(loads, P*share)`` array, read with one call on the PE
+and block-id columns of the whole cluster, sorted row by row with one
+call, and written back with one call; the exchange that sorting
 implies is charged once per window, from where each element came from
 and which chunk it lands in.  Every K-th element of the run is retained
 as a sample for splitter seeding, as a column of keys: sample i sits at
@@ -35,10 +36,10 @@ from .core import (
 )
 from .net import charge_volume, gather_splitters
 
-#: Elements a window of run formation holds at most, the bound of the
-#: striped merge's windows: the host reads, sorts and writes a window's
-#: whole memory loads together.
-_WINDOW = 1 << 14
+#: Elements a window holds at most, of run formation's memory loads or of a
+#: striped merge pass's batches: the host reads, sorts and writes a
+#: window's whole loads or batches together.
+WINDOW = 1 << 14
 
 #: Per processor, its input block ids in order: a list or an ``int64`` column.
 PeBlocks = Sequence["np.ndarray | Sequence[int]"]
@@ -87,10 +88,10 @@ def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> np.ndarray:
 def windows(cfg: MachineConfig) -> list[tuple[int, int, int]]:
     """(first run, runs, per-processor share) of each window of run
     formation: the most consecutive full memory loads that hold at most
-    ``_WINDOW`` elements, and at least one; a short last load is a window
+    :data:`WINDOW` elements, and at least one; a short last load is a window
     of its own."""
     full, rest = divmod(cfg.N, cfg.M)
-    per = max(1, _WINDOW // cfg.M)
+    per = max(1, WINDOW // cfg.M)
     out = [(j, min(per, full - j), cfg.m) for j in range(0, full, per)]
     if rest:
         out.append((full, 1, rest // cfg.P))

@@ -53,7 +53,6 @@ class DiskAccessor:
         self.segments = segments
         self.lengths = [seg.length for seg in segments]
         self.touched = 0
-        self.blocks_read = 0
         self._cache: dict[int, tuple[tuple[int, int], Any]] = {}
         self._memo: dict[tuple[int, int], OrderKey] = {}
 
@@ -75,7 +74,6 @@ class DiskAccessor:
             block = hit[1]
         else:
             block = self.cluster.read_blocks([pe], [lb], PHASE_SELECTION)
-            self.blocks_read += 1
             self._cache[run] = ((pe, lb), block)
         okey = (int(block["key"][off]), run, pos)
         self._memo[(run, pos)] = okey
@@ -87,7 +85,6 @@ class SelectResult:
     positions: list[int]
     rounds: int
     touched: int
-    blocks_read: int
 
 
 def _refine_windows(acc, r: int, a: list[int], b: list[int], n: int) -> int:
@@ -178,14 +175,13 @@ def multiway_select(acc, r: int,
     if not 0 <= r <= total:
         raise ValueError(f"rank {r} outside [0, {total}]")
     touched0 = acc.touched
-    read0 = acc.blocks_read
     acc.reset_memo()
     ns = acc.lengths
     maxlen = max(ns, default=0)
     if R == 0 or total == 0 or maxlen == 0 or r == 0:
-        return SelectResult([0] * R, 0, 0, 0)
+        return SelectResult([0] * R, 0, 0)
     if r == total:
-        return SelectResult(list(ns), 0, 0, 0)
+        return SelectResult(list(ns), 0, 0)
 
     l = (1 << maxlen.bit_length()) - 1  # padded length, all runs
 
@@ -220,8 +216,7 @@ def multiway_select(acc, r: int,
     rounds = _refine_windows(acc, r, a, b, n)
     pos = [max(0, min(a[i], ns[i])) for i in range(R)]
     _check_exact(acc, r, pos)
-    return SelectResult(pos, rounds, acc.touched - touched0,
-                        acc.blocks_read - read0)
+    return SelectResult(pos, rounds, acc.touched - touched0)
 
 
 def sampled_starts(samples: list[np.ndarray], K: int,

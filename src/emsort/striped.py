@@ -10,16 +10,17 @@ step numbers.  Merging itself proceeds in batches of M/(2B) blocks, each
 bounded by the smallest key of the next unfetched block, which caps
 buffered leftovers at one block per run.  The prediction sequence fixes
 every batch in advance, so the host moves them in windows of whole
-batches holding at most ``_WINDOW`` = 2**14 fetched elements: a window is
-a slice of the pass's ``(pe, lb)`` columns in prediction order, read with
-one call and sorted with one ``batch_merge`` that cuts it at every
-batch's bound.  Each batch's output is the prefix of that sort up to its
-cut, because every element fetched later lies at or above the bound; the
-one-block leftover check is made for every batch.  The window's blocks
-are freed, and its full output blocks written on a slice of the output
-stripe's columns, with one call each, and each PE's peak block count is
-that of the batch-by-batch stream.  The coordinator's traffic is charged
-per PE for the whole pass.  Run formation takes its memory loads in
+batches holding at most ``runform.WINDOW`` = 2**14 fetched elements, the
+bound of run formation's windows too: a window is a slice of the pass's
+``(pe, lb)`` columns in prediction order, read with one call and sorted
+with one ``batch_merge`` that cuts it at every batch's bound.  Each
+batch's output is the prefix of that sort up to its cut, because every
+element fetched later lies at or above the bound; the one-block leftover
+check is made for every batch.  The window's blocks are freed, and its
+full output blocks written on a slice of the output stripe's columns,
+with one call each, and each PE's peak block count is that of the
+batch-by-batch stream.  The coordinator's traffic is charged per PE for
+the whole pass.  Run formation takes its memory loads in
 windows as well (``runform.windows``): a window is read with one call,
 sorted with one ``internal_parallel_sort``, given its stripes with one
 ``alloc_stripe`` call, and freed and written as the load-by-load stream
@@ -43,14 +44,10 @@ from .core import (
 from .merge import batch_merge, free_and_write
 from .net import charge_volume, gather_splitters
 from .runform import (
-    PeBlocks, internal_parallel_sort, window_blocks, windows,
+    WINDOW, PeBlocks, internal_parallel_sort, window_blocks, windows,
 )
 
 COORDINATOR = 0
-
-#: Elements a merge pass fetches per window of batches, at most: the host
-#: reads, sorts, frees and writes a window's batches together.
-_WINDOW = 1 << 14
 
 
 @dataclass
@@ -244,7 +241,7 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     are charged as communication) in batches of M/(2B) blocks, and merges
     each batch into a stripe reserved from ``start_disk``.  The host takes
     the batches in windows, each the most whole batches whose blocks hold
-    at most ``_WINDOW`` (2**14) elements, and at least one batch: a window
+    at most ``WINDOW`` (2**14) elements, and at least one batch: a window
     is read with one call on its slice of the prediction sequence's
     ``(pe, lb)`` columns, sorted once with its leftovers, cut at every
     batch's bound, and freed and written with one call each, charging
@@ -276,7 +273,7 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     heads = (run_of << shift) + pos * B
     L = len(at)
     batch_blocks = max(1, cfg.M // (2 * B))
-    window = max(1, _WINDOW // (batch_blocks * B)) * batch_blocks
+    window = max(1, WINDOW // (batch_blocks * B)) * batch_blocks
     lanes = np.arange(B)
 
     length = sum(run.length for run in runs)

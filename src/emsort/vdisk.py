@@ -41,13 +41,7 @@ from .core import (
     PhaseCounters,
     refuse_phase,
 )
-from .images import (
-    IMAGE,
-    decode_elements,
-    encode_elements,
-    file_size,
-    read_slots,
-)
+from .images import IMAGE, file_size, read_slots
 
 #: ``mmap`` flags for private anonymous memory where the platform has them.
 _PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
@@ -325,26 +319,19 @@ class Cluster:
         """Write one image per disk, named by :data:`IMAGE`, in one call
         each: the count ``n`` of the disk's live blocks and their ``n``
         slots in increasing order, as little-endian ``int64``, then their
-        rows.  See :func:`encode_elements` for the element layout; at
-        ``elem_size`` 16 a row is the element's own bytes, so the rows are
-        one gather of the stored blocks."""
+        rows, the stored blocks' own bytes gathered in one call."""
         os.makedirs(directory, exist_ok=True)
-        P, D, es = self.cfg.P, self.cfg.D, self.cfg.elem_size
+        P, D, width = self.cfg.P, self.cfg.D, self._block.itemsize
         for pe, d in itertools.product(range(P), range(D)):
             rows = self._row[d * P + pe::D * P]         # slot -> row
             slots = np.flatnonzero(rows >= 0)
             rows, n = rows[slots], len(slots)
-            image = np.empty(8 + n * (8 + self.cfg.B * es), np.uint8)
+            image = np.empty(8 + n * (8 + width), np.uint8)
             image[:8 + 8 * n].view("<i8")[:] = np.append(n, slots)
-            body = image[8 + 8 * n:]
-            if es == ELEM.itemsize:
-                # ``clip`` never clips these rows; the default mode
-                # would gather into a buffer and copy that into ``out``.
-                np.take(self._slab, rows, out=body.view(self._block),
-                        mode="clip")
-            else:
-                body.reshape(-1, es)[:] = encode_elements(
-                    self._slab[rows].view(ELEM), es)
+            # ``clip`` never clips these rows; the default mode would
+            # gather into a buffer and copy that into ``out``.
+            np.take(self._slab, rows, out=image[8 + 8 * n:].view(self._block),
+                    mode="clip")
             name = IMAGE.format(pe=pe, d=d, generation=generation)
             with open(os.path.join(directory, name), "wb") as fh:
                 fh.write(image)
@@ -356,11 +343,11 @@ class Cluster:
         blocks at their slots, each disk's next free slot one past its last
         and each PE's peak its live count.  Raises :class:`DiskError`
         naming the image for a missing image, a header :func:`read_slots`
-        refuses, or a row :func:`decode_elements` refuses.  At
-        ``elem_size`` 16 the rows are read straight into the slab."""
+        refuses, or rows that end early.  The rows are read straight into
+        the slab."""
         cluster = cls(cfg)
-        P, D, es = cfg.P, cfg.D, cfg.elem_size
-        width, limit = cfg.B * es, (1 << 63) // (P * D)
+        P, D = cfg.P, cfg.D
+        width, limit = cluster._block.itemsize, (1 << 63) // (P * D)
         paths = [os.path.join(directory, IMAGE.format(pe=pe, d=d,
                                                       generation=generation))
                  for pe, d in itertools.product(range(P), range(D))]
@@ -373,12 +360,8 @@ class Cluster:
             with open(path, "rb") as fh:
                 slots = read_slots(fh, path, size, width, limit)
                 body = cluster._slab[start:start + len(slots)]
-                raw = (body.view(np.uint8) if es == ELEM.itemsize else
-                       np.empty((len(slots) * cfg.B, es), np.uint8))
-                if fh.readinto(raw) != raw.nbytes:
+                if fh.readinto(body.view(np.uint8)) != body.nbytes:
                     raise DiskError(f"{path}: ends inside its rows")
-            if es != ELEM.itemsize:
-                body.view(ELEM)[:] = decode_elements(raw, path)
             images.append(slots)
             start += len(slots)
         counts = np.array(list(map(len, images)), np.int64)

@@ -19,7 +19,7 @@ from emsort import runform
 from emsort.core import (
     ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
     PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, concat,
-    sentinel, sentinel_mask,
+    sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
@@ -48,8 +48,8 @@ def fill(cluster: Cluster, kind: str = "random", seed: int = 0) -> GeneratedInpu
 def formation_window(cfg: MachineConfig, loads: int | None):
     """A patch of run formation's window to ``loads`` whole memory loads
     of ``cfg`` (``None`` keeps the default)."""
-    size = runform._WINDOW if loads is None else loads * cfg.M
-    return mock.patch.object(runform, "_WINDOW", size)
+    size = runform.WINDOW if loads is None else loads * cfg.M
+    return mock.patch.object(runform, "WINDOW", size)
 
 
 def on(pe: int, lbs):
@@ -163,7 +163,6 @@ class MemoryAccessor:
         self.runs = runs
         self.lengths = [len(run) for run in runs]
         self.touched = 0
-        self.blocks_read = 0
         self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def reset_memo(self) -> None:
@@ -216,25 +215,18 @@ def checksum128(pairs) -> tuple[int, int]:
     return count, total % (1 << 128)
 
 
-def element_to_bytes(elem: Element, elem_size: int) -> bytes:
-    """Little-endian key followed by the payload serial."""
+def element_to_bytes(elem: Element) -> bytes:
+    """The 16-byte image row of an element: the key, then the serial as a
+    two's-complement int64, both little-endian."""
     key, serial = elem
-    payload_size = elem_size - 8
-    if serial < 0:  # sentinel
-        payload = b"\xff" * payload_size
-    else:
-        payload = (serial % (1 << (8 * payload_size))).to_bytes(payload_size, "little") \
-            if payload_size else b""
-    return key.to_bytes(8, "little") + payload
+    return key.to_bytes(8, "little") + serial.to_bytes(8, "little", signed=True)
 
 
-def element_from_bytes(data: bytes, elem_size: int) -> Element:
-    key = int.from_bytes(data[:8], "little")
-    payload = data[8:elem_size]
-    if key == MAX_KEY and payload == b"\xff" * (elem_size - 8):
-        return sentinel()
-    serial = int.from_bytes(payload, "little") if payload else 0
-    return (key, serial)
+def element_from_bytes(data: bytes) -> Element:
+    """The element of a 16-byte image row; inverse of
+    :func:`element_to_bytes`."""
+    return (int.from_bytes(data[:8], "little"),
+            int.from_bytes(data[8:16], "little", signed=True))
 
 
 def int64_bytes(values) -> bytes:
@@ -261,8 +253,8 @@ def image_slots(data: bytes) -> list[int]:
     return int64_values(data[8:8 + 8 * n])
 
 
-def encode_block(block: list[Element], elem_size: int) -> bytes:
-    return b"".join(element_to_bytes(e, elem_size) for e in block)
+def encode_block(block: list[Element]) -> bytes:
+    return b"".join(map(element_to_bytes, block))
 
 
 # --- reference kernels: heapq merges over lists of element tuples ------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -10,10 +11,12 @@ import sys
 from pathlib import Path
 
 import emsort
-from emsort import Cluster
+from emsort import Cluster, MachineConfig
+from emsort.core import validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACING = README.parent / "perfbench" / "tracing.py"
+WORKLOADS = README.parent / "perfbench" / "workloads.json"
 
 PUBLIC = {
     "MachineConfig", "Cluster", "InputSpec", "generate_input", "run_sort",
@@ -74,3 +77,14 @@ def test_benchmark_trace_points_resolve():
     assert isinstance(inspect.getattr_static(Cluster, "load_images"),
                       classmethod)
     assert callable(getattr(Cluster, "peak_allocated", None))
+
+
+def test_benchmark_workloads_are_valid_configs():
+    """Every benchmark workload's machine, built as the benchmark's worker
+    builds it, is one its engine accepts; a stricter ``validate_config``
+    would otherwise stop only the benchmark."""
+    workloads = json.loads(WORKLOADS.read_text(encoding="utf-8"))
+    assert workloads
+    for name, spec in workloads.items():
+        cfg = MachineConfig(**spec["config"], seed=1009)
+        assert validate_config(cfg, spec["engine"]) == [], name

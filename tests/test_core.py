@@ -41,7 +41,6 @@ def test_machine_config_derived_quantities():
     assert cfg.M == 1024
     assert cfg.R == 8
     assert cfg.sample_rate == 16        # K=0 falls back to B
-    assert cfg.payload_size == 8
     assert cfg.total_disks == 8
     assert cfg.blocks_per_pe == 128
     assert cfg.merge_arity == 32
@@ -121,9 +120,9 @@ def test_parse_config_text_rejects_bad_lines(line):
 
 def test_element_byte_round_trip():
     for elem in [(0, 0), (MAX_KEY - 1, 12345), (7, 2**63 - 1), sentinel()]:
-        data = element_to_bytes(elem, 16)
+        data = element_to_bytes(elem)
         assert len(data) == 16
-        assert element_from_bytes(data, 16) == elem
+        assert element_from_bytes(data) == elem
 
 
 def test_derive_seed_is_stable_and_spreads():

@@ -461,15 +461,15 @@ def test_cli_verify_fails_on_a_missing_image(tmp_path, capsys):
     assert "pe1_disk0.g2.bin: image is missing" in proc.stderr
 
 
-def first_output_row(store: Path, width: int) -> tuple[Path, int]:
-    """The image holding output block 0 of a sorted store on PE 0 (D = 2),
-    and the offset of that block's first row in it, read with the scalar
-    codec."""
+def first_output_row(store: Path) -> tuple[Path, int]:
+    """The image holding output block 0 of a sorted store on PE 0 (D = 2,
+    B = 4), and the offset of that block's first row in it, read with the
+    scalar codec."""
     pes, lbs = stored_layout(store)
     assert pes[0] == 0
     image = store / f"pe0_disk{lbs[0] % 2}.g2.bin"
     slots = image_slots(image.read_bytes())
-    return image, 8 + 8 * len(slots) + slots.index(lbs[0] // 2) * width
+    return image, 8 + 8 * len(slots) + slots.index(lbs[0] // 2) * 4 * 16
 
 
 def stored_layout(store: Path) -> tuple[list[int], list[int]]:
@@ -479,13 +479,14 @@ def stored_layout(store: Path) -> tuple[list[int], list[int]]:
 
 
 def test_cli_verify_fails_on_a_flipped_serial_bit(tmp_path, capsys):
-    """The top bit of a 64-bit serial payload makes the loaded serial too
-    wide for an int64 column; verification reports it, it does not crash."""
+    """A flipped top bit of a stored serial loads as a negative serial; the
+    fingerprint catches it, and verification reports it, it does not
+    crash."""
     config = write_config(tmp_path / "grid.cfg")
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     assert cli_main(["sort", "--persist", str(store)]) == 0
-    image, row = first_output_row(store, 4 * 16)  # B = 4, elem_size = 16
+    image, row = first_output_row(store)
     data = bytearray(image.read_bytes())
     data[row + 15] ^= 0x80
     image.write_bytes(bytes(data))
@@ -516,14 +517,12 @@ def test_cli_sort_persists_nothing_when_verification_fails(tmp_path, capsys,
     assert not (store / cli.LAYOUT).exists()
 
 
-@pytest.mark.parametrize("elem_size", [16, 12])
 def test_cli_sort_refuses_a_changed_input_before_sorting(tmp_path, capsys,
-                                                         monkeypatch,
-                                                         elem_size):
+                                                         monkeypatch):
     """A flipped key bit in an input image is found by the loaded input's
     fingerprint: the sort exits with an error before it runs, and the store
     stays byte-identical."""
-    config = write_config(tmp_path / "grid.cfg", m=64, elem_size=elem_size)
+    config = write_config(tmp_path / "grid.cfg", m=64)
     store = tmp_path / "state"
     assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
     image = store / "pe1_disk0.g1.bin"
@@ -541,36 +540,34 @@ def test_cli_sort_refuses_a_changed_input_before_sorting(tmp_path, capsys,
     assert {path.name: path.read_bytes() for path in store.iterdir()} == before
 
 
-def test_cli_verify_refuses_payload_bytes_past_the_serial(tmp_path):
-    """At elem_size 24 payload bytes 16..23 hold no serial bits; a set bit
-    there is damage the fingerprint cannot see, so loading refuses it."""
-    config = write_config(tmp_path / "grid.cfg", elem_size=24)
-    store = tmp_path / "state"
-    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
-    assert cli_main(["sort", "--persist", str(store)]) == 0
-    image, row = first_output_row(store, 4 * 24)  # B = 4, elem_size = 24
-    data = bytearray(image.read_bytes())
-    data[row + 20] ^= 0x01
-    image.write_bytes(bytes(data))
-    env = dict(os.environ, PYTHONPATH=str(Path(emsort.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "emsort.cli", "verify", "--persist", str(store)],
-        capture_output=True, text=True, env=env)
-    slots = image_slots(image.read_bytes())
-    _pes, lbs = stored_layout(store)
-    assert proc.returncode == 1
-    assert proc.stderr == (f"error: {image}: row {slots.index(lbs[0] // 2) * 4} "
-                           "has payload bytes past the 8-byte serial\n")
+@pytest.mark.parametrize("elem_size", [12, 24])
+def test_cli_gen_refuses_an_elem_size_other_than_16(tmp_path, elem_size):
+    config = write_config(tmp_path / "grid.cfg", elem_size=elem_size)
+    store = tmp_path / "s"
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["gen", "--config", config, "--persist", str(store)])
+    assert str(refusal.value) == ("error: bad config: canonical: elem_size != 16; "
+                                  "striped: elem_size != 16")
+    assert not store.exists()
 
 
-def test_cli_gen_refuses_an_elem_size_too_small_for_the_serials(tmp_path):
-    config = write_config(tmp_path / "grid.cfg", N=64, elem_size=8)
-    with pytest.raises(SystemExit, match=r"N > 2\*\*\(8\*\(elem_size-8\)\)"):
-        cli_main(["gen", "--config", config, "--persist", str(tmp_path / "s")])
-    fits = MachineConfig(P=2, D=2, B=4, m=32768, N=65536, elem_size=10)
-    assert validate_config(fits) == []
-    assert validate_config(replace(fits, N=65536 + 8)) == [
-        "N > 2**(8*(elem_size-8)): the serials 0..N-1 do not fit the payload"]
+@pytest.mark.parametrize("command", ["sort", "verify"])
+def test_cli_refuses_a_stored_elem_size_other_than_16(tmp_path, monkeypatch,
+                                                      command):
+    """A manifest whose ``cfg`` says ``elem_size`` 24 is refused before any
+    image is read, and the store stays byte-identical."""
+    path = persisted(tmp_path, command)
+    manifest = json.loads(path.read_text())
+    manifest["cfg"]["elem_size"] = 24
+    path.write_text(json.dumps(manifest))
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    monkeypatch.setattr(cli.Cluster, "load_images",
+                        mock.Mock(side_effect=AssertionError))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main([command, "--persist", str(path.parent)])
+    assert str(refusal.value) == (
+        "error: bad config: canonical: elem_size != 16")
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
 
 
 def test_cli_gen_accepts_a_config_that_one_engine_can_sort(tmp_path):
@@ -879,7 +876,7 @@ SLOT_RULE = f"slots must increase strictly from 0 up to below {2**63 // 4}"
         "negative-slot", "slot-past-the-key-range"])
 def test_cli_verify_refuses_a_bad_image_header(tmp_path, change):
     """Every image is a count, that many increasing slots, and that many
-    rows of ``B * elem_size`` bytes (72 with the slot here), and nothing
+    rows of ``16 * B`` bytes (72 with the slot here), and nothing
     else; anything else exits 1 naming the image."""
     store = sorted_store(tmp_path)
     message = edit_image(store, change)
@@ -992,17 +989,17 @@ def test_a_crash_before_the_manifest_switch_keeps_the_old_store(
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
-       st.integers(0, 6), st.integers(1, 4), st.integers(8, 24),
+       st.integers(0, 6), st.integers(1, 4),
        st.sampled_from(["canonical", "striped"]),
        st.sampled_from(["random", "duplicate_heavy", "worst_case_shift"]))
 def test_cli_round_trip_persists_only_live_blocks(P, D, B, loads, memory,
-                                                  elem_size, engine, kind):
+                                                  engine, kind):
     """``gen``, ``sort --persist`` and ``verify --persist`` on a drawn
-    machine: each sorted image is exactly ``8 + n * (8 + B * elem_size)``
+    machine: each sorted image is exactly ``8 + n * (8 + 16 * B)``
     bytes for the ``n`` blocks its disk holds after the sort, and the
     cluster ``verify`` loads holds the sorted cluster's blocks."""
     cfg = MachineConfig(P=P, D=D, B=B, m=memory * P * B, N=loads * P * B,
-                        seed=loads, elem_size=elem_size)
+                        seed=loads)
     assume(validate_config(cfg, engine) == [])
     clusters = []
 
@@ -1013,7 +1010,7 @@ def test_cli_round_trip_persists_only_live_blocks(P, D, B, loads, memory,
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "verify_output", verifying):
         config = write_config(Path(tmp, "grid.cfg"), P=P, D=D, B=B, m=cfg.m,
-                              N=cfg.N, seed=cfg.seed, elem_size=elem_size)
+                              N=cfg.N, seed=cfg.seed)
         store = Path(tmp, "state")
         assert cli_main(["gen", "--config", config, "--kind", kind,
                          "--persist", str(store)]) == 0
@@ -1027,7 +1024,7 @@ def test_cli_round_trip_persists_only_live_blocks(P, D, B, loads, memory,
             for d in range(D):
                 n = sum(lb % D == d for lb in live)
                 size = (store / f"pe{pe}_disk{d}.g2.bin").stat().st_size
-                assert size == 8 + n * (8 + B * elem_size)
+                assert size == 8 + n * (8 + 16 * B)
         assert loaded.live.tolist() == sorted_cluster.live.tolist()
 
 

@@ -272,8 +272,8 @@ def windowed(cfg: MachineConfig, batches: int | None):
     """A patch of the merge pass's window to ``batches`` whole batches of
     ``cfg`` (``None`` keeps the default), and the batches it then holds."""
     batch = max(1, cfg.M // (2 * cfg.B)) * cfg.B
-    size = striped._WINDOW if batches is None else batches * batch
-    return mock.patch.object(striped, "_WINDOW", size), max(1, size // batch)
+    size = striped.WINDOW if batches is None else batches * batch
+    return mock.patch.object(striped, "WINDOW", size), max(1, size // batch)
 
 
 @pytest.mark.parametrize("batches", [1, 3, None])

@@ -417,60 +417,33 @@ def test_save_and_load_images_round_trip(tmp_path):
 IMAGE_CFG = dict(P=1, D=2, B=2, m=32, N=0)
 
 image_elements = st.one_of(
-    st.tuples(st.integers(0, MAX_KEY), st.integers(0, 2**63 - 1)),
+    st.tuples(st.integers(0, MAX_KEY), st.integers(-2**63, 2**63 - 1)),
     st.just(sentinel()),
-    st.tuples(st.just(MAX_KEY), st.integers(0, 2**63 - 1)),
+    st.tuples(st.just(MAX_KEY), st.integers(-2**63, 2**63 - 1)),
 )
 
 
-def image_rows(elem_size: int):
-    """Raw elements of an image, biased towards the codec's special cases."""
-    serial = min(elem_size, 16)
-    return st.one_of(
-        st.binary(min_size=elem_size, max_size=elem_size),
-        st.binary(min_size=elem_size - 8, max_size=elem_size - 8).map(
-            lambda payload: b"\xff" * 8 + payload),
-        st.binary(min_size=serial, max_size=serial).map(
-            lambda head: head + bytes(elem_size - serial)),
-        st.just(b"\xff" * serial + bytes(elem_size - serial)),
-        st.just(b"\xff" * elem_size),
-        st.just(bytes(elem_size)),
-    )
+#: Raw 16-byte image rows, biased towards ``MAX_KEY`` keys and the
+#: sentinel's bytes.
+image_rows = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    st.binary(min_size=8, max_size=8).map(lambda serial: b"\xff" * 8 + serial),
+    st.just(b"\xff" * 16),
+    st.just(bytes(16)),
+)
+
+#: Two disks' images: each a dict from distinct slots in ``[0, 6)`` to
+#: blocks of two drawn rows.
+drawn_images = st.lists(st.dictionaries(st.integers(0, 5), st.lists(
+    image_rows, min_size=2, max_size=2), max_size=4), min_size=2, max_size=2)
 
 
-def refusal(row: bytes) -> str | None:
-    """Why an image row cannot be an element of an int64 serial column, or
-    ``None``: a row that is not a sentinel would read back as one, or a
-    payload byte past the eighth is set.  Sentinels are a ``MAX_KEY`` key
-    with an all-``0xff`` payload."""
-    payload = row[8:]
-    if row == b"\xff" * len(row) or len(payload) <= 8:
-        return None
-    if row[:16] == b"\xff" * 16:
-        return "reads as a sentinel but its payload is not all 0xff"
-    if any(payload[8:]):
-        return "has payload bytes past the 8-byte serial"
-    return None
-
-
-def drawn_images(rows):
-    """Two disks' images: each a dict from distinct slots in ``[0, 6)`` to
-    blocks of two drawn rows."""
-    return st.lists(st.dictionaries(st.integers(0, 5), st.lists(
-        rows, min_size=2, max_size=2), max_size=4), min_size=2, max_size=2)
-
-
-def as_int64(serial: int) -> int:
-    return (serial + 2**63) % 2**64 - 2**63
-
-
-@given(st.integers(8, 24),
-       st.lists(st.one_of(st.none(), st.lists(image_elements, min_size=2, max_size=2)),
+@given(st.lists(st.one_of(st.none(), st.lists(image_elements, min_size=2, max_size=2)),
                 max_size=7))
-def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
+def test_saved_images_match_the_scalar_encoding(blocks):
     """Block ``lb`` of ``blocks`` lands on disk ``lb % D`` at slot
     ``lb // D``; ``None`` is a hole, which the image leaves out."""
-    cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
+    cfg = MachineConfig(**IMAGE_CFG)
     cl = Cluster(cfg)
     for lb, block in enumerate(blocks):
         if block is not None:
@@ -479,64 +452,25 @@ def test_saved_images_match_the_scalar_encoding(elem_size, blocks):
         cl.save_images(tmp, 1)
         for d in range(cfg.D):
             expected = image_bytes({
-                slot: encode_block(block, elem_size)
+                slot: encode_block(block)
                 for slot, block in enumerate(blocks[d::cfg.D]) if block is not None})
             assert Path(tmp, f"pe0_disk{d}.g1.bin").read_bytes() == expected
 
 
-@given(st.integers(8, 24).flatmap(lambda es: st.tuples(
-    st.just(es), drawn_images(image_rows(es)))))
-def test_loaded_images_match_the_scalar_decoding(drawn):
-    """Rows are refused exactly when :func:`refusal` gives a reason, and
-    with that reason and their row in the image; all others decode as the
-    scalar codec does (the serial as an int64), at their slots, and save
-    back byte for byte."""
-    elem_size, images = drawn
-    cfg = MachineConfig(**IMAGE_CFG, elem_size=elem_size)
-    files = [image_bytes({s: b"".join(rows) for s, rows in image.items()})
-             for image in images]
-    with tempfile.TemporaryDirectory() as tmp:
-        for d, data in enumerate(files):
-            Path(tmp, f"pe0_disk{d}.g1.bin").write_bytes(data)
-        bad = [(d, i, refusal(row)) for d, image in enumerate(images)
-               for i, row in enumerate(row for s in sorted(image)
-                                       for row in image[s]) if refusal(row)]
-        if bad:
-            d, i, why = bad[0]
-            with pytest.raises(DiskError,
-                               match=f"pe0_disk{d}.g1.bin: row {i} {why}$"):
-                Cluster.load_images(tmp, cfg, 1)
-            return
-        loaded = Cluster.load_images(tmp, cfg, 1)
-        for d, image in enumerate(images):
-            for slot in range(6):
-                lb = slot * cfg.D + d
-                assert is_allocated(loaded, 0, lb) == (slot in image)
-                if slot in image:
-                    assert loaded.peek_blocks(*on(0, [lb])).tolist() == [
-                        (key, as_int64(serial)) for key, serial in
-                        (element_from_bytes(row, elem_size) for row in image[slot])]
-        loaded.save_images(tmp, 2)
-        for d, data in enumerate(files):
-            assert Path(tmp, f"pe0_disk{d}.g2.bin").read_bytes() == data
-
-
-@given(drawn_images(image_rows(16)))
+@given(drawn_images)
 def test_images_of_16_byte_elements_load_and_save_as_raw_bytes(images):
-    """At ``elem_size`` 16 no row is refused: every block loads at its slot
-    as the scalar codec decodes it (the serial as an int64), a slot the
-    image leaves out holds no block, the counts and next free slots follow
-    the slot columns, and saving the loaded cluster writes the images back
-    byte for byte."""
-    cfg = MachineConfig(**IMAGE_CFG, elem_size=16)
+    """No row is refused: every block loads at its slot as the scalar codec
+    decodes it, a slot the image leaves out holds no block, the counts and
+    next free slots follow the slot columns, and saving the loaded cluster
+    writes the images back byte for byte."""
+    cfg = MachineConfig(**IMAGE_CFG)
     files = [image_bytes({s: b"".join(rows) for s, rows in image.items()})
              for image in images]
     with tempfile.TemporaryDirectory() as tmp:
         for d, data in enumerate(files):
             Path(tmp, f"pe0_disk{d}.g1.bin").write_bytes(data)
         loaded = Cluster.load_images(tmp, cfg, 1)
-        expected = {slot * cfg.D + d: [(key, as_int64(serial)) for key, serial
-                                       in map(element_from_bytes, rows, [16, 16])]
+        expected = {slot * cfg.D + d: list(map(element_from_bytes, rows))
                     for d, image in enumerate(images) for slot, rows in image.items()}
         assert live_blocks(loaded, 0) == sorted(expected)
         for lb, block in expected.items():
@@ -566,7 +500,7 @@ def test_load_images_refuses_missing_and_partial_images(tmp_path):
     empty.write_bytes(image_bytes({}))
     image = Path(tmp_path, "pe0_disk0.g1.bin")       # slots 0 and 1
     assert image.read_bytes() == image_bytes(
-        {0: encode_block(block_of(0, 4), 16), 1: encode_block(block_of(8, 4), 16)})
+        {0: encode_block(block_of(0, 4)), 1: encode_block(block_of(8, 4))})
     image.write_bytes(image.read_bytes()[:-1])       # a partial last block
     with pytest.raises(DiskError, match=f"^{image}: 2 blocks need 152 bytes, "
                                         "the image has 151$"):
