@@ -194,8 +194,9 @@ def cmd_sort(args) -> int:
     if args.persist and os.path.exists(os.path.join(args.persist, MANIFEST)):
         manifest, cfg = _read_manifest(args.persist, "input")
         _check_cfg(cfg, (args.engine,))
-        cluster = Cluster.load_images(args.persist, cfg,
-                                      manifest["generation"])
+        # No input image holds a slot at or above ceil(blocks_per_pe / D).
+        cluster = Cluster.load_images(args.persist, cfg, manifest["generation"],
+                                      -(-cfg.blocks_per_pe // cfg.D))
         kind, count, total = (manifest["kind"], manifest["count"],
                               manifest["total"])
         if loaded_fingerprint(cluster) != (count, total):

@@ -201,7 +201,6 @@ class MachineConfig:
     B  -- block size in elements
     m  -- internal memory per PE in elements
     N  -- total number of elements (after padding to a multiple of B*P)
-    K  -- sample rate in elements; 0 means "use B"
     """
 
     P: int
@@ -209,7 +208,6 @@ class MachineConfig:
     B: int
     m: int
     N: int
-    K: int = 0
     seed: int = 0
     randomize: bool = True
     elem_size: int = 16
@@ -227,10 +225,6 @@ class MachineConfig:
     @property
     def R(self) -> int:
         return 0 if self.N == 0 else math.ceil(self.N / self.M)
-
-    @property
-    def sample_rate(self) -> int:
-        return self.K if self.K > 0 else self.B
 
     @property
     def total_disks(self) -> int:
@@ -283,8 +277,6 @@ def validate_config(cfg: MachineConfig, engine: str = "canonical") -> list[str]:
         bad.append("N < 0")
     if cfg.elem_size != ELEM.itemsize:
         bad.append(f"elem_size != {ELEM.itemsize}")
-    if cfg.K < 0:
-        bad.append("K < 0")
     if cfg.m and cfg.B and cfg.m % cfg.B != 0:
         bad.append("m % B != 0")
     if cfg.P and cfg.B and cfg.N % (cfg.B * cfg.P) != 0:

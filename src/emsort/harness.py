@@ -310,7 +310,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
         "engine": result.engine,
         "kind": kind,
         "P": cfg.P, "D": cfg.D, "B": cfg.B, "m": cfg.m, "N": cfg.N,
-        "K": cfg.sample_rate, "elem_size": cfg.elem_size, "seed": cfg.seed,
+        "K": cfg.B, "elem_size": cfg.elem_size, "seed": cfg.seed,
         "randomize": "on" if cfg.randomize else "off",
         "rng": RNG_NAME,
         "v_moved": result.v_moved,

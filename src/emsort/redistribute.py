@@ -1,8 +1,10 @@
 """Phase 2: exact run splitting and the budgeted external all-to-all.
 
-Every formed run is cut at the global ranks t*N/P, so that processor t is
+Every formed run (a :class:`~emsort.runform.Run` whose PEs ascend, share/B
+blocks each) is cut at the global ranks t*N/P, so that processor t is
 assigned, per run, exactly the subsegment holding its slice of the final
-order.  The cuts come from multiway selection seeded by the run samples.
+order.  The cuts come from multiway selection seeded by the runs' block
+minima, every B-th key.
 
 The data exchange is one table of pieces: the part of each destination's
 cut of a run that one source holds.  A piece that changes processors is a
@@ -25,7 +27,7 @@ import numpy as np
 
 from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
 from .net import charge_volume, gather_splitters
-from .runform import RunDescriptor
+from .runform import Run
 from .selection import DiskAccessor, select_all_ranks
 
 
@@ -70,23 +72,19 @@ class Redistribution:
     peak_footprint: list[int]
 
 
-def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
+def compute_splitters(cluster, runs: list[Run]) -> SplitterMatrix:
     """Exact cuts of every run at the ranks t*N/P, shared with all PEs."""
-    cfg = cluster.cfg
-    P, K = cfg.P, cfg.sample_rate
+    P, B = cluster.cfg.P, cluster.cfg.B
     total = sum(run.length for run in runs)
-    # Samples travel to the selecting task: control traffic, 2 values each
-    # (key and position), from the PE that holds the sampled position.
-    # PE p holds the sample positions K*i in [p*share, (p+1)*share).
-    samples = np.zeros(P, np.int64)
-    for run in runs:
-        samples += np.diff((np.arange(P + 1) * run.share + K - 1) // K)
-    gather_splitters(cluster, 2 * samples, PHASE_SELECTION)
+    # Block minima travel to the selecting task: control traffic, 2 values
+    # each (key and position), from the PE that holds the block.
+    pes = np.concatenate([np.empty(0, np.int64)] + [run.pes for run in runs])
+    gather_splitters(cluster, 2 * np.bincount(pes, minlength=P),
+                     PHASE_SELECTION)
 
     acc = DiskAccessor(cluster, runs)
     ranks = [t * (total // P) for t in range(1, P)]
-    results = select_all_ranks(acc, ranks,
-                               [run.sample_keys for run in runs], K)
+    results = select_all_ranks(acc, ranks, [run.minima for run in runs], B)
     pos = [[0] * len(runs)]
     pos.extend(res.positions for res in results)
     pos.append([run.length for run in runs])
@@ -97,7 +95,7 @@ def compute_splitters(cluster, runs: list[RunDescriptor]) -> SplitterMatrix:
                           sum(r.touched for r in results))
 
 
-def _cut_pieces(runs: list[RunDescriptor], matrix: SplitterMatrix
+def _cut_pieces(runs: list[Run], matrix: SplitterMatrix
                 ) -> list[tuple[int, int, int, int, int]]:
     """Every piece (src, dest, run, lo, hi) of the runs' cuts: the part of
     dest's cut ``[lo, hi)`` of a run that src holds, in a fixed order.  A
@@ -107,13 +105,14 @@ def _cut_pieces(runs: list[RunDescriptor], matrix: SplitterMatrix
         for j, run in enumerate(runs):
             lo, hi = matrix.pos[t][j], matrix.pos[t + 1][j]
             if lo < hi:
-                for q in range(lo // run.share, (hi - 1) // run.share + 1):
-                    pieces.append((q, t, j, max(lo, q * run.share),
-                                   min(hi, (q + 1) * run.share)))
+                share = run.length // matrix.boundaries
+                for q in range(lo // share, (hi - 1) // share + 1):
+                    pieces.append((q, t, j, max(lo, q * share),
+                                   min(hi, (q + 1) * share)))
     return pieces
 
 
-def per_run_moved(runs: list[RunDescriptor], matrix: SplitterMatrix) -> list[int]:
+def per_run_moved(runs: list[Run], matrix: SplitterMatrix) -> list[int]:
     """Elements of each run that change processors."""
     out = [0] * len(runs)
     for q, t, j, a, b in _cut_pieces(runs, matrix):
@@ -190,7 +189,7 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
             + np.arange(int(count.sum())))
 
 
-def external_all_to_all(cluster, runs: list[RunDescriptor],
+def external_all_to_all(cluster, runs: list[Run],
                         matrix: SplitterMatrix) -> Redistribution:
     """Execute the redistribution; returns each PE's staged pieces."""
     cfg = cluster.cfg
@@ -214,17 +213,15 @@ def external_all_to_all(cluster, runs: list[RunDescriptor],
     kept = rnd < 0
     length = hi - lo
 
-    # Every run block in (run, holder, position) order; each piece's source
-    # blocks are a range of them, from element ``start`` of the first.
-    sizes = np.repeat(np.array([desc.blocks.shape[1] for desc in runs],
-                               np.int64), P)
-    ids = np.concatenate([np.empty(0, np.int64)]
-                         + [desc.blocks.reshape(-1) for desc in runs])
-    holder = np.repeat(np.tile(np.arange(P), len(runs)), sizes)
-    off = lo - src * np.array([desc.share for desc in runs], np.int64)[run]
-    src_first = (np.cumsum(sizes) - sizes)[run * P + src] + off // B
-    start = off % B
-    nread = (off + length - 1) // B - off // B + 1
+    # Every run block in (run, position) order; each piece's source blocks
+    # are a range of them, from element ``start`` of the first.
+    sizes = np.array([len(seg.lbs) for seg in runs], np.int64)
+    ids = np.concatenate([np.empty(0, np.int64)] + [seg.lbs for seg in runs])
+    holder = np.concatenate([np.empty(0, np.int64)]
+                            + [seg.pes for seg in runs])
+    src_first = (np.cumsum(sizes) - sizes)[run] + lo // B
+    start = lo % B
+    nread = (start + length - 1) // B + 1
 
     # A destination writes each arriving piece to fresh blocks, sentinel-
     # padding a flow's ragged final block.  It takes them all in one call,

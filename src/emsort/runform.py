@@ -15,9 +15,12 @@ window is one ``(loads, P*share)`` array, read with one call on the PE
 and block-id columns of the whole cluster, sorted row by row with one
 call, and written back with one call; the exchange that sorting
 implies is charged once per window, from where each element came from
-and which chunk it lands in.  Every K-th element of the run is retained
-as a sample for splitter seeding, as a column of keys: sample i sits at
-run position K*i.
+and which chunk it lands in.
+
+Both engines hold a sorted run as a :class:`Run`: a PE and a block-id
+column in run order and each block's first key.  A run formed here lists
+the PEs in ascending order, share/B blocks each, and its block minima,
+every B-th key, are the sample that seeds the splitter search.
 
 The shuffle is what makes each run a random subset of the local blocks:
 downstream, the rank cuts of such runs sit close to their slice boundaries,
@@ -26,7 +29,7 @@ which is what keeps redistribution volume low on adversarial inputs.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,22 +49,15 @@ PeBlocks = Sequence["np.ndarray | Sequence[int]"]
 
 
 @dataclass
-class RunDescriptor:
-    """Where a formed run lives and how to address it by rank."""
+class Run:
+    """A sorted run stored as blocks on the PEs' disks: block ``g`` is
+    block ``lbs[g]`` of PE ``pes[g]``, both ``int64`` columns in run
+    order, and ``minima[g]`` is its first key."""
 
     length: int
-    share: int                    # elements per processor
-    block_size: int
-    blocks: np.ndarray            # [processor, b]: ``int64`` block ids in order
-    # Every K-th element's key, in position order: sample i is at K*i.
-    sample_keys: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.uint64))
-
-    def locate(self, pos: int) -> tuple[int, int, int]:
-        """Map a run-global position to (pe, logical block, offset)."""
-        pe, lp = divmod(pos, self.share)
-        b, off = divmod(lp, self.block_size)
-        return pe, int(self.blocks[pe, b]), off
+    pes: np.ndarray
+    lbs: np.ndarray
+    minima: np.ndarray
 
 
 def run_layout(cfg: MachineConfig) -> list[tuple[int, int]]:
@@ -192,29 +188,29 @@ def internal_parallel_sort(cluster, loads: np.ndarray) -> np.ndarray:
     return ordered.reshape(w, total)
 
 
-def form_runs(cluster, pe_blocks: PeBlocks) -> list[RunDescriptor]:
+def form_runs(cluster, pe_blocks: PeBlocks) -> list[Run]:
     """Form all runs in place.
 
     ``pe_blocks[p]`` lists processor p's input blocks in input order (a
     list or an ``int64`` column); each holds the same count and
     N = count * B * P.  Each window of loads (:func:`windows`) is read
     with one call, sorted with one :func:`internal_parallel_sort` and
-    written over the same blocks with one call.  Returns a descriptor per
-    run, including the every-K-th sample of the sorted load.
+    written over the same blocks with one call.  Returns a :class:`Run`
+    per load, each PE's blocks in ascending id order.
     """
     cfg = cluster.cfg
-    P, B, K = cfg.P, cfg.B, cfg.sample_rate
+    P, B = cfg.P, cfg.B
     order = np.stack([shuffle_block_ids(cfg, p, pe_blocks[p])
                       for p in range(P)])
-    runs: list[RunDescriptor] = []
+    runs: list[Run] = []
     for first, w, share in windows(cfg):
         pes, ids = window_blocks(cfg, order, first, w, share)
         data = internal_parallel_sort(cluster, cluster.read_blocks(
             pes, ids.reshape(-1), PHASE_RUN_FORMATION).reshape(w, P * share))
-        chunks = np.sort(ids, axis=2)
-        cluster.write_blocks(pes, chunks.reshape(-1), data,
-                             PHASE_RUN_FORMATION)
-        samples = data["key"][:, ::K].copy()
-        runs.extend(RunDescriptor(P * share, share, B, chunks[j], samples[j])
-                    for j in range(w))
+        lbs = np.sort(ids, axis=2).reshape(w, -1)
+        cluster.write_blocks(pes, lbs.reshape(-1), data, PHASE_RUN_FORMATION)
+        minima = data["key"][:, ::B].copy()
+        nb = lbs.shape[1]
+        runs.extend(Run(P * share, pes[j * nb:(j + 1) * nb], lbs[j],
+                        minima[j]) for j in range(w))
     return runs

@@ -17,11 +17,12 @@ matches the target.  The final round works at chunk size one.  A closing
 check then probes both sides of every cut and raises
 :class:`SelectionError` unless the cut is exact; nothing repairs a miss.
 
-Starting positions may come from a per-run sample of every K-th element.  A
-sample-derived start is normally within K of the exact cut, so the windowed
-search needs only about ``log2 K`` rounds and touches one block per run.
-Full-window and sampled starts landed exactly in every case tried; any
-other start may miss, and then the check raises.
+Starting positions may come from a per-run sample of every ``step``-th
+element, in the engine each run's block minima (step B).  A sampled start
+is normally within ``step`` of the exact cut, so the windowed search needs
+about ``log2 step`` rounds and touches one block per run.  Full-window and
+sampled starts landed exactly in every case tried; any other start may
+miss, and then the check raises.
 """
 from __future__ import annotations
 
@@ -42,18 +43,18 @@ class SelectionError(Exception):
 class DiskAccessor:
     """Element access over disk-resident runs through block reads.
 
-    ``segments`` supplies, per run, a ``length`` and a
-    ``locate(pos) -> (pe, logical_block, offset)`` map.  A per-run
+    Each of ``runs`` is a :class:`~emsort.runform.Run`, whose position
+    ``pos`` is element ``pos % B`` of its block ``pos // B``.  A per-run
     most-recently-used block cache turns the clustered probes of the final
     low-step rounds into single reads; each read is charged to selection.
     """
 
-    def __init__(self, cluster, segments):
+    def __init__(self, cluster, runs):
         self.cluster = cluster
-        self.segments = segments
-        self.lengths = [seg.length for seg in segments]
+        self.runs = runs
+        self.lengths = [run.length for run in runs]
         self.touched = 0
-        self._cache: dict[int, tuple[tuple[int, int], Any]] = {}
+        self._cache: dict[int, tuple[int, Any]] = {}
         self._memo: dict[tuple[int, int], OrderKey] = {}
 
     def reset_memo(self) -> None:
@@ -68,14 +69,13 @@ class DiskAccessor:
             self._memo[(run, pos)] = okey
             return okey
         self.touched += 1
-        pe, lb, off = self.segments[run].locate(pos)
+        g, off = divmod(pos, self.cluster.cfg.B)
         hit = self._cache.get(run)
-        if hit is not None and hit[0] == (pe, lb):
-            block = hit[1]
-        else:
-            block = self.cluster.read_blocks([pe], [lb], PHASE_SELECTION)
-            self._cache[run] = ((pe, lb), block)
-        okey = (int(block["key"][off]), run, pos)
+        if hit is None or hit[0] != g:
+            seg = self.runs[run]
+            hit = self._cache[run] = (g, self.cluster.read_blocks(
+                seg.pes[g:g + 1], seg.lbs[g:g + 1], PHASE_SELECTION))
+        okey = (int(hit[1]["key"][off]), run, pos)
         self._memo[(run, pos)] = okey
         return okey
 
@@ -219,22 +219,21 @@ def multiway_select(acc, r: int,
     return SelectResult(pos, rounds, acc.touched - touched0)
 
 
-def sampled_starts(samples: list[np.ndarray], K: int,
+def sampled_starts(samples: list[np.ndarray], step: int,
                    ranks: list[int]) -> list[list[int]]:
-    """Starting splitters for each of ``ranks`` from per-run samples of
-    every K-th element.
+    """Starting splitters for each of ``ranks`` from per-run samples.
 
     ``samples[j]`` is run ``j``'s key column of the elements at positions
-    0, K, 2K, ..., non-decreasing as in a sorted run.  The samples are
-    joined in run order and sorted once, in the order ``(key, run,
+    0, step, 2 step, ..., non-decreasing as in a sorted run.  The samples
+    are joined in run order and sorted once, in the order ``(key, run,
     position)``.  Rank ``r`` takes the sorted prefix up to index
-    ``min(r // K, L - 1)`` of the ``L`` samples.  If run ``j`` has ``c``
-    samples in that prefix, its start is ``K * (c - 1)``, the position of
-    the last of them, or 0 if ``c == 0`` (and every start is 0 for
+    ``min(r // step, L - 1)`` of the ``L`` samples.  If run ``j`` has ``c``
+    samples in that prefix, its start is ``step * (c - 1)``, the position
+    of the last of them, or 0 if ``c == 0`` (and every start is 0 for
     ``r == 0``).
     """
-    if K < 1:
-        raise ValueError("K < 1")
+    if step < 1:
+        raise ValueError("step < 1")
     keys = np.concatenate([np.empty(0, np.uint64)]
                           + [np.asarray(k, np.uint64) for k in samples])
     run = np.repeat(np.arange(len(samples)), [len(k) for k in samples])[
@@ -244,22 +243,22 @@ def sampled_starts(samples: list[np.ndarray], K: int,
         if r == 0 or not len(keys):
             starts.append([0] * len(samples))
             continue
-        count = np.bincount(run[:min(r // K, len(keys) - 1) + 1],
+        count = np.bincount(run[:min(r // step, len(keys) - 1) + 1],
                             minlength=len(samples))
-        starts.append((K * (count - 1)).clip(0).tolist())
+        starts.append((step * (count - 1)).clip(0).tolist())
     return starts
 
 
 def select_all_ranks(acc, ranks: list[int],
                      samples: list[np.ndarray] | None = None,
-                     K: int | None = None) -> list[SelectResult]:
+                     step: int = 1) -> list[SelectResult]:
     """Splitters for several ranks, in ascending rank order.  Exact cuts
     are nested, so the results are componentwise monotone in r.
 
-    With ``samples`` (see :func:`sampled_starts`) each search starts within
-    ``K`` of its cut; the samples are sorted once for all ranks."""
+    With ``samples`` of every ``step``-th element (see
+    :func:`sampled_starts`) each search starts within ``step`` of its cut;
+    the samples are sorted once for all ranks."""
     ranks = sorted(ranks)
-    step = K if K else 1
     inits = ([None] * len(ranks) if samples is None
              else sampled_starts(samples, step, ranks))
     return [multiway_select(acc, r, init, step)

@@ -1,7 +1,8 @@
 """Globally striped mergesort engine.
 
 Runs are stored round-robin across all P*D disks of the cluster, each
-reserved as one stripe.  A merge pass is driven by the prediction sequence
+reserved as one stripe and held as a :class:`~emsort.runform.Run`, the
+type the canonical engine's runs have too.  A merge pass is driven by the prediction sequence
 — the block minima in sorted order, which is exactly the order the merger
 will exhaust blocks — and by a prefetch schedule derived from it:
 scheduling fetches is the time reversal of scheduling buffered writes, so
@@ -29,7 +30,6 @@ would.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +44,10 @@ from .core import (
 from .merge import batch_merge, free_and_write
 from .net import charge_volume, gather_splitters
 from .runform import (
-    WINDOW, PeBlocks, internal_parallel_sort, window_blocks, windows,
+    WINDOW, PeBlocks, Run, internal_parallel_sort, window_blocks, windows,
 )
 
 COORDINATOR = 0
-
-
-@dataclass
-class StripedRun:
-    """A sorted run striped round-robin over the cluster's disks: block
-    ``g`` is block ``lbs[g]`` of PE ``pes[g]``, and its smallest key is
-    ``minima[g]``."""
-
-    length: int
-    pes: np.ndarray
-    lbs: np.ndarray
-    minima: np.ndarray
 
 
 def _charge_moves(cluster, src, dst, phase: int) -> None:
@@ -77,7 +65,7 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
     return derive_seed(cluster.cfg.seed, salt, index) % cluster.cfg.total_disks
 
 
-def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
+def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[Run]:
     """Sort memory-sized chunks of the input into striped runs.
 
     Each run is one memory load: PE p reads share p of it, and the load
@@ -91,7 +79,7 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
     cfg = cluster.cfg
     P, B = cfg.P, cfg.B
     ids = np.array(pe_blocks, np.int64)             # [pe, input block]
-    runs: list[StripedRun] = []
+    runs: list[Run] = []
     for first, w, share in windows(cfg):
         length = P * share
         pes_in, lbs_in = window_blocks(cfg, ids, first, w, share)
@@ -115,13 +103,13 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[StripedRun]:
         holders = np.arange(B - 1, length, B) // share
         _charge_moves(cluster, np.tile(holders, w), pes, PHASE_RUN_FORMATION)
         minima = data["key"][:, ::B].copy()
-        runs.extend(StripedRun(length, pes[j * nb:(j + 1) * nb],
+        runs.extend(Run(length, pes[j * nb:(j + 1) * nb],
                                lbs[j * nb:(j + 1) * nb], minima[j])
                     for j in range(w))
     return runs
 
 
-def build_prediction_sequence(cluster, runs: list[StripedRun]):
+def build_prediction_sequence(cluster, runs: list[Run]):
     """Order every block of ``runs`` by (min key, run, block position).
 
     Returns three columns in that order: each block's minimum, its run and
@@ -233,8 +221,8 @@ def naive_steps(disks: list[int], W: int) -> int:
     return steps
 
 
-def striped_merge_pass(cluster, runs: list[StripedRun],
-                       start_disk: int) -> StripedRun:
+def striped_merge_pass(cluster, runs: list[Run],
+                       start_disk: int) -> Run:
     """Merge up to ``merge_arity`` striped runs into one striped run.
 
     The coordinator fetches blocks per the prefetch schedule (remote reads
@@ -330,7 +318,7 @@ def striped_merge_pass(cluster, runs: list[StripedRun],
     _charge_moves(cluster, COORDINATOR, out_pes, PHASE_STRIPED_MERGE)
     cluster.counters.steps[PHASE_STRIPED_MERGE] += \
         n_steps + -(-written // D_total)
-    return StripedRun(length, out_pes, out_lbs, minima)
+    return Run(length, out_pes, out_lbs, minima)
 
 
 def striped_sort(cluster, pe_blocks: PeBlocks):
@@ -343,11 +331,11 @@ def striped_sort(cluster, pe_blocks: PeBlocks):
     runs = form_striped_runs(cluster, pe_blocks)
     if not runs:                # an empty input forms no run
         empty = np.empty(0, np.int64)
-        return StripedRun(0, empty, empty, np.empty(0, np.uint64)), 0
+        return Run(0, empty, empty, np.empty(0, np.uint64)), 0
     arity = cluster.cfg.merge_arity
     passes = 0
     while len(runs) > 1:
-        merged: list[StripedRun] = []
+        merged: list[Run] = []
         for g0 in range(0, len(runs), arity):
             group = runs[g0:g0 + arity]
             if len(group) == 1:

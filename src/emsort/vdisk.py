@@ -338,16 +338,16 @@ class Cluster:
 
     @classmethod
     def load_images(cls, directory: str, cfg: MachineConfig,
-                    generation: int) -> "Cluster":
+                    generation: int, limit: int = 1 << 63) -> "Cluster":
         """Rebuild a cluster from the images :meth:`save_images` wrote: the
         blocks at their slots, each disk's next free slot one past its last
         and each PE's peak its live count.  Raises :class:`DiskError`
         naming the image for a missing image, a header :func:`read_slots`
-        refuses, or rows that end early.  The rows are read straight into
-        the slab."""
+        refuses (a slot at or above ``limit`` or ``2**63 / (P*D)`` too), or
+        rows that end early.  The rows are read straight into the slab."""
         cluster = cls(cfg)
-        P, D = cfg.P, cfg.D
-        width, limit = cluster._block.itemsize, (1 << 63) // (P * D)
+        P, D, width = cfg.P, cfg.D, cluster._block.itemsize
+        limit = min(limit, (1 << 63) // (P * D))
         paths = [os.path.join(directory, IMAGE.format(pe=pe, d=d,
                                                       generation=generation))
                  for pe, d in itertools.product(range(P), range(D))]

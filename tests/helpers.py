@@ -25,10 +25,12 @@ from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
 from emsort.net import charge_volume, gather_splitters
 from emsort.redistribute import PlanError, Staged
-from emsort.runform import internal_parallel_sort as array_internal_parallel_sort
+from emsort.runform import (
+    Run, internal_parallel_sort as array_internal_parallel_sort,
+)
 from emsort.selection import sampled_starts, select_all_ranks
 from emsort.striped import (
-    COORDINATOR, StripedRun, _run_start_disk,
+    COORDINATOR, _run_start_disk,
     build_prediction_sequence as array_prediction_sequence,
     prefetch_schedule as array_prefetch_schedule,
     verify_schedule as array_verify_schedule,
@@ -642,8 +644,8 @@ def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
             charge_move(cluster, phase, src, dst, B * blocks)
 
 
-def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
-                                 start_disk: int) -> StripedRun:
+def per_batch_striped_merge_pass(cluster, runs: list[Run],
+                                 start_disk: int) -> Run:
     """Merge striped runs into one, finding each batch's blocks per PE with
     a mask over the batch and charging the coordinator's traffic per PE per
     batch: one read, free and write call per PE per batch of M/(2B)
@@ -707,7 +709,7 @@ def per_batch_striped_merge_pass(cluster, runs: list[StripedRun],
                            "is not a block multiple")
     cluster.counters.steps[PHASE_STRIPED_MERGE] += \
         n_steps + -(-written // D_total)
-    return StripedRun(length, out_pes, out_lbs, minima)
+    return Run(length, out_pes, out_lbs, minima)
 
 
 # --- reference kernels: the per-rank and per-block canonical planners ----------
@@ -738,7 +740,8 @@ def sampled_init(samples: list[list[tuple[int, int]]], K: int, r: int
 
 def sample_columns(samples: list[list[tuple[int, int]]]) -> list[np.ndarray]:
     """Per-run ``(key, position)`` sample lists as the ``uint64`` key
-    columns of ``RunDescriptor``; the positions must be 0, K, 2K, ..."""
+    columns that ``sampled_starts`` takes; the positions must be 0, K,
+    2K, ..."""
     return [np.array([key for key, _p in entries], np.uint64)
             for entries in samples]
 

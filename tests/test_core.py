@@ -40,18 +40,16 @@ def test_machine_config_derived_quantities():
     cfg = MachineConfig(P=4, D=2, B=16, m=256, N=8192)
     assert cfg.M == 1024
     assert cfg.R == 8
-    assert cfg.sample_rate == 16        # K=0 falls back to B
     assert cfg.total_disks == 8
     assert cfg.blocks_per_pe == 128
     assert cfg.merge_arity == 32
-    assert MachineConfig(P=4, D=2, B=16, m=256, N=8192, K=5).sample_rate == 5
     assert MachineConfig(P=1, D=1, B=1, m=1, N=0).R == 0
 
 
 @pytest.mark.parametrize("field, value, reason", [
     ("P", "2", "P must be int, got '2'"),
     ("N", np.int64(8), f"N must be int, got {np.int64(8)!r}"),
-    ("K", 1.0, "K must be int, got 1.0"),
+    ("B", 1.0, "B must be int, got 1.0"),
     ("elem_size", False, "elem_size must be int, got False"),
     ("randomize", 1, "randomize must be bool, got 1"),
 ])

@@ -570,6 +570,27 @@ def test_cli_refuses_a_stored_elem_size_other_than_16(tmp_path, monkeypatch,
     assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
 
 
+def test_cli_sort_refuses_an_input_slot_past_the_generated_blocks(tmp_path):
+    """``gen`` puts each PE's input in blocks 0 .. N/(P*B) - 1, so every
+    slot of an input image lies below ceil(N/(P*B) / D), here 16.  A slot
+    of 2**40, whose dense block map would not fit in memory, is refused
+    naming the image and the slot, and the store stays byte-identical."""
+    config = write_config(tmp_path / "grid.cfg", m=64)  # P = D = 2, B = 4
+    store = tmp_path / "input"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    image = store / "pe1_disk1.g1.bin"
+    data = image.read_bytes()
+    last = len(image_slots(data)) - 1
+    image.write_bytes(with_slot(data, last, 2**40))
+    before = store_files(store)
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["sort", "--persist", str(store)])
+    assert refusal.value.code == (           # a message: exit status 1
+        f"error: {image}: slot {last} is {2**40}; slots must increase "
+        "strictly from 0 up to below 16")
+    assert store_files(store) == before
+
+
 def test_cli_gen_accepts_a_config_that_one_engine_can_sort(tmp_path):
     config = write_config(tmp_path / "grid.cfg", D=1, m=8, N=64)    # R*B > m
     store = str(tmp_path / "state")
@@ -628,17 +649,25 @@ def test_cli_refuses_an_unwritable_stats_file_before_any_work(
     assert str(refusal.value) == f"error: {stats}: No such file or directory"
 
 
-def unknown_cfg_field(manifest: dict) -> dict:
-    manifest["cfg"]["Q"] = 4
-    return manifest
+def cfg_field(name: str, value):
+    def damage(manifest: dict) -> dict:
+        assert name not in manifest["cfg"]
+        manifest["cfg"][name] = value
+        return manifest
+    return damage
 
 
 @pytest.mark.parametrize("damage, reason", [
     (lambda manifest: "{", "not valid JSON: "),
     (lambda manifest: {k: v for k, v in manifest.items() if k != "cfg"}, "no cfg"),
-    (unknown_cfg_field, "bad cfg: "),
-], ids=["not-json", "no-cfg", "unknown-cfg-field"])
+    (cfg_field("Q", 4), "bad cfg: "),
+    # Every store written while the config had a sample rate holds "K": 0.
+    (cfg_field("K", 0), "bad cfg: MachineConfig.__init__() got an unexpected "
+                        "keyword argument 'K'"),
+], ids=["not-json", "no-cfg", "unknown-cfg-field", "retired-sample-rate"])
 def test_cli_refuses_a_malformed_manifest(tmp_path, damage, reason):
+    """``sort --persist`` and ``verify`` refuse the manifest and leave
+    every byte of the store as it was."""
     config = write_config(tmp_path / "grid.cfg")
     for command, store in (("sort", tmp_path / "input"),
                            ("verify", tmp_path / "output")):
@@ -648,9 +677,11 @@ def test_cli_refuses_a_malformed_manifest(tmp_path, damage, reason):
         path = store / "manifest.json"
         damaged = damage(json.loads(path.read_text()))
         path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        before = store_files(store)
         with pytest.raises(SystemExit) as refusal:
             cli_main([command, "--persist", str(store)])
         assert str(refusal.value).startswith(f"error: {path}: {reason}")
+        assert store_files(store) == before
 
 
 def persisted(tmp_path, command: str, engine: str = "canonical") -> Path:
@@ -1105,6 +1136,7 @@ def test_cli_verify_without_a_manifest_is_an_error(tmp_path):
 
 @pytest.mark.parametrize("line, reason", [
     ("Q = 4", "line 7: unknown config key 'Q'"),
+    ("K = 4", "line 7: unknown config key 'K'"),       # the retired sample rate
     ("B = four", "line 7: B must be an integer, got 'four'"),
 ])
 def test_cli_config_file_errors_are_reported(tmp_path, line, reason):

@@ -79,22 +79,19 @@ def control(cl, phase) -> list[int]:
 @pytest.mark.parametrize("P", [1, 3, 4])
 def test_canonical_control_traffic_has_closed_forms(P):
     """Run formation gathers each of R loads' P - 1 cuts from every PE.
-    Selection gathers two words per sample from the PE that holds it, and
-    then PE 0's P - 1 inner cuts of every run."""
-    cl = build(P=P, D=2, B=4, m=64, N=288 * P, K=5, seed=P)
+    Selection gathers two words per run block, its minimum and position,
+    from the PE that holds it: PE p receives ``2 (S - S_p)`` for the ``S_p``
+    run blocks it holds of ``S``, as in a striped pass.  Then every PE but
+    0 receives PE 0's P - 1 inner cuts of every run."""
+    cl = build(P=P, D=2, B=4, m=64, N=288 * P, seed=P)
     run_sort(cl, fill(cl, "random", P).pe_blocks, "canonical")
-    R, K = cl.cfg.R, cl.cfg.sample_rate
+    R, B = cl.cfg.R, cl.cfg.B
     assert R == 5                   # the last run is half a memory load
 
-    def sampled_below(n: int) -> int:
-        """The sampled run positions below ``n``: every K-th from 0."""
-        return -(-n // K)
-
-    # Run positions p * share .. (p + 1) * share - 1 are on PE p.
-    held = [sum(sampled_below((p + 1) * share) - sampled_below(p * share)
-                for _length, share in run_layout(cl.cfg)) for p in range(P)]
+    # Run blocks p * share / B .. (p + 1) * share / B - 1 are on PE p.
+    held = [sum(share // B for _length, share in run_layout(cl.cfg))] * P
     S = sum(held)
-    assert S == sum(sampled_below(length) for length, _ in run_layout(cl.cfg))
+    assert S == cl.cfg.N // B
     assert control(cl, PHASE_RUN_FORMATION) == [R * (P - 1) ** 2] * P
     assert control(cl, PHASE_SELECTION) == [
         2 * (S - held[p]) + (p != 0) * (P - 1) * R for p in range(P)]

@@ -36,9 +36,8 @@ def brute_force_boundaries(cl, runs):
     P = cl.cfg.P
     entries = []
     for j, run in enumerate(runs):
-        for pos in range(run.length):
-            pe, lb, off = run.locate(pos)
-            entries.append((cl.peek_blocks(*on(pe, [lb]))[off][0], j, pos))
+        keys = cl.peek_blocks(run.pes, run.lbs)["key"].tolist()
+        entries.extend((key, j, pos) for pos, key in enumerate(keys))
     entries.sort()
     total = len(entries)
     pos = [[0] * len(runs)]
@@ -85,7 +84,7 @@ def test_sorted_input_needs_no_movement():
     # boundary t of every run sits exactly at t * share
     for t, row in enumerate(matrix.pos):
         for j, run in enumerate(runs):
-            expected = min(t, cl.cfg.P) * run.share
+            expected = min(t, cl.cfg.P) * (run.length // cl.cfg.P)
             assert row[j] == expected
 
 
@@ -94,7 +93,7 @@ def test_moved_volume_counts_elements_cut_away_from_their_holder():
     matrix = compute_splitters(cl, runs)
     P = cl.cfg.P
     # (holder, destination) of every run position
-    moves = [[(p // run.share, t) for t in range(P)
+    moves = [[(p // (run.length // P), t) for t in range(P)
               for p in range(matrix.pos[t][j], matrix.pos[t + 1][j])]
              for j, run in enumerate(runs)]
     expected = [sum(q != t for q, t in run_moves) for run_moves in moves]
@@ -110,9 +109,8 @@ def test_splitter_search_uses_samples_sparingly():
     reads = cl.counters.blocks[SELECT, READ]
     before = int(reads.sum())
     matrix = compute_splitters(cl, runs)
-    K = cl.cfg.sample_rate
     import math
-    per_rank = math.ceil(math.log2(K)) + 1
+    per_rank = math.ceil(math.log2(cl.cfg.B)) + 1
     assert matrix.rounds <= (cl.cfg.P - 1) * per_rank
     assert 0 < int(reads.sum()) - before <= matrix.touched
 
@@ -204,14 +202,16 @@ def test_a_short_final_piece_never_goes_back_a_round():
 
 
 def test_compute_splitters_charges_two_words_per_sample_and_the_cuts():
-    """Each PE gathers 2 words for every sample held by another PE, and
-    every PE but 0 receives PE 0's P - 1 cuts of every run."""
-    for P, B, N, K in ((4, 4, 384, 0), (4, 4, 384, 3), (3, 2, 288, 5), (1, 4, 256, 0)):
-        cl, _gen, runs = formed(P=P, B=B, m=32, N=N, seed=P, K=K)
+    """The sample is every run block's minimum: each PE gathers 2 words
+    for every run block another PE holds, ``2 (S - S_p)`` for the ``S_p``
+    of ``S`` that PE p holds, and every PE but 0 receives PE 0's P - 1
+    cuts of every run."""
+    for P, B, N in ((4, 4, 384), (3, 2, 288), (2, 8, 256), (1, 4, 256)):
+        cl, _gen, runs = formed(P=P, B=B, m=32, N=N, seed=P)
         compute_splitters(cl, runs)
-        rate = cl.cfg.sample_rate
-        held = [sum(-(-(p + 1) * run.share // rate) - -(-p * run.share // rate)
-                    for run in runs) for p in range(P)]
+        held = [sum(run.length // P // B for run in runs)] * P
+        assert held == np.bincount(np.concatenate([run.pes for run in runs]),
+                                   minlength=P).tolist()
         assert cl.counters.traffic[SELECT, CONTROL].tolist() == \
             [2 * (sum(held) - held[p]) + (p > 0) * (P - 1) * len(runs)
              for p in range(P)]
@@ -374,16 +374,16 @@ def test_exchange_reclaims_fully_shipped_blocks():
     B = cl.cfg.B
     dup_bound = 0
     for j, run in enumerate(runs):
-        for q in range(cl.cfg.P):
+        share = run.length // cl.cfg.P
+        for g, (q, lb) in enumerate(zip(run.pes.tolist(), run.lbs.tolist())):
             lo, hi = matrix.pos[q][j], matrix.pos[q + 1][j]
-            klo, khi = max(lo, q * run.share), min(hi, (q + 1) * run.share)
-            for b_idx, lb in enumerate(run.blocks[q]):
-                g0 = q * run.share + b_idx * B
-                overlaps = klo < khi and g0 < khi and g0 + B > klo
-                assert is_allocated(cl, q, lb) == overlaps, (j, q, lb)
-                if overlaps:
-                    dup_bound += (klo - g0 if g0 < klo else 0) + \
-                                 (g0 + B - khi if g0 + B > khi else 0)
+            klo, khi = max(lo, q * share), min(hi, (q + 1) * share)
+            g0 = g * B
+            overlaps = klo < khi and g0 < khi and g0 + B > klo
+            assert is_allocated(cl, q, lb) == overlaps, (j, q, lb)
+            if overlaps:
+                dup_bound += (klo - g0 if g0 < klo else 0) + \
+                             (g0 + B - khi if g0 + B > khi else 0)
     total = stored_elements(cl)
     assert cl.cfg.N <= total <= cl.cfg.N + dup_bound
 

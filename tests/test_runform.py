@@ -14,21 +14,17 @@ from emsort.core import (
     RECEIVED, SENT, WRITE, sort_order,
 )
 from emsort.runform import (
-    RunDescriptor, form_runs, internal_parallel_sort, run_layout,
-    shuffle_block_ids,
+    Run, form_runs, internal_parallel_sort, run_layout, shuffle_block_ids,
 )
+from emsort.striped import form_striped_runs, striped_merge_pass
 from emsort.vdisk import Cluster
 
 import helpers
 from helpers import build, counter_state, elements, fill, input_elements, on
 
 
-def read_run(cl, run: RunDescriptor):
-    elems = []
-    for pos in range(run.length):
-        pe, lb, off = run.locate(pos)
-        elems.append(cl.peek_blocks(*on(pe, [lb]))[off].item())
-    return elems
+def read_run(cl, run: Run):
+    return cl.peek_blocks(run.pes, run.lbs).tolist()
 
 
 def test_run_layout_covers_input_with_trailing_short_run():
@@ -55,8 +51,9 @@ def test_two_processor_desk_example():
     runs = form_runs(cl, pe_blocks)
     assert len(runs) == 1
     assert [e[0] for e in read_run(cl, runs[0])] == [1, 2, 3, 4]
-    assert cl.peek_blocks(*on(0, runs[0].blocks[0]))["key"].tolist() == [1, 2]
-    assert cl.peek_blocks(*on(1, runs[0].blocks[1]))["key"].tolist() == [3, 4]
+    assert runs[0].pes.tolist() == [0, 0, 1, 1]
+    assert cl.peek_blocks(*on(0, runs[0].lbs[:2]))["key"].tolist() == [1, 2]
+    assert cl.peek_blocks(*on(1, runs[0].lbs[2:]))["key"].tolist() == [3, 4]
 
 
 def test_runs_are_sorted_and_partition_the_input():
@@ -84,11 +81,8 @@ def test_formation_io_is_exactly_two_passes_and_in_place():
     assert formation[WRITE].sum() * B == N
     # write-back reuses the input blocks: no new allocations at all
     assert [cl.peak_allocated(pe) for pe in range(4)] == peak_before
-    for run in runs:
-        assert run.blocks.dtype == np.int64
-        assert run.blocks.shape == (4, run.share // B)
     claimed = {(pe, lb) for run in runs
-               for pe, blocks in enumerate(run.blocks) for lb in blocks}
+               for pe, lb in zip(run.pes.tolist(), run.lbs.tolist())}
     original = {(pe, lb) for pe, blocks in enumerate(gen.pe_blocks)
                 for lb in blocks}
     assert claimed == original
@@ -291,29 +285,40 @@ def test_shuffle_positions_are_uniform():
     assert chi2 < dof + 3 * (2 * dof) ** 0.5
 
 
-def test_every_kth_element_is_sampled_with_positions():
-    cl = build(P=2, D=2, B=4, m=16, N=64, K=4, seed=2)
-    gen = fill(cl, "random", 2)
-    runs = form_runs(cl, gen.pe_blocks)
-    for run in runs:
+@pytest.mark.parametrize("randomize", [True, False])
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_runs_of_both_engines_hold_the_run_invariants(engine, randomize):
+    """Both engines hold a run as ``int64`` PE and block-id columns in run
+    order, one entry per block, and ``minima[g]`` is the first key of block
+    ``g``.  A canonical run lists its PEs in ascending order, share/B
+    blocks each; a striped merge pass's output holds the same
+    invariants."""
+    cl = build(P=3, D=2, B=4, m=16, N=120, seed=4, randomize=randomize)
+    P, B = cl.cfg.P, cl.cfg.B
+    gen = fill(cl, "duplicate_heavy", 4)
+    inputs = sorted(input_elements(cl, gen))
+    form = form_runs if engine == "canonical" else form_striped_runs
+    runs = form(cl, gen.pe_blocks)
+    assert [run.length for run in runs] == [48, 48, 24]     # M = 48
+
+    def check(run: Run) -> list:
+        assert run.pes.dtype == run.lbs.dtype == np.int64
+        assert run.minima.dtype == np.uint64
+        assert len(run.pes) == len(run.lbs) == len(run.minima) == run.length // B
         elems = read_run(cl, run)
-        expected = [(elems[g][0], g) for g in range(0, run.length, 4)]
-        assert run.sample_keys.dtype == np.uint64
-        assert list(zip(run.sample_keys.tolist(),
-                        range(0, run.length, 4))) == expected
+        keys = [key for key, _serial in elems]
+        assert keys == sorted(keys) and len(elems) == run.length
+        assert run.minima.tolist() == keys[::B]
+        return elems
 
-
-def test_locate_addresses_every_position():
-    cl = build(P=2, D=2, B=4, m=16, N=64, seed=4)
-    gen = fill(cl, "random", 4)
-    run = form_runs(cl, gen.pe_blocks)[0]
-    seen = set()
-    for pos in range(run.length):
-        pe, lb, off = run.locate(pos)
-        assert 0 <= off < run.block_size
-        assert pos // run.share == pe
-        seen.add((pe, lb, off))
-    assert len(seen) == run.length
+    gathered = [e for run in runs for e in check(run)]
+    assert sorted(gathered) == inputs
+    if engine == "canonical":
+        for run in runs:
+            assert run.pes.tolist() == np.repeat(
+                np.arange(P), run.length // P // B).tolist()
+    else:
+        assert sorted(check(striped_merge_pass(cl, runs, 0))) == inputs
 
 
 def test_random_loads_spread_over_input_blocks():

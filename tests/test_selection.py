@@ -4,11 +4,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from emsort.core import MAX_KEY, PHASE_SELECTION, READ
-from emsort.runform import RunDescriptor
+from emsort.runform import Run
 from emsort.selection import (
     DiskAccessor, SelectionError, multiway_select, sampled_starts,
     select_all_ranks,
@@ -262,7 +263,7 @@ def test_select_all_ranks_is_monotone_and_exact():
 # --- disk-resident runs -------------------------------------------------------
 
 def seed_disk_runs(cl, keys_per_run):
-    """Materialize sorted runs on PE 0, one descriptor per run."""
+    """Materialize sorted runs on PE 0, one :class:`Run` each."""
     B = cl.cfg.B
     runs = []
     for j, keys in enumerate(keys_per_run):
@@ -270,7 +271,8 @@ def seed_disk_runs(cl, keys_per_run):
         blocks = cl.alloc_blocks(0, len(keys) // B)
         cl.seed_blocks(*on(0, blocks),
                        [(k, j * 1000 + i) for i, k in enumerate(keys)])
-        runs.append(RunDescriptor(len(keys), len(keys), B, blocks[None]))
+        runs.append(Run(len(keys), np.zeros(len(blocks), np.int64), blocks,
+                        np.array(keys[::B], np.uint64)))
     return runs
 
 

@@ -17,9 +17,9 @@ from emsort.core import (
 from emsort.harness import (
     InputSpec, SortResult, generate_input, report_stats, run_sort,
 )
-from emsort.runform import form_runs
+from emsort.runform import Run, form_runs
 from emsort.striped import (
-    StripedRun, build_prediction_sequence, form_striped_runs, naive_steps,
+    build_prediction_sequence, form_striped_runs, naive_steps,
     prefetch_schedule, striped_merge_pass, striped_sort, verify_schedule,
 )
 from emsort.vdisk import Cluster, OutputLayout
@@ -38,7 +38,7 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
     return cl, inputs, runs
 
 
-def run_elements(cl, run: StripedRun):
+def run_elements(cl, run: Run):
     out = []
     for pe, lb in addresses(run):
         out.extend(cl.peek_blocks(*on(pe, [lb])).tolist())
@@ -67,13 +67,6 @@ def test_striped_runs_go_round_robin_over_all_disks():
         start = striped._run_start_disk(cl, 2, i)
         assert (run.pes * cl.cfg.D + run.lbs % cl.cfg.D).tolist() == [
             (start + g) % D_total for g in range(len(run.lbs))]
-
-
-def test_block_minima_match_contents():
-    cl, _inputs, runs = formed(seed=3)
-    for run in runs:
-        for g, (pe, lb) in enumerate(addresses(run)):
-            assert run.minima[g] == cl.peek_blocks(*on(pe, [lb]))[0][0]
 
 
 def test_formation_costs_one_read_one_write_per_element():
