@@ -18,6 +18,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .core import MachineConfig, load_config, validate_config
 from .harness import (
     ENGINES,
@@ -210,7 +212,7 @@ def cmd_sort(args) -> int:
         kind, count, total = args.kind, gen.count, gen.total
 
     # Generating into a fresh cluster puts each PE's input in its first ids.
-    blocks = [list(range(cfg.blocks_per_pe)) for _ in range(cfg.P)]
+    blocks = [np.arange(cfg.blocks_per_pe) for _ in range(cfg.P)]
     result = run_sort(cluster, blocks, args.engine)
     verdict = verify_output(cluster, result.layout, count, total)
     text = report_stats(cfg, result, kind)
@@ -233,9 +235,11 @@ def cmd_verify(args) -> int:
     manifest, cfg = _read_manifest(args.persist, "output")
     desc = manifest["layout"]
     _check_cfg(cfg, (desc["engine"],))
-    cluster = Cluster.load_images(args.persist, cfg, manifest["generation"])
     layout = OutputLayout.load(os.path.join(args.persist, LAYOUT),
                                desc["engine"], desc["blocks"], cfg.P)
+    # A sorted store's live blocks are exactly its layout's blocks.
+    cluster = Cluster.load_images(args.persist, cfg, manifest["generation"],
+                                  int(layout.lbs.max(initial=-1)) // cfg.D + 1)
     verdict = verify_output(cluster, layout, manifest["count"],
                             manifest["total"])
     if verdict.ok:

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PHASE_LOCAL_MERGE, concat, sort_order
+from .core import ELEM, PHASE_LOCAL_MERGE, sort_order
 from .redistribute import Staged
 from .vdisk import OutputLayout
+
+#: An element as one raw 16-byte row.
+_ROW = np.dtype((np.void, ELEM.itemsize))
 
 
 def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
@@ -38,6 +41,10 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
     cfg = cluster.cfg
     B = cfg.B
     out_lbs: list[np.ndarray] = []
+    # Every PE reads into, joins into and sorts into the same two columns,
+    # sized by the most blocks a PE holds.
+    size = B * max((len(table.ids) for table in staged), default=0)
+    read, joined = np.empty(size, ELEM), np.empty(size, ELEM)
     for t, table in enumerate(staged):
         count = -(-(table.start + table.length) // B)
         n = int(table.length.sum())
@@ -45,12 +52,18 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
             raise RuntimeError(
                 f"output slice of PE {t} is {n} elements, not a block multiple")
         pe_in = np.full(len(table.ids), t)
-        data = cluster.read_blocks(pe_in, table.ids, PHASE_LOCAL_MERGE)
+        data = cluster.read_blocks(pe_in, table.ids, PHASE_LOCAL_MERGE,
+                                   read[:len(table.ids) * B])
         # Piece i is data[at[i]:end[i]]; in elems it starts shift[i] earlier.
         at = (np.cumsum(count) - count) * B + table.start
         end = at + table.length
         shift = at - (np.cumsum(table.length) - table.length)
-        elems = concat([data[a:b] for a, b in zip(at.tolist(), end.tolist())])
+        elems = joined[:n]
+        # Joined as raw 16-byte rows: a structured copy goes field by field.
+        rows = data.view(_ROW)
+        np.concatenate([rows[:0]] + [rows[a:b] for a, b in zip(at.tolist(),
+                                                               end.tolist())],
+                       out=elems.view(_ROW))
         # Each block's last element's index + 1 in elems.
         piece = np.repeat(np.arange(len(count)), count)
         ends = np.minimum(np.arange(B, (len(piece) + 1) * B, B),
@@ -72,7 +85,7 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
             rank = np.empty(n, dtype=np.intp)
             rank[order] = np.arange(n)
             due = (rank[ends - 1] + 1) // B
-            elems = elems[order]
+            elems = np.take(elems, order, out=read[:n], mode="clip")
         nb = n // B
         out_blocks = cluster.alloc_blocks(t, nb)
         free_and_write(cluster, pe_in, table.ids, due,

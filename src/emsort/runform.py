@@ -108,14 +108,27 @@ def window_blocks(cfg: MachineConfig, ids: np.ndarray, first: int, w: int,
             np.ascontiguousarray(lbs.swapaxes(0, 1)))
 
 
-def internal_parallel_sort(cluster, loads: np.ndarray) -> np.ndarray:
+def window_buffers(P: int, wins) -> list[np.ndarray]:
+    """Columns for the largest of the windows ``wins`` (as :func:`windows`
+    gives them) on ``P`` processors, which every window reuses through
+    its prefixes: the elements as read and as sorted, and their order."""
+    size = max((P * w * share for _, w, share in wins), default=0)
+    return [np.empty(size, ELEM), np.empty(size, ELEM),
+            np.empty(size, np.int64)]
+
+
+def internal_parallel_sort(cluster, loads: np.ndarray, out=None,
+                           order=None) -> np.ndarray:
     """Sort a window of memory loads, each across the processors.
 
     ``loads`` holds one load per row, each the processors' equal unsorted
     shares joined in processor order.  Returns each row in (key, serial)
     order, whose share p is the sorted chunk p ends up with, with the
     data exchange charged to run formation.  The chunk cuts are exact
-    rank splits of each row in the order (key, processor, serial).
+    rank splits of each row in the order (key, processor, serial).  The
+    sorted rows are gathered into ``out``, an element column of
+    ``loads.size`` entries, and ``order``, an ``int64`` column as long,
+    holds their order; each is fresh when not given.
 
     The rows are sorted once by (key, serial), and the chunks are slices
     of that order.  Only a group of equal keys that crosses a cut is
@@ -145,7 +158,9 @@ def internal_parallel_sort(cluster, loads: np.ndarray) -> np.ndarray:
     gather_splitters(cluster, np.full(P, w * (P - 1)), PHASE_RUN_FORMATION)
     if rows_increase(loads["key"]):     # each chunk stays where it is
         return loads
-    order = sort_order(loads["key"], loads["serial"])
+    # The sort's scratch words lie in ``out``, dead before the gather.
+    order = sort_order(loads["key"], loads["serial"], order,
+                       None if out is None else out.view(np.int64)[:total * w])
     keys = loads["key"].reshape(-1)
     cuts = (np.arange(0, w * total, total)[:, None]
             + np.arange(share, total, share)).ravel()
@@ -175,7 +190,8 @@ def internal_parallel_sort(cluster, loads: np.ndarray) -> np.ndarray:
                 np.arange(lo - first, hi - first) // share
             order[lo:hi] = order[lo:hi][np.argsort(chunk, kind="stable")]
     del keys    # a copy when tied, dropped before the sorted rows are made
-    ordered = loads.reshape(-1)[order]
+    # ``clip`` never clips the order, and writes straight into ``out``.
+    ordered = np.take(loads.reshape(-1), order, out=out, mode="clip")
     # volume[c, q]: the elements of chunk c that came from processor q.
     # Over the share, an element's flat position is q plus P times its
     # row, so the order becomes each element's lane c * P + q.
@@ -203,10 +219,14 @@ def form_runs(cluster, pe_blocks: PeBlocks) -> list[Run]:
     order = np.stack([shuffle_block_ids(cfg, p, pe_blocks[p])
                       for p in range(P)])
     runs: list[Run] = []
-    for first, w, share in windows(cfg):
+    wins = windows(cfg)
+    buffers = window_buffers(P, wins)
+    for first, w, share in wins:
+        read, out, index = (c[:w * P * share] for c in buffers)
         pes, ids = window_blocks(cfg, order, first, w, share)
         data = internal_parallel_sort(cluster, cluster.read_blocks(
-            pes, ids.reshape(-1), PHASE_RUN_FORMATION).reshape(w, P * share))
+            pes, ids.reshape(-1), PHASE_RUN_FORMATION, read).reshape(
+                w, P * share), out, index)
         lbs = np.sort(ids, axis=2).reshape(w, -1)
         cluster.write_blocks(pes, lbs.reshape(-1), data, PHASE_RUN_FORMATION)
         minima = data["key"][:, ::B].copy()

@@ -44,7 +44,8 @@ from .core import (
 from .merge import batch_merge, free_and_write
 from .net import charge_volume, gather_splitters
 from .runform import (
-    WINDOW, PeBlocks, Run, internal_parallel_sort, window_blocks, windows,
+    WINDOW, PeBlocks, Run, internal_parallel_sort, window_blocks,
+    window_buffers, windows,
 )
 
 COORDINATOR = 0
@@ -80,12 +81,16 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[Run]:
     P, B = cfg.P, cfg.B
     ids = np.array(pe_blocks, np.int64)             # [pe, input block]
     runs: list[Run] = []
-    for first, w, share in windows(cfg):
+    wins = windows(cfg)
+    buffers = window_buffers(P, wins)
+    for first, w, share in wins:
         length = P * share
+        read, out, order = (c[:w * length] for c in buffers)
         pes_in, lbs_in = window_blocks(cfg, ids, first, w, share)
         lbs_in = lbs_in.reshape(-1)
         data = internal_parallel_sort(cluster, cluster.read_blocks(
-            pes_in, lbs_in, PHASE_RUN_FORMATION).reshape(w, length))
+            pes_in, lbs_in, PHASE_RUN_FORMATION, read).reshape(w, length),
+            out, order)
         if length % B:
             raise RuntimeError(
                 f"striped run length {length} is not a block multiple")

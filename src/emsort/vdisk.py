@@ -17,7 +17,8 @@ reads and writes are charged to a phase, the first index of the shared
 per call; input materialization and verification use the uncounted
 ``seed_blocks`` / ``peek_blocks`` so the engine I/O identities stay exact.
 A write stores a copy of its elements; a read hands back the blocks joined
-as one read-only copy.  A refused run raises before it changes anything;
+as one read-only copy, or gathers them into the caller's element column.
+A refused run raises before it changes anything;
 that includes a PE that is not such a column, a PE outside ``[0, P)`` and
 a phase outside ``[0, len(PHASE_NAMES))`` (``IndexError``).  A finished
 sort's :class:`OutputLayout` names its output blocks the way a striped run
@@ -143,12 +144,14 @@ class Cluster:
 
     # -- counted I/O ---------------------------------------------------------
 
-    def read_blocks(self, pe, lbs, phase: int) -> np.ndarray:
-        """The blocks ``lbs`` of ``pe`` joined as one read-only array."""
+    def read_blocks(self, pe, lbs, phase: int, out=None) -> np.ndarray:
+        """The blocks ``lbs`` of ``pe`` joined as one read-only array, or
+        gathered into ``out``, a writeable C-contiguous element column of
+        their ``B`` elements each, and ``out`` returned."""
         refuse_phase(phase)
         counts = self.counters.blocks[phase, READ]  # refuses a phase too high
         lbs, pe, keys = self._ids(pe, lbs)
-        data = self._gather(lbs, pe, keys)
+        data = self._gather(lbs, pe, keys, out)
         self._charge(counts, keys)
         return data
 
@@ -225,14 +228,24 @@ class Cluster:
             return rows
         return self._row[keys]
 
-    def _gather(self, lbs: np.ndarray, pe, keys: np.ndarray) -> np.ndarray:
+    def _gather(self, lbs: np.ndarray, pe, keys: np.ndarray,
+                out=None) -> np.ndarray:
         rows = self._rows(keys)
         if len(rows) and np.minimum.reduce(rows) < 0:
             i = int((rows < 0).argmax())
             raise DiskError(f"read of unallocated block pe={pe[i]} "
                             f"lb={lbs[i]}")
-        data = self._slab[rows].view(ELEM)
-        data.flags.writeable = False
+        size = len(rows) * self.cfg.B
+        data = np.empty(size, ELEM) if out is None else out
+        if not (data.dtype == ELEM and data.shape == (size,)
+                and data.flags.c_contiguous and data.flags.writeable):
+            raise DiskError(f"read of {size} elements into an array of shape "
+                            f"{data.shape} and dtype {data.dtype}: give a "
+                            "writeable C-contiguous element column")
+        # ``clip`` never clips these rows; the default mode would gather
+        # into a buffer and copy that into ``data``.
+        np.take(self._slab, rows, out=data.view(self._block), mode="clip")
+        data.flags.writeable = out is not None
         return data
 
     def _store(self, lbs: np.ndarray, pe, keys: np.ndarray,

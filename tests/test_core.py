@@ -165,8 +165,25 @@ def keys_ties(keys, ties):
     return np.array(keys, np.uint64), np.array(ties, np.int64)
 
 
+def sorted_by(keys, ties, buffers: bool) -> np.ndarray:
+    """``sort_order(keys, ties)``, into columns of the caller's holding
+    stale words when ``buffers``; those columns must carry the order."""
+    if not buffers:
+        return sort_order(keys, ties)
+    out, words = (np.full(keys.size, -7, np.int64) for _ in range(2))
+    got = sort_order(keys, ties, out, words)
+    assert got is out
+    return got
+
+
+BUFFERS = pytest.mark.parametrize("buffers", [False, True],
+                                  ids=["fresh", "given"])
+
+
 # One example per path of ``sort_order``.
+@BUFFERS
 @given(sort_inputs())
+@example(keys_ties([], []))                                 # empty
 @example(keys_ties([1, 5, 9, 2**64 - 1], [3, 2, 1, 0]))     # strictly increasing
 @example(keys_ties([5, 1, 9, 3, 0], [0, 0, 0, 0, 0]))       # narrow: distinct keys
 @example(keys_ties([2, 1, 2, 1, 2, 2], [5, -3, 1, 7, 0, -2**40]))  # narrow: ties
@@ -188,9 +205,9 @@ def keys_ties(keys, ties):
                    [2**63 - 1, -2**63, 0, 5, 0]))  # collided, ties ~2**64: lexsort
 @example(keys_ties([1, 1, 0, 1, 0],
                    [2**63 - 1, -2**63, 0, -2**63 + 1, -1]))  # lexsort, span ~2**64
-def test_sort_order_is_lexsort(drawn):
+def test_sort_order_is_lexsort(buffers, drawn):
     keys, ties = drawn
-    got = sort_order(keys, ties)
+    got = sorted_by(keys, ties, buffers)
     assert got.dtype == np.intp
     assert got.tolist() == np.lexsort((ties, keys)).tolist()
 
@@ -199,8 +216,10 @@ def seeded_randoms(n: int) -> list[random.Random]:
     return [random.Random(seed) for seed in range(n)]
 
 
+@BUFFERS
 @given(sort_inputs(), st.lists(st.randoms(use_true_random=False),
                               min_size=1, max_size=4))
+@example(keys_ties([], []), seeded_randoms(3))                      # empty
 @example(keys_ties([5, 1, 9, 3, 0, 3], [0, 0, 0, 1, 0, 1]),
          seeded_randoms(3))                 # narrow
 @example(keys_ties([2**64 - 1, 0, 2**63, 2**40], [0, 1, 2, 3]),
@@ -209,7 +228,7 @@ def seeded_randoms(n: int) -> list[random.Random]:
          seeded_randoms(3))                 # high bits collide in each row
 @example(keys_ties([2, 1, 2, 0, 2**64 - 1], [2**63 - 1, -2**63, 0, 5, 0]),
          seeded_randoms(2))                 # collided, ties ~2**64: lexsort
-def test_sort_order_sorts_each_row_as_lexsort(drawn, shufflers):
+def test_sort_order_sorts_each_row_as_lexsort(buffers, drawn, shufflers):
     """Rows holding the same keys and ties in other orders: each row's
     part of the order is that row's ``lexsort``, shifted to its place in
     the flattened rows, so no run of equal keys crosses a row."""
@@ -220,14 +239,16 @@ def test_sort_order_sorts_each_row_as_lexsort(drawn, shufflers):
         rnd.shuffle(perm)
         rows.append(perm)
     rows = np.array(rows, np.intp).reshape(len(shufflers), len(keys))
-    got = sort_order(keys[rows], ties[rows])
+    got = sorted_by(keys[rows], ties[rows], buffers)
     assert got.dtype == np.intp
     n = len(keys)
     assert got.tolist() == [j * n + i for j, row in enumerate(rows)
                             for i in np.lexsort((ties[row], keys[row])).tolist()]
 
 
-def test_sort_order_sorts_a_band_and_an_outlier_without_lexsort(monkeypatch):
+@BUFFERS
+def test_sort_order_sorts_a_band_and_an_outlier_without_lexsort(buffers,
+                                                                monkeypatch):
     """Keys in a narrow band plus one far outlier collide in their high
     bits; the second value sort, not ``lexsort``, puts them in order."""
     rng = np.random.default_rng(5)
@@ -236,7 +257,7 @@ def test_sort_order_sorts_a_band_and_an_outlier_without_lexsort(monkeypatch):
     ties = np.arange(len(keys))
     want = np.lexsort((ties, keys)).tolist()
     monkeypatch.setattr(np, "lexsort", mock.Mock(side_effect=AssertionError))
-    assert sort_order(keys, ties).tolist() == want
+    assert sorted_by(keys, ties, buffers).tolist() == want
 
 
 def fingerprint(tuples) -> tuple[int, int]:

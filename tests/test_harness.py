@@ -591,6 +591,25 @@ def test_cli_sort_refuses_an_input_slot_past_the_generated_blocks(tmp_path):
     assert store_files(store) == before
 
 
+def test_cli_verify_refuses_an_output_slot_past_the_layout(tmp_path):
+    """A sorted store's live blocks are exactly the blocks its layout
+    names, the largest here block 65 at slot 32, so ``verify`` loads its
+    images with the bound 33.  A slot of 2**40, whose dense block map would
+    not fit in memory, is refused naming the image and the slot, and the
+    store stays byte-identical."""
+    store = sorted_store(tmp_path)
+    image = store / "pe1_disk1.g2.bin"
+    data = image.read_bytes()
+    last = len(image_slots(data)) - 1
+    image.write_bytes(with_slot(data, last, 2**40))
+    before = store_files(store)
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["verify", "--persist", str(store)])
+    assert refusal.value.code == (           # a message: exit status 1
+        f"error: {image}: slot {last} is {2**40}; {SLOT_RULE}")
+    assert store_files(store) == before
+
+
 def test_cli_gen_accepts_a_config_that_one_engine_can_sort(tmp_path):
     config = write_config(tmp_path / "grid.cfg", D=1, m=8, N=64)    # R*B > m
     store = str(tmp_path / "state")
@@ -882,7 +901,9 @@ def with_slot(data: bytes, i: int, value: int) -> bytes:
     return data[:8 + 8 * i] + int64_bytes([value]) + data[16 + 8 * i:]
 
 
-SLOT_RULE = f"slots must increase strictly from 0 up to below {2**63 // 4}"
+#: ``verify`` loads a sorted store's images with one past the largest slot
+#: that its layout names, 65 // D here.
+SLOT_RULE = "slots must increase strictly from 0 up to below 33"
 
 
 @pytest.mark.parametrize("change", [

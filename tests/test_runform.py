@@ -10,9 +10,10 @@ from hypothesis import example, given, strategies as st
 
 from emsort import runform
 from emsort.core import (
-    CONTROL, DATA_PHASES, MAX_KEY, MachineConfig, PHASE_RUN_FORMATION, READ,
-    RECEIVED, SENT, WRITE, sort_order,
+    CONTROL, DATA_PHASES, MAX_KEY, MachineConfig, PHASE_LOCAL_MERGE,
+    PHASE_RUN_FORMATION, READ, RECEIVED, SENT, WRITE, sort_order,
 )
+from emsort.harness import run_sort, verify_output
 from emsort.runform import (
     Run, form_runs, internal_parallel_sort, run_layout, shuffle_block_ids,
 )
@@ -245,9 +246,9 @@ def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
     short last load alone."""
     calls = []
 
-    def counted(keys, ties):
+    def counted(keys, ties, *buffers):
         calls.append(keys.shape)
-        return sort_order(keys, ties)
+        return sort_order(keys, ties, *buffers)
 
     monkeypatch.setattr(runform, "sort_order", counted)
     cl = build(P=4, D=1, B=2, m=8, N=4 * 44, seed=6)    # M = 32, R = 6
@@ -255,6 +256,32 @@ def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
     with helpers.formation_window(cl.cfg, 2):
         form_runs(cl, gen.pe_blocks)
     assert calls == [(2, 32), (2, 32), (1, 32), (1, 16)]
+
+
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+def test_formation_and_the_local_merge_each_read_into_one_buffer(engine):
+    """Run formation reads its four windows of loads, and the local merge
+    every PE's staged blocks, each into one buffer that the call
+    allocates once and every window or PE reuses; the sort still
+    verifies."""
+    cl = build(P=4, D=2, B=4, m=32, N=4 * 176, seed=8)    # R = 6
+    gen = fill(cl, "random", 8)
+    outs: dict[int, list] = {}
+    read = cl.read_blocks
+
+    def recorded(pe, lbs, phase, out=None):
+        outs.setdefault(phase, []).append(out)
+        return read(pe, lbs, phase, out)
+
+    cl.read_blocks = recorded
+    with helpers.formation_window(cl.cfg, 2):       # loads 0-1, 2-3, 4, 5
+        result = run_sort(cl, gen.pe_blocks, engine)
+    assert verify_output(cl, result.layout, gen.count, gen.total).ok
+    phases = [PHASE_RUN_FORMATION] + [PHASE_LOCAL_MERGE] * (engine == "canonical")
+    for phase in phases:
+        first, *rest = outs[phase]
+        assert len(rest) >= 3
+        assert all(np.shares_memory(out, first) for out in rest), phase
 
 
 def test_shuffle_is_seeded_and_respects_toggle():

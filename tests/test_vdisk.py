@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emsort.core import (
-    MAX_KEY, PHASE_NAMES, READ, WRITE, MachineConfig, PHASE_RUN_FORMATION,
-    PHASE_SETUP, sentinel,
+    ELEM, MAX_KEY, PHASE_NAMES, READ, WRITE, MachineConfig,
+    PHASE_RUN_FORMATION, PHASE_SETUP, sentinel,
 )
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
@@ -81,6 +81,48 @@ def test_read_returns_a_read_only_copy(n):
     cl.write_blocks(*on(0, lbs), block_of(50, 4 * n), PHASE_RUN_FORMATION)
     assert got.tolist() == block_of(0, 4 * n)    # a later write leaves it be
     assert cl.peek_blocks(*on(0, lbs)).tolist() == block_of(50, 4 * n)
+
+
+def test_a_read_into_out_fills_and_returns_it():
+    """A read into the caller's ``out`` returns ``out`` itself, writeable,
+    holding the bytes a read without it returns, and charges the same."""
+    cl = build(P=2, D=2, B=4)
+    lbs = cl.alloc_blocks(1, 3)
+    cl.write_blocks(*on(1, lbs), block_of(10, 12), PHASE_RUN_FORMATION)
+    args = (*on(1, lbs[[2, 0, 1]]), PHASE_RUN_FORMATION)
+    got = {}
+    without = charges(cl, lambda: got.update(fresh=cl.read_blocks(*args)))
+    out = elements(block_of(90, 12))
+    with_out = charges(cl, lambda: got.update(out=cl.read_blocks(*args, out)))
+    assert got["out"] is out and out.flags.writeable
+    assert out.tobytes() == got["fresh"].tobytes()
+    assert with_out == without != []
+
+
+BAD_OUT = {
+    "one element short": lambda: np.empty(11, ELEM),
+    "one element too many": lambda: np.empty(13, ELEM),
+    "rows of the right length": lambda: np.empty((3, 4), ELEM),
+    "16-byte words of another dtype": lambda: np.empty(12, np.complex128),
+    "a strided column": lambda: np.empty(24, ELEM)[::2],
+    "a read-only column": lambda: np.frombuffer(bytes(12 * 16), ELEM),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUT))
+def test_a_read_into_a_bad_out_is_refused(case):
+    """An ``out`` that is not a writeable C-contiguous element column of
+    the read's length is refused before any counter moves, and left as
+    it was."""
+    cl = build(P=2, D=2, B=4)
+    lbs = cl.alloc_blocks(1, 3)
+    cl.write_blocks(*on(1, lbs), block_of(10, 12), PHASE_RUN_FORMATION)
+    out = BAD_OUT[case]()
+    before, kept = store_state(cl), out.tobytes()
+    with pytest.raises(DiskError, match="read of 12 elements into"):
+        cl.read_blocks(*on(1, lbs), PHASE_RUN_FORMATION, out)
+    assert store_state(cl) == before
+    assert out.tobytes() == kept
 
 
 def test_alloc_blocks_stripes_round_robin():
