@@ -109,7 +109,8 @@ def sort_order(keys: np.ndarray, ties: np.ndarray, out=None,
     ``int64`` array of its shape.  The order is written into ``out`` and
     ``out`` returned; ``out`` and ``words``, the scratch of the packed
     words below, are ``int64`` columns of ``keys.size`` entries, fresh
-    ones when not given.
+    ones when not given.  The flat index is filled into ``out`` in place
+    (:func:`_fill_index`), so a given ``out`` needs no temporary as long.
 
     Rows whose keys already strictly increase need no sort.  Otherwise each
     element becomes one ``int64`` word (row, key − min, tie − min, flat
@@ -123,7 +124,7 @@ def sort_order(keys: np.ndarray, ties: np.ndarray, out=None,
     either, by ``lexsort`` on those elements alone.
     """
     size = keys.size
-    order = np.arange(size) if out is None else _fill_index(out)
+    order = _fill_index(np.empty(size, np.int64) if out is None else out)
     if rows_increase(keys):
         return order
     shift = (size - 1).bit_length()     # the flat index, in the low bits
@@ -160,15 +161,17 @@ def sort_order(keys: np.ndarray, ties: np.ndarray, out=None,
 
 
 def _fill_index(out: np.ndarray) -> np.ndarray:
-    """``out`` holding ``0, 1, ..., len(out) - 1``, written as the sums of
-    the multiples of ``step`` and ``0 .. step - 1``, ``step`` the largest
-    power of two up to ``2**12`` that divides the length: near the speed
-    of ``np.arange`` on long columns, with no temporary as long as
-    ``out``."""
+    """``out`` holding ``0, 1, ..., len(out) - 1``: its first ``2**12``
+    entries from ``np.arange``, then each filled prefix plus its length
+    written after it, about ``log2(len(out) / 2**12)`` adds with no
+    temporary longer than ``2**12``, whatever the length's factors."""
     size = len(out)
-    step = max(1, min(size & -size, 1 << 12))
-    np.add(np.arange(0, size, step)[:, None], np.arange(step),
-           out=out.reshape(-1, step))
+    k = min(size, 1 << 12)
+    out[:k] = np.arange(k)
+    while k < size:
+        c = min(k, size - k)
+        np.add(out[:c], k, out=out[k:k + c])
+        k += c
     return out
 
 

@@ -117,8 +117,8 @@ def window_buffers(P: int, wins) -> list[np.ndarray]:
             np.empty(size, np.int64)]
 
 
-def internal_parallel_sort(cluster, loads: np.ndarray, out=None,
-                           order=None) -> np.ndarray:
+def internal_parallel_sort(cluster, loads: np.ndarray, out: np.ndarray,
+                           order: np.ndarray) -> np.ndarray:
     """Sort a window of memory loads, each across the processors.
 
     ``loads`` holds one load per row, each the processors' equal unsorted
@@ -128,7 +128,7 @@ def internal_parallel_sort(cluster, loads: np.ndarray, out=None,
     rank splits of each row in the order (key, processor, serial).  The
     sorted rows are gathered into ``out``, an element column of
     ``loads.size`` entries, and ``order``, an ``int64`` column as long,
-    holds their order; each is fresh when not given.
+    holds their order (:func:`window_buffers` makes both).
 
     The rows are sorted once by (key, serial), and the chunks are slices
     of that order.  Only a group of equal keys that crosses a cut is
@@ -160,7 +160,7 @@ def internal_parallel_sort(cluster, loads: np.ndarray, out=None,
         return loads
     # The sort's scratch words lie in ``out``, dead before the gather.
     order = sort_order(loads["key"], loads["serial"], order,
-                       None if out is None else out.view(np.int64)[:total * w])
+                       out.view(np.int64)[:total * w])
     keys = loads["key"].reshape(-1)
     cuts = (np.arange(0, w * total, total)[:, None]
             + np.arange(share, total, share)).ravel()

@@ -25,9 +25,7 @@ from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
 from emsort.net import charge_volume, gather_splitters
 from emsort.redistribute import PlanError, Staged
-from emsort.runform import (
-    Run, internal_parallel_sort as array_internal_parallel_sort,
-)
+from emsort.runform import Run, internal_parallel_sort as array_internal_parallel_sort
 from emsort.selection import sampled_starts, select_all_ranks
 from emsort.striped import (
     COORDINATOR, _run_start_disk,
@@ -52,6 +50,16 @@ def formation_window(cfg: MachineConfig, loads: int | None):
     of ``cfg`` (``None`` keeps the default)."""
     size = runform.WINDOW if loads is None else loads * cfg.M
     return mock.patch.object(runform, "WINDOW", size)
+
+
+def sort_window(cluster: Cluster, loads: np.ndarray) -> np.ndarray:
+    """The array kernel ``internal_parallel_sort`` of the ``(w, P·share)``
+    window ``loads``, into buffers that :func:`runform.window_buffers`
+    makes for it, as run formation passes them."""
+    w, total = loads.shape
+    _, out, order = runform.window_buffers(
+        cluster.cfg.P, [(0, w, total // cluster.cfg.P)])
+    return array_internal_parallel_sort(cluster, loads, out, order)
 
 
 def on(pe: int, lbs):
@@ -471,7 +479,7 @@ def form_striped_runs(cluster, pe_blocks: list[list[int]]) -> list[ReferenceStri
             lbs = pe_blocks[p][offset // B:(offset + take) // B]
             loads.append(cluster.read_blocks(*on(p, lbs), PHASE_RUN_FORMATION))
             cluster.free_blocks(*on(p, lbs))
-        data = array_internal_parallel_sort(cluster, concat(loads)[None])[0]
+        data = sort_window(cluster, concat(loads)[None])[0]
         writer = _StripedWriter(cluster, _run_start_disk(cluster, 2, index),
                                 COORDINATOR, PHASE_RUN_FORMATION)
         for p, piece in enumerate(np.split(data, cfg.P)):

@@ -14,14 +14,14 @@ from emsort.core import (
     PHASE_RUN_FORMATION, READ, RECEIVED, SENT, WRITE, sort_order,
 )
 from emsort.harness import run_sort, verify_output
-from emsort.runform import (
-    Run, form_runs, internal_parallel_sort, run_layout, shuffle_block_ids,
-)
+from emsort.runform import Run, form_runs, run_layout, shuffle_block_ids
 from emsort.striped import form_striped_runs, striped_merge_pass
 from emsort.vdisk import Cluster
 
 import helpers
-from helpers import build, counter_state, elements, fill, input_elements, on
+from helpers import (
+    build, counter_state, elements, fill, input_elements, on, sort_window,
+)
 
 
 def read_run(cl, run: Run):
@@ -102,15 +102,15 @@ def test_internal_parallel_sort_chunks_are_exact_rank_splits():
     rng = random.Random(77)
     cl = build(P=3, D=1, B=4, m=40, N=120)
     load = [(rng.randrange(1000), i) for i in range(120)]
-    got = internal_parallel_sort(cl, elements(load)[None])
+    got = sort_window(cl, elements(load)[None])
     assert got.shape == (1, 120)
     flat = got[0].tolist()
     assert [e[0] for e in flat] == sorted(e[0] for e in flat)
     assert sorted(flat) == sorted(load)
     with pytest.raises(MemoryError):
-        internal_parallel_sort(cl, elements([(0, 0)] * 246).reshape(2, 123))
+        sort_window(cl, elements([(0, 0)] * 246).reshape(2, 123))
     with pytest.raises(ValueError):
-        internal_parallel_sort(cl, elements([(0, 0)] * 8).reshape(2, 4))
+        sort_window(cl, elements([(0, 0)] * 8).reshape(2, 4))
 
 
 @st.composite
@@ -181,7 +181,7 @@ def assert_sort_matches_the_reference_kernel(window):
     ref_cl, cl = build(P=P, D=1, B=1, m=32, N=0), build(P=P, D=1, B=1, m=32, N=0)
     expected = [helpers.internal_parallel_sort(ref_cl, load) for load in window]
     rows = elements([e for load in window for share in load for e in share])
-    got = internal_parallel_sort(cl, rows.reshape(len(window), -1))
+    got = sort_window(cl, rows.reshape(len(window), -1))
     assert [[chunk.tolist() for chunk in np.split(row, P)]
             for row in got] == expected
     assert counter_state(cl) == counter_state(ref_cl)
@@ -196,7 +196,7 @@ def test_internal_parallel_sort_returns_an_increasing_window_as_read():
                for p in range(P)] for row in keys]
     cl = build(P=P, D=1, B=1, m=32, N=0)
     rows = elements([e for load in window for share in load for e in share])
-    assert internal_parallel_sort(cl, rows.reshape(2, -1)).tolist() == \
+    assert sort_window(cl, rows.reshape(2, -1)).tolist() == \
         rows.reshape(2, -1).tolist()
     traffic = cl.counters.traffic[PHASE_RUN_FORMATION]
     assert traffic[SENT].sum() == traffic[RECEIVED].sum() == 0
@@ -234,7 +234,7 @@ def test_internal_parallel_sort_skips_the_passes_that_change_nothing(
         ref_cl, [share.tolist() for share in np.split(loads[0], 4)])
     monkeypatch.setattr(runform, "sort_order", counted("sort", sort_order))
     monkeypatch.setattr(np, "argsort", counted("argsort", np.argsort))
-    got = internal_parallel_sort(cl, loads)
+    got = sort_window(cl, loads)
     assert [chunk.tolist() for chunk in np.split(got[0], 4)] == expected
     assert counter_state(cl) == counter_state(ref_cl)
     assert (calls["sort"], calls["argsort"]) == (sorts, argsorts)

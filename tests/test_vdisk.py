@@ -549,6 +549,24 @@ def test_load_images_refuses_missing_and_partial_images(tmp_path):
         Cluster.load_images(str(tmp_path), cfg, 1)
 
 
+def test_load_images_refuses_a_slot_past_the_key_range(tmp_path):
+    """Without a smaller ``limit`` a slot must lie below ``2**63 / (P*D)``,
+    so that every block key ``(slot * D + d) * P + pe`` fits an ``int64``;
+    a last slot at that cap is refused naming the image and the cap."""
+    cfg = MachineConfig(P=2, D=2, B=4, m=32, N=64)
+    cl = Cluster(cfg)
+    cl.seed_blocks(*on(0, cl.alloc_blocks(0, 3)), block_of(0, 12))
+    cl.save_images(str(tmp_path), 1)
+    cap = 2**63 // 4
+    image = Path(tmp_path, "pe0_disk0.g1.bin")
+    image.write_bytes(image_bytes({0: encode_block(block_of(0, 4)),
+                                   cap: encode_block(block_of(8, 4))}))
+    with pytest.raises(DiskError, match=f"^{image}: slot 1 is {cap}; slots "
+                                        "must increase strictly from 0 up to "
+                                        f"below {cap}$"):
+        Cluster.load_images(str(tmp_path), cfg, 1)
+
+
 def test_output_layout_saves_and_loads_its_columns(tmp_path):
     """``layout.bin`` is the PE column, then the id column, as little-endian
     ``int64``; loading checks its size and its ids."""
