@@ -26,6 +26,11 @@ Element = tuple[int, int]
 #: The element record; every block is a read-only array of ``B`` of them.
 ELEM = np.dtype([("key", "<u8"), ("serial", "<i8")])
 
+#: An element as one raw 16-byte row.  numpy copies a row whole where it
+#: copies an element field by field, and moves an overlapping slice of
+#: rows left in place, where a slice of elements goes through a temporary.
+ROW = np.dtype((np.void, ELEM.itemsize))
+
 MAX_KEY = (1 << 64) - 1
 #: First component of a conceptual +infinity order key; compares above every
 #: element key including stored sentinels.
@@ -84,14 +89,6 @@ def sentinels(n: int) -> np.ndarray:
 def sentinel_mask(elems: np.ndarray) -> np.ndarray:
     """Which entries of an element array are sentinels."""
     return (elems["key"] == MAX_KEY) & (elems["serial"] == SENTINEL_SERIAL)
-
-
-def concat(parts) -> np.ndarray:
-    """The contiguous element arrays ``parts`` joined in order, as one
-    read-only array: a join of their buffers.  ``np.concatenate`` pays
-    several microseconds per structured array, which dominates at one call
-    per block."""
-    return np.frombuffer(b"".join(parts), ELEM)
 
 
 def rows_increase(keys: np.ndarray) -> bool:

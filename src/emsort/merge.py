@@ -8,7 +8,10 @@ buffered elements in the total order (key, run, position) and cut them at
 each batch's bound, the elements past the last cut staying buffered.
 Both free their input blocks and write their output blocks with
 ``free_and_write``, in one call each, charging the peak of the streaming
-merge those calls stand for.
+merge those calls stand for.  Both work in columns their caller makes
+once: the local merge reads every PE's blocks into one column and moves
+the pieces together inside it, and ``batch_merge`` sorts into the
+columns the striped pass hands it.
 
 Both merge by one array sort.  Concatenated in run order, and each run in
 position order, the elements sorted stably by key are in the total order;
@@ -21,12 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ELEM, PHASE_LOCAL_MERGE, sort_order
+from .core import ELEM, PHASE_LOCAL_MERGE, ROW, sort_order
 from .redistribute import Staged
 from .vdisk import OutputLayout
-
-#: An element as one raw 16-byte row.
-_ROW = np.dtype((np.void, ELEM.itemsize))
 
 
 def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
@@ -41,10 +41,12 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
     cfg = cluster.cfg
     B = cfg.B
     out_lbs: list[np.ndarray] = []
-    # Every PE reads into, joins into and sorts into the same two columns,
-    # sized by the most blocks a PE holds.
+    # Every PE reads into, and joins its pieces inside, one column sized by
+    # the most blocks a PE holds; a PE whose pieces need a sort gathers it
+    # into a second column, made for the first such PE.
     size = B * max((len(table.ids) for table in staged), default=0)
-    read, joined = np.empty(size, ELEM), np.empty(size, ELEM)
+    read, ordered = np.empty(size, ELEM), None
+    rows = read.view(ROW)
     for t, table in enumerate(staged):
         count = -(-(table.start + table.length) // B)
         n = int(table.length.sum())
@@ -52,28 +54,27 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
             raise RuntimeError(
                 f"output slice of PE {t} is {n} elements, not a block multiple")
         pe_in = np.full(len(table.ids), t)
-        data = cluster.read_blocks(pe_in, table.ids, PHASE_LOCAL_MERGE,
-                                   read[:len(table.ids) * B])
-        # Piece i is data[at[i]:end[i]]; in elems it starts shift[i] earlier.
+        cluster.read_blocks(pe_in, table.ids, PHASE_LOCAL_MERGE,
+                            read[:len(table.ids) * B])
+        # Piece i is read at at[i] and moves left to to[i], where the
+        # pieces before it end: it takes at least as many blocks as
+        # elements, so no move reaches a piece not moved yet.
         at = (np.cumsum(count) - count) * B + table.start
-        end = at + table.length
-        shift = at - (np.cumsum(table.length) - table.length)
-        elems = joined[:n]
-        # Joined as raw 16-byte rows: a structured copy goes field by field.
-        rows = data.view(_ROW)
-        np.concatenate([rows[:0]] + [rows[a:b] for a, b in zip(at.tolist(),
-                                                               end.tolist())],
-                       out=elems.view(_ROW))
+        to = np.cumsum(table.length) - table.length
+        for a, w, m in zip(at.tolist(), to.tolist(), table.length.tolist()):
+            if a != w:
+                rows[w:w + m] = rows[a:a + m]
+        elems = read[:n]
         # Each block's last element's index + 1 in elems.
         piece = np.repeat(np.arange(len(count)), count)
         ends = np.minimum(np.arange(B, (len(piece) + 1) * B, B),
-                          end[piece]) - shift[piece]
+                          (at + table.length)[piece]) - (at - to)[piece]
         # A block falls due before output block (rank of its last element
         # + 1) // B, the stream's step j writing output block j.  Sorted
         # pieces that each start at or above where the one before ends are
         # their own stable sort, each element's rank its index.
         keys = elems["key"]
-        heads = (at - shift)[table.length > 0][1:]
+        heads = to[table.length > 0][1:]
         if (keys[heads] >= keys[heads - 1]).all():
             due = ends // B
         else:
@@ -82,10 +83,17 @@ def local_multiway_merge(cluster, staged: list[Staged]) -> OutputLayout:
             # against 0.81 ms with distinct keys, and 0.10 ms against
             # 0.85 ms with 8 (numpy 2.4.6, 2 vCPUs).
             order = np.argsort(keys, kind="stable")
-            rank = np.empty(n, dtype=np.intp)
-            rank[order] = np.arange(n)
-            due = (rank[ends - 1] + 1) // B
-            elems = np.take(elems, order, out=read[:n], mode="clip")
+            # The ranks of the blocks' last elements, in rank order, and
+            # the block of each: every block holds an element of its
+            # piece, so the last elements ascend with the block.
+            last = np.zeros(n, bool)
+            last[ends - 1] = True
+            rank = np.flatnonzero(last[order])
+            due = np.empty(len(ends), np.int64)
+            due[np.searchsorted(ends - 1, order[rank])] = (rank + 1) // B
+            if ordered is None:
+                ordered = np.empty(size, ELEM)
+            elems = np.take(elems, order, out=ordered[:n], mode="clip")
         nb = n // B
         out_blocks = cluster.alloc_blocks(t, nb)
         free_and_write(cluster, pe_in, table.ids, due,
@@ -124,28 +132,31 @@ def free_and_write(cluster, pe_in, ids_in, due, pe, ids, step, elems,
     np.maximum(cluster.peak, top, out=cluster.peak)
 
 
-def batch_merge(elems: np.ndarray, tags: np.ndarray, bounds):
-    """Sort buffered elements in the total order (key, tag) and cut them at
-    each of ``bounds``.
+def batch_merge(elems: np.ndarray, tags: np.ndarray, bound_keys: np.ndarray,
+                bound_tags: np.ndarray, out: np.ndarray, out_tags: np.ndarray,
+                order: np.ndarray) -> np.ndarray:
+    """Sort buffered elements in the total order (key, tag) into ``out``,
+    their tags into ``out_tags``, and cut them at each bound.
 
     ``tags`` is an ``int64`` column that orders ties: the striped engine
     tags each element with its run over its position, so (key, tag) is the
-    order (key, run, position).  ``bounds`` are ascending (key, tag) pairs,
-    ``None`` standing for one past everything.  Returns the elements and
-    their tags in that order and, per bound, how many lie strictly below
-    it.
+    order (key, run, position).  The bounds are ascending (key, tag)
+    pairs, a ``uint64`` and an ``int64`` column.  ``out`` is an element
+    column as long as ``elems``, whose words are the sort's scratch, and
+    ``out_tags`` and ``order`` are ``int64`` columns as long; ``order``
+    is left holding the sort's order.  Returns, per bound, how many
+    elements lie strictly below it.
     """
-    order = sort_order(elems["key"], tags)
-    elems, tags = elems[order], tags[order]
-    keys = elems["key"]
-    cuts = np.array([len(keys) if b is None else _below(keys, tags, *b)
-                     for b in bounds], np.int64)
-    return elems, tags, cuts
-
-
-def _below(keys: np.ndarray, tags: np.ndarray, key: int, tag: int) -> int:
-    """How many of the sorted pairs (keys, tags) lie below (key, tag): every
-    smaller key, then those ties whose tag precedes ``tag``."""
-    lo = int(keys.searchsorted(np.uint64(key), "left"))
-    hi = int(keys.searchsorted(np.uint64(key), "right"))
-    return lo + int(tags[lo:hi].searchsorted(tag))
+    order = sort_order(elems["key"], tags, order,
+                       out.view(np.int64)[:len(out)])
+    # ``clip`` never clips the order, and writes straight into the columns.
+    np.take(elems, order, out=out, mode="clip")
+    np.take(tags, order, out=out_tags, mode="clip")
+    keys = out["key"]
+    cuts = keys.searchsorted(bound_keys, "left")
+    ends = keys.searchsorted(bound_keys, "right")
+    # Only a bound whose key the buffer holds cuts its ties, by tag.
+    for b in np.flatnonzero(ends > cuts).tolist():
+        lo = int(cuts[b])
+        cuts[b] = lo + int(out_tags[lo:ends[b]].searchsorted(bound_tags[b]))
+    return cuts

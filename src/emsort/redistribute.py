@@ -14,7 +14,11 @@ fit in memory next to one working block.  Each round reads all its pieces'
 blocks in one call, charges its (P, P) volume matrix, and writes every
 arriving piece straight to fresh blocks in one call — only a flow's final
 block can be ragged, and it is sentinel-padded — so nothing is buffered
-across rounds and the padding is at most one block per flow.  Pieces
+across rounds and the padding is at most one block per flow.  Every round
+is read into one element column, sized by the largest round, and laid
+out for its write in place: each piece moves left to where its write
+starts and its ragged tail is padded, so no round joins its pieces into
+a second array.  Pieces
 already on their destination stay in place, so a fully canonical input
 incurs zero I/O and zero communication here.  What each PE then holds is
 one table of its pieces' blocks, in (run, position) order.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHASE_ALL_TO_ALL, PHASE_SELECTION, concat, sentinels
+from .core import ELEM, PHASE_ALL_TO_ALL, PHASE_SELECTION, ROW, sentinels
 from .net import charge_volume, gather_splitters
 from .runform import Run
 from .selection import DiskAccessor, select_all_ranks
@@ -237,13 +241,19 @@ def external_all_to_all(cluster, runs: list[Run],
                                   for t, n in enumerate(totals.tolist()) if n])
 
     peak = np.zeros(P, np.int64)
-    pad = sentinels(B)
+    pad = sentinels(1).view(ROW)[0]
     cuts = np.searchsorted(rnd, np.arange(k + 1)).tolist()
+    # Every round reads into, and is laid out for its write in, one column
+    # sized by the largest round's reads.
+    size = B * max((int(nread[a:b].sum()) for a, b in zip(cuts, cuts[1:])),
+                   default=0)
+    buffer = np.empty(size, ELEM)
+    rows = buffer.view(ROW)
     for r in range(k):
         i = slice(cuts[r], cuts[r + 1])
-        data = cluster.read_blocks(np.repeat(src[i], nread[i]),
-                                   ids[_ranges(src_first[i], nread[i])],
-                                   PHASE_ALL_TO_ALL)
+        cluster.read_blocks(np.repeat(src[i], nread[i]),
+                            ids[_ranges(src_first[i], nread[i])],
+                            PHASE_ALL_TO_ALL, buffer[:int(nread[i].sum()) * B])
         volume = np.zeros((P, P), np.int64)
         np.add.at(volume, (src[i], dest[i]), length[i])
         charge_volume(cluster, volume, PHASE_ALL_TO_ALL)
@@ -254,14 +264,21 @@ def external_all_to_all(cluster, runs: list[Run],
             t = int((footprint > cfg.m).argmax())
             raise PlanError(f"round {r} footprint {footprint[t]} exceeds "
                             f"m={cfg.m} on PE {t}")
+        # Each piece moves left from where it was read to where its write
+        # starts, and its ragged tail is padded.  A piece takes no more
+        # blocks written than read, so no move or padding reaches a piece
+        # not moved yet; an overlapping move of raw rows copies forward,
+        # with no temporary.
         at = (np.cumsum(nread[i]) - nread[i]) * B + start[i]
-        parts = []
-        for a, n in zip(at.tolist(), length[i].tolist()):
-            parts += (data[a:a + n], pad[:-n % B])
+        to = (np.cumsum(nwrite[i]) - nwrite[i]) * B
+        for a, w, n in zip(at.tolist(), to.tolist(), length[i].tolist()):
+            if a != w:
+                rows[w:w + n] = rows[a:a + n]
+            rows[w + n:w - (-n // B) * B] = pad
         cluster.write_blocks(np.repeat(dest[i], nwrite[i]),
-                             ids[_ranges(slot[i], nwrite[i])], concat(parts),
+                             ids[_ranges(slot[i], nwrite[i])],
+                             buffer[:int(nwrite[i].sum()) * B],
                              PHASE_ALL_TO_ALL)
-        del data, parts     # before the next round reads
 
     # Every flow ships whole, so the flows read and write v_moved elements
     # besides the partial blocks and the padding.

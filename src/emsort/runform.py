@@ -108,11 +108,12 @@ def window_blocks(cfg: MachineConfig, ids: np.ndarray, first: int, w: int,
             np.ascontiguousarray(lbs.swapaxes(0, 1)))
 
 
-def window_buffers(P: int, wins) -> list[np.ndarray]:
+def window_buffers(P: int, wins, size: int = 0) -> list[np.ndarray]:
     """Columns for the largest of the windows ``wins`` (as :func:`windows`
-    gives them) on ``P`` processors, which every window reuses through
-    its prefixes: the elements as read and as sorted, and their order."""
-    size = max((P * w * share for _, w, share in wins), default=0)
+    gives them) on ``P`` processors, and at least ``size`` long, which
+    every window reuses through its prefixes: the elements as read and as
+    sorted, and their order."""
+    size = max([size] + [P * w * share for _, w, share in wins])
     return [np.empty(size, ELEM), np.empty(size, ELEM),
             np.empty(size, np.int64)]
 

@@ -21,7 +21,11 @@ check is made for every batch.  The window's blocks are freed, and its
 full output blocks written on a slice of the output stripe's columns,
 with one call each, and each PE's peak block count is that of the
 batch-by-batch stream.  The coordinator's traffic is charged per PE for
-the whole pass.  Run formation takes its memory loads in
+the whole pass.  A window is read into an element column behind the
+leftovers of the window before, which move to the front of the columns
+once the window's output is written; ``striped_sort`` makes these
+columns once (:func:`merge_buffers`), and run formation's windows use
+them too.  Run formation takes its memory loads in
 windows as well (``runform.windows``): a window is read with one call,
 sorted with one ``internal_parallel_sort``, given its stripes with one
 ``alloc_stripe`` call, and freed and written as the load-by-load stream
@@ -34,10 +38,9 @@ from array import array
 import numpy as np
 
 from .core import (
-    ELEM,
     PHASE_RUN_FORMATION,
     PHASE_STRIPED_MERGE,
-    concat,
+    ROW,
     derive_seed,
     sort_order,
 )
@@ -66,7 +69,8 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
     return derive_seed(cluster.cfg.seed, salt, index) % cluster.cfg.total_disks
 
 
-def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[Run]:
+def form_striped_runs(cluster, pe_blocks: PeBlocks,
+                      buffers=None) -> list[Run]:
     """Sort memory-sized chunks of the input into striped runs.
 
     Each run is one memory load: PE p reads share p of it, and the load
@@ -75,14 +79,17 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks) -> list[Run]:
     read with one call, sorted with one ``internal_parallel_sort``, given
     its stripes by one ``alloc_stripe`` and freed and written by
     ``free_and_write`` as the load-by-load stream would leave each PE's
-    blocks.  Costs 2N element I/O plus the internal sort's communication.
+    blocks.  ``buffers`` are ``runform.window_buffers`` columns long
+    enough for every window, made here when not given.  Costs 2N element
+    I/O plus the internal sort's communication.
     """
     cfg = cluster.cfg
     P, B = cfg.P, cfg.B
     ids = np.array(pe_blocks, np.int64)             # [pe, input block]
     runs: list[Run] = []
     wins = windows(cfg)
-    buffers = window_buffers(P, wins)
+    if buffers is None:
+        buffers = window_buffers(P, wins)
     for first, w, share in wins:
         length = P * share
         read, out, order = (c[:w * length] for c in buffers)
@@ -226,8 +233,27 @@ def naive_steps(disks: list[int], W: int) -> int:
     return steps
 
 
-def striped_merge_pass(cluster, runs: list[Run],
-                       start_disk: int) -> Run:
+def _window_blocks(cfg) -> int:
+    """Blocks in a merge pass's window: the most whole batches of M/(2B)
+    blocks that hold at most ``WINDOW`` elements, and at least one."""
+    batch = max(1, cfg.M // (2 * cfg.B))
+    return max(1, WINDOW // (batch * cfg.B)) * batch
+
+
+def merge_buffers(cfg, runs: int, blocks: int, wins=()) -> list[np.ndarray]:
+    """Columns for every window of merge passes over at most ``runs`` runs
+    and ``blocks`` blocks: the elements as read and as sorted, their
+    order, and their tags as read and as sorted.  A window is read behind
+    the leftovers of the one before, at most a block per run and a block
+    short of full output.  The first three are ``runform.window_buffers``
+    long enough for run formation's windows ``wins`` too."""
+    read, out, order = window_buffers(
+        cfg.P, wins, cfg.B * (min(_window_blocks(cfg), blocks) + runs + 1))
+    return [read, out, order, np.empty_like(order), np.empty_like(order)]
+
+
+def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
+                       buffers=None) -> Run:
     """Merge up to ``merge_arity`` striped runs into one striped run.
 
     The coordinator fetches blocks per the prefetch schedule (remote reads
@@ -241,7 +267,8 @@ def striped_merge_pass(cluster, runs: list[Run],
     each PE the peak of the batch-by-batch stream.  The traffic is
     charged per PE from the whole pass.  The pass costs one read and one
     write per element; its I/O steps are the schedule length plus the
-    output's round-robin step count.
+    output's round-robin step count.  ``buffers`` are the columns of
+    :func:`merge_buffers`, made for this pass alone when not given.
     """
     cfg = cluster.cfg
     B, D_total = cfg.B, cfg.total_disks
@@ -266,34 +293,40 @@ def striped_merge_pass(cluster, runs: list[Run],
     heads = (run_of << shift) + pos * B
     L = len(at)
     batch_blocks = max(1, cfg.M // (2 * B))
-    window = max(1, WINDOW // (batch_blocks * B)) * batch_blocks
+    window = _window_blocks(cfg)
+    if buffers is None:
+        buffers = merge_buffers(cfg, R, L)
+    elems, merged, order, tags, merged_tags = buffers
     lanes = np.arange(B)
 
     length = sum(run.length for run in runs)
     out_pes, out_lbs = cluster.alloc_stripe(start_disk, length // B)
     minima = np.empty(len(out_lbs), np.uint64)
     written = 0
-    # ``pending`` holds the merged elements short of a full block (its
-    # first ``tail``), which precede every later element, then those not
-    # merged yet; ``tags`` are theirs.
-    pending, tags, tail = np.empty(0, ELEM), np.empty(0, np.int64), 0
+    # The first ``rest`` of ``elems`` and ``tags`` are the merged elements
+    # short of a full block (the first ``tail``), which precede every later
+    # element, then those not merged yet; each window is read behind them.
+    rest = tail = 0
     held = np.zeros(R, np.int64)    # each run's elements fetched, not merged
     for lo in range(0, L, window):
         hi = min(lo + window, L)
+        n = rest + (hi - lo) * B
+        cluster.read_blocks(pes[lo:hi], lbs[lo:hi], PHASE_STRIPED_MERGE,
+                            elems[rest:n])
+        np.add(heads[lo:hi, None], lanes, out=tags[rest:n].reshape(-1, B))
         batch = np.arange(hi - lo) // batch_blocks
         nb = int(batch[-1]) + 1
-        bounds = [(int(keys[b]), int(heads[b])) if b < L else None
-                  for b in range(lo + batch_blocks, hi + batch_blocks,
-                                 batch_blocks)]
-        tags = np.concatenate((tags, (heads[lo:hi, None] + lanes).ravel()))
-        merged, tags, cuts = batch_merge(
-            concat([pending, cluster.read_blocks(pes[lo:hi], lbs[lo:hi],
-                                                 PHASE_STRIPED_MERGE)]),
-            tags, bounds)
+        # The pass's last batch has no bound: it drains everything.
+        bound = np.arange(lo + batch_blocks, hi + batch_blocks, batch_blocks)
+        bound = bound[bound < L]
+        cuts = batch_merge(elems[:n], tags[:n], keys[bound], heads[bound],
+                           merged[:n], merged_tags[:n], order[:n])
+        if len(cuts) < nb:
+            cuts = np.append(cuts, n)
         out = int(cuts[-1])
         # Each run's leftover after each batch: what it fetched less what
         # it merged, the batch of a merged element found from the cuts.
-        merged_in = tags[tail:out] >> shift
+        merged_in = merged_tags[tail:out] >> shift
         merged_in += np.repeat(np.arange(0, nb * R, R),
                                np.diff(cuts, prepend=tail))
         left = held + (B * np.bincount(batch * R + run_of[lo:hi],
@@ -314,8 +347,10 @@ def striped_merge_pass(cluster, runs: list[Run],
         minima[written:written + full] = merged["key"][:full * B:B]
         written += full
         tail = out - full * B
-        # Copied, so that the window's arrays are dropped.
-        pending, tags = merged[full * B:].copy(), tags[full * B:].copy()
+        # What is left moves to the front of the columns, as raw rows.
+        rest = n - full * B
+        elems.view(ROW)[:rest] = merged.view(ROW)[full * B:n]
+        tags[:rest] = merged_tags[full * B:n]
     if tail:
         raise RuntimeError(f"striped run length {written * B + tail} "
                            "is not a block multiple")
@@ -333,11 +368,16 @@ def striped_sort(cluster, pe_blocks: PeBlocks):
     time until one remains; a leftover group of one run is carried into
     the next pass unchanged.
     """
-    runs = form_striped_runs(cluster, pe_blocks)
+    cfg = cluster.cfg
+    # One set of columns for every window of run formation and of the
+    # merge passes.
+    buffers = merge_buffers(cfg, min(cfg.R, cfg.merge_arity), cfg.N // cfg.B,
+                            windows(cfg))
+    runs = form_striped_runs(cluster, pe_blocks, buffers[:3])
     if not runs:                # an empty input forms no run
         empty = np.empty(0, np.int64)
         return Run(0, empty, empty, np.empty(0, np.uint64)), 0
-    arity = cluster.cfg.merge_arity
+    arity = cfg.merge_arity
     passes = 0
     while len(runs) > 1:
         merged: list[Run] = []
@@ -347,7 +387,7 @@ def striped_sort(cluster, pe_blocks: PeBlocks):
                 merged.append(group[0])
                 continue
             start = _run_start_disk(cluster, 3, passes * len(runs) + g0)
-            merged.append(striped_merge_pass(cluster, group, start))
+            merged.append(striped_merge_pass(cluster, group, start, buffers))
         runs = merged
         passes += 1
     return runs[0], passes

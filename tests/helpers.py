@@ -15,11 +15,10 @@ from unittest import mock
 
 import numpy as np
 
-from emsort import runform
+from emsort import runform, striped
 from emsort.core import (
     ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
-    PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, concat,
-    sentinel_mask,
+    PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
@@ -52,6 +51,15 @@ def formation_window(cfg: MachineConfig, loads: int | None):
     return mock.patch.object(runform, "WINDOW", size)
 
 
+def windowed(cfg: MachineConfig, batches: int | None):
+    """A patch of the striped merge pass's window to ``batches`` whole
+    batches of ``cfg`` (``None`` keeps the default), and the batches it
+    then holds."""
+    batch = max(1, cfg.M // (2 * cfg.B)) * cfg.B
+    size = striped.WINDOW if batches is None else batches * batch
+    return mock.patch.object(striped, "WINDOW", size), max(1, size // batch)
+
+
 def sort_window(cluster: Cluster, loads: np.ndarray) -> np.ndarray:
     """The array kernel ``internal_parallel_sort`` of the ``(w, P·share)``
     window ``loads``, into buffers that :func:`runform.window_buffers`
@@ -60,6 +68,30 @@ def sort_window(cluster: Cluster, loads: np.ndarray) -> np.ndarray:
     _, out, order = runform.window_buffers(
         cluster.cfg.P, [(0, w, total // cluster.cfg.P)])
     return array_internal_parallel_sort(cluster, loads, out, order)
+
+
+def concat(parts) -> np.ndarray:
+    """The contiguous element arrays ``parts`` joined in order, as one
+    read-only array: a join of their buffers.  ``np.concatenate`` pays
+    several microseconds per structured array, which dominates at one call
+    per block."""
+    return np.frombuffer(b"".join(parts), ELEM)
+
+
+def merge_window(elems: np.ndarray, tags: np.ndarray, bounds):
+    """The array kernel ``batch_merge`` of a buffer and its ``int64`` tags
+    cut at ``bounds``, ascending (key, tag) pairs of which the last may be
+    ``None`` for one past everything, into fresh columns: the elements
+    and their tags in (key, tag) order, and per bound how many lie
+    strictly below it."""
+    n = len(elems)
+    out, out_tags = np.empty(n, ELEM), np.empty(n, np.int64)
+    inner = [b for b in bounds if b is not None]
+    cuts = array_batch_merge(
+        elems, tags, np.array([k for k, _ in inner], np.uint64),
+        np.array([t for _, t in inner], np.int64), out, out_tags,
+        np.empty(n, np.int64))
+    return out, out_tags, np.append(cuts, np.full(len(bounds) - len(inner), n))
 
 
 def on(pe: int, lbs):
@@ -652,12 +684,12 @@ def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
             charge_move(cluster, phase, src, dst, B * blocks)
 
 
-def per_batch_striped_merge_pass(cluster, runs: list[Run],
-                                 start_disk: int) -> Run:
+def per_batch_striped_merge_pass(cluster, runs: list[Run], start_disk: int,
+                                 buffers=None) -> Run:
     """Merge striped runs into one, finding each batch's blocks per PE with
     a mask over the batch and charging the coordinator's traffic per PE per
     batch: one read, free and write call per PE per batch of M/(2B)
-    blocks."""
+    blocks.  ``buffers``, the array pass's columns, is not used."""
     cfg = cluster.cfg
     P, B, D_total = cfg.P, cfg.B, cfg.total_disks
     if len(runs) > cfg.merge_arity:
@@ -696,7 +728,7 @@ def per_batch_striped_merge_pass(cluster, runs: list[Run],
                             B * len(ids))
             cluster.free_blocks(*on(pe, ids))
         bound = (int(keys[hi]), int(at[hi]) * B) if hi < L else None
-        merged, tags, cuts = array_batch_merge(
+        merged, tags, cuts = merge_window(
             concat(parts), np.concatenate(part_tags), [bound])
         n = int(cuts[0])
         out, pending, tags = merged[:n], merged[n:], tags[n:]

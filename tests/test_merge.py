@@ -10,16 +10,16 @@ from hypothesis import given, strategies as st
 
 from emsort.core import (
     DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, READ, WRITE,
-    concat, sentinel,
+    sentinel,
 )
-from emsort.merge import batch_merge, free_and_write, local_multiway_merge
+from emsort.merge import free_and_write, local_multiway_merge
 from emsort.redistribute import Staged, compute_splitters, external_all_to_all
 from emsort.runform import form_runs
 
 import helpers
 from helpers import (
-    addresses, build, counter_state, elements, fill, input_elements,
-    live_blocks, on, oracle_agrees, output_elements,
+    addresses, build, concat, counter_state, elements, fill, input_elements,
+    live_blocks, merge_window, on, oracle_agrees, output_elements,
 )
 
 #: Elements with keys 0..3 (heavy ties) or a sentinel.
@@ -66,8 +66,8 @@ def merge_buffers(buffers, offsets, bound=None, rng=None):
     ``offsets``, the buffer shuffled by ``rng`` if given.  Returns the
     merged prefix below ``bound`` (key, run, position) and what stays of
     each buffer."""
-    merged, tags, cuts = batch_merge(*tag_buffers(buffers, offsets, rng),
-                                     [order_key(bound)])
+    merged, tags, cuts = merge_window(*tag_buffers(buffers, offsets, rng),
+                                      [order_key(bound)])
     n = int(cuts[0])
     return merged[:n].tolist(), [merged[n:][tags[n:] // RUN_TAG == j].tolist()
                                  for j in range(len(buffers))]
@@ -137,8 +137,8 @@ def test_batch_merge_matches_the_reference_kernel(drawn, rng):
     order."""
     buffers, offsets, bounds = drawn
     elems, tags = tag_buffers([elements(buf) for buf in buffers], offsets, rng)
-    merged, merged_tags, cuts = batch_merge(elems, tags,
-                                            [order_key(b) for b in bounds])
+    merged, merged_tags, cuts = merge_window(elems, tags,
+                                             [order_key(b) for b in bounds])
     assert len(cuts) == len(bounds)
     assert list(zip(merged["key"].tolist(), merged_tags.tolist())) == \
         sorted(zip(elems["key"].tolist(), tags.tolist()))

@@ -112,9 +112,9 @@ def test_striped_control_traffic_has_closed_forms():
     P = cl.cfg.P
     passes = []
 
-    def recorded(cluster, runs, start_disk):
+    def recorded(cluster, runs, start_disk, buffers):
         before = control(cluster, PHASE_STRIPED_MERGE)
-        out = merge_pass(cluster, runs, start_disk)
+        out = merge_pass(cluster, runs, start_disk, buffers)
         on_pe = np.bincount(np.concatenate([run.pes for run in runs]),
                             minlength=P)
         passes.append((np.subtract(control(cluster, PHASE_STRIPED_MERGE),

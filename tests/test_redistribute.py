@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emsort.core import (
-    CONTROL, DATA_PHASES, MachineConfig, PHASE_ALL_TO_ALL, PHASE_SELECTION,
-    READ, SENT, WRITE, validate_config,
+    CONTROL, DATA_PHASES, ELEM, MachineConfig, PHASE_ALL_TO_ALL,
+    PHASE_SELECTION, READ, SENT, WRITE, sentinel_mask, validate_config,
 )
 from emsort.harness import InputSpec, generate_input, report_stats, run_sort, verify_output
 from emsort.merge import local_multiway_merge
@@ -296,6 +297,82 @@ def test_exchange_delivers_exact_slices():
         for a, n in zip(at.tolist(), table.length.tolist()):
             staged_elems.extend(data[a:a + n].tolist())
     assert sorted(staged_elems) == inputs
+
+
+@st.composite
+def exchange_configs(draw):
+    """A small canonical config, ``R·B ≤ m`` and ``P·B ≤ m``, and an
+    input kind: random, duplicate-heavy or shifted input, with the shuffle
+    on or off, whose rank cuts fall anywhere in a block."""
+    P, B = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    per = draw(st.integers(P, 3 * P))                   # m / B
+    cfg = MachineConfig(P=P, D=draw(st.integers(1, 2)), B=B, m=per * B,
+                        N=P * B * draw(st.integers(1, per * per)),
+                        seed=draw(st.integers(0, 1 << 16)),
+                        randomize=draw(st.booleans()))
+    assert validate_config(cfg, "canonical") == []
+    return cfg, draw(st.sampled_from(
+        ["random", "duplicate_heavy", "worst_case_shift"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_configs())
+# A round whose first piece is block-aligned, written where it was read,
+# and whose second starts mid-block and so moves left.
+@example((MachineConfig(P=3, D=1, B=2, m=6, N=24, seed=1), "duplicate_heavy"))
+def test_exchange_lays_out_each_piece_and_its_padding(drawn):
+    """Every staged piece holds its run's elements ``[lo, hi)`` from its
+    start, and every slot after an arrived piece in its last block is a
+    sentinel: each round's pieces are moved into place, and padded, in
+    the column they were read into."""
+    cfg, kind = drawn
+    cl = Cluster(cfg)
+    runs = form_runs(cl, generate_input(cl, InputSpec(kind, cfg.N,
+                                                      cfg.seed)).pe_blocks)
+    held = [cl.peek_blocks(run.pes, run.lbs) for run in runs]
+    before = {(pe, lb) for run in runs
+              for pe, lb in zip(run.pes.tolist(), run.lbs.tolist())}
+    redist = external_all_to_all(cl, runs, compute_splitters(cl, runs))
+    B = cfg.B
+    for pe, table in enumerate(redist.staged):
+        data = cl.peek_blocks(*on(pe, table.ids))
+        count = -(-(table.start + table.length) // B)
+        first = np.cumsum(count) - count
+        for g, j, lo, a, n, c in zip(first.tolist(), table.run.tolist(),
+                                     table.pos.tolist(), table.start.tolist(),
+                                     table.length.tolist(), count.tolist()):
+            at = g * B + a
+            assert data[at:at + n].tolist() == held[j][lo:lo + n].tolist()
+            if (pe, int(table.ids[g])) not in before:       # it arrived
+                assert a == 0
+                assert sentinel_mask(data[at + n:(g + c) * B]).all()
+
+
+def test_exchange_allocates_one_round_buffer():
+    """On the ``canonical_shift`` config the all-to-all's traced peak is
+    below twice its largest round's bytes: its rounds share one column,
+    and no round joins its pieces into a second one."""
+    cfg = MachineConfig(**PLANNED[0][0], randomize=False)
+    cl = Cluster(cfg)
+    gen = generate_input(cl, InputSpec("worst_case_shift", cfg.N, cfg.seed))
+    runs = form_runs(cl, gen.pe_blocks)
+    matrix = compute_splitters(cl, runs)
+    rounds = []
+    read = cl.read_blocks
+
+    def recorded(pe, lbs, phase, out=None):
+        rounds.append(len(lbs) * cfg.B * ELEM.itemsize)
+        return read(pe, lbs, phase, out)
+
+    cl.read_blocks = recorded
+    tracemalloc.start()
+    try:
+        redist = external_all_to_all(cl, runs, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert redist.k == len(rounds) == 3
+    assert peak < 2 * max(rounds), (peak, rounds)
 
 
 def test_exchange_and_merge_make_one_block_call_per_round_and_pe():

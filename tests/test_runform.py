@@ -10,8 +10,9 @@ from hypothesis import example, given, strategies as st
 
 from emsort import runform
 from emsort.core import (
-    CONTROL, DATA_PHASES, MAX_KEY, MachineConfig, PHASE_LOCAL_MERGE,
-    PHASE_RUN_FORMATION, READ, RECEIVED, SENT, WRITE, sort_order,
+    CONTROL, DATA_PHASES, MAX_KEY, MachineConfig, PHASE_ALL_TO_ALL,
+    PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION, PHASE_STRIPED_MERGE, READ,
+    RECEIVED, SENT, WRITE, sort_order,
 )
 from emsort.harness import run_sort, verify_output
 from emsort.runform import Run, form_runs, run_layout, shuffle_block_ids
@@ -259,13 +260,14 @@ def test_internal_parallel_sort_sorts_the_load_once(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["canonical", "striped"])
-def test_formation_and_the_local_merge_each_read_into_one_buffer(engine):
-    """Run formation reads its four windows of loads, and the local merge
-    every PE's staged blocks, each into one buffer that the call
-    allocates once and every window or PE reuses; the sort still
-    verifies."""
-    cl = build(P=4, D=2, B=4, m=32, N=4 * 176, seed=8)    # R = 6
-    gen = fill(cl, "random", 8)
+def test_every_phase_reads_into_one_buffer(engine):
+    """Run formation reads its four windows of loads, the all-to-all its
+    rounds, the local merge every PE's staged blocks and the striped merge
+    its windows of one batch, each into one buffer that the call allocates
+    once and every window, round or PE reuses; the striped merge reads
+    into the columns formation read into.  The sort still verifies."""
+    cl = build(P=4, D=2, B=4, m=32, N=4 * 176, seed=8, randomize=False)
+    gen = fill(cl, "worst_case_shift", 8)                   # R = 6
     outs: dict[int, list] = {}
     read = cl.read_blocks
 
@@ -274,10 +276,18 @@ def test_formation_and_the_local_merge_each_read_into_one_buffer(engine):
         return read(pe, lbs, phase, out)
 
     cl.read_blocks = recorded
-    with helpers.formation_window(cl.cfg, 2):       # loads 0-1, 2-3, 4, 5
+    batches, _per_window = helpers.windowed(cl.cfg, 1)      # 11 windows
+    # Formation windows of loads 0-1, 2-3, 4 and 5.
+    with helpers.formation_window(cl.cfg, 2), batches:
         result = run_sort(cl, gen.pe_blocks, engine)
     assert verify_output(cl, result.layout, gen.count, gen.total).ok
-    phases = [PHASE_RUN_FORMATION] + [PHASE_LOCAL_MERGE] * (engine == "canonical")
+    if engine == "canonical":
+        assert result.k_rounds >= 3
+        phases = [PHASE_RUN_FORMATION, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE]
+    else:
+        phases = [PHASE_RUN_FORMATION, PHASE_STRIPED_MERGE]
+        assert np.shares_memory(outs[PHASE_STRIPED_MERGE][0],
+                                outs[PHASE_RUN_FORMATION][0])
     for phase in phases:
         first, *rest = outs[phase]
         assert len(rest) >= 3

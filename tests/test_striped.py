@@ -27,6 +27,7 @@ from emsort.vdisk import Cluster, OutputLayout
 import helpers
 from helpers import (
     addresses, build, fill, input_elements, is_allocated, on, oracle_agrees,
+    windowed,
 )
 
 
@@ -259,14 +260,6 @@ def counting(cl):
             return _method(*args, **kwargs)
         setattr(cl, name, counted)
     return calls
-
-
-def windowed(cfg: MachineConfig, batches: int | None):
-    """A patch of the merge pass's window to ``batches`` whole batches of
-    ``cfg`` (``None`` keeps the default), and the batches it then holds."""
-    batch = max(1, cfg.M // (2 * cfg.B)) * cfg.B
-    size = striped.WINDOW if batches is None else batches * batch
-    return mock.patch.object(striped, "WINDOW", size), max(1, size // batch)
 
 
 @pytest.mark.parametrize("batches", [1, 3, None])
