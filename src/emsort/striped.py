@@ -292,6 +292,8 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     shift = max(run.length for run in runs).bit_length()
     heads = (run_of << shift) + pos * B
     L = len(at)
+    # Dropped before the windows, which reuse their memory.
+    del at, disks, pos
     batch_blocks = max(1, cfg.M // (2 * B))
     window = _window_blocks(cfg)
     if buffers is None:
