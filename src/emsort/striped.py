@@ -4,12 +4,12 @@ Runs are stored round-robin across all P*D disks of the cluster, each
 reserved as one stripe and held as a :class:`~emsort.runform.Run`, the
 type the canonical engine's runs have too.  A merge pass is driven by the prediction sequence
 — the block minima in sorted order, which is exactly the order the merger
-will exhaust blocks — and by a prefetch schedule derived from it:
-scheduling fetches is the time reversal of scheduling buffered writes, so
-we simulate a greedy write buffer over the reversed sequence and flip the
-step numbers.  Merging itself proceeds in batches of M/(2B) blocks, each
-bounded by the smallest key of the next unfetched block, which caps
-buffered leftovers at one block per run.  The prediction sequence fixes
+will exhaust blocks — and by a prefetch schedule derived from it
+(``schedule.prefetch_schedule``): scheduling fetches is the time reversal
+of scheduling buffered writes.  Merging itself proceeds in batches of
+M/(2B) blocks, each bounded by the smallest key of the next unfetched
+block, which caps buffered leftovers at one block per run.  The
+prediction sequence fixes
 every batch in advance, so the host moves them in windows of whole
 batches holding at most ``runform.WINDOW`` = 2**14 fetched elements, the
 bound of run formation's windows too: a window is a slice of the pass's
@@ -33,8 +33,6 @@ would.
 """
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 from .core import (
@@ -50,6 +48,7 @@ from .runform import (
     WINDOW, PeBlocks, Run, internal_parallel_sort, window_blocks,
     window_buffers, windows,
 )
+from .schedule import prefetch_schedule, verify_schedule
 
 COORDINATOR = 0
 
@@ -142,97 +141,6 @@ def build_prediction_sequence(cluster, runs: list[Run]):
     return minima[order], run_of[order], pos[order]
 
 
-def prefetch_schedule(disks: list[int], W: int, D_total: int) -> np.ndarray:
-    """Assign a fetch step to each block of a prediction sequence.
-
-    ``disks[i]`` is the disk of the i-th block in consumption order; the
-    returned ``int64`` column holds each block's 0-based fetch step.  At
-    most one block is fetched per disk per step and at most W fetched
-    blocks are ever unconsumed.  The schedule is the time reversal of a
-    greedy buffered write of the reversed sequence: requests enter a
-    W-slot buffer in order, and each step retires one block from every
-    disk with a pending request.  Counted, block ``k`` of the reversed
-    sequence enters at the first step by whose start ``k − W + 1`` blocks
-    are written, and is written at that step or one after its disk's
-    previous block, whichever is later.
-    """
-    if W < D_total:
-        raise ValueError(f"buffer of {W} blocks cannot serve {D_total} disks")
-    if len(disks) and (min(disks) < 0 or max(disks) >= D_total):
-        raise ValueError("disk index out of range")
-    last = [0] * D_total            # each disk's latest write step
-    count = [0] * (len(disks) + 2)  # blocks written at each step
-    write = array("q")              # write steps, reversed sequence order
-    enter = 1                       # the step the next block enters at
-    written = 0                     # blocks written before step ``enter``
-    need = 1 - W                    # blocks written before it may enter
-    for d in reversed(disks):
-        while written < need:
-            written += count[enter]
-            enter += 1
-        step = last[d] + 1
-        if step < enter:
-            step = enter
-        last[d] = step
-        count[step] += 1
-        write.append(step)
-        need += 1
-    return max(last, default=0) - np.frombuffer(write, np.int64)[::-1]
-
-
-def verify_schedule(disks, steps, W: int) -> int:
-    """Replay a fetch schedule; return its step count.
-
-    Raises ValueError if two fetches share a disk in one step, a block is
-    consumed before it is fetched, or more than W fetched blocks are ever
-    unconsumed.  Consumption is in sequence order and happens after each
-    step's fetches land, so block i is consumed at the end of the latest
-    step among blocks 0..i.
-    """
-    disks = np.asarray(disks, dtype=np.int64)
-    steps = np.asarray(steps, dtype=np.int64)
-    if len(steps) == 0:
-        return 0
-    if steps.min() < 0:
-        raise ValueError(f"block {int(np.argmax(steps < 0))} is never fetched")
-    span = int(steps.max()) + 1
-    width = int(disks.max()) + 1
-    twice = np.flatnonzero(np.bincount(steps * width + disks) > 1)
-    fetched = np.cumsum(np.bincount(steps, minlength=span))
-    consumed = np.cumsum(np.bincount(np.maximum.accumulate(steps),
-                                     minlength=span))
-    occupancy = fetched - np.concatenate(([0], consumed[:-1]))
-    over = np.flatnonzero(occupancy > W)
-    if len(twice) and (not len(over) or twice[0] // width <= over[0]):
-        step, disk = divmod(int(twice[0]), width)
-        raise ValueError(f"step {step} fetches disk {disk} twice")
-    if len(over):
-        raise ValueError(
-            f"step {over[0]} buffers {occupancy[over[0]]} > {W} blocks")
-    return span
-
-
-def naive_steps(disks: list[int], W: int) -> int:
-    """Steps taken by an in-order greedy fetcher with the same buffer.
-
-    Each step it fetches the longest prefix of unfetched blocks that
-    touches each disk at most once and fits the buffer, then the merger
-    consumes everything fetched.
-    """
-    L = len(disks)
-    fetched = 0
-    steps = 0
-    while fetched < L:
-        steps += 1
-        used: set[int] = set()
-        occupancy = 0
-        while fetched < L and disks[fetched] not in used and occupancy < W:
-            used.add(disks[fetched])
-            occupancy += 1
-            fetched += 1
-    return steps
-
-
 def _window_blocks(cfg) -> int:
     """Blocks in a merge pass's window: the most whole batches of M/(2B)
     blocks that hold at most ``WINDOW`` elements, and at least one."""
@@ -282,8 +190,7 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     lbs = np.concatenate([run.lbs for run in runs])[at]
     disks = pes * cfg.D + lbs % cfg.D
     W = max(D_total, cfg.merge_arity)
-    n_steps = verify_schedule(disks, prefetch_schedule(disks.tolist(), W,
-                                                       D_total), W)
+    n_steps = verify_schedule(disks, prefetch_schedule(disks, W, D_total), W)
 
     # An element's tag is its run over its position in the run, so (key,
     # tag) is the order (key, run, position) and ``tag >> shift`` its run.

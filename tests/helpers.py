@@ -8,8 +8,9 @@ store and the counter arrays are checked against."""
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
 from unittest import mock
 
@@ -25,12 +26,14 @@ from emsort.merge import batch_merge as array_batch_merge
 from emsort.net import charge_volume, gather_splitters
 from emsort.redistribute import PlanError, Staged
 from emsort.runform import Run, internal_parallel_sort as array_internal_parallel_sort
+from emsort.schedule import (
+    prefetch_schedule as array_prefetch_schedule,
+    verify_schedule as array_verify_schedule,
+)
 from emsort.selection import sampled_starts, select_all_ranks
 from emsort.striped import (
     COORDINATOR, _run_start_disk,
     build_prediction_sequence as array_prediction_sequence,
-    prefetch_schedule as array_prefetch_schedule,
-    verify_schedule as array_verify_schedule,
 )
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
@@ -598,6 +601,36 @@ def verify_schedule(disks: list[int], steps: list[int], W: int) -> int:
     return max(steps) + 1
 
 
+def optimal_steps(disks: list[int], W: int) -> int:
+    """The fewest steps of any fetch schedule of ``disks``, by breadth-first
+    search over the sets of fetched blocks under the rules
+    ``verify_schedule`` checks: a step fetches blocks of distinct disks,
+    the buffer then holds at most W fetched blocks not yet consumed, and
+    the merger consumes the longest fetched prefix at the step's end."""
+    L = len(disks)
+    done = (1 << L) - 1
+    frontier = seen = {0}
+    steps = 0
+    while done not in frontier:
+        steps += 1
+        reached = set()
+        for fetched in frontier:
+            consumed = 0
+            while fetched >> consumed & 1:
+                consumed += 1
+            room = W - (bin(fetched).count("1") - consumed)
+            waiting = defaultdict(list)
+            for i in range(L):
+                if not fetched >> i & 1:
+                    waiting[disks[i]].append(1 << i)
+            for picks in product(*([0] + blocks for blocks in waiting.values())):
+                if 0 < sum(map(bool, picks)) <= room:
+                    reached.add(fetched | sum(picks))
+        frontier = reached - seen
+        seen = seen | reached
+    return steps
+
+
 def striped_merge_pass(cluster, runs: list[ReferenceStripedRun],
                        start_disk: int) -> ReferenceStripedRun:
     """Merge striped runs into one, fetching, freeing and allocating one
@@ -702,7 +735,7 @@ def per_batch_striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     lbs = np.concatenate([run.lbs for run in runs])[at]
     disks = pes * cfg.D + lbs % cfg.D
     W = max(D_total, cfg.merge_arity)
-    steps = array_prefetch_schedule(disks.tolist(), W, D_total)
+    steps = array_prefetch_schedule(disks, W, D_total)
     n_steps = array_verify_schedule(disks, steps, W)
 
     length = sum(run.length for run in runs)

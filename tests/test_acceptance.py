@@ -20,7 +20,7 @@ from emsort.harness import (
     verify_output,
 )
 from emsort.selection import multiway_select
-from emsort.striped import naive_steps, prefetch_schedule, verify_schedule
+from emsort.schedule import naive_steps, prefetch_schedule, verify_schedule
 from emsort.vdisk import Cluster
 
 from helpers import (

@@ -18,9 +18,10 @@ from emsort.harness import (
     InputSpec, SortResult, generate_input, report_stats, run_sort,
 )
 from emsort.runform import Run, form_runs
+from emsort.schedule import naive_steps, prefetch_schedule, verify_schedule
 from emsort.striped import (
-    build_prediction_sequence, form_striped_runs, naive_steps,
-    prefetch_schedule, striped_merge_pass, striped_sort, verify_schedule,
+    build_prediction_sequence, form_striped_runs, striped_merge_pass,
+    striped_sort,
 )
 from emsort.vdisk import Cluster, OutputLayout
 
@@ -111,11 +112,24 @@ def test_schedule_round_robin_reaches_full_parallelism():
     assert verify_schedule(disks, steps, W=D) == 8
 
 
-def test_schedule_rejects_tiny_buffer_and_bad_disk():
-    with pytest.raises(ValueError):
-        prefetch_schedule([0, 1], W=1, D_total=2)
-    with pytest.raises(ValueError):
-        prefetch_schedule([2], W=2, D_total=2)
+COLUMNS = pytest.mark.parametrize(
+    "column", [list, lambda disks: np.array(disks, np.int64)],
+    ids=["list", "column"])
+
+
+@COLUMNS
+def test_schedule_rejects_tiny_buffer_and_bad_disk(column):
+    with pytest.raises(ValueError, match="cannot serve"):
+        prefetch_schedule(column([0, 1]), W=1, D_total=2)
+    for bad in ([0, 2], [-1, 0]):       # past the last disk, below the first
+        with pytest.raises(ValueError, match="out of range"):
+            prefetch_schedule(column(bad), W=2, D_total=2)
+
+
+@COLUMNS
+def test_schedule_of_no_blocks_is_an_empty_column(column):
+    steps = prefetch_schedule(column([]), W=2, D_total=2)
+    assert steps.dtype == np.int64 and steps.shape == (0,)
 
 
 def test_verify_schedule_catches_violations():
@@ -150,19 +164,25 @@ def test_buffered_duality_gains_on_skewed_sequences():
 @st.composite
 def prediction_disks(draw):
     """A disk sequence with a buffer of ``D_total`` to three times it:
-    drawn blocks, long stretches on one disk, or none."""
+    stretches on one disk or cycling over every disk, drawn blocks, or
+    none.  Long draws hold 3 to 8 stretches of 500 to 2,000 blocks, most
+    past one stall test's ``schedule.LOOKAHEAD`` blocks."""
     D_total = draw(st.integers(1, 6))
     W = draw(st.sampled_from([D_total, D_total + 1,
                               draw(st.integers(D_total, 3 * D_total))]))
     disk = st.integers(0, D_total - 1)
-    stretches = draw(st.lists(st.tuples(disk, st.integers(1, 20)),
-                              max_size=8))
-    disks = [d for d, n in stretches for _ in range(n)]
-    if draw(st.booleans()):
+    long = draw(st.booleans())
+    lengths = st.integers(500, 2000) if long else st.integers(1, 20)
+    stretches = draw(st.lists(st.tuples(disk, lengths, st.booleans()),
+                              min_size=3 if long else 0, max_size=8))
+    disks = [d if same else (d + i) % D_total
+             for d, n, same in stretches for i in range(n)]
+    if not long and draw(st.booleans()):
         disks = draw(st.permutations(disks))
     return disks, W, D_total
 
 
+@settings(max_examples=100, deadline=None)
 @given(prediction_disks())
 @example(([], 1, 1))
 @example(([0] * 30 + [1, 2] * 5, 3, 3))       # a long same-disk stretch
@@ -172,6 +192,62 @@ def test_prefetch_schedule_matches_the_step_by_step_buffer(drawn):
     steps = prefetch_schedule(disks, W, D_total)
     assert steps.dtype == np.int64
     assert steps.tolist() == helpers.prefetch_schedule(disks, W, D_total)
+
+
+def striped_deep_passes():
+    """The disk sequences of the merge passes of perfbench's
+    ``striped_deep`` sort at seed 1009: 8,192, 8,192 and 16,384 blocks."""
+    cfg = MachineConfig(P=4, D=2, B=16, m=512, N=2**18, randomize=True,
+                        seed=1009)
+    cl = Cluster(cfg)
+    gen = generate_input(cl, InputSpec("random", cfg.N, cfg.seed))
+    with mock.patch.object(striped, "prefetch_schedule",
+                           wraps=prefetch_schedule) as planned:
+        striped_sort(cl, gen.pe_blocks)
+    return [call.args for call in planned.call_args_list]
+
+
+def long_sequences(case: str):
+    """Seeded sequences of at least 10,000 blocks for each way the
+    schedule goes: stretches that pass the stall test, single stalls and
+    stretches that stall densely."""
+    if case == "striped_deep":
+        return striped_deep_passes()
+    rng = np.random.default_rng(32)
+    if case == "W = P*D, random disks":
+        return [(rng.integers(0, 8, 12_000), 8, 8)]
+    if case == "same-disk stretches of 2048":
+        return [(np.repeat(rng.integers(0, 8, 6), 2048), 64, 8)]
+    return [(rng.integers(0, 512, 12_000), 512, 512)]   # P*D = 512
+
+
+@pytest.mark.parametrize("case", [
+    "striped_deep", "W = P*D, random disks", "same-disk stretches of 2048",
+    "P*D = 512"])
+def test_prefetch_schedule_at_length_matches_the_step_by_step_buffer(case):
+    sequences = long_sequences(case)
+    assert sum(len(disks) for disks, _W, _D in sequences) >= 10_000
+    for disks, W, D_total in sequences:
+        assert prefetch_schedule(disks, W, D_total).tolist() == \
+            helpers.prefetch_schedule(disks.tolist(), W, D_total)
+
+
+@st.composite
+def small_schedules(draw):
+    """At most 9 blocks on at most 3 disks, with a buffer of ``D_total``
+    to ``2·D_total + 1`` blocks."""
+    D_total = draw(st.integers(1, 3))
+    disks = draw(st.lists(st.integers(0, D_total - 1), max_size=9))
+    return disks, draw(st.integers(D_total, 2 * D_total + 1)), D_total
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_schedules())
+@example(([0] * 4 + [1, 2] * 2, 5, 3))   # a step fewer than the naive fetcher
+def test_prefetch_schedule_takes_the_fewest_steps(drawn):
+    disks, W, D_total = drawn
+    steps = prefetch_schedule(disks, W, D_total)
+    assert verify_schedule(disks, steps, W) == helpers.optimal_steps(disks, W)
 
 
 # --- merge passes -----------------------------------------------------------------
