@@ -9,8 +9,9 @@ smallest chunk and so on, and each chunk is written back over the very
 blocks it was read from.  A load is one array, the processors' shares
 joined in processor order.  The host takes the loads in windows
 (:func:`windows`): the most consecutive full loads holding at most
-:data:`WINDOW` = 2**14 elements, and at least one, with a short last load
-alone; the striped merge's windows of batches share that bound.  A
+:data:`WINDOW` = 2**15 elements, and at least one, with a short last load
+alone (16 loads at ``m = 512``, ``P = 4``); the striped merge's windows of
+batches share that bound.  A
 window is one ``(loads, P*share)`` array, read with one call on the PE
 and block-id columns of the whole cluster, sorted row by row with one
 call, and written back with one call; the exchange that sorting
@@ -42,7 +43,7 @@ from .net import charge_volume, gather_splitters
 #: Elements a window holds at most, of run formation's memory loads or of a
 #: striped merge pass's batches: the host reads, sorts and writes a
 #: window's whole loads or batches together.
-WINDOW = 1 << 14
+WINDOW = 1 << 15
 
 #: Per processor, its input block ids in order: a list or an ``int64`` column.
 PeBlocks = Sequence["np.ndarray | Sequence[int]"]

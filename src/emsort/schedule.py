@@ -80,9 +80,9 @@ def prefetch_schedule(disks, W: int, D_total: int) -> np.ndarray:
     L = len(rev)
     if L and (rev.min() < 0 or rev.max() >= D_total):
         raise ValueError("disk index out of range")
-    last = [0] * D_total            # each disk's latest write step
+    last = np.zeros(D_total, np.int64)  # each disk's latest write step
     count = [0] * (L + 2)           # blocks written at each step
-    write = array("q")              # write steps, reversed sequence order
+    write = np.empty(L, np.int64)   # write steps, reversed sequence order
     k = 0                           # the next block
     enter = 1                       # the step block ``k`` enters at
     written = 0                     # blocks written before step ``enter``
@@ -91,10 +91,9 @@ def prefetch_schedule(disks, W: int, D_total: int) -> np.ndarray:
         d = rev[k:k + window]
         # No block from ``k`` on enters before ``enter``, so a disk's next
         # candidate is one step after its latest write or at ``enter``.
-        base = np.fromiter(last, np.int64, D_total)
-        top = int(base.max())
+        top = int(last.max())
         pending = np.fromiter(count[enter:top + 1], np.int64, top + 1 - enter)
-        np.maximum(base, enter - 1, out=base)
+        base = np.maximum(last, enter - 1)
         # Each block's rank among the stretch's blocks on its disk, from 1
         # (a stable sort of disks this narrow is a radix sort).
         here = np.bincount(d, minlength=D_total)
@@ -117,9 +116,9 @@ def prefetch_schedule(disks, W: int, D_total: int) -> np.ndarray:
         if exact:
             if exact < len(d):
                 here = np.bincount(d[:exact], minlength=D_total)
-            write.frombytes(cand[:exact].tobytes())
+            write[k:k + exact] = cand[:exact]
             count[enter:enter + len(at)] = at.tolist()
-            last = (base + here).tolist()
+            last = base + here
             k += exact
             i = int(np.searchsorted(below, k + 1 - W))
             enter += i
@@ -130,20 +129,29 @@ def prefetch_schedule(disks, W: int, D_total: int) -> np.ndarray:
         else:
             stop = min(k + stride, L)
             stride *= 2
-        need = k + 1 - W            # blocks written before block k enters
+        # The rule, block by block: ``slack`` blocks are written before the
+        # next block's entry step beyond the ``k + 1 − W`` it needs.
+        steps = last.tolist() if stop - k > 1 else last
+        out = []
+        append = out.append
+        slack = written - (k + 1 - W)
         for disk in rev[k:stop].tolist():
-            step = last[disk] + 1
+            step = steps[disk] + 1
             if step < enter:
                 step = enter
-            last[disk] = step
+            steps[disk] = step
             count[step] += 1
-            write.append(step)
-            need += 1
-            while written < need:
-                written += count[enter]
+            append(step)
+            slack -= 1
+            while slack < 0:
+                slack += count[enter]
                 enter += 1
+        write[k:stop] = out
+        if steps is not last:
+            last = np.array(steps)
         k = stop
-    return max(last, default=0) - np.frombuffer(write, np.int64)[::-1]
+        written = slack + k + 1 - W
+    return int(last.max(initial=0)) - write[::-1]
 
 
 def verify_schedule(disks, steps, W: int) -> int:

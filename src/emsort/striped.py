@@ -9,9 +9,9 @@ will exhaust blocks — and by a prefetch schedule derived from it
 of scheduling buffered writes.  Merging itself proceeds in batches of
 M/(2B) blocks, each bounded by the smallest key of the next unfetched
 block, which caps buffered leftovers at one block per run.  The
-prediction sequence fixes
-every batch in advance, so the host moves them in windows of whole
-batches holding at most ``runform.WINDOW`` = 2**14 fetched elements, the
+prediction sequence fixes every batch in advance, so the host moves them
+in windows of whole batches holding at most ``runform.WINDOW`` = 2**15
+fetched elements (32 batches of 64 blocks of 16 at ``M = 2048``), the
 bound of run formation's windows too: a window is a slice of the pass's
 ``(pe, lb)`` columns in prediction order, read with one call and sorted
 with one ``batch_merge`` that cuts it at every batch's bound.  Each
@@ -123,22 +123,25 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks,
 def build_prediction_sequence(cluster, runs: list[Run]):
     """Order every block of ``runs`` by (min key, run, block position).
 
-    Returns three columns in that order: each block's minimum, its run and
-    its position in the run.  The coordinator gathers every remote block's
-    minimum (two control values per block: key and position tag) from the
-    PE that holds the block.
+    Returns three columns in that order: each block's minimum, its PE, and
+    its index in the runs' blocks joined in run order, each run in
+    position order.  The coordinator gathers every remote block's minimum
+    (two control values per block: key and position tag) from the PE that
+    holds the block.
     """
-    sizes = [len(run.lbs) for run in runs]
     minima = np.concatenate([run.minima for run in runs])
-    run_of = np.repeat(np.arange(len(runs)), sizes)
-    pos = np.concatenate([np.arange(n) for n in sizes])
     pes = np.concatenate([run.pes for run in runs])
     gather_splitters(cluster, 2 * np.bincount(pes, minlength=cluster.cfg.P),
                      PHASE_STRIPED_MERGE)
-    # Joined in run order and each run in position order, a block's index
-    # is its run's offset plus its position: the tie order (run, position).
-    order = sort_order(minima, np.arange(len(minima)))
-    return minima[order], run_of[order], pos[order]
+    # A block's index is its run's offset plus its position, so equal
+    # minima in index order are in the tie order (run, position).  The
+    # sort's scratch words then take the minima in order, and the joined
+    # minima the PEs.
+    keys = np.empty(len(minima), np.uint64)
+    at = sort_order(minima, np.broadcast_to(np.int64(0), minima.shape),
+                    words=keys.view(np.int64))
+    np.take(minima, at, out=keys, mode="clip")
+    return keys, np.take(pes, at, out=minima.view(np.int64), mode="clip"), at
 
 
 def _window_blocks(cfg) -> int:
@@ -168,7 +171,7 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     are charged as communication) in batches of M/(2B) blocks, and merges
     each batch into a stripe reserved from ``start_disk``.  The host takes
     the batches in windows, each the most whole batches whose blocks hold
-    at most ``WINDOW`` (2**14) elements, and at least one batch: a window
+    at most ``WINDOW`` (2**15) elements, and at least one batch: a window
     is read with one call on its slice of the prediction sequence's
     ``(pe, lb)`` columns, sorted once with its leftovers, cut at every
     batch's bound, and freed and written with one call each, charging
@@ -183,24 +186,29 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     if len(runs) > cfg.merge_arity:
         raise ValueError(
             f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
-    keys, run_of, pos = build_prediction_sequence(cluster, runs)
-    first = np.cumsum([0] + [len(run.lbs) for run in runs])
-    at = first[run_of] + pos
-    pes = np.concatenate([run.pes for run in runs])[at]
+    keys, pes, at = build_prediction_sequence(cluster, runs)
     lbs = np.concatenate([run.lbs for run in runs])[at]
-    disks = pes * cfg.D + lbs % cfg.D
+    disks = pes * cfg.D
+    disks += lbs % cfg.D
     W = max(D_total, cfg.merge_arity)
     n_steps = verify_schedule(disks, prefetch_schedule(disks, W, D_total), W)
+    del disks
 
     # An element's tag is its run over its position in the run, so (key,
     # tag) is the order (key, run, position) and ``tag >> shift`` its run.
-    # Batch k drains what lies below the first block of batch k + 1.
+    # A block's tag is its index in the runs joined, less its run's offset
+    # there, all times B, plus its run over the shift.  Batch k drains
+    # what lies below the first block of batch k + 1.
     R = len(runs)
     shift = max(run.length for run in runs).bit_length()
-    heads = (run_of << shift) + pos * B
-    L = len(at)
-    # Dropped before the windows, which reuse their memory.
-    del at, disks, pos
+    first = np.cumsum([0] + [len(run.lbs) for run in runs])
+    offset = ((np.arange(R) << shift) - B * first[:-1])[
+        np.searchsorted(first[1:], at, "right")]
+    heads = at
+    heads *= B
+    heads += offset
+    L = len(heads)
+    del offset
     batch_blocks = max(1, cfg.M // (2 * B))
     window = _window_blocks(cfg)
     if buffers is None:
@@ -238,7 +246,7 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
         merged_in = merged_tags[tail:out] >> shift
         merged_in += np.repeat(np.arange(0, nb * R, R),
                                np.diff(cuts, prepend=tail))
-        left = held + (B * np.bincount(batch * R + run_of[lo:hi],
+        left = held + (B * np.bincount(batch * R + (heads[lo:hi] >> shift),
                                        minlength=nb * R)
                        - np.bincount(merged_in, minlength=nb * R)
                        ).reshape(nb, R).cumsum(0)

@@ -107,11 +107,9 @@ class Cluster:
         Returns the PE and the id of each block as ``int64`` columns,
         stripe after stripe: the ids of ``n`` one-block allocations per
         stripe in stripe order, as consecutive calls would hand out."""
-        P, D = self.cfg.P, self.cfg.D
-        total = self.cfg.total_disks
+        P, D, total = self.cfg.P, self.cfg.D, self.cfg.total_disks
         first = np.asarray(start_disk, np.int64).reshape(-1, 1) % total
-        # Each stripe's blocks on each global disk: n // total, and one more
-        # on the n % total disks from its start.
+        # Per stripe and global disk: n // total blocks, one more on n % total.
         put = n // total + ((np.arange(total) - first) % total < n % total)
         cell = np.arange(total) % D * P + np.arange(total) // D
         # A stripe's first free slot on each disk, after the earlier ones.
@@ -120,11 +118,11 @@ class Cluster:
         turn = q // total
         disk = q - turn * total             # q % total, without the slower %
         rank = turn - (disk < first)        # stripe blocks before it on disk
-        pes = disk // D
-        d = disk - pes * D
+        pes, d = np.divmod(disk, D)
         at = disk + np.arange(0, slot.size, total)[:, None]
         lbs = (np.take(slot, at) + rank) * D + d
         self._next[cell] += put.sum(0)
+        self._grow(int(self._next.max()) * len(self._next))
         return pes.reshape(-1), lbs.reshape(-1)
 
     def free_blocks(self, pe, lbs) -> None:
@@ -263,11 +261,8 @@ class Cluster:
             raise DiskError(f"write of negative block id pe={pe[i]} "
                             f"lb={lbs[i]}")
         self._refuse_repeats("write", keys, pe)
-        top = int(np.maximum.reduce(keys))
-        if top >= len(self._row):
-            grown = np.full(max(top + 1, 2 * len(self._row)), -1, np.int64)
-            grown[:len(self._row)] = self._row
-            self._row = grown
+        if (top := int(np.maximum.reduce(keys)) + 1) > len(self._row):
+            self._grow(top)
         rows = self._row[keys]
         fresh = rows < 0
         k = int(np.count_nonzero(fresh))
@@ -281,10 +276,18 @@ class Cluster:
             self.live += np.bincount(pe[fresh], minlength=self.cfg.P)
             np.maximum(self.peak, self.live, out=self.peak)
         self._slab[rows] = np.ascontiguousarray(elems).reshape(-1).view(self._block)
-        # A written id counts as handed out: raise its disk's next free slot.
+        # A written id counts as handed out: only one that no allocation
+        # handed out passes its disk's next free slot and raises it.
         slots, cells = np.divmod(keys, len(self._next))
-        slots += 1
-        np.maximum.at(self._next, cells, slots)
+        if np.logical_or.reduce(slots >= self._next[cells]):
+            np.maximum.at(self._next, cells, slots + 1)
+
+    def _grow(self, top: int) -> None:
+        """Grow the block map over its first ``top`` ids, twofold at least."""
+        if top > len(self._row):
+            grown = np.full(max(top, 2 * len(self._row)), -1, np.int64)
+            grown[:len(self._row)] = self._row
+            self._row = grown
 
     def _pop(self, k: int) -> np.ndarray:
         """``k`` free rows, growing the slab when fewer are free."""
@@ -321,8 +324,6 @@ class Cluster:
         counts += np.bincount(keys % cells, minlength=cells).reshape(
             self.cfg.D, self.cfg.P)
 
-    # -- occupancy -----------------------------------------------------------
-
     def peak_allocated(self, pe: int) -> int:
         return int(self.peak[pe])
 
@@ -341,8 +342,7 @@ class Cluster:
             rows, n = rows[slots], len(slots)
             image = np.empty(8 + n * (8 + width), np.uint8)
             image[:8 + 8 * n].view("<i8")[:] = np.append(n, slots)
-            # ``clip`` never clips these rows; the default mode would
-            # gather into a buffer and copy that into ``out``.
+            # ``clip`` gathers straight into ``out``, as in :meth:`_gather`.
             np.take(self._slab, rows, out=image[8 + 8 * n:].view(self._block),
                     mode="clip")
             name = IMAGE.format(pe=pe, d=d, generation=generation)

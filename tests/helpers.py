@@ -728,10 +728,8 @@ def per_batch_striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     if len(runs) > cfg.merge_arity:
         raise ValueError(
             f"merging {len(runs)} runs exceeds the arity {cfg.merge_arity}")
-    keys, run_of, pos = array_prediction_sequence(cluster, runs)
+    keys, pes, at = array_prediction_sequence(cluster, runs)
     first = np.cumsum([0] + [len(run.lbs) for run in runs])
-    at = first[run_of] + pos
-    pes = np.concatenate([run.pes for run in runs])[at]
     lbs = np.concatenate([run.lbs for run in runs])[at]
     disks = pes * cfg.D + lbs % cfg.D
     W = max(D_total, cfg.merge_arity)

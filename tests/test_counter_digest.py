@@ -17,6 +17,8 @@ reads and writes.
 from __future__ import annotations
 
 import hashlib
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
@@ -24,9 +26,10 @@ from emsort.core import (
     PHASE_STRIPED_MERGE, READ, RECEIVED, SENT, WRITE, MachineConfig,
 )
 from emsort.harness import INPUT_KINDS, InputSpec, generate_input, report_stats, run_sort
+from emsort import runform, striped
 from emsort.vdisk import Cluster
 
-from helpers import formation_window
+from helpers import formation_window, windowed
 
 #: Per case, its engine and config: R = 8 canonical runs (multi-round
 #: all-to-all on ``worst_case_shift``); R = 64 striped runs at arity 8 (two
@@ -192,6 +195,27 @@ def test_the_record_holds_across_formation_window_edges(case, kind,
     one load, window edges between the runs of each case, and the short
     last load of ``striped_uneven`` in a window of its own."""
     with formation_window(MachineConfig(**CASES[case][1]), loads):
+        cfg, cluster, gen, result = sorted_case(case, kind, randomize)
+    assert recorded_values(cfg, cluster, gen, result, kind) \
+        == RECORDED[case, kind, randomize]
+
+
+@pytest.mark.parametrize("window", [1, 3, "2**14"])
+@pytest.mark.parametrize("randomize", [True, False], ids=["shuffle", "noshuffle"])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("case", ["striped", "striped_uneven"])
+def test_the_record_holds_across_merge_window_edges(case, kind, randomize,
+                                                    window):
+    """The same values with the striped merge passes in windows of one and
+    of three batches, where every pass fits one default window, and with
+    both engines' windows at their former bound of 2**14 elements."""
+    with ExitStack() as stack:
+        if window == "2**14":
+            stack.enter_context(mock.patch.object(runform, "WINDOW", 1 << 14))
+            stack.enter_context(mock.patch.object(striped, "WINDOW", 1 << 14))
+        else:
+            stack.enter_context(
+                windowed(MachineConfig(**CASES[case][1]), window)[0])
         cfg, cluster, gen, result = sorted_case(case, kind, randomize)
     assert recorded_values(cfg, cluster, gen, result, kind) \
         == RECORDED[case, kind, randomize]

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -1193,3 +1194,98 @@ def test_cli_experiment_refuses_an_unusable_block_size(tmp_path, capsys):
     assert capsys.readouterr().out == ""       # refused before any trial
     with pytest.raises(SystemExit, match="is not a comma-separated list"):
         cli_main(["experiment", "--config", config, "--blocks", "4,x"])
+
+
+# --- damaged stores --------------------------------------------------------------------
+
+#: Per (engine, command), an undamaged store that the command reads, made
+#: once: ``sort`` an input store, ``verify`` an output store.
+_PRISTINE: dict = {}
+
+
+def pristine_store(engine: str, command: str) -> tuple[Path, tuple[int, int]]:
+    """The undamaged store of ``command`` at P=2 D=2 B=4 m=64 N=256, and
+    its fingerprint (count, total)."""
+    if (engine, command) not in _PRISTINE:
+        root = Path(tempfile.mkdtemp(prefix="emsort-pristine-"))
+        config = write_config(root / "grid.cfg", m=64)
+        store = root / "state"
+        with mock.patch("sys.stdout", io.StringIO()), \
+                mock.patch("sys.stderr", io.StringIO()):
+            assert cli_main(["gen", "--config", config, "--persist",
+                             str(store)]) == 0
+            if command == "verify":
+                assert cli_main(["sort", "--persist", str(store),
+                                 "--engine", engine]) == 0
+        manifest = json.loads((store / cli.MANIFEST).read_text())
+        _PRISTINE[engine, command] = store, (manifest["count"],
+                                            manifest["total"])
+    return _PRISTINE[engine, command]
+
+
+def store_fingerprint(store: Path) -> tuple[int, int]:
+    """The fingerprint of every element of an output store's images."""
+    manifest = json.loads((store / cli.MANIFEST).read_text())
+    cluster = Cluster.load_images(str(store), MachineConfig(**manifest["cfg"]),
+                                  manifest["generation"])
+    return harness.loaded_fingerprint(cluster)
+
+
+@st.composite
+def damages(draw, store: Path):
+    """One damage to one file of ``store``: the file's name, how, where
+    and the value."""
+    name = draw(st.sampled_from(sorted(path.name for path in store.iterdir())))
+    size = (store / name).stat().st_size
+    how = draw(st.sampled_from(["flip", "set", "truncate", "append"]))
+    at = draw(st.integers(0, max(size - 1, 0)))
+    value = draw(st.integers(0, 255) if how != "flip" else st.integers(0, 7))
+    if how == "append":
+        value = draw(st.binary(min_size=1, max_size=24))
+    return name, how, at, value
+
+
+def damage(path: Path, how: str, at: int, value) -> None:
+    data = bytearray(path.read_bytes())
+    if how == "flip" and data:
+        data[at] ^= 1 << value
+    elif how == "set" and data:
+        data[at] = value
+    elif how == "truncate":
+        del data[at:]
+    elif how == "append":
+        data += value
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("command", ["sort", "verify"])
+@pytest.mark.parametrize("engine", ["canonical", "striped"])
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_a_damaged_store_is_refused_or_harmless(engine, command, data):
+    """A flipped bit, a set byte, a truncation or an append in the manifest,
+    ``layout.bin`` or one image of the store that ``sort --persist`` or
+    ``verify`` reads is refused (a nonzero exit with an ``error:`` or a
+    ``verification: FAIL`` line, no traceback) or harmless (exit 0, and the
+    store still holds the undamaged elements)."""
+    pristine, fingerprint = pristine_store(engine, command)
+    name, how, at, value = data.draw(damages(pristine))
+    with tempfile.TemporaryDirectory() as root:
+        store = Path(root) / "state"
+        shutil.copytree(pristine, store)
+        damage(store / name, how, at, value)
+        argv = [command, "--persist", str(store)]
+        if command == "sort":
+            argv += ["--engine", engine]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdout", out), mock.patch("sys.stderr", err):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code == 0:
+            assert store_fingerprint(store) == fingerprint
+        elif code == 1:
+            assert "verification: FAIL" in out.getvalue() + err.getvalue()
+        else:
+            assert isinstance(code, str) and code.startswith("error: "), code

@@ -79,12 +79,14 @@ def test_formation_costs_one_read_one_write_per_element():
 # --- prediction sequences --------------------------------------------------------
 
 def test_prediction_sequence_is_sorted_and_complete():
+    """Every block once, in (minimum, run, position) order, with its PE."""
     cl, _inputs, runs = formed(seed=5)
-    entries = list(zip(*(col.tolist() for col in build_prediction_sequence(cl, runs))))
-    assert entries == sorted(entries)
-    assert len(entries) == sum(len(run.lbs) for run in runs)
-    seen = {(j, g) for (_k, j, g) in entries}
-    assert len(seen) == len(entries)
+    keys, pes, at = build_prediction_sequence(cl, runs)
+    blocks = [(int(run.minima[g]), j, g, int(run.pes[g]))
+              for j, run in enumerate(runs) for g in range(len(run.lbs))]
+    assert sorted(blocks) == [blocks[i] for i in at.tolist()]
+    assert [(k, p) for k, _j, _g, p in sorted(blocks)] \
+        == list(zip(keys.tolist(), pes.tolist()))
 
 
 def test_prediction_sequence_charges_control_traffic():

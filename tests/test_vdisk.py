@@ -147,6 +147,41 @@ def test_alloc_stripe_places_each_block_on_its_disk():
     assert (pes.tolist(), lbs.tolist()) == ([0], [3])
 
 
+def test_allocated_ids_are_written_and_read_back_where_they_were_handed_out():
+    """Ids from ``alloc_blocks`` and ``alloc_stripe`` store and read back,
+    and writing them moves no disk's next free slot: the allocation that
+    handed them out already counted them."""
+    cl = build(P=2, D=3, B=4)
+    lbs = cl.alloc_blocks(1, 5)
+    pes, stripe = cl.alloc_stripe(4, 9)
+    marks = cl.next_slot.tolist()
+    cl.write_blocks(*on(1, lbs), block_of(0, 20), PHASE_SETUP)
+    cl.write_blocks(pes, stripe, block_of(20, 36), PHASE_SETUP)
+    assert cl.next_slot.tolist() == marks
+    assert cl.read_blocks(*on(1, lbs), PHASE_SETUP).tolist() == block_of(0, 20)
+    assert cl.read_blocks(pes, stripe, PHASE_SETUP).tolist() == block_of(20, 36)
+
+
+@pytest.mark.parametrize("alloc", ["blocks", "stripe"])
+def test_an_id_never_handed_out_raises_its_disks_next_free_slot(alloc):
+    """A write of an id no allocation handed out stores it and counts it as
+    handed out: a later allocation on its disk returns ids above it, on
+    every disk from the same slots as before."""
+    cl = build(P=2, D=3, B=4)
+    cl.alloc_blocks(1, 2)
+    cl.write_blocks(*on(1, [3 * 40 + 2]), block_of(7, 4), PHASE_SETUP)
+    assert cl.next_slot.tolist() == [[0, 0, 0], [1, 1, 41]]
+    assert cl.read_blocks(*on(1, [122]), PHASE_SETUP).tolist() == block_of(7, 4)
+    if alloc == "blocks":
+        lbs = cl.alloc_blocks(1, 6).tolist()
+        assert lbs == [3, 4, 6, 7, 9, 10]
+    else:
+        pes, lbs = cl.alloc_stripe(5, 6)    # global disks 5 0 1 2 3 4
+        assert (pes.tolist(), lbs.tolist()) == ([1, 0, 0, 0, 1, 1],
+                                                [3 * 41 + 2, 0, 1, 2, 3, 4])
+    assert cl.read_blocks(*on(1, [122]), PHASE_SETUP).tolist() == block_of(7, 4)
+
+
 @given(st.sampled_from([(2, 3), (3, 2), (1, 4)]),
        st.lists(st.tuples(st.integers(0, 13), st.integers(0, 9)), max_size=3),
        st.lists(st.integers(0, 13), max_size=5), st.integers(0, 17))
