@@ -6,8 +6,8 @@ the input kind and fingerprint, and — after sorting — ``layout.bin``, the
 output layout as a PE column and a block-id column.  The input's block ids
 are not stored: ``gen`` puts every PE's input in blocks
 ``0 .. N/(P*B) - 1``.  ``sort`` checks a loaded input's fingerprint
-against its manifest before sorting.  The process exit code is 0 iff
-verification passed.
+against its manifest before sorting, and refuses the flags that the
+manifest fixes.  The process exit code is 0 iff verification passed.
 """
 from __future__ import annotations
 
@@ -49,8 +49,19 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--randomize", choices=("on", "off"),
                      help="override the config randomize flag")
-    sub.add_argument("--kind", choices=INPUT_KINDS, default="random",
+    sub.add_argument("--kind", choices=INPUT_KINDS,
                      help="input kind (default: random)")
+
+
+def _generate(args, engines=ENGINES):
+    """A cluster of the flags' config, the input generated there and its
+    kind; exits unless one of ``engines`` can run the config."""
+    cfg = _load_cfg(args)
+    _check_cfg(cfg, engines)
+    cluster = Cluster(cfg)
+    kind = args.kind or "random"
+    gen = generate_input(cluster, InputSpec(kind, cfg.N, cfg.seed))
+    return cluster, gen, kind
 
 
 def _load_cfg(args) -> MachineConfig:
@@ -182,19 +193,21 @@ def _check_cfg(cfg: MachineConfig, engines=ENGINES) -> None:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_cfg(args)
-    _check_cfg(cfg)
-    cluster = Cluster(cfg)
-    gen = generate_input(cluster, InputSpec(args.kind, cfg.N, cfg.seed))
-    _persist(cluster, args.persist, "input", kind=args.kind,
+    cluster, gen, kind = _generate(args)
+    _persist(cluster, args.persist, "input", kind=kind,
              count=gen.count, total=gen.total)
-    print(f"generated {gen.count} elements ({args.kind}) into {args.persist}")
+    print(f"generated {gen.count} elements ({kind}) into {args.persist}")
     return 0
 
 
 def cmd_sort(args) -> int:
     if args.persist and os.path.exists(os.path.join(args.persist, MANIFEST)):
         manifest, cfg = _read_manifest(args.persist, "input")
+        fixed = [f"--{name}" for name in ("config", "seed", "kind", "randomize")
+                 if getattr(args, name) is not None]
+        if fixed:
+            raise SystemExit(f"error: {args.persist} holds an input; its "
+                             f"manifest fixes {', '.join(fixed)}")
         _check_cfg(cfg, (args.engine,))
         # No input image holds a slot at or above ceil(blocks_per_pe / D).
         cluster = Cluster.load_images(args.persist, cfg, manifest["generation"],
@@ -205,11 +218,8 @@ def cmd_sort(args) -> int:
             raise SystemExit(f"error: {args.persist}: the input's fingerprint "
                              "differs from its manifest's")
     else:
-        cfg = _load_cfg(args)
-        _check_cfg(cfg, (args.engine,))
-        cluster = Cluster(cfg)
-        gen = generate_input(cluster, InputSpec(args.kind, cfg.N, cfg.seed))
-        kind, count, total = args.kind, gen.count, gen.total
+        cluster, gen, kind = _generate(args, (args.engine,))
+        cfg, count, total = cluster.cfg, gen.count, gen.total
 
     # Generating into a fresh cluster puts each PE's input in its first ids.
     blocks = [np.arange(cfg.blocks_per_pe) for _ in range(cfg.P)]
@@ -259,7 +269,8 @@ def cmd_experiment(args) -> int:
                          "comma-separated list of integers") from None
     try:
         _rows, text = run_experiment_redistribution(
-            cfg, kind=args.kind, b_values=b_values, trials=args.trials)
+            cfg, kind=args.kind or "random", b_values=b_values,
+            trials=args.trials)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     sys.stdout.write(text)
@@ -307,11 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    store = getattr(args, "persist", None)
+    if store and os.path.exists(store) and not os.path.isdir(store):
+        raise SystemExit(f"error: {store}: not a directory")
     try:
         # ``--stats FILE`` is opened before the command does any work.
         with _open_stats(getattr(args, "stats", None)) as args.stats:
             return args.func(args)
-    except DiskError as exc:
+    except (DiskError, OSError) as exc:     # a store not read or written
         raise SystemExit(f"error: {exc}") from None
 
 

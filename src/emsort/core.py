@@ -21,8 +21,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-Element = tuple[int, int]
-
 #: The element record; every block is a read-only array of ``B`` of them.
 ELEM = np.dtype([("key", "<u8"), ("serial", "<i8")])
 
@@ -63,7 +61,6 @@ ENGINE_PHASES = (
     PHASE_LOCAL_MERGE,
     PHASE_STRIPED_MERGE,
 )
-ALL_PHASES = (PHASE_SETUP,) + ENGINE_PHASES
 
 #: Phases moving payload data in the canonical engine; selection probes are
 #: reported separately so the 4N identity can be stated crisply.
@@ -77,13 +74,9 @@ DATA_PHASES = (
 RNG_NAME = "pcg64"
 
 
-def sentinel() -> Element:
-    return (MAX_KEY, SENTINEL_SERIAL)
-
-
 def sentinels(n: int) -> np.ndarray:
     """An array of ``n`` sentinel elements."""
-    return np.full(n, np.array(sentinel(), ELEM))
+    return np.full(n, np.array((MAX_KEY, SENTINEL_SERIAL), ELEM))
 
 
 def sentinel_mask(elems: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .core import (
 from .fingerprint import checksum128
 from .merge import local_multiway_merge
 from .redistribute import compute_splitters, external_all_to_all, per_run_moved
-from .runform import PeBlocks, form_runs, run_layout
+from .runform import WINDOW, PeBlocks, form_runs, run_layout
 from .striped import striped_sort
 from .vdisk import Cluster, OutputLayout
 
@@ -117,15 +117,14 @@ def _band_keys(cfg: MachineConfig, spec: InputSpec, pe: int,
         # in uint64.
         return (cfg.N - 1 - np.arange(pe * local, (pe + 1) * local)
                 ).astype(np.uint64)
-    if spec.kind == "worst_case_shift":
-        assert shift_ranks is not None
-        parts = []
-        for j, (_length, share) in enumerate(run_layout(cfg)):
-            parts.append(shift_ranks[j][pe * share:(pe + 1) * share])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-    raise ValueError(f"unknown input kind {spec.kind!r}")
+    # ``worst_case_shift``: ``generate_input`` refuses every other kind.
+    assert shift_ranks is not None
+    parts = []
+    for j, (_length, share) in enumerate(run_layout(cfg)):
+        parts.append(shift_ranks[j][pe * share:(pe + 1) * share])
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
 def generate_input(cluster: Cluster, spec: InputSpec) -> GeneratedInput:
@@ -208,10 +207,6 @@ def run_sort(cluster: Cluster, pe_blocks: PeBlocks,
     return result
 
 
-#: Output elements that :func:`verify_output` checks at a time.
-VERIFY_CHUNK = 1 << 15
-
-
 @dataclass
 class VerifyResult:
     ok: bool
@@ -231,6 +226,7 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     canonical output must list its PEs in non-decreasing order, ``N/P``
     elements each; a striped one must stripe round robin over all disks.
     Reads are unmetered: verification is not part of the simulated machine.
+    The output is checked ``runform.WINDOW`` elements at a time.
     Raises :class:`DiskError` for a block the layout names that is out of
     range (:meth:`OutputLayout.check_ids`) or not allocated.
     """
@@ -242,7 +238,7 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     last_key = None
     ordered = True
     pes, lbs = layout.pes, layout.lbs
-    step = max(1, VERIFY_CHUNK // cfg.B)
+    step = max(1, WINDOW // cfg.B)
     for g in range(0, len(pes), step):
         chunk = cluster.peek_blocks(pes[g:g + step], lbs[g:g + step])
         keys, serials = chunk["key"], chunk["serial"]
@@ -288,15 +284,6 @@ def verify_output(cluster: Cluster, layout: OutputLayout, count: int,
     return res
 
 
-STATS_META_KEYS = (
-    "engine", "kind", "P", "D", "B", "m", "N", "K", "elem_size", "seed",
-    "randomize", "rng", "v_moved", "k_rounds", "max_partners",
-    "selection_rounds", "selection_touched", "selection_fallbacks",
-    "peak_round_footprint", "merge_passes", "data_element_io", "sample_io",
-    "data_sent", "wall_seconds",
-)
-
-
 def report_stats(cfg: MachineConfig, result: SortResult,
                  kind: str = "?") -> str:
     """Render the run's counters as CSV with ``# key=value`` meta lines.
@@ -326,7 +313,7 @@ def report_stats(cfg: MachineConfig, result: SortResult,
         "data_sent": int(counters.traffic[list(ENGINE_PHASES), SENT].sum()),
         "wall_seconds": f"{result.wall_seconds:.6f}",
     }
-    lines = [f"# {key}={meta[key]}" for key in STATS_META_KEYS]
+    lines = [f"# {key}={value}" for key, value in meta.items()]
     columns = (["phase", "pe", "blocks_read", "blocks_written", "element_io",
                 "sent", "received", "control", "overhead", "io_steps"]
                + [f"read_disk{d}" for d in range(cfg.D)]

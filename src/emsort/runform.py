@@ -62,14 +62,10 @@ class Run:
 
 
 def run_layout(cfg: MachineConfig) -> list[tuple[int, int]]:
-    """(length, per-processor share) for each run of the configured input."""
-    layout = []
-    remaining = cfg.N
-    while remaining > 0:
-        length = min(cfg.M, remaining)
-        layout.append((length, length // cfg.P))
-        remaining -= length
-    return layout
+    """(length, per-processor share) for each run of the configured input,
+    the loads of :func:`windows` one by one."""
+    return [(cfg.P * share, share) for _, w, share in windows(cfg)
+            for _ in range(w)]
 
 
 def shuffle_block_ids(cfg: MachineConfig, pe: int, blocks) -> np.ndarray:

@@ -249,17 +249,14 @@ def sampled_starts(samples: list[np.ndarray], step: int,
     return starts
 
 
-def select_all_ranks(acc, ranks: list[int],
-                     samples: list[np.ndarray] | None = None,
-                     step: int = 1) -> list[SelectResult]:
+def select_all_ranks(acc, ranks: list[int], samples: list[np.ndarray],
+                     step: int) -> list[SelectResult]:
     """Splitters for several ranks, in ascending rank order.  Exact cuts
     are nested, so the results are componentwise monotone in r.
 
-    With ``samples`` of every ``step``-th element (see
-    :func:`sampled_starts`) each search starts within ``step`` of its cut;
-    the samples are sorted once for all ranks."""
+    ``samples`` hold every ``step``-th element of each run (see
+    :func:`sampled_starts`), so each search starts within ``step`` of its
+    cut; the samples are sorted once for all ranks."""
     ranks = sorted(ranks)
-    inits = ([None] * len(ranks) if samples is None
-             else sampled_starts(samples, step, ranks))
     return [multiway_select(acc, r, init, step)
-            for r, init in zip(ranks, inits)]
+            for r, init in zip(ranks, sampled_starts(samples, step, ranks))]

@@ -68,8 +68,7 @@ def _run_start_disk(cluster, salt: int, index: int) -> int:
     return derive_seed(cluster.cfg.seed, salt, index) % cluster.cfg.total_disks
 
 
-def form_striped_runs(cluster, pe_blocks: PeBlocks,
-                      buffers=None) -> list[Run]:
+def form_striped_runs(cluster, pe_blocks: PeBlocks, buffers) -> list[Run]:
     """Sort memory-sized chunks of the input into striped runs.
 
     Each run is one memory load: PE p reads share p of it, and the load
@@ -78,20 +77,17 @@ def form_striped_runs(cluster, pe_blocks: PeBlocks,
     read with one call, sorted with one ``internal_parallel_sort``, given
     its stripes by one ``alloc_stripe`` and freed and written by
     ``free_and_write`` as the load-by-load stream would leave each PE's
-    blocks.  ``buffers`` are ``runform.window_buffers`` columns long
-    enough for every window, made here when not given.  Costs 2N element
-    I/O plus the internal sort's communication.
+    blocks.  ``buffers`` are the columns of :func:`merge_buffers`, whose
+    first three are long enough for every window.  Costs 2N element I/O
+    plus the internal sort's communication.
     """
     cfg = cluster.cfg
     P, B = cfg.P, cfg.B
     ids = np.array(pe_blocks, np.int64)             # [pe, input block]
     runs: list[Run] = []
-    wins = windows(cfg)
-    if buffers is None:
-        buffers = window_buffers(P, wins)
-    for first, w, share in wins:
+    for first, w, share in windows(cfg):
         length = P * share
-        read, out, order = (c[:w * length] for c in buffers)
+        read, out, order = (c[:w * length] for c in buffers[:3])
         pes_in, lbs_in = window_blocks(cfg, ids, first, w, share)
         lbs_in = lbs_in.reshape(-1)
         data = internal_parallel_sort(cluster, cluster.read_blocks(
@@ -147,24 +143,27 @@ def build_prediction_sequence(cluster, runs: list[Run]):
 def _window_blocks(cfg) -> int:
     """Blocks in a merge pass's window: the most whole batches of M/(2B)
     blocks that hold at most ``WINDOW`` elements, and at least one."""
-    batch = max(1, cfg.M // (2 * cfg.B))
+    batch = max(1, cfg.merge_arity)
     return max(1, WINDOW // (batch * cfg.B)) * batch
 
 
-def merge_buffers(cfg, runs: int, blocks: int, wins=()) -> list[np.ndarray]:
-    """Columns for every window of merge passes over at most ``runs`` runs
-    and ``blocks`` blocks: the elements as read and as sorted, their
-    order, and their tags as read and as sorted.  A window is read behind
-    the leftovers of the one before, at most a block per run and a block
-    short of full output.  The first three are ``runform.window_buffers``
-    long enough for run formation's windows ``wins`` too."""
+def merge_buffers(cfg) -> list[np.ndarray]:
+    """Columns for every window of run formation and of the merge passes
+    of a striped sort of ``cfg``: the elements as read and as sorted,
+    their order, and their tags as read and as sorted.  A merge window is
+    read behind the leftovers of the one before, at most a block per run
+    of a pass and a block short of full output.  The first three are
+    ``runform.window_buffers`` long enough for run formation's windows
+    too."""
+    runs, blocks = min(cfg.R, cfg.merge_arity), cfg.N // cfg.B
     read, out, order = window_buffers(
-        cfg.P, wins, cfg.B * (min(_window_blocks(cfg), blocks) + runs + 1))
+        cfg.P, windows(cfg),
+        cfg.B * (min(_window_blocks(cfg), blocks) + runs + 1))
     return [read, out, order, np.empty_like(order), np.empty_like(order)]
 
 
 def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
-                       buffers=None) -> Run:
+                       buffers) -> Run:
     """Merge up to ``merge_arity`` striped runs into one striped run.
 
     The coordinator fetches blocks per the prefetch schedule (remote reads
@@ -179,7 +178,7 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     charged per PE from the whole pass.  The pass costs one read and one
     write per element; its I/O steps are the schedule length plus the
     output's round-robin step count.  ``buffers`` are the columns of
-    :func:`merge_buffers`, made for this pass alone when not given.
+    :func:`merge_buffers`.
     """
     cfg = cluster.cfg
     B, D_total = cfg.B, cfg.total_disks
@@ -209,10 +208,8 @@ def striped_merge_pass(cluster, runs: list[Run], start_disk: int,
     heads += offset
     L = len(heads)
     del offset
-    batch_blocks = max(1, cfg.M // (2 * B))
+    batch_blocks = cfg.merge_arity
     window = _window_blocks(cfg)
-    if buffers is None:
-        buffers = merge_buffers(cfg, R, L)
     elems, merged, order, tags, merged_tags = buffers
     lanes = np.arange(B)
 
@@ -288,9 +285,8 @@ def striped_sort(cluster, pe_blocks: PeBlocks):
     cfg = cluster.cfg
     # One set of columns for every window of run formation and of the
     # merge passes.
-    buffers = merge_buffers(cfg, min(cfg.R, cfg.merge_arity), cfg.N // cfg.B,
-                            windows(cfg))
-    runs = form_striped_runs(cluster, pe_blocks, buffers[:3])
+    buffers = merge_buffers(cfg)
+    runs = form_striped_runs(cluster, pe_blocks, buffers)
     if not runs:                # an empty input forms no run
         empty = np.empty(0, np.int64)
         return Run(0, empty, empty, np.empty(0, np.uint64)), 0

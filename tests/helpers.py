@@ -18,8 +18,9 @@ import numpy as np
 
 from emsort import runform, striped
 from emsort.core import (
-    ALL_PHASES, ELEM, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE, PHASE_RUN_FORMATION,
-    PHASE_STRIPED_MERGE, RECEIVED, SENT, Element, MachineConfig, sentinel_mask,
+    ELEM, ENGINE_PHASES, INF_KEY, MAX_KEY, PHASE_LOCAL_MERGE,
+    PHASE_RUN_FORMATION, PHASE_SETUP, PHASE_STRIPED_MERGE, RECEIVED, SENT,
+    SENTINEL_SERIAL, MachineConfig, sentinel_mask,
 )
 from emsort.harness import GeneratedInput, InputSpec, generate_input
 from emsort.merge import batch_merge as array_batch_merge
@@ -30,12 +31,23 @@ from emsort.schedule import (
     prefetch_schedule as array_prefetch_schedule,
     verify_schedule as array_verify_schedule,
 )
-from emsort.selection import sampled_starts, select_all_ranks
+from emsort.selection import multiway_select, sampled_starts
 from emsort.striped import (
     COORDINATOR, _run_start_disk,
     build_prediction_sequence as array_prediction_sequence,
 )
 from emsort.vdisk import Cluster, DiskError, OutputLayout
+
+#: An element as a ``(key, serial)`` tuple, what ``.tolist()`` gives of an
+#: :data:`~emsort.core.ELEM` array.
+Element = tuple[int, int]
+
+#: Every phase, setup first.
+ALL_PHASES = (PHASE_SETUP,) + ENGINE_PHASES
+
+
+def sentinel() -> Element:
+    return (MAX_KEY, SENTINEL_SERIAL)
 
 
 def build(P: int = 2, D: int = 2, B: int = 4, m: int = 32, N: int = 128,
@@ -58,7 +70,7 @@ def windowed(cfg: MachineConfig, batches: int | None):
     """A patch of the striped merge pass's window to ``batches`` whole
     batches of ``cfg`` (``None`` keeps the default), and the batches it
     then holds."""
-    batch = max(1, cfg.M // (2 * cfg.B)) * cfg.B
+    batch = max(1, cfg.merge_arity) * cfg.B
     size = striped.WINDOW if batches is None else batches * batch
     return mock.patch.object(striped, "WINDOW", size), max(1, size // batch)
 
@@ -333,7 +345,7 @@ def internal_parallel_sort(cluster,
         raise ValueError("load size is not divisible by processor count")
     share = total // P
     acc = MemoryAccessor(locals_sorted)
-    results = select_all_ranks(acc, [p * share for p in range(1, P)])
+    results = [multiway_select(acc, p * share) for p in range(1, P)]
     cutpos = ([[0] * P] + [res.positions for res in results]
               + [[len(lst) for lst in locals_sorted]])
     # Every processor learns every cut position: its own P - 1 cuts are
@@ -718,7 +730,7 @@ def _write_stripe_per_pe(cluster, pes: np.ndarray, lbs: np.ndarray,
 
 
 def per_batch_striped_merge_pass(cluster, runs: list[Run], start_disk: int,
-                                 buffers=None) -> Run:
+                                 buffers) -> Run:
     """Merge striped runs into one, finding each batch's blocks per PE with
     a mask over the batch and charging the coordinator's traffic per PE per
     batch: one read, free and write call per PE per batch of M/(2B)

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from emsort.core import (
-    ALL_PHASES, CONTROL, DATA_PHASES, ELEM, INF_KEY, MAX_KEY, MachineConfig,
+    CONTROL, DATA_PHASES, ELEM, INF_KEY, MAX_KEY, MachineConfig,
     PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, PHASE_NAMES, PHASE_RUN_FORMATION,
     PHASE_SELECTION, PHASE_SETUP, READ, RECEIVED, SENT, SENTINEL_SERIAL, WRITE,
-    PhaseCounters, derive_seed, parse_config_text, sentinel, sentinel_mask,
+    PhaseCounters, derive_seed, parse_config_text, sentinel_mask, sentinels,
     sort_order, validate_config,
 )
 from emsort.fingerprint import FINGERPRINT_CHUNK, checksum128
@@ -21,8 +21,9 @@ from emsort.net import charge_volume, gather_splitters
 from emsort.vdisk import Cluster
 
 from helpers import (
-    ReferenceCluster, checksum128 as scalar_checksum128, counter_state,
-    element_from_bytes, element_to_bytes, elements as element_array, on,
+    ALL_PHASES, ReferenceCluster, checksum128 as scalar_checksum128,
+    counter_state, element_from_bytes, element_to_bytes,
+    elements as element_array, on, sentinel,
 )
 
 elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
@@ -30,6 +31,7 @@ elements = st.tuples(st.integers(0, MAX_KEY - 1), st.integers(0, 2**63 - 1))
 
 def test_sentinel_is_recognized_and_maximal():
     s = sentinel()
+    assert sentinels(2).tolist() == [s, s]
     assert sentinel_mask(element_array([s, (MAX_KEY, 0), (0, -1)])).tolist() == [
         True, False, False]
     assert s[0] == MAX_KEY

@@ -23,20 +23,20 @@ import emsort
 from emsort import cli, harness
 from emsort.cli import main as cli_main
 from emsort.core import (
-    DATA_PHASES, PHASE_NAMES, MachineConfig, sentinel, validate_config,
+    DATA_PHASES, PHASE_NAMES, MachineConfig, validate_config,
 )
 from emsort.harness import (
-    ENGINES, INPUT_KINDS, VERIFY_CHUNK, InputSpec, generate_input, report_stats,
+    ENGINES, INPUT_KINDS, InputSpec, generate_input, report_stats,
     run_experiment_redistribution, run_sort, verify_output, worst_shift_cuts,
 )
 from emsort.redistribute import compute_splitters, per_run_moved
-from emsort.runform import form_runs, run_layout
+from emsort.runform import WINDOW, form_runs, run_layout
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
     addresses, build, counter_state, fill, image_slots, input_elements,
     int64_bytes, int64_values, is_allocated, live_blocks, on, oracle_agrees,
-    output_elements,
+    output_elements, sentinel,
 )
 
 
@@ -235,17 +235,17 @@ def swap(cl, layout, i, j):
 
 
 def test_verify_detects_decrease_across_a_chunk_boundary():
-    cl, gen, layout = sorted_output(P=1, N=2 * VERIFY_CHUNK, B=64)
-    swap(cl, layout, VERIFY_CHUNK - 1, VERIFY_CHUNK)
+    cl, gen, layout = sorted_output(P=1, N=2 * WINDOW, B=64)
+    swap(cl, layout, WINDOW - 1, WINDOW)
     verdict = verify_output(cl, layout, gen.count, gen.total)
-    assert verdict.failures == [f"keys decrease at position {VERIFY_CHUNK}"]
+    assert verdict.failures == [f"keys decrease at position {WINDOW}"]
 
 
 def test_verify_peeks_each_chunk_with_one_column_call(monkeypatch):
     """A striped output changes PE every D blocks; each chunk is still read
     with one call, on the chunk's slice of the layout columns, and checked
     in layout order."""
-    monkeypatch.setattr(harness, "VERIFY_CHUNK", 32)      # 8 blocks of 4
+    monkeypatch.setattr(harness, "WINDOW", 32)      # 8 blocks of 4
     cl = build(P=2, B=4, m=32, N=128, seed=31)
     gen = fill(cl, "random", 31)
     layout = run_sort(cl, gen.pe_blocks, "striped").layout
@@ -643,6 +643,60 @@ def test_cli_verify_rejects_wrong_stage(tmp_path):
         cli_main(["verify", "--persist", store])
 
 
+@pytest.mark.parametrize("argv", [["gen", "--config"], ["sort", "--config"],
+                                  ["verify"]], ids=["gen", "sort", "verify"])
+def test_cli_refuses_a_persist_path_that_is_a_file(tmp_path, monkeypatch,
+                                                   argv):
+    """A ``--persist`` path that names a regular file is refused with an
+    ``error:`` line before any input is generated, and the file is left
+    as it was."""
+    monkeypatch.setattr(cli, "generate_input",
+                        mock.Mock(side_effect=AssertionError))
+    config = write_config(tmp_path / "grid.cfg")
+    path = tmp_path / "file"
+    path.write_bytes(b"kept")
+    if argv[0] != "verify":
+        argv = [*argv, config]
+    with pytest.raises(SystemExit) as refusal:
+        cli_main([*argv, "--persist", str(path)])
+    assert str(refusal.value) == f"error: {path}: not a directory"
+    assert path.read_bytes() == b"kept"
+
+
+def test_cli_turns_a_store_that_cannot_be_written_into_an_error(tmp_path):
+    """A store under a regular file cannot be made: ``gen`` exits with an
+    ``error:`` line that names it, not with a traceback."""
+    config = write_config(tmp_path / "grid.cfg")
+    (tmp_path / "file").write_bytes(b"")
+    store = str(tmp_path / "file" / "state")
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["gen", "--config", config, "--persist", store])
+    assert str(refusal.value).startswith("error: ")
+    assert store in str(refusal.value)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "99", "--kind", "sorted", "--randomize", "off"],
+    ["--config", "other.cfg"],
+], ids=["seed-kind-randomize", "config"])
+def test_cli_sort_refuses_flags_that_an_input_store_fixes(tmp_path, monkeypatch,
+                                                          flags):
+    """``sort --persist`` on an input store sorts with the manifest's
+    config, seed, kind and shuffle, so it refuses each of those flags
+    before it loads the store, which stays as it was."""
+    config = write_config(tmp_path / "grid.cfg")
+    store = tmp_path / "state"
+    assert cli_main(["gen", "--config", config, "--persist", str(store)]) == 0
+    before = store_files(store)
+    monkeypatch.setattr(cli, "run_sort", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(SystemExit) as refusal:
+        cli_main(["sort", "--persist", str(store), *flags])
+    fixed = ", ".join(flag for flag in flags if flag.startswith("--"))
+    assert str(refusal.value) == (f"error: {store} holds an input; its "
+                                  f"manifest fixes {fixed}")
+    assert store_files(store) == before
+
+
 def test_cli_experiment_emits_table(tmp_path, capsys):
     config = write_config(tmp_path / "grid.cfg", m=64, N=512)
     assert cli_main(["experiment", "--config", config, "--blocks", "4,8",
@@ -1014,7 +1068,7 @@ def test_a_crash_before_the_manifest_switch_keeps_the_old_store(
         [cli.LAYOUT, cli.MANIFEST] + [name.format(2) for name in images])
     with monkeypatch.context() as patch:
         patch.setattr(os, "replace", crash)
-        with pytest.raises(OSError, match="crash before the switch"):
+        with pytest.raises(SystemExit, match="^error: crash before the switch$"):
             cli_main(["gen", "--config", config, "--kind", "reverse",
                       "--persist", str(store)])
     after = store_files(store)
@@ -1029,7 +1083,7 @@ def test_a_crash_before_the_manifest_switch_keeps_the_old_store(
     input_files = store_files(store)
     with monkeypatch.context() as patch:
         patch.setattr(os, "replace", crash)
-        with pytest.raises(OSError, match="crash before the switch"):
+        with pytest.raises(SystemExit, match="^error: crash before the switch$"):
             cli_main(["sort", "--persist", str(store)])
     assert {name: store_files(store)[name] for name in input_files} == input_files
     assert cli_main(["sort", "--persist", str(store)]) == 0

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from emsort.core import (
     DATA_PHASES, MAX_KEY, PHASE_ALL_TO_ALL, PHASE_LOCAL_MERGE, READ, WRITE,
-    sentinel,
 )
 from emsort.merge import free_and_write, local_multiway_merge
 from emsort.redistribute import Staged, compute_splitters, external_all_to_all
@@ -19,7 +18,7 @@ from emsort.runform import form_runs
 import helpers
 from helpers import (
     addresses, build, concat, counter_state, elements, fill, input_elements,
-    live_blocks, merge_window, on, oracle_agrees, output_elements,
+    live_blocks, merge_window, on, oracle_agrees, output_elements, sentinel,
 )
 
 #: Elements with keys 0..3 (heavy ties) or a sentinel.

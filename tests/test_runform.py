@@ -16,7 +16,7 @@ from emsort.core import (
 )
 from emsort.harness import run_sort, verify_output
 from emsort.runform import Run, form_runs, run_layout, shuffle_block_ids
-from emsort.striped import form_striped_runs, striped_merge_pass
+from emsort.striped import form_striped_runs, merge_buffers, striped_merge_pass
 from emsort.vdisk import Cluster
 
 import helpers
@@ -334,8 +334,8 @@ def test_runs_of_both_engines_hold_the_run_invariants(engine, randomize):
     P, B = cl.cfg.P, cl.cfg.B
     gen = fill(cl, "duplicate_heavy", 4)
     inputs = sorted(input_elements(cl, gen))
-    form = form_runs if engine == "canonical" else form_striped_runs
-    runs = form(cl, gen.pe_blocks)
+    runs = (form_runs(cl, gen.pe_blocks) if engine == "canonical" else
+            form_striped_runs(cl, gen.pe_blocks, merge_buffers(cl.cfg)))
     assert [run.length for run in runs] == [48, 48, 24]     # M = 48
 
     def check(run: Run) -> list:
@@ -355,7 +355,8 @@ def test_runs_of_both_engines_hold_the_run_invariants(engine, randomize):
             assert run.pes.tolist() == np.repeat(
                 np.arange(P), run.length // P // B).tolist()
     else:
-        assert sorted(check(striped_merge_pass(cl, runs, 0))) == inputs
+        assert sorted(check(striped_merge_pass(
+            cl, runs, 0, merge_buffers(cl.cfg)))) == inputs
 
 
 def test_random_loads_spread_over_input_blocks():

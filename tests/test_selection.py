@@ -252,7 +252,8 @@ def test_select_all_ranks_is_monotone_and_exact():
     runs = make_runs(rng, 5, 100, 1 << 20)
     total = sum(len(run) for run in runs)
     ranks = sorted(rng.randint(0, total) for _ in range(6))
-    results = select_all_ranks(MemoryAccessor(runs), ranks)
+    acc = MemoryAccessor(runs)
+    results = [multiway_select(acc, r) for r in ranks]
     prev = [0] * len(runs)
     for r, res in zip(ranks, results):
         assert res.positions == brute_force_select(runs, r)

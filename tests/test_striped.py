@@ -20,8 +20,8 @@ from emsort.harness import (
 from emsort.runform import Run, form_runs
 from emsort.schedule import naive_steps, prefetch_schedule, verify_schedule
 from emsort.striped import (
-    build_prediction_sequence, form_striped_runs, striped_merge_pass,
-    striped_sort,
+    build_prediction_sequence, form_striped_runs, merge_buffers,
+    striped_merge_pass, striped_sort,
 )
 from emsort.vdisk import Cluster, OutputLayout
 
@@ -36,7 +36,7 @@ def formed(P=2, B=4, m=32, N=256, kind="random", seed=0, **kw):
     cl = build(P=P, D=2, B=B, m=m, N=N, seed=seed, **kw)
     gen = fill(cl, kind, seed)
     inputs = input_elements(cl, gen)
-    runs = form_striped_runs(cl, gen.pe_blocks)
+    runs = form_striped_runs(cl, gen.pe_blocks, merge_buffers(cl.cfg))
     return cl, inputs, runs
 
 
@@ -256,7 +256,7 @@ def test_prefetch_schedule_takes_the_fewest_steps(drawn):
 
 def test_merge_pass_produces_one_sorted_striped_run():
     cl, inputs, runs = formed(P=2, N=256, seed=7)    # R=4, arity=8
-    out = striped_merge_pass(cl, runs, start_disk=0)
+    out = striped_merge_pass(cl, runs, 0, merge_buffers(cl.cfg))
     elems = run_elements(cl, out)
     assert oracle_agrees(inputs, elems)
     assert out.length == cl.cfg.N
@@ -269,7 +269,7 @@ def test_merge_pass_produces_one_sorted_striped_run():
 def test_merge_pass_rejects_too_many_runs():
     cl, _inputs, runs = formed(P=1, B=4, m=16, N=128, seed=8)   # arity=2, R=8
     with pytest.raises(ValueError):
-        striped_merge_pass(cl, runs, start_disk=0)
+        striped_merge_pass(cl, runs, 0, merge_buffers(cl.cfg))
 
 
 def test_striped_sort_single_run_needs_no_pass():
@@ -320,7 +320,7 @@ def test_striped_sort_carries_odd_group_through():
 def test_merge_pass_records_io_steps():
     cl, _inputs, runs = formed(P=2, N=256, seed=13)
     before = cl.counters.steps[PHASE_STRIPED_MERGE]
-    out = striped_merge_pass(cl, runs, start_disk=0)
+    out = striped_merge_pass(cl, runs, 0, merge_buffers(cl.cfg))
     steps = cl.counters.steps[PHASE_STRIPED_MERGE] - before
     blocks = len(out.lbs)
     lower = -(-blocks // cl.cfg.total_disks) * 2    # read + write optimum
@@ -362,7 +362,7 @@ def test_merge_pass_moves_whole_batches(batches):
 
     window, per_window = windowed(cl.cfg, batches)
     with window, mock.patch.object(striped, "batch_merge", merge):
-        out = striped_merge_pass(cl, runs, start_disk=0)
+        out = striped_merge_pass(cl, runs, 0, merge_buffers(cl.cfg))
     batches_in_pass = -(-len(out.lbs) // (cl.cfg.M // (2 * cl.cfg.B)))
     assert batches_in_pass == 8
     windows = -(-batches_in_pass // per_window)
@@ -404,8 +404,8 @@ def test_formation_moves_each_run_with_one_call_each(engine, P):
             return _method(*args, **kwargs)
         setattr(cl, name, logged)
     with window:
-        runs = (form_runs if engine == "canonical" else form_striped_runs)(
-            cl, gen.pe_blocks)
+        runs = (form_runs(cl, gen.pe_blocks) if engine == "canonical" else
+                form_striped_runs(cl, gen.pe_blocks, merge_buffers(cl.cfg)))
     assert len(runs) == cl.cfg.R == 6
     assert calls["read_blocks"] == 4 and calls["alloc_blocks"] == 0
     if engine == "canonical":
@@ -531,7 +531,7 @@ def test_merge_pass_refuses_blocks_fetched_early(batches):
     runs[0].minima[-3:-1] = 0
     window, _per_window = windowed(cl.cfg, batches)
     with window, pytest.raises(RuntimeError, match="leftover"):
-        striped_merge_pass(cl, runs, start_disk=0)
+        striped_merge_pass(cl, runs, 0, merge_buffers(cl.cfg))
 
 
 @st.composite

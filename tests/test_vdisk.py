@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from emsort.core import (
     ELEM, MAX_KEY, PHASE_NAMES, READ, WRITE, MachineConfig,
-    PHASE_RUN_FORMATION, PHASE_SETUP, sentinel,
+    PHASE_RUN_FORMATION, PHASE_SETUP,
 )
 from emsort.vdisk import Cluster, DiskError, OutputLayout
 
 from helpers import (
     ReferenceCluster, addresses, alloc_on_reference, alloc_reference, build,
     counter_state, element_from_bytes, elements, encode_block, image_bytes,
-    int64_bytes, is_allocated, live_blocks, on,
+    int64_bytes, is_allocated, live_blocks, on, sentinel,
 )
 
 
